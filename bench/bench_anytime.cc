@@ -16,7 +16,6 @@
 #include "core/interface_generator.h"
 #include "difftree/builder.h"
 #include "search/mcts.h"
-#include "search/parallel_mcts.h"
 #include "search/progress.h"
 #include "search/timeman.h"
 #include "sql/parser.h"
@@ -61,20 +60,15 @@ std::vector<BenchWorkload> AnytimeWorkloads(size_t max_queries) {
 
 struct SearcherKind {
   const char* name;
-  size_t threads;  ///< 0 = serial MctsSearcher
+  size_t threads;  ///< <= 1 = one tree (serial)
 };
 
 Result<SearchResult> RunSearch(const SearcherKind& kind, RuleEngine* rules,
                                StateEvaluator* eval, const SearchOptions& opts,
                                const DiffTree& initial) {
-  if (kind.threads == 0) {
-    MctsSearcher s(rules, eval, opts);
-    return s.Run(initial);
-  }
   ParallelOptions popts;
   popts.num_threads = kind.threads;
-  popts.mode = ParallelMode::kRoot;
-  ParallelMctsSearcher s(rules, eval, opts, popts);
+  MctsSearcher s(rules, eval, opts, popts);
   return s.Run(initial);
 }
 

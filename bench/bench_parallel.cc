@@ -16,7 +16,7 @@
 #include "cost/evaluator.h"
 #include "difftree/builder.h"
 #include "runtime/service.h"
-#include "search/parallel_mcts.h"
+#include "search/mcts.h"
 #include "sql/parser.h"
 #include "util/timer.h"
 #include "workload/flights.h"
@@ -57,33 +57,29 @@ void SweepWorkload(const Workload& w, int64_t budget_ms) {
   RuleEngine rules;
 
   for (size_t threads : {1, 2, 4, 8}) {
-    for (ParallelMode mode : {ParallelMode::kRoot, ParallelMode::kLeaf}) {
-      if (threads == 1 && mode == ParallelMode::kLeaf) continue;  // same as serial
-      // Fresh evaluator per run: a warm cache would flatter later configs.
-      EvalOptions eopts;
-      eopts.screen = {100, 40};
-      StateEvaluator eval(eopts, queries);
+    // Fresh evaluator per run: a warm cache would flatter later configs.
+    EvalOptions eopts;
+    eopts.screen = {100, 40};
+    StateEvaluator eval(eopts, queries);
 
-      SearchOptions sopts;
-      sopts.time_budget_ms = budget_ms;
-      sopts.seed = 7;
-      ParallelOptions popts;
-      popts.num_threads = threads;
-      popts.mode = mode;
+    SearchOptions sopts;
+    sopts.time_budget_ms = budget_ms;
+    sopts.seed = 7;
+    ParallelOptions popts;
+    popts.num_threads = threads;
 
-      ParallelMctsSearcher searcher(&rules, &eval, sopts, popts);
-      Stopwatch watch;
-      auto r = searcher.Run(initial);
-      int64_t ms = watch.ElapsedMillis();
-      if (!r.ok()) {
-        std::printf("%-8s threads=%zu FAILED: %s\n", w.name, threads,
-                    r.status().ToString().c_str());
-        continue;
-      }
-      const char* mode_name = threads == 1 ? "serial" : ParallelModeName(mode).data();
-      PrintRow(w.name, mode_name, threads, ms, r->best_cost, r->stats.iterations,
-               eval.evaluations(), r->stats.transposition_hits, TimeToBest(r->stats));
+    MctsSearcher searcher(&rules, &eval, sopts, popts);
+    Stopwatch watch;
+    auto r = searcher.Run(initial);
+    int64_t ms = watch.ElapsedMillis();
+    if (!r.ok()) {
+      std::printf("%-8s threads=%zu FAILED: %s\n", w.name, threads,
+                  r.status().ToString().c_str());
+      continue;
     }
+    PrintRow(w.name, threads == 1 ? "serial" : "root", threads, ms, r->best_cost,
+             r->stats.iterations, eval.evaluations(), r->stats.transposition_hits,
+             TimeToBest(r->stats));
   }
 }
 

@@ -238,11 +238,14 @@ Result<BackendKind> ParseBackendKind(const std::string& name) {
                          "' (expected reference|columnar|sqlite)");
 }
 
-Result<ParallelMode> ParseParallelMode(const std::string& name) {
-  for (ParallelMode m : {ParallelMode::kRoot, ParallelMode::kLeaf}) {
-    if (name == ParallelModeName(m)) return m;
+/// Root parallelism is the only mode; the field stays on the wire so
+/// clients that send it keep working.
+Status CheckParallelMode(const std::string& name) {
+  if (name == "root") return Status::OK();
+  if (name == "leaf") {
+    return Status::Invalid("parallel_mode 'leaf' was removed; only 'root' is supported");
   }
-  return Status::Invalid("unknown parallel_mode '" + name + "' (expected root|leaf)");
+  return Status::Invalid("unknown parallel_mode '" + name + "' (expected root)");
 }
 
 }  // namespace
@@ -298,7 +301,7 @@ Result<GeneratorOptions> ApiOptions::ToGeneratorOptions() const {
   GeneratorOptions o;
   IFGEN_ASSIGN_OR_RETURN(o.algorithm, ParseAlgorithm(algorithm));
   IFGEN_ASSIGN_OR_RETURN(o.backend, ParseBackendKind(backend));
-  IFGEN_ASSIGN_OR_RETURN(o.parallel.mode, ParseParallelMode(parallel_mode));
+  IFGEN_RETURN_NOT_OK(CheckParallelMode(parallel_mode));
   if (screen_width < 10 || screen_width > 10000 || screen_height < 5 ||
       screen_height > 10000) {
     return Status::OutOfRange("screen must be within [10,10000]x[5,10000], got " +
@@ -359,7 +362,6 @@ ApiOptions ApiOptions::FromGeneratorOptions(const GeneratorOptions& o) {
   ApiOptions a;
   a.algorithm = std::string(AlgorithmName(o.algorithm));
   a.backend = std::string(BackendKindName(o.backend));
-  a.parallel_mode = std::string(ParallelModeName(o.parallel.mode));
   a.time_budget_ms = o.search.time_budget_ms;
   a.max_iterations = static_cast<int64_t>(o.search.max_iterations);
   a.seed = static_cast<int64_t>(o.search.seed);

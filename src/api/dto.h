@@ -112,7 +112,7 @@ struct ErrorBody {
 struct ApiOptions {
   std::string algorithm = "mcts";
   std::string backend = "columnar";
-  std::string parallel_mode = "root";
+  std::string parallel_mode = "root";  ///< the only mode; "leaf" is rejected
   int64_t time_budget_ms = 2000;
   int64_t max_iterations = 0;
   int64_t seed = 42;

@@ -5,7 +5,6 @@
 #include "difftree/enumerate.h"
 #include "search/baselines.h"
 #include "search/mcts.h"
-#include "search/parallel_mcts.h"
 #include "sql/parser.h"
 #include "util/logging.h"
 
@@ -29,27 +28,13 @@ std::string_view AlgorithmName(Algorithm a) {
   return "?";
 }
 
-std::string_view ParallelModeName(ParallelMode m) {
-  switch (m) {
-    case ParallelMode::kRoot:
-      return "root";
-    case ParallelMode::kLeaf:
-      return "leaf";
-  }
-  return "?";
-}
-
 std::unique_ptr<Searcher> MakeSearcher(Algorithm algorithm, const RuleEngine* rules,
                                        StateEvaluator* evaluator,
                                        const SearchOptions& opts,
                                        const ParallelOptions& parallel) {
   switch (algorithm) {
     case Algorithm::kMcts:
-      if (parallel.num_threads > 1) {
-        return std::make_unique<ParallelMctsSearcher>(rules, evaluator, opts,
-                                                      parallel);
-      }
-      return std::make_unique<MctsSearcher>(rules, evaluator, opts);
+      return std::make_unique<MctsSearcher>(rules, evaluator, opts, parallel);
     case Algorithm::kRandom:
       return std::make_unique<RandomSearcher>(rules, evaluator, opts);
     case Algorithm::kGreedy:

@@ -40,10 +40,9 @@ Result<GeneratedInterface> GenerateInterface(const std::vector<std::string>& sql
 Result<GeneratedInterface> GenerateInterfaceFromAsts(const std::vector<Ast>& queries,
                                                      const GeneratorOptions& options);
 
-/// Factory used by benches to sweep algorithms uniformly. When `parallel`
-/// requests more than one thread and the algorithm is MCTS, the returned
-/// searcher is the ParallelMctsSearcher (root- or leaf-parallel per
-/// `parallel.mode`); every other combination is the serial implementation.
+/// Factory used by benches to sweep algorithms uniformly. MCTS runs
+/// `parallel.num_threads` root-parallel trees; every other algorithm is
+/// serial and ignores `parallel`.
 std::unique_ptr<Searcher> MakeSearcher(Algorithm algorithm, const RuleEngine* rules,
                                        StateEvaluator* evaluator,
                                        const SearchOptions& opts,

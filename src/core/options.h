@@ -20,40 +20,6 @@ enum class Algorithm : uint8_t {
 
 std::string_view AlgorithmName(Algorithm a);
 
-/// \brief How the MCTS search tree is parallelized.
-enum class ParallelMode : uint8_t {
-  /// N independent trees (one per thread) share the transposition table and
-  /// the global best tracker; results merge by visit-weighted reward.
-  /// Diversifies exploration — each tree gets its own RNG stream.
-  kRoot = 0,
-  /// One tree; the simulations of freshly expanded children fan out to the
-  /// pool (`leaf_rollouts` rollouts per child). Concentrates effort — the
-  /// tree policy sees more samples per decision.
-  kLeaf,
-};
-
-std::string_view ParallelModeName(ParallelMode m);
-
-/// \brief Knobs of the parallel search runtime.
-///
-/// Determinism contract: `num_threads <= 1` runs the serial searcher — the
-/// result is bit-for-bit identical for a fixed seed. With more threads,
-/// every thread draws from its own RNG stream (`Rng::Split` of the seed),
-/// but search trajectories are timing-dependent: shared-cache hits consume
-/// no RNG draws while misses do, and which thread fills a shared entry
-/// first varies run-to-run, shifting the streams' consumption and hence
-/// the states visited. Only the seeds, not the trajectories, are
-/// reproducible beyond one thread.
-struct ParallelOptions {
-  /// Worker threads for the search; <= 1 = serial (bit-for-bit reproducible).
-  size_t num_threads = 1;
-  ParallelMode mode = ParallelMode::kRoot;
-  /// Lock stripes of the shared transposition table.
-  size_t tt_shards = 16;
-  /// Leaf mode: simulations fanned out per freshly expanded child.
-  size_t leaf_rollouts = 2;
-};
-
 /// \brief All knobs of the end-to-end generator, with paper defaults —
 /// except the PR-2 search/evaluation refinements, which default on and are
 /// individually ablatable:
@@ -66,8 +32,8 @@ struct GeneratorOptions {
   Screen screen{100, 40};
   Algorithm algorithm = Algorithm::kMcts;
   SearchOptions search;
-  /// Parallel runtime; `parallel.num_threads > 1` with kMcts selects the
-  /// ParallelMctsSearcher.
+  /// Parallel runtime: with kMcts, `parallel.num_threads` root-parallel
+  /// trees (see ParallelOptions).
   ParallelOptions parallel;
   RuleSetOptions rules;
   CostConstants constants;
@@ -85,8 +51,8 @@ struct GeneratorOptions {
   size_t parse_limit = 8;
   /// Exhaustive widget enumeration cap for the final state.
   double enumeration_cap = 20000;
-  /// Cache peering (cluster ablation flag): makes this job's transposition
-  /// entries exportable to sibling workers and eligible to warm-start from
+  /// Cache peering (cluster ablation flag): makes this job's sampled state
+  /// costs exportable to sibling workers and eligible to warm-start from
   /// theirs. Turns on state-keyed sampling (EvalOptions) so sampled costs
   /// are pure functions of (state, options, seed) — pre-seeded entries then
   /// change the amount of work, never the values or the RNG streams; a
@@ -96,7 +62,7 @@ struct GeneratorOptions {
   bool cache_peering = false;
   /// Persistent-experience ablation flag (src/learn/): makes this job
   /// eligible to warm-start from the service's ExperienceStore (root-action
-  /// virtual visits + transposition/delta-cache seeding) and to record its
+  /// virtual visits + cost-memo/delta-cache seeding) and to record its
   /// discoveries back. Turns on state-keyed sampling exactly like
   /// `cache_peering` — and for the same soundness reason — so it
   /// participates in cache keys and fingerprints the same way; the runtime

@@ -1,5 +1,6 @@
 #include "cost/evaluator.h"
 
+#include <cmath>
 #include <limits>
 
 #include "obs/metrics.h"
@@ -23,7 +24,13 @@ obs::Counter& EvalCacheHitsMetric() {
       "ifgen_eval_cache_hits_total", "Sampled-cost cache hits in StateEvaluator");
   return *c;
 }
+obs::Counter& SeededHitsMetric() {
+  static obs::Counter* c = obs::MetricsRegistry::Default().GetCounter(
+      "ifgen_tt_peer_cost_hits_total",
+      "Sampled-cost cache hits served by a warm-start seeded entry");
+  return *c;
 }
+}  // namespace
 
 StateEvaluator::StateEvaluator(const EvalOptions& opts, const std::vector<Ast>& queries)
     : opts_(opts), queries_(queries),
@@ -75,13 +82,17 @@ double StateEvaluator::SampleCost(const DiffTree& tree, Rng* rng) {
     if (auto cached = cost_cache_.Lookup(key)) {
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       EvalCacheHitsMetric().Inc();
-      return *cached;
+      if (cached->seeded) {
+        seeded_hits_.fetch_add(1, std::memory_order_relaxed);
+        SeededHitsMetric().Inc();
+      }
+      return cached->cost;
     }
   }
   // State-keyed mode draws from a per-state generator so the caller's
-  // stream is never consumed: a pre-seeded cache entry (transposition
-  // peering) then changes how much work happens, never which values the
-  // surrounding search observes.
+  // stream is never consumed: a seeded memo entry (SeedCost) then changes
+  // how much work happens, never which values the surrounding search
+  // observes.
   Rng state_rng(HashCombine(opts_.sampling_seed, key));
   Rng* draw_rng = opts_.state_keyed_sampling ? &state_rng : rng;
   WidgetAssigner assigner(tree, opts_.constants, delta_.get());
@@ -103,9 +114,20 @@ double StateEvaluator::SampleCost(const DiffTree& tree, Rng* rng) {
   if (opts_.cache_enabled) {
     // First writer wins: concurrent misses on the same state each compute a
     // valid sample; overwriting would let the cached value drift mid-search.
-    cost_cache_.Insert(key, best);
+    cost_cache_.Insert(key, {best, false});
   }
   return best;
+}
+
+bool StateEvaluator::SeedCost(uint64_t key, double cost) {
+  // The wire formats that carry seeds cannot encode ±inf anyway.
+  if (!opts_.cache_enabled || !std::isfinite(cost)) return false;
+  return cost_cache_.Insert(key, {cost, true});
+}
+
+std::optional<double> StateEvaluator::MemoCost(uint64_t key) const {
+  if (auto e = cost_cache_.Lookup(key)) return e->cost;
+  return std::nullopt;
 }
 
 Result<ScoredWidgetTree> StateEvaluator::FindBest(const DiffTree& tree, Rng* rng) {

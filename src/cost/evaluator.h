@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <optional>
 
 #include "cost/cost_model.h"
 #include "cost/delta.h"
@@ -23,7 +24,9 @@ struct EvalOptions {
   /// we fall back to sampling + coordinate-descent refinement.
   double enumeration_cap = 20000;
   size_t sample_fallback = 800;
-  /// Memoize sampled state costs by canonical difftree hash.
+  /// Memoize sampled state costs by canonical difftree hash. This memo is
+  /// the only state→cost memo: search warm-start seeds land in it too, so
+  /// turning it off also turns off seeding (see StateEvaluator::SeedCost).
   bool cache_enabled = true;
   /// Delta-cost evaluation: memoize per-subtree cost contributions (choice
   /// widget terms, transition plans) so evaluating a state recomputes only
@@ -41,9 +44,9 @@ struct EvalOptions {
   /// local Rng seeded by (sampling_seed, canonical state hash) instead of
   /// the caller's stream. A state's sampled cost becomes a pure function of
   /// (state, options, sampling_seed) — independent of visit order and of
-  /// which caches already hold it — which is what lets transposition
-  /// peering pre-seed cost caches without perturbing the caller's RNG
-  /// stream. Enabled by GeneratorOptions::cache_peering.
+  /// which caches already hold it — which is what lets a search warm-start
+  /// pre-seed the cost memo without perturbing the caller's RNG stream.
+  /// Enabled by GeneratorOptions::cache_peering and ::experience.
   bool state_keyed_sampling = false;
   uint64_t sampling_seed = 0;
   /// Cross-search delta-cost cache to use instead of an evaluator-local one.
@@ -65,13 +68,13 @@ struct ScoredWidgetTree {
 /// \brief Evaluates difftree states: the bridge between the search space
 /// (difftrees) and the objective (cost of the best widget tree).
 ///
-/// Thread-safe: the memoization cache is guarded by a mutex (held only for
-/// lookup/insert, never across an evaluation) and the counters are atomic,
-/// so one evaluator can be shared by every thread of a parallel search —
-/// which is exactly what makes the shared-evaluation transposition design
-/// work. Two threads that miss on the same state concurrently both compute
-/// it (first insert wins); costs for one canonical state are interchangeable
-/// samples, so this is benign.
+/// Thread-safe: the memo is sharded, each shard's lock held only for
+/// lookup/insert, never across an evaluation, and the counters are atomic,
+/// so one evaluator is shared by every tree of a parallel search — a state
+/// any tree evaluated is a memo hit for all others. Two threads that miss
+/// on the same state concurrently both compute it (first insert wins);
+/// costs for one canonical state are interchangeable samples, so this is
+/// benign.
 class StateEvaluator {
  public:
   StateEvaluator(const EvalOptions& opts, const std::vector<Ast>& queries);
@@ -79,6 +82,18 @@ class StateEvaluator {
   /// Reward backbone for MCTS: the best cost among k random assignments
   /// (+infinity when none is valid). Results are memoized per state.
   double SampleCost(const DiffTree& tree, Rng* rng);
+
+  /// Pre-seeds the memo with `cost` for canonical hash `key`, found by an
+  /// earlier search of the same cost identity. First writer wins, so an
+  /// entry already in the memo stays; non-finite costs and a disabled memo
+  /// are ignored. Returns true when the entry landed. Only sound under
+  /// state-keyed sampling, where a seeded hit returns the value a fresh
+  /// sample would have produced.
+  bool SeedCost(uint64_t key, double cost);
+
+  /// The memoized cost of canonical hash `key` (sampled or seeded), if any;
+  /// counts no hit.
+  std::optional<double> MemoCost(uint64_t key) const;
 
   /// Thorough search over the widget-tree space of one state: exhaustive
   /// when the combination count is under the cap, otherwise sampled with
@@ -89,6 +104,8 @@ class StateEvaluator {
   const EvalOptions& options() const { return opts_; }
   size_t evaluations() const { return evaluations_.load(std::memory_order_relaxed); }
   size_t cache_hits() const { return cache_hits_.load(std::memory_order_relaxed); }
+  /// The subset of cache_hits() answered by a seeded entry.
+  size_t seeded_hits() const { return seeded_hits_.load(std::memory_order_relaxed); }
 
   /// Delta-cost instrumentation (see DeltaCostCache): subtree-term and
   /// transition-plan computations performed vs. answered from the caches.
@@ -111,14 +128,19 @@ class StateEvaluator {
   EvalOptions opts_;
   std::vector<Ast> queries_;
   CostModel model_;
+  struct MemoEntry {
+    double cost = 0.0;
+    bool seeded = false;  ///< came from SeedCost, not a local sample
+  };
   /// Sampled-cost memo by canonical state hash (sharded: many search
   /// threads hit this on every rollout step).
-  ShardedMap<double> cost_cache_;
+  ShardedMap<MemoEntry> cost_cache_;
   /// The caller-shared cache (EvalOptions::shared_delta) when provided, an
   /// evaluator-private one otherwise; never null.
   std::shared_ptr<DeltaCostCache> delta_;
   std::atomic<size_t> evaluations_{0};
   std::atomic<size_t> cache_hits_{0};
+  std::atomic<size_t> seeded_hits_{0};
 };
 
 }  // namespace ifgen

@@ -228,12 +228,29 @@ Result<std::vector<Ast>> ExpandDerivation(const Derivation& d) {
   return Status::Internal("bad derivation node kind");
 }
 
+namespace {
+
+/// Folds every WHERE with several predicates (a MULTI or factored
+/// conjunction under it) into one AND of them — the parser's shape for
+/// `a and b`. The unparser, the executors and query parameterization all
+/// read a WHERE's first child as its predicate.
+void FoldWherePredicates(Ast* ast) {
+  if (ast->sym == Symbol::kWhere && ast->children.size() > 1) {
+    Ast conjunction(Symbol::kAnd, std::move(ast->children));
+    ast->children = {std::move(conjunction)};
+  }
+  for (Ast& c : ast->children) FoldWherePredicates(&c);
+}
+
+}  // namespace
+
 Result<Ast> MaterializeDerivation(const Derivation& d) {
   IFGEN_ASSIGN_OR_RETURN(std::vector<Ast> seq, ExpandDerivation(d));
   if (seq.size() != 1) {
     return Status::Invalid(
         StrFormat("derivation expands to %zu nodes, expected 1", seq.size()));
   }
+  FoldWherePredicates(&seq[0]);
   return std::move(seq[0]);
 }
 

@@ -58,7 +58,8 @@ bool ExpressesAll(const DiffTree& root, const std::vector<Ast>& queries,
 /// inverse of matching). A full-query derivation expands to one AST.
 Result<std::vector<Ast>> ExpandDerivation(const Derivation& deriv);
 
-/// Convenience: expands a derivation expected to denote exactly one AST.
+/// Convenience: expands a derivation expected to denote exactly one AST,
+/// folding a WHERE with several predicates into one AND of them.
 Result<Ast> MaterializeDerivation(const Derivation& deriv);
 
 /// \brief A canonical default derivation of `node`: every ANY picks its

@@ -61,8 +61,8 @@ inline obs::Counter& LoadsMetric() {
 ///
 /// `best_cost` is the state's OWN sampled cost. Under
 /// `EvalOptions::state_keyed_sampling` that cost is a pure function of
-/// (state, options, seed), which is what makes replaying it into a
-/// `TranspositionTable` via `SeedPeerCost` sound: a seeded entry changes how
+/// (state, options, seed), which is what makes replaying it into a search's
+/// cost memo (`StateEvaluator::SeedCost`) sound: a seeded entry changes how
 /// much work a later search does, never which values it observes.
 struct ExperienceRecord {
   uint64_t schema_fp = 0;
@@ -104,8 +104,8 @@ class ExperienceStore {
   ExperienceStore& operator=(const ExperienceStore&) = delete;
 
   /// Merges `rec` (best-cost-wins; visits accumulate). Records with a
-  /// non-finite best cost are dropped — the wire format and SeedPeerCost
-  /// both reject them anyway.
+  /// non-finite best cost are dropped — the wire format and
+  /// StateEvaluator::SeedCost both reject them anyway.
   void Record(const ExperienceRecord& rec);
 
   /// The record for (schema_fp, canonical), if any. Counts a store hit or

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 #include "obs/metrics.h"
 #include "sql/parser.h"
@@ -135,9 +134,6 @@ uint64_t OptionsFingerprint(const GeneratorOptions& o) {
 
   const ParallelOptions& p = o.parallel;
   h = HashU64(h, p.num_threads);
-  h = HashU64(h, static_cast<uint64_t>(p.mode));
-  h = HashU64(h, p.tt_shards);
-  h = HashU64(h, p.leaf_rollouts);
 
   const RuleSetOptions& r = o.rules;
   h = HashU64(h, r.enable_noop_wrap ? 1 : 0);
@@ -527,56 +523,49 @@ Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
     // Wired AFTER JobKey was computed, so cache keys stay value-only.
     spec.options.search.progress = progress;
     spec.options.search.stop = stop;
-    // Transposition peering: warm-start the search from the cost-identity
-    // peer store and harvest its discoveries afterwards. Runtime wiring like
-    // progress/stop — with cache_peering on, seeded entries change only the
-    // work done, never the values produced, so this stays outside every key.
-    std::shared_ptr<TtBridge> tt_bridge;
-    uint64_t tt_store_key = 0;
-    if (spec.options.cache_peering) {
-      tt_store_key = TtStoreKey(spec);
-      tt_bridge = std::make_shared<TtBridge>();
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = tt_peers_.find(tt_store_key);
-        if (it != tt_peers_.end()) {
-          tt_bridge->seed.reserve(it->second.entries.size());
-          for (const auto& [canonical, pe] : it->second.entries) {
-            tt_bridge->seed.push_back(pe.entry);
-          }
+    // Warm start: seed the search from the cost-identity peer store
+    // (cache_peering) and the experience store (experience), and harvest its
+    // discoveries into both afterwards. Runtime wiring like progress/stop —
+    // both flags turn on state-keyed sampling, under which seeded entries
+    // change only the work done, never the values produced, so the bridge
+    // stays outside every cache key.
+    const bool peering = spec.options.cache_peering;
+    const bool experience = spec.options.experience && experience_ != nullptr;
+    std::shared_ptr<WarmStart> warm;
+    uint64_t store_key = 0;
+    if (peering || experience) {
+      store_key = TtStoreKey(spec);
+      warm = std::make_shared<WarmStart>();
+      spec.options.search.warm_start = warm;
+    }
+    if (peering) {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = tt_peers_.find(store_key);
+      if (it != tt_peers_.end()) {
+        warm->peer_seed.reserve(it->second.entries.size());
+        for (const auto& [canonical, pe] : it->second.entries) {
+          warm->peer_seed.push_back(pe.entry);
         }
       }
-      spec.options.search.tt_bridge = tt_bridge;
     }
-    // Persistent experience: seed the search with the store's records for
-    // this cost identity (root-action virtual visits + transposition costs)
-    // and merge the run's discoveries back afterwards. Same runtime-wiring
-    // contract as the TT bridge: with `experience` on, state-keyed sampling
-    // guarantees seeding changes work done, never values, so the bridge
-    // stays outside every cache key.
-    std::shared_ptr<ExperienceBridge> exp_bridge;
-    uint64_t exp_store_key = 0;
-    if (spec.options.experience && experience_ != nullptr) {
-      exp_store_key = TtStoreKey(spec);
-      exp_bridge = std::make_shared<ExperienceBridge>();
+    if (experience) {
       const std::vector<learn::ExperienceRecord> snap =
-          experience_->Snapshot(exp_store_key, experience_seed_limit_);
-      exp_bridge->seed.reserve(snap.size());
+          experience_->Snapshot(store_key, experience_seed_limit_);
+      warm->experience_seed.reserve(snap.size());
       for (const learn::ExperienceRecord& rec : snap) {
-        exp_bridge->seed.push_back({rec.canonical, rec.best_cost, rec.visits});
+        warm->experience_seed.push_back({rec.canonical, rec.best_cost, rec.visits});
       }
-      if (!exp_bridge->seed.empty()) {
-        learn::learn_internal::SeededMetric().Add(exp_bridge->seed.size());
+      if (!warm->experience_seed.empty()) {
+        learn::learn_internal::SeededMetric().Add(warm->experience_seed.size());
         std::lock_guard<std::mutex> lock(mu_);
-        learn_seeded_ += exp_bridge->seed.size();
+        learn_seeded_ += warm->experience_seed.size();
       }
-      spec.options.search.experience = exp_bridge;
       // Same-identity experience jobs also share one delta-cost cache, so a
       // warm start skips subtree/plan recomputes too (bit-safe: delta terms
       // are pure functions of their keys; see cost/delta.h).
       if (spec.options.delta_cost_eval && shared_delta_store_capacity_ > 0) {
         std::lock_guard<std::mutex> lock(mu_);
-        auto it = delta_stores_.find(exp_store_key);
+        auto it = delta_stores_.find(store_key);
         if (it == delta_stores_.end()) {
           while (delta_stores_.size() >= shared_delta_store_capacity_ &&
                  !delta_store_order_.empty()) {
@@ -584,10 +573,10 @@ Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
             delta_store_order_.pop_front();
           }
           it = delta_stores_
-                   .emplace(exp_store_key,
+                   .emplace(store_key,
                             std::make_shared<DeltaCostCache>(/*enabled=*/true))
                    .first;
-          delta_store_order_.push_back(exp_store_key);
+          delta_store_order_.push_back(store_key);
         }
         spec.options.shared_delta_cache = it->second;
       }
@@ -607,30 +596,29 @@ Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
     }();
     ServiceMetrics::Get().run_us->Observe(
         static_cast<double>(MsBetween(run_start, Clock::now()) * 1000));
-    if (tt_bridge != nullptr) {
-      TtIngest(tt_store_key, tt_bridge->exported, /*local_origin=*/true);
+    if (peering) {
+      TtIngest(store_key, warm->exported, /*local_origin=*/true);
       std::lock_guard<std::mutex> lock(mu_);
-      tt_peer_hits_ += tt_bridge->peer_hits;
+      tt_peer_hits_ += warm->peer_hits;
     }
-    if (exp_bridge != nullptr) {
-      // Harvest: every hot state the run discovered, plus one record for the
-      // root itself carrying the preferred action (the training signal the
-      // prior fitter and future warm starts consume).
+    if (experience) {
+      // Harvest: one record for the root carrying the preferred action (the
+      // training signal the prior fitter and future warm starts consume),
+      // then every state the run discovered. Like every record, the root's
+      // carries the state's own sampled cost; it goes first because the
+      // export may hold the root at the same cost, and an equal-cost merge
+      // keeps the action already stored.
       const uint64_t epoch = experience_->epoch();
       size_t recorded = 0;
-      for (const TtSeedEntry& e : exp_bridge->exported) {
-        experience_->Record({exp_store_key, e.canonical, 0, e.cost, e.visits,
-                             epoch});
+      if (result.ok() && !warm->root_actions.empty()) {
+        const RootActionStat& best = warm->root_actions.front();
+        experience_->Record({store_key, warm->root_canonical, best.canonical,
+                             result->stats.initial_cost,
+                             std::max<uint64_t>(1, best.visits), epoch});
         ++recorded;
       }
-      if (!exp_bridge->root_actions.empty() &&
-          exp_bridge->root_canonical != 0) {
-        const RootActionStat& best = exp_bridge->root_actions.front();
-        double root_cost = std::numeric_limits<double>::infinity();
-        if (result.ok()) root_cost = result->cost.total();
-        experience_->Record({exp_store_key, exp_bridge->root_canonical,
-                             best.canonical, root_cost,
-                             std::max<uint64_t>(1, best.visits), epoch});
+      for (const TtSeedEntry& e : warm->exported) {
+        experience_->Record({store_key, e.canonical, 0, e.cost, e.visits, epoch});
         ++recorded;
       }
       std::lock_guard<std::mutex> lock(mu_);

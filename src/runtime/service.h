@@ -88,7 +88,7 @@ class GenerationService {
     /// stay bit-identical to a store-backed cold start).
     std::shared_ptr<learn::ExperienceStore> experience;
     /// Most-visited experience records seeded into one search's bridge. At
-    /// least one search's export (the bridge's export_limit, 512, plus root
+    /// least one search's export (WarmStart::kExportLimit, 512, plus root
     /// records): visit ordering favors hot rollout states, so a tighter
     /// limit can crowd out the root-action records that actually shift the
     /// next search's opening.
@@ -214,7 +214,7 @@ class GenerationService {
   static uint64_t TtStoreKey(const JobSpec& spec);
 
   /// Merges `entries` into peer store `store_key` (first writer wins per
-  /// canonical hash, mirroring TranspositionTable semantics). Entries from
+  /// canonical hash, mirroring the evaluator memo's semantics). Entries from
   /// this worker's own searches are `local_origin` and get re-exported by
   /// TtExportLocal; entries ingested from siblings (cache.publish) are not,
   /// so gossip never echoes. Returns how many entries were newly inserted.
@@ -282,7 +282,7 @@ class GenerationService {
     size_t cache_probes = 0;      ///< cache.probe requests answered
     size_t cache_probe_hits = 0;  ///< probes that found a cached result
     size_t tt_peer_ingested = 0;  ///< TT entries accepted from siblings
-    size_t tt_peer_hits = 0;      ///< search cost lookups served peer-seeded
+    size_t tt_peer_hits = 0;      ///< search cost-memo hits served by seeds
     /// Experience-store telemetry (all zero without a configured store).
     size_t learn_store_entries = 0;  ///< records currently held
     size_t learn_hits = 0;           ///< store probes that found a record

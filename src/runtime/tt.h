@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -22,17 +21,6 @@ inline obs::Counter& TranspositionHitsMetric() {
   static obs::Counter* c = obs::MetricsRegistry::Default().GetCounter(
       "ifgen_tt_transposition_hits_total",
       "TranspositionTable visits that found the state already present");
-  return *c;
-}
-inline obs::Counter& TtCostHitsMetric() {
-  static obs::Counter* c = obs::MetricsRegistry::Default().GetCounter(
-      "ifgen_tt_cost_hits_total", "TranspositionTable cached-cost lookups that hit");
-  return *c;
-}
-inline obs::Counter& TtPeerCostHitsMetric() {
-  static obs::Counter* c = obs::MetricsRegistry::Default().GetCounter(
-      "ifgen_tt_peer_cost_hits_total",
-      "TranspositionTable cost lookups served by a peer-seeded entry");
   return *c;
 }
 }  // namespace tt_internal
@@ -132,30 +120,15 @@ class ShardedMap {
   uint64_t shard_mask_ = 0;
 };
 
-/// \brief A sharded transposition table over canonical difftree hashes
-/// (`DiffTree::CanonicalHash()`), built on ShardedMap.
+/// \brief The set of canonical difftree hashes (`DiffTree::CanonicalHash()`)
+/// a search has expanded, built on ShardedMap.
 ///
-/// Replaces the per-searcher `unordered_set` of visited states: one table
-/// is shared by every tree of a parallel MCTS ensemble, so a state expanded
-/// by one thread is recognized as a transposition by all others, and its
-/// sampled cost is shared instead of re-evaluated.
-///
-/// Entries accumulate MCTS statistics (visits, total reward) in addition to
-/// the cached cost; root-parallel ensembles merge per-tree results through
-/// these accumulators (visit-weighted reward).
+/// One table is shared by every tree of a root-parallel search, so a state
+/// expanded by one tree is recognized as a transposition by all others. It
+/// holds no costs: the StateEvaluator's memo is the only state→cost memo,
+/// and the table's keys name which memo entries a search exports.
 class TranspositionTable {
  public:
-  struct Entry {
-    bool has_cost = false;
-    double cost = 0.0;
-    uint64_t visits = 0;
-    double total_reward = 0.0;
-    /// Cost came from a sibling worker (SeedPeerCost), not a local sample.
-    /// Lookups that hit such entries count as peer hits, and exports skip
-    /// them so gossip never echoes a peer's entries back at the cluster.
-    bool peered = false;
-  };
-
   /// `num_shards` is rounded up to a power of two (min 1).
   explicit TranspositionTable(size_t num_shards = 16) : map_(num_shards) {}
 
@@ -165,7 +138,7 @@ class TranspositionTable {
   /// Marks `key` visited. Returns true when this call inserted it (first
   /// visit), false when it was already present (a transposition).
   bool Visit(uint64_t key) {
-    bool inserted = map_.Mutate(key, [](Entry&, bool ins) { return ins; });
+    const bool inserted = map_.Insert(key, true);
     if (!inserted) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       tt_internal::TranspositionHitsMetric().Inc();
@@ -173,87 +146,13 @@ class TranspositionTable {
     return inserted;
   }
 
-  /// Returns the cached cost for `key`, if any thread stored one.
-  std::optional<double> LookupCost(uint64_t key) const {
-    std::optional<Entry> e = map_.Lookup(key);
-    if (!e.has_value() || !e->has_cost) return std::nullopt;
-    cost_hits_.fetch_add(1, std::memory_order_relaxed);
-    tt_internal::TtCostHitsMetric().Inc();
-    if (e->peered) {
-      peer_cost_hits_.fetch_add(1, std::memory_order_relaxed);
-      tt_internal::TtPeerCostHitsMetric().Inc();
-    }
-    return e->cost;
+  /// Every visited key, ascending.
+  std::vector<uint64_t> Keys() const {
+    std::vector<uint64_t> keys;
+    map_.ForEach([&keys](uint64_t key, bool) { keys.push_back(key); });
+    std::sort(keys.begin(), keys.end());
+    return keys;
   }
-
-  /// Stores the sampled cost for `key` (first writer wins; costs for one
-  /// canonical state are interchangeable samples, so there is no need to
-  /// overwrite).
-  void StoreCost(uint64_t key, double cost) {
-    map_.Mutate(key, [cost](Entry& e, bool) {
-      if (!e.has_cost) {
-        e.has_cost = true;
-        e.cost = cost;
-      }
-      return 0;
-    });
-  }
-
-  /// Pre-seeds `key` with a cost discovered by a sibling worker. First
-  /// writer wins, matching StoreCost: a locally sampled cost that landed
-  /// first stays. Only sound when costs are pure functions of the state
-  /// (EvalOptions::state_keyed_sampling with matching seed and options) —
-  /// then a seeded entry changes how much work a search does, never which
-  /// values it sees. `visits` is carried for export hotness ranking only;
-  /// MCTS statistics stay local so reward accumulators are untouched.
-  void SeedPeerCost(uint64_t key, double cost, uint64_t visits) {
-    if (!std::isfinite(cost)) return;  // JSON transport cannot carry ±inf
-    map_.Mutate(key, [cost, visits](Entry& e, bool inserted) {
-      if (!e.has_cost) {
-        e.has_cost = true;
-        e.cost = cost;
-        e.peered = true;
-        if (inserted) e.visits = 0;  // hotness comes from local use, not peers
-        (void)visits;
-      }
-      return 0;
-    });
-  }
-
-  /// Snapshot of up to `limit` locally discovered costs, hottest (most
-  /// visited) first — the batch a worker gossips to its siblings. Peered
-  /// and non-finite entries are skipped (no echo, no un-encodable values).
-  struct ExportedCost {
-    uint64_t key = 0;
-    double cost = 0.0;
-    uint64_t visits = 0;
-  };
-  std::vector<ExportedCost> ExportHotCosts(size_t limit) const {
-    std::vector<ExportedCost> out;
-    map_.ForEach([&out](uint64_t key, const Entry& e) {
-      if (!e.has_cost || e.peered || !std::isfinite(e.cost)) return;
-      out.push_back({key, e.cost, e.visits});
-    });
-    std::stable_sort(out.begin(), out.end(),
-                     [](const ExportedCost& a, const ExportedCost& b) {
-                       if (a.visits != b.visits) return a.visits > b.visits;
-                       return a.key < b.key;  // deterministic tie-break
-                     });
-    if (out.size() > limit) out.resize(limit);
-    return out;
-  }
-
-  /// Accumulates one backpropagated reward into `key`'s statistics.
-  void AccumulateReward(uint64_t key, double reward) {
-    map_.Mutate(key, [reward](Entry& e, bool) {
-      ++e.visits;
-      e.total_reward += reward;
-      return 0;
-    });
-  }
-
-  /// Snapshot of `key`'s entry (zeroed Entry when absent).
-  Entry Get(uint64_t key) const { return map_.Lookup(key).value_or(Entry{}); }
 
   /// Total entries across shards (O(num_shards)).
   size_t size() const { return map_.size(); }
@@ -263,20 +162,9 @@ class TranspositionTable {
   /// Visit() calls that found the key already present.
   size_t transposition_hits() const { return hits_.load(std::memory_order_relaxed); }
 
-  /// LookupCost() calls that returned a value.
-  size_t cost_hits() const { return cost_hits_.load(std::memory_order_relaxed); }
-
-  /// LookupCost() hits served by a peer-seeded entry — the work a sibling
-  /// worker's discoveries saved this search.
-  size_t peer_cost_hits() const {
-    return peer_cost_hits_.load(std::memory_order_relaxed);
-  }
-
  private:
-  ShardedMap<Entry> map_;
+  ShardedMap<bool> map_;
   std::atomic<size_t> hits_{0};
-  mutable std::atomic<size_t> cost_hits_{0};  ///< bumped from const LookupCost
-  mutable std::atomic<size_t> peer_cost_hits_{0};
 };
 
 }  // namespace ifgen

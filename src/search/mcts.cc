@@ -2,17 +2,89 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <mutex>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "runtime/thread_pool.h"
+#include "runtime/tt.h"
 #include "search/priors.h"
 #include "util/logging.h"
 
 namespace ifgen {
 
 namespace {
+
+/// \brief Thread-safe global best tracker shared by all trees of one
+/// search. Only *global* improvements are recorded, so each
+/// contributing tree's trace is a slice of the monotone best-so-far curve.
+struct SharedBestTracker {
+  std::mutex mu;
+  DiffTree tree;
+  double cost = std::numeric_limits<double>::infinity();
+  /// Optional live publisher: every global improvement streams out as a
+  /// versioned ProgressSink event the moment it is accepted.
+  ProgressSink* sink = nullptr;
+
+  bool Offer(const DiffTree& t, double c, const Stopwatch& watch, size_t iteration,
+             SearchStats* stats) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (c >= cost) return false;
+    cost = c;
+    tree = t;
+    const int64_t ms = watch.ElapsedMillis();
+    stats->trace.push_back({ms, iteration, c});
+    if (sink != nullptr) sink->Publish(t, c, iteration, ms);
+    return true;
+  }
+
+  double CostSnapshot() {
+    std::lock_guard<std::mutex> lock(mu);
+    return cost;
+  }
+};
+
+/// \brief Wiring for one MCTS tree run (see RunMctsTree).
+///
+/// The trees of one search share `tt`, `best`, `deadline`, `watch`,
+/// `priors` and the evaluator's memo; `rng`, `stats` and `root_actions` are
+/// strictly per-tree.
+struct MctsTreeParams {
+  const RuleEngine* rules = nullptr;
+  StateEvaluator* evaluator = nullptr;
+  SearchOptions opts;
+  Rng* rng = nullptr;                ///< per-tree stream (never shared)
+  const Stopwatch* watch = nullptr;  ///< search-global clock (trace timestamps)
+  Deadline* deadline = nullptr;
+  TranspositionTable* tt = nullptr;
+  SharedBestTracker* best = nullptr;
+  SearchStats* stats = nullptr;  ///< per-tree (merged by the caller)
+  /// Log-derived action priors (PUCT selection + prior-ordered expansion).
+  /// Null = uniform treatment (the paper's UCT). Immutable, so all trees
+  /// share one model.
+  const ActionPriorModel* priors = nullptr;
+  /// Reward-normalization anchor: the initial state's sampled cost, computed
+  /// once by the caller so every tree normalizes rewards identically.
+  double anchor_cost = 0.0;
+  /// Receives (canonical, visits, total_reward) of every root child after
+  /// the run — the raw material for root-action merging.
+  std::vector<RootActionStat>* root_actions = nullptr;
+  /// Anytime control (see timeman.h): `stop` is polled (relaxed) once per
+  /// iteration; `timeman` — shared across all trees of one search — is fed
+  /// every time_control.check_interval iterations. Both optional; null
+  /// leaves the classic loop untouched.
+  StopHandle* stop = nullptr;
+  TimeManager* timeman = nullptr;
+  /// Experience seed (WarmStart::experience_seed): root children whose
+  /// canonical hash matches an entry start with capped virtual visits +
+  /// reward. Null or empty = off, and the loop draws the same RNG stream.
+  const std::vector<TtSeedEntry>* experience_seed = nullptr;
+};
 
 /// Search metrics are bumped in batch at the end of each tree run (the
 /// iteration loop is the hottest code in the system; per-iteration counter
@@ -94,17 +166,33 @@ size_t UnlockedApps(const SearchOptions& opts, const Node& node) {
                   ProgressiveWideningLimit(node.visits, opts.priors));
 }
 
-/// Result of one leaf-parallel simulation task (stats merged afterwards so
-/// SearchStats never needs to be thread-safe).
-struct LeafOutcome {
-  double child_cost = std::numeric_limits<double>::infinity();
-  double roll_cost = std::numeric_limits<double>::infinity();
-  DiffTree roll_best;
-  SearchStats stats;
-};
+/// Merges per-tree root actions by canonical hash and ranks them by
+/// visit-weighted mean reward desc, then visits desc, then canonical asc.
+std::vector<RootActionStat> MergeRootActions(
+    const std::vector<std::vector<RootActionStat>>& per_tree) {
+  std::unordered_map<uint64_t, RootActionStat> merged;
+  for (const auto& actions : per_tree) {
+    for (const RootActionStat& a : actions) {
+      RootActionStat& m = merged[a.canonical];
+      m.canonical = a.canonical;
+      m.visits += a.visits;
+      m.total_reward += a.total_reward;
+    }
+  }
+  std::vector<RootActionStat> out;
+  out.reserve(merged.size());
+  for (const auto& [key, a] : merged) out.push_back(a);
+  std::sort(out.begin(), out.end(), [](const RootActionStat& a, const RootActionStat& b) {
+    const double ma = a.MeanReward(), mb = b.MeanReward();
+    if (ma != mb) return ma > mb;
+    if (a.visits != b.visits) return a.visits > b.visits;
+    return a.canonical < b.canonical;
+  });
+  return out;
+}
 
-}  // namespace
-
+/// Runs one MCTS tree to its deadline/iteration budget. The algorithm is
+/// the paper's (see MctsSearcher); MctsSearcher::Run calls it once per tree.
 void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
   Rng& rng = *p.rng;
   SearchStats& stats = *p.stats;
@@ -113,17 +201,9 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
   Deadline& deadline = *p.deadline;
   const RolloutContext rctx{p.rules, p.evaluator, &opts};
 
-  double c0_raw;
-  if (std::isnan(p.anchor_cost)) {
-    c0_raw = p.evaluator->SampleCost(initial, &rng);
-    stats.initial_cost = c0_raw;
-    p.best->Offer(initial, c0_raw, watch, 0, &stats);
-  } else {
-    c0_raw = p.anchor_cost;
-    stats.initial_cost = c0_raw;
-  }
   // Normalization anchor; a state with cost c receives reward c0/(c0+c).
-  const double c0 = std::isfinite(c0_raw) ? std::max(1.0, c0_raw) : 100.0;
+  const double c0 =
+      std::isfinite(p.anchor_cost) ? std::max(1.0, p.anchor_cost) : 100.0;
   auto reward_of = [&](double cost) {
     if (!std::isfinite(cost)) return 0.0;
     return c0 / (c0 + cost);
@@ -160,9 +240,9 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
     node->apps_ready = true;
   };
 
-  // Rewards stay in tree-local nodes (root-parallel merging reads them via
-  // root_actions); pushing them into the shared table too would put a lock
-  // per ancestor per iteration on the hottest loop for data nothing reads.
+  // Rewards stay in tree-local nodes (root-action merging reads them via
+  // root_actions); a shared table would put a lock per ancestor per
+  // iteration on the hottest loop.
   auto backprop = [&](Node* from, double r) {
     obs::TraceSpan span("mcts.backprop", "search");
     for (Node* n = from; n != nullptr; n = n->parent) {
@@ -187,20 +267,18 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
   // Persisted experience: root children matching a seed entry start with
   // capped virtual visits and the seed cost's reward, steering early PUCT
   // selection toward previously good actions. Pure bookkeeping — no RNG
-  // draws — so an absent (or empty) bridge leaves the run bit-identical.
+  // draws — so an absent (or empty) seed leaves the run bit-identical.
   std::unordered_map<uint64_t, const TtSeedEntry*> exp_seed;
-  if (p.experience != nullptr) {
-    exp_seed.reserve(p.experience->seed.size());
-    for (const TtSeedEntry& e : p.experience->seed) {
-      exp_seed.emplace(e.canonical, &e);
-    }
+  if (p.experience_seed != nullptr) {
+    exp_seed.reserve(p.experience_seed->size());
+    for (const TtSeedEntry& e : *p.experience_seed) exp_seed.emplace(e.canonical, &e);
   }
   auto seed_root_child = [&](Node* child) {
     if (exp_seed.empty() || child->parent != root.get()) return;
     auto it = exp_seed.find(child->canonical);
     if (it == exp_seed.end()) return;
-    const uint64_t v = std::min<uint64_t>(
-        std::max<uint64_t>(it->second->visits, 1), p.experience->root_visit_cap);
+    const uint64_t v = std::min<uint64_t>(std::max<uint64_t>(it->second->visits, 1),
+                                          WarmStart::kRootVisitCap);
     child->visits += v;
     child->total_reward += static_cast<double>(v) * reward_of(it->second->cost);
     ++stats.root_seeded;
@@ -317,73 +395,21 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
     }
 
     // 3.-5. Simulation from each fresh child + backpropagation. The child's
-    // own (cached) evaluation also feeds the global best tracker.
+    // own (memoized) evaluation also feeds the global best tracker.
     obs::TraceSpan sim_span("mcts.simulate", "search");
-    if (p.leaf_pool != nullptr && p.leaf_pool->num_threads() > 0) {
-      // Leaf parallelism: fan the fresh children's evaluations and rollouts
-      // out to the pool. RNG streams split per (iteration, task) — the Fork
-      // below consumes exactly one tree-RNG draw per iteration, so the
-      // tree's own stream stays deterministic — and results merge in child
-      // order. Scheduling still leaks in through the shared evaluator
-      // cache: a task whose lookup hits (because a concurrent task filled
-      // the entry first) consumes fewer RNG draws, so sampled costs and the
-      // decisions built on them can vary run-to-run.
-      const size_t reps = std::max<size_t>(1, p.leaf_rollouts);
-      const Rng task_base = rng.Fork();
-      std::vector<LeafOutcome> outs(fresh.size() * reps);
-      TaskGroup group(p.leaf_pool);
-      for (size_t i = 0; i < fresh.size(); ++i) {
-        for (size_t r = 0; r < reps; ++r) {
-          const size_t slot = i * reps + r;
-          Node* child = fresh[i];
-          group.Run([&rctx, &task_base, &outs, slot, child, r] {
-            LeafOutcome& out = outs[slot];
-            Rng task_rng = task_base.Split(slot);
-            if (r == 0) {
-              out.child_cost = rctx.evaluator->SampleCost(child->state, &task_rng);
-            }
-            out.roll_cost = RolloutAndEvaluateState(rctx, child->state, &task_rng,
-                                                    &out.stats, &out.roll_best);
-          });
-        }
-      }
-      group.Wait();
-      for (size_t i = 0; i < fresh.size(); ++i) {
-        Node* child = fresh[i];
-        double best_reward = 0.0;
-        for (size_t r = 0; r < reps; ++r) {
-          LeafOutcome& out = outs[i * reps + r];
-          if (r == 0) {
-            p.tt->StoreCost(child->canonical, out.child_cost);
-            p.best->Offer(child->state, out.child_cost, watch, stats.iterations,
-                          &stats);
-            best_reward = reward_of(out.child_cost);
-          }
-          p.best->Offer(out.roll_best, out.roll_cost, watch, stats.iterations, &stats);
-          best_reward = std::max(best_reward, reward_of(out.roll_cost));
-          stats.Merge(out.stats);
-        }
-        stats.RecordRuleOutcome(child->rule_index, best_reward);
-        backprop(child, best_reward);
-      }
-    } else {
-      for (Node* child : fresh) {
-        auto cached = p.tt->LookupCost(child->canonical);
-        double child_cost =
-            cached.has_value() ? *cached : p.evaluator->SampleCost(child->state, &rng);
-        if (!cached.has_value()) p.tt->StoreCost(child->canonical, child_cost);
-        p.best->Offer(child->state, child_cost, watch, stats.iterations, &stats);
+    for (Node* child : fresh) {
+      const double child_cost = p.evaluator->SampleCost(child->state, &rng);
+      p.best->Offer(child->state, child_cost, watch, stats.iterations, &stats);
 
-        DiffTree rollout_best;
-        double roll_cost =
-            RolloutAndEvaluateState(rctx, child->state, &rng, &stats, &rollout_best);
-        p.best->Offer(rollout_best, roll_cost, watch, stats.iterations, &stats);
+      DiffTree rollout_best;
+      double roll_cost =
+          RolloutAndEvaluateState(rctx, child->state, &rng, &stats, &rollout_best);
+      p.best->Offer(rollout_best, roll_cost, watch, stats.iterations, &stats);
 
-        const double r = std::max(reward_of(child_cost), reward_of(roll_cost));
-        stats.RecordRuleOutcome(child->rule_index, r);
-        backprop(child, r);
-        if (deadline.Expired()) break;
-      }
+      const double r = std::max(reward_of(child_cost), reward_of(roll_cost));
+      stats.RecordRuleOutcome(child->rule_index, r);
+      backprop(child, r);
+      if (deadline.Expired()) break;
     }
   }
 
@@ -396,104 +422,129 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
     m.rollout_steps->Add(stats.rollout_steps - base_rollout_steps);
   }
 
-  if (p.root_actions != nullptr) {
-    for (const auto& ch : root->children) {
-      RootActionStat a;
-      a.canonical = ch->canonical;
-      a.visits = ch->visits;
-      a.total_reward = ch->total_reward;
-      p.root_actions->push_back(a);
-    }
+  for (const auto& ch : root->children) {
+    p.root_actions->push_back({ch->canonical, ch->visits, ch->total_reward});
   }
 }
 
+}  // namespace
+
 Result<SearchResult> MctsSearcher::Run(const DiffTree& initial) {
-  Rng rng(opts_.seed);
+  const size_t trees = std::max<size_t>(1, parallel_.num_threads);
   Stopwatch watch;
   RunControl rc(opts_);
-  Deadline& deadline = rc.deadline();
-  SearchStats stats;
+  TranspositionTable tt;
   SharedBestTracker best;
   best.sink = opts_.progress.get();
-  // A single-shard table is exactly the old per-searcher unordered_set plus
-  // an in-run cost memo.
-  TranspositionTable tt(1);
-  if (opts_.tt_bridge != nullptr) {
-    // Warm-start from sibling workers' discoveries. Sound only because the
-    // bridge is attached solely for state-keyed-sampling runs (costs are
-    // pure functions of the state), so a seeded hit skips work without
-    // shifting any value or RNG stream.
-    for (const TtSeedEntry& e : opts_.tt_bridge->seed) {
-      tt.SeedPeerCost(e.canonical, e.cost, e.visits);
-    }
-  }
-  if (opts_.experience != nullptr) {
-    // Persisted experience doubles as a cost seed: same soundness contract
-    // as peering (state-keyed sampling), so a hit skips a re-evaluation
-    // without shifting any value or RNG stream.
-    for (const TtSeedEntry& e : opts_.experience->seed) {
-      tt.SeedPeerCost(e.canonical, e.cost, e.visits);
-    }
-  }
+  // One prior model for all trees: it is immutable after construction, and
+  // building it once keeps every tree's expansion order coherent.
   std::unique_ptr<ActionPriorModel> priors;
   if (opts_.priors.use_priors) {
     priors = std::make_unique<ActionPriorModel>(*rules_, evaluator_->queries(),
                                                 opts_.priors);
   }
 
-  MctsTreeParams params;
-  params.rules = rules_;
-  params.evaluator = evaluator_;
-  params.opts = opts_;
-  params.rng = &rng;
-  params.watch = &watch;
-  params.deadline = &deadline;
-  params.tt = &tt;
-  params.best = &best;
-  params.stats = &stats;
-  params.priors = priors.get();
-  params.stop = rc.stop();
-  params.timeman = rc.timeman();
-  params.experience = opts_.experience.get();
-  // Root-action stats feed the experience bridge, not SearchResult (which
-  // stays empty for serial searchers, as documented).
-  std::vector<RootActionStat> exp_root_actions;
-  if (opts_.experience != nullptr) params.root_actions = &exp_root_actions;
-  RunMctsTree(initial, params);
+  // Invariant: the anchor (every tree's reward normalizer) is sampled
+  // before any seed enters the memo, so a seed for the initial state can
+  // never stand in for its own sampled cost.
+  Rng anchor_rng(opts_.seed);
+  SearchStats anchor_stats;
+  const double c0 = evaluator_->SampleCost(initial, &anchor_rng);
+  anchor_stats.initial_cost = c0;
+  best.Offer(initial, c0, watch, 0, &anchor_stats);
 
-  if (opts_.tt_bridge != nullptr) {
-    TtBridge& bridge = *opts_.tt_bridge;
-    bridge.exported.clear();
-    for (const auto& ec : tt.ExportHotCosts(bridge.export_limit)) {
-      bridge.exported.push_back({ec.key, ec.cost, ec.visits});
+  // Warm start: peer entries first, then experience records (first writer
+  // wins in the memo). Sound only under state-keyed sampling, where a
+  // seeded hit returns exactly the value a fresh sample would. Seeded
+  // states also count as known: expanding one is a transposition hit.
+  WarmStart* warm = opts_.warm_start.get();
+  std::unordered_set<uint64_t> seeded;
+  if (warm != nullptr) {
+    for (const auto* entries : {&warm->peer_seed, &warm->experience_seed}) {
+      for (const TtSeedEntry& e : *entries) {
+        evaluator_->SeedCost(e.canonical, e.cost);
+        if (std::isfinite(e.cost)) seeded.insert(e.canonical);
+      }
     }
-    bridge.peer_hits += tt.peer_cost_hits();
+    for (uint64_t key : seeded) tt.Visit(key);
   }
-  if (opts_.experience != nullptr) {
-    ExperienceBridge& eb = *opts_.experience;
-    eb.exported.clear();
-    for (const auto& ec : tt.ExportHotCosts(eb.export_limit)) {
-      eb.exported.push_back({ec.key, ec.cost, ec.visits});
+  const size_t seeded_hits_before = evaluator_->seeded_hits();
+
+  // Split the iteration budget so total work matches one tree with the
+  // same cap; the wall-clock budget is shared (all trees race one deadline).
+  SearchOptions tree_opts = opts_;
+  if (opts_.max_iterations > 0) {
+    tree_opts.max_iterations = (opts_.max_iterations + trees - 1) / trees;
+  }
+  // Invariant: a single tree continues the anchor's stream, so it draws
+  // exactly what one serial loop seeded with `opts_.seed` draws; with more
+  // trees, tree t draws from Split(t), which depends on the seed alone.
+  std::vector<Rng> rngs;
+  for (size_t t = 0; t < trees; ++t) {
+    rngs.push_back(trees == 1 ? anchor_rng : anchor_rng.Split(t));
+  }
+  std::vector<SearchStats> tree_stats(trees);
+  std::vector<std::vector<RootActionStat>> tree_actions(trees);
+
+  // Sized 0 for one tree: TaskGroup then runs it inline on this thread.
+  ThreadPool pool(trees == 1 ? 0 : trees);
+  {
+    TaskGroup group(&pool);
+    for (size_t t = 0; t < trees; ++t) {
+      group.Run([&, t] {
+        MctsTreeParams params;
+        params.rules = rules_;
+        params.evaluator = evaluator_;
+        params.opts = tree_opts;
+        params.rng = &rngs[t];
+        params.watch = &watch;
+        params.deadline = &rc.deadline();
+        params.tt = &tt;
+        params.best = &best;
+        params.stats = &tree_stats[t];
+        params.priors = priors.get();
+        params.anchor_cost = c0;
+        params.root_actions = &tree_actions[t];
+        params.stop = rc.stop();
+        params.timeman = rc.timeman();
+        params.experience_seed = warm != nullptr ? &warm->experience_seed : nullptr;
+        RunMctsTree(initial, params);
+      });
     }
-    std::stable_sort(exp_root_actions.begin(), exp_root_actions.end(),
-                     [](const RootActionStat& a, const RootActionStat& b) {
-                       const double ra = a.MeanReward(), rb = b.MeanReward();
-                       if (ra != rb) return ra > rb;
-                       if (a.visits != b.visits) return a.visits > b.visits;
-                       return a.canonical < b.canonical;
-                     });
-    eb.root_actions = std::move(exp_root_actions);
-    eb.root_canonical = initial.CanonicalHash();
-    eb.seeded_root_children = stats.root_seeded;
-    eb.peer_hits += tt.peer_cost_hits();
+    group.Wait();
   }
 
   SearchResult result;
   result.best_tree = best.tree;
   result.best_cost = best.cost;
-  result.stats = std::move(stats);
+  result.stats = std::move(anchor_stats);
+  for (const SearchStats& s : tree_stats) result.stats.Merge(s);
+  result.stats.trees = trees;
   result.stats.elapsed_ms = watch.ElapsedMillis();
   result.stats.stop_reason = rc.Resolve(result.stats.iterations);
+  // Duplicate-canonical root children (two actions reaching one state)
+  // merge into one action, for one tree as for many.
+  result.root_actions = MergeRootActions(tree_actions);
+
+  if (warm != nullptr) {
+    // Invariant: the export is every visited state (the root and every
+    // expanded child) with a finite memo cost that is not among this run's
+    // finite seed entries, canonical ascending, capped at kExportLimit — so
+    // a one-tree run exports the root's own cost too. Visits are not
+    // tracked per state, so exported entries carry 0.
+    warm->exported.clear();
+    for (uint64_t key : tt.Keys()) {
+      if (warm->exported.size() == WarmStart::kExportLimit) break;
+      if (seeded.count(key) != 0) continue;
+      const std::optional<double> cost = evaluator_->MemoCost(key);
+      if (cost.has_value() && std::isfinite(*cost)) {
+        warm->exported.push_back({key, *cost, 0});
+      }
+    }
+    warm->root_actions = result.root_actions;
+    warm->root_canonical = initial.CanonicalHash();
+    warm->peer_hits = evaluator_->seeded_hits() - seeded_hits_before;
+  }
   return result;
 }
 

@@ -1,97 +1,8 @@
 #pragma once
 
-#include <cmath>
-#include <limits>
-#include <memory>
-#include <mutex>
-
-#include "runtime/thread_pool.h"
-#include "runtime/tt.h"
 #include "search/search_common.h"
 
 namespace ifgen {
-
-class ActionPriorModel;
-
-/// \brief Thread-safe global best tracker shared by all trees (and all leaf
-/// tasks) of one search. Only *global* improvements are recorded, so each
-/// contributing tree's trace is a slice of the monotone best-so-far curve.
-struct SharedBestTracker {
-  std::mutex mu;
-  DiffTree tree;
-  double cost = std::numeric_limits<double>::infinity();
-  /// Optional live publisher: every global improvement streams out as a
-  /// versioned ProgressSink event the moment it is accepted.
-  ProgressSink* sink = nullptr;
-
-  bool Offer(const DiffTree& t, double c, const Stopwatch& watch, size_t iteration,
-             SearchStats* stats) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (c >= cost) return false;
-    cost = c;
-    tree = t;
-    const int64_t ms = watch.ElapsedMillis();
-    stats->trace.push_back({ms, iteration, c});
-    if (sink != nullptr) sink->Publish(t, c, iteration, ms);
-    return true;
-  }
-
-  double CostSnapshot() {
-    std::lock_guard<std::mutex> lock(mu);
-    return cost;
-  }
-};
-
-/// \brief Wiring for one MCTS tree run (see RunMctsTree).
-///
-/// Serial search passes tree-local objects for everything; parallel
-/// ensembles share `tt`, `best`, `deadline`, and `watch` across trees while
-/// keeping `rng` and `stats` strictly per-tree.
-struct MctsTreeParams {
-  const RuleEngine* rules = nullptr;
-  StateEvaluator* evaluator = nullptr;
-  SearchOptions opts;
-  Rng* rng = nullptr;                ///< per-tree stream (never shared)
-  const Stopwatch* watch = nullptr;  ///< search-global clock (trace timestamps)
-  Deadline* deadline = nullptr;
-  TranspositionTable* tt = nullptr;
-  SharedBestTracker* best = nullptr;
-  SearchStats* stats = nullptr;  ///< per-tree (merged by the caller)
-  /// Log-derived action priors (PUCT selection + prior-ordered expansion).
-  /// Null = uniform treatment (the paper's UCT). Immutable, so parallel
-  /// ensembles share one model across all trees.
-  const ActionPriorModel* priors = nullptr;
-  /// Reward-normalization anchor (the initial state's sampled cost). NaN =
-  /// "compute it here and offer the initial state to `best`" (serial mode);
-  /// parallel ensembles compute it once and pass it to every tree so all
-  /// trees normalize rewards identically.
-  double anchor_cost = std::numeric_limits<double>::quiet_NaN();
-  /// When set, the simulations of freshly expanded children fan out to this
-  /// pool (leaf parallelism) with `leaf_rollouts` rollouts per child, each
-  /// on an RNG stream split deterministically per (iteration, child, repeat).
-  ThreadPool* leaf_pool = nullptr;
-  size_t leaf_rollouts = 1;
-  /// When non-null, receives (canonical, visits, total_reward) of every root
-  /// child after the run — the raw material for root-ensemble merging.
-  std::vector<RootActionStat>* root_actions = nullptr;
-  /// Anytime control (see timeman.h): `stop` is polled (relaxed) once per
-  /// iteration; `timeman` — shared across all trees of one search — is fed
-  /// every time_control.check_interval iterations. Both optional; null
-  /// leaves the classic loop untouched.
-  StopHandle* stop = nullptr;
-  TimeManager* timeman = nullptr;
-  /// Persisted-experience seed (see ExperienceBridge): root children whose
-  /// canonical hash matches a seed entry start with capped virtual visits +
-  /// reward. Read-only here; outputs flow through `stats` (root_seeded) and
-  /// `root_actions`. Null = off (bit-identical to the pre-experience loop).
-  const ExperienceBridge* experience = nullptr;
-};
-
-/// Runs one MCTS tree to its deadline/iteration budget. The algorithm is
-/// the paper's (see MctsSearcher); this free function exists so that serial
-/// search, root-parallel ensembles, and leaf-parallel search all execute
-/// the *same* tree code.
-void RunMctsTree(const DiffTree& initial, const MctsTreeParams& params);
 
 /// \brief Monte Carlo Tree Search over difftree states (paper, "Monte Carlo
 /// Tree Search").
@@ -117,14 +28,29 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& params);
 ///  5. Backpropagation along the selection path.
 ///
 /// A transposition table over canonical difftree hashes detects revisited
-/// states (rule sequences often commute); revisits share evaluation results
-/// through the table's cost cache and the StateEvaluator's cache.
+/// states (rule sequences often commute); revisits share one sampled cost
+/// through the StateEvaluator's memo.
+///
+/// Root parallelism: `parallel.num_threads` independent trees (one per
+/// worker thread, each on its own RNG stream) share the transposition
+/// table, the evaluator's memo and the global best tracker. The iteration
+/// budget is divided across trees; after the run the per-tree root actions
+/// are merged by canonical hash and ranked by visit-weighted mean reward
+/// (`SearchResult::root_actions`). One tree runs inline on the caller's
+/// thread and is bit-for-bit reproducible (see ParallelOptions).
 class MctsSearcher final : public Searcher {
  public:
-  using Searcher::Searcher;
+  MctsSearcher(const RuleEngine* rules, StateEvaluator* evaluator, SearchOptions opts,
+               ParallelOptions parallel = {})
+      : Searcher(rules, evaluator, std::move(opts)), parallel_(parallel) {}
 
-  std::string_view name() const override { return "mcts"; }
+  std::string_view name() const override {
+    return parallel_.num_threads > 1 ? "mcts-parallel" : "mcts";
+  }
   Result<SearchResult> Run(const DiffTree& initial) override;
+
+ private:
+  ParallelOptions parallel_;
 };
 
 }  // namespace ifgen

@@ -57,8 +57,9 @@ struct PriorOptions {
   std::vector<std::pair<std::string, double>> learned_weights;
 };
 
-/// \brief One exportable transposition entry: a canonical state hash with
-/// its sampled cost and visit count. The unit of cross-worker peering.
+/// \brief One warm-start entry: a canonical state hash with its sampled
+/// cost and visit count. The unit of cross-worker peering and of
+/// experience seeding (see WarmStart).
 struct TtSeedEntry {
   uint64_t canonical = 0;
   double cost = 0.0;
@@ -67,24 +68,6 @@ struct TtSeedEntry {
   bool operator==(const TtSeedEntry& o) const {
     return canonical == o.canonical && cost == o.cost && visits == o.visits;
   }
-};
-
-/// \brief Runtime wiring for transposition peering: entries to pre-seed the
-/// search's table with before the run, and the hot entries it exported
-/// after. Like `stop`/`progress`, attaching a bridge is NOT part of any
-/// cache key or fingerprint — with state-keyed sampling on (the
-/// cache_peering contract) seeding changes only the work done, never the
-/// values produced or the RNG streams consumed.
-struct TtBridge {
-  /// In: entries merged into the table before the first iteration
-  /// (first-writer-wins; the table is empty then, so all land).
-  std::vector<TtSeedEntry> seed;
-  /// Cap on entries exported after the run (hottest by visits).
-  size_t export_limit = 512;
-  /// Out: the run's hottest finite-cost entries.
-  std::vector<TtSeedEntry> exported;
-  /// Out: cost-cache hits answered by a peer-seeded entry.
-  size_t peer_hits = 0;
 };
 
 /// \brief Per-root-action statistics of a (possibly merged) MCTS root.
@@ -101,37 +84,55 @@ struct RootActionStat {
   }
 };
 
-/// \brief Runtime wiring for the persistent experience store
-/// (src/learn/experience.h): records from past same-identity searches to
-/// warm-start this one, and this run's discoveries to merge back after.
+/// \brief Warm-start wiring of one search: seed costs in, discoveries out.
 ///
-/// Seeding does two things: (a) every seed entry's cost lands in the
-/// transposition table via SeedPeerCost (skips re-evaluations, sound under
-/// state-keyed sampling exactly like TtBridge), and (b) seed entries whose
-/// canonical hash matches a root child grant that child virtual visits +
-/// reward, steering early PUCT selection toward previously good actions —
-/// this is where the warm-start iteration win comes from. Like
-/// `stop`/`progress`/`tt_bridge`, attaching a bridge is NOT part of any
-/// cache key; with the bridge absent the search is bit-identical to the
-/// pre-experience behavior (zero extra RNG draws either way).
-struct ExperienceBridge {
-  /// In: records for this search's cost identity, hottest first.
-  std::vector<TtSeedEntry> seed;
-  /// Cap on the virtual visits one seed entry may grant a root child.
-  size_t root_visit_cap = 8;
-  /// Cap on entries exported after the run (hottest by visits).
-  size_t export_limit = 512;
-  /// Out: the run's hottest finite-cost entries (same shape as TtBridge).
+/// Built once per job by GenerationService from the cost-identity peer store
+/// (transposition peering) and the persistent experience store
+/// (src/learn/experience.h). Every seed cost lands in the StateEvaluator's
+/// memo before the first iteration (first writer wins; the anchor cost is
+/// already in it), and experience seeds matching a root child also grant
+/// that child capped virtual visits + reward, steering early PUCT selection
+/// toward previously good actions. Seeding is sound only under state-keyed
+/// sampling (costs are pure functions of the state), so seeded entries
+/// change how much work a search does, never which values it observes.
+/// Like `stop`/`progress`, attaching a bridge is NOT part of any cache key;
+/// with it absent the search draws exactly the same RNG stream.
+struct WarmStart {
+  /// Cap on the virtual visits one experience seed may grant a root child.
+  static constexpr uint64_t kRootVisitCap = 8;
+  /// Cap on entries exported after the run.
+  static constexpr size_t kExportLimit = 512;
+
+  /// In: entries exported by sibling searches of the same cost identity.
+  std::vector<TtSeedEntry> peer_seed;
+  /// In: experience-store records for this cost identity.
+  std::vector<TtSeedEntry> experience_seed;
+  /// Out: expanded states with a finite memo cost that did not come from
+  /// the seeds, canonical ascending, at most kExportLimit.
   std::vector<TtSeedEntry> exported;
-  /// Out: root actions ranked by visit-weighted mean reward (merged across
-  /// trees for parallel ensembles) — the "best action" training signal.
+  /// Out: root actions ranked by visit-weighted mean reward, merged across
+  /// trees by canonical hash — the "best action" training signal.
   std::vector<RootActionStat> root_actions;
   /// Out: canonical hash of the search's initial state.
   uint64_t root_canonical = 0;
-  /// Out: root children that received virtual visits from the seed.
-  size_t seeded_root_children = 0;
-  /// Out: cost-cache hits answered by a seeded entry.
+  /// Out: sampled-cost lookups this run answered from a seeded memo entry.
   size_t peer_hits = 0;
+};
+
+/// \brief Knobs of the parallel search runtime.
+///
+/// `num_threads` independent MCTS trees (root parallelism) share the
+/// transposition table, the evaluator's cost memo and the global best
+/// tracker; each tree draws from its own RNG stream (`Rng::Split` of the
+/// seed). Determinism contract: `num_threads <= 1` runs one tree on the
+/// caller's thread and is bit-for-bit reproducible for a fixed seed. With
+/// more trees, trajectories are timing-dependent: shared-memo hits consume
+/// no RNG draws while misses do, and which tree fills a shared entry first
+/// varies run-to-run. Only the seeds, not the trajectories, are
+/// reproducible beyond one thread.
+struct ParallelOptions {
+  /// Search trees, one per worker thread; <= 1 = serial.
+  size_t num_threads = 1;
 };
 
 /// \brief Options shared by every search algorithm.
@@ -203,15 +204,10 @@ struct SearchOptions {
   /// versioned event. Null = off. Publishing consumes no RNG draws and
   /// changes no control flow, so attaching a sink never perturbs results.
   std::shared_ptr<ProgressSink> progress;
-  /// Transposition peering bridge (see TtBridge). Null = off. Runtime
-  /// wiring only — NOT part of any cache key or fingerprint; requires
-  /// cache_peering (state-keyed sampling) for bit-identity under seeding.
-  std::shared_ptr<TtBridge> tt_bridge;
-  /// Persistent-experience bridge (see ExperienceBridge). Null = off.
-  /// Runtime wiring only — NOT part of any cache key or fingerprint;
-  /// requires state-keyed sampling (GeneratorOptions::experience) for
-  /// bit-identity of sampled costs under seeding.
-  std::shared_ptr<ExperienceBridge> experience;
+  /// Warm-start bridge (see WarmStart). Null = off. Runtime wiring only —
+  /// NOT part of any cache key or fingerprint; requires state-keyed
+  /// sampling (cache_peering or experience) for bit-identity under seeding.
+  std::shared_ptr<WarmStart> warm_start;
 };
 
 /// \brief (time, cost) samples of the best-so-far curve, for anytime plots.
@@ -241,7 +237,7 @@ struct SearchStats {
   size_t fanout_sum = 0;
   size_t fanout_max = 0;
 
-  /// Root children granted virtual visits from an ExperienceBridge seed.
+  /// Root children granted virtual visits from a WarmStart experience seed.
   size_t root_seeded = 0;
 
   // Per-rule outcome accumulators, indexed by RuleEngine rule index: how
@@ -274,7 +270,7 @@ struct SearchStats {
                : static_cast<double>(fanout_sum) / static_cast<double>(fanout_samples);
   }
 
-  /// Folds another tree's (or task's) stats into this one. Traces are
+  /// Folds another tree's stats into this one. Traces are
   /// concatenated and re-sorted by time; because a shared best tracker only
   /// records *global* improvements, the merged trace is again the monotone
   /// best-so-far curve.
@@ -286,14 +282,14 @@ struct SearchResult {
   DiffTree best_tree;
   double best_cost = 0.0;
   SearchStats stats;
-  /// Root actions ranked by visit-weighted mean reward (descending); filled
-  /// by root-parallel ensembles, empty for serial searchers.
+  /// Root actions ranked by visit-weighted mean reward (descending), merged
+  /// across trees by canonical hash; filled by MCTS, empty for baselines.
   std::vector<RootActionStat> root_actions;
 };
 
 /// \brief Everything a rollout needs; lets rollout helpers run as free
-/// functions on any thread (the parallel searchers fan rollouts out to a
-/// pool, where member functions bound to one searcher would not do).
+/// functions on any thread (every MCTS tree of a root-parallel search runs
+/// them, where member functions bound to one searcher would not do).
 struct RolloutContext {
   const RuleEngine* rules = nullptr;
   StateEvaluator* evaluator = nullptr;

@@ -147,7 +147,7 @@ ApiOptions RandomOptions(Rng* rng) {
   o.algorithm = rng->Choice<std::string>(
       {"mcts", "random", "greedy", "beam", "exhaustive", "bottom-up"});
   o.backend = rng->Choice<std::string>({"reference", "columnar", "sqlite"});
-  o.parallel_mode = rng->Choice<std::string>({"root", "leaf"});
+  o.parallel_mode = "root";
   o.time_budget_ms = rng->UniformInt(0, 600000);
   o.max_iterations = rng->UniformInt(1, 1 << 20);
   o.seed = rng->UniformInt(0, INT64_MAX);
@@ -382,6 +382,18 @@ TEST(Dto, OutOfRangeOptionsRejected) {
     o.backend = "oracle";
     EXPECT_EQ(o.ToGeneratorOptions().status().code(), StatusCode::kInvalidArgument);
   }
+}
+
+TEST(Dto, RemovedLeafParallelModeRejected) {
+  ApiOptions o;
+  o.parallel_mode = "leaf";
+  auto converted = o.ToGeneratorOptions();
+  ASSERT_FALSE(converted.ok());
+  EXPECT_EQ(converted.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(converted.status().message(),
+            "parallel_mode 'leaf' was removed; only 'root' is supported");
+  o.parallel_mode = "root";
+  EXPECT_TRUE(o.ToGeneratorOptions().ok());
 }
 
 TEST(Dto, EventKindFieldMismatchRejected) {

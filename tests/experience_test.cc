@@ -31,9 +31,12 @@
 #include "cluster/frame.h"
 #include "cluster/process.h"
 #include "core/json_export.h"
+#include "cost/evaluator.h"
+#include "difftree/builder.h"
 #include "learn/experience.h"
 #include "learn/prior_fit.h"
 #include "runtime/service.h"
+#include "sql/parser.h"
 #include "util/json.h"
 #include "workload/loader.h"
 
@@ -359,16 +362,20 @@ TEST(PriorFit, WeightsRoundTripAndRejectBadFiles) {
 
 // --------------------------------------------- service integration + off
 
-Result<GeneratedInterface> RunJob(GenerationService& service,
-                                  const std::vector<std::string>& log,
-                                  bool experience) {
+JobSpec Job(const std::vector<std::string>& log, bool experience) {
   JobSpec spec;
   spec.sqls = log;
   spec.options.experience = experience;
   spec.options.search.time_budget_ms = 0;  // iteration-capped: deterministic
   spec.options.search.max_iterations = 24;
   spec.options.search.seed = 9;
-  return service.Submit(spec).get();
+  return spec;
+}
+
+Result<GeneratedInterface> RunJob(GenerationService& service,
+                                  const std::vector<std::string>& log,
+                                  bool experience) {
+  return service.Submit(Job(log, experience)).get();
 }
 
 /// experience=false jobs must be bit-identical whether or not the service
@@ -440,6 +447,34 @@ TEST(ExperienceService, WarmStartSeedsFromRecordedExperience) {
   const auto counters = warm.counters_snapshot();
   EXPECT_GT(counters.learn_seeded, 0u);
   EXPECT_GT(result->stats.root_seeded, 0u);
+}
+
+/// The root record carries the root's own sampled cost, like every other
+/// record — not the cost of the interface the job returned, which a later
+/// warm start would otherwise seed as the initial state's cost.
+TEST(ExperienceService, RootRecordCarriesTheRootsOwnSampledCost) {
+  auto bundle = LoadWorkload("flights", 200);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  auto store = std::make_shared<ExperienceStore>();
+  GenerationService::Options opts;
+  opts.num_threads = 1;
+  opts.cache_capacity = 0;
+  opts.experience = store;
+  GenerationService service(opts);
+  const JobSpec spec = Job(bundle->log, /*experience=*/true);
+  auto result = service.Submit(spec).get();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  const std::vector<Ast> queries = *ParseQueries(bundle->log);
+  const DiffTree initial = *BuildInitialTree(queries);
+  StateEvaluator cold(spec.options.MakeEvalOptions(), queries);
+  Rng unused(0);  // state-keyed sampling never draws from it
+  const double root_cost = cold.SampleCost(initial, &unused);
+
+  auto rec = store->Probe(GenerationService::TtStoreKey(spec), initial.CanonicalHash());
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->best_cost, root_cost);
+  EXPECT_NE(rec->best_action, 0u);  // the preferred root action survives
 }
 
 TEST(ExperienceService, SaveWhileSearchingIsSafe) {

@@ -125,6 +125,12 @@ TEST_F(HttpTest, HealthzCatalogAndErrorModel) {
       400);
   EXPECT_EQ(out_of_range.Find("code")->AsString(), "OutOfRange");
 
+  JsonValue leaf = Call("POST", "/v1/generate",
+                        R"({"workload":"flights","options":{"parallel_mode":"leaf"}})", 400);
+  EXPECT_EQ(leaf.Find("code")->AsString(), "InvalidArgument");
+  EXPECT_EQ(leaf.Find("message")->AsString(),
+            "parallel_mode 'leaf' was removed; only 'root' is supported");
+
   JsonValue no_session = Call("GET", "/v1/sessions/s-999/feed", "", 404);
   EXPECT_EQ(no_session.Find("code")->AsString(), "NotFound");
 

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "core/interface_generator.h"
+#include "core/session.h"
+#include "difftree/selection.h"
 #include "engine/delta_exec.h"
 #include "runtime/interactive.h"
 #include "runtime/service.h"
@@ -320,6 +322,71 @@ TEST(InteractiveDifferential, RandomWalksBitIdenticalAcrossBackends) {
   // The columnar backend (the delta-capable one) must have exercised the
   // selection-delta / retruncation paths somewhere in the sweep.
   EXPECT_GT(delta_execs_by_kind[BackendKind::kColumnar], 0u);
+}
+
+/// Multi-predicate WHERE regression: a derivation can put several
+/// predicates directly under WHERE. Materialized as one AND, every plan
+/// cache key (the parameterized shape's SQL) has a single parameter count,
+/// so a walk on flights interfaces never binds a plan compiled for another
+/// shape. Every event targets a widget visible in the current state, so
+/// every step must succeed.
+TEST(InteractiveRegression, FlightsWidgetWalkBindsEveryShapeConsistently) {
+  auto w = LoadWorkload("flights", 300);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  const CostConstants constants = GeneratorOptions().constants;
+  size_t steps = 0, failed = 0;
+  std::map<std::string, std::set<size_t>> param_counts;
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    GeneratorOptions opt;
+    opt.search.time_budget_ms = 0;
+    opt.search.max_iterations = 40;
+    opt.search.seed = seed;
+    auto iface = GenerateInterface(w->log, opt);
+    ASSERT_TRUE(iface.ok()) << iface.status().ToString();
+    auto backend = CreateBackend(BackendKind::kColumnar, &w->db);
+    ASSERT_TRUE(backend.ok());
+    auto rt = InteractiveRuntime::Create(
+        *iface, constants, std::shared_ptr<ExecutionBackend>(std::move(*backend)));
+    ASSERT_TRUE(rt.ok()) << rt.status().ToString();
+    // A mirror session tells which widgets are visible without executing.
+    auto mirror = InterfaceSession::Create(*iface, constants);
+    ASSERT_TRUE(mirror.ok());
+    const ChoiceIndex index(mirror->difftree());
+    ASSERT_GT(index.size(), 0u);
+    Rng rng(seed);
+    for (size_t step = 0; step < 150; ++step) {
+      const int id = static_cast<int>(rng.UniformIndex(index.size()));
+      const DiffTree* node = index.node(static_cast<size_t>(id));
+      Result<InteractiveRuntime::StepReport> report = Status::OK();
+      if (node->kind == DKind::kAny) {
+        const int option = static_cast<int>(rng.UniformIndex(node->children.size()));
+        if (!mirror->SetAnyChoice(id, option).ok()) continue;
+        report = (*rt)->SetAnyChoice(id, option);
+      } else if (node->kind == DKind::kOpt) {
+        const bool present = rng.Bernoulli(0.5);
+        if (!mirror->SetOptPresent(id, present).ok()) continue;
+        report = (*rt)->SetOptPresent(id, present);
+      } else {
+        continue;
+      }
+      ++steps;
+      if (!report.ok()) {
+        ++failed;
+        ADD_FAILURE() << "seed " << seed << ": " << report.status().ToString();
+        continue;
+      }
+      auto q = (*rt)->session().CurrentQuery();
+      ASSERT_TRUE(q.ok());
+      auto pq = ParameterizeQuery(*q);
+      ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+      param_counts[pq->key].insert(pq->params.size());
+    }
+  }
+  EXPECT_GT(steps, 100u);
+  EXPECT_EQ(failed, 0u);
+  for (const auto& [key, counts] : param_counts) {
+    EXPECT_EQ(counts.size(), 1u) << key;
+  }
 }
 
 TEST(InteractiveDifferential, DeltaOffIsIdenticalAndFullyExecutes) {

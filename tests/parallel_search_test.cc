@@ -5,7 +5,6 @@
 #include "core/interface_generator.h"
 #include "difftree/builder.h"
 #include "search/mcts.h"
-#include "search/parallel_mcts.h"
 #include "sql/parser.h"
 
 namespace ifgen {
@@ -33,37 +32,6 @@ EvalOptions SmallEvalOptions() {
   return e;
 }
 
-/// The determinism contract: a parallel searcher configured for one thread
-/// IS the serial searcher — same best tree, same cost, same stats, same RNG
-/// consumption, bit for bit.
-TEST(ParallelMcts, SingleThreadMatchesSerialBitForBit) {
-  auto queries = SmallLog();
-  RuleEngine rules;
-  DiffTree initial = *BuildInitialTree(queries);
-
-  // Fresh evaluator per run: a warm cache would change RNG consumption.
-  StateEvaluator serial_eval(SmallEvalOptions(), queries);
-  MctsSearcher serial(&rules, &serial_eval, FastOptions(25));
-  auto serial_result = serial.Run(initial);
-  ASSERT_TRUE(serial_result.ok());
-
-  StateEvaluator parallel_eval(SmallEvalOptions(), queries);
-  ParallelOptions popts;
-  popts.num_threads = 1;
-  ParallelMctsSearcher parallel(&rules, &parallel_eval, FastOptions(25), popts);
-  auto parallel_result = parallel.Run(initial);
-  ASSERT_TRUE(parallel_result.ok());
-
-  EXPECT_EQ(parallel_result->best_cost, serial_result->best_cost);
-  EXPECT_EQ(parallel_result->best_tree, serial_result->best_tree);
-  EXPECT_EQ(parallel_result->stats.iterations, serial_result->stats.iterations);
-  EXPECT_EQ(parallel_result->stats.states_expanded,
-            serial_result->stats.states_expanded);
-  EXPECT_EQ(parallel_result->stats.rollouts, serial_result->stats.rollouts);
-  EXPECT_EQ(parallel_result->stats.rollout_steps, serial_result->stats.rollout_steps);
-  EXPECT_EQ(parallel_eval.evaluations(), serial_eval.evaluations());
-}
-
 TEST(ParallelMcts, SerialSearcherIsItselfDeterministic) {
   auto queries = SmallLog();
   RuleEngine rules;
@@ -87,8 +55,7 @@ TEST(ParallelMcts, RootParallelImprovesOverInitialState) {
   StateEvaluator eval(SmallEvalOptions(), queries);
   ParallelOptions popts;
   popts.num_threads = 3;
-  popts.mode = ParallelMode::kRoot;
-  ParallelMctsSearcher searcher(&rules, &eval, FastOptions(30), popts);
+  MctsSearcher searcher(&rules, &eval, FastOptions(30), popts);
   auto r = searcher.Run(initial);
   ASSERT_TRUE(r.ok());
   EXPECT_LT(r->best_cost, r->stats.initial_cost);
@@ -104,22 +71,6 @@ TEST(ParallelMcts, RootParallelImprovesOverInitialState) {
   }
 }
 
-TEST(ParallelMcts, LeafParallelImprovesOverInitialState) {
-  auto queries = SmallLog();
-  RuleEngine rules;
-  DiffTree initial = *BuildInitialTree(queries);
-  StateEvaluator eval(SmallEvalOptions(), queries);
-  ParallelOptions popts;
-  popts.num_threads = 2;
-  popts.mode = ParallelMode::kLeaf;
-  popts.leaf_rollouts = 2;
-  ParallelMctsSearcher searcher(&rules, &eval, FastOptions(20), popts);
-  auto r = searcher.Run(initial);
-  ASSERT_TRUE(r.ok());
-  EXPECT_LT(r->best_cost, r->stats.initial_cost);
-  EXPECT_GT(r->stats.rollouts, 0u);
-}
-
 TEST(ParallelMcts, SharedTranspositionTableDeduplicatesAcrossTrees) {
   auto queries = SmallLog();
   RuleEngine rules;
@@ -127,7 +78,7 @@ TEST(ParallelMcts, SharedTranspositionTableDeduplicatesAcrossTrees) {
   StateEvaluator eval(SmallEvalOptions(), queries);
   ParallelOptions popts;
   popts.num_threads = 4;
-  ParallelMctsSearcher searcher(&rules, &eval, FastOptions(40), popts);
+  MctsSearcher searcher(&rules, &eval, FastOptions(40), popts);
   auto r = searcher.Run(initial);
   ASSERT_TRUE(r.ok());
   // Independent trees expanding the same small space must collide: the

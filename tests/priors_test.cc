@@ -6,7 +6,6 @@
 #include "cost/evaluator.h"
 #include "difftree/builder.h"
 #include "search/mcts.h"
-#include "search/parallel_mcts.h"
 #include "search/priors.h"
 #include "sql/parser.h"
 
@@ -161,7 +160,7 @@ TEST(PriorGuidedMcts, SharedModelAcrossRootParallelTrees) {
   o.priors.use_priors = true;
   ParallelOptions popts;
   popts.num_threads = 3;
-  ParallelMctsSearcher searcher(&rules, &eval, o, popts);
+  MctsSearcher searcher(&rules, &eval, o, popts);
   auto r = searcher.Run(*BuildInitialTree(queries));
   ASSERT_TRUE(r.ok());
   EXPECT_LT(r->best_cost, r->stats.initial_cost);

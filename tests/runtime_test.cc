@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
+#include "cost/evaluator.h"
+#include "difftree/builder.h"
 #include "runtime/service.h"
 #include "runtime/thread_pool.h"
 #include "runtime/tt.h"
+#include "sql/parser.h"
 
 namespace ifgen {
 namespace {
@@ -85,25 +89,6 @@ TEST(TranspositionTable, VisitReportsFirstInsertion) {
   EXPECT_EQ(tt.size(), 2u);
 }
 
-TEST(TranspositionTable, CostFirstWriterWins) {
-  TranspositionTable tt(4);
-  EXPECT_FALSE(tt.LookupCost(7).has_value());
-  tt.StoreCost(7, 3.5);
-  tt.StoreCost(7, 9.0);  // ignored: first writer wins
-  auto cost = tt.LookupCost(7);
-  ASSERT_TRUE(cost.has_value());
-  EXPECT_DOUBLE_EQ(*cost, 3.5);
-}
-
-TEST(TranspositionTable, AccumulatesRewards) {
-  TranspositionTable tt(2);
-  tt.AccumulateReward(5, 0.25);
-  tt.AccumulateReward(5, 0.75);
-  auto e = tt.Get(5);
-  EXPECT_EQ(e.visits, 2u);
-  EXPECT_DOUBLE_EQ(e.total_reward, 1.0);
-}
-
 TEST(TranspositionTable, ConcurrentVisitsInsertEachKeyExactlyOnce) {
   constexpr size_t kThreads = 8;
   constexpr size_t kKeys = 512;
@@ -118,7 +103,6 @@ TEST(TranspositionTable, ConcurrentVisitsInsertEachKeyExactlyOnce) {
         // by are pre-mixed, so a multiplicative spread mimics real keys.
         uint64_t key = k * 0x9e3779b97f4a7c15ULL + 1;
         if (tt.Visit(key)) first_visits[k].fetch_add(1);
-        tt.AccumulateReward(key, 0.5);
       }
     });
   }
@@ -130,21 +114,83 @@ TEST(TranspositionTable, ConcurrentVisitsInsertEachKeyExactlyOnce) {
   EXPECT_EQ(tt.transposition_hits(), kKeys * (kThreads - 1));
 }
 
-TEST(TranspositionTable, ConcurrentCostStoresAgreeAfterwards) {
+TEST(TranspositionTable, KeysAreAscending) {
+  TranspositionTable tt(4);
+  for (uint64_t key : {9, 3, 7, 3}) tt.Visit(key);
+  EXPECT_EQ(tt.Keys(), (std::vector<uint64_t>{3, 7, 9}));
+}
+
+// ------------------------------------------------ StateEvaluator cost memo
+
+std::vector<Ast> MemoLog() {
+  return *ParseQueries(std::vector<std::string>{
+      "select a from t where x between 1 and 5",
+      "select b from t where x between 2 and 9",
+  });
+}
+
+EvalOptions StateKeyedOptions() {
+  EvalOptions e;
+  e.screen = {80, 24};
+  e.state_keyed_sampling = true;
+  return e;
+}
+
+TEST(EvaluatorMemo, SeedFirstWriterWins) {
+  StateEvaluator eval(StateKeyedOptions(), MemoLog());
+  EXPECT_FALSE(eval.MemoCost(7).has_value());
+  EXPECT_TRUE(eval.SeedCost(7, 3.5));
+  EXPECT_FALSE(eval.SeedCost(7, 9.0));  // ignored: first writer wins
+  ASSERT_TRUE(eval.MemoCost(7).has_value());
+  EXPECT_DOUBLE_EQ(*eval.MemoCost(7), 3.5);
+  // Non-finite seeds never land.
+  EXPECT_FALSE(eval.SeedCost(8, std::numeric_limits<double>::infinity()));
+  EXPECT_FALSE(eval.MemoCost(8).has_value());
+}
+
+TEST(EvaluatorMemo, SeededEntryAnswersSampleCostAndCountsAsSeededHit) {
+  const std::vector<Ast> queries = MemoLog();
+  const DiffTree initial = *BuildInitialTree(queries);
+  StateEvaluator eval(StateKeyedOptions(), queries);
+  ASSERT_TRUE(eval.SeedCost(initial.CanonicalHash(), 1.25));
+  Rng rng(1);
+  EXPECT_EQ(eval.SampleCost(initial, &rng), 1.25);
+  EXPECT_EQ(eval.cache_hits(), 1u);
+  EXPECT_EQ(eval.seeded_hits(), 1u);
+  EXPECT_EQ(eval.evaluations(), 0u);
+
+  // A sampled entry stays put: a later seed for the same state is ignored,
+  // and hits on it are not seeded hits.
+  StateEvaluator cold(StateKeyedOptions(), queries);
+  const double sampled = cold.SampleCost(initial, &rng);
+  EXPECT_FALSE(cold.SeedCost(initial.CanonicalHash(), sampled - 1.0));
+  EXPECT_EQ(cold.SampleCost(initial, &rng), sampled);
+  EXPECT_EQ(cold.seeded_hits(), 0u);
+
+  // With the memo off there is nowhere for a seed to land.
+  EvalOptions off = StateKeyedOptions();
+  off.cache_enabled = false;
+  StateEvaluator uncached(off, queries);
+  EXPECT_FALSE(uncached.SeedCost(initial.CanonicalHash(), 1.25));
+}
+
+TEST(EvaluatorMemo, ConcurrentSeedsAgreeAfterwards) {
   constexpr size_t kThreads = 8;
-  TranspositionTable tt(8);
+  StateEvaluator eval(StateKeyedOptions(), MemoLog());
   std::vector<std::thread> threads;
   std::vector<double> seen(kThreads, -1.0);
+  std::atomic<int> landed{0};
   for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&tt, &seen, t] {
-      tt.StoreCost(99, static_cast<double>(t) + 1.0);
-      seen[t] = *tt.LookupCost(99);
+    threads.emplace_back([&eval, &seen, &landed, t] {
+      if (eval.SeedCost(99, static_cast<double>(t) + 1.0)) landed.fetch_add(1);
+      seen[t] = *eval.MemoCost(99);
     });
   }
   for (auto& th : threads) th.join();
   // Exactly one writer won; every reader that looked afterwards saw the
   // winner (values never drift once stored).
-  double winner = *tt.LookupCost(99);
+  EXPECT_EQ(landed.load(), 1);
+  const double winner = *eval.MemoCost(99);
   EXPECT_GE(winner, 1.0);
   EXPECT_LE(winner, static_cast<double>(kThreads));
   for (size_t t = 0; t < kThreads; ++t) EXPECT_DOUBLE_EQ(seen[t], winner);

@@ -12,7 +12,6 @@
 #include "difftree/builder.h"
 #include "runtime/service.h"
 #include "search/mcts.h"
-#include "search/parallel_mcts.h"
 #include "search/progress.h"
 #include "search/timeman.h"
 #include "sql/parser.h"
@@ -111,26 +110,7 @@ TEST(Streaming, RootParallelPublishesStrictlyImprovingSequence) {
   opts.progress = sink;
   ParallelOptions popts;
   popts.num_threads = 3;
-  popts.mode = ParallelMode::kRoot;
-  ParallelMctsSearcher searcher(&rules, &eval, opts, popts);
-  auto r = searcher.Run(initial);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  CheckPublishedSequence(*sink, *r);
-}
-
-TEST(Streaming, LeafParallelPublishesStrictlyImprovingSequence) {
-  auto queries = WorkloadLog("synthetic", 6);
-  RuleEngine rules;
-  DiffTree initial = *BuildInitialTree(queries);
-  StateEvaluator eval(SmallEvalOptions(), queries);
-  SearchOptions opts = FastOptions(20);
-  auto sink = std::make_shared<ProgressSink>();
-  opts.progress = sink;
-  ParallelOptions popts;
-  popts.num_threads = 2;
-  popts.mode = ParallelMode::kLeaf;
-  popts.leaf_rollouts = 2;
-  ParallelMctsSearcher searcher(&rules, &eval, opts, popts);
+  MctsSearcher searcher(&rules, &eval, opts, popts);
   auto r = searcher.Run(initial);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   CheckPublishedSequence(*sink, *r);
