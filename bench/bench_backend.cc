@@ -112,9 +112,9 @@ int main() {
     const char* name;
     size_t rows;
   };
-  const Sized workloads[] = {{"flights", smoke ? 500 : 20000},
-                             {"sdss", smoke ? 500 : 8000},
-                             {"synthetic", smoke ? 200 : 2000}};
+  const Sized workloads[] = {{"flights", smoke ? size_t{500} : size_t{20000}},
+                             {"sdss", smoke ? size_t{500} : size_t{8000}},
+                             {"synthetic", smoke ? size_t{200} : size_t{2000}}};
 
   GeneratorOptions opt;
   opt.search.seed = 7;

@@ -1,9 +1,5 @@
 #include "cost/cost_model.h"
 
-#include <algorithm>
-#include <set>
-
-#include "cost/transition.h"
 #include "difftree/selection.h"
 #include "interface/layout.h"
 #include "widgets/appropriateness.h"
@@ -12,38 +8,44 @@ namespace ifgen {
 
 namespace {
 
-double MSumRec(const CostConstants& c, const WidgetNode& n) {
-  WidgetDomain d = n.domain;
-  if (IsLayoutWidget(n.kind)) {
-    d.cardinality = n.children.size();
+const WidgetDomain& DomainOf(const FlatWidget& w) {
+  static const WidgetDomain kNone;
+  return w.domain != nullptr ? *w.domain : kNone;
+}
+
+/// M(.) of the subtree at `i`: the widget's own term plus each child's
+/// subtree sum, left to right.
+double MSumRec(const CostConstants& c, const FlatLayout& layout, int i) {
+  const FlatWidget& w = layout.widgets[static_cast<size_t>(i)];
+  double sum = 0.0;
+  if (IsLayoutWidget(w.kind)) {
+    // A layout widget's M depends on its child count alone.
+    WidgetDomain d;
+    d.cardinality = static_cast<size_t>(w.num_children);
+    sum = AppropriatenessCost(c, w.kind, d);
+  } else {
+    sum = AppropriatenessCost(c, w.kind, DomainOf(w));
   }
-  double sum = AppropriatenessCost(c, n.kind, d);
-  for (const WidgetNode& k : n.children) sum += MSumRec(c, k);
+  for (int k = w.first_child; k >= 0;
+       k = layout.widgets[static_cast<size_t>(k)].next_sibling) {
+    sum += MSumRec(c, layout, k);
+  }
   return sum;
 }
 
-struct NavAccum {
-  const CostConstants* c;
-  const std::set<std::vector<int>>* terminals;
-  size_t total = 0;
-  double cost = 0.0;
-};
-
-/// Returns the number of terminals in the subtree rooted at `n` (whose path
-/// is `*path`), adding the cost of every edge inside the minimal connecting
-/// subtree: edge (n -> child) is included iff the child subtree holds some
-/// but not all terminals.
-size_t NavRec(const WidgetNode& n, std::vector<int>* path, NavAccum* acc) {
-  size_t here = acc->terminals->count(*path) != 0 ? 1 : 0;
-  for (size_t i = 0; i < n.children.size(); ++i) {
-    path->push_back(static_cast<int>(i));
-    size_t below = NavRec(n.children[i], path, acc);
-    path->pop_back();
-    if (below > 0 && below < acc->total) {
-      bool tab_edge =
-          n.kind == WidgetKind::kTabs || n.kind == WidgetKind::kTabLayout;
-      acc->cost += tab_edge ? acc->c->nav_tab_switch : acc->c->nav_edge;
-    }
+/// Returns the number of terminals (widgets marked with `stamp`) in the
+/// subtree at `i`, adding the cost of every edge inside the minimal
+/// connecting subtree: edge (n -> child) is included iff the child subtree
+/// holds some but not all of the `total` terminals.
+size_t NavRec(const FlatLayout& layout, int i, uint64_t stamp, size_t total,
+              const CostConstants& c, double* cost) {
+  const FlatWidget& w = layout.widgets[static_cast<size_t>(i)];
+  size_t here = w.mark == stamp ? 1 : 0;
+  const bool tab_edge = w.kind == WidgetKind::kTabs || w.kind == WidgetKind::kTabLayout;
+  for (int k = w.first_child; k >= 0;
+       k = layout.widgets[static_cast<size_t>(k)].next_sibling) {
+    size_t below = NavRec(layout, k, stamp, total, c, cost);
+    if (below > 0 && below < total) *cost += tab_edge ? c.nav_tab_switch : c.nav_edge;
     here += below;
   }
   return here;
@@ -51,23 +53,25 @@ size_t NavRec(const WidgetNode& n, std::vector<int>* path, NavAccum* acc) {
 
 }  // namespace
 
-double SteinerNavigationCost(const WidgetNode& root,
-                             const std::vector<std::vector<int>>& paths,
-                             const CostConstants& constants) {
-  if (paths.size() <= 1) return 0.0;
-  std::set<std::vector<int>> terminals(paths.begin(), paths.end());
-  if (terminals.size() <= 1) return 0.0;
-  NavAccum acc;
-  acc.c = &constants;
-  acc.terminals = &terminals;
-  acc.total = terminals.size();
-  std::vector<int> path;
-  NavRec(root, &path, &acc);
-  return acc.cost;
-}
-
-double CostModel::AppropriatenessSum(const WidgetNode& root) const {
-  return MSumRec(constants_, root);
+void PriceTransition(FlatLayout* layout, const std::vector<int>& changed_ids,
+                     const CostConstants& constants, double* interaction,
+                     double* navigation) {
+  const uint64_t stamp = ++layout->stamp;
+  double cost = 0.0;
+  size_t terminals = 0;
+  for (int id : changed_ids) {
+    const int i = layout->WidgetFor(id);
+    if (i < 0) continue;  // owned by an adder
+    FlatWidget& w = layout->widgets[static_cast<size_t>(i)];
+    if (w.mark == stamp) continue;  // range slider pair
+    w.mark = stamp;
+    ++terminals;
+    cost += InteractionCost(constants, w.kind, DomainOf(w));
+  }
+  *interaction = cost;
+  double nav = 0.0;
+  if (terminals > 1) NavRec(*layout, layout->root, stamp, terminals, constants, &nav);
+  *navigation = nav;
 }
 
 TransitionPlan PlanTransitions(const DiffTree& tree, const std::vector<Ast>& queries,
@@ -105,43 +109,50 @@ TransitionPlan PlanTransitions(const DiffTree& tree, const std::vector<Ast>& que
   return plan;
 }
 
+void CostModel::ScoreLayout(const TransitionPlan& plan, FlatLayout* layout,
+                            CostBreakdown* out) const {
+  out->valid = false;
+  out->invalid_reason.clear();
+  out->m_total = 0.0;
+  out->u_total = 0.0;
+  out->per_transition.clear();
+  out->layout_width = 0;
+  out->layout_height = 0;
+  if (!plan.valid) {
+    out->invalid_reason = plan.invalid_reason;
+    return;
+  }
+  const LayoutResult fit = ComputeLayout(layout, screen_);
+  out->layout_width = fit.width;
+  out->layout_height = fit.height;
+  if (!fit.fits) {
+    out->invalid_reason = "layout exceeds screen";
+    return;
+  }
+  out->m_total = MSumRec(constants_, *layout, layout->root);
+  for (size_t qi = 1; qi < plan.changed_ids.size(); ++qi) {
+    double interaction = 0.0;
+    double nav = 0.0;
+    PriceTransition(layout, plan.changed_ids[qi], constants_, &interaction, &nav);
+    out->per_transition.push_back(interaction + nav);
+    out->u_total += interaction + nav;
+  }
+  out->valid = true;
+}
+
 CostBreakdown CostModel::EvaluateWithPlan(const TransitionPlan& plan,
                                           WidgetTree* wt) const {
   CostBreakdown out;
   if (!plan.valid) {
-    out.valid = false;
     out.invalid_reason = plan.invalid_reason;
     return out;
   }
-  LayoutResult layout = ComputeLayout(&wt->root, screen_);
-  out.layout_width = layout.width;
-  out.layout_height = layout.height;
-  if (!layout.fits) {
-    out.valid = false;
-    out.invalid_reason = "layout exceeds screen";
-    return out;
-  }
+  // Positions and sizes for renderers; the scorer composes the same boxes.
+  FlatLayout flat;
+  Flatten(wt->root, &flat);
+  ComputeLayout(&wt->root, screen_);
   wt->RebuildIndex();
-  out.m_total = AppropriatenessSum(wt->root);
-
-  for (size_t qi = 1; qi < plan.changed_ids.size(); ++qi) {
-    double interaction = 0.0;
-    std::vector<std::vector<int>> widget_paths;
-    std::set<std::vector<int>> seen_widgets;
-    for (int id : plan.changed_ids[qi]) {
-      auto it = wt->path_by_choice.find(id);
-      if (it == wt->path_by_choice.end()) continue;  // owned by an adder
-      if (!seen_widgets.insert(it->second).second) continue;  // range slider pair
-      const WidgetNode* w = wt->NodeAtPath(it->second);
-      if (w == nullptr) continue;
-      interaction += InteractionCost(constants_, w->kind, w->domain);
-      widget_paths.push_back(it->second);
-    }
-    double nav = SteinerNavigationCost(wt->root, widget_paths, constants_);
-    out.per_transition.push_back(interaction + nav);
-    out.u_total += interaction + nav;
-  }
-  out.valid = true;
+  ScoreLayout(plan, &flat, &out);
   return out;
 }
 

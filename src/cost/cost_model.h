@@ -67,12 +67,20 @@ class CostModel {
   CostBreakdown Evaluate(const DiffTree& tree, WidgetTree* wt,
                          const std::vector<Ast>& queries) const;
 
-  /// Same, re-using a precomputed transition plan (fast path for sampling
-  /// many widget assignments of one difftree state).
+  /// Same, re-using a precomputed transition plan: lays out `wt`, then
+  /// scores it by flattening it through ScoreLayout.
   CostBreakdown EvaluateWithPlan(const TransitionPlan& plan, WidgetTree* wt) const;
 
-  /// The M(.) component only (no queries involved).
-  double AppropriatenessSum(const WidgetNode& root) const;
+  /// Scores a filled flat layout in place — the only M/U arithmetic. Writes
+  /// into `out`, reusing its storage, so scoring many assignments of one
+  /// state allocates nothing. Summation order (bit-identity contract):
+  ///  - M: each widget's M(.) plus its children's subtree sums, left to
+  ///    right (widget-tree pre-order, nested association);
+  ///  - per transition: interaction costs in `changed_ids` order, a range
+  ///    slider counted once, then plus the navigation cost (PriceTransition);
+  ///  - U: the per-transition terms in log order.
+  void ScoreLayout(const TransitionPlan& plan, FlatLayout* layout,
+                   CostBreakdown* out) const;
 
   const Screen& screen() const { return screen_; }
   const CostConstants& constants() const { return constants_; }
@@ -83,11 +91,15 @@ class CostModel {
   size_t parse_limit_;
 };
 
-/// \brief Navigation cost of reaching the set of changed widgets: the sum of
-/// edge costs over the minimal subtree of `root` connecting `paths`
-/// (exposed for unit tests).
-double SteinerNavigationCost(const WidgetNode& root,
-                             const std::vector<std::vector<int>>& paths,
-                             const CostConstants& constants);
+/// \brief The two U(.) terms of one transition on a flat layout: the
+/// interaction cost of every widget controlling a changed choice id (in
+/// `changed_ids` order; a range slider covering two ids counts once; ids
+/// without a widget are skipped) and the navigation cost of reaching them —
+/// the edge costs of the minimal subtree connecting them, added in the
+/// widgets' child post-order (entering a tab panel costs more than a plain
+/// layout edge).
+void PriceTransition(FlatLayout* layout, const std::vector<int>& changed_ids,
+                     const CostConstants& constants, double* interaction,
+                     double* navigation);
 
 }  // namespace ifgen

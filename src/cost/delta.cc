@@ -40,9 +40,15 @@ ChoiceWidgetTerms ComputeChoiceWidgetTerms(const DiffTree& choice_node,
   for (WidgetKind k : ValidWidgetKinds(t.domain)) {
     // The adder composes its size from its children (layout-style), so it
     // has no leaf template to check.
-    if (k == WidgetKind::kAdder || size_model.PickTemplate(k, t.domain).ok()) {
+    if (k == WidgetKind::kAdder) {
       t.options.push_back(k);
+      t.templates.emplace_back();
+      continue;
     }
+    Result<SizeClass> sc = size_model.PickTemplate(k, t.domain);
+    if (!sc.ok()) continue;
+    t.options.push_back(k);
+    t.templates.push_back({*sc, size_model.SizeOf(k, *sc, t.domain)});
   }
   // First minimum wins, matching the historical greedy-assignment loop.
   double best_m = std::numeric_limits<double>::infinity();

@@ -19,6 +19,9 @@ namespace ifgen {
 struct ChoiceWidgetTerms {
   WidgetDomain domain;              ///< ExtractDomain(choice node)
   std::vector<WidgetKind> options;  ///< valid widget kinds (size-checked)
+  /// Size template per option (parallel to `options`); the adder's is
+  /// empty, its box is composed from its children.
+  std::vector<WidgetTemplate> templates;
   int min_m_pick = 0;               ///< options index minimizing M(.)
   bool viable() const { return !options.empty(); }
 };

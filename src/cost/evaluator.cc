@@ -53,23 +53,14 @@ std::shared_ptr<const TransitionPlan> StateEvaluator::PlanFor(const DiffTree& tr
   return plan;
 }
 
-double StateEvaluator::EvaluateAssignment(const WidgetAssigner& assigner,
-                                          const Assignment& a,
-                                          const TransitionPlan& plan,
-                                          ScoredWidgetTree* best) {
-  auto built = assigner.Build(a);
-  if (!built.ok()) return kInf;
-  WidgetTree wt = std::move(built).MoveValueUnsafe();
-  CostBreakdown cost = model_.EvaluateWithPlan(plan, &wt);
+double StateEvaluator::ScoreAssignment(const WidgetAssigner& assigner,
+                                       const Assignment& a, const TransitionPlan& plan,
+                                       Scratch* scratch) {
+  if (!assigner.Fill(a, &scratch->layout).ok()) return kInf;
+  model_.ScoreLayout(plan, &scratch->layout, &scratch->cost);
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   EvaluationsMetric().Inc();
-  double total = cost.total();
-  if (best != nullptr && total < best->cost.total()) {
-    best->assignment = a;
-    best->tree = std::move(wt);
-    best->cost = std::move(cost);
-  }
-  return total;
+  return scratch->cost.total();
 }
 
 double StateEvaluator::SampleCost(const DiffTree& tree, Rng* rng) {
@@ -99,16 +90,19 @@ double StateEvaluator::SampleCost(const DiffTree& tree, Rng* rng) {
   double best = kInf;
   if (assigner.viable()) {
     auto plan = PlanFor(tree);
+    // One layout, breakdown and assignment serve every draw of the state.
+    Scratch scratch;
     size_t random_draws = opts_.k_assignments;
     if (opts_.greedy_seed && random_draws > 0) {
-      best = std::min(best, EvaluateAssignment(
-                                assigner, assigner.MinAppropriatenessAssignment(),
-                                *plan, nullptr));
+      best = std::min(best, ScoreAssignment(assigner,
+                                            assigner.MinAppropriatenessAssignment(),
+                                            *plan, &scratch));
       --random_draws;
     }
+    Assignment a;
     for (size_t i = 0; i < random_draws; ++i) {
-      Assignment a = assigner.RandomAssignment(draw_rng);
-      best = std::min(best, EvaluateAssignment(assigner, a, *plan, nullptr));
+      assigner.DrawRandomAssignment(draw_rng, &a);
+      best = std::min(best, ScoreAssignment(assigner, a, *plan, &scratch));
     }
   }
   if (opts_.cache_enabled) {
@@ -136,40 +130,50 @@ Result<ScoredWidgetTree> StateEvaluator::FindBest(const DiffTree& tree, Rng* rng
   if (!assigner.viable()) {
     return Status::Invalid("state has a choice node with no valid widget");
   }
-  ScoredWidgetTree best;
-  best.cost.valid = false;  // total() == inf until something valid lands
   auto plan = PlanFor(tree);
+  // Every candidate is scored flat; only the winner is materialized.
+  Scratch scratch;
+  Assignment best;
+  double best_cost = kInf;
+  auto consider = [&](const Assignment& a) {
+    const double cost = ScoreAssignment(assigner, a, *plan, &scratch);
+    if (cost < best_cost) {
+      best_cost = cost;
+      best = a;
+    }
+  };
 
   if (assigner.CombinationCount() <= opts_.enumeration_cap) {
     Assignment a = assigner.FirstAssignment();
     do {
-      EvaluateAssignment(assigner, a, *plan, &best);
+      consider(a);
     } while (assigner.NextAssignment(&a));
   } else {
     // Sample (greedy seed first), then coordinate-descent on the best.
-    EvaluateAssignment(assigner, assigner.MinAppropriatenessAssignment(), *plan,
-                       &best);
+    consider(assigner.MinAppropriatenessAssignment());
+    Assignment a;
     for (size_t i = 0; i < opts_.sample_fallback; ++i) {
-      Assignment a = assigner.RandomAssignment(rng);
-      EvaluateAssignment(assigner, a, *plan, &best);
+      assigner.DrawRandomAssignment(rng, &a);
+      consider(a);
     }
-    if (best.cost.valid) {
+    if (best_cost < kInf) {
       bool improved = true;
       int passes = 0;
+      Assignment trial;
       while (improved && passes < 4) {
         improved = false;
         ++passes;
-        Assignment current = best.assignment;
+        Assignment current = best;
         for (size_t d = 0; d < assigner.decisions().size(); ++d) {
           size_t n_opts = assigner.decisions()[d].options.size();
           for (size_t o = 0; o < n_opts; ++o) {
             if (static_cast<int>(o) == current.picks[d]) continue;
-            Assignment trial = current;
+            trial.picks = current.picks;
             trial.picks[d] = static_cast<int>(o);
-            double before = best.cost.total();
-            EvaluateAssignment(assigner, trial, *plan, &best);
-            if (best.cost.total() < before) {
-              current = best.assignment;
+            const double before = best_cost;
+            consider(trial);
+            if (best_cost < before) {
+              current = best;
               improved = true;
             }
           }
@@ -177,10 +181,14 @@ Result<ScoredWidgetTree> StateEvaluator::FindBest(const DiffTree& tree, Rng* rng
       }
     }
   }
-  if (!best.cost.valid) {
+  if (!(best_cost < kInf)) {
     return Status::NotFound("no valid widget tree fits the screen");
   }
-  return best;
+  ScoredWidgetTree winner;
+  winner.assignment = std::move(best);
+  IFGEN_ASSIGN_OR_RETURN(winner.tree, assigner.Build(winner.assignment));
+  winner.cost = model_.EvaluateWithPlan(*plan, &winner.tree);
+  return winner;
 }
 
 }  // namespace ifgen

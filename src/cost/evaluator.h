@@ -117,8 +117,16 @@ class StateEvaluator {
   size_t plan_cache_hits() const { return delta_->plan_hits(); }
 
  private:
-  double EvaluateAssignment(const WidgetAssigner& assigner, const Assignment& a,
-                            const TransitionPlan& plan, ScoredWidgetTree* best);
+  /// Reused storage for scoring many assignments of one state.
+  struct Scratch {
+    FlatLayout layout;
+    CostBreakdown cost;
+  };
+
+  /// Fills and scores one assignment (+infinity when it is structurally
+  /// invalid or does not fit); counts as an evaluation when it fills.
+  double ScoreAssignment(const WidgetAssigner& assigner, const Assignment& a,
+                         const TransitionPlan& plan, Scratch* scratch);
 
   /// The state's transition plan, memoized by order-sensitive tree hash
   /// when delta evaluation is on (shared immutable object — cache hits

@@ -1,9 +1,6 @@
 #include "cost/transition.h"
 
-#include <set>
-
 #include "cost/cost_model.h"
-#include "widgets/appropriateness.h"
 
 namespace ifgen {
 
@@ -32,18 +29,10 @@ Result<StepOutcome> ComputeTransition(const DiffTree& tree, const ChoiceIndex& i
     }
   }
   // Price the change against the widget tree.
-  std::vector<std::vector<int>> widget_paths;
-  std::set<std::vector<int>> seen_widgets;
-  for (int id : best.changed_choice_ids) {
-    auto it = wt.path_by_choice.find(id);
-    if (it == wt.path_by_choice.end()) continue;  // owned by an enclosing adder
-    if (!seen_widgets.insert(it->second).second) continue;  // range slider pairs
-    const WidgetNode* w = wt.NodeAtPath(it->second);
-    if (w == nullptr) continue;
-    best.interaction_cost += InteractionCost(c, w->kind, w->domain);
-    widget_paths.push_back(it->second);
-  }
-  best.navigation_cost = SteinerNavigationCost(wt.root, widget_paths, c);
+  FlatLayout flat;
+  Flatten(wt.root, &flat);
+  PriceTransition(&flat, best.changed_choice_ids, c, &best.interaction_cost,
+                  &best.navigation_cost);
   return best;
 }
 

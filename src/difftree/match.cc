@@ -1,7 +1,8 @@
 #include "difftree/match.h"
 
-#include <functional>
+#include <type_traits>
 
+#include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -35,13 +36,44 @@ std::string Derivation::Encode() const {
 
 namespace {
 
-/// A view of the AST node list currently being consumed.
-using AstList = std::vector<const Ast*>;
+// Registry handle resolved once; bumped only on the rare exhausted search.
+obs::Counter& BudgetExhaustedMetric() {
+  static obs::Counter* c = obs::MetricsRegistry::Default().GetCounter(
+      "ifgen_match_budget_exhausted_total",
+      "Matcher searches cut off by MatchOptions::max_steps");
+  return *c;
+}
+
+/// A view of the AST node list currently being consumed: the query itself
+/// at the top level, an AST node's children below it. Never owns storage.
+struct AstList {
+  const Ast* data = nullptr;
+  size_t count = 0;
+  size_t size() const { return count; }
+  const Ast& operator[](size_t i) const { return data[i]; }
+};
 
 /// Continuation-passing backtracking matcher. `Cont` receives the index of
 /// the next unconsumed AST node at the *same* list level; returning true
 /// commits the branch, returning false requests further backtracking.
-using Cont = std::function<bool(size_t)>;
+///
+/// A `Cont` is a non-owning reference to a callable (an object pointer and
+/// a call thunk): every continuation is a lambda living in the frame of the
+/// call that receives it, so no step allocates.
+class Cont {
+ public:
+  template <typename F, typename = std::enable_if_t<!std::is_same_v<F, Cont>>>
+  Cont(const F& f)  // NOLINT(runtime/explicit): lambdas convert implicitly
+      : callable_(&f), call_([](const void* c, size_t j) {
+          return (*static_cast<const F*>(c))(j);
+        }) {}
+
+  bool operator()(size_t j) const { return call_(callable_, j); }
+
+ private:
+  const void* callable_;
+  bool (*call_)(const void*, size_t);
+};
 
 class Matcher {
  public:
@@ -50,34 +82,30 @@ class Matcher {
   bool exhausted() const { return exhausted_; }
 
   /// Tries every way `node` can consume a prefix of asts[j...); `deriv` holds
-  /// the derivation of the branch active when `cont` committed.
-  bool MatchOne(const DiffTree& node, const AstList& asts, size_t j, Derivation* deriv,
+  /// the derivation of the branch active when `cont` committed. Child
+  /// vectors are resized, never rebuilt, so retries reuse their capacity;
+  /// entries of a failed branch may hold stale values until overwritten.
+  bool MatchOne(const DiffTree& node, AstList asts, size_t j, Derivation* deriv,
                 const Cont& cont) {
-    if (++steps_ > opts_.max_steps) {
-      exhausted_ = true;
-      return false;
-    }
+    if (!CountStep()) return false;
     deriv->node = &node;
     deriv->choice = -1;
-    deriv->children.clear();
     switch (node.kind) {
       case DKind::kAll: {
         if (node.sym == Symbol::kEmpty) {
+          deriv->children.clear();
           return cont(j);
         }
         if (node.sym == Symbol::kSeq) {
           deriv->children.resize(node.children.size());
           return MatchList(node.children, asts, 0, j, &deriv->children, cont);
         }
-        if (j >= asts.size()) return false;
-        const Ast& a = *asts[j];
-        if (a.sym != node.sym || a.value != node.value) return false;
+        if (!HeadMatches(node, asts, j)) return false;
         // The node's children must expand to exactly a.children; different
         // inner parses are explored via the continuation so enumeration of
         // derivations is complete.
-        AstList sub;
-        sub.reserve(a.children.size());
-        for (const Ast& c : a.children) sub.push_back(&c);
+        const Ast& a = asts[j];
+        const AstList sub{a.children.data(), a.children.size()};
         deriv->children.resize(node.children.size());
         return MatchList(node.children, sub, 0, 0, &deriv->children, [&](size_t used) {
           if (used != sub.size()) return false;
@@ -85,12 +113,17 @@ class Matcher {
         });
       }
       case DKind::kAny: {
+        deriv->children.resize(1);
         for (size_t alt = 0; alt < node.children.size(); ++alt) {
-          deriv->choice = static_cast<int>(alt);
-          deriv->children.assign(1, Derivation{});
-          if (MatchOne(node.children[alt], asts, j, &deriv->children[0], cont)) {
-            return true;
+          const DiffTree& option = node.children[alt];
+          // An ALL alternative whose head cannot match fails on its first
+          // step; count that step without touching the derivation.
+          if (IsHeadedAll(option) && !HeadMatches(option, asts, j)) {
+            if (!CountStep()) return false;
+            continue;
           }
+          deriv->choice = static_cast<int>(alt);
+          if (MatchOne(option, asts, j, &deriv->children[0], cont)) return true;
           if (exhausted_) return false;
         }
         return false;
@@ -99,7 +132,7 @@ class Matcher {
         // Prefer present (consumes input) over absent; backtracking covers
         // the other order.
         deriv->choice = 1;
-        deriv->children.assign(1, Derivation{});
+        deriv->children.resize(1);
         if (MatchOne(node.children[0], asts, j, &deriv->children[0], cont)) return true;
         if (exhausted_) return false;
         deriv->choice = 0;
@@ -119,8 +152,8 @@ class Matcher {
   }
 
   /// Matches a child list (sequence semantics) against asts[j...).
-  bool MatchList(const std::vector<DiffTree>& items, const AstList& asts, size_t i,
-                 size_t j, std::vector<Derivation>* derivs, const Cont& cont) {
+  bool MatchList(const std::vector<DiffTree>& items, AstList asts, size_t i, size_t j,
+                 std::vector<Derivation>* derivs, const Cont& cont) {
     if (i == items.size()) return cont(j);
     return MatchOne(items[i], asts, j, &(*derivs)[i], [&](size_t j2) {
       return MatchList(items, asts, i + 1, j2, derivs, cont);
@@ -128,7 +161,25 @@ class Matcher {
   }
 
  private:
-  bool MatchMulti(const DiffTree& node, const AstList& asts, size_t j, size_t count,
+  /// Spends one step of the budget; false once it is exhausted.
+  bool CountStep() {
+    if (++steps_ > opts_.max_steps) {
+      exhausted_ = true;
+      return false;
+    }
+    return true;
+  }
+
+  /// An ALL node that must consume one AST node with its own symbol/value.
+  static bool IsHeadedAll(const DiffTree& n) {
+    return n.kind == DKind::kAll && n.sym != Symbol::kEmpty && n.sym != Symbol::kSeq;
+  }
+
+  static bool HeadMatches(const DiffTree& n, AstList asts, size_t j) {
+    return j < asts.size() && asts[j].sym == n.sym && asts[j].value == n.value;
+  }
+
+  bool MatchMulti(const DiffTree& node, AstList asts, size_t j, size_t count,
                   Derivation* deriv, const Cont& cont) {
     // Prefer fewer copies: try stopping first.
     deriv->choice = static_cast<int>(count);
@@ -157,11 +208,12 @@ class Matcher {
 
 std::optional<Derivation> MatchQuery(const DiffTree& root, const Ast& query,
                                      const MatchOptions& opts) {
-  AstList asts = {&query};
   Matcher m(opts);
   Derivation deriv;
-  bool ok = m.MatchOne(root, asts, 0, &deriv, [&](size_t j) { return j == 1; });
+  bool ok = m.MatchOne(root, AstList{&query, 1}, 0, &deriv,
+                       [](size_t j) { return j == 1; });
   if (m.exhausted()) {
+    BudgetExhaustedMetric().Inc();
     IFGEN_LOG(Warning) << "matcher step budget exhausted; treating as no-match";
     return std::nullopt;
   }
@@ -173,16 +225,18 @@ std::vector<Derivation> EnumerateDerivations(const DiffTree& root, const Ast& qu
                                              size_t limit, const MatchOptions& opts) {
   std::vector<Derivation> out;
   if (limit == 0) return out;
-  AstList asts = {&query};
   Matcher m(opts);
   Derivation deriv;
   // The continuation reports failure after collecting each complete parse so
   // the matcher keeps backtracking into the next one, until `limit`.
-  m.MatchOne(root, asts, 0, &deriv, [&](size_t j) {
+  m.MatchOne(root, AstList{&query, 1}, 0, &deriv, [&](size_t j) {
     if (j != 1) return false;
     out.push_back(deriv);
     return out.size() >= limit;  // true stops the search
   });
+  // The parses found before the budget ran out are still returned (and
+  // priced by PlanTransitions); the counter makes the truncation visible.
+  if (m.exhausted()) BudgetExhaustedMetric().Inc();
   return out;
 }
 

@@ -31,7 +31,9 @@ struct Derivation {
 
 /// \brief Limits for the backtracking matcher.
 struct MatchOptions {
-  /// Backtracking step budget; exceeded => treated as no-match (logged).
+  /// Backtracking step budget. Exceeding it makes MatchQuery report
+  /// no-match (logged) and EnumerateDerivations return the parses found so
+  /// far; both bump `ifgen_match_budget_exhausted_total`.
   size_t max_steps = 2'000'000;
   /// Maximum repetitions a MULTI may consume.
   size_t max_multi = 24;

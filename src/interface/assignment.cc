@@ -1,11 +1,8 @@
 #include "interface/assignment.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "cost/delta.h"
-#include "util/logging.h"
-#include "widgets/appropriateness.h"
 #include "util/string_util.h"
 
 namespace ifgen {
@@ -13,7 +10,7 @@ namespace ifgen {
 namespace {
 
 /// Clause context labels shown next to widgets.
-std::string ContextFor(const DiffTree& node, const std::string& inherited) {
+std::string_view ContextFor(const DiffTree& node, std::string_view inherited) {
   if (node.kind != DKind::kAll) return inherited;
   switch (node.sym) {
     case Symbol::kProject:
@@ -35,21 +32,31 @@ std::string ContextFor(const DiffTree& node, const std::string& inherited) {
   }
 }
 
-bool ProducesWidgets(const DiffTree& n) { return n.ChoiceCount() > 0; }
+bool ProducesWidgets(const DiffTree& n) {
+  if (n.IsChoice()) return true;
+  for (const DiffTree& c : n.children) {
+    if (ProducesWidgets(c)) return true;
+  }
+  return false;
+}
 
 }  // namespace
 
 WidgetAssigner::WidgetAssigner(const DiffTree& tree, const CostConstants& constants,
                                DeltaCostCache* delta)
-    : tree_(tree),
-      constants_(constants),
-      delta_(delta),
-      size_model_(constants_),
-      index_(tree) {
-  Collect(tree_);
+    : constants_(constants), delta_(delta), size_model_(constants_) {
+  Collect(tree, "");
 }
 
-void WidgetAssigner::Collect(const DiffTree& node) {
+void WidgetAssigner::Collect(const DiffTree& node, std::string_view inherited) {
+  // Decisions are numbered in difftree pre-order (each node's own decisions
+  // before its children's): assignments, and the random draws that make
+  // them, depend on this order.
+  const size_t s = slots_.size();
+  slots_.emplace_back();
+  slots_[s].node = &node;
+  slots_[s].context = ContextFor(node, inherited);
+  if (node.IsChoice()) slots_[s].choice_id = num_choices_++;
   switch (node.kind) {
     case DKind::kAll: {
       BetweenPattern bp;
@@ -59,7 +66,11 @@ void WidgetAssigner::Collect(const DiffTree& node) {
         d.node = &node;
         // Two pseudo-options: 0 = separate widgets, 1 = range slider.
         d.options = {WidgetKind::kVertical, WidgetKind::kRangeSlider};
-        decision_of_node_[&node].push_back(static_cast<int>(decisions_.size()));
+        RangeSlider r;
+        r.decision = static_cast<int>(decisions_.size());
+        r.label = std::move(bp.label);
+        slots_[s].range = static_cast<int>(ranges_.size());
+        ranges_.push_back(std::move(r));
         decisions_.push_back(std::move(d));
       }
       size_t widget_kids = 0;
@@ -70,7 +81,7 @@ void WidgetAssigner::Collect(const DiffTree& node) {
         d.node = &node;
         d.options = {WidgetKind::kVertical, WidgetKind::kHorizontal,
                      WidgetKind::kTabLayout};
-        decision_of_node_[&node].push_back(static_cast<int>(decisions_.size()));
+        slots_[s].container = static_cast<int>(decisions_.size());
         decisions_.push_back(std::move(d));
       }
       break;
@@ -84,43 +95,60 @@ void WidgetAssigner::Collect(const DiffTree& node) {
       DecisionPoint d;
       d.type = DecisionType::kChoiceWidget;
       d.node = &node;
-      if (delta_ != nullptr) {
-        std::shared_ptr<const ChoiceWidgetTerms> terms =
-            delta_->GetChoiceTerms(node, constants_, size_model_);
-        d.options = terms->options;
-        d.domain = terms->domain;
-        d.min_m_pick = terms->min_m_pick;
-      } else {
-        ChoiceWidgetTerms terms =
-            ComputeChoiceWidgetTerms(node, constants_, size_model_);
-        d.options = std::move(terms.options);
-        d.domain = std::move(terms.domain);
-        d.min_m_pick = terms.min_m_pick;
-      }
+      d.terms = delta_ != nullptr
+                    ? delta_->GetChoiceTerms(node, constants_, size_model_)
+                    : std::make_shared<const ChoiceWidgetTerms>(
+                          ComputeChoiceWidgetTerms(node, constants_, size_model_));
+      d.options = d.terms->options;
       if (d.options.empty()) viable_ = false;
-      decision_of_node_[&node].push_back(static_cast<int>(decisions_.size()));
+      if (node.kind == DKind::kOpt) {
+        // Prefer the child's clause name ("where", "top") as the toggle label.
+        const std::string_view ctx = slots_[s].context;
+        const std::string_view child_ctx = ContextFor(node.children[0], ctx);
+        slots_[s].toggle_context = !child_ctx.empty() ? child_ctx : ctx;
+        if (slots_[s].toggle_context.empty()) {
+          slots_[s].own_label = Ellipsize(d.terms->domain.labels[0], 16);
+        }
+      }
+      slots_[s].choice = static_cast<int>(decisions_.size());
       decisions_.push_back(std::move(d));
       if (node.kind == DKind::kOpt && ProducesWidgets(node.children[0])) {
         DecisionPoint g;
         g.type = DecisionType::kContainerLayout;
         g.node = &node;
         g.options = {WidgetKind::kHorizontal, WidgetKind::kVertical};
-        decision_of_node_[&node].push_back(static_cast<int>(decisions_.size()));
+        slots_[s].container = static_cast<int>(decisions_.size());
         decisions_.push_back(std::move(g));
       }
       break;
     }
   }
-  for (const DiffTree& c : node.children) Collect(c);
-}
+  const std::string_view ctx = slots_[s].context;
+  for (const DiffTree& c : node.children) Collect(c, ctx);
+  slots_[s].end = static_cast<int>(slots_.size());
 
-int WidgetAssigner::DecisionIndexOf(const DiffTree* node, DecisionType type) const {
-  auto it = decision_of_node_.find(node);
-  if (it == decision_of_node_.end()) return -1;
-  for (int idx : it->second) {
-    if (decisions_[static_cast<size_t>(idx)].type == type) return idx;
+  if (slots_[s].range >= 0) {
+    // The endpoints are children 1 and 2, both numeric choice nodes whose
+    // terms are collected by now.
+    const NodeSlot& lo = slots_[static_cast<size_t>(slots_[s + 1].end)];
+    const NodeSlot& hi = slots_[static_cast<size_t>(lo.end)];
+    const WidgetDomain& lo_d = decisions_[static_cast<size_t>(lo.choice)].terms->domain;
+    const WidgetDomain& hi_d = decisions_[static_cast<size_t>(hi.choice)].terms->domain;
+    RangeSlider& r = ranges_[static_cast<size_t>(slots_[s].range)];
+    r.lo_id = lo.choice_id;
+    r.hi_id = hi.choice_id;
+    r.domain = lo_d;
+    r.domain.num_hi = std::max(lo_d.num_hi, hi_d.num_hi);
+    r.domain.num_lo = std::min(lo_d.num_lo, hi_d.num_lo);
+    Result<SizeClass> sc = size_model_.PickTemplate(WidgetKind::kRangeSlider, r.domain);
+    if (sc.ok()) {
+      WidgetSize sz = size_model_.SizeOf(WidgetKind::kRangeSlider, *sc, r.domain);
+      sz.width += static_cast<int>(std::min<size_t>(r.label.size(), 10));
+      r.tmpl = {*sc, sz};
+    } else {
+      r.status = sc.status();
+    }
   }
-  return -1;
 }
 
 double WidgetAssigner::CombinationCount() const {
@@ -152,227 +180,187 @@ Assignment WidgetAssigner::MinAppropriatenessAssignment() const {
   Assignment a = FirstAssignment();
   for (size_t i = 0; i < decisions_.size(); ++i) {
     if (decisions_[i].type != DecisionType::kChoiceWidget) continue;
-    a.picks[i] = decisions_[i].min_m_pick;
+    a.picks[i] = decisions_[i].terms->min_m_pick;
   }
   return a;
 }
 
 Assignment WidgetAssigner::RandomAssignment(Rng* rng) const {
   Assignment a;
-  a.picks.reserve(decisions_.size());
-  for (const DecisionPoint& d : decisions_) {
-    a.picks.push_back(d.options.empty()
-                          ? 0
-                          : static_cast<int>(rng->UniformIndex(d.options.size())));
-  }
+  DrawRandomAssignment(rng, &a);
   return a;
 }
 
-Status WidgetAssigner::BuildNode(const DiffTree& node, const Assignment& a,
-                                 const std::string& context,
-                                 std::vector<WidgetNode>* out) const {
-  const std::string ctx = ContextFor(node, context);
+void WidgetAssigner::DrawRandomAssignment(Rng* rng, Assignment* a) const {
+  a->picks.clear();
+  for (const DecisionPoint& d : decisions_) {
+    a->picks.push_back(d.options.empty()
+                           ? 0
+                           : static_cast<int>(rng->UniformIndex(d.options.size())));
+  }
+}
+
+WidgetKind WidgetAssigner::Pick(int decision, const Assignment& a) const {
+  const size_t i = static_cast<size_t>(decision);
+  return decisions_[i].options[static_cast<size_t>(a.picks[i])];
+}
+
+FlatWidget WidgetAssigner::ChoiceWidget(const NodeSlot& slot, const Assignment& a) const {
+  const DecisionPoint& d = decisions_[static_cast<size_t>(slot.choice)];
+  const size_t pick = static_cast<size_t>(a.picks[static_cast<size_t>(slot.choice)]);
+  const WidgetTemplate& t = d.terms->templates[pick];
+  FlatWidget w;
+  w.kind = d.options[pick];
+  w.size_class = t.size_class;
+  w.choice_id = slot.choice_id;
+  w.domain = &d.terms->domain;
+  w.label = slot.context;
+  w.width = t.size.width;
+  w.height = t.size.height;
+  return w;
+}
+
+Status WidgetAssigner::FillNode(int s, const Assignment& a, FlatLayout* out,
+                                FlatList* list) const {
+  const NodeSlot& slot = slots_[static_cast<size_t>(s)];
+  const DiffTree& node = *slot.node;
   switch (node.kind) {
     case DKind::kAll: {
       if (node.sym == Symbol::kEmpty) return Status::OK();
       // BETWEEN composite: one range slider may cover both endpoints.
-      int bidx = DecisionIndexOf(&node, DecisionType::kBetweenComposite);
-      if (bidx >= 0 &&
-          decisions_[static_cast<size_t>(bidx)]
-                  .options[static_cast<size_t>(a.picks[static_cast<size_t>(bidx)])] ==
-              WidgetKind::kRangeSlider) {
-        BetweenPattern bp;
-        if (!MatchBetweenPattern(node, &bp)) {
-          return Status::Internal("between pattern vanished");
+      if (slot.range >= 0) {
+        const RangeSlider& r = ranges_[static_cast<size_t>(slot.range)];
+        if (Pick(r.decision, a) == WidgetKind::kRangeSlider) {
+          IFGEN_RETURN_NOT_OK(r.status);
+          FlatWidget w;
+          w.kind = WidgetKind::kRangeSlider;
+          w.size_class = r.tmpl.size_class;
+          w.choice_id = r.lo_id;
+          w.choice_id2 = r.hi_id;
+          w.domain = &r.domain;
+          w.label = r.label;
+          w.width = r.tmpl.size.width;
+          w.height = r.tmpl.size.height;
+          out->Append(list, out->Add(w));
+          return Status::OK();
         }
-        WidgetDomain lo_d = ExtractDomain(*bp.lo_any);
-        WidgetDomain hi_d = ExtractDomain(*bp.hi_any);
-        WidgetNode w;
-        w.kind = WidgetKind::kRangeSlider;
-        w.choice_id = index_.IdOf(bp.lo_any);
-        w.choice_id2 = index_.IdOf(bp.hi_any);
-        w.label = bp.label;
-        w.domain = lo_d;
-        w.domain.num_hi = std::max(lo_d.num_hi, hi_d.num_hi);
-        w.domain.num_lo = std::min(lo_d.num_lo, hi_d.num_lo);
-        IFGEN_ASSIGN_OR_RETURN(SizeClass sc,
-                               size_model_.PickTemplate(w.kind, w.domain));
-        w.size_class = sc;
-        WidgetSize sz = size_model_.SizeOf(w.kind, sc, w.domain);
-        w.width = sz.width + static_cast<int>(std::min<size_t>(w.label.size(), 10));
-        w.height = sz.height;
-        out->push_back(std::move(w));
+      }
+      FlatList widgets;
+      for (int c = s + 1; c < slot.end; c = slots_[static_cast<size_t>(c)].end) {
+        IFGEN_RETURN_NOT_OK(FillNode(c, a, out, &widgets));
+      }
+      if (widgets.count == 0) return Status::OK();
+      if (widgets.count == 1) {
+        out->Append(list, widgets.head);
         return Status::OK();
       }
-      std::vector<WidgetNode> widgets;
-      for (const DiffTree& c : node.children) {
-        IFGEN_RETURN_NOT_OK(BuildNode(c, a, ctx, &widgets));
-      }
-      if (widgets.empty()) return Status::OK();
-      WidgetNode group;
-      IFGEN_RETURN_NOT_OK(BuildGroup(node, a, ctx, ctx, &widgets, &group));
-      out->push_back(std::move(group));
+      FlatWidget group;
+      group.kind = slot.container >= 0 ? Pick(slot.container, a) : WidgetKind::kVertical;
+      group.label = slot.context;
+      const int g = out->Add(group);
+      out->Adopt(g, widgets);
+      out->Append(list, g);
       return Status::OK();
     }
     case DKind::kAny: {
-      int didx = DecisionIndexOf(&node, DecisionType::kChoiceWidget);
-      if (didx < 0) return Status::Internal("missing choice decision");
-      const DecisionPoint& d = decisions_[static_cast<size_t>(didx)];
-      if (d.options.empty()) {
-        return Status::Invalid("choice node has no valid widget");
-      }
-      WidgetKind kind = d.options[static_cast<size_t>(a.picks[static_cast<size_t>(didx)])];
-      const WidgetDomain& domain = d.domain;
-      WidgetNode w;
-      w.kind = kind;
-      w.choice_id = index_.IdOf(&node);
-      w.label = ctx;
-      w.domain = domain;
-      IFGEN_ASSIGN_OR_RETURN(SizeClass sc, size_model_.PickTemplate(kind, domain));
-      w.size_class = sc;
-      WidgetSize sz = size_model_.SizeOf(kind, sc, domain);
-      w.width = sz.width;
-      w.height = sz.height;
-      if (kind == WidgetKind::kTabs) {
-        // One child group per alternative.
-        for (size_t alt = 0; alt < node.children.size(); ++alt) {
-          std::vector<WidgetNode> alt_widgets;
-          IFGEN_RETURN_NOT_OK(BuildNode(node.children[alt], a, ctx, &alt_widgets));
-          WidgetNode panel;
-          if (alt_widgets.size() == 1) {
-            panel = std::move(alt_widgets[0]);
-          } else {
-            panel.kind = WidgetKind::kVertical;
-            panel.children = std::move(alt_widgets);
+      const DecisionPoint& d = decisions_[static_cast<size_t>(slot.choice)];
+      if (d.options.empty()) return Status::Invalid("choice node has no valid widget");
+      const int w = out->Add(ChoiceWidget(slot, a));
+      if (out->widgets[static_cast<size_t>(w)].kind == WidgetKind::kTabs) {
+        // One child panel per alternative, labeled with it.
+        FlatList panels;
+        size_t alt = 0;
+        for (int c = s + 1; c < slot.end; c = slots_[static_cast<size_t>(c)].end, ++alt) {
+          FlatList alt_widgets;
+          IFGEN_RETURN_NOT_OK(FillNode(c, a, out, &alt_widgets));
+          int panel = alt_widgets.head;
+          if (alt_widgets.count != 1) {
+            panel = out->Add(FlatWidget{});  // a vertical group
+            out->Adopt(panel, alt_widgets);
           }
-          panel.label = domain.labels[alt];
-          w.children.push_back(std::move(panel));
+          out->widgets[static_cast<size_t>(panel)].label = d.terms->domain.labels[alt];
+          out->Append(&panels, panel);
         }
+        out->Adopt(w, panels);
       }
-      out->push_back(std::move(w));
+      out->Append(list, w);
       return Status::OK();
     }
     case DKind::kOpt: {
-      int didx = DecisionIndexOf(&node, DecisionType::kChoiceWidget);
-      if (didx < 0) return Status::Internal("missing OPT decision");
-      const DecisionPoint& d = decisions_[static_cast<size_t>(didx)];
+      const DecisionPoint& d = decisions_[static_cast<size_t>(slot.choice)];
       if (d.options.empty()) return Status::Invalid("OPT has no valid widget");
-      const WidgetDomain& domain = d.domain;
-      WidgetNode toggle;
-      toggle.kind = d.options[static_cast<size_t>(a.picks[static_cast<size_t>(didx)])];
-      toggle.choice_id = index_.IdOf(&node);
-      // Prefer the child's clause name ("where", "top") as the toggle label.
-      std::string child_ctx = ContextFor(node.children[0], ctx);
-      toggle.label = !child_ctx.empty() ? child_ctx
-                     : !ctx.empty()     ? ctx
-                                        : Ellipsize(domain.labels[0], 16);
-      toggle.domain = domain;
-      IFGEN_ASSIGN_OR_RETURN(SizeClass sc,
-                             size_model_.PickTemplate(toggle.kind, domain));
-      toggle.size_class = sc;
-      WidgetSize sz = size_model_.SizeOf(toggle.kind, sc, domain);
-      toggle.width = sz.width;
-      toggle.height = sz.height;
-
-      std::vector<WidgetNode> inner;
-      IFGEN_RETURN_NOT_OK(BuildNode(node.children[0], a, ctx, &inner));
-      if (inner.empty()) {
-        out->push_back(std::move(toggle));
-        return Status::OK();
-      }
+      FlatWidget toggle = ChoiceWidget(slot, a);
+      toggle.label = slot.own_label.empty() ? slot.toggle_context
+                                            : std::string_view(slot.own_label);
       // Toggle + dependent widgets form a group (paper Fig. 3b: the toggle
       // and the StrExpr dropdown are organized together).
-      std::vector<WidgetNode> group_widgets;
-      group_widgets.push_back(std::move(toggle));
-      for (WidgetNode& wn : inner) group_widgets.push_back(std::move(wn));
-      WidgetNode group;
-      int gidx = DecisionIndexOf(&node, DecisionType::kContainerLayout);
-      WidgetKind layout = WidgetKind::kHorizontal;
-      if (gidx >= 0) {
-        const DecisionPoint& g = decisions_[static_cast<size_t>(gidx)];
-        layout = g.options[static_cast<size_t>(a.picks[static_cast<size_t>(gidx)])];
+      FlatList group_widgets;
+      const int t = out->Add(toggle);
+      out->Append(&group_widgets, t);
+      IFGEN_RETURN_NOT_OK(FillNode(s + 1, a, out, &group_widgets));
+      if (group_widgets.count == 1) {
+        out->Append(list, t);
+        return Status::OK();
       }
-      group.kind = layout;
-      group.label = ctx;
-      group.children = std::move(group_widgets);
-      out->push_back(std::move(group));
+      FlatWidget group;
+      group.kind = slot.container >= 0 ? Pick(slot.container, a) : WidgetKind::kHorizontal;
+      group.label = slot.context;
+      const int g = out->Add(group);
+      out->Adopt(g, group_widgets);
+      out->Append(list, g);
       return Status::OK();
     }
     case DKind::kMulti: {
-      int didx = DecisionIndexOf(&node, DecisionType::kChoiceWidget);
-      if (didx < 0) return Status::Internal("missing MULTI decision");
-      const WidgetDomain& domain = decisions_[static_cast<size_t>(didx)].domain;
-      WidgetNode adder;
-      adder.kind = WidgetKind::kAdder;
-      adder.choice_id = index_.IdOf(&node);
-      adder.label = ctx;
-      adder.domain = domain;
-      std::vector<WidgetNode> inner;
-      IFGEN_RETURN_NOT_OK(BuildNode(node.children[0], a, ctx, &inner));
-      if (inner.size() == 1) {
-        adder.children.push_back(std::move(inner[0]));
-      } else if (inner.size() > 1) {
-        WidgetNode group;
-        group.kind = WidgetKind::kHorizontal;
-        group.children = std::move(inner);
-        adder.children.push_back(std::move(group));
+      const int adder = out->Add(ChoiceWidget(slot, a));
+      FlatList inner;
+      IFGEN_RETURN_NOT_OK(FillNode(s + 1, a, out, &inner));
+      if (inner.count > 1) {
+        FlatWidget row;
+        row.kind = WidgetKind::kHorizontal;
+        const int g = out->Add(row);
+        out->Adopt(g, inner);
+        inner = FlatList{};
+        out->Append(&inner, g);
       }
-      out->push_back(std::move(adder));
+      out->Adopt(adder, inner);
+      out->Append(list, adder);
       return Status::OK();
     }
   }
   return Status::OK();
 }
 
-Status WidgetAssigner::BuildGroup(const DiffTree& node, const Assignment& a,
-                                  const std::string& /*context*/,
-                                  const std::string& group_label,
-                                  std::vector<WidgetNode>* widgets,
-                                  WidgetNode* group) const {
-  if (widgets->size() == 1) {
-    *group = std::move((*widgets)[0]);
-    return Status::OK();
-  }
-  WidgetKind layout = WidgetKind::kVertical;
-  int gidx = DecisionIndexOf(&node, DecisionType::kContainerLayout);
-  if (gidx >= 0) {
-    const DecisionPoint& g = decisions_[static_cast<size_t>(gidx)];
-    layout = g.options[static_cast<size_t>(a.picks[static_cast<size_t>(gidx)])];
-  }
-  group->kind = layout;
-  group->label = group_label;
-  group->children = std::move(*widgets);
-  return Status::OK();
-}
-
-Result<WidgetTree> WidgetAssigner::Build(const Assignment& a) const {
+Status WidgetAssigner::Fill(const Assignment& a, FlatLayout* out) const {
   if (a.picks.size() != decisions_.size()) {
     return Status::Invalid("assignment size mismatch");
   }
   if (!viable_) {
     return Status::Invalid("difftree has a choice node with no valid widget");
   }
-  std::vector<WidgetNode> widgets;
-  IFGEN_RETURN_NOT_OK(BuildNode(tree_, a, "", &widgets));
-  WidgetTree wt;
-  if (widgets.empty()) {
+  out->Reset(static_cast<size_t>(num_choices_));
+  FlatList widgets;
+  IFGEN_RETURN_NOT_OK(FillNode(0, a, out, &widgets));
+  if (widgets.count == 0) {
     // A choice-free difftree renders as a single static label.
-    WidgetNode label;
+    FlatWidget label;
     label.kind = WidgetKind::kLabel;
     label.label = "query";
     label.width = 8;
     label.height = 1;
-    wt.root = std::move(label);
-  } else if (widgets.size() == 1) {
-    wt.root = std::move(widgets[0]);
+    out->root = out->Add(label);
+  } else if (widgets.count == 1) {
+    out->root = widgets.head;
   } else {
-    WidgetNode group;
-    group.kind = WidgetKind::kVertical;
-    group.children = std::move(widgets);
-    wt.root = std::move(group);
+    out->root = out->Add(FlatWidget{});  // a vertical group
+    out->Adopt(out->root, widgets);
   }
-  wt.RebuildIndex();
-  return wt;
+  return Status::OK();
+}
+
+Result<WidgetTree> WidgetAssigner::Build(const Assignment& a) const {
+  FlatLayout layout;
+  IFGEN_RETURN_NOT_OK(Fill(a, &layout));
+  return Materialize(layout);
 }
 
 }  // namespace ifgen

@@ -1,10 +1,11 @@
 #pragma once
 
-#include <unordered_map>
+#include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "difftree/difftree.h"
-#include "difftree/selection.h"
 #include "interface/widget_tree.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -14,6 +15,7 @@
 namespace ifgen {
 
 class DeltaCostCache;
+struct ChoiceWidgetTerms;
 
 /// \brief The kinds of decisions that turn a difftree into a widget tree.
 enum class DecisionType : uint8_t {
@@ -30,12 +32,11 @@ struct DecisionPoint {
   /// kBetweenComposite: {0 = separate widgets, 1 = range slider} — encoded
   /// as a two-entry dummy kind list for uniform odometer handling.
   std::vector<WidgetKind> options;
-  /// kChoiceWidget only: the choice node's widget domain, computed once at
-  /// Collect time (possibly from the delta-cost cache) and reused by every
-  /// Build of this assigner instead of re-extracting per assignment.
-  WidgetDomain domain;
-  /// kChoiceWidget only: options index minimizing M(.) — the greedy pick.
-  int min_m_pick = 0;
+  /// kChoiceWidget only: the choice node's subtree-local terms (domain,
+  /// option size templates, greedy min-M pick), computed once at Collect
+  /// time — possibly by the delta-cost cache — and shared, never copied, by
+  /// every Fill of this assigner.
+  std::shared_ptr<const ChoiceWidgetTerms> terms;
 };
 
 /// \brief A concrete pick per decision point.
@@ -47,7 +48,8 @@ struct Assignment {
 ///
 /// The mapping is factored into an explicit decision vector so that the
 /// search can (a) sample k random widget trees per state during rollouts and
-/// (b) exhaustively enumerate widget trees for the final state.
+/// (b) exhaustively enumerate widget trees for the final state. Sampling
+/// scores flat layouts (Fill); Build materializes a WidgetTree.
 class WidgetAssigner {
  public:
   /// `delta` (optional) memoizes per-choice-subtree widget terms across
@@ -56,7 +58,6 @@ class WidgetAssigner {
                  DeltaCostCache* delta = nullptr);
 
   const std::vector<DecisionPoint>& decisions() const { return decisions_; }
-  const ChoiceIndex& choice_index() const { return index_; }
 
   /// False when some choice node has no valid widget at all (e.g. an ANY of
   /// 40 structurally rich alternatives): every assignment is invalid.
@@ -69,41 +70,64 @@ class WidgetAssigner {
   /// Odometer increment; returns false after the last assignment wraps.
   bool NextAssignment(Assignment* a) const;
   Assignment RandomAssignment(Rng* rng) const;
+  /// RandomAssignment into `a`'s storage (the same draws from `rng`).
+  void DrawRandomAssignment(Rng* rng, Assignment* a) const;
 
-  /// Materializes the widget tree for an assignment (sizes included; layout
-  /// positions are the layout solver's job). Fails when the assignment is
-  /// structurally invalid.
-  Result<WidgetTree> Build(const Assignment& a) const;
-
- private:
-  void Collect(const DiffTree& node);
-
-  /// Recursive widget construction; returns the widgets `node` contributes.
-  Status BuildNode(const DiffTree& node, const Assignment& a,
-                   const std::string& context, std::vector<WidgetNode>* out) const;
-  /// Wraps a widget list in the node's container decision (or passes through).
-  Status BuildGroup(const DiffTree& node, const Assignment& a,
-                    const std::string& context, const std::string& group_label,
-                    std::vector<WidgetNode>* widgets, WidgetNode* group) const;
-
-  int DecisionIndexOf(const DiffTree* node, DecisionType type) const;
-
- public:
   /// The greedy assignment: per choice widget the minimum-M(.) option, first
   /// option (vertical / separate widgets) everywhere else. This is both the
   /// Zhang'17 baseline's policy and the seed sample the evaluator mixes into
   /// each state's k random assignments.
   Assignment MinAppropriatenessAssignment() const;
 
- private:
+  /// Fills `out` with the widget tree of an assignment as a flat layout,
+  /// reusing its storage: template sizes, no layout positions, labels and
+  /// domains viewing this assigner's storage (valid while it lives). Fails
+  /// when the assignment is structurally invalid.
+  Status Fill(const Assignment& a, FlatLayout* out) const;
 
-  const DiffTree& tree_;
+  /// Materializes the widget tree for an assignment (sizes included; layout
+  /// positions are the layout solver's job): Fill, then Materialize.
+  Result<WidgetTree> Build(const Assignment& a) const;
+
+ private:
+  /// Per difftree node, in pre-order: what Fill needs, resolved once per
+  /// state so a draw does no lookups.
+  struct NodeSlot {
+    const DiffTree* node = nullptr;
+    int end = 0;          ///< one past the subtree's last slot
+    int choice_id = -1;   ///< pre-order choice id (ChoiceIndex numbering)
+    int choice = -1;      ///< kChoiceWidget decision
+    int container = -1;   ///< kContainerLayout decision
+    int range = -1;       ///< ranges_ entry of a BETWEEN composite
+    std::string_view context;  ///< clause label shown next to widgets
+    /// OPT: the toggle's clause label; when there is none, own_label holds
+    /// the ellipsized domain label instead.
+    std::string_view toggle_context;
+    std::string own_label;
+  };
+  /// A BETWEEN composite's range slider, resolved once per state.
+  struct RangeSlider {
+    int decision = -1;  ///< its kBetweenComposite decision
+    int lo_id = -1;
+    int hi_id = -1;
+    std::string label;    ///< the rendered lhs expression
+    WidgetDomain domain;  ///< lo's domain with the merged numeric extent
+    Status status;        ///< the size model's verdict on the template
+    WidgetTemplate tmpl;  ///< size includes the label allowance
+  };
+
+  void Collect(const DiffTree& node, std::string_view inherited);
+  Status FillNode(int slot, const Assignment& a, FlatLayout* out, FlatList* list) const;
+  FlatWidget ChoiceWidget(const NodeSlot& slot, const Assignment& a) const;
+  WidgetKind Pick(int decision, const Assignment& a) const;
+
   const CostConstants& constants_;
   DeltaCostCache* delta_ = nullptr;
   SizeModel size_model_;
-  ChoiceIndex index_;
   std::vector<DecisionPoint> decisions_;
-  std::unordered_map<const DiffTree*, std::vector<int>> decision_of_node_;
+  std::vector<NodeSlot> slots_;
+  std::vector<RangeSlider> ranges_;
+  int num_choices_ = 0;
   bool viable_ = true;
 };
 

@@ -8,72 +8,102 @@ namespace {
 
 constexpr int kHGap = 1;
 
-void SizeRec(WidgetNode* n) {
-  for (WidgetNode& c : n->children) SizeRec(&c);
-  switch (n->kind) {
-    case WidgetKind::kVertical: {
-      int w = 0;
-      int h = 0;
-      for (const WidgetNode& c : n->children) {
-        w = std::max(w, c.width);
-        h += c.height;
-      }
-      n->width = w;
-      n->height = h;
-      break;
-    }
-    case WidgetKind::kHorizontal: {
-      int w = 0;
-      int h = 0;
-      for (const WidgetNode& c : n->children) {
-        w += c.width + (w > 0 ? kHGap : 0);
-        h = std::max(h, c.height);
-      }
-      n->width = w;
-      n->height = h;
-      break;
-    }
-    case WidgetKind::kTabs:
-    case WidgetKind::kTabLayout: {
-      // Width/height set by the size model hold the tab bar; panels stack
-      // behind it.
-      int bar_w = n->width;
-      int panel_w = 0;
-      int panel_h = 0;
-      for (const WidgetNode& c : n->children) {
-        panel_w = std::max(panel_w, c.width);
-        panel_h = std::max(panel_h, c.height);
-      }
-      if (n->kind == WidgetKind::kTabLayout) {
+/// Composes one widget's box from its own template box and its children's
+/// boxes, added in order: the single size arithmetic behind both
+/// ComputeLayout overloads.
+class BoxComposer {
+ public:
+  BoxComposer(WidgetKind kind, int width, int height)
+      : kind_(kind), own_{width, height} {}
+
+  void AddChild(int width, int height, size_t label_len) {
+    switch (kind_) {
+      case WidgetKind::kVertical:
+      case WidgetKind::kAdder:
+        w_ = std::max(w_, width);
+        h_ += height;
+        break;
+      case WidgetKind::kHorizontal:
+        w_ += width + (w_ > 0 ? kHGap : 0);
+        h_ = std::max(h_, height);
+        break;
+      case WidgetKind::kTabs:
+      case WidgetKind::kTabLayout:
+        w_ = std::max(w_, width);
+        h_ = std::max(h_, height);
         // Tab layout over arbitrary children: bar width from labels.
-        int lw = 0;
-        for (const WidgetNode& c : n->children) {
-          lw += static_cast<int>(std::min<size_t>(c.label.size(), 10)) + 3;
-        }
-        bar_w = std::max(10, std::min(lw, 72));
-      }
-      n->width = std::max(bar_w, panel_w);
-      n->height = 1 + panel_h;
-      break;
+        tab_labels_ += static_cast<int>(std::min<size_t>(label_len, 10)) + 3;
+        break;
+      default:
+        break;
     }
-    case WidgetKind::kAdder: {
-      int w = 0;
-      int h = 0;
-      for (const WidgetNode& c : n->children) {
-        w = std::max(w, c.width);
-        h += c.height;
-      }
-      n->width = w + 2;
-      n->height = h + 1;  // the "+ add" row
-      break;
-    }
-    default:
-      // Interaction widgets already carry their template size.
-      break;
   }
-  // Minimal footprint so labels/placeholders remain renderable.
-  n->width = std::max(n->width, 1);
-  n->height = std::max(n->height, 1);
+
+  WidgetSize Finish() const {
+    WidgetSize box = own_;  // interaction widgets carry their template size
+    switch (kind_) {
+      case WidgetKind::kVertical:
+      case WidgetKind::kHorizontal:
+        box = {w_, h_};
+        break;
+      case WidgetKind::kTabs:
+      case WidgetKind::kTabLayout: {
+        // Width/height set by the size model hold the tab bar; panels stack
+        // behind it.
+        const int bar_w = kind_ == WidgetKind::kTabLayout
+                              ? std::max(10, std::min(tab_labels_, 72))
+                              : own_.width;
+        box = {std::max(bar_w, w_), 1 + h_};
+        break;
+      }
+      case WidgetKind::kAdder:
+        box = {w_ + 2, h_ + 1};  // the "+ add" row
+        break;
+      default:
+        break;
+    }
+    // Minimal footprint so labels/placeholders remain renderable.
+    return {std::max(box.width, 1), std::max(box.height, 1)};
+  }
+
+ private:
+  WidgetKind kind_;
+  WidgetSize own_;
+  int w_ = 0;  ///< max or sum of child widths, by kind
+  int h_ = 0;  ///< max or sum of child heights, by kind
+  int tab_labels_ = 0;
+};
+
+void SizeRec(WidgetNode* n) {
+  BoxComposer box(n->kind, n->width, n->height);
+  for (WidgetNode& c : n->children) {
+    SizeRec(&c);
+    box.AddChild(c.width, c.height, c.label.size());
+  }
+  const WidgetSize s = box.Finish();
+  n->width = s.width;
+  n->height = s.height;
+}
+
+void SizeRec(std::vector<FlatWidget>* ws, int i) {
+  FlatWidget& w = (*ws)[static_cast<size_t>(i)];  // the array does not grow here
+  BoxComposer box(w.kind, w.width, w.height);
+  for (int c = w.first_child; c >= 0; c = (*ws)[static_cast<size_t>(c)].next_sibling) {
+    SizeRec(ws, c);
+    const FlatWidget& k = (*ws)[static_cast<size_t>(c)];
+    box.AddChild(k.width, k.height, k.label.size());
+  }
+  const WidgetSize s = box.Finish();
+  w.width = s.width;
+  w.height = s.height;
+}
+
+LayoutResult Fit(int width, int height, const Screen& screen) {
+  LayoutResult r;
+  r.width = width;
+  r.height = height;
+  r.fits = r.width <= screen.width && r.height <= screen.height;
+  return r;
 }
 
 void PositionRec(WidgetNode* n, int x, int y) {
@@ -121,11 +151,13 @@ void PositionRec(WidgetNode* n, int x, int y) {
 LayoutResult ComputeLayout(WidgetNode* root, const Screen& screen) {
   SizeRec(root);
   PositionRec(root, 0, 0);
-  LayoutResult r;
-  r.width = root->width;
-  r.height = root->height;
-  r.fits = r.width <= screen.width && r.height <= screen.height;
-  return r;
+  return Fit(root->width, root->height, screen);
+}
+
+LayoutResult ComputeLayout(FlatLayout* layout, const Screen& screen) {
+  SizeRec(&layout->widgets, layout->root);
+  const FlatWidget& root = layout->widgets[static_cast<size_t>(layout->root)];
+  return Fit(root.width, root.height, screen);
 }
 
 }  // namespace ifgen

@@ -26,4 +26,8 @@ struct LayoutResult {
 /// that to infinite cost.
 LayoutResult ComputeLayout(WidgetNode* root, const Screen& screen);
 
+/// The same boxes for a flat layout, composed in place into each widget's
+/// width/height; no positions (scoring needs only the fit).
+LayoutResult ComputeLayout(FlatLayout* layout, const Screen& screen);
+
 }  // namespace ifgen

@@ -79,4 +79,99 @@ std::string WidgetTree::ToString() const {
   return out;
 }
 
+void FlatLayout::Reset(size_t num_choices) {
+  widgets.clear();
+  root = -1;
+  widget_of_choice.assign(num_choices, -1);
+  stamp = 0;
+}
+
+int FlatLayout::Add(const FlatWidget& w) {
+  const int i = static_cast<int>(widgets.size());
+  widgets.push_back(w);
+  // A later widget claiming the same id wins, as in WidgetTree::RebuildIndex.
+  for (int id : {w.choice_id, w.choice_id2}) {
+    if (id < 0) continue;
+    if (static_cast<size_t>(id) >= widget_of_choice.size()) {
+      widget_of_choice.resize(static_cast<size_t>(id) + 1, -1);
+    }
+    widget_of_choice[static_cast<size_t>(id)] = i;
+  }
+  return i;
+}
+
+void FlatLayout::Append(FlatList* list, int widget) {
+  if (list->tail >= 0) {
+    widgets[static_cast<size_t>(list->tail)].next_sibling = widget;
+  } else {
+    list->head = widget;
+  }
+  list->tail = widget;
+  ++list->count;
+}
+
+void FlatLayout::Adopt(int parent, const FlatList& children) {
+  FlatWidget& p = widgets[static_cast<size_t>(parent)];
+  p.first_child = children.head;
+  p.num_children = children.count;
+}
+
+int FlatLayout::WidgetFor(int choice_id) const {
+  if (choice_id < 0 || static_cast<size_t>(choice_id) >= widget_of_choice.size()) {
+    return -1;
+  }
+  return widget_of_choice[static_cast<size_t>(choice_id)];
+}
+
+namespace {
+
+int FlattenRec(const WidgetNode& n, FlatLayout* out) {
+  FlatWidget w;
+  w.kind = n.kind;
+  w.size_class = n.size_class;
+  w.choice_id = n.choice_id;
+  w.choice_id2 = n.choice_id2;
+  w.domain = &n.domain;
+  w.label = n.label;
+  w.width = n.width;
+  w.height = n.height;
+  const int i = out->Add(w);
+  FlatList kids;
+  for (const WidgetNode& c : n.children) out->Append(&kids, FlattenRec(c, out));
+  out->Adopt(i, kids);
+  return i;
+}
+
+WidgetNode MaterializeRec(const FlatLayout& layout, int i) {
+  const FlatWidget& w = layout.widgets[static_cast<size_t>(i)];
+  WidgetNode n;
+  n.kind = w.kind;
+  n.size_class = w.size_class;
+  n.choice_id = w.choice_id;
+  n.choice_id2 = w.choice_id2;
+  n.label = std::string(w.label);
+  if (w.domain != nullptr) n.domain = *w.domain;
+  n.width = w.width;
+  n.height = w.height;
+  n.children.reserve(static_cast<size_t>(w.num_children));
+  for (int c = w.first_child; c >= 0; c = layout.widgets[static_cast<size_t>(c)].next_sibling) {
+    n.children.push_back(MaterializeRec(layout, c));
+  }
+  return n;
+}
+
+}  // namespace
+
+void Flatten(const WidgetNode& root, FlatLayout* out) {
+  out->Reset(0);
+  out->root = FlattenRec(root, out);
+}
+
+WidgetTree Materialize(const FlatLayout& layout) {
+  WidgetTree wt;
+  wt.root = MaterializeRec(layout, layout.root);
+  wt.RebuildIndex();
+  return wt;
+}
+
 }  // namespace ifgen

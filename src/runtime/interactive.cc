@@ -264,7 +264,8 @@ void InteractiveRuntime::PriceWidgetChange(int choice_id, double* interaction_co
   const WidgetNode* w = wt.NodeAtPath(it->second);
   if (w == nullptr) return;
   *interaction_cost = InteractionCost(constants_, w->kind, w->domain);
-  *navigation_cost = SteinerNavigationCost(wt.root, {it->second}, constants_);
+  // One changed widget is its own Steiner tree: no edge to navigate.
+  *navigation_cost = 0.0;
 }
 
 Result<InteractiveRuntime::StepReport> InteractiveRuntime::StepLocked(

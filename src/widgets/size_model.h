@@ -7,6 +7,13 @@
 
 namespace ifgen {
 
+/// \brief A leaf widget's size template: the class the size model picked and
+/// the grid size it gives.
+struct WidgetTemplate {
+  SizeClass size_class = SizeClass::kSmall;
+  WidgetSize size;
+};
+
 /// \brief Discretized size model for leaf (interaction) widgets.
 ///
 /// Widgets come in small/medium/large templates (paper, "Widgets"); the

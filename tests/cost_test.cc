@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
+
+#include "core/options.h"
 #include "cost/cost_model.h"
 #include "cost/evaluator.h"
 #include "cost/transition.h"
 #include "difftree/builder.h"
 #include "interface/assignment.h"
 #include "sql/parser.h"
+#include "util/hash.h"
+#include "workload/loader.h"
 #include "workload/sdss.h"
 
 namespace ifgen {
@@ -17,28 +24,43 @@ Ast Q(const std::string& sql) {
   return *q;
 }
 
+/// PriceTransition's navigation term for changing the widgets of `ids`.
+double NavCost(const WidgetNode& root, const std::vector<int>& ids) {
+  FlatLayout flat;
+  Flatten(root, &flat);
+  double interaction = 0.0;
+  double navigation = 0.0;
+  PriceTransition(&flat, ids, CostConstants{}, &interaction, &navigation);
+  return navigation;
+}
+
+WidgetNode Toggle(int choice_id) {
+  WidgetNode leaf;
+  leaf.kind = WidgetKind::kToggle;
+  leaf.choice_id = choice_id;
+  return leaf;
+}
+
 TEST(SteinerNav, EmptyAndSingletonAreFree) {
   WidgetNode root;
   root.kind = WidgetKind::kVertical;
-  WidgetNode leaf;
-  leaf.kind = WidgetKind::kToggle;
-  root.children = {leaf, leaf};
-  CostConstants c;
-  EXPECT_DOUBLE_EQ(SteinerNavigationCost(root, {}, c), 0.0);
-  EXPECT_DOUBLE_EQ(SteinerNavigationCost(root, {{0}}, c), 0.0);
+  root.children = {Toggle(0), Toggle(1)};
+  EXPECT_DOUBLE_EQ(NavCost(root, {}), 0.0);
+  EXPECT_DOUBLE_EQ(NavCost(root, {0}), 0.0);
+  EXPECT_DOUBLE_EQ(NavCost(root, {1, 1}), 0.0);  // one widget, named twice
 }
 
 TEST(SteinerNav, SiblingsCostTwoEdges) {
   WidgetNode root;
   root.kind = WidgetKind::kVertical;
-  WidgetNode leaf;
-  leaf.kind = WidgetKind::kToggle;
-  root.children = {leaf, leaf, leaf};
+  root.children = {Toggle(0), Toggle(1), Toggle(2)};
   CostConstants c;
   // Connecting children 0 and 2: two edges through the root.
-  EXPECT_DOUBLE_EQ(SteinerNavigationCost(root, {{0}, {2}}, c), 2 * c.nav_edge);
+  EXPECT_DOUBLE_EQ(NavCost(root, {0, 2}), 2 * c.nav_edge);
   // All three: three edges.
-  EXPECT_DOUBLE_EQ(SteinerNavigationCost(root, {{0}, {1}, {2}}, c), 3 * c.nav_edge);
+  EXPECT_DOUBLE_EQ(NavCost(root, {0, 1, 2}), 3 * c.nav_edge);
+  // An id without a widget (owned by an adder) is skipped.
+  EXPECT_DOUBLE_EQ(NavCost(root, {0, 7, 2}), 2 * c.nav_edge);
 }
 
 TEST(SteinerNav, DeepPathCountsIntermediateEdges) {
@@ -46,23 +68,20 @@ TEST(SteinerNav, DeepPathCountsIntermediateEdges) {
   root.kind = WidgetKind::kVertical;
   WidgetNode mid;
   mid.kind = WidgetKind::kHorizontal;
-  WidgetNode leaf;
-  leaf.kind = WidgetKind::kToggle;
-  mid.children = {leaf};
-  root.children = {mid, leaf};
+  mid.children = {Toggle(0)};
+  root.children = {mid, Toggle(1)};
   CostConstants c;
-  // Terminals {0,0} (deep) and {1}: edges root->mid, mid->leaf, root->leaf.
-  EXPECT_DOUBLE_EQ(SteinerNavigationCost(root, {{0, 0}, {1}}, c), 3 * c.nav_edge);
+  // The deep widget and its root-level sibling: edges root->mid, mid->leaf,
+  // root->leaf.
+  EXPECT_DOUBLE_EQ(NavCost(root, {0, 1}), 3 * c.nav_edge);
 }
 
 TEST(SteinerNav, TabEdgesCostMore) {
   WidgetNode tabs;
   tabs.kind = WidgetKind::kTabs;
-  WidgetNode leaf;
-  leaf.kind = WidgetKind::kToggle;
-  tabs.children = {leaf, leaf};
+  tabs.children = {Toggle(0), Toggle(1)};
   CostConstants c;
-  EXPECT_DOUBLE_EQ(SteinerNavigationCost(tabs, {{0}, {1}}, c), 2 * c.nav_tab_switch);
+  EXPECT_DOUBLE_EQ(NavCost(tabs, {0, 1}), 2 * c.nav_tab_switch);
 }
 
 TEST(Plan, ChangedIdsPerTransition) {
@@ -235,6 +254,182 @@ TEST(Transition, PricesChangedWidgets) {
   EXPECT_GT(s2->interaction_cost, 0.0);
   auto bad = ComputeTransition(d, index, *wt, constants, 8, state, Q("select z from t"));
   EXPECT_FALSE(bad.ok());
+}
+
+// ---------------------------------------------------------------------------
+// Evaluation pin: digests of everything state evaluation computes, over
+// seeded rollout states of three workloads. Each digest folds exact bit
+// patterns, so any reordering of parses, any last-bit drift of a cost term
+// and any change to the materialized winner fails the test. When a
+// deliberate behavior change moves them, the failure message prints the
+// replacement row.
+
+struct EvalPin {
+  const char* workload;
+  uint64_t seed;
+  size_t states;
+  uint64_t derivations;  ///< Encode() lists at parse_limit 8 and 2, per query
+  uint64_t breakdowns;   ///< greedy, first and 16 random assignments + SampleCost
+  uint64_t find_best;    ///< winning cost, assignment and widget tree
+};
+
+// Recorded before the flat scorer and the allocation-free matcher landed.
+const EvalPin kEvalPins[] = {
+    {"flights", 11, 48, 0x91a85767bb861249ULL, 0x180d3fb5d0dfd43fULL, 0xe971ea98b02523f1ULL},
+    {"sdss", 11, 48, 0x6973c1ea83b5c56eULL, 0xca335f07a84abdd0ULL, 0x65101da7ada46984ULL},
+    {"synthetic", 11, 48, 0x6cbe18b63e5eaa57ULL, 0x3f26b888afa3a909ULL, 0x06ccfe88a9237c8dULL},
+};
+
+uint64_t FoldBits(uint64_t h, double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return HashCombine(h, bits);
+}
+
+uint64_t FoldBreakdown(uint64_t h, const CostBreakdown& c) {
+  h = HashCombine(h, c.valid ? 1 : 0);
+  h = FoldBits(h, c.m_total);
+  h = FoldBits(h, c.u_total);
+  h = HashCombine(h, c.per_transition.size());
+  for (double t : c.per_transition) h = FoldBits(h, t);
+  h = HashCombine(h, static_cast<uint64_t>(c.layout_width));
+  return HashCombine(h, static_cast<uint64_t>(c.layout_height));
+}
+
+uint64_t FoldWidget(uint64_t h, const WidgetNode& n) {
+  h = HashCombine(h, static_cast<uint64_t>(n.kind));
+  h = HashCombine(h, static_cast<uint64_t>(n.size_class));
+  h = HashCombine(h, static_cast<uint64_t>(n.choice_id + 1));
+  h = HashCombine(h, static_cast<uint64_t>(n.choice_id2 + 1));
+  h = HashBytes(n.label, h);
+  h = HashCombine(h, static_cast<uint64_t>(n.domain.node_kind));
+  h = HashCombine(h, n.domain.cardinality);
+  for (const std::string& l : n.domain.labels) h = HashBytes(l, HashCombine(h, l.size()));
+  h = FoldBits(h, n.domain.num_lo);
+  h = FoldBits(h, n.domain.num_hi);
+  h = FoldBits(h, n.domain.avg_subtree_nodes);
+  for (int v : {n.width, n.height, n.x, n.y}) h = HashCombine(h, static_cast<uint64_t>(v));
+  h = HashCombine(h, n.children.size());
+  for (const WidgetNode& c : n.children) h = FoldWidget(h, c);
+  return h;
+}
+
+/// Seeded rollout states: random rule applications from the initial tree,
+/// drawn among the forward ones with probability `forward_bias`, restarting
+/// after 14 steps or at a dead end.
+std::vector<DiffTree> RolloutStates(const std::vector<Ast>& queries, uint64_t seed,
+                                    size_t n, double forward_bias) {
+  const RuleEngine rules(GeneratorOptions().rules);
+  const DiffTree initial = *BuildInitialTree(queries);
+  Rng rng(seed);
+  std::vector<DiffTree> states;
+  DiffTree s = initial;
+  size_t depth = 0;
+  while (states.size() < n) {
+    states.push_back(s);
+    std::vector<RuleApplication> apps = rules.EnumerateApplications(s);
+    std::vector<RuleApplication> forward;
+    for (const RuleApplication& a : apps) {
+      if (rules.IsForward(a)) forward.push_back(a);
+    }
+    std::vector<RuleApplication>* pool =
+        !forward.empty() && rng.Bernoulli(forward_bias) ? &forward : &apps;
+    bool advanced = false;
+    while (!pool->empty() && !advanced) {
+      const size_t pick = rng.UniformIndex(pool->size());
+      auto next = rules.Apply(s, (*pool)[pick]);
+      if (next.ok()) {
+        s = std::move(next).MoveValueUnsafe();
+        advanced = true;
+      } else {
+        pool->erase(pool->begin() + static_cast<long>(pick));
+      }
+    }
+    if (!advanced || ++depth == 14) {
+      s = initial;
+      depth = 0;
+    }
+  }
+  return states;
+}
+
+TEST(EvaluationPin, RolloutStatesEvaluateBitForBit) {
+  for (const EvalPin& pin : kEvalPins) {
+    const std::vector<Ast> queries = *ParseQueries(LoadWorkload(pin.workload, 10)->log);
+    // Half the states come from search-like forward-biased walks, half from
+    // uniform walks, whose inverse rewrites leave queries with several
+    // parses, so parse order is pinned too (the seeds give every workload
+    // such queries; the test checks that they still do).
+    std::vector<DiffTree> states = RolloutStates(queries, pin.seed, pin.states / 2, 0.8);
+    for (DiffTree& s : RolloutStates(queries, pin.seed + 2, pin.states - states.size(), 0.0)) {
+      states.push_back(std::move(s));
+    }
+    EvalOptions sample_opts = GeneratorOptions().MakeEvalOptions();
+    sample_opts.cache_enabled = false;
+    EvalOptions best_opts = sample_opts;
+    best_opts.enumeration_cap = 1024;
+    best_opts.sample_fallback = 48;
+    StateEvaluator sampler(sample_opts, queries);
+    StateEvaluator finder(best_opts, queries);
+    const CostModel model(sample_opts.constants, sample_opts.screen,
+                          sample_opts.parse_limit);
+    DeltaCostCache delta;
+    uint64_t derivations = 0, breakdowns = 0, find_best = 0;
+    size_t ambiguous = 0;  // (state, query) pairs with several parses
+    for (size_t i = 0; i < states.size(); ++i) {
+      const DiffTree& s = states[i];
+      for (const Ast& q : queries) {
+        for (size_t limit : {8, 2}) {
+          std::vector<Derivation> ds = EnumerateDerivations(s, q, limit);
+          derivations = HashCombine(derivations, ds.size());
+          if (limit == 8 && ds.size() > 1) ++ambiguous;
+          for (const Derivation& d : ds) derivations = HashBytes(d.Encode(), derivations);
+        }
+      }
+
+      WidgetAssigner assigner(s, sample_opts.constants, &delta);
+      const TransitionPlan plan = PlanTransitions(s, queries, sample_opts.parse_limit);
+      breakdowns = HashCombine(breakdowns, assigner.viable() ? 1 : 0);
+      breakdowns = HashCombine(breakdowns, plan.valid ? 1 : 0);
+      for (const std::vector<int>& ids : plan.changed_ids) {
+        breakdowns = HashCombine(breakdowns, ids.size());
+        for (int id : ids) breakdowns = HashCombine(breakdowns, static_cast<uint64_t>(id));
+      }
+      auto score = [&](const Assignment& a) {
+        for (int p : a.picks) breakdowns = HashCombine(breakdowns, static_cast<uint64_t>(p));
+        Result<WidgetTree> wt = assigner.Build(a);
+        breakdowns = HashCombine(breakdowns, wt.ok() ? 1 : 0);
+        if (wt.ok()) breakdowns = FoldBreakdown(breakdowns, model.EvaluateWithPlan(plan, &*wt));
+      };
+      score(assigner.MinAppropriatenessAssignment());
+      score(assigner.FirstAssignment());
+      Rng draws(HashCombine(pin.seed, i));
+      for (int k = 0; k < 16; ++k) score(assigner.RandomAssignment(&draws));
+      Rng sample_rng(i);
+      breakdowns = FoldBits(breakdowns, sampler.SampleCost(s, &sample_rng));
+
+      Rng best_rng(i);
+      Result<ScoredWidgetTree> best = finder.FindBest(s, &best_rng);
+      find_best = HashCombine(find_best, best.ok() ? 1 : 0);
+      if (best.ok()) {
+        find_best = FoldBits(find_best, best->cost.total());
+        find_best = FoldBreakdown(find_best, best->cost);
+        for (int p : best->assignment.picks) {
+          find_best = HashCombine(find_best, static_cast<uint64_t>(p));
+        }
+        find_best = FoldWidget(find_best, best->tree.root);
+      }
+    }
+    char row[200];
+    std::snprintf(row, sizeof row,
+                  "{\"%s\", %" PRIu64 ", %zu, 0x%016" PRIx64 "ULL, 0x%016" PRIx64
+                  "ULL, 0x%016" PRIx64 "ULL},",
+                  pin.workload, pin.seed, pin.states, derivations, breakdowns, find_best);
+    EXPECT_GT(ambiguous, 0u) << pin.workload << ": no query with several parses";
+    EXPECT_EQ(derivations, pin.derivations) << row;
+    EXPECT_EQ(breakdowns, pin.breakdowns) << row;
+    EXPECT_EQ(find_best, pin.find_best) << row;
+  }
 }
 
 }  // namespace

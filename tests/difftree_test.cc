@@ -6,6 +6,7 @@
 #include "difftree/match.h"
 #include "difftree/normalize.h"
 #include "difftree/selection.h"
+#include "obs/metrics.h"
 #include "sql/parser.h"
 #include "sql/unparser.h"
 
@@ -206,6 +207,28 @@ TEST(Match, MultiOfAnyMixesAlternatives) {
       DiffTree::Any({DiffTree::FromAst(Col("a")), DiffTree::FromAst(Col("b"))})));
   Ast mixed(Symbol::kProject, "", {Col("a"), Col("b"), Col("a")});
   EXPECT_TRUE(MatchQuery(proj, mixed).has_value());
+}
+
+TEST(Match, StepBudgetExhaustionIsCounted) {
+  obs::Counter* exhausted = obs::MetricsRegistry::Default().GetCounter(
+      "ifgen_match_budget_exhausted_total", "");
+  DiffTree d = *BuildInitialTree({Q("select a from t"), Q("select b from t where x = 1"),
+                                  Q("select c from t")});
+  Ast q = Q("select c from t");
+  MatchOptions tiny;
+  tiny.max_steps = 3;
+
+  const uint64_t before = exhausted->Value();
+  EXPECT_FALSE(MatchQuery(d, q, tiny).has_value());
+  EXPECT_EQ(exhausted->Value(), before + 1);
+  // Enumeration returns what it found before the cut-off (nothing here) and
+  // counts the truncation too.
+  EXPECT_TRUE(EnumerateDerivations(d, q, 8, tiny).empty());
+  EXPECT_EQ(exhausted->Value(), before + 2);
+  // With the default budget neither call is cut off, and the count holds.
+  EXPECT_TRUE(MatchQuery(d, q).has_value());
+  EXPECT_EQ(EnumerateDerivations(d, q, 8).size(), 1u);
+  EXPECT_EQ(exhausted->Value(), before + 2);
 }
 
 TEST(Match, DerivationEncodesChoices) {
