@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/options.h"
@@ -31,46 +33,70 @@ namespace api {
 /// them unchanged.
 
 // ---------------------------------------------------------------------------
-// Codec helper.
+// Field tables.
+//
+// Every table DTO declares its wire fields once, in `static constexpr auto
+// Fields()`: a tuple of wire::Field / wire::Group descriptors in wire
+// order. One generic codec (api/codec.h) derives ToJson, strict FromJson
+// and operator== from that table, picking each field's kind from the
+// member type: string, int64 (with an inclusive range), double, bool,
+// string array, raw JsonValue, nested DTO, vector of DTOs, Value rows, and
+// JobResultDto (appended to the enclosing object). Adding a wire field
+// means adding one table line.
 
-/// \brief Strict field-by-field reader over a JSON object: wrong-kind and
-/// out-of-range fields accumulate a (first) error, and Finish() rejects any
-/// field no Get consumed — the unknown-field guard that keeps v1 requests
-/// forward-incompatible by design instead of silently ignored.
-class ObjectReader {
- public:
-  /// `what` names the DTO for error messages ("GenerateRequest").
-  ObjectReader(const JsonValue& value, std::string what);
+namespace wire {
 
-  void String(const char* key, std::string* out, bool required = false);
-  /// kInt only (doubles do not silently truncate); `lo`/`hi` inclusive.
-  void Int(const char* key, int64_t* out, bool required = false,
-           int64_t lo = INT64_MIN, int64_t hi = INT64_MAX);
-  void Double(const char* key, double* out, bool required = false);
-  void Bool(const char* key, bool* out, bool required = false);
-  void StringArray(const char* key, std::vector<std::string>* out,
-                   bool required = false);
-  /// Any-kind member access (nested DTOs); null when absent.
-  const JsonValue* Child(const char* key, bool required = false);
+/// \brief One wire field: its JSON name, the member it maps to, and the
+/// decode constraints.
+template <typename T, typename M>
+struct FieldSpec {
+  const char* name;
+  M T::*member;
+  bool required = false;
+  int64_t lo = INT64_MIN;  ///< int64 members: inclusive decode range
+  int64_t hi = INT64_MAX;
+  /// Vector-of-DTO members: the wrong-kind error reads "X.f must be an
+  /// array" (the RPC payloads' wording) instead of "X.f: must be an array".
+  bool bare_array_error = false;
 
-  /// First accumulated error, or InvalidArgument naming every field that no
-  /// accessor consumed.
-  Status Finish();
-
- private:
-  const JsonValue* Get(const char* key);
-  void Fail(Status s);
-
-  const JsonValue& value_;
-  std::string what_;
-  Status status_;
-  std::vector<bool> consumed_;
+  /// Decoding fails when the field is absent.
+  constexpr FieldSpec Required() const {
+    FieldSpec f = *this;
+    f.required = true;
+    return f;
+  }
+  /// int64 members: decoding rejects values below `min` as OutOfRange.
+  constexpr FieldSpec Min(int64_t min) const {
+    FieldSpec f = *this;
+    f.lo = min;
+    return f;
+  }
+  constexpr FieldSpec BareArrayError() const {
+    FieldSpec f = *this;
+    f.bare_array_error = true;
+    return f;
+  }
 };
 
-/// Exact scalar mapping of an engine Value: null/int/double/string. Bool
-/// and nested kinds are rejected (the engine has no such cell types).
-JsonValue ValueToJson(const Value& v);
-Result<Value> ValueFromJson(const JsonValue& j);
+template <typename T, typename M>
+constexpr FieldSpec<T, M> Field(const char* name, M T::*member) {
+  return {name, member};
+}
+
+/// \brief A named JSON sub-object whose members are fields of the
+/// enclosing DTO (StatsResponse's "jobs", "sessions", ...).
+template <typename... Fs>
+struct GroupSpec {
+  const char* name;
+  std::tuple<Fs...> fields;
+};
+
+template <typename... Fs>
+constexpr GroupSpec<Fs...> Group(const char* name, Fs... fields) {
+  return {name, std::tuple<Fs...>(fields...)};
+}
+
+}  // namespace wire
 
 // ---------------------------------------------------------------------------
 // Error model.
@@ -95,11 +121,16 @@ struct ErrorBody {
   /// The retry classification FromStatus applies.
   static bool RetryableCode(StatusCode code);
 
+  /// `retryable` is optional on decode (absent = not retryable) for
+  /// back-compat with pre-retryable payloads; every v1 encoder emits it.
+  static constexpr auto Fields() {
+    return std::make_tuple(wire::Field("code", &ErrorBody::code).Required(),
+                           wire::Field("message", &ErrorBody::message).Required(),
+                           wire::Field("retryable", &ErrorBody::retryable));
+  }
   JsonValue ToJson() const;
   static Result<ErrorBody> FromJson(const JsonValue& v);
-  bool operator==(const ErrorBody& o) const {
-    return code == o.code && message == o.message && retryable == o.retryable;
-  }
+  bool operator==(const ErrorBody& o) const;
 };
 
 // ---------------------------------------------------------------------------
@@ -148,6 +179,26 @@ struct ApiOptions {
   Result<GeneratorOptions> ToGeneratorOptions() const;
   static ApiOptions FromGeneratorOptions(const GeneratorOptions& o);
 
+  static constexpr auto Fields() {
+    using A = ApiOptions;
+    return std::make_tuple(
+        wire::Field("algorithm", &A::algorithm), wire::Field("backend", &A::backend),
+        wire::Field("parallel_mode", &A::parallel_mode),
+        wire::Field("time_budget_ms", &A::time_budget_ms),
+        wire::Field("max_iterations", &A::max_iterations), wire::Field("seed", &A::seed),
+        wire::Field("screen_width", &A::screen_width),
+        wire::Field("screen_height", &A::screen_height),
+        wire::Field("num_threads", &A::num_threads),
+        wire::Field("k_assignments", &A::k_assignments),
+        wire::Field("use_priors", &A::use_priors),
+        wire::Field("progressive_widening", &A::progressive_widening),
+        wire::Field("delta_cost_eval", &A::delta_cost_eval),
+        wire::Field("cache_peering", &A::cache_peering),
+        wire::Field("experience", &A::experience),
+        wire::Field("deadline_ms", &A::deadline_ms),
+        wire::Field("target_cost", &A::target_cost),
+        wire::Field("plateau_fraction", &A::plateau_fraction));
+  }
   JsonValue ToJson() const;
   static Result<ApiOptions> FromJson(const JsonValue& v);
   bool operator==(const ApiOptions& o) const;
@@ -160,11 +211,14 @@ struct GenerateRequest {
   std::vector<std::string> sqls;
   ApiOptions options;
 
+  static constexpr auto Fields() {
+    return std::make_tuple(wire::Field("workload", &GenerateRequest::workload),
+                           wire::Field("sqls", &GenerateRequest::sqls),
+                           wire::Field("options", &GenerateRequest::options));
+  }
   JsonValue ToJson() const;
   static Result<GenerateRequest> FromJson(const JsonValue& v);
-  bool operator==(const GenerateRequest& o) const {
-    return workload == o.workload && sqls == o.sqls && options == o.options;
-  }
+  bool operator==(const GenerateRequest& o) const;
 };
 
 /// \brief 202 body of POST /v1/generate: the async job handle.
@@ -172,11 +226,13 @@ struct GenerateAccepted {
   std::string job_id;
   std::string state;  ///< JobStateName at admission ("queued" or "done")
 
+  static constexpr auto Fields() {
+    return std::make_tuple(wire::Field("job_id", &GenerateAccepted::job_id).Required(),
+                           wire::Field("state", &GenerateAccepted::state).Required());
+  }
   JsonValue ToJson() const;
   static Result<GenerateAccepted> FromJson(const JsonValue& v);
-  bool operator==(const GenerateAccepted& o) const {
-    return job_id == o.job_id && state == o.state;
-  }
+  bool operator==(const GenerateAccepted& o) const;
 };
 
 /// \brief One (time, iteration, cost) sample of the best-so-far curve —
@@ -186,11 +242,14 @@ struct TracePoint {
   int64_t iteration = 0;
   double cost = 0.0;
 
+  static constexpr auto Fields() {
+    return std::make_tuple(wire::Field("ms", &TracePoint::ms),
+                           wire::Field("iteration", &TracePoint::iteration),
+                           wire::Field("cost", &TracePoint::cost));
+  }
   JsonValue ToJson() const;
   static Result<TracePoint> FromJson(const JsonValue& v);
-  bool operator==(const TracePoint& o) const {
-    return ms == o.ms && iteration == o.iteration && cost == o.cost;
-  }
+  bool operator==(const TracePoint& o) const;
 };
 
 /// \brief Search instrumentation exposed per job.
@@ -204,6 +263,15 @@ struct SearchStatsDto {
   std::vector<TracePoint> trace;
 
   static SearchStatsDto FromStats(const SearchStats& s);
+  static constexpr auto Fields() {
+    using S = SearchStatsDto;
+    return std::make_tuple(
+        wire::Field("iterations", &S::iterations),
+        wire::Field("states_expanded", &S::states_expanded),
+        wire::Field("rollouts", &S::rollouts), wire::Field("elapsed_ms", &S::elapsed_ms),
+        wire::Field("trees", &S::trees), wire::Field("stop_reason", &S::stop_reason),
+        wire::Field("trace", &S::trace));
+  }
   JsonValue ToJson() const;
   static Result<SearchStatsDto> FromJson(const JsonValue& v);
   bool operator==(const SearchStatsDto& o) const;
@@ -223,6 +291,15 @@ struct GenerateResponse {
   JsonValue widgets = JsonValue::Object();   ///< WidgetTreeToJsonValue shape
   SearchStatsDto stats;
 
+  static constexpr auto Fields() {
+    using G = GenerateResponse;
+    return std::make_tuple(
+        wire::Field("job_id", &G::job_id), wire::Field("workload", &G::workload),
+        wire::Field("algorithm", &G::algorithm), wire::Field("backend", &G::backend),
+        wire::Field("coverage", &G::coverage), wire::Field("cost", &G::cost),
+        wire::Field("stats", &G::stats), wire::Field("difftree", &G::difftree),
+        wire::Field("widgets", &G::widgets));
+  }
   JsonValue ToJson() const;
   static Result<GenerateResponse> FromJson(const JsonValue& v);
   bool operator==(const GenerateResponse& o) const;
@@ -247,8 +324,8 @@ struct JobResultDto {
   /// Appends `value` under `value_field` and `error` under "error" to an
   /// enclosing response object (absent halves are omitted, not null).
   void AppendToJson(JsonValue* obj, const char* value_field) const;
-  /// Inverse of AppendToJson over the Child pointers an ObjectReader
-  /// already consumed (null = absent).
+  /// Inverse of AppendToJson over the enclosing object's two members
+  /// (null = absent).
   static Result<JobResultDto> FromFields(const JsonValue* value_json,
                                          const JsonValue* error_json);
   bool operator==(const JobResultDto& o) const {
@@ -266,6 +343,14 @@ struct JobStatusResponse {
   int64_t run_ms = 0;
   JobResultDto result;  ///< terminal payload; empty while queued/running
 
+  static constexpr auto Fields() {
+    using J = JobStatusResponse;
+    return std::make_tuple(
+        wire::Field("job_id", &J::job_id).Required(),
+        wire::Field("state", &J::state).Required(),
+        wire::Field("cache_hit", &J::cache_hit), wire::Field("queued_ms", &J::queued_ms),
+        wire::Field("run_ms", &J::run_ms), wire::Field("result", &J::result));
+  }
   JsonValue ToJson() const;
   static Result<JobStatusResponse> FromJson(const JsonValue& v);
   bool operator==(const JobStatusResponse& o) const;
@@ -288,6 +373,14 @@ struct JobProgressResponse {
   /// failed/cancelled frames carry the job's error alongside any partial.
   JobResultDto result;
 
+  static constexpr auto Fields() {
+    using J = JobProgressResponse;
+    return std::make_tuple(wire::Field("job_id", &J::job_id).Required(),
+                           wire::Field("state", &J::state).Required(),
+                           wire::Field("version", &J::version),
+                           wire::Field("final", &J::final_frame),
+                           wire::Field("partial", &J::result));
+  }
   JsonValue ToJson() const;
   static Result<JobProgressResponse> FromJson(const JsonValue& v);
   bool operator==(const JobProgressResponse& o) const;
@@ -303,11 +396,15 @@ struct SessionOpenRequest {
   std::string workload;  ///< override; "" = the job's workload
   std::string backend;   ///< override; "" = the job's backend
 
+  static constexpr auto Fields() {
+    using S = SessionOpenRequest;
+    return std::make_tuple(wire::Field("job_id", &S::job_id).Required(),
+                           wire::Field("workload", &S::workload),
+                           wire::Field("backend", &S::backend));
+  }
   JsonValue ToJson() const;
   static Result<SessionOpenRequest> FromJson(const JsonValue& v);
-  bool operator==(const SessionOpenRequest& o) const {
-    return job_id == o.job_id && workload == o.workload && backend == o.backend;
-  }
+  bool operator==(const SessionOpenRequest& o) const;
 };
 
 /// \brief A result table on the wire: column names plus rows of exact
@@ -317,11 +414,14 @@ struct TableDto {
   std::vector<std::vector<Value>> rows;
 
   static TableDto FromTable(const Table& t);
+  /// Decoding also checks that every row has one cell per column.
+  static constexpr auto Fields() {
+    return std::make_tuple(wire::Field("columns", &TableDto::columns),
+                           wire::Field("rows", &TableDto::rows));
+  }
   JsonValue ToJson() const;
   static Result<TableDto> FromJson(const JsonValue& v);
-  bool operator==(const TableDto& o) const {
-    return columns == o.columns && rows == o.rows;
-  }
+  bool operator==(const TableDto& o) const;
 };
 
 struct SessionOpenResponse {
@@ -331,6 +431,13 @@ struct SessionOpenResponse {
   TableDto table;
   JsonValue widgets = JsonValue::Object();
 
+  static constexpr auto Fields() {
+    using S = SessionOpenResponse;
+    return std::make_tuple(wire::Field("session_id", &S::session_id).Required(),
+                           wire::Field("sql", &S::sql), wire::Field("version", &S::version),
+                           wire::Field("table", &S::table),
+                           wire::Field("widgets", &S::widgets));
+  }
   JsonValue ToJson() const;
   static Result<SessionOpenResponse> FromJson(const JsonValue& v);
   bool operator==(const SessionOpenResponse& o) const;
@@ -374,6 +481,19 @@ struct StepReportDto {
   int64_t rows_updated = 0;
 
   static StepReportDto FromReport(const InteractiveRuntime::StepReport& r);
+  static constexpr auto Fields() {
+    using S = StepReportDto;
+    return std::make_tuple(
+        wire::Field("transition", &S::transition),
+        wire::Field("incremental", &S::incremental),
+        wire::Field("from_cache", &S::from_cache),
+        wire::Field("widgets_changed", &S::widgets_changed),
+        wire::Field("interaction_cost", &S::interaction_cost),
+        wire::Field("navigation_cost", &S::navigation_cost), wire::Field("rows", &S::rows),
+        wire::Field("rows_added", &S::rows_added),
+        wire::Field("rows_removed", &S::rows_removed),
+        wire::Field("rows_updated", &S::rows_updated));
+  }
   JsonValue ToJson() const;
   static Result<StepReportDto> FromJson(const JsonValue& v);
   bool operator==(const StepReportDto& o) const;
@@ -405,6 +525,13 @@ struct ChangeBatchDto {
   std::vector<RowChangeDto> changes;
 
   static ChangeBatchDto FromBatch(const InteractiveRuntime::ChangeBatch& b);
+  static constexpr auto Fields() {
+    using C = ChangeBatchDto;
+    return std::make_tuple(wire::Field("from_version", &C::from_version),
+                           wire::Field("to_version", &C::to_version),
+                           wire::Field("last_step", &C::last_step),
+                           wire::Field("changes", &C::changes));
+  }
   JsonValue ToJson() const;
   static Result<ChangeBatchDto> FromJson(const JsonValue& v);
   bool operator==(const ChangeBatchDto& o) const;
@@ -419,6 +546,13 @@ struct StepResponse {
   StepReportDto report;
   ChangeBatchDto batch;
 
+  static constexpr auto Fields() {
+    using S = StepResponse;
+    return std::make_tuple(wire::Field("session_id", &S::session_id).Required(),
+                           wire::Field("sql", &S::sql), wire::Field("version", &S::version),
+                           wire::Field("report", &S::report),
+                           wire::Field("batch", &S::batch));
+  }
   JsonValue ToJson() const;
   static Result<StepResponse> FromJson(const JsonValue& v);
   bool operator==(const StepResponse& o) const;
@@ -432,11 +566,14 @@ struct TableInfo {
   int64_t rows = 0;
   int64_t columns = 0;
 
+  static constexpr auto Fields() {
+    return std::make_tuple(wire::Field("name", &TableInfo::name).Required(),
+                           wire::Field("rows", &TableInfo::rows),
+                           wire::Field("columns", &TableInfo::columns));
+  }
   JsonValue ToJson() const;
   static Result<TableInfo> FromJson(const JsonValue& v);
-  bool operator==(const TableInfo& o) const {
-    return name == o.name && rows == o.rows && columns == o.columns;
-  }
+  bool operator==(const TableInfo& o) const;
 };
 
 struct WorkloadInfo {
@@ -444,6 +581,11 @@ struct WorkloadInfo {
   int64_t queries = 0;  ///< size of the workload's example log
   std::vector<TableInfo> tables;
 
+  static constexpr auto Fields() {
+    return std::make_tuple(wire::Field("name", &WorkloadInfo::name).Required(),
+                           wire::Field("queries", &WorkloadInfo::queries),
+                           wire::Field("tables", &WorkloadInfo::tables));
+  }
   JsonValue ToJson() const;
   static Result<WorkloadInfo> FromJson(const JsonValue& v);
   bool operator==(const WorkloadInfo& o) const;
@@ -454,11 +596,13 @@ struct CatalogResponse {
   std::vector<WorkloadInfo> workloads;
   std::vector<std::string> backends;  ///< compiled-in BackendKindNames
 
+  static constexpr auto Fields() {
+    return std::make_tuple(wire::Field("workloads", &CatalogResponse::workloads),
+                           wire::Field("backends", &CatalogResponse::backends));
+  }
   JsonValue ToJson() const;
   static Result<CatalogResponse> FromJson(const JsonValue& v);
-  bool operator==(const CatalogResponse& o) const {
-    return workloads == o.workloads && backends == o.backends;
-  }
+  bool operator==(const CatalogResponse& o) const;
 };
 
 struct BackendStatsDto {
@@ -468,6 +612,14 @@ struct BackendStatsDto {
   int64_t plan_cache_hits = 0;
   int64_t executions = 0;
 
+  static constexpr auto Fields() {
+    using B = BackendStatsDto;
+    return std::make_tuple(wire::Field("workload", &B::workload),
+                           wire::Field("backend", &B::backend).Required(),
+                           wire::Field("prepares", &B::prepares),
+                           wire::Field("plan_cache_hits", &B::plan_cache_hits),
+                           wire::Field("executions", &B::executions));
+  }
   JsonValue ToJson() const;
   static Result<BackendStatsDto> FromJson(const JsonValue& v);
   bool operator==(const BackendStatsDto& o) const;
@@ -496,6 +648,25 @@ struct WorkerStatsDto {
   int64_t result_peer_hits = 0;  ///< submits routed here by a sibling probe hit
   int64_t tt_published = 0;      ///< TT entries the router pushed to this worker
 
+  static constexpr auto Fields() {
+    using W = WorkerStatsDto;
+    return std::make_tuple(
+        wire::Field("worker", &W::worker).Required().Min(0),
+        wire::Field("address", &W::address).Required(),
+        wire::Field("healthy", &W::healthy), wire::Field("draining", &W::draining),
+        wire::Field("jobs_submitted", &W::jobs_submitted),
+        wire::Field("jobs_executed", &W::jobs_executed),
+        wire::Field("jobs_pending", &W::jobs_pending),
+        wire::Field("sessions_active", &W::sessions_active), wire::Field("rpcs", &W::rpcs),
+        wire::Field("rpc_failures", &W::rpc_failures),
+        wire::Field("reconnects", &W::reconnects),
+        wire::Field("cache_probes", &W::cache_probes),
+        wire::Field("cache_probe_hits", &W::cache_probe_hits),
+        wire::Field("tt_peer_ingested", &W::tt_peer_ingested),
+        wire::Field("tt_peer_hits", &W::tt_peer_hits),
+        wire::Field("result_peer_hits", &W::result_peer_hits),
+        wire::Field("tt_published", &W::tt_published));
+  }
   JsonValue ToJson() const;
   static Result<WorkerStatsDto> FromJson(const JsonValue& v);
   bool operator==(const WorkerStatsDto& o) const;
@@ -507,11 +678,13 @@ struct ClusterResponse {
   std::string mode = "single";
   std::vector<WorkerStatsDto> workers;
 
+  static constexpr auto Fields() {
+    return std::make_tuple(wire::Field("mode", &ClusterResponse::mode).Required(),
+                           wire::Field("workers", &ClusterResponse::workers));
+  }
   JsonValue ToJson() const;
   static Result<ClusterResponse> FromJson(const JsonValue& v);
-  bool operator==(const ClusterResponse& o) const {
-    return mode == o.mode && workers == o.workers;
-  }
+  bool operator==(const ClusterResponse& o) const;
 };
 
 /// \brief GET /v1/stats: nested per-component objects — `jobs`, `sessions`,
@@ -546,6 +719,33 @@ struct StatsResponse {
   /// Per-worker rows when served by a ClusterRouter; empty in-process.
   std::vector<WorkerStatsDto> cluster_workers;
 
+  static constexpr auto Fields() {
+    using S = StatsResponse;
+    return std::make_tuple(
+        wire::Group("jobs", wire::Field("submitted", &S::jobs_submitted),
+                    wire::Field("executed", &S::jobs_executed),
+                    wire::Field("pending", &S::jobs_pending),
+                    wire::Field("cache_hits", &S::job_cache_hits)),
+        wire::Group("sessions", wire::Field("opened", &S::sessions_opened),
+                    wire::Field("active", &S::sessions_active),
+                    wire::Field("expired", &S::sessions_expired)),
+        wire::Group("runtime", wire::Field("steps", &S::steps),
+                    wire::Field("noops", &S::noops),
+                    wire::Field("result_cache_hits", &S::result_cache_hits),
+                    wire::Field("delta_execs", &S::delta_execs),
+                    wire::Field("retruncates", &S::retruncates),
+                    wire::Field("full_execs", &S::full_execs),
+                    wire::Field("fallbacks", &S::fallbacks)),
+        wire::Field("backends", &S::backends),
+        wire::Group("learn", wire::Field("store_entries", &S::learn_store_entries),
+                    wire::Field("hits", &S::learn_hits),
+                    wire::Field("misses", &S::learn_misses),
+                    wire::Field("seeded", &S::learn_seeded),
+                    wire::Field("recorded", &S::learn_recorded),
+                    wire::Field("saves", &S::learn_saves),
+                    wire::Field("loads", &S::learn_loads)),
+        wire::Group("cluster", wire::Field("workers", &S::cluster_workers)));
+  }
   JsonValue ToJson() const;
   static Result<StatsResponse> FromJson(const JsonValue& v);
   bool operator==(const StatsResponse& o) const;

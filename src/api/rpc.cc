@@ -1,5 +1,7 @@
 #include "api/rpc.h"
 
+#include "api/codec.h"
+
 namespace ifgen {
 namespace api {
 
@@ -38,33 +40,31 @@ Result<uint64_t> HexToU64(const std::string& s, const char* what) {
   return v;
 }
 
+Status CheckObjectPayload(const RpcEnvelope& e) {
+  if (!e.payload.is_object()) {
+    return Status::Invalid("RpcEnvelope.payload must be an object");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
-JsonValue RpcEnvelope::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("api_version", JsonValue::Str(api_version));
-  v.Set("method", JsonValue::Str(method));
-  v.Set("request_id", JsonValue::Int(request_id));
-  v.Set("payload", payload);
-  return v;
-}
+// ---------------------------------------------------------------------------
+// Table DTOs: codecs derived from each DTO's Fields().
 
-Result<RpcEnvelope> RpcEnvelope::FromJson(const JsonValue& v) {
-  RpcEnvelope e;
-  ObjectReader r(v, "RpcEnvelope");
-  r.String("api_version", &e.api_version, /*required=*/true);
-  r.String("method", &e.method, /*required=*/true);
-  r.Int("request_id", &e.request_id);
-  const JsonValue* payload = r.Child("payload");
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  if (payload != nullptr) {
-    if (!payload->is_object()) {
-      return Status::Invalid("RpcEnvelope.payload must be an object");
-    }
-    e.payload = *payload;
-  }
-  return e;
-}
+IFGEN_WIRE_CODEC_CHECKED(RpcEnvelope, "RpcEnvelope", CheckObjectPayload)
+IFGEN_WIRE_CODEC(IdRequest, "IdRequest")
+IFGEN_WIRE_CODEC(ProgressRequest, "ProgressRequest")
+IFGEN_WIRE_CODEC(SessionEventRequest, "SessionEventRequest")
+IFGEN_WIRE_CODEC(WorkerPingResponse, "WorkerPingResponse")
+IFGEN_WIRE_CODEC(CacheProbeResponse, "CacheProbeResponse")
+IFGEN_WIRE_CODEC(TtExportRequest, "TtExportRequest")
+IFGEN_WIRE_CODEC(TtSyncDto, "TtSyncDto")
+IFGEN_WIRE_CODEC(TtSyncAck, "TtSyncAck")
+IFGEN_WIRE_CODEC(TextReply, "TextReply")
+
+// ---------------------------------------------------------------------------
+// Irregular shapes: hand-written codecs over the same primitives.
 
 RpcReply RpcReply::Success(int64_t request_id, JsonValue payload) {
   RpcReply r;
@@ -118,115 +118,6 @@ Result<RpcReply> RpcReply::FromJson(const JsonValue& v) {
   return rep;
 }
 
-JsonValue IdRequest::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("id", JsonValue::Str(id));
-  v.Set("wait_ms", JsonValue::Int(wait_ms));
-  return v;
-}
-
-Result<IdRequest> IdRequest::FromJson(const JsonValue& v) {
-  IdRequest q;
-  ObjectReader r(v, "IdRequest");
-  r.String("id", &q.id, /*required=*/true);
-  r.Int("wait_ms", &q.wait_ms, /*required=*/false, 0);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  return q;
-}
-
-JsonValue ProgressRequest::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("job_id", JsonValue::Str(job_id));
-  v.Set("last_seen_version", JsonValue::Int(last_seen_version));
-  v.Set("wait_ms", JsonValue::Int(wait_ms));
-  return v;
-}
-
-Result<ProgressRequest> ProgressRequest::FromJson(const JsonValue& v) {
-  ProgressRequest q;
-  ObjectReader r(v, "ProgressRequest");
-  r.String("job_id", &q.job_id, /*required=*/true);
-  r.Int("last_seen_version", &q.last_seen_version, /*required=*/false, 0);
-  r.Int("wait_ms", &q.wait_ms, /*required=*/false, 0);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  return q;
-}
-
-JsonValue SessionEventRequest::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("session_id", JsonValue::Str(session_id));
-  v.Set("event", event.ToJson());
-  return v;
-}
-
-Result<SessionEventRequest> SessionEventRequest::FromJson(const JsonValue& v) {
-  SessionEventRequest q;
-  ObjectReader r(v, "SessionEventRequest");
-  r.String("session_id", &q.session_id, /*required=*/true);
-  const JsonValue* event = r.Child("event", /*required=*/true);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  IFGEN_ASSIGN_OR_RETURN(q.event, WidgetEventRequest::FromJson(*event));
-  return q;
-}
-
-JsonValue WorkerPingResponse::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("jobs_submitted", JsonValue::Int(jobs_submitted));
-  v.Set("jobs_executed", JsonValue::Int(jobs_executed));
-  v.Set("jobs_pending", JsonValue::Int(jobs_pending));
-  v.Set("sessions_active", JsonValue::Int(sessions_active));
-  v.Set("draining", JsonValue::Bool(draining));
-  v.Set("cache_probes", JsonValue::Int(cache_probes));
-  v.Set("cache_probe_hits", JsonValue::Int(cache_probe_hits));
-  v.Set("tt_peer_ingested", JsonValue::Int(tt_peer_ingested));
-  v.Set("tt_peer_hits", JsonValue::Int(tt_peer_hits));
-  return v;
-}
-
-Result<WorkerPingResponse> WorkerPingResponse::FromJson(const JsonValue& v) {
-  WorkerPingResponse p;
-  ObjectReader r(v, "WorkerPingResponse");
-  r.Int("jobs_submitted", &p.jobs_submitted);
-  r.Int("jobs_executed", &p.jobs_executed);
-  r.Int("jobs_pending", &p.jobs_pending);
-  r.Int("sessions_active", &p.sessions_active);
-  r.Bool("draining", &p.draining);
-  r.Int("cache_probes", &p.cache_probes, /*required=*/false, 0);
-  r.Int("cache_probe_hits", &p.cache_probe_hits, /*required=*/false, 0);
-  r.Int("tt_peer_ingested", &p.tt_peer_ingested, /*required=*/false, 0);
-  r.Int("tt_peer_hits", &p.tt_peer_hits, /*required=*/false, 0);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  return p;
-}
-
-JsonValue CacheProbeResponse::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("hit", JsonValue::Bool(hit));
-  return v;
-}
-
-Result<CacheProbeResponse> CacheProbeResponse::FromJson(const JsonValue& v) {
-  CacheProbeResponse p;
-  ObjectReader r(v, "CacheProbeResponse");
-  r.Bool("hit", &p.hit, /*required=*/true);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  return p;
-}
-
-JsonValue TtExportRequest::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("max_entries", JsonValue::Int(max_entries));
-  return v;
-}
-
-Result<TtExportRequest> TtExportRequest::FromJson(const JsonValue& v) {
-  TtExportRequest q;
-  ObjectReader r(v, "TtExportRequest");
-  r.Int("max_entries", &q.max_entries, /*required=*/false, 256);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  return q;
-}
-
 bool TtBatchDto::operator==(const TtBatchDto& o) const {
   return store_key == o.store_key && entries == o.entries;
 }
@@ -272,58 +163,6 @@ Result<TtBatchDto> TtBatchDto::FromJson(const JsonValue& v) {
     b.entries.push_back(e);
   }
   return b;
-}
-
-JsonValue TtSyncDto::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  JsonValue arr = JsonValue::Array();
-  for (const TtBatchDto& b : batches) arr.Append(b.ToJson());
-  v.Set("batches", std::move(arr));
-  return v;
-}
-
-Result<TtSyncDto> TtSyncDto::FromJson(const JsonValue& v) {
-  TtSyncDto s;
-  ObjectReader r(v, "TtSyncDto");
-  const JsonValue* batches = r.Child("batches", /*required=*/true);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  if (!batches->is_array()) {
-    return Status::Invalid("TtSyncDto.batches must be an array");
-  }
-  s.batches.reserve(batches->items().size());
-  for (const JsonValue& bv : batches->items()) {
-    IFGEN_ASSIGN_OR_RETURN(TtBatchDto b, TtBatchDto::FromJson(bv));
-    s.batches.push_back(std::move(b));
-  }
-  return s;
-}
-
-JsonValue TtSyncAck::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("ingested", JsonValue::Int(ingested));
-  return v;
-}
-
-Result<TtSyncAck> TtSyncAck::FromJson(const JsonValue& v) {
-  TtSyncAck a;
-  ObjectReader r(v, "TtSyncAck");
-  r.Int("ingested", &a.ingested, /*required=*/false, 0);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  return a;
-}
-
-JsonValue TextReply::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("text", JsonValue::Str(text));
-  return v;
-}
-
-Result<TextReply> TextReply::FromJson(const JsonValue& v) {
-  TextReply t;
-  ObjectReader r(v, "TextReply");
-  r.String("text", &t.text);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  return t;
 }
 
 }  // namespace api

@@ -56,12 +56,17 @@ struct RpcEnvelope {
   int64_t request_id = 0;
   JsonValue payload = JsonValue::Object();
 
+  /// Decoding also rejects a non-object payload.
+  static constexpr auto Fields() {
+    using E = RpcEnvelope;
+    return std::make_tuple(wire::Field("api_version", &E::api_version).Required(),
+                           wire::Field("method", &E::method).Required(),
+                           wire::Field("request_id", &E::request_id),
+                           wire::Field("payload", &E::payload));
+  }
   JsonValue ToJson() const;
   static Result<RpcEnvelope> FromJson(const JsonValue& v);
-  bool operator==(const RpcEnvelope& o) const {
-    return api_version == o.api_version && method == o.method &&
-           request_id == o.request_id && payload == o.payload;
-  }
+  bool operator==(const RpcEnvelope& o) const;
 };
 
 /// \brief One reply frame: `ok` selects which of `payload` (success DTO) or
@@ -100,11 +105,13 @@ struct IdRequest {
   std::string id;
   int64_t wait_ms = 0;  ///< job.get only; 0 = no blocking
 
+  static constexpr auto Fields() {
+    return std::make_tuple(wire::Field("id", &IdRequest::id).Required(),
+                           wire::Field("wait_ms", &IdRequest::wait_ms).Min(0));
+  }
   JsonValue ToJson() const;
   static Result<IdRequest> FromJson(const JsonValue& v);
-  bool operator==(const IdRequest& o) const {
-    return id == o.id && wait_ms == o.wait_ms;
-  }
+  bool operator==(const IdRequest& o) const;
 };
 
 /// \brief Payload of job.progress: the long-poll cursor.
@@ -113,12 +120,15 @@ struct ProgressRequest {
   int64_t last_seen_version = 0;
   int64_t wait_ms = 0;
 
+  static constexpr auto Fields() {
+    using P = ProgressRequest;
+    return std::make_tuple(wire::Field("job_id", &P::job_id).Required(),
+                           wire::Field("last_seen_version", &P::last_seen_version).Min(0),
+                           wire::Field("wait_ms", &P::wait_ms).Min(0));
+  }
   JsonValue ToJson() const;
   static Result<ProgressRequest> FromJson(const JsonValue& v);
-  bool operator==(const ProgressRequest& o) const {
-    return job_id == o.job_id && last_seen_version == o.last_seen_version &&
-           wait_ms == o.wait_ms;
-  }
+  bool operator==(const ProgressRequest& o) const;
 };
 
 /// \brief Payload of session.event: target session + the widget event.
@@ -126,11 +136,14 @@ struct SessionEventRequest {
   std::string session_id;
   WidgetEventRequest event;
 
+  static constexpr auto Fields() {
+    using S = SessionEventRequest;
+    return std::make_tuple(wire::Field("session_id", &S::session_id).Required(),
+                           wire::Field("event", &S::event).Required());
+  }
   JsonValue ToJson() const;
   static Result<SessionEventRequest> FromJson(const JsonValue& v);
-  bool operator==(const SessionEventRequest& o) const {
-    return session_id == o.session_id && event == o.event;
-  }
+  bool operator==(const SessionEventRequest& o) const;
 };
 
 /// \brief Reply payload of worker.ping: the worker's live job/session load,
@@ -147,17 +160,21 @@ struct WorkerPingResponse {
   int64_t tt_peer_ingested = 0;
   int64_t tt_peer_hits = 0;
 
+  static constexpr auto Fields() {
+    using W = WorkerPingResponse;
+    return std::make_tuple(wire::Field("jobs_submitted", &W::jobs_submitted),
+                           wire::Field("jobs_executed", &W::jobs_executed),
+                           wire::Field("jobs_pending", &W::jobs_pending),
+                           wire::Field("sessions_active", &W::sessions_active),
+                           wire::Field("draining", &W::draining),
+                           wire::Field("cache_probes", &W::cache_probes).Min(0),
+                           wire::Field("cache_probe_hits", &W::cache_probe_hits).Min(0),
+                           wire::Field("tt_peer_ingested", &W::tt_peer_ingested).Min(0),
+                           wire::Field("tt_peer_hits", &W::tt_peer_hits).Min(0));
+  }
   JsonValue ToJson() const;
   static Result<WorkerPingResponse> FromJson(const JsonValue& v);
-  bool operator==(const WorkerPingResponse& o) const {
-    return jobs_submitted == o.jobs_submitted &&
-           jobs_executed == o.jobs_executed && jobs_pending == o.jobs_pending &&
-           sessions_active == o.sessions_active && draining == o.draining &&
-           cache_probes == o.cache_probes &&
-           cache_probe_hits == o.cache_probe_hits &&
-           tt_peer_ingested == o.tt_peer_ingested &&
-           tt_peer_hits == o.tt_peer_hits;
-  }
+  bool operator==(const WorkerPingResponse& o) const;
 };
 
 // ---------------------------------------------------------------------------
@@ -169,9 +186,12 @@ struct WorkerPingResponse {
 struct CacheProbeResponse {
   bool hit = false;
 
+  static constexpr auto Fields() {
+    return std::make_tuple(wire::Field("hit", &CacheProbeResponse::hit).Required());
+  }
   JsonValue ToJson() const;
   static Result<CacheProbeResponse> FromJson(const JsonValue& v);
-  bool operator==(const CacheProbeResponse& o) const { return hit == o.hit; }
+  bool operator==(const CacheProbeResponse& o) const;
 };
 
 /// \brief Request payload of cache.export: how many entries per store the
@@ -179,11 +199,14 @@ struct CacheProbeResponse {
 struct TtExportRequest {
   int64_t max_entries = 256;
 
+  /// Values below 256 are rejected as OutOfRange.
+  static constexpr auto Fields() {
+    return std::make_tuple(
+        wire::Field("max_entries", &TtExportRequest::max_entries).Min(256));
+  }
   JsonValue ToJson() const;
   static Result<TtExportRequest> FromJson(const JsonValue& v);
-  bool operator==(const TtExportRequest& o) const {
-    return max_entries == o.max_entries;
-  }
+  bool operator==(const TtExportRequest& o) const;
 };
 
 /// \brief One cost-identity store's transposition entries on the wire.
@@ -205,9 +228,13 @@ struct TtBatchDto {
 struct TtSyncDto {
   std::vector<TtBatchDto> batches;
 
+  static constexpr auto Fields() {
+    return std::make_tuple(
+        wire::Field("batches", &TtSyncDto::batches).Required().BareArrayError());
+  }
   JsonValue ToJson() const;
   static Result<TtSyncDto> FromJson(const JsonValue& v);
-  bool operator==(const TtSyncDto& o) const { return batches == o.batches; }
+  bool operator==(const TtSyncDto& o) const;
 };
 
 /// \brief Reply payload of cache.publish: how many entries were new to the
@@ -215,9 +242,12 @@ struct TtSyncDto {
 struct TtSyncAck {
   int64_t ingested = 0;
 
+  static constexpr auto Fields() {
+    return std::make_tuple(wire::Field("ingested", &TtSyncAck::ingested).Min(0));
+  }
   JsonValue ToJson() const;
   static Result<TtSyncAck> FromJson(const JsonValue& v);
-  bool operator==(const TtSyncAck& o) const { return ingested == o.ingested; }
+  bool operator==(const TtSyncAck& o) const;
 };
 
 /// \brief Reply payload of job.trace (a JSON document in a string) and
@@ -225,9 +255,12 @@ struct TtSyncAck {
 struct TextReply {
   std::string text;
 
+  static constexpr auto Fields() {
+    return std::make_tuple(wire::Field("text", &TextReply::text));
+  }
   JsonValue ToJson() const;
   static Result<TextReply> FromJson(const JsonValue& v);
-  bool operator==(const TextReply& o) const { return text == o.text; }
+  bool operator==(const TextReply& o) const;
 };
 
 }  // namespace api

@@ -9,6 +9,12 @@ namespace ifgen {
 
 namespace {
 
+/// Cap on expression nesting: each parenthesized or function-argument
+/// sub-expression and each NOT of a chain is one level. The parser recurses
+/// once per level, so the cap turns adversarial input into a ParseError
+/// instead of a stack overflow (the JSON parser's kMaxDepth is the model).
+constexpr int kMaxExprDepth = 128;
+
 /// Recursive-descent parser over a token vector.
 class Parser {
  public:
@@ -159,7 +165,21 @@ class Parser {
     return e;
   }
 
-  Result<Ast> Expr() { return OrExpr(); }
+  /// Enters one nesting level; a ParseError once kMaxExprDepth is reached.
+  Status Descend() {
+    if (depth_ >= kMaxExprDepth) {
+      return Err(StrFormat("expression nested deeper than %d levels", kMaxExprDepth));
+    }
+    ++depth_;
+    return Status::OK();
+  }
+
+  Result<Ast> Expr() {
+    IFGEN_RETURN_NOT_OK(Descend());
+    Result<Ast> e = OrExpr();
+    --depth_;
+    return e;
+  }
 
   Result<Ast> OrExpr() {
     IFGEN_ASSIGN_OR_RETURN(Ast first, AndExpr());
@@ -187,11 +207,12 @@ class Parser {
   }
 
   Result<Ast> NotExpr() {
-    if (AcceptKeyword("not")) {
-      IFGEN_ASSIGN_OR_RETURN(Ast inner, NotExpr());
-      return Ast(Symbol::kNot, std::vector<Ast>{std::move(inner)});
-    }
-    return CmpExpr();
+    if (!AcceptKeyword("not")) return CmpExpr();
+    IFGEN_RETURN_NOT_OK(Descend());
+    Result<Ast> inner = NotExpr();
+    --depth_;
+    IFGEN_RETURN_NOT_OK(inner.status());
+    return Ast(Symbol::kNot, std::vector<Ast>{std::move(inner).MoveValueUnsafe()});
   }
 
   Result<Ast> CmpExpr() {
@@ -301,6 +322,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< current expression nesting (see kMaxExprDepth)
 };
 
 }  // namespace

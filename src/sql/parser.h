@@ -25,6 +25,10 @@ namespace ifgen {
 ///
 /// AND/OR chains are flattened into n-ary kAnd/kOr nodes so that repeated
 /// conjuncts are adjacent siblings (a precondition for the Multi rule).
+///
+/// Expression nesting is capped at 128 levels (parentheses, function
+/// arguments and NOT chains each count one per level); deeper input is a
+/// ParseError rather than a stack overflow.
 Result<Ast> ParseQuery(std::string_view sql);
 
 /// \brief Parses a list of queries; fails on the first malformed query,

@@ -10,6 +10,7 @@
 
 #include "api/api_service.h"
 #include "api/dto.h"
+#include "api/rpc.h"
 #include "core/interface_generator.h"
 #include "core/session.h"
 #include "obs/metrics.h"
@@ -421,6 +422,705 @@ TEST(Dto, ApiOptionsDefaultsMirrorGeneratorOptions) {
   EXPECT_EQ(converted->backend, internal.backend);
   EXPECT_EQ(converted->algorithm, internal.algorithm);
   EXPECT_EQ(converted->search.seed, internal.search.seed);
+}
+
+// ------------------------------------------------------------- wire pins
+//
+// One fully populated, non-default instance per DTO: exact wire bytes
+// (field names and order), an exact round trip, the unknown-field guard
+// with the DTO's error name, every encoded leaf taking part in equality,
+// and the exact message of one missing-required or wrong-kind field.
+
+void CollectLeafPaths(const JsonValue& v, std::vector<size_t>* path,
+                      std::vector<std::vector<size_t>>* out) {
+  const size_t n = v.is_array() || v.is_object() ? v.size() : 0;
+  if (n == 0) {
+    out->push_back(*path);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    path->push_back(i);
+    CollectLeafPaths(v.is_array() ? v.items()[i] : v.members()[i].second, path, out);
+    path->pop_back();
+  }
+}
+
+/// Replaces a leaf by another value of the same kind (null becomes an
+/// integer; an empty container gains an element).
+void MutateLeaf(JsonValue* leaf) {
+  switch (leaf->kind()) {
+    case JsonValue::Kind::kNull:
+      *leaf = JsonValue::Int(7);
+      break;
+    case JsonValue::Kind::kBool:
+      *leaf = JsonValue::Bool(!leaf->AsBool());
+      break;
+    case JsonValue::Kind::kInt:
+      *leaf = JsonValue::Int(leaf->AsInt() == INT64_MAX ? 0 : leaf->AsInt() + 1);
+      break;
+    case JsonValue::Kind::kDouble:
+      *leaf = JsonValue::Double(leaf->AsDouble() + 0.5);
+      break;
+    case JsonValue::Kind::kString:
+      *leaf = JsonValue::Str(leaf->AsString() + "~");
+      break;
+    case JsonValue::Kind::kArray:
+      leaf->Append(JsonValue::Int(0));
+      break;
+    case JsonValue::Kind::kObject:
+      leaf->Set("zz", JsonValue::Int(0));
+      break;
+  }
+}
+
+/// Pins `x`'s encoding to `wire` and its decoding to exact equality; a
+/// member added under "zz_unknown" is rejected naming `what`, and altering
+/// any one leaf of the encoding either fails to decode or decodes unequal
+/// (so equality reads every field the wire carries).
+template <typename T>
+void PinWire(const T& x, const std::string& what, const std::string& wire) {
+  const JsonValue doc = x.ToJson();
+  EXPECT_EQ(WriteJson(doc), wire);
+  ExpectRoundTrip(x);
+
+  JsonValue extra = doc;
+  extra.Set("zz_unknown", JsonValue::Int(1));
+  auto rejected = T::FromJson(extra);
+  ASSERT_FALSE(rejected.ok()) << what;
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rejected.status().message(), what + ": unknown field(s) 'zz_unknown'");
+
+  std::vector<size_t> path;
+  std::vector<std::vector<size_t>> leaves;
+  CollectLeafPaths(doc, &path, &leaves);
+  for (const std::vector<size_t>& leaf_path : leaves) {
+    JsonValue mutated = doc;
+    JsonValue* leaf = &mutated;
+    for (size_t i : leaf_path) {
+      leaf = leaf->is_array() ? &leaf->items()[i] : &leaf->members()[i].second;
+    }
+    MutateLeaf(leaf);
+    auto back = T::FromJson(mutated);
+    EXPECT_FALSE(back.ok() && *back == x) << what << ": " << WriteJson(mutated);
+  }
+}
+
+/// Pins the exact error `T::FromJson` returns for the document `text`.
+template <typename T>
+void PinRejection(const std::string& text, StatusCode code,
+                  const std::string& message) {
+  auto v = ParseJson(text);
+  ASSERT_TRUE(v.ok()) << text;
+  auto decoded = T::FromJson(*v);
+  ASSERT_FALSE(decoded.ok()) << text;
+  EXPECT_EQ(decoded.status().code(), code) << text;
+  EXPECT_EQ(decoded.status().message(), message) << text;
+}
+
+const StatusCode kInvalid = StatusCode::kInvalidArgument;
+const StatusCode kRange = StatusCode::kOutOfRange;
+
+ErrorBody PinnedError() { return {"Unavailable", "worker down", true}; }
+
+ApiOptions PinnedOptions() {
+  ApiOptions o;
+  o.algorithm = "beam";
+  o.backend = "reference";
+  o.parallel_mode = "leaf";
+  o.time_budget_ms = 1500;
+  o.max_iterations = 300;
+  o.seed = 7;
+  o.screen_width = 120;
+  o.screen_height = 48;
+  o.num_threads = 4;
+  o.k_assignments = 16;
+  o.use_priors = false;
+  o.progressive_widening = false;
+  o.delta_cost_eval = false;
+  o.cache_peering = true;
+  o.experience = true;
+  o.deadline_ms = 9000;
+  o.target_cost = 20.25;
+  o.plateau_fraction = 0.5;
+  return o;
+}
+
+api::SearchStatsDto PinnedSearchStats() {
+  api::SearchStatsDto s;
+  s.iterations = 300;
+  s.states_expanded = 120;
+  s.rollouts = 290;
+  s.elapsed_ms = 1450;
+  s.trees = 4;
+  s.stop_reason = "target";
+  s.trace = {{3, 1, 40.5}, {90, 25, 20.25}};
+  return s;
+}
+
+api::GenerateResponse PinnedResponse() {
+  api::GenerateResponse g;
+  g.job_id = "j-4";
+  g.workload = "sdss";
+  g.algorithm = "mcts";
+  g.backend = "columnar";
+  g.coverage = 0.75;
+  g.cost = JsonValue::Object();
+  g.cost.Set("total", JsonValue::Double(20.25));
+  g.difftree = JsonValue::Object();
+  g.difftree.Set("label", JsonValue::Str("ANY"));
+  g.widgets = JsonValue::Object();
+  g.widgets.Set("kind", JsonValue::Str("vbox"));
+  g.stats = PinnedSearchStats();
+  return g;
+}
+
+TableDto PinnedTable() {
+  TableDto t;
+  t.columns = {"ra", "name"};
+  t.rows = {{Value(int64_t{3}), Value(std::string("x"))},
+            {Value(), Value(2.5)}};
+  return t;
+}
+
+StepReportDto PinnedStepReport() {
+  StepReportDto r;
+  r.transition = "tighten";
+  r.incremental = true;
+  r.from_cache = true;
+  r.widgets_changed = 2;
+  r.interaction_cost = 1.5;
+  r.navigation_cost = 0.25;
+  r.rows = 40;
+  r.rows_added = 3;
+  r.rows_removed = 5;
+  r.rows_updated = 1;
+  return r;
+}
+
+ChangeBatchDto PinnedBatch() {
+  ChangeBatchDto b;
+  b.from_version = 3;
+  b.to_version = 5;
+  b.last_step = PinnedStepReport();
+  RowChangeDto add;
+  add.kind = "add";
+  add.row = {Value(int64_t{1})};
+  RowChangeDto update;
+  update.kind = "update";
+  update.row = {Value(std::string("b"))};
+  update.old_row = {Value(0.5)};
+  b.changes = {add, update};
+  return b;
+}
+
+api::WorkerStatsDto PinnedWorker() {
+  api::WorkerStatsDto w;
+  w.worker = 2;
+  w.address = "127.0.0.1:9001";
+  w.healthy = false;
+  w.draining = true;
+  w.jobs_submitted = 11;
+  w.jobs_executed = 12;
+  w.jobs_pending = 13;
+  w.sessions_active = 14;
+  w.rpcs = 15;
+  w.rpc_failures = 16;
+  w.reconnects = 17;
+  w.cache_probes = 18;
+  w.cache_probe_hits = 19;
+  w.tt_peer_ingested = 20;
+  w.tt_peer_hits = 21;
+  w.result_peer_hits = 22;
+  w.tt_published = 23;
+  return w;
+}
+
+api::TtBatchDto PinnedTtBatch() {
+  api::TtBatchDto b;
+  b.store_key = 0xdeadbeefcafef00dULL;
+  b.entries = {{0xffffffffffffffffULL, 20.25, 9}, {0x10ULL, 3.5, 0}};
+  return b;
+}
+
+TEST(WirePin, ErrorBody) {
+  PinWire(PinnedError(), "ErrorBody",
+          R"({"code":"Unavailable","message":"worker down","retryable":true})");
+  PinRejection<ErrorBody>(R"({"message":"m"})", kInvalid,
+                          "ErrorBody: missing required field 'code'");
+}
+
+TEST(WirePin, ApiOptions) {
+  PinWire(PinnedOptions(), "options",
+          R"({"algorithm":"beam","backend":"reference","parallel_mode":"leaf",)"
+          R"("time_budget_ms":1500,"max_iterations":300,"seed":7,)"
+          R"("screen_width":120,"screen_height":48,"num_threads":4,)"
+          R"("k_assignments":16,"use_priors":false,)"
+          R"("progressive_widening":false,"delta_cost_eval":false,)"
+          R"("cache_peering":true,"experience":true,"deadline_ms":9000,)"
+          R"("target_cost":20.25,"plateau_fraction":0.5})");
+  PinRejection<ApiOptions>(R"({"seed":"42"})", kInvalid,
+                           "options: field 'seed' must be an integer");
+}
+
+TEST(WirePin, GenerateRequest) {
+  GenerateRequest req;
+  req.workload = "flights";
+  req.sqls = {"SELECT a FROM t", "SELECT b FROM t"};
+  req.options = PinnedOptions();
+  PinWire(req, "GenerateRequest",
+          R"({"workload":"flights","sqls":["SELECT a FROM t",)"
+          R"("SELECT b FROM t"],"options":{"algorithm":"beam",)"
+          R"("backend":"reference","parallel_mode":"leaf",)"
+          R"("time_budget_ms":1500,"max_iterations":300,"seed":7,)"
+          R"("screen_width":120,"screen_height":48,"num_threads":4,)"
+          R"("k_assignments":16,"use_priors":false,)"
+          R"("progressive_widening":false,"delta_cost_eval":false,)"
+          R"("cache_peering":true,"experience":true,"deadline_ms":9000,)"
+          R"("target_cost":20.25,"plateau_fraction":0.5}})");
+  PinRejection<GenerateRequest>(R"({"sqls":"SELECT a FROM t"})", kInvalid,
+                                "GenerateRequest: field 'sqls' must be an array");
+}
+
+TEST(WirePin, GenerateAccepted) {
+  PinWire(api::GenerateAccepted{"j-3", "queued"}, "GenerateAccepted",
+          R"({"job_id":"j-3","state":"queued"})");
+  PinRejection<api::GenerateAccepted>(
+      R"({"job_id":"j-3"})", kInvalid,
+      "GenerateAccepted: missing required field 'state'");
+}
+
+TEST(WirePin, TracePoint) {
+  PinWire(api::TracePoint{12, 34, 5.25}, "TracePoint",
+          R"({"ms":12,"iteration":34,"cost":5.25})");
+  PinRejection<api::TracePoint>(R"({"ms":1.5})", kInvalid,
+                                "TracePoint: field 'ms' must be an integer");
+}
+
+TEST(WirePin, SearchStatsDto) {
+  PinWire(PinnedSearchStats(), "SearchStats",
+          R"({"iterations":300,"states_expanded":120,"rollouts":290,)"
+          R"("elapsed_ms":1450,"trees":4,"stop_reason":"target",)"
+          R"("trace":[{"ms":3,"iteration":1,"cost":40.5},{"ms":90,)"
+          R"("iteration":25,"cost":20.25}]})");
+  PinRejection<api::SearchStatsDto>(R"({"trace":{}})", kInvalid,
+                                    "SearchStats.trace: must be an array");
+}
+
+TEST(WirePin, GenerateResponse) {
+  PinWire(PinnedResponse(), "GenerateResponse",
+          R"({"job_id":"j-4","workload":"sdss","algorithm":"mcts",)"
+          R"("backend":"columnar","coverage":0.75,"cost":{"total":20.25},)"
+          R"("stats":{"iterations":300,"states_expanded":120,"rollouts":290,)"
+          R"("elapsed_ms":1450,"trees":4,"stop_reason":"target",)"
+          R"("trace":[{"ms":3,"iteration":1,"cost":40.5},{"ms":90,)"
+          R"("iteration":25,"cost":20.25}]},"difftree":{"label":"ANY"},)"
+          R"("widgets":{"kind":"vbox"}})");
+  PinRejection<api::GenerateResponse>(
+      R"({"coverage":"x"})", kInvalid,
+      "GenerateResponse: field 'coverage' must be a number");
+}
+
+TEST(WirePin, JobStatusResponse) {
+  api::JobStatusResponse s;
+  s.job_id = "j-4";
+  s.state = "cancelled";
+  s.cache_hit = true;
+  s.queued_ms = 3;
+  s.run_ms = 40;
+  s.result.value = PinnedResponse();
+  s.result.error = ErrorBody{"Cancelled", "cancelled by client", false};
+  PinWire(s, "JobStatusResponse",
+          R"({"job_id":"j-4","state":"cancelled","cache_hit":true,)"
+          R"("queued_ms":3,"run_ms":40,"result":{"job_id":"j-4",)"
+          R"("workload":"sdss","algorithm":"mcts","backend":"columnar",)"
+          R"("coverage":0.75,"cost":{"total":20.25},"stats":{"iterations":300,)"
+          R"("states_expanded":120,"rollouts":290,"elapsed_ms":1450,"trees":4,)"
+          R"("stop_reason":"target","trace":[{"ms":3,"iteration":1,)"
+          R"("cost":40.5},{"ms":90,"iteration":25,"cost":20.25}]},)"
+          R"("difftree":{"label":"ANY"},"widgets":{"kind":"vbox"}},)"
+          R"("error":{"code":"Cancelled","message":"cancelled by client",)"
+          R"("retryable":false}})");
+  PinRejection<api::JobStatusResponse>(
+      R"({"job_id":"j-1"})", kInvalid,
+      "JobStatusResponse: missing required field 'state'");
+}
+
+TEST(WirePin, JobProgressResponse) {
+  api::JobProgressResponse p;
+  p.job_id = "j-4";
+  p.state = "failed";
+  p.version = 6;
+  p.final_frame = true;
+  p.result.value = PinnedResponse();
+  p.result.error = ErrorBody{"Internal", "boom", false};
+  PinWire(p, "JobProgressResponse",
+          R"({"job_id":"j-4","state":"failed","version":6,"final":true,)"
+          R"("partial":{"job_id":"j-4","workload":"sdss","algorithm":"mcts",)"
+          R"("backend":"columnar","coverage":0.75,"cost":{"total":20.25},)"
+          R"("stats":{"iterations":300,"states_expanded":120,"rollouts":290,)"
+          R"("elapsed_ms":1450,"trees":4,"stop_reason":"target",)"
+          R"("trace":[{"ms":3,"iteration":1,"cost":40.5},{"ms":90,)"
+          R"("iteration":25,"cost":20.25}]},"difftree":{"label":"ANY"},)"
+          R"("widgets":{"kind":"vbox"}},"error":{"code":"Internal",)"
+          R"("message":"boom","retryable":false}})");
+  PinRejection<api::JobProgressResponse>(
+      R"({"job_id":"j","state":"running","final":1})", kInvalid,
+      "JobProgressResponse: field 'final' must be a boolean");
+}
+
+TEST(WirePin, SessionOpenRequest) {
+  PinWire(SessionOpenRequest{"j-4", "sdss", "reference"}, "SessionOpenRequest",
+          R"({"job_id":"j-4","workload":"sdss","backend":"reference"})");
+  PinRejection<SessionOpenRequest>(
+      R"({"workload":"sdss"})", kInvalid,
+      "SessionOpenRequest: missing required field 'job_id'");
+}
+
+TEST(WirePin, TableDto) {
+  PinWire(PinnedTable(), "Table",
+          R"({"columns":["ra","name"],"rows":[[3,"x"],[null,2.5]]})");
+  PinRejection<TableDto>(R"({"rows":{}})", kInvalid, "Table: rows must be an array");
+  PinRejection<TableDto>(R"({"columns":["a"],"rows":[[1,2]]})", kInvalid,
+                         "Table: row arity 2 != column count 1");
+}
+
+TEST(WirePin, SessionOpenResponse) {
+  api::SessionOpenResponse s;
+  s.session_id = "s-2";
+  s.sql = "SELECT ra FROM t";
+  s.version = 3;
+  s.table = PinnedTable();
+  s.widgets = JsonValue::Object();
+  s.widgets.Set("kind", JsonValue::Str("hbox"));
+  PinWire(s, "SessionOpenResponse",
+          R"({"session_id":"s-2","sql":"SELECT ra FROM t","version":3,)"
+          R"("table":{"columns":["ra","name"],"rows":[[3,"x"],[null,2.5]]},)"
+          R"("widgets":{"kind":"hbox"}})");
+  PinRejection<api::SessionOpenResponse>(
+      R"({"sql":"x"})", kInvalid,
+      "SessionOpenResponse: missing required field 'session_id'");
+}
+
+TEST(WirePin, WidgetEventRequest) {
+  WidgetEventRequest any;
+  any.kind = "set_any";
+  any.choice_id = 3;
+  any.option_index = 1;
+  PinWire(any, "WidgetEventRequest",
+          R"({"kind":"set_any","choice_id":3,"option_index":1})");
+  WidgetEventRequest opt;
+  opt.kind = "set_opt";
+  opt.choice_id = 4;
+  opt.present = true;
+  PinWire(opt, "WidgetEventRequest",
+          R"({"kind":"set_opt","choice_id":4,"present":true})");
+  WidgetEventRequest multi;
+  multi.kind = "set_multi";
+  multi.choice_id = 2;
+  multi.count = 2;
+  PinWire(multi, "WidgetEventRequest",
+          R"({"kind":"set_multi","choice_id":2,"count":2})");
+  WidgetEventRequest load;
+  load.kind = "load_query";
+  load.sql = "SELECT a FROM t";
+  PinWire(load, "WidgetEventRequest",
+          R"({"kind":"load_query","sql":"SELECT a FROM t"})");
+  PinRejection<WidgetEventRequest>(
+      R"({"kind":"set_multi","choice_id":1,"count":-1})", kRange,
+      "WidgetEventRequest: field 'count'=-1 outside [0, 9223372036854775807]");
+}
+
+TEST(WirePin, StepReportDto) {
+  PinWire(PinnedStepReport(), "StepReport",
+          R"({"transition":"tighten","incremental":true,"from_cache":true,)"
+          R"("widgets_changed":2,"interaction_cost":1.5,"navigation_cost":0.25,)"
+          R"("rows":40,"rows_added":3,"rows_removed":5,"rows_updated":1})");
+  PinRejection<StepReportDto>(R"({"rows":"1"})", kInvalid,
+                              "StepReport: field 'rows' must be an integer");
+}
+
+TEST(WirePin, RowChangeDto) {
+  PinWire(PinnedBatch().changes[1], "RowChange",
+          R"({"kind":"update","row":["b"],"old_row":[0.5]})");
+  PinRejection<RowChangeDto>(R"({"kind":"add"})", kInvalid,
+                             "RowChange: missing required field 'row'");
+}
+
+TEST(WirePin, ChangeBatchDto) {
+  PinWire(PinnedBatch(), "ChangeBatch",
+          R"({"from_version":3,"to_version":5,)"
+          R"("last_step":{"transition":"tighten","incremental":true,)"
+          R"("from_cache":true,"widgets_changed":2,"interaction_cost":1.5,)"
+          R"("navigation_cost":0.25,"rows":40,"rows_added":3,"rows_removed":5,)"
+          R"("rows_updated":1},"changes":[{"kind":"add","row":[1]},)"
+          R"({"kind":"update","row":["b"],"old_row":[0.5]}]})");
+  PinRejection<ChangeBatchDto>(R"({"changes":3})", kInvalid,
+                               "ChangeBatch.changes: must be an array");
+}
+
+TEST(WirePin, StepResponse) {
+  api::StepResponse s;
+  s.session_id = "s-2";
+  s.sql = "SELECT ra FROM t WHERE ra < 3";
+  s.version = 5;
+  s.report = PinnedStepReport();
+  s.batch = PinnedBatch();
+  PinWire(s, "StepResponse",
+          R"({"session_id":"s-2","sql":"SELECT ra FROM t WHERE ra < 3",)"
+          R"("version":5,"report":{"transition":"tighten","incremental":true,)"
+          R"("from_cache":true,"widgets_changed":2,"interaction_cost":1.5,)"
+          R"("navigation_cost":0.25,"rows":40,"rows_added":3,"rows_removed":5,)"
+          R"("rows_updated":1},"batch":{"from_version":3,"to_version":5,)"
+          R"("last_step":{"transition":"tighten","incremental":true,)"
+          R"("from_cache":true,"widgets_changed":2,"interaction_cost":1.5,)"
+          R"("navigation_cost":0.25,"rows":40,"rows_added":3,"rows_removed":5,)"
+          R"("rows_updated":1},"changes":[{"kind":"add","row":[1]},)"
+          R"({"kind":"update","row":["b"],"old_row":[0.5]}]}})");
+  PinRejection<api::StepResponse>(
+      R"({"version":1})", kInvalid,
+      "StepResponse: missing required field 'session_id'");
+}
+
+TEST(WirePin, TableInfo) {
+  PinWire(api::TableInfo{"photoobj", 10000, 7}, "TableInfo",
+          R"({"name":"photoobj","rows":10000,"columns":7})");
+  PinRejection<api::TableInfo>(R"({"rows":1})", kInvalid,
+                               "TableInfo: missing required field 'name'");
+}
+
+TEST(WirePin, WorkloadInfo) {
+  api::WorkloadInfo w;
+  w.name = "sdss";
+  w.queries = 9;
+  w.tables = {{"photoobj", 10000, 7}, {"specobj", 500, 3}};
+  PinWire(w, "WorkloadInfo",
+          R"({"name":"sdss","queries":9,"tables":[{"name":"photoobj",)"
+          R"("rows":10000,"columns":7},{"name":"specobj","rows":500,)"
+          R"("columns":3}]})");
+  PinRejection<api::WorkloadInfo>(R"({"name":"w","tables":[{"rows":1}]})",
+                                  kInvalid,
+                                  "TableInfo: missing required field 'name'");
+}
+
+TEST(WirePin, CatalogResponse) {
+  api::CatalogResponse c;
+  api::WorkloadInfo w;
+  w.name = "flights";
+  w.queries = 4;
+  w.tables = {{"flights", 2000, 6}};
+  c.workloads = {w};
+  c.backends = {"reference", "columnar"};
+  PinWire(c, "CatalogResponse",
+          R"({"workloads":[{"name":"flights","queries":4,)"
+          R"("tables":[{"name":"flights","rows":2000,"columns":6}]}],)"
+          R"("backends":["reference","columnar"]})");
+  PinRejection<api::CatalogResponse>(
+      R"({"backends":[1]})", kInvalid,
+      "CatalogResponse: field 'backends' must contain strings only");
+}
+
+TEST(WirePin, BackendStatsDto) {
+  PinWire(api::BackendStatsDto{"sdss", "columnar", 3, 40, 43}, "BackendStats",
+          R"({"workload":"sdss","backend":"columnar","prepares":3,)"
+          R"("plan_cache_hits":40,"executions":43})");
+  PinRejection<api::BackendStatsDto>(
+      R"({"workload":"w"})", kInvalid,
+      "BackendStats: missing required field 'backend'");
+}
+
+TEST(WirePin, WorkerStatsDto) {
+  PinWire(PinnedWorker(), "WorkerStatsDto",
+          R"({"worker":2,"address":"127.0.0.1:9001","healthy":false,)"
+          R"("draining":true,"jobs_submitted":11,"jobs_executed":12,)"
+          R"("jobs_pending":13,"sessions_active":14,"rpcs":15,)"
+          R"("rpc_failures":16,"reconnects":17,"cache_probes":18,)"
+          R"("cache_probe_hits":19,"tt_peer_ingested":20,"tt_peer_hits":21,)"
+          R"("result_peer_hits":22,"tt_published":23})");
+  PinRejection<api::WorkerStatsDto>(
+      R"({"worker":-1,"address":"a"})", kRange,
+      "WorkerStatsDto: field 'worker'=-1 outside [0, 9223372036854775807]");
+}
+
+TEST(WirePin, ClusterResponse) {
+  api::ClusterResponse c;
+  c.mode = "cluster";
+  c.workers = {PinnedWorker()};
+  PinWire(c, "ClusterResponse",
+          R"({"mode":"cluster","workers":[{"worker":2,)"
+          R"("address":"127.0.0.1:9001","healthy":false,"draining":true,)"
+          R"("jobs_submitted":11,"jobs_executed":12,"jobs_pending":13,)"
+          R"("sessions_active":14,"rpcs":15,"rpc_failures":16,"reconnects":17,)"
+          R"("cache_probes":18,"cache_probe_hits":19,"tt_peer_ingested":20,)"
+          R"("tt_peer_hits":21,"result_peer_hits":22,"tt_published":23}]})");
+  PinRejection<api::ClusterResponse>(
+      R"({})", kInvalid, "ClusterResponse: missing required field 'mode'");
+}
+
+TEST(WirePin, StatsResponse) {
+  api::StatsResponse s;
+  s.jobs_submitted = 1;
+  s.jobs_executed = 2;
+  s.jobs_pending = 3;
+  s.job_cache_hits = 4;
+  s.sessions_opened = 5;
+  s.sessions_active = 6;
+  s.sessions_expired = 7;
+  s.steps = 8;
+  s.noops = 9;
+  s.result_cache_hits = 10;
+  s.delta_execs = 11;
+  s.retruncates = 12;
+  s.full_execs = 13;
+  s.fallbacks = 14;
+  s.backends = {{"sdss", "columnar", 3, 40, 43}};
+  s.learn_store_entries = 15;
+  s.learn_hits = 16;
+  s.learn_misses = 17;
+  s.learn_seeded = 18;
+  s.learn_recorded = 19;
+  s.learn_saves = 20;
+  s.learn_loads = 21;
+  s.cluster_workers = {PinnedWorker()};
+  PinWire(s, "StatsResponse",
+          R"({"jobs":{"submitted":1,"executed":2,"pending":3,"cache_hits":4},)"
+          R"("sessions":{"opened":5,"active":6,"expired":7},)"
+          R"("runtime":{"steps":8,"noops":9,"result_cache_hits":10,)"
+          R"("delta_execs":11,"retruncates":12,"full_execs":13,"fallbacks":14},)"
+          R"("backends":[{"workload":"sdss","backend":"columnar","prepares":3,)"
+          R"("plan_cache_hits":40,"executions":43}],)"
+          R"("learn":{"store_entries":15,"hits":16,"misses":17,"seeded":18,)"
+          R"("recorded":19,"saves":20,"loads":21},)"
+          R"("cluster":{"workers":[{"worker":2,"address":"127.0.0.1:9001",)"
+          R"("healthy":false,"draining":true,"jobs_submitted":11,)"
+          R"("jobs_executed":12,"jobs_pending":13,"sessions_active":14,)"
+          R"("rpcs":15,"rpc_failures":16,"reconnects":17,"cache_probes":18,)"
+          R"("cache_probe_hits":19,"tt_peer_ingested":20,"tt_peer_hits":21,)"
+          R"("result_peer_hits":22,"tt_published":23}]}})");
+  PinRejection<api::StatsResponse>(
+      R"({"learn":{"hits":"x"}})", kInvalid,
+      "StatsResponse.learn: field 'hits' must be an integer");
+  PinRejection<api::StatsResponse>(
+      R"({"cluster":{"workers":{}}})", kInvalid,
+      "StatsResponse.cluster.workers: must be an array");
+}
+
+TEST(WirePin, RpcEnvelope) {
+  api::RpcEnvelope e;
+  e.method = api::kMethodGetJob;
+  e.request_id = 42;
+  e.payload.Set("id", JsonValue::Str("j-7"));
+  PinWire(e, "RpcEnvelope",
+          R"({"api_version":"v1","method":"job.get","request_id":42,)"
+          R"("payload":{"id":"j-7"}})");
+  PinRejection<api::RpcEnvelope>(
+      R"({"api_version":"v1","method":"job.get","payload":3})", kInvalid,
+      "RpcEnvelope.payload must be an object");
+}
+
+TEST(WirePin, RpcReply) {
+  JsonValue payload = JsonValue::Object();
+  payload.Set("hit", JsonValue::Bool(true));
+  api::RpcReply ok = api::RpcReply::Success(7, payload);
+  ok.epoch = 99;
+  PinWire(ok, "RpcReply",
+          R"({"request_id":7,"ok":true,"epoch":99,"payload":{"hit":true}})");
+  PinWire(api::RpcReply::Failure(8, Status::Unavailable("worker down")), "RpcReply",
+          R"({"request_id":8,"ok":false,"error":{"code":"Unavailable",)"
+          R"("message":"worker down","retryable":true}})");
+  PinRejection<api::RpcReply>(R"({"ok":false})", kInvalid,
+                              "failed RpcReply requires an error body");
+}
+
+TEST(WirePin, IdRequest) {
+  PinWire(api::IdRequest{"j-7", 250}, "IdRequest",
+          R"({"id":"j-7","wait_ms":250})");
+  PinRejection<api::IdRequest>(
+      R"({"id":"j","wait_ms":-1})", kRange,
+      "IdRequest: field 'wait_ms'=-1 outside [0, 9223372036854775807]");
+}
+
+TEST(WirePin, ProgressRequest) {
+  PinWire(api::ProgressRequest{"j-7", 3, 250}, "ProgressRequest",
+          R"({"job_id":"j-7","last_seen_version":3,"wait_ms":250})");
+  PinRejection<api::ProgressRequest>(
+      R"({"job_id":"j","last_seen_version":-2})", kRange,
+      "ProgressRequest: field 'last_seen_version'=-2 outside [0, "
+      "9223372036854775807]");
+}
+
+TEST(WirePin, SessionEventRequest) {
+  WidgetEventRequest multi;
+  multi.kind = "set_multi";
+  multi.choice_id = 2;
+  multi.count = 3;
+  PinWire(api::SessionEventRequest{"s-2", multi}, "SessionEventRequest",
+          R"({"session_id":"s-2","event":{"kind":"set_multi","choice_id":2,)"
+          R"("count":3}})");
+  PinRejection<api::SessionEventRequest>(
+      R"({"session_id":"s"})", kInvalid,
+      "SessionEventRequest: missing required field 'event'");
+}
+
+TEST(WirePin, WorkerPingResponse) {
+  PinWire(api::WorkerPingResponse{1, 2, 3, 4, true, 5, 6, 7, 8},
+          "WorkerPingResponse",
+          R"({"jobs_submitted":1,"jobs_executed":2,"jobs_pending":3,)"
+          R"("sessions_active":4,"draining":true,"cache_probes":5,)"
+          R"("cache_probe_hits":6,"tt_peer_ingested":7,"tt_peer_hits":8})");
+  PinRejection<api::WorkerPingResponse>(
+      R"({"cache_probes":-1})", kRange,
+      "WorkerPingResponse: field 'cache_probes'=-1 outside [0, "
+      "9223372036854775807]");
+}
+
+TEST(WirePin, CacheProbeResponse) {
+  PinWire(api::CacheProbeResponse{true}, "CacheProbeResponse",
+          R"({"hit":true})");
+  PinRejection<api::CacheProbeResponse>(
+      R"({})", kInvalid, "CacheProbeResponse: missing required field 'hit'");
+}
+
+TEST(WirePin, TtExportRequest) {
+  PinWire(api::TtExportRequest{512}, "TtExportRequest",
+          R"({"max_entries":512})");
+  PinRejection<api::TtExportRequest>(
+      R"({"max_entries":10})", kRange,
+      "TtExportRequest: field 'max_entries'=10 outside [256, 9223372036854775807]");
+}
+
+TEST(WirePin, TtBatchDto) {
+  PinWire(PinnedTtBatch(), "TtBatchDto",
+          R"({"store_key":"deadbeefcafef00d",)"
+          R"("entries":[{"h":"ffffffffffffffff","c":20.25,"v":9},)"
+          R"({"h":"0000000000000010","c":3.5,"v":0}]})");
+  PinRejection<api::TtBatchDto>(R"({"store_key":"zz","entries":[]})", kInvalid,
+                                "TtBatchDto.store_key: bad hex 'zz'");
+}
+
+TEST(WirePin, TtSyncDto) {
+  api::TtSyncDto s;
+  s.batches = {PinnedTtBatch()};
+  PinWire(s, "TtSyncDto",
+          R"({"batches":[{"store_key":"deadbeefcafef00d",)"
+          R"("entries":[{"h":"ffffffffffffffff","c":20.25,"v":9},)"
+          R"({"h":"0000000000000010","c":3.5,"v":0}]}]})");
+  PinRejection<api::TtSyncDto>(R"({"batches":{}})", kInvalid,
+                               "TtSyncDto.batches must be an array");
+}
+
+TEST(WirePin, TtSyncAck) {
+  PinWire(api::TtSyncAck{17}, "TtSyncAck",
+          R"({"ingested":17})");
+  PinRejection<api::TtSyncAck>(
+      R"({"ingested":-1})", kRange,
+      "TtSyncAck: field 'ingested'=-1 outside [0, 9223372036854775807]");
+}
+
+TEST(WirePin, TextReply) {
+  PinWire(api::TextReply{"{\"traceEvents\":[]}"}, "TextReply",
+          R"({"text":"{\"traceEvents\":[]}"})");
+  PinRejection<api::TextReply>(R"({"text":5})", kInvalid,
+                               "TextReply: field 'text' must be a string");
 }
 
 // ------------------------------------------------------------ ApiService

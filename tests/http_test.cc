@@ -637,6 +637,40 @@ TEST_F(HttpTest, JobStreamClientDisconnectMidStreamLeavesServerHealthy) {
   EXPECT_EQ(health.Find("status")->AsString(), "ok");
 }
 
+// A hostile query log (20k nested parentheses, ~40 KB) must be answered
+// with a ParseError — at submit or as a failed job — and never take the
+// server down.
+TEST_F(HttpTest, DeeplyNestedSqlIsRejectedAndServerKeepsServing) {
+  StartServer();
+  const int n = 20000;
+  JsonValue body = JsonValue::Object();
+  body.Set("workload", JsonValue::Str("flights"));
+  JsonValue sqls = JsonValue::Array();
+  sqls.Append(JsonValue::Str("SELECT a FROM t WHERE " + std::string(n, '(') + "a = 1" +
+                             std::string(n, ')')));
+  body.Set("sqls", std::move(sqls));
+  auto resp = http::Fetch(kHost, port_, "POST", "/v1/generate", WriteJson(body));
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  auto parsed = ParseJson(resp->body);
+  ASSERT_TRUE(parsed.ok()) << resp->body;
+  if (resp->status == 400) {
+    ASSERT_NE(parsed->Find("code"), nullptr);
+    EXPECT_EQ(parsed->Find("code")->AsString(), "ParseError");
+  } else {
+    ASSERT_EQ(resp->status, 202) << resp->body;
+    ASSERT_NE(parsed->Find("job_id"), nullptr);
+    JsonValue status = Call(
+        "GET", "/v1/jobs/" + parsed->Find("job_id")->AsString() + "?wait_ms=30000",
+        "", 200);
+    ASSERT_NE(status.Find("state"), nullptr);
+    EXPECT_EQ(status.Find("state")->AsString(), "failed");
+    ASSERT_NE(status.Find("error"), nullptr);
+    EXPECT_EQ(status.Find("error")->Find("code")->AsString(), "ParseError");
+  }
+  JsonValue health = Call("GET", "/v1/healthz", "", 200);
+  EXPECT_EQ(health.Find("status")->AsString(), "ok");
+}
+
 TEST_F(HttpTest, JobStreamForUnknownJobEmitsErrorEvent) {
   StartServer();
   http::SseClient sse;

@@ -182,6 +182,44 @@ TEST(Parser, Errors) {
   EXPECT_FALSE(ParseQuery("select a from t where a between 1").ok());
 }
 
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+// Adversarial nesting is a ParseError, never a stack overflow.
+TEST(Parser, DeepNestingIsParseError) {
+  const int n = 20000;
+  for (const std::string& sql :
+       {"select a from t where " + Repeat("(", n) + "a = 1" + Repeat(")", n),
+        "select a from t where " + Repeat("not ", n) + "a = 1",
+        "select " + Repeat("f(", n) + "a" + Repeat(")", n) + " from t"}) {
+    auto q = ParseQuery(sql);
+    ASSERT_FALSE(q.ok()) << sql.substr(0, 40);
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+    EXPECT_NE(q.status().message().find("nested deeper than"), std::string::npos)
+        << q.status().message();
+  }
+}
+
+TEST(Parser, NestingWithinCapParsesAndUnparsesUnchanged) {
+  const int n = 100;
+  auto parens =
+      ParseQuery("select a from t where " + Repeat("(", n) + "a = 1" + Repeat(")", n));
+  ASSERT_TRUE(parens.ok()) << parens.status().ToString();
+  EXPECT_EQ(*parens, *ParseQuery("select a from t where a = 1"));
+  for (const std::string& sql :
+       {"select a from t where " + Repeat("not ", n) + "a = 1",
+        "select " + Repeat("f(", n) + "a" + Repeat(")", n) + " from t"}) {
+    auto q = ParseQuery(sql);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    auto text = Unparse(*q);
+    ASSERT_TRUE(text.ok());
+    EXPECT_EQ(*text, sql);
+  }
+}
+
 TEST(Parser, ParseQueriesReportsIndex) {
   auto r = ParseQueries({"select a from t", "select bogus from"});
   ASSERT_FALSE(r.ok());
