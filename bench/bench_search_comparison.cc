@@ -33,6 +33,7 @@ void RunWorkload(const char* name, const std::vector<std::string>& sqls,
       {Algorithm::kRandom, true, "random-pure"},  // the paper's uniform walks
       {Algorithm::kGreedy, false, "greedy"},
       {Algorithm::kBeam, false, "beam"},
+      {Algorithm::kExhaustive, false, "exhaustive"},
       {Algorithm::kBottomUp, false, "bottom-up"},
   };
   for (const Config& cfg : configs) {

@@ -2,118 +2,68 @@
 
 #include <algorithm>
 #include <deque>
-#include <unordered_set>
 
 namespace ifgen {
 
 Result<SearchResult> RandomSearcher::Run(const DiffTree& initial) {
   Rng rng(opts_.seed);
-  Stopwatch watch;
-  RunControl rc(opts_);
-  Deadline& deadline = rc.deadline();
-  SearchStats stats;
-  BestTracker best;
-  best.sink = opts_.progress.get();
-  stats.initial_cost = evaluator_->SampleCost(initial, &rng);
-  best.Offer(initial, stats.initial_cost, watch, 0, &stats);
-
-  while (!deadline.Expired() && !rc.Stopped()) {
-    if (opts_.max_iterations > 0 && stats.iterations >= opts_.max_iterations) break;
-    ++stats.iterations;
-    rc.Tick(watch, best.cost);
+  SearchRun run(opts_);
+  run.Start(initial, evaluator_, &rng);
+  SearchStats& stats = run.stats();
+  while (run.Next(&stats)) {
     // Same rollout machinery as MCTS (including intermediate-state
     // evaluation) so the comparison isolates the tree policy.
     DiffTree rollout_best;
-    double cost = RolloutAndEvaluate(initial, &rng, &stats, &rollout_best);
-    best.Offer(rollout_best, cost, watch, stats.iterations, &stats);
+    double cost = RolloutAndEvaluateState({rules_, evaluator_, &opts_}, initial, &rng,
+                                          &stats, &rollout_best);
+    run.Offer(rollout_best, cost, &stats);
   }
-  SearchResult r;
-  r.best_tree = best.tree;
-  r.best_cost = best.cost;
-  r.stats = std::move(stats);
-  r.stats.elapsed_ms = watch.ElapsedMillis();
-  r.stats.stop_reason = rc.Resolve(r.stats.iterations);
-  return r;
+  return run.Finish();
 }
 
 Result<SearchResult> GreedySearcher::Run(const DiffTree& initial) {
   Rng rng(opts_.seed);
-  Stopwatch watch;
-  RunControl rc(opts_);
-  Deadline& deadline = rc.deadline();
-  SearchStats stats;
-  BestTracker best;
-  best.sink = opts_.progress.get();
-  stats.initial_cost = evaluator_->SampleCost(initial, &rng);
-  best.Offer(initial, stats.initial_cost, watch, 0, &stats);
-
-  while (!deadline.Expired() && !rc.Stopped()) {
-    if (opts_.max_iterations > 0 && stats.iterations >= opts_.max_iterations) break;
-    // One hill-climbing run; restarts differ through the shared rng (the
-    // evaluator's sampled assignments vary run to run).
-    DiffTree current = initial;
-    double current_cost = evaluator_->SampleCost(current, &rng);
-    bool improved = true;
-    while (improved && !deadline.Expired() && !rc.Stopped()) {
-      if (opts_.max_iterations > 0 && stats.iterations >= opts_.max_iterations) break;
-      ++stats.iterations;
-      rc.Tick(watch, best.cost);
-      improved = false;
-      std::vector<RuleApplication> apps = rules_->EnumerateApplications(current);
-      stats.RecordFanout(apps.size());
-      DiffTree best_next;
-      double best_next_cost = current_cost;
-      for (const RuleApplication& app : apps) {
-        auto next = rules_->Apply(current, app);
-        if (!next.ok()) continue;
-        ++stats.states_expanded;
-        double cost = evaluator_->SampleCost(*next, &rng);
-        best.Offer(*next, cost, watch, stats.iterations, &stats);
-        if (cost < best_next_cost) {
-          best_next_cost = cost;
-          best_next = std::move(next).MoveValueUnsafe();
-        }
-        if (deadline.Expired()) break;
+  SearchRun run(opts_);
+  DiffTree current = initial;
+  double current_cost = run.Start(initial, evaluator_, &rng);
+  SearchStats& stats = run.stats();
+  while (run.Next(&stats)) {
+    std::vector<RuleApplication> apps = rules_->EnumerateApplications(current);
+    stats.RecordFanout(apps.size());
+    DiffTree best_next;
+    double best_next_cost = current_cost;
+    for (const RuleApplication& app : apps) {
+      auto next = rules_->Apply(current, app);
+      if (!next.ok()) continue;
+      ++stats.states_expanded;
+      double cost = evaluator_->SampleCost(*next, &rng);
+      run.Offer(*next, cost, &stats);
+      if (cost < best_next_cost) {
+        best_next_cost = cost;
+        best_next = std::move(next).MoveValueUnsafe();
       }
-      if (best_next_cost < current_cost) {
-        current = std::move(best_next);
-        current_cost = best_next_cost;
-        improved = true;
-      }
+      if (run.Expired()) break;
     }
+    if (best_next_cost >= current_cost) break;  // local optimum: the climb is over
+    current = std::move(best_next);
+    current_cost = best_next_cost;
   }
-  SearchResult r;
-  r.best_tree = best.tree;
-  r.best_cost = best.cost;
-  r.stats = std::move(stats);
-  r.stats.elapsed_ms = watch.ElapsedMillis();
-  r.stats.stop_reason = rc.Resolve(r.stats.iterations);
-  return r;
+  return run.Finish();
 }
 
 Result<SearchResult> BeamSearcher::Run(const DiffTree& initial) {
   Rng rng(opts_.seed);
-  Stopwatch watch;
-  RunControl rc(opts_);
-  Deadline& deadline = rc.deadline();
-  SearchStats stats;
-  BestTracker best;
-  best.sink = opts_.progress.get();
-  stats.initial_cost = evaluator_->SampleCost(initial, &rng);
-  best.Offer(initial, stats.initial_cost, watch, 0, &stats);
-
+  SearchRun run(opts_);
   struct Scored {
     DiffTree tree;
     double cost;
   };
   std::vector<Scored> beam;
-  beam.push_back({initial, stats.initial_cost});
-  std::unordered_set<uint64_t> seen{initial.CanonicalHash()};
+  beam.push_back({initial, run.Start(initial, evaluator_, &rng)});
+  run.tt().Visit(initial.CanonicalHash());
+  SearchStats& stats = run.stats();
 
-  while (!deadline.Expired() && !rc.Stopped() && !beam.empty()) {
-    if (opts_.max_iterations > 0 && stats.iterations >= opts_.max_iterations) break;
-    ++stats.iterations;
-    rc.Tick(watch, best.cost);
+  while (!beam.empty() && run.Next(&stats)) {
     std::vector<Scored> next_level;
     for (const Scored& s : beam) {
       std::vector<RuleApplication> apps = rules_->EnumerateApplications(s.tree);
@@ -121,64 +71,48 @@ Result<SearchResult> BeamSearcher::Run(const DiffTree& initial) {
       for (const RuleApplication& app : apps) {
         auto next = rules_->Apply(s.tree, app);
         if (!next.ok()) continue;
-        uint64_t h = next->CanonicalHash();
-        if (!seen.insert(h).second) {
+        if (!run.tt().Visit(next->CanonicalHash())) {
           ++stats.transposition_hits;
           continue;
         }
         ++stats.states_expanded;
         double cost = evaluator_->SampleCost(*next, &rng);
-        best.Offer(*next, cost, watch, stats.iterations, &stats);
+        run.Offer(*next, cost, &stats);
         next_level.push_back({std::move(next).MoveValueUnsafe(), cost});
-        if (deadline.Expired()) break;
+        if (run.Expired()) break;
       }
-      if (deadline.Expired()) break;
+      if (run.Expired()) break;
     }
     std::sort(next_level.begin(), next_level.end(),
               [](const Scored& a, const Scored& b) { return a.cost < b.cost; });
     if (next_level.size() > opts_.beam_width) next_level.resize(opts_.beam_width);
     beam = std::move(next_level);
   }
-  SearchResult r;
-  r.best_tree = best.tree;
-  r.best_cost = best.cost;
-  r.stats = std::move(stats);
-  r.stats.elapsed_ms = watch.ElapsedMillis();
-  r.stats.stop_reason = rc.Resolve(r.stats.iterations);
-  return r;
+  return run.Finish();
 }
 
 Result<SearchResult> ExhaustiveSearcher::Run(const DiffTree& initial) {
   Rng rng(opts_.seed);
-  Stopwatch watch;
-  RunControl rc(opts_);
-  Deadline& deadline = rc.deadline();
-  SearchStats stats;
-  BestTracker best;
-  best.sink = opts_.progress.get();
-  stats.initial_cost = evaluator_->SampleCost(initial, &rng);
-  best.Offer(initial, stats.initial_cost, watch, 0, &stats);
-
+  SearchRun run(opts_);
+  run.Start(initial, evaluator_, &rng);
   struct Item {
     DiffTree tree;
     size_t depth;
   };
   std::deque<Item> queue;
   queue.push_back({initial, 0});
-  std::unordered_set<uint64_t> seen{initial.CanonicalHash()};
+  run.tt().Visit(initial.CanonicalHash());
   visited_states_ = 1;
   complete_ = true;
+  SearchStats& stats = run.stats();
 
   while (!queue.empty()) {
-    if (deadline.Expired() || rc.Stopped() ||
-        visited_states_ >= opts_.exhaustive_max_states) {
+    if (visited_states_ >= opts_.exhaustive_max_states || !run.Next(&stats)) {
       complete_ = false;
       break;
     }
     Item item = std::move(queue.front());
     queue.pop_front();
-    ++stats.iterations;
-    rc.Tick(watch, best.cost);
     if (item.depth >= opts_.exhaustive_max_depth) {
       complete_ = false;  // frontier truncated by the depth bound
       continue;
@@ -188,26 +122,19 @@ Result<SearchResult> ExhaustiveSearcher::Run(const DiffTree& initial) {
     for (const RuleApplication& app : apps) {
       auto next = rules_->Apply(item.tree, app);
       if (!next.ok()) continue;
-      uint64_t h = next->CanonicalHash();
-      if (!seen.insert(h).second) {
+      if (!run.tt().Visit(next->CanonicalHash())) {
         ++stats.transposition_hits;
         continue;
       }
       ++stats.states_expanded;
       ++visited_states_;
       double cost = evaluator_->SampleCost(*next, &rng);
-      best.Offer(*next, cost, watch, stats.iterations, &stats);
+      run.Offer(*next, cost, &stats);
       queue.push_back({std::move(next).MoveValueUnsafe(), item.depth + 1});
       if (visited_states_ >= opts_.exhaustive_max_states) break;
     }
   }
-  SearchResult r;
-  r.best_tree = best.tree;
-  r.best_cost = best.cost;
-  r.stats = std::move(stats);
-  r.stats.elapsed_ms = watch.ElapsedMillis();
-  r.stats.stop_reason = rc.Resolve(r.stats.iterations);
-  return r;
+  return run.Finish();
 }
 
 }  // namespace ifgen

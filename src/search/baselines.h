@@ -15,8 +15,10 @@ class RandomSearcher final : public Searcher {
   Result<SearchResult> Run(const DiffTree& initial) override;
 };
 
-/// \brief Steepest-ascent hill climbing with random restarts: evaluates all
-/// successors, moves to the best, restarts when stuck.
+/// \brief One steepest-ascent hill climb from the initial state: evaluates
+/// all successors, moves to the best, and ends the run (stop reason
+/// `exhausted`) at the first local optimum. A restart would replay the same
+/// climb: every state on it is already in the evaluator's memo.
 class GreedySearcher final : public Searcher {
  public:
   using Searcher::Searcher;
@@ -32,8 +34,10 @@ class BeamSearcher final : public Searcher {
   Result<SearchResult> Run(const DiffTree& initial) override;
 };
 
-/// \brief Bounded exhaustive BFS (transposition-deduped). Tractable only for
-/// tiny inputs; used as the optimality oracle in tests and benches.
+/// \brief Bounded exhaustive BFS (transposition-deduped), stopped by
+/// `exhaustive_max_depth`, `exhaustive_max_states` or the shared
+/// `max_iterations` cap. Tractable only for tiny inputs; used as the
+/// optimality oracle in tests and benches.
 class ExhaustiveSearcher final : public Searcher {
  public:
   using Searcher::Searcher;

@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <numeric>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
-#include "runtime/tt.h"
 #include "search/priors.h"
 #include "util/logging.h"
 
@@ -20,50 +17,18 @@ namespace ifgen {
 
 namespace {
 
-/// \brief Thread-safe global best tracker shared by all trees of one
-/// search. Only *global* improvements are recorded, so each
-/// contributing tree's trace is a slice of the monotone best-so-far curve.
-struct SharedBestTracker {
-  std::mutex mu;
-  DiffTree tree;
-  double cost = std::numeric_limits<double>::infinity();
-  /// Optional live publisher: every global improvement streams out as a
-  /// versioned ProgressSink event the moment it is accepted.
-  ProgressSink* sink = nullptr;
-
-  bool Offer(const DiffTree& t, double c, const Stopwatch& watch, size_t iteration,
-             SearchStats* stats) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (c >= cost) return false;
-    cost = c;
-    tree = t;
-    const int64_t ms = watch.ElapsedMillis();
-    stats->trace.push_back({ms, iteration, c});
-    if (sink != nullptr) sink->Publish(t, c, iteration, ms);
-    return true;
-  }
-
-  double CostSnapshot() {
-    std::lock_guard<std::mutex> lock(mu);
-    return cost;
-  }
-};
-
-/// \brief Wiring for one MCTS tree run (see RunMctsTree).
+/// \brief Per-tree wiring for one MCTS tree run (see RunMctsTree).
 ///
-/// The trees of one search share `tt`, `best`, `deadline`, `watch`,
-/// `priors` and the evaluator's memo; `rng`, `stats` and `root_actions` are
-/// strictly per-tree.
+/// Everything the trees of one search share — clock, deadline, stop handle,
+/// TimeManager feed, transposition table and best tracker — lives in the
+/// SearchRun; `rng`, `stats` and `root_actions` are strictly per-tree.
 struct MctsTreeParams {
   const RuleEngine* rules = nullptr;
   StateEvaluator* evaluator = nullptr;
-  SearchOptions opts;
-  Rng* rng = nullptr;                ///< per-tree stream (never shared)
-  const Stopwatch* watch = nullptr;  ///< search-global clock (trace timestamps)
-  Deadline* deadline = nullptr;
-  TranspositionTable* tt = nullptr;
-  SharedBestTracker* best = nullptr;
-  SearchStats* stats = nullptr;  ///< per-tree (merged by the caller)
+  const SearchOptions* opts = nullptr;
+  SearchRun* run = nullptr;
+  Rng* rng = nullptr;            ///< per-tree stream (never shared)
+  SearchStats* stats = nullptr;  ///< per-tree (merged by SearchRun::Finish)
   /// Log-derived action priors (PUCT selection + prior-ordered expansion).
   /// Null = uniform treatment (the paper's UCT). Immutable, so all trees
   /// share one model.
@@ -74,45 +39,10 @@ struct MctsTreeParams {
   /// Receives (canonical, visits, total_reward) of every root child after
   /// the run — the raw material for root-action merging.
   std::vector<RootActionStat>* root_actions = nullptr;
-  /// Anytime control (see timeman.h): `stop` is polled (relaxed) once per
-  /// iteration; `timeman` — shared across all trees of one search — is fed
-  /// every time_control.check_interval iterations. Both optional; null
-  /// leaves the classic loop untouched.
-  StopHandle* stop = nullptr;
-  TimeManager* timeman = nullptr;
   /// Experience seed (WarmStart::experience_seed): root children whose
   /// canonical hash matches an entry start with capped virtual visits +
   /// reward. Null or empty = off, and the loop draws the same RNG stream.
   const std::vector<TtSeedEntry>* experience_seed = nullptr;
-};
-
-/// Search metrics are bumped in batch at the end of each tree run (the
-/// iteration loop is the hottest code in the system; per-iteration counter
-/// traffic would be measurable). Spans still mark the phases per iteration —
-/// they cost one relaxed load each when tracing is off.
-struct SearchMetrics {
-  obs::Counter* trees;
-  obs::Counter* iterations;
-  obs::Counter* states_expanded;
-  obs::Counter* rollouts;
-  obs::Counter* rollout_steps;
-  static const SearchMetrics& Get() {
-    static const SearchMetrics m = [] {
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-      SearchMetrics s;
-      s.trees = reg.GetCounter("ifgen_search_trees_total", "MCTS tree runs");
-      s.iterations =
-          reg.GetCounter("ifgen_search_iterations_total", "MCTS iterations");
-      s.states_expanded = reg.GetCounter("ifgen_search_states_expanded_total",
-                                         "Difftree states materialized by expansion");
-      s.rollouts = reg.GetCounter("ifgen_search_rollouts_total",
-                                  "Random rollout walks simulated");
-      s.rollout_steps = reg.GetCounter("ifgen_search_rollout_steps_total",
-                                       "Rule applications taken inside rollouts");
-      return s;
-    }();
-    return m;
-  }
 };
 
 struct Node {
@@ -196,9 +126,8 @@ std::vector<RootActionStat> MergeRootActions(
 void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
   Rng& rng = *p.rng;
   SearchStats& stats = *p.stats;
-  const SearchOptions& opts = p.opts;
-  const Stopwatch& watch = *p.watch;
-  Deadline& deadline = *p.deadline;
+  const SearchOptions& opts = *p.opts;
+  SearchRun& run = *p.run;
   const RolloutContext rctx{p.rules, p.evaluator, &opts};
 
   // Normalization anchor; a state with cost c receives reward c0/(c0+c).
@@ -251,18 +180,13 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
     }
   };
 
-  // Registry deltas for this tree run, bumped in batch after the loop.
-  const size_t base_iterations = stats.iterations;
-  const size_t base_expanded = stats.states_expanded;
-  const size_t base_rollouts = stats.rollouts;
-  const size_t base_rollout_steps = stats.rollout_steps;
   obs::TraceSpan tree_span("mcts.tree", "search");
 
   auto root = std::make_unique<Node>();
   root->state = initial;
   root->canonical = initial.CanonicalHash();
   ensure_apps(root.get());
-  p.tt->Visit(root->canonical);
+  run.tt().Visit(root->canonical);
 
   // Persisted experience: root children matching a seed entry start with
   // capped virtual visits and the seed cost's reward, steering early PUCT
@@ -284,24 +208,7 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
     ++stats.root_seeded;
   };
 
-  // Anytime control: the stop flag is polled every iteration (relaxed
-  // atomic, negligible next to a rollout); the shared TimeManager is fed
-  // every check_interval iterations. With both null this loop is exactly
-  // the classic deadline/iteration-cap loop, draw for draw.
-  const uint32_t check_interval =
-      std::max<uint32_t>(1, opts.time_control.check_interval);
-  uint32_t since_check = 0;
-
-  while (!deadline.Expired()) {
-    if (p.stop != nullptr && p.stop->stop_requested()) break;
-    if (opts.max_iterations > 0 && stats.iterations >= opts.max_iterations) break;
-    ++stats.iterations;
-    if (p.timeman != nullptr && ++since_check >= check_interval) {
-      p.timeman->Update(since_check, watch.ElapsedMillis(), p.best->CostSnapshot());
-      since_check = 0;
-      if (p.stop != nullptr && p.stop->stop_requested()) break;
-    }
-
+  while (run.Next(&stats)) {
     // 1. Selection: descend by UCT (PUCT with priors) while the widening
     // schedule offers no unexpanded action at the node.
     Node* node = root.get();
@@ -353,14 +260,14 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
         child->prior = node->priors.empty() ? 0.0 : node->priors[app_index];
         child->rule_index = app.rule_index;
         seed_root_child(child.get());
-        if (!p.tt->Visit(child->canonical)) {
+        if (!run.tt().Visit(child->canonical)) {
           ++stats.transposition_hits;
         }
         ++stats.states_expanded;
         payload_nodes += child->state.NodeCount();
         fresh.push_back(child.get());
         node->children.push_back(std::move(child));
-        if (deadline.Expired() || payload_nodes >= opts.max_search_tree_payload) break;
+        if (run.Expired() || payload_nodes >= opts.max_search_tree_payload) break;
       }
     }
 
@@ -369,7 +276,7 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
         // True terminal: no applicable rules at all. Evaluate once, mark
         // dead so selection stops revisiting, and propagate death upward.
         double cost = p.evaluator->SampleCost(node->state, &rng);
-        p.best->Offer(node->state, cost, watch, stats.iterations, &stats);
+        run.Offer(node->state, cost, &stats);
         node->dead = true;
         for (Node* n = node->parent; n != nullptr; n = n->parent) {
           if (!n->apps_ready || n->next_untried < n->apps.size()) break;
@@ -387,7 +294,7 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
         DiffTree rollout_best;
         double cost =
             RolloutAndEvaluateState(rctx, node->state, &rng, &stats, &rollout_best);
-        p.best->Offer(rollout_best, cost, watch, stats.iterations, &stats);
+        run.Offer(rollout_best, cost, &stats);
         stats.RecordRuleOutcome(node->rule_index, reward_of(cost));
         backprop(node, reward_of(cost));
       }
@@ -399,27 +306,18 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
     obs::TraceSpan sim_span("mcts.simulate", "search");
     for (Node* child : fresh) {
       const double child_cost = p.evaluator->SampleCost(child->state, &rng);
-      p.best->Offer(child->state, child_cost, watch, stats.iterations, &stats);
+      run.Offer(child->state, child_cost, &stats);
 
       DiffTree rollout_best;
       double roll_cost =
           RolloutAndEvaluateState(rctx, child->state, &rng, &stats, &rollout_best);
-      p.best->Offer(rollout_best, roll_cost, watch, stats.iterations, &stats);
+      run.Offer(rollout_best, roll_cost, &stats);
 
       const double r = std::max(reward_of(child_cost), reward_of(roll_cost));
       stats.RecordRuleOutcome(child->rule_index, r);
       backprop(child, r);
-      if (deadline.Expired()) break;
+      if (run.Expired()) break;
     }
-  }
-
-  if (obs::MetricsEnabled()) {
-    const SearchMetrics& m = SearchMetrics::Get();
-    m.trees->Inc();
-    m.iterations->Add(stats.iterations - base_iterations);
-    m.states_expanded->Add(stats.states_expanded - base_expanded);
-    m.rollouts->Add(stats.rollouts - base_rollouts);
-    m.rollout_steps->Add(stats.rollout_steps - base_rollout_steps);
   }
 
   for (const auto& ch : root->children) {
@@ -431,11 +329,7 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
 
 Result<SearchResult> MctsSearcher::Run(const DiffTree& initial) {
   const size_t trees = std::max<size_t>(1, parallel_.num_threads);
-  Stopwatch watch;
-  RunControl rc(opts_);
-  TranspositionTable tt;
-  SharedBestTracker best;
-  best.sink = opts_.progress.get();
+  SearchRun run(opts_, trees);
   // One prior model for all trees: it is immutable after construction, and
   // building it once keeps every tree's expansion order coherent.
   std::unique_ptr<ActionPriorModel> priors;
@@ -448,10 +342,7 @@ Result<SearchResult> MctsSearcher::Run(const DiffTree& initial) {
   // before any seed enters the memo, so a seed for the initial state can
   // never stand in for its own sampled cost.
   Rng anchor_rng(opts_.seed);
-  SearchStats anchor_stats;
-  const double c0 = evaluator_->SampleCost(initial, &anchor_rng);
-  anchor_stats.initial_cost = c0;
-  best.Offer(initial, c0, watch, 0, &anchor_stats);
+  const double c0 = run.Start(initial, evaluator_, &anchor_rng);
 
   // Warm start: peer entries first, then experience records (first writer
   // wins in the memo). Sound only under state-keyed sampling, where a
@@ -466,16 +357,10 @@ Result<SearchResult> MctsSearcher::Run(const DiffTree& initial) {
         if (std::isfinite(e.cost)) seeded.insert(e.canonical);
       }
     }
-    for (uint64_t key : seeded) tt.Visit(key);
+    for (uint64_t key : seeded) run.tt().Visit(key);
   }
   const size_t seeded_hits_before = evaluator_->seeded_hits();
 
-  // Split the iteration budget so total work matches one tree with the
-  // same cap; the wall-clock budget is shared (all trees race one deadline).
-  SearchOptions tree_opts = opts_;
-  if (opts_.max_iterations > 0) {
-    tree_opts.max_iterations = (opts_.max_iterations + trees - 1) / trees;
-  }
   // Invariant: a single tree continues the anchor's stream, so it draws
   // exactly what one serial loop seeded with `opts_.seed` draws; with more
   // trees, tree t draws from Split(t), which depends on the seed alone.
@@ -495,18 +380,13 @@ Result<SearchResult> MctsSearcher::Run(const DiffTree& initial) {
         MctsTreeParams params;
         params.rules = rules_;
         params.evaluator = evaluator_;
-        params.opts = tree_opts;
+        params.opts = &opts_;
+        params.run = &run;
         params.rng = &rngs[t];
-        params.watch = &watch;
-        params.deadline = &rc.deadline();
-        params.tt = &tt;
-        params.best = &best;
         params.stats = &tree_stats[t];
         params.priors = priors.get();
         params.anchor_cost = c0;
         params.root_actions = &tree_actions[t];
-        params.stop = rc.stop();
-        params.timeman = rc.timeman();
         params.experience_seed = warm != nullptr ? &warm->experience_seed : nullptr;
         RunMctsTree(initial, params);
       });
@@ -514,14 +394,7 @@ Result<SearchResult> MctsSearcher::Run(const DiffTree& initial) {
     group.Wait();
   }
 
-  SearchResult result;
-  result.best_tree = best.tree;
-  result.best_cost = best.cost;
-  result.stats = std::move(anchor_stats);
-  for (const SearchStats& s : tree_stats) result.stats.Merge(s);
-  result.stats.trees = trees;
-  result.stats.elapsed_ms = watch.ElapsedMillis();
-  result.stats.stop_reason = rc.Resolve(result.stats.iterations);
+  SearchResult result = run.Finish(tree_stats);
   // Duplicate-canonical root children (two actions reaching one state)
   // merge into one action, for one tree as for many.
   result.root_actions = MergeRootActions(tree_actions);
@@ -533,7 +406,7 @@ Result<SearchResult> MctsSearcher::Run(const DiffTree& initial) {
     // a one-tree run exports the root's own cost too. Visits are not
     // tracked per state, so exported entries carry 0.
     warm->exported.clear();
-    for (uint64_t key : tt.Keys()) {
+    for (uint64_t key : run.tt().Keys()) {
       if (warm->exported.size() == WarmStart::kExportLimit) break;
       if (seeded.count(key) != 0) continue;
       const std::optional<double> cost = evaluator_->MemoCost(key);

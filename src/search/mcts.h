@@ -32,8 +32,9 @@ namespace ifgen {
 /// through the StateEvaluator's memo.
 ///
 /// Root parallelism: `parallel.num_threads` independent trees (one per
-/// worker thread, each on its own RNG stream) share the transposition
-/// table, the evaluator's memo and the global best tracker. The iteration
+/// worker thread, each on its own RNG stream) share one SearchRun (its
+/// transposition table, best tracker, deadline and stop control) and the
+/// evaluator's memo. The iteration
 /// budget is divided across trees; after the run the per-tree root actions
 /// are merged by canonical hash and ranked by visit-weighted mean reward
 /// (`SearchResult::root_actions`). One tree runs inline on the caller's

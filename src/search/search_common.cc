@@ -2,11 +2,75 @@
 
 #include <algorithm>
 
+#include "obs/metrics.h"
+
 namespace ifgen {
 
-RunControl::RunControl(const SearchOptions& opts)
+namespace {
+
+/// Search counters, bumped in batch once per run by SearchRun::Finish (the
+/// iteration loop is the hottest code in the system; per-iteration counter
+/// traffic would be measurable).
+struct SearchMetrics {
+  obs::Counter* trees;
+  obs::Counter* iterations;
+  obs::Counter* states_expanded;
+  obs::Counter* rollouts;
+  obs::Counter* rollout_steps;
+  static const SearchMetrics& Get() {
+    static const SearchMetrics m = [] {
+      obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+      SearchMetrics s;
+      s.trees = reg.GetCounter("ifgen_search_trees_total",
+                               "Search loops run (one per MCTS tree or baseline run)");
+      s.iterations = reg.GetCounter("ifgen_search_iterations_total",
+                                    "Search iterations, every searcher");
+      s.states_expanded = reg.GetCounter("ifgen_search_states_expanded_total",
+                                         "Difftree states materialized by expansion");
+      s.rollouts = reg.GetCounter("ifgen_search_rollouts_total",
+                                  "Random rollout walks simulated");
+      s.rollout_steps = reg.GetCounter("ifgen_search_rollout_steps_total",
+                                       "Rule applications taken inside rollouts");
+      return s;
+    }();
+    return m;
+  }
+};
+
+/// One biased-random rule application; false when no application succeeds.
+bool RolloutStepRandom(const RolloutContext& ctx, DiffTree* state,
+                       std::vector<RuleApplication>* apps, Rng* rng) {
+  const SearchOptions& opts = *ctx.opts;
+  // Optionally restrict this step to the forward (factoring) subset.
+  std::vector<RuleApplication>* pool = apps;
+  std::vector<RuleApplication> forward;
+  if (opts.rollout_forward_bias > 0.5 && rng->Bernoulli(opts.rollout_forward_bias)) {
+    for (const RuleApplication& a : *apps) {
+      if (ctx.rules->IsForward(a)) forward.push_back(a);
+    }
+    if (!forward.empty()) pool = &forward;
+  }
+  for (int attempt = 0; attempt < 4 && !pool->empty(); ++attempt) {
+    size_t pick = rng->UniformIndex(pool->size());
+    auto next = ctx.rules->Apply(*state, (*pool)[pick]);
+    if (next.ok()) {
+      *state = std::move(next).MoveValueUnsafe();
+      return true;
+    }
+    pool->erase(pool->begin() + static_cast<long>(pick));
+  }
+  return false;
+}
+
+}  // namespace
+
+SearchRun::SearchRun(const SearchOptions& opts, size_t loops)
     : opts_(opts),
+      loops_(std::max<size_t>(1, loops)),
       deadline_(EffectiveSearchBudgetMs(opts.time_budget_ms, opts.time_control)) {
+  if (opts.max_iterations > 0) {
+    loop_cap_ = (opts.max_iterations + loops_ - 1) / loops_;
+  }
   const bool active = opts.time_control.active();
   if (opts.stop != nullptr) {
     stop_ = opts.stop.get();
@@ -20,16 +84,63 @@ RunControl::RunControl(const SearchOptions& opts)
   }
 }
 
-void RunControl::Tick(const Stopwatch& watch, double best_cost) {
-  if (timeman_ == nullptr) return;
-  if (++since_check_ < check_interval_) return;
-  timeman_->Update(since_check_, watch.ElapsedMillis(), best_cost);
-  since_check_ = 0;
+double SearchRun::Start(const DiffTree& initial, StateEvaluator* evaluator, Rng* rng) {
+  stats_.initial_cost = evaluator->SampleCost(initial, rng);
+  Offer(initial, stats_.initial_cost, &stats_);
+  return stats_.initial_cost;
 }
 
-StopReason RunControl::Resolve(size_t iterations) const {
-  return ResolveStopReason(stop_, deadline_.Expired(), opts_.time_budget_ms,
-                           opts_.time_control, iterations, opts_.max_iterations);
+bool SearchRun::Next(SearchStats* stats) {
+  if (deadline_.Expired()) return false;
+  if (stop_ != nullptr && stop_->stop_requested()) return false;
+  if (loop_cap_ > 0 && stats->iterations >= loop_cap_) return false;
+  ++stats->iterations;
+  if (timeman_ != nullptr && stats->iterations % check_interval_ == 0) {
+    timeman_->Update(check_interval_, watch_.ElapsedMillis(), BestCost());
+    if (stop_->stop_requested()) return false;
+  }
+  return true;
+}
+
+bool SearchRun::Offer(const DiffTree& tree, double cost, SearchStats* stats) {
+  std::lock_guard<std::mutex> lock(best_mu_);
+  if (cost >= best_cost_) return false;
+  best_cost_ = cost;
+  best_tree_ = tree;
+  const int64_t ms = watch_.ElapsedMillis();
+  stats->trace.push_back({ms, stats->iterations, cost});
+  if (opts_.progress != nullptr) opts_.progress->Publish(tree, cost, stats->iterations, ms);
+  return true;
+}
+
+double SearchRun::BestCost() {
+  std::lock_guard<std::mutex> lock(best_mu_);
+  return best_cost_;
+}
+
+SearchResult SearchRun::Finish(const std::vector<SearchStats>& loop_stats) {
+  SearchResult result;
+  {
+    std::lock_guard<std::mutex> lock(best_mu_);
+    result.best_tree = best_tree_;
+    result.best_cost = best_cost_;
+  }
+  result.stats = std::move(stats_);
+  for (const SearchStats& s : loop_stats) result.stats.Merge(s);
+  result.stats.trees = loops_;
+  result.stats.elapsed_ms = watch_.ElapsedMillis();
+  result.stats.stop_reason =
+      ResolveStopReason(stop_, deadline_.Expired(), opts_.time_budget_ms,
+                        opts_.time_control, result.stats.iterations, opts_.max_iterations);
+  if (obs::MetricsEnabled()) {
+    const SearchMetrics& m = SearchMetrics::Get();
+    m.trees->Add(loops_);
+    m.iterations->Add(result.stats.iterations);
+    m.states_expanded->Add(result.stats.states_expanded);
+    m.rollouts->Add(result.stats.rollouts);
+    m.rollout_steps->Add(result.stats.rollout_steps);
+  }
+  return result;
 }
 
 void SearchStats::Merge(const SearchStats& other) {
@@ -56,34 +167,6 @@ void SearchStats::Merge(const SearchStats& other) {
   std::sort(trace.begin(), trace.end(), [](const BestTrace& a, const BestTrace& b) {
     return a.ms != b.ms ? a.ms < b.ms : a.cost > b.cost;
   });
-}
-
-DiffTree RolloutState(const RolloutContext& ctx, DiffTree state, Rng* rng,
-                      SearchStats* stats) {
-  const SearchOptions& opts = *ctx.opts;
-  ++stats->rollouts;
-  for (size_t step = 0; step < opts.rollout_len; ++step) {
-    if (opts.rollout_stop_prob > 0 && rng->Bernoulli(opts.rollout_stop_prob)) break;
-    std::vector<RuleApplication> apps = ctx.rules->EnumerateApplications(state);
-    stats->RecordFanout(apps.size());
-    if (apps.empty()) break;
-    // Retry on application failure (e.g. node-count guard) without burning
-    // the whole rollout.
-    bool advanced = false;
-    for (int attempt = 0; attempt < 4 && !advanced && !apps.empty(); ++attempt) {
-      size_t pick = rng->UniformIndex(apps.size());
-      auto next = ctx.rules->Apply(state, apps[pick]);
-      if (next.ok()) {
-        state = std::move(next).MoveValueUnsafe();
-        advanced = true;
-      } else {
-        apps.erase(apps.begin() + static_cast<long>(pick));
-      }
-    }
-    if (!advanced) break;
-    ++stats->rollout_steps;
-  }
-  return state;
 }
 
 double RolloutAndEvaluateState(const RolloutContext& ctx, const DiffTree& start,
@@ -131,30 +214,6 @@ double RolloutAndEvaluateState(const RolloutContext& ctx, const DiffTree& start,
   }
   consider(state);  // the terminus is always evaluated (paper behavior)
   return best_cost;
-}
-
-bool RolloutStepRandom(const RolloutContext& ctx, DiffTree* state,
-                       std::vector<RuleApplication>* apps, Rng* rng) {
-  const SearchOptions& opts = *ctx.opts;
-  // Optionally restrict this step to the forward (factoring) subset.
-  std::vector<RuleApplication>* pool = apps;
-  std::vector<RuleApplication> forward;
-  if (opts.rollout_forward_bias > 0.5 && rng->Bernoulli(opts.rollout_forward_bias)) {
-    for (const RuleApplication& a : *apps) {
-      if (ctx.rules->IsForward(a)) forward.push_back(a);
-    }
-    if (!forward.empty()) pool = &forward;
-  }
-  for (int attempt = 0; attempt < 4 && !pool->empty(); ++attempt) {
-    size_t pick = rng->UniformIndex(pool->size());
-    auto next = ctx.rules->Apply(*state, (*pool)[pick]);
-    if (next.ok()) {
-      *state = std::move(next).MoveValueUnsafe();
-      return true;
-    }
-    pool->erase(pool->begin() + static_cast<long>(pick));
-  }
-  return false;
 }
 
 }  // namespace ifgen

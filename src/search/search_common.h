@@ -1,15 +1,17 @@
 #pragma once
 
+#include <limits>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include <memory>
-
 #include "cost/evaluator.h"
 #include "difftree/difftree.h"
 #include "rules/rule.h"
+#include "runtime/tt.h"
 #include "search/progress.h"
 #include "search/timeman.h"
 #include "util/rng.h"
@@ -287,68 +289,104 @@ struct SearchResult {
   std::vector<RootActionStat> root_actions;
 };
 
-/// \brief Everything a rollout needs; lets rollout helpers run as free
-/// functions on any thread (every MCTS tree of a root-parallel search runs
-/// them, where member functions bound to one searcher would not do).
+/// \brief Everything a rollout needs; lets the rollout helper run as a free
+/// function on any thread (every MCTS tree of a root-parallel search runs
+/// it, where member functions bound to one searcher would not do).
 struct RolloutContext {
   const RuleEngine* rules = nullptr;
   StateEvaluator* evaluator = nullptr;
   const SearchOptions* opts = nullptr;
 };
 
-/// One random rollout of up to opts->rollout_len rule applications; returns
-/// the final state. Thread-compatible: distinct (rng, stats) per caller.
-DiffTree RolloutState(const RolloutContext& ctx, DiffTree state, Rng* rng,
-                      SearchStats* stats);
-
-/// Rollout that also samples intermediate states for evaluation and always
-/// evaluates the terminus; returns the best cost seen (`best_state` receives
-/// the matching state). Thread-compatible like RolloutState.
+/// Rollout of up to opts->rollout_len rule applications that also samples
+/// intermediate states for evaluation and always evaluates the terminus;
+/// returns the best cost seen (`best_state` receives the matching state).
+/// Thread-compatible: distinct (rng, stats) per caller.
 double RolloutAndEvaluateState(const RolloutContext& ctx, const DiffTree& start,
                                Rng* rng, SearchStats* stats, DiffTree* best_state);
 
-/// One biased-random rule application; false when no application succeeds.
-bool RolloutStepRandom(const RolloutContext& ctx, DiffTree* state,
-                       std::vector<RuleApplication>* apps, Rng* rng);
-
-/// \brief Per-run wiring of the anytime controls, shared by every searcher:
-/// the effective deadline (plain time budget vs the deadline's search
-/// slice), a stop handle (the caller-supplied one, or a run-local one when
-/// time control is active), and an optional TimeManager latching into it.
+/// \brief One search run: the machinery every searcher shares across its
+/// loop and, for root-parallel MCTS, across its trees.
 ///
-/// With time control off and no external stop handle this degenerates to
-/// the classic `Deadline(time_budget_ms)` with a null stop pointer — the
-/// loop shape (and hence every RNG draw) is unchanged.
-class RunControl {
+/// It owns the run's clock, its effective deadline (plain time budget vs
+/// the deadline's search slice) and stop handle (the caller-supplied one,
+/// or a run-local one when time control is active), the TimeManager feed,
+/// the visited-state TranspositionTable, the best tracker that publishes
+/// improvements to the progress sink, the batched `ifgen_search_*` counter
+/// flush, and result assembly. A searcher supplies only its loop body:
+///
+///   SearchRun run(opts_);
+///   run.Start(initial, evaluator_, &rng);
+///   while (run.Next(&run.stats())) { ...expand, evaluate, run.Offer(...) }
+///   return run.Finish();
+///
+/// With time control off and no external stop handle the guard reduces to
+/// the classic deadline/iteration-cap loop, so every RNG draw is unchanged.
+/// Thread-safe for the `loops` concurrent loops of one run: each loop keeps
+/// its own SearchStats; the best tracker is mutex-guarded and the
+/// TimeManager is fed only every check_interval iterations.
+class SearchRun {
  public:
-  explicit RunControl(const SearchOptions& opts);
+  /// `loops` concurrent loops (MCTS trees) split `opts.max_iterations`
+  /// between them, so total work matches one loop with the same cap; the
+  /// wall-clock budget is shared (all loops race one deadline). `opts` must
+  /// outlive the run.
+  explicit SearchRun(const SearchOptions& opts, size_t loops = 1);
 
-  Deadline& deadline() { return deadline_; }
-  /// Null when neither an external stop nor time control is in play — the
-  /// hot loop then skips even the relaxed atomic poll.
-  StopHandle* stop() { return stop_; }
-  TimeManager* timeman() { return timeman_.get(); }
+  SearchRun(const SearchRun&) = delete;
+  SearchRun& operator=(const SearchRun&) = delete;
 
-  /// True when the loop should stop now (external cancel or a latched
-  /// time-manager decision).
-  bool Stopped() const { return stop_ != nullptr && stop_->stop_requested(); }
+  /// Samples the initial state's cost with `rng`, records it as
+  /// stats().initial_cost and offers the state as the first best (trace
+  /// entry at iteration 0). Returns the cost.
+  double Start(const DiffTree& initial, StateEvaluator* evaluator, Rng* rng);
 
-  /// Per-iteration tick for single-tree loops: consults the TimeManager
-  /// every check_interval iterations. (RunMctsTree drives the shared
-  /// TimeManager itself so root-parallel trees feed one state machine.)
-  void Tick(const Stopwatch& watch, double best_cost);
+  /// Loop guard: false when the loop must stop (deadline expired, stop
+  /// requested, or `stats->iterations` at the per-loop cap); otherwise
+  /// counts one iteration in `stats` and returns true. Every
+  /// check_interval iterations it feeds the TimeManager and returns false
+  /// when that latched a stop, which bounds the stop overshoot at
+  /// check_interval + 1 iterations.
+  bool Next(SearchStats* stats);
 
-  /// Final stop-reason resolution once the loop exits.
-  StopReason Resolve(size_t iterations) const;
+  /// True once the effective deadline has passed; for checks inside a
+  /// loop body.
+  bool Expired() const { return deadline_.Expired(); }
+
+  /// Records (`tree`, `cost`) if it beats the best so far: appends a trace
+  /// entry at `stats->iterations` to `stats` and publishes the improvement
+  /// to the progress sink. Returns true on improvement. Thread-safe.
+  bool Offer(const DiffTree& tree, double cost, SearchStats* stats);
+
+  /// Visited canonical states, shared by every loop of the run.
+  TranspositionTable& tt() { return tt_; }
+  /// The run's own stats; a single-loop searcher counts into these.
+  SearchStats& stats() { return stats_; }
+
+  /// Assembles the result: the best tree and cost, stats() merged with
+  /// `loop_stats` (one entry per concurrent loop, empty for a single-loop
+  /// searcher), elapsed time and stop reason. Flushes the run's
+  /// `ifgen_search_*` counters.
+  SearchResult Finish(const std::vector<SearchStats>& loop_stats = {});
 
  private:
+  double BestCost();
+
   const SearchOptions& opts_;
+  const size_t loops_;
+  size_t loop_cap_ = 0;  ///< per-loop iteration cap; 0 = none
+  Stopwatch watch_;
   Deadline deadline_;
   StopHandle local_stop_;
-  StopHandle* stop_ = nullptr;
+  StopHandle* stop_ = nullptr;  ///< null: neither external stop nor time control
   std::unique_ptr<TimeManager> timeman_;
-  uint32_t check_interval_ = 16;
-  uint32_t since_check_ = 0;
+  uint32_t check_interval_ = 1;
+  TranspositionTable tt_;
+  SearchStats stats_;
+
+  std::mutex best_mu_;
+  DiffTree best_tree_;
+  double best_cost_ = std::numeric_limits<double>::infinity();
 };
 
 /// \brief Base class wiring a searcher to the rule engine and evaluator.
@@ -362,37 +400,6 @@ class Searcher {
   virtual Result<SearchResult> Run(const DiffTree& initial) = 0;
 
  protected:
-  /// Tracks the global best across every evaluated state.
-  struct BestTracker {
-    DiffTree tree;
-    double cost = std::numeric_limits<double>::infinity();
-    ProgressSink* sink = nullptr;  ///< optional live publisher of improvements
-    bool Offer(const DiffTree& t, double c, const Stopwatch& watch, size_t iteration,
-               SearchStats* stats) {
-      if (c >= cost) return false;
-      cost = c;
-      tree = t;
-      const int64_t ms = watch.ElapsedMillis();
-      stats->trace.push_back({ms, iteration, c});
-      if (sink != nullptr) sink->Publish(t, c, iteration, ms);
-      return true;
-    }
-  };
-
-  /// Member conveniences over the free rollout helpers above, bound to this
-  /// searcher's engine/evaluator/options.
-  DiffTree Rollout(DiffTree state, Rng* rng, SearchStats* stats) {
-    return RolloutState({rules_, evaluator_, &opts_}, std::move(state), rng, stats);
-  }
-  double RolloutAndEvaluate(const DiffTree& start, Rng* rng, SearchStats* stats,
-                            DiffTree* best_state) {
-    return RolloutAndEvaluateState({rules_, evaluator_, &opts_}, start, rng, stats,
-                                   best_state);
-  }
-  bool StepRandom(DiffTree* state, std::vector<RuleApplication>* apps, Rng* rng) {
-    return RolloutStepRandom({rules_, evaluator_, &opts_}, state, apps, rng);
-  }
-
   const RuleEngine* rules_;
   StateEvaluator* evaluator_;
   SearchOptions opts_;

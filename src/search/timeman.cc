@@ -91,30 +91,9 @@ StopReason TimeManager::Update(size_t new_iterations, int64_t elapsed_ms,
   return reason_;
 }
 
-size_t TimeManager::IterationBudget(int64_t elapsed_ms) const {
-  const int64_t slice = opts_.SearchSliceMs();
-  if (slice <= 0) return std::numeric_limits<size_t>::max();
-  std::lock_guard<std::mutex> lock(mu_);
-  const int64_t remaining = slice - elapsed_ms;
-  if (remaining <= 0) return 0;
-  // Observed rate so far; before any iterations ran, assume 1 iter/ms so a
-  // fresh search still gets a positive, deadline-proportional budget.
-  const double rate =
-      iterations_total_ == 0
-          ? 1.0
-          : static_cast<double>(iterations_total_) /
-                static_cast<double>(std::max<int64_t>(1, elapsed_ms));
-  return static_cast<size_t>(rate * static_cast<double>(remaining)) + 1;
-}
-
 StopReason TimeManager::reason() const {
   std::lock_guard<std::mutex> lock(mu_);
   return reason_;
-}
-
-size_t TimeManager::iterations_seen() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return iterations_total_;
 }
 
 StopReason ResolveStopReason(const StopHandle* stop, bool deadline_expired,

@@ -140,18 +140,8 @@ class TimeManager {
   /// reason; kNone means keep searching. Thread-safe.
   StopReason Update(size_t new_iterations, int64_t elapsed_ms, double best_cost);
 
-  /// Rate-based estimate of how many more iterations fit before the search
-  /// slice expires: observed iterations/ms times remaining ms. Monotone
-  /// non-increasing in elapsed_ms for a fixed observed rate; 0 when the
-  /// slice is spent. Unlimited (SIZE_MAX) when no deadline is set. This is
-  /// the "per-phase iteration budget" planners may consult between phases.
-  size_t IterationBudget(int64_t elapsed_ms) const;
-
   /// The latched reason (kNone while running). Thread-safe.
   StopReason reason() const;
-
-  /// Total iterations reported through Update() so far. Thread-safe.
-  size_t iterations_seen() const;
 
   const TimeControlOptions& options() const { return opts_; }
 

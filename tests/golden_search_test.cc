@@ -1,7 +1,8 @@
-// Golden trajectories of serial MCTS: iteration-capped runs are pure
-// functions of (log, options, seed), so their outcomes are pinned to exact
-// values. A refactor of the search loop, the warm-start bridge or the cost
-// memo that shifts one RNG draw or one sampled cost changes these numbers.
+// Golden trajectories of serial MCTS and of the four baseline searchers:
+// iteration-capped runs are pure functions of (log, options, seed), so their
+// outcomes are pinned to exact values. A refactor of the search loop, the
+// shared run machinery, the warm-start bridge or the cost memo that shifts
+// one RNG draw or one sampled cost changes these numbers.
 //
 // When a deliberate behavior change moves them, the failure message prints
 // the replacement row for the table.
@@ -12,8 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "core/interface_generator.h"
 #include "core/options.h"
 #include "difftree/builder.h"
+#include "search/baselines.h"
 #include "search/mcts.h"
 #include "sql/parser.h"
 #include "workload/loader.h"
@@ -140,6 +143,95 @@ TEST(GoldenSearch, WarmStartedSerialTrajectoryIsPinned) {
   EXPECT_EQ(r->stats.root_seeded, root_seeded) << row;
   // Seeds may save evaluations, never add them.
   EXPECT_LE(eval.evaluations(), max_evaluations) << row;
+}
+
+struct BaselineGolden {
+  const char* workload;
+  const char* algorithm;
+  /// max_iterations for random/greedy/beam; exhaustive_max_states for
+  /// exhaustive, which runs with no iteration cap.
+  size_t cap;
+  double best_cost;
+  uint64_t best_hash;
+  size_t iterations;
+  size_t states_expanded;
+  size_t rollouts;
+  size_t rollout_steps;
+  size_t transposition_hits;
+  size_t evaluations;
+  size_t trace_len;
+  const char* stop_reason;
+  /// Exhaustive only: visited_states() and complete().
+  size_t visited;
+  bool complete;
+};
+
+// Recorded with default GeneratorOptions, seed 1, time_budget_ms 0. Greedy
+// ends at its first local optimum, so its rows count one climb.
+const BaselineGolden kBaselineGolden[] = {
+    {"flights", "random", 30, 11.999999999999998, 0xc48f3ea19d73a5d0ULL, 30, 0, 30, 417, 0, 384, 6, "iterations", 0, false},
+    {"flights", "greedy", 20, 10.960000000000001, 0x1394c6cce46c5f4eULL, 5, 21, 0, 0, 0, 168, 5, "exhausted", 0, false},
+    {"flights", "beam", 6, 10.960000000000001, 0x1394c6cce46c5f4eULL, 6, 152, 0, 0, 48, 1224, 5, "iterations", 0, false},
+    {"flights", "exhaustive", 300, 10.960000000000001, 0x1394c6cce46c5f4eULL, 53, 299, 0, 0, 163, 2400, 5, "exhausted", 300, false},
+    {"sdss", "random", 30, 22.190000000000001, 0xeb1e1cfc01af3981ULL, 30, 0, 30, 746, 0, 1008, 3, "iterations", 0, false},
+    {"sdss", "greedy", 20, 26.68, 0xa8e103c106b7f49fULL, 1, 3, 0, 0, 0, 32, 1, "exhausted", 0, false},
+    {"sdss", "beam", 6, 21.140000000000001, 0x20332403632cc3b3ULL, 6, 172, 0, 0, 70, 1384, 6, "iterations", 0, false},
+    {"sdss", "exhaustive", 300, 26.68, 0xa8e103c106b7f49fULL, 31, 299, 0, 0, 71, 2400, 1, "exhausted", 300, false},
+    {"synthetic", "random", 30, 15.620000000000001, 0x2f9317ae34258884ULL, 30, 0, 30, 906, 0, 1216, 2, "iterations", 0, false},
+    {"synthetic", "greedy", 20, 15.620000000000001, 0x4de29ad1d8ac3c9aULL, 2, 4, 0, 0, 0, 32, 2, "exhausted", 0, false},
+    {"synthetic", "beam", 6, 15.620000000000001, 0x4de29ad1d8ac3c9aULL, 6, 177, 0, 0, 75, 1424, 2, "iterations", 0, false},
+    {"synthetic", "exhaustive", 300, 15.620000000000001, 0x4de29ad1d8ac3c9aULL, 29, 299, 0, 0, 79, 2400, 2, "exhausted", 300, false},
+};
+
+Algorithm BaselineNamed(const std::string& name) {
+  for (Algorithm a : {Algorithm::kRandom, Algorithm::kGreedy, Algorithm::kBeam}) {
+    if (AlgorithmName(a) == name) return a;
+  }
+  return Algorithm::kExhaustive;
+}
+
+TEST(GoldenSearch, BaselineTrajectoriesArePinned) {
+  for (const BaselineGolden& g : kBaselineGolden) {
+    const bool exhaustive = std::string(g.algorithm) == "exhaustive";
+    Fixture f(g.workload, 1, exhaustive ? 0 : g.cap);
+    if (exhaustive) f.options.search.exhaustive_max_states = g.cap;
+    StateEvaluator eval(f.options.MakeEvalOptions(), f.queries);
+    std::unique_ptr<Searcher> searcher =
+        MakeSearcher(BaselineNamed(g.algorithm), &f.rules, &eval, f.options.search);
+    auto r = searcher->Run(f.initial);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    size_t visited = 0;
+    bool complete = false;
+    if (exhaustive) {
+      const auto* ex = static_cast<const ExhaustiveSearcher*>(searcher.get());
+      visited = ex->visited_states();
+      complete = ex->complete();
+    }
+    const std::string reason(StopReasonName(r->stats.stop_reason));
+    char buf[320];
+    std::snprintf(buf, sizeof buf,
+                  "{\"%s\", \"%s\", %zu, %.17g, 0x%016" PRIx64
+                  "ULL, %zu, %zu, %zu, %zu, %zu, %zu, %zu, \"%s\", %zu, %s},",
+                  g.workload, g.algorithm, g.cap, r->best_cost,
+                  r->best_tree.CanonicalHash(), r->stats.iterations,
+                  r->stats.states_expanded, r->stats.rollouts, r->stats.rollout_steps,
+                  r->stats.transposition_hits, eval.evaluations(),
+                  r->stats.trace.size(), reason.c_str(), visited,
+                  complete ? "true" : "false");
+    const std::string row = buf;
+    EXPECT_EQ(r->best_cost, g.best_cost) << row;
+    EXPECT_EQ(r->best_tree.CanonicalHash(), g.best_hash) << row;
+    EXPECT_EQ(r->stats.iterations, g.iterations) << row;
+    EXPECT_EQ(r->stats.states_expanded, g.states_expanded) << row;
+    EXPECT_EQ(r->stats.rollouts, g.rollouts) << row;
+    EXPECT_EQ(r->stats.rollout_steps, g.rollout_steps) << row;
+    EXPECT_EQ(r->stats.transposition_hits, g.transposition_hits) << row;
+    EXPECT_EQ(eval.evaluations(), g.evaluations) << row;
+    EXPECT_EQ(r->stats.trace.size(), g.trace_len) << row;
+    EXPECT_EQ(reason, g.stop_reason) << row;
+    EXPECT_EQ(visited, g.visited) << row;
+    EXPECT_EQ(complete, g.complete) << row;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "search/baselines.h"
 #include "search/mcts.h"
 #include "sql/parser.h"
+#include "workload/loader.h"
 #include "workload/sdss.h"
 
 namespace ifgen {
@@ -169,6 +170,21 @@ TEST(Exhaustive, TranspositionsDetected) {
   ASSERT_TRUE(r.ok());
   // Rule applications commute often; revisits must be recognized.
   EXPECT_GT(r->stats.transposition_hits, 0u);
+}
+
+TEST(Exhaustive, HonoursTheSharedIterationCap) {
+  auto queries = *ParseQueries(LoadWorkload("flights", 10)->log);
+  RuleEngine rules;
+  StateEvaluator eval(EvalOptions{}, queries);
+  SearchOptions o = FastOptions(8);
+  o.exhaustive_max_states = 300;
+  ExhaustiveSearcher ex(&rules, &eval, o);
+  auto r = ex.Run(*BuildInitialTree(queries));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->stats.iterations, 8u);
+  EXPECT_EQ(r->stats.stop_reason, StopReason::kIterations);
+  EXPECT_FALSE(ex.complete());
+  EXPECT_LT(ex.visited_states(), o.exhaustive_max_states);
 }
 
 TEST(GenerateInterface, EndToEndMcts) {

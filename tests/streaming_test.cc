@@ -119,7 +119,7 @@ TEST(Streaming, RootParallelPublishesStrictlyImprovingSequence) {
 /// The no-deadline differential pin: with time control off, attaching the
 /// streaming machinery (sink + stop handle) must leave the serial search
 /// bit-identical to a plain run — publishing consumes no RNG draws and the
-/// RunControl layer stays inert.
+/// SearchRun's loop guard stays inert.
 TEST(Streaming, SinkAndStopWiringDoesNotPerturbSerialSearch) {
   for (const std::string& name : {"flights", "sdss", "synthetic"}) {
     SCOPED_TRACE(name);
@@ -149,6 +149,102 @@ TEST(Streaming, SinkAndStopWiringDoesNotPerturbSerialSearch) {
               plain_result->stats.states_expanded);
     EXPECT_EQ(wired_eval.evaluations(), plain_eval.evaluations());
     EXPECT_EQ(wired_result->stats.stop_reason, plain_result->stats.stop_reason);
+  }
+}
+
+// ------------------------------------------------- baseline control paths
+
+/// The four baselines run through the same SearchRun as MCTS; these pin the
+/// control paths they share with it: target-cost stops, a pre-tripped stop
+/// handle, and the progress sink.
+const Algorithm kBaselines[] = {Algorithm::kRandom, Algorithm::kGreedy,
+                                Algorithm::kBeam, Algorithm::kExhaustive};
+
+/// Iteration-capped options under which every baseline improves on the
+/// initial state of the flights log and keeps running afterwards.
+SearchOptions BaselineOptions() {
+  SearchOptions o = FastOptions(30);
+  o.seed = 1;
+  o.beam_width = 4;
+  o.exhaustive_max_states = 300;
+  return o;
+}
+
+TEST(BaselineControl, TargetCostStopsWithinOneCheckInterval) {
+  auto queries = WorkloadLog("flights", 6);
+  RuleEngine rules;
+  DiffTree initial = *BuildInitialTree(queries);
+  for (Algorithm algorithm : kBaselines) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    StateEvaluator free_eval(SmallEvalOptions(), queries);
+    auto free_run =
+        MakeSearcher(algorithm, &rules, &free_eval, BaselineOptions())->Run(initial);
+    ASSERT_TRUE(free_run.ok());
+    // The first improvement on the initial state is the target; the
+    // unstopped run must go on long enough after it for the stop to show.
+    const auto& trace = free_run->stats.trace;
+    ASSERT_GE(trace.size(), 2u);
+    ASSERT_GT(free_run->stats.iterations, trace[1].iteration + 2);
+    const double target = trace[1].cost;
+
+    StateEvaluator eval(SmallEvalOptions(), queries);
+    SearchOptions opts = BaselineOptions();
+    opts.time_control.target_cost = target;
+    opts.time_control.check_interval = 1;
+    auto r = MakeSearcher(algorithm, &rules, &eval, opts)->Run(initial);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->stats.stop_reason, StopReason::kTargetCost);
+    EXPECT_LE(r->best_cost, target);
+    size_t reached = 0;
+    for (const BestTrace& t : r->stats.trace) {
+      if (t.cost <= target) {
+        reached = t.iteration;
+        break;
+      }
+    }
+    EXPECT_GT(reached, 0u);
+    EXPECT_LE(r->stats.iterations, reached + opts.time_control.check_interval + 1);
+  }
+}
+
+TEST(BaselineControl, PreTrippedStopCancelsBeforeTheFirstIteration) {
+  auto queries = WorkloadLog("flights", 6);
+  RuleEngine rules;
+  DiffTree initial = *BuildInitialTree(queries);
+  for (Algorithm algorithm : kBaselines) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    StateEvaluator eval(SmallEvalOptions(), queries);
+    SearchOptions opts = BaselineOptions();
+    opts.stop = std::make_shared<StopHandle>();
+    opts.stop->RequestStop(StopReason::kCancelled);
+    auto r = MakeSearcher(algorithm, &rules, &eval, opts)->Run(initial);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->stats.stop_reason, StopReason::kCancelled);
+    EXPECT_EQ(r->stats.iterations, 0u);
+    EXPECT_EQ(r->best_tree, initial);
+    EXPECT_EQ(r->best_cost, r->stats.initial_cost);
+  }
+}
+
+TEST(BaselineControl, SinkSeesTheTraceAsConsecutiveImprovements) {
+  auto queries = WorkloadLog("flights", 6);
+  RuleEngine rules;
+  DiffTree initial = *BuildInitialTree(queries);
+  for (Algorithm algorithm : kBaselines) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    StateEvaluator eval(SmallEvalOptions(), queries);
+    SearchOptions opts = BaselineOptions();
+    auto sink = std::make_shared<ProgressSink>();
+    opts.progress = sink;
+    auto r = MakeSearcher(algorithm, &rules, &eval, opts)->Run(initial);
+    ASSERT_TRUE(r.ok());
+    CheckPublishedSequence(*sink, *r);
+    const auto events = sink->EventsAfter(0);
+    ASSERT_EQ(events.size(), r->stats.trace.size());
+    for (size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(events[i].cost, r->stats.trace[i].cost);
+      EXPECT_EQ(events[i].iteration, r->stats.trace[i].iteration);
+    }
   }
 }
 
@@ -286,27 +382,6 @@ TEST(TimeManager, PlateauMinWindowBlocksInstantStops) {
   TimeManager tm(tc, 0, &stop);
   // 10ms in with no improvement yet: 10 < max(50, 9) — must not fire.
   EXPECT_EQ(tm.Update(16, 10, 100.0), StopReason::kNone);
-}
-
-TEST(TimeManager, IterationBudgetMonotoneNonIncreasing) {
-  TimeControlOptions tc;
-  tc.deadline_ms = 200;  // slice 170
-  StopHandle stop;
-  TimeManager tm(tc, 0, &stop);
-  tm.Update(100, 50, 10.0);  // observed rate: 2 iterations/ms
-  size_t prev = std::numeric_limits<size_t>::max();
-  for (int64_t ms = 50; ms <= 200; ms += 10) {
-    const size_t budget = tm.IterationBudget(ms);
-    EXPECT_LE(budget, prev) << "budget must not grow as time passes (ms=" << ms
-                            << ")";
-    prev = budget;
-  }
-  EXPECT_EQ(tm.IterationBudget(170), 0u) << "slice spent: zero budget";
-
-  TimeControlOptions off;
-  StopHandle stop2;
-  TimeManager unlimited(off, 0, &stop2);
-  EXPECT_EQ(unlimited.IterationBudget(1000), std::numeric_limits<size_t>::max());
 }
 
 /// Deadline overshoot is bounded in *iterations*, not wall-clock: a hot loop
