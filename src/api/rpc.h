@@ -41,7 +41,7 @@ inline constexpr const char kMethodDrain[] = "worker.drain";
 // Cache peering (cluster-wide shared caches; see docs/cluster.md):
 // cache.probe asks a worker whether its result cache already holds a
 // completed identical job; cache.export pulls a worker's locally discovered
-// hot transposition entries; cache.publish pushes sibling entries into a
+// transposition entries; cache.publish pushes sibling entries into a
 // worker's peer store.
 inline constexpr const char kMethodCacheProbe[] = "cache.probe";
 inline constexpr const char kMethodCacheExport[] = "cache.export";

@@ -19,6 +19,12 @@ using api::RpcReply;
 
 namespace {
 
+// Fixed router constants; docs/cluster.md gives the reason for each value.
+constexpr size_t kVirtualNodes = 16;         ///< ring points per worker
+constexpr size_t kMaxPooledConnections = 8;  ///< idle connections per worker
+constexpr size_t kMaxJobRoutes = 4096;       ///< terminal routes kept
+constexpr size_t kTtGossipMaxEntries = 256;  ///< per store and gossip round
+
 obs::CounterFamily& RpcsFamily() {
   static obs::CounterFamily* f = obs::MetricsRegistry::Default().GetCounterFamily(
       "ifgen_cluster_rpcs_total", "Cluster RPCs sent, by worker and method");
@@ -70,10 +76,10 @@ Status ClusterRouter::Start(Options opts) {
     workers_.push_back(std::move(w));
     WorkerHealthyFamily().WithLabels({{"worker", std::to_string(i)}})->Set(1.0);
   }
-  // The ring: virtual_nodes hash points per worker, keyed by worker index
+  // The ring: kVirtualNodes hash points per worker, keyed by worker index
   // (stable across restarts with the same worker list).
   for (size_t i = 0; i < workers_.size(); ++i) {
-    for (size_t v = 0; v < opts_.virtual_nodes; ++v) {
+    for (size_t v = 0; v < kVirtualNodes; ++v) {
       const std::string key =
           "worker-" + std::to_string(i) + "-vnode-" + std::to_string(v);
       ring_.emplace_back(HashBytes(key), i);
@@ -197,7 +203,7 @@ Result<JsonValue> ClusterRouter::Rpc(WorkerState* w, const char* method,
           .WithLabels({{"worker", std::to_string(w->index)}})
           ->Set(1.0);
     }
-    if (w->idle.size() < opts_.max_pooled_connections) {
+    if (w->idle.size() < kMaxPooledConnections) {
       w->idle.push_back(fd);
     } else {
       ::close(fd);
@@ -243,7 +249,7 @@ void ClusterRouter::HealthLoop() {
 }
 
 void ClusterRouter::GossipTt() {
-  // Pull phase: each healthy worker's locally discovered hot transposition
+  // Pull phase: each healthy worker's locally discovered transposition
   // entries (workers never re-export what they ingested from peers, so a
   // batch seen here is first-hand and gossip cannot echo).
   struct Pulled {
@@ -252,7 +258,7 @@ void ClusterRouter::GossipTt() {
   };
   std::vector<Pulled> pulled;
   api::TtExportRequest exp;
-  exp.max_entries = static_cast<int64_t>(opts_.tt_gossip_max_entries);
+  exp.max_entries = static_cast<int64_t>(kTtGossipMaxEntries);
   for (auto& w : workers_) {
     {
       std::lock_guard<std::mutex> lock(w->mu);
@@ -441,7 +447,7 @@ Result<api::GenerateAccepted> ClusterRouter::SubmitGenerate(
       cluster_id = "j-" + std::to_string(next_job_++);
       jobs_[cluster_id] = Route{w->index, acc.job_id, reply_epoch};
       job_order_.push_back(cluster_id);
-      if (job_order_.size() > opts_.max_job_routes) {
+      if (job_order_.size() > kMaxJobRoutes) {
         jobs_.erase(job_order_.front());
         job_order_.erase(job_order_.begin());
       }

@@ -59,23 +59,14 @@ class ClusterRouter : public api::ServiceFrontend {
     int64_t reconnect_backoff_max_ms = 2000;
     /// RPCs in flight per worker beyond this answer ResourceExhausted.
     size_t max_inflight_per_worker = 64;
-    /// Idle pooled connections kept per worker; extras are closed.
-    size_t max_pooled_connections = 8;
-    /// Virtual nodes per worker on the consistent-hash ring.
-    size_t virtual_nodes = 16;
-    /// Terminal job routes beyond this evict oldest-first (workers evict
-    /// their own job history independently).
-    size_t max_job_routes = 4096;
     /// Cache peering (default ON in cluster mode; the single-process
     /// frontend has no peers): generate.submit probes siblings for a
     /// completed identical job (`cache.probe`) and routes to the holder on
-    /// a hit, and the health loop gossips workers' hot transposition
-    /// entries (`cache.export` -> `cache.publish`). Routing/transport only
-    /// — request payloads are never mutated, so per-request ablation stays
-    /// with ApiOptions::cache_peering.
+    /// a hit, and the health loop gossips workers' locally discovered
+    /// transposition entries (`cache.export` -> `cache.publish`).
+    /// Routing/transport only — request payloads are never mutated, so
+    /// per-request ablation stays with ApiOptions::cache_peering.
     bool cache_peering = true;
-    /// Entries per store a gossip round pulls from each worker.
-    size_t tt_gossip_max_entries = 256;
   };
 
   ClusterRouter() = default;

@@ -47,10 +47,6 @@ struct GeneratorOptions {
   bool delta_cost_eval = true;
   /// k random widget assignments per state during search (paper's k).
   size_t k_assignments = 8;
-  /// Derivations per query for the min-change U computation.
-  size_t parse_limit = 8;
-  /// Exhaustive widget enumeration cap for the final state.
-  double enumeration_cap = 20000;
   /// Cache peering (cluster ablation flag): makes this job's sampled state
   /// costs exportable to sibling workers and eligible to warm-start from
   /// theirs. Turns on state-keyed sampling (EvalOptions) so sampled costs
@@ -78,8 +74,6 @@ struct GeneratorOptions {
     e.screen = screen;
     e.constants = constants;
     e.k_assignments = k_assignments;
-    e.parse_limit = parse_limit;
-    e.enumeration_cap = enumeration_cap;
     e.delta_eval = delta_cost_eval;
     e.state_keyed_sampling = cache_peering || experience;
     e.sampling_seed = search.seed;

@@ -26,7 +26,7 @@ Result<InterfaceSession> InterfaceSession::Create(const GeneratedInterface& ifac
 Result<InterfaceSession::StepReport> InterfaceSession::LoadQuery(const Ast& query) {
   IFGEN_ASSIGN_OR_RETURN(
       StepOutcome outcome,
-      ComputeTransition(*tree_, *index_, widget_tree_, constants_, /*parse_limit=*/8,
+      ComputeTransition(*tree_, *index_, widget_tree_, constants_, kParseLimit,
                         selections_, query));
   StepReport report;
   report.widgets_changed = outcome.widgets_changed;

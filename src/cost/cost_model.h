@@ -41,6 +41,9 @@ struct TransitionPlan {
   std::vector<std::vector<int>> changed_ids;
 };
 
+/// Derivations per query enumerated by the min-change U computation.
+inline constexpr size_t kParseLimit = 8;
+
 /// Computes the plan (min-change parse per query under sticky semantics).
 TransitionPlan PlanTransitions(const DiffTree& tree, const std::vector<Ast>& queries,
                                size_t parse_limit);
@@ -59,7 +62,8 @@ TransitionPlan PlanTransitions(const DiffTree& tree, const std::vector<Ast>& que
 /// state.
 class CostModel {
  public:
-  CostModel(const CostConstants& constants, Screen screen, size_t parse_limit = 8)
+  CostModel(const CostConstants& constants, Screen screen,
+            size_t parse_limit = kParseLimit)
       : constants_(constants), screen_(screen), parse_limit_(parse_limit) {}
 
   /// Lays out `wt` (mutating positions/sizes), then scores it. An

@@ -11,6 +11,9 @@
 
 namespace ifgen {
 
+/// Widget-assignment combinations FindBest still enumerates exhaustively.
+inline constexpr double kEnumerationCap = 20000;
+
 /// \brief Knobs for difftree-state evaluation.
 struct EvalOptions {
   Screen screen;
@@ -19,10 +22,10 @@ struct EvalOptions {
   /// "we randomly assign widgets to the difftree k times").
   size_t k_assignments = 8;
   /// Derivations per query considered by the min-change U computation.
-  size_t parse_limit = 8;
+  size_t parse_limit = kParseLimit;
   /// Exhaustive widget-tree enumeration cap for the final state; above it
   /// we fall back to sampling + coordinate-descent refinement.
-  double enumeration_cap = 20000;
+  double enumeration_cap = kEnumerationCap;
   size_t sample_fallback = 800;
   /// Memoize sampled state costs by canonical difftree hash. This memo is
   /// the only state→cost memo: search warm-start seeds land in it too, so

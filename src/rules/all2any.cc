@@ -4,6 +4,9 @@ namespace ifgen {
 
 namespace {
 
+/// All2Any copies the host once per alternative; cap the growth at 4x.
+constexpr size_t kAll2AnyMaxAlts = 4;
+
 /// All2Any — the inverse direction of Any2All/Lift (the paper's rules are
 /// bidirectional). Distributes an ALL node over one of its ANY children:
 ///
@@ -17,13 +20,13 @@ class All2AnyRule final : public Rule {
   std::string_view name() const override { return "All2Any"; }
 
   void Collect(const DiffTree& /*root*/, const DiffTree& node, const TreePath& path,
-               const RuleSetOptions& opts,
+               const RuleSetOptions& /*opts*/,
                std::vector<RuleApplication>* out) const override {
     if (node.kind != DKind::kAll || node.sym == Symbol::kEmpty) return;
     for (size_t i = 0; i < node.children.size(); ++i) {
       const DiffTree& c = node.children[i];
       if (c.kind == DKind::kAny && c.children.size() >= 2 &&
-          c.children.size() <= static_cast<size_t>(opts.all2any_max_alts)) {
+          c.children.size() <= kAll2AnyMaxAlts) {
         RuleApplication app;
         app.path = path;
         app.param = static_cast<int>(i);

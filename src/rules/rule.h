@@ -24,8 +24,6 @@ struct RuleSetOptions {
   /// Noop's wrap direction (x -> ANY(x)) is applicable almost everywhere and
   /// inflates fanout; it is off by default and exercised by ablation benches.
   bool enable_noop_wrap = false;
-  /// All2Any duplicates the host node once per alternative; cap it.
-  int all2any_max_alts = 4;
   /// Hard cap on result size; Apply fails beyond it (guards MCTS rollouts).
   size_t max_tree_nodes = 1500;
 };

@@ -16,6 +16,9 @@ namespace ifgen {
 
 namespace {
 
+/// Memoized results retained per runtime (LRU; see docs/interactive.md).
+constexpr size_t kResultCacheCapacity = 64;
+
 /// Per-transition-class step counters + maintenance-path counters mirrored
 /// onto the registry (the per-instance `Counters` struct stays authoritative
 /// for session-scoped views).
@@ -448,7 +451,6 @@ InteractiveRuntime::CachedResultPtr InteractiveRuntime::MemoLookup(
 }
 
 void InteractiveRuntime::MemoStore(const std::string& key, CachedResultPtr value) {
-  if (opts_.result_cache_capacity == 0) return;
   auto it = memo_.find(key);
   if (it != memo_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
@@ -457,7 +459,7 @@ void InteractiveRuntime::MemoStore(const std::string& key, CachedResultPtr value
   }
   lru_.emplace_front(key, std::move(value));
   memo_[key] = lru_.begin();
-  while (lru_.size() > opts_.result_cache_capacity) {
+  while (lru_.size() > kResultCacheCapacity) {
     memo_.erase(lru_.back().first);
     lru_.pop_back();
   }

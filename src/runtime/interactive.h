@@ -25,8 +25,9 @@ namespace ifgen {
 /// re-executing when a sound incremental path exists:
 ///
 ///  - `noop`        — identical (shape, params): the previous result stands.
-///  - memo hit      — any class: a per-(shape, params) LRU of past results
-///                    answers revisited states (toggling back) outright.
+///  - memo hit      — any class: a per-(shape, params) LRU of the last 64
+///                    results answers revisited states (toggling back)
+///                    outright.
 ///  - `tighten`     — delta-capable plans re-filter only the retained
 ///                    selection vector (columnar backend).
 ///  - `loosen`      — prior selection survives wholesale; only its
@@ -46,8 +47,6 @@ namespace ifgen {
 /// \brief Tuning knobs of an InteractiveRuntime (namespace-scope so it can
 /// serve as an in-class default argument).
 struct InteractiveOptions {
-  /// Memoized results retained per runtime (LRU); 0 disables the memo.
-  size_t result_cache_capacity = 64;
   /// Ablation flag: false forces full re-execution on every step (the
   /// differential baseline and the bench comparison arm).
   bool enable_delta = true;

@@ -69,6 +69,13 @@ struct ServiceMetrics {
   }
 };
 
+// Cross-job store bounds; docs/runtime.md and docs/learning.md give the
+// reason for each value.
+constexpr size_t kTtPeerStoreCapacity = 32;      ///< peer stores, oldest dropped
+constexpr size_t kTtPeerEntriesPerStore = 4096;  ///< first writer wins
+constexpr size_t kExperienceSeedLimit = 1024;    ///< records seeded per search
+constexpr size_t kSharedDeltaStoreCapacity = 8;  ///< delta caches, oldest dropped
+
 uint64_t HashU64(uint64_t h, uint64_t v) { return HashCombine(h, v); }
 
 uint64_t HashF64(uint64_t h, double v) {
@@ -93,11 +100,7 @@ uint64_t OptionsFingerprint(const GeneratorOptions& o) {
   h = HashU64(h, s.max_iterations);
   h = HashU64(h, s.seed);
   h = HashF64(h, s.exploration_c);
-  h = HashU64(h, s.rollout_len);
-  h = HashF64(h, s.rollout_stop_prob);
   h = HashU64(h, s.expand_all_children ? 1 : 0);
-  h = HashU64(h, s.max_expansions_per_iteration);
-  h = HashU64(h, s.max_search_tree_payload);
   h = HashF64(h, s.rollout_forward_bias);
   h = HashF64(h, s.rollout_saturate_prob);
   h = HashF64(h, s.rollout_eval_prob);
@@ -110,12 +113,6 @@ uint64_t OptionsFingerprint(const GeneratorOptions& o) {
   const PriorOptions& pr = s.priors;
   h = HashU64(h, pr.use_priors ? 1 : 0);
   h = HashU64(h, pr.progressive_widening ? 1 : 0);
-  h = HashF64(h, pr.puct_c);
-  h = HashF64(h, pr.widen_c);
-  h = HashF64(h, pr.widen_alpha);
-  h = HashF64(h, pr.freq_weight);
-  h = HashF64(h, pr.cooc_weight);
-  h = HashF64(h, pr.min_prior);
   for (const auto& [name, weight] : pr.learned_weights) {
     h = HashBytes(name, h);
     h = HashF64(h, weight);
@@ -137,7 +134,6 @@ uint64_t OptionsFingerprint(const GeneratorOptions& o) {
 
   const RuleSetOptions& r = o.rules;
   h = HashU64(h, r.enable_noop_wrap ? 1 : 0);
-  h = HashU64(h, static_cast<uint64_t>(r.all2any_max_alts));
   h = HashU64(h, r.max_tree_nodes);
 
   h = HashBytes(std::string_view(reinterpret_cast<const char*>(&o.constants),
@@ -149,8 +145,6 @@ uint64_t OptionsFingerprint(const GeneratorOptions& o) {
   // requests differing only in backend must not alias one cache entry.
   h = HashU64(h, static_cast<uint64_t>(o.backend));
   h = HashU64(h, o.k_assignments);
-  h = HashU64(h, o.parse_limit);
-  h = HashF64(h, o.enumeration_cap);
   // cache_peering switches cost sampling to the state-keyed mode, which
   // changes which assignments the k random draws produce — two requests
   // differing only in this flag must not alias one cache entry.
@@ -218,7 +212,8 @@ uint64_t GenerationService::TtStoreKey(const JobSpec& spec) {
   // agree, a canonical state's sampled cost is the same number in both jobs
   // and entries are interchangeable. Budgets, deadlines, algorithm, and
   // parallelism change which states get visited — not what they cost — so
-  // they are deliberately absent.
+  // they are deliberately absent. The parse-limit and enumeration-cap
+  // constants keep their slots: persisted experience records use this key.
   uint64_t h = 0x77a5ULL;
   h = HashU64(h, static_cast<uint64_t>(o.screen.width));
   h = HashU64(h, static_cast<uint64_t>(o.screen.height));
@@ -226,8 +221,8 @@ uint64_t GenerationService::TtStoreKey(const JobSpec& spec) {
                                  sizeof o.constants),
                 h);
   h = HashU64(h, o.k_assignments);
-  h = HashU64(h, o.parse_limit);
-  h = HashF64(h, o.enumeration_cap);
+  h = HashU64(h, kParseLimit);
+  h = HashF64(h, kEnumerationCap);
   h = HashU64(h, o.delta_cost_eval ? 1 : 0);
   h = HashU64(h, o.cache_peering ? 1 : 0);
   h = HashU64(h, o.experience ? 1 : 0);
@@ -298,11 +293,7 @@ GenerationService::GenerationService(Options opts)
     : cache_capacity_(opts.cache_capacity),
       max_pending_jobs_(opts.max_pending_jobs),
       job_history_capacity_(std::max<size_t>(1, opts.job_history_capacity)),
-      tt_peer_store_capacity_(opts.tt_peer_store_capacity),
-      tt_peer_entries_per_store_(opts.tt_peer_entries_per_store),
       experience_(std::move(opts.experience)),
-      experience_seed_limit_(opts.experience_seed_limit),
-      shared_delta_store_capacity_(opts.shared_delta_store_capacity),
       pool_(std::max<size_t>(1, opts.num_threads)) {}
 
 GenerationService::~GenerationService() = default;
@@ -332,12 +323,11 @@ bool GenerationService::CachePeek(uint64_t key) const {
 size_t GenerationService::TtIngest(uint64_t store_key,
                                    const std::vector<TtSeedEntry>& entries,
                                    bool local_origin) {
-  if (tt_peer_store_capacity_ == 0 || tt_peer_entries_per_store_ == 0) return 0;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tt_peers_.find(store_key);
   if (it == tt_peers_.end()) {
     if (entries.empty()) return 0;  // don't spend a store slot on nothing
-    while (tt_peers_.size() >= tt_peer_store_capacity_ &&
+    while (tt_peers_.size() >= kTtPeerStoreCapacity &&
            !tt_peer_order_.empty()) {
       tt_peers_.erase(tt_peer_order_.front());
       tt_peer_order_.pop_front();
@@ -348,7 +338,7 @@ size_t GenerationService::TtIngest(uint64_t store_key,
   TtPeerStore& store = it->second;
   size_t inserted = 0;
   for (const TtSeedEntry& e : entries) {
-    if (store.entries.size() >= tt_peer_entries_per_store_) break;
+    if (store.entries.size() >= kTtPeerEntriesPerStore) break;
     auto [slot, fresh] = store.entries.try_emplace(e.canonical);
     if (!fresh) continue;  // first writer wins, matching the table semantics
     slot->second.entry = e;
@@ -373,7 +363,8 @@ std::vector<GenerationService::TtExportBatch> GenerationService::TtExportLocal(
       if (pe.local) batch.entries.push_back(pe.entry);
     }
     if (batch.entries.empty()) continue;
-    // Hottest first, deterministic ties, bounded batch.
+    // Visits descending, then canonical ascending, bounded batch. Search
+    // exports carry 0 visits, so in practice this is canonical order.
     std::stable_sort(batch.entries.begin(), batch.entries.end(),
                      [](const TtSeedEntry& a, const TtSeedEntry& b) {
                        if (a.visits != b.visits) return a.visits > b.visits;
@@ -550,7 +541,7 @@ Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
     }
     if (experience) {
       const std::vector<learn::ExperienceRecord> snap =
-          experience_->Snapshot(store_key, experience_seed_limit_);
+          experience_->Snapshot(store_key, kExperienceSeedLimit);
       warm->experience_seed.reserve(snap.size());
       for (const learn::ExperienceRecord& rec : snap) {
         warm->experience_seed.push_back({rec.canonical, rec.best_cost, rec.visits});
@@ -563,11 +554,11 @@ Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
       // Same-identity experience jobs also share one delta-cost cache, so a
       // warm start skips subtree/plan recomputes too (bit-safe: delta terms
       // are pure functions of their keys; see cost/delta.h).
-      if (spec.options.delta_cost_eval && shared_delta_store_capacity_ > 0) {
+      if (spec.options.delta_cost_eval) {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = delta_stores_.find(store_key);
         if (it == delta_stores_.end()) {
-          while (delta_stores_.size() >= shared_delta_store_capacity_ &&
+          while (delta_stores_.size() >= kSharedDeltaStoreCapacity &&
                  !delta_store_order_.empty()) {
             delta_stores_.erase(delta_store_order_.front());
             delta_store_order_.pop_front();

@@ -73,13 +73,6 @@ class GenerationService {
     /// Terminal job records retained for GetJob; the oldest finished record
     /// is evicted beyond this (a later GetJob answers NotFound).
     size_t job_history_capacity = 256;
-    /// Transposition peer stores kept (one per TtStoreKey cost identity);
-    /// the oldest store is dropped beyond this. 0 disables peering stores
-    /// entirely (TtIngest drops batches, jobs run cold).
-    size_t tt_peer_store_capacity = 32;
-    /// Entries retained per peer store; ingests beyond the cap are dropped
-    /// (first-writer-wins, so the earliest discoveries stay).
-    size_t tt_peer_entries_per_store = 4096;
     /// Persistent experience store shared by every job with
     /// `options.experience` set (see src/learn/experience.h). The caller
     /// owns persistence: servers load it before constructing the service
@@ -87,16 +80,6 @@ class GenerationService {
     /// and record nothing (the flag still changes sampling mode, so results
     /// stay bit-identical to a store-backed cold start).
     std::shared_ptr<learn::ExperienceStore> experience;
-    /// Most-visited experience records seeded into one search's bridge. At
-    /// least one search's export (WarmStart::kExportLimit, 512, plus root
-    /// records): visit ordering favors hot rollout states, so a tighter
-    /// limit can crowd out the root-action records that actually shift the
-    /// next search's opening.
-    size_t experience_seed_limit = 1024;
-    /// Shared cross-job delta-cost caches kept (one per TtStoreKey cost
-    /// identity, experience jobs only); oldest dropped beyond this. 0
-    /// disables delta-cache sharing (jobs fall back to private caches).
-    size_t shared_delta_store_capacity = 8;
   };
 
   GenerationService();  ///< default Options
@@ -227,8 +210,11 @@ class GenerationService {
     std::vector<TtSeedEntry> entries;
   };
   /// Snapshot of every store's local-origin entries (up to
-  /// `max_entries_per_store` each, hottest by visits first) — what the
-  /// router pulls via `cache.export` and publishes to siblings.
+  /// `max_entries_per_store` each) — what the router pulls via
+  /// `cache.export` and publishes to siblings. Ordered by visits, then
+  /// canonical hash; search exports all carry 0 visits, so batches go out
+  /// in ascending canonical order and the router's per-store cap keeps the
+  /// lowest hashes (ROADMAP: "Rank warm-start exports by real visit counts").
   std::vector<TtExportBatch> TtExportLocal(size_t max_entries_per_store) const;
 
   /// Entries currently held across all peer stores (tests/metrics).
@@ -337,12 +323,8 @@ class GenerationService {
   size_t cache_capacity_;
   size_t max_pending_jobs_;
   size_t job_history_capacity_;
-  size_t tt_peer_store_capacity_;
-  size_t tt_peer_entries_per_store_;
   /// Immutable after construction (jobs read it without mu_).
   std::shared_ptr<learn::ExperienceStore> experience_;
-  size_t experience_seed_limit_;
-  size_t shared_delta_store_capacity_;
 
   mutable std::mutex mu_;
   std::condition_variable jobs_cv_;  ///< signalled on every terminal transition

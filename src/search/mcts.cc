@@ -17,6 +17,13 @@ namespace ifgen {
 
 namespace {
 
+// Fixed search constants; docs/search.md gives the reason for each value.
+constexpr double kPuctC = 1.2;  ///< PUCT exploration multiplier
+/// Neighbors expanded per iteration (inverse rules push fanout to hundreds).
+constexpr size_t kMaxExpansionsPerIteration = 24;
+/// Difftree nodes the search tree may hold; past it, iterations only roll out.
+constexpr size_t kMaxSearchTreePayload = 600000;
+
 /// \brief Per-tree wiring for one MCTS tree run (see RunMctsTree).
 ///
 /// Everything the trees of one search share — clock, deadline, stop handle,
@@ -78,11 +85,11 @@ double Uct(const SearchOptions& opts, const Node& child, size_t parent_visits) {
 /// PUCT (prior-weighted UCT): exploration is proportional to the action
 /// prior, so low-prior children need strong observed rewards to keep being
 /// selected. Fresh children are simulated at expansion, so visits >= 1 here.
-double Puct(const SearchOptions& opts, const Node& child, size_t parent_visits) {
+double Puct(const Node& child, size_t parent_visits) {
   double exploit = child.visits == 0
                        ? 0.0
                        : child.total_reward / static_cast<double>(child.visits);
-  double explore = opts.priors.puct_c * child.prior *
+  double explore = kPuctC * child.prior *
                    std::sqrt(static_cast<double>(parent_visits)) /
                    (1.0 + static_cast<double>(child.visits));
   return exploit + explore;
@@ -93,7 +100,7 @@ double Puct(const SearchOptions& opts, const Node& child, size_t parent_visits) 
 size_t UnlockedApps(const SearchOptions& opts, const Node& node) {
   if (!opts.priors.progressive_widening) return node.apps.size();
   return std::min(node.apps.size(),
-                  ProgressiveWideningLimit(node.visits, opts.priors));
+                  ProgressiveWideningLimit(node.visits));
 }
 
 /// Merges per-tree root actions by canonical hash and ranks them by
@@ -225,7 +232,7 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
         for (const auto& ch : node->children) {
           if (ch->dead) continue;
           double u = p.priors != nullptr
-                         ? Puct(opts, *ch, std::max<size_t>(1, node->visits))
+                         ? Puct(*ch, std::max<size_t>(1, node->visits))
                          : Uct(opts, *ch, std::max<size_t>(1, node->visits));
           if (u > best_score) {
             best_score = u;
@@ -241,13 +248,13 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
     // the payload budget). With priors, apps are in prior order, so widening
     // unlocks the most promising neighbors first.
     std::vector<Node*> fresh;
-    if (payload_nodes < opts.max_search_tree_payload) {
+    if (payload_nodes < kMaxSearchTreePayload) {
       obs::TraceSpan span("mcts.expand", "search");
       size_t unlocked = UnlockedApps(opts, *node);
       size_t available = unlocked > node->next_untried ? unlocked - node->next_untried : 0;
       size_t expansions =
           opts.expand_all_children ? available : std::min<size_t>(1, available);
-      expansions = std::min(expansions, opts.max_expansions_per_iteration);
+      expansions = std::min(expansions, kMaxExpansionsPerIteration);
       for (size_t e = 0; e < expansions; ++e) {
         const size_t app_index = node->next_untried++;
         const RuleApplication& app = node->apps[app_index];
@@ -267,7 +274,7 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
         payload_nodes += child->state.NodeCount();
         fresh.push_back(child.get());
         node->children.push_back(std::move(child));
-        if (run.Expired() || payload_nodes >= opts.max_search_tree_payload) break;
+        if (run.Expired() || payload_nodes >= kMaxSearchTreePayload) break;
       }
     }
 

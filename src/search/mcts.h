@@ -12,15 +12,16 @@ namespace ifgen {
 ///  1. Selection: descend from the root by maximum UCT
 ///     (w/n + c * sqrt(ln N / n)) — or, with priors enabled (the default,
 ///     see PriorOptions), by maximum PUCT
-///     (w/n + puct_c * P(a) * sqrt(N) / (1 + n)) where P is the
-///     ActionPriorModel's log-derived prior of the child's creating action.
+///     (w/n + kPuctC * P(a) * sqrt(N) / (1 + n), kPuctC = 1.2) where P is
+///     the ActionPriorModel's log-derived prior of the child's creating
+///     action.
 ///  2. Expansion: materialize untried neighbor states — all of them when
-///     `expand_all_children` (the paper's variant), else one. Progressive
-///     widening (default on) caps a node's children at
-///     ProgressiveWideningLimit(visits), so high-fanout nodes unlock
-///     children gradually, highest-prior first.
+///     `expand_all_children` (the paper's variant; at most 24 per
+///     iteration), else one. Progressive widening (default on) caps a
+///     node's children at ProgressiveWideningLimit(visits), so high-fanout
+///     nodes unlock children gradually, highest-prior first.
 ///  3. Simulation: from each new child, a uniformly random rule-application
-///     walk of up to `rollout_len` steps (200 in the paper).
+///     walk of up to 200 steps, as in the paper (`kRolloutLen`).
 ///  4. Reward: the final state's cost from k random widget assignments,
 ///     normalized to (0, 1] as r = c0 / (c0 + cost) with c0 the initial
 ///     state's cost (the paper uses the negated cost; UCT needs a bounded

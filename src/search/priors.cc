@@ -18,6 +18,13 @@ constexpr size_t kMaxQueryLabels = 48;
 constexpr size_t kMaxAffinityChildren = 6;
 constexpr size_t kMaxLabelsPerChild = 4;
 
+// Prior formula constants; docs/search.md gives the reason for each value.
+constexpr double kWidenC = 3.0;      ///< see ProgressiveWideningLimit
+constexpr double kWidenAlpha = 0.5;
+constexpr double kFreqWeight = 1.0;  ///< label-frequency site signal
+constexpr double kCoocWeight = 1.0;  ///< co-occurrence signal, forward rules
+constexpr double kMinPrior = 0.02;   ///< floor on each raw prior
+
 uint64_t LabelKey(Symbol sym, std::string_view value) {
   return HashCombine(HashBytes(value), static_cast<uint64_t>(sym));
 }
@@ -65,9 +72,9 @@ double BaseRuleWeight(std::string_view name) {
 
 }  // namespace
 
-size_t ProgressiveWideningLimit(size_t visits, const PriorOptions& opts) {
-  double limit =
-      opts.widen_c * std::pow(static_cast<double>(visits) + 1.0, opts.widen_alpha);
+size_t ProgressiveWideningLimit(size_t visits) {
+  const double limit =
+      kWidenC * std::pow(static_cast<double>(visits) + 1.0, kWidenAlpha);
   if (limit < 1.0) return 1;
   if (limit > 1e9) return static_cast<size_t>(1e9);
   return static_cast<size_t>(std::ceil(limit));
@@ -76,7 +83,7 @@ size_t ProgressiveWideningLimit(size_t visits, const PriorOptions& opts) {
 ActionPriorModel::ActionPriorModel(const RuleEngine& rules,
                                    const std::vector<Ast>& queries,
                                    const PriorOptions& opts)
-    : rules_(&rules), opts_(opts) {
+    : rules_(&rules) {
   rule_weight_.reserve(rules.num_rules());
   for (size_t r = 0; r < rules.num_rules(); ++r) {
     // Trace-learned weights (learn/prior_fit.h) take precedence by rule
@@ -190,11 +197,11 @@ std::vector<double> ActionPriorModel::Evaluate(
       SiteSignal sig = site != nullptr ? SignalFor(*site) : SiteSignal{};
       it = site_cache.emplace(app.path, sig).first;
     }
-    double boost = 1.0 + opts_.freq_weight * it->second.freq;
+    double boost = 1.0 + kFreqWeight * it->second.freq;
     if (rules_->IsForward(app)) {
-      boost += opts_.cooc_weight * it->second.affinity;
+      boost += kCoocWeight * it->second.affinity;
     }
-    priors[i] = std::max(opts_.min_prior, RuleWeight(app.rule_index) * boost);
+    priors[i] = std::max(kMinPrior, RuleWeight(app.rule_index) * boost);
     sum += priors[i];
   }
   for (double& p : priors) p /= sum;

@@ -11,12 +11,13 @@
 namespace ifgen {
 
 /// Progressive-widening limit: the number of children a node is allowed to
-/// have after `visits` visits, ceil(widen_c * (visits + 1)^widen_alpha),
-/// clamped to at least 1. Monotone non-decreasing in `visits` (tested), so a
-/// node that keeps getting selected keeps unlocking children — in prior
-/// order when priors are enabled — while rarely selected high-fanout nodes
-/// stop paying for children nothing will ever visit.
-size_t ProgressiveWideningLimit(size_t visits, const PriorOptions& opts);
+/// have after `visits` visits, ceil(3 * (visits + 1)^0.5) (`kWidenC`,
+/// `kWidenAlpha` in priors.cc), clamped to at least 1. Monotone
+/// non-decreasing in `visits` (tested), so a node that keeps getting
+/// selected keeps unlocking children — in prior order when priors are
+/// enabled — while rarely selected high-fanout nodes stop paying for
+/// children nothing will ever visit.
+size_t ProgressiveWideningLimit(size_t visits);
 
 /// \brief Log-derived per-action priors over rule applications.
 ///
@@ -40,9 +41,9 @@ size_t ProgressiveWideningLimit(size_t visits, const PriorOptions& opts);
 ///     core/cooccurrence, which applies the same statistics to widget
 ///     states).
 ///
-/// `Evaluate` floors each raw score at `min_prior` and normalizes the batch
-/// to sum to exactly 1 (tested), so the PUCT exploration term is a proper
-/// distribution over the node's actions.
+/// `Evaluate` floors each raw score at 0.02 (`kMinPrior`) and normalizes
+/// the batch to sum to exactly 1 (tested), so the PUCT exploration term is
+/// a proper distribution over the node's actions.
 class ActionPriorModel {
  public:
   ActionPriorModel(const RuleEngine& rules, const std::vector<Ast>& queries,
@@ -63,8 +64,6 @@ class ActionPriorModel {
   /// Number of log queries the statistics were built from.
   size_t observations() const { return observations_; }
 
-  const PriorOptions& options() const { return opts_; }
-
  private:
   /// Site-local signals for one application target (memoized per path by
   /// Evaluate since many rules share a site).
@@ -75,7 +74,6 @@ class ActionPriorModel {
   SiteSignal SignalFor(const DiffTree& site) const;
 
   const RuleEngine* rules_;
-  PriorOptions opts_;
   std::vector<double> rule_weight_;  ///< per RuleEngine rule index
   /// (symbol, value) literal label -> occurrence count over queries.
   std::unordered_map<uint64_t, size_t> single_counts_;

@@ -169,6 +169,9 @@ void SearchStats::Merge(const SearchStats& other) {
   });
 }
 
+constexpr size_t kRolloutLen = 200;        ///< paper: walks of up to 200 steps
+constexpr double kRolloutStopProb = 0.02;  ///< per-step stop, random walks
+
 double RolloutAndEvaluateState(const RolloutContext& ctx, const DiffTree& start,
                                Rng* rng, SearchStats* stats, DiffTree* best_state) {
   const SearchOptions& opts = *ctx.opts;
@@ -184,11 +187,8 @@ double RolloutAndEvaluateState(const RolloutContext& ctx, const DiffTree& start,
   };
   const bool saturate =
       opts.rollout_saturate_prob > 0 && rng->Bernoulli(opts.rollout_saturate_prob);
-  for (size_t step = 0; step < opts.rollout_len; ++step) {
-    if (!saturate && opts.rollout_stop_prob > 0 &&
-        rng->Bernoulli(opts.rollout_stop_prob)) {
-      break;
-    }
+  for (size_t step = 0; step < kRolloutLen; ++step) {
+    if (!saturate && rng->Bernoulli(kRolloutStopProb)) break;
     std::vector<RuleApplication> apps = ctx.rules->EnumerateApplications(state);
     stats->RecordFanout(apps.size());
     if (apps.empty()) break;

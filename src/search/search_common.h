@@ -28,29 +28,18 @@ namespace ifgen {
 /// The query log says otherwise: its co-occurrence structure predicts which
 /// factoring edits pay off (Precision Interfaces; PI2). ActionPriorModel
 /// turns those statistics plus the rule type into a per-action prior; this
-/// struct holds the on/off ablation flags and the formula constants.
+/// struct holds the on/off ablation flags and the learned rule weights. The
+/// formula constants are fixed: `kPuctC` in mcts.cc, the widening and
+/// signal weights in priors.cc.
 struct PriorOptions {
   /// Use log-derived action priors: PUCT selection and prior-ordered
   /// expansion. Off = the paper's uniform treatment (ablation baseline).
   bool use_priors = true;
-  /// Progressive widening: a node may only have ceil(widen_c * (v+1)^
-  /// widen_alpha) children at v visits, so high-fanout nodes expand their
-  /// children lazily (in prior order when `use_priors`) instead of all at
-  /// once. Off = the paper's expand-all behavior (ablation baseline).
+  /// Progressive widening: a node may only have ProgressiveWideningLimit(v)
+  /// children at v visits, so high-fanout nodes expand their children
+  /// lazily (in prior order when `use_priors`) instead of all at once.
+  /// Off = the paper's expand-all behavior (ablation baseline).
   bool progressive_widening = true;
-  /// PUCT exploration multiplier: score = Q + puct_c * P * sqrt(N)/(1+n).
-  double puct_c = 1.2;
-  /// Widening schedule constants (see ProgressiveWideningLimit).
-  double widen_c = 3.0;
-  double widen_alpha = 0.5;
-  /// Weight of the log label-frequency site signal in the prior.
-  double freq_weight = 1.0;
-  /// Weight of the log co-occurrence (pair-affinity) site signal; applied
-  /// to forward/factoring applications only.
-  double cooc_weight = 1.0;
-  /// Floor applied to each raw prior before normalization, so no action's
-  /// exploration term is starved entirely.
-  double min_prior = 0.02;
   /// Trace-fitted per-rule weights, (rule name, weight) sorted by name
   /// (see src/learn/prior_fit.h and examples/fit_priors.cpp). When a rule's
   /// name appears here, its learned weight replaces the hand-set
@@ -150,21 +139,10 @@ struct SearchOptions {
   double exploration_c = 0.5;  ///< UCT exploration constant; rewards live in
                                ///< (0,1] so sqrt(2) over-explores (see
                                ///< bench_ablation for the sweep)
-  size_t rollout_len = 200;           ///< paper: random walks of up to 200 steps
-  double rollout_stop_prob = 0.02;    ///< per-step early-stop (varies depths)
   /// Paper: "perform a random walk ... from all of its immediate neighbor
-  /// states". False = standard single-child expansion (ablation).
+  /// states", capped at `kMaxExpansionsPerIteration` (mcts.cc) per
+  /// iteration. False = standard single-child expansion (ablation).
   bool expand_all_children = true;
-  /// Upper bound on neighbors expanded per iteration; the paper's fanouts
-  /// (~50) make literal expand-all affordable, but All2Any-style inverse
-  /// rules push fanout into the hundreds, where a full batch would blow the
-  /// whole budget inside one iteration.
-  size_t max_expansions_per_iteration = 24;
-  /// Memory guard: cap on the cumulative difftree-node count stored across
-  /// the MCTS search tree (states vary from tens to ~1500 nodes, so the cap
-  /// is on payload, not state count). Once reached, iterations keep rolling
-  /// out from selected nodes instead of expanding.
-  size_t max_search_tree_payload = 600000;
   /// Probability that a rollout step draws from the forward (factoring)
   /// rules when any apply; the remainder explores inverse rules. 0.5 is
   /// close to the paper's uniform random walk; higher values focus rollouts
@@ -298,7 +276,7 @@ struct RolloutContext {
   const SearchOptions* opts = nullptr;
 };
 
-/// Rollout of up to opts->rollout_len rule applications that also samples
+/// Rollout of up to `kRolloutLen` (200) rule applications that also samples
 /// intermediate states for evaluation and always evaluates the terminus;
 /// returns the best cost seen (`best_state` receives the matching state).
 /// Thread-compatible: distinct (rng, stats) per caller.

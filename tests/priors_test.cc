@@ -99,19 +99,18 @@ TEST(ActionPriors, LabelFrequencyTracksTheLog) {
 }
 
 TEST(ProgressiveWidening, ScheduleIsMonotoneAndStartsSmall) {
-  PriorOptions opts;
   size_t prev = 0;
   for (size_t v = 0; v <= 2000; ++v) {
-    size_t limit = ProgressiveWideningLimit(v, opts);
+    size_t limit = ProgressiveWideningLimit(v);
     EXPECT_GE(limit, 1u);
     EXPECT_GE(limit, prev) << "not monotone at visits=" << v;
     prev = limit;
   }
   // The schedule must actually widen: far more children are allowed after
   // many visits than at first selection, but never all at once.
-  EXPECT_LT(ProgressiveWideningLimit(0, opts), 8u);
-  EXPECT_GT(ProgressiveWideningLimit(1000, opts),
-            4 * ProgressiveWideningLimit(0, opts));
+  EXPECT_LT(ProgressiveWideningLimit(0), 8u);
+  EXPECT_GT(ProgressiveWideningLimit(1000),
+            4 * ProgressiveWideningLimit(0));
 }
 
 TEST(PriorGuidedMcts, ImprovesAndIsDeterministic) {

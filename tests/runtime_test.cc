@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "runtime/thread_pool.h"
 #include "runtime/tt.h"
 #include "sql/parser.h"
+#include "workload/loader.h"
 
 namespace ifgen {
 namespace {
@@ -272,15 +274,114 @@ TEST(GenerationService, DestructionWithInFlightJobsIsSafe) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 }
 
-TEST(GenerationService, JobKeySeparatesBackends) {
-  // The backend is user-selectable per API request; two requests differing
-  // only in backend must not alias one cached result (the response reports
-  // the backend sessions will execute on).
-  JobSpec a = SmallJob(1);
-  a.options.backend = BackendKind::kColumnar;
-  JobSpec b = SmallJob(1);
-  b.options.backend = BackendKind::kReference;
-  EXPECT_NE(GenerationService::JobKey(a), GenerationService::JobKey(b));
+TEST(GenerationService, TtStoreKeyPinnedForDefaultWorkloads) {
+  // Persisted experience records (IFEX files) are keyed by TtStoreKey, so
+  // its value for a given log and options must not drift: a changed hash
+  // silently orphans every stored record.
+  struct Pin {
+    const char* workload;
+    uint64_t key;
+  };
+  const Pin pins[] = {
+      {"flights", 0xc9c0fb3bd753a908ULL},
+      {"sdss", 0x3a81e28c6fa0476aULL},
+      {"synthetic", 0x60fc62b4556b473aULL},
+  };
+  for (const Pin& pin : pins) {
+    auto w = LoadWorkload(pin.workload, /*rows=*/1);
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    JobSpec spec;
+    spec.sqls = w->log;
+    EXPECT_EQ(GenerationService::TtStoreKey(spec), pin.key) << pin.workload;
+  }
+}
+
+TEST(GenerationService, JobKeyCoversEveryResultAffectingOption) {
+  // One row per GeneratorOptions value field that can change a job's
+  // output: each must move the result-cache key.
+  using Edit = std::function<void(GeneratorOptions*)>;
+  const std::vector<std::pair<const char*, Edit>> changes = {
+      {"screen.width", [](GeneratorOptions* o) { o->screen.width = 81; }},
+      {"screen.height", [](GeneratorOptions* o) { o->screen.height = 25; }},
+      {"algorithm", [](GeneratorOptions* o) { o->algorithm = Algorithm::kGreedy; }},
+      {"search.time_budget_ms", [](GeneratorOptions* o) { o->search.time_budget_ms = 7; }},
+      {"search.max_iterations", [](GeneratorOptions* o) { o->search.max_iterations = 5; }},
+      {"search.seed", [](GeneratorOptions* o) { o->search.seed = 2; }},
+      {"search.exploration_c", [](GeneratorOptions* o) { o->search.exploration_c = 0.6; }},
+      {"search.expand_all_children",
+       [](GeneratorOptions* o) { o->search.expand_all_children = false; }},
+      {"search.rollout_forward_bias",
+       [](GeneratorOptions* o) { o->search.rollout_forward_bias = 0.5; }},
+      {"search.rollout_saturate_prob",
+       [](GeneratorOptions* o) { o->search.rollout_saturate_prob = 0.0; }},
+      {"search.rollout_eval_prob",
+       [](GeneratorOptions* o) { o->search.rollout_eval_prob = 0.5; }},
+      {"search.beam_width", [](GeneratorOptions* o) { o->search.beam_width = 4; }},
+      {"search.exhaustive_max_depth",
+       [](GeneratorOptions* o) { o->search.exhaustive_max_depth = 3; }},
+      {"search.exhaustive_max_states",
+       [](GeneratorOptions* o) { o->search.exhaustive_max_states = 100; }},
+      {"search.priors.use_priors",
+       [](GeneratorOptions* o) { o->search.priors.use_priors = false; }},
+      {"search.priors.progressive_widening",
+       [](GeneratorOptions* o) { o->search.priors.progressive_widening = false; }},
+      {"search.priors.learned_weights",
+       [](GeneratorOptions* o) { o->search.priors.learned_weights = {{"Merge", 3.0}}; }},
+      {"search.time_control.deadline_ms",
+       [](GeneratorOptions* o) { o->search.time_control.deadline_ms = 500; }},
+      {"search.time_control.target_cost",
+       [](GeneratorOptions* o) { o->search.time_control.target_cost = 10.0; }},
+      {"search.time_control.plateau_fraction",
+       [](GeneratorOptions* o) { o->search.time_control.plateau_fraction = 0.5; }},
+      {"search.time_control.plateau_min_ms",
+       [](GeneratorOptions* o) { o->search.time_control.plateau_min_ms = 10; }},
+      {"search.time_control.check_interval",
+       [](GeneratorOptions* o) { o->search.time_control.check_interval = 1; }},
+      {"search.time_control.final_phase_fraction",
+       [](GeneratorOptions* o) { o->search.time_control.final_phase_fraction = 0.3; }},
+      {"parallel.num_threads", [](GeneratorOptions* o) { o->parallel.num_threads = 2; }},
+      {"rules.enable_noop_wrap", [](GeneratorOptions* o) { o->rules.enable_noop_wrap = true; }},
+      {"rules.max_tree_nodes", [](GeneratorOptions* o) { o->rules.max_tree_nodes = 900; }},
+      {"constants", [](GeneratorOptions* o) { o->constants.m_label += 0.1; }},
+      // The backend never changes the widgets, but requests select it and
+      // the response reports it, so backends must not alias one result.
+      {"backend", [](GeneratorOptions* o) { o->backend = BackendKind::kReference; }},
+      {"k_assignments", [](GeneratorOptions* o) { o->k_assignments = 4; }},
+      {"cache_peering", [](GeneratorOptions* o) { o->cache_peering = true; }},
+      {"experience", [](GeneratorOptions* o) { o->experience = true; }},
+  };
+  const uint64_t base = GenerationService::JobKey(SmallJob(1));
+  for (const auto& [name, edit] : changes) {
+    JobSpec changed = SmallJob(1);
+    edit(&changed.options);
+    EXPECT_NE(GenerationService::JobKey(changed), base) << name;
+  }
+}
+
+TEST(GenerationService, JobKeyIgnoresEvalAblationAndRuntimeWiring) {
+  // Delta-cost evaluation yields bit-identical costs, and the runtime
+  // wiring only observes or steers how much work a job does, so none of
+  // them may split the result cache.
+  using Edit = std::function<void(GeneratorOptions*)>;
+  const std::vector<std::pair<const char*, Edit>> changes = {
+      {"delta_cost_eval", [](GeneratorOptions* o) { o->delta_cost_eval = false; }},
+      {"search.stop",
+       [](GeneratorOptions* o) { o->search.stop = std::make_shared<StopHandle>(); }},
+      {"search.progress",
+       [](GeneratorOptions* o) { o->search.progress = std::make_shared<ProgressSink>(); }},
+      {"search.warm_start",
+       [](GeneratorOptions* o) { o->search.warm_start = std::make_shared<WarmStart>(); }},
+      {"shared_delta_cache",
+       [](GeneratorOptions* o) {
+         o->shared_delta_cache = std::make_shared<DeltaCostCache>();
+       }},
+  };
+  const uint64_t base = GenerationService::JobKey(SmallJob(1));
+  for (const auto& [name, edit] : changes) {
+    JobSpec changed = SmallJob(1);
+    edit(&changed.options);
+    EXPECT_EQ(GenerationService::JobKey(changed), base) << name;
+  }
 }
 
 // ----------------------------------------------------- tracked job protocol
