@@ -355,13 +355,8 @@ Result<Table> Executor::Execute(const Ast& query,
 }
 
 Result<Table> Executor::ExecuteSql(std::string_view sql) const {
-  std::string key(sql);
-  std::shared_ptr<const Ast> parsed = sql_cache_.Lookup(key);
-  if (parsed == nullptr) {
-    IFGEN_ASSIGN_OR_RETURN(Ast q, ParseQuery(sql));
-    parsed = sql_cache_.Insert(key, std::make_shared<const Ast>(std::move(q)));
-  }
-  return Execute(*parsed);
+  IFGEN_ASSIGN_OR_RETURN(Ast q, ParseQuery(sql));
+  return Execute(q);
 }
 
 }  // namespace ifgen

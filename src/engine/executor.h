@@ -1,6 +1,5 @@
 #pragma once
 
-#include "engine/plan_cache.h"
 #include "engine/table.h"
 #include "sql/ast.h"
 #include "util/status.h"
@@ -28,26 +27,12 @@ class Executor {
   /// path (see ParameterizeQuery in engine/backend.h).
   Result<Table> Execute(const Ast& query, const std::vector<Value>& params) const;
 
-  /// Convenience: parse + execute. Parses each distinct SQL text once —
-  /// repeated widget-driven re-executions of the same query hit the
-  /// prepared-AST cache instead of re-parsing (counters below). The cache
-  /// keys literal-bearing text, so it is capped (flush-on-full); callers
-  /// that want literal-independent plan reuse go through ExecutionBackend,
-  /// whose cache keys the parameterized shape.
+  /// Convenience: parse + execute. Callers that re-execute go through
+  /// ExecutionBackend, whose plan cache keys the parameterized shape.
   Result<Table> ExecuteSql(std::string_view sql) const;
 
-  size_t sql_cache_hits() const { return sql_cache_.hits(); }
-  size_t sql_cache_misses() const { return sql_cache_.misses(); }
-
  private:
-  /// sql_cache_ capacity: distinct SQL texts kept (bindings make the text
-  /// space unbounded; the hot set — one text per reachable widget state a
-  /// user toggles between — is far smaller).
-  static constexpr size_t kSqlCacheCapacity = 256;
-
   const Database* db_;
-  /// Raw SQL text -> parsed AST (thread-safe, per-executor).
-  mutable SqlKeyedCache<const Ast> sql_cache_{kSqlCacheCapacity};
 };
 
 }  // namespace ifgen

@@ -8,22 +8,17 @@
 
 namespace ifgen {
 
-/// \brief A thread-safe cache keyed by SQL text, shared by the execution
-/// backends (canonical parameterized SQL -> compiled plan) and by
-/// `Executor::ExecuteSql` (raw SQL -> parsed AST).
+/// \brief The execution backends' thread-safe plan cache, keyed by
+/// canonical parameterized SQL text.
 ///
-/// `max_entries == 0` (the backend default) means unbounded: there the key
-/// space is the set of query *shapes* an interface can express (literals
-/// are parameterized away), which is fixed and small once the interface is
-/// generated. Callers keying by literal-bearing text (the executor's
-/// parse cache) must pass a cap — each distinct binding is a distinct key —
-/// and the cache flushes wholesale when full (crude, but the hot pattern
-/// is a small set of repeated texts). Insertion is first-writer-wins so
-/// concurrent compilations of the same shape converge on one resident plan.
+/// Unbounded on purpose: the key space is the set of query *shapes* an
+/// interface can express (literals are parameterized away), which is fixed
+/// and small once the interface is generated. Insertion is
+/// first-writer-wins so concurrent compilations of the same shape converge
+/// on one resident plan.
 template <typename V>
 class SqlKeyedCache {
  public:
-  explicit SqlKeyedCache(size_t max_entries = 0) : max_entries_(max_entries) {}
   /// Returns the resident entry or nullptr; counts a hit or a miss.
   std::shared_ptr<V> Lookup(const std::string& key) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -37,27 +32,17 @@ class SqlKeyedCache {
   }
 
   /// Inserts `value` unless another thread got there first; returns the
-  /// resident entry either way. When capped and full, the whole cache is
-  /// flushed first (bounds memory for literal-bearing keys).
+  /// resident entry either way.
   std::shared_ptr<V> Insert(const std::string& key, std::shared_ptr<V> value) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (max_entries_ != 0 && map_.size() >= max_entries_ &&
-        map_.find(key) == map_.end()) {
-      map_.clear();
-    }
     auto [it, inserted] = map_.emplace(key, std::move(value));
     return it->second;
   }
 
   size_t hits() const { return hits_.load(std::memory_order_relaxed); }
   size_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return map_.size();
-  }
 
  private:
-  size_t max_entries_;
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<V>> map_;
   std::atomic<size_t> hits_{0};

@@ -125,9 +125,6 @@ uint64_t OptionsFingerprint(const GeneratorOptions& o) {
   h = HashU64(h, static_cast<uint64_t>(t.deadline_ms));
   h = HashF64(h, t.target_cost);
   h = HashF64(h, t.plateau_fraction);
-  h = HashU64(h, static_cast<uint64_t>(t.plateau_min_ms));
-  h = HashU64(h, t.check_interval);
-  h = HashF64(h, t.final_phase_fraction);
 
   const ParallelOptions& p = o.parallel;
   h = HashU64(h, p.num_threads);
@@ -705,8 +702,8 @@ Result<GenerationService::JobInfo> GenerationService::CancelJob(JobId id) {
       cb = FinishLocked(id, &it->second, JobState::kCancelled, nullptr,
                         Status::Cancelled("job cancelled while queued"));
     } else if (it->second.state == JobState::kRunning) {
-      // Flag the running search; its hot loop observes the relaxed-atomic
-      // stop within one check interval and the worker then finishes the job
+      // Flag the running search; it observes the relaxed-atomic stop within
+      // its current iteration and the worker then finishes the job
       // as kCancelled with the best-so-far partial result. The snapshot
       // returned here may still say kRunning — WaitJob sees the transition.
       if (it->second.stop != nullptr) {

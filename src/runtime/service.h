@@ -129,7 +129,8 @@ class GenerationService {
 
   /// Cancels a job. Still queued: the state becomes kCancelled (error
   /// Cancelled) immediately. Running: the job's StopHandle is flagged and
-  /// the search aborts within one check interval; the job then lands in
+  /// the search stops within its current iteration (every loop guard and
+  /// every expansion loop polls the flag); the job then lands in
   /// kCancelled carrying the best-so-far partial result (the returned
   /// snapshot may still say kRunning — WaitJob observes the transition).
   /// Terminal jobs are returned unchanged.

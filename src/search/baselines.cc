@@ -42,7 +42,7 @@ Result<SearchResult> GreedySearcher::Run(const DiffTree& initial) {
         best_next_cost = cost;
         best_next = std::move(next).MoveValueUnsafe();
       }
-      if (run.Expired()) break;
+      if (run.Stopped()) break;
     }
     if (best_next_cost >= current_cost) break;  // local optimum: the climb is over
     current = std::move(best_next);
@@ -79,9 +79,9 @@ Result<SearchResult> BeamSearcher::Run(const DiffTree& initial) {
         double cost = evaluator_->SampleCost(*next, &rng);
         run.Offer(*next, cost, &stats);
         next_level.push_back({std::move(next).MoveValueUnsafe(), cost});
-        if (run.Expired()) break;
+        if (run.Stopped()) break;
       }
-      if (run.Expired()) break;
+      if (run.Stopped()) break;
     }
     std::sort(next_level.begin(), next_level.end(),
               [](const Scored& a, const Scored& b) { return a.cost < b.cost; });
@@ -131,7 +131,7 @@ Result<SearchResult> ExhaustiveSearcher::Run(const DiffTree& initial) {
       double cost = evaluator_->SampleCost(*next, &rng);
       run.Offer(*next, cost, &stats);
       queue.push_back({std::move(next).MoveValueUnsafe(), item.depth + 1});
-      if (visited_states_ >= opts_.exhaustive_max_states) break;
+      if (visited_states_ >= opts_.exhaustive_max_states || run.Stopped()) break;
     }
   }
   return run.Finish();

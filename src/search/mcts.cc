@@ -27,8 +27,7 @@ constexpr size_t kMaxSearchTreePayload = 600000;
 /// \brief Per-tree wiring for one MCTS tree run (see RunMctsTree).
 ///
 /// Everything the trees of one search share — clock, deadline, stop handle,
-/// TimeManager feed, transposition table and best tracker — lives in the
-/// SearchRun; `rng`, `stats` and `root_actions` are strictly per-tree.
+/// transposition table and best tracker — lives in the SearchRun; `rng`, `stats` and `root_actions` are strictly per-tree.
 struct MctsTreeParams {
   const RuleEngine* rules = nullptr;
   StateEvaluator* evaluator = nullptr;
@@ -274,7 +273,7 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
         payload_nodes += child->state.NodeCount();
         fresh.push_back(child.get());
         node->children.push_back(std::move(child));
-        if (run.Expired() || payload_nodes >= kMaxSearchTreePayload) break;
+        if (run.Stopped() || payload_nodes >= kMaxSearchTreePayload) break;
       }
     }
 
@@ -323,7 +322,7 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
       const double r = std::max(reward_of(child_cost), reward_of(roll_cost));
       stats.RecordRuleOutcome(child->rule_index, r);
       backprop(child, r);
-      if (run.Expired()) break;
+      if (run.Stopped()) break;
     }
   }
 

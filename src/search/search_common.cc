@@ -67,20 +67,10 @@ bool RolloutStepRandom(const RolloutContext& ctx, DiffTree* state,
 SearchRun::SearchRun(const SearchOptions& opts, size_t loops)
     : opts_(opts),
       loops_(std::max<size_t>(1, loops)),
-      deadline_(EffectiveSearchBudgetMs(opts.time_budget_ms, opts.time_control)) {
+      deadline_(EffectiveSearchBudgetMs(opts.time_budget_ms, opts.time_control)),
+      stop_(opts.stop != nullptr ? opts.stop.get() : &local_stop_) {
   if (opts.max_iterations > 0) {
     loop_cap_ = (opts.max_iterations + loops_ - 1) / loops_;
-  }
-  const bool active = opts.time_control.active();
-  if (opts.stop != nullptr) {
-    stop_ = opts.stop.get();
-  } else if (active) {
-    stop_ = &local_stop_;
-  }
-  if (active) {
-    timeman_ = std::make_unique<TimeManager>(opts.time_control,
-                                             opts.max_iterations, stop_);
-    check_interval_ = std::max<uint32_t>(1, opts.time_control.check_interval);
   }
 }
 
@@ -91,14 +81,16 @@ double SearchRun::Start(const DiffTree& initial, StateEvaluator* evaluator, Rng*
 }
 
 bool SearchRun::Next(SearchStats* stats) {
-  if (deadline_.Expired()) return false;
-  if (stop_ != nullptr && stop_->stop_requested()) return false;
+  if (Stopped()) return false;
   if (loop_cap_ > 0 && stats->iterations >= loop_cap_) return false;
-  ++stats->iterations;
-  if (timeman_ != nullptr && stats->iterations % check_interval_ == 0) {
-    timeman_->Update(check_interval_, watch_.ElapsedMillis(), BestCost());
-    if (stop_->stop_requested()) return false;
+  const double plateau_fraction = opts_.time_control.plateau_fraction;
+  if (plateau_fraction > 0.0 &&
+      PlateauReached(plateau_fraction, watch_.ElapsedMillis(),
+                     last_improvement_ms_.load(std::memory_order_relaxed))) {
+    stop_->RequestStop(StopReason::kPlateau);
+    return false;
   }
+  ++stats->iterations;
   return true;
 }
 
@@ -108,14 +100,12 @@ bool SearchRun::Offer(const DiffTree& tree, double cost, SearchStats* stats) {
   best_cost_ = cost;
   best_tree_ = tree;
   const int64_t ms = watch_.ElapsedMillis();
+  last_improvement_ms_.store(ms, std::memory_order_relaxed);
   stats->trace.push_back({ms, stats->iterations, cost});
   if (opts_.progress != nullptr) opts_.progress->Publish(tree, cost, stats->iterations, ms);
+  const double target = opts_.time_control.target_cost;
+  if (target > 0.0 && cost <= target) stop_->RequestStop(StopReason::kTargetCost);
   return true;
-}
-
-double SearchRun::BestCost() {
-  std::lock_guard<std::mutex> lock(best_mu_);
-  return best_cost_;
 }
 
 SearchResult SearchRun::Finish(const std::vector<SearchStats>& loop_stats) {

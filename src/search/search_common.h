@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -172,13 +173,13 @@ struct SearchOptions {
   size_t exhaustive_max_states = 5000;
 
   /// Anytime/deadline control (see search/timeman.h). Value-only knobs;
-  /// part of the service's options fingerprint. Inactive by default, in
-  /// which case the searchers run the classic time_budget_ms loop and stay
+  /// part of the service's options fingerprint. Off by default, in which
+  /// case the searchers run the classic time_budget_ms loop and stay
   /// bit-identical to the pre-anytime behavior.
   TimeControlOptions time_control;
-  /// External stop flag, shared with CancelJob and the TimeManager. Null =
-  /// never stopped externally. Runtime wiring only — NOT part of any cache
-  /// key or fingerprint.
+  /// External stop flag, shared with CancelJob; the run latches its own
+  /// time-control stops into it too. Null = never stopped externally.
+  /// Runtime wiring only — NOT part of any cache key or fingerprint.
   std::shared_ptr<StopHandle> stop;
   /// Best-so-far publisher: every accepted improvement streams out as a
   /// versioned event. Null = off. Publishing consumes no RNG draws and
@@ -288,9 +289,9 @@ double RolloutAndEvaluateState(const RolloutContext& ctx, const DiffTree& start,
 ///
 /// It owns the run's clock, its effective deadline (plain time budget vs
 /// the deadline's search slice) and stop handle (the caller-supplied one,
-/// or a run-local one when time control is active), the TimeManager feed,
-/// the visited-state TranspositionTable, the best tracker that publishes
-/// improvements to the progress sink, the batched `ifgen_search_*` counter
+/// or a run-local one), the visited-state TranspositionTable, the best
+/// tracker that publishes improvements to the progress sink and decides the
+/// target-cost and plateau stops, the batched `ifgen_search_*` counter
 /// flush, and result assembly. A searcher supplies only its loop body:
 ///
 ///   SearchRun run(opts_);
@@ -298,11 +299,10 @@ double RolloutAndEvaluateState(const RolloutContext& ctx, const DiffTree& start,
 ///   while (run.Next(&run.stats())) { ...expand, evaluate, run.Offer(...) }
 ///   return run.Finish();
 ///
-/// With time control off and no external stop handle the guard reduces to
+/// With time control off and no tripped stop handle the guard reduces to
 /// the classic deadline/iteration-cap loop, so every RNG draw is unchanged.
 /// Thread-safe for the `loops` concurrent loops of one run: each loop keeps
-/// its own SearchStats; the best tracker is mutex-guarded and the
-/// TimeManager is fed only every check_interval iterations.
+/// its own SearchStats; the best tracker is mutex-guarded.
 class SearchRun {
  public:
   /// `loops` concurrent loops (MCTS trees) split `opts.max_iterations`
@@ -319,21 +319,21 @@ class SearchRun {
   /// entry at iteration 0). Returns the cost.
   double Start(const DiffTree& initial, StateEvaluator* evaluator, Rng* rng);
 
-  /// Loop guard: false when the loop must stop (deadline expired, stop
-  /// requested, or `stats->iterations` at the per-loop cap); otherwise
-  /// counts one iteration in `stats` and returns true. Every
-  /// check_interval iterations it feeds the TimeManager and returns false
-  /// when that latched a stop, which bounds the stop overshoot at
-  /// check_interval + 1 iterations.
+  /// Loop guard: false when the loop must stop (Stopped(), the plateau
+  /// window passed, or `stats->iterations` at the per-loop cap); otherwise
+  /// counts one iteration in `stats` and returns true. Every rule is
+  /// checked on every call; the clock is read for the plateau only when
+  /// `plateau_fraction > 0`.
   bool Next(SearchStats* stats);
 
-  /// True once the effective deadline has passed; for checks inside a
-  /// loop body.
-  bool Expired() const { return deadline_.Expired(); }
+  /// True once the effective deadline has passed or a stop was requested
+  /// (a reached target, a plateau, a cancel); for checks inside a loop body.
+  bool Stopped() const { return deadline_.Expired() || stop_->stop_requested(); }
 
   /// Records (`tree`, `cost`) if it beats the best so far: appends a trace
-  /// entry at `stats->iterations` to `stats` and publishes the improvement
-  /// to the progress sink. Returns true on improvement. Thread-safe.
+  /// entry at `stats->iterations` to `stats`, publishes the improvement to
+  /// the progress sink, and latches kTargetCost when `cost` reaches the
+  /// target. Returns true on improvement. Thread-safe.
   bool Offer(const DiffTree& tree, double cost, SearchStats* stats);
 
   /// Visited canonical states, shared by every loop of the run.
@@ -348,17 +348,15 @@ class SearchRun {
   SearchResult Finish(const std::vector<SearchStats>& loop_stats = {});
 
  private:
-  double BestCost();
-
   const SearchOptions& opts_;
   const size_t loops_;
   size_t loop_cap_ = 0;  ///< per-loop iteration cap; 0 = none
   Stopwatch watch_;
   Deadline deadline_;
   StopHandle local_stop_;
-  StopHandle* stop_ = nullptr;  ///< null: neither external stop nor time control
-  std::unique_ptr<TimeManager> timeman_;
-  uint32_t check_interval_ = 1;
+  StopHandle* stop_;  ///< the caller's handle, or &local_stop_
+  /// Elapsed ms of the last best-cost improvement; read by every loop.
+  std::atomic<int64_t> last_improvement_ms_{0};
   TranspositionTable tt_;
   SearchStats stats_;
 

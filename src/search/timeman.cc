@@ -1,7 +1,6 @@
 #include "search/timeman.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "obs/metrics.h"
 
@@ -33,11 +32,15 @@ std::string_view StopReasonName(StopReason reason) {
   return "none";
 }
 
+/// Share of deadline_ms reserved for the post-search phase.
+constexpr double kFinalPhaseFraction = 0.15;
+/// Floor of the plateau window.
+constexpr int64_t kPlateauMinMs = 50;
+
 int64_t TimeControlOptions::SearchSliceMs() const {
   if (deadline_ms <= 0) return 0;
-  const double fraction = std::min(std::max(final_phase_fraction, 0.0), 0.95);
-  const auto slice =
-      static_cast<int64_t>(static_cast<double>(deadline_ms) * (1.0 - fraction));
+  const auto slice = static_cast<int64_t>(static_cast<double>(deadline_ms) *
+                                          (1.0 - kFinalPhaseFraction));
   return std::max<int64_t>(1, slice);
 }
 
@@ -49,51 +52,13 @@ int64_t EffectiveSearchBudgetMs(int64_t time_budget_ms,
   return std::min(time_budget_ms, slice);
 }
 
-TimeManager::TimeManager(const TimeControlOptions& opts,
-                         size_t hard_iteration_cap, StopHandle* stop)
-    : opts_(opts),
-      hard_cap_(hard_iteration_cap),
-      stop_(stop),
-      best_cost_(std::numeric_limits<double>::infinity()) {}
-
-StopReason TimeManager::Update(size_t new_iterations, int64_t elapsed_ms,
-                               double best_cost) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (reason_ != StopReason::kNone) return reason_;
-
-  iterations_total_ += new_iterations;
-  if (best_cost < best_cost_) {
-    best_cost_ = best_cost;
-    last_improvement_ms_ = elapsed_ms;
-  }
-
-  StopReason decision = StopReason::kNone;
-  if (opts_.target_cost > 0.0 && best_cost_ <= opts_.target_cost) {
-    decision = StopReason::kTargetCost;
-  } else if (opts_.deadline_ms > 0 && elapsed_ms >= opts_.SearchSliceMs()) {
-    decision = StopReason::kDeadline;
-  } else if (hard_cap_ > 0 && iterations_total_ >= hard_cap_) {
-    decision = StopReason::kIterations;
-  } else if (opts_.plateau_fraction > 0.0) {
-    const auto window = std::max<int64_t>(
-        opts_.plateau_min_ms,
-        static_cast<int64_t>(opts_.plateau_fraction *
-                             static_cast<double>(elapsed_ms)));
-    if (elapsed_ms - last_improvement_ms_ >= window) {
-      decision = StopReason::kPlateau;
-    }
-  }
-
-  if (decision != StopReason::kNone) {
-    reason_ = decision;
-    if (stop_ != nullptr) stop_->RequestStop(decision);
-  }
-  return reason_;
-}
-
-StopReason TimeManager::reason() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reason_;
+bool PlateauReached(double plateau_fraction, int64_t elapsed_ms,
+                    int64_t last_improvement_ms) {
+  if (plateau_fraction <= 0.0) return false;
+  const auto window = std::max<int64_t>(
+      kPlateauMinMs,
+      static_cast<int64_t>(plateau_fraction * static_cast<double>(elapsed_ms)));
+  return elapsed_ms - last_improvement_ms >= window;
 }
 
 StopReason ResolveStopReason(const StopHandle* stop, bool deadline_expired,

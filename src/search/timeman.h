@@ -1,32 +1,27 @@
 #pragma once
 
 /// \file
-/// \brief Deadline-aware time management for the anytime search loop.
+/// \brief Stop vocabulary and pure stop rules of the anytime search loop.
 ///
 /// The paper's promise is interactive latency: a first usable interface in
 /// milliseconds, refined while the user watches. That needs two things the
 /// plain `time_budget_ms` loop does not give us: (a) a wall-clock deadline
 /// that reserves headroom for the post-search widget-materialization phase,
 /// and (b) early stopping when the search has plateaued or already reached
-/// a good-enough cost. Chess-engine time managers solve the same problem —
-/// convert a clock into per-phase budgets, re-checked cheaply inside the
-/// hot loop — and this module follows that shape.
-///
-/// Three pieces:
+/// a good-enough cost. SearchRun (search_common.h) applies every rule from
+/// the state it already owns; this header holds what it applies:
 ///  - StopHandle: a relaxed-atomic should-stop flag, shared between the
-///    search hot loop, the TimeManager, and the external cancel path
+///    search loop and the external cancel path
 ///    (GenerationService::CancelJob). First stop reason wins.
 ///  - TimeControlOptions: the value-only knobs (deadline, target cost,
 ///    plateau window). Part of SearchOptions and of the service cache key.
-///  - TimeManager: the decision state machine. It never reads a clock —
-///    callers inject elapsed milliseconds — so every policy is unit-testable
-///    without wall-clock sleeps and deadline overshoot can be pinned in
-///    iterations, not timing.
+///  - The pure rules (search slice, effective budget, plateau window, stop
+///    attribution). None of them reads a clock — callers pass elapsed
+///    milliseconds — so every policy is unit-testable without sleeps.
 
 #include <cstddef>
 #include <cstdint>
 #include <atomic>
-#include <mutex>
 #include <string_view>
 
 namespace ifgen {
@@ -47,7 +42,7 @@ enum class StopReason : uint8_t {
 /// Stable lowercase name ("none", "deadline", ...); the wire encoding.
 std::string_view StopReasonName(StopReason reason);
 
-/// \brief Thread-safe stop flag unifying cancel and time-manager stops.
+/// \brief Thread-safe stop flag unifying cancel and time-control stops.
 ///
 /// The hot loop polls stop_requested() once per iteration with a relaxed
 /// load — cheap enough to never show up in a profile. The first
@@ -78,34 +73,22 @@ class StopHandle {
 /// \brief Value-only anytime/deadline knobs. Lives in SearchOptions, is
 /// hashed into the service's options fingerprint, and crosses the API
 /// boundary through ApiOptions (deadline_ms / target_cost /
-/// plateau_fraction; the rest keep their defaults server-side).
+/// plateau_fraction). All three off (0) = the classic budget/cap loop.
 struct TimeControlOptions {
   /// Wall-clock deadline for the whole generation call, in ms. 0 = off.
-  /// The search slice is deadline_ms * (1 - final_phase_fraction); the
-  /// remainder is headroom for the final widget-materialization phase so a
-  /// valid interface exists AT the deadline, not some time after it.
+  /// The search stops at SearchSliceMs(); the remainder is headroom for the
+  /// final widget-materialization phase so a valid interface exists AT the
+  /// deadline, not some time after it.
   int64_t deadline_ms = 0;
-  /// Stop as soon as the best cost drops to this value or below. <= 0 = off.
+  /// Stop in the iteration whose best cost drops to this value or below.
+  /// <= 0 = off.
   double target_cost = 0.0;
   /// Plateau-based early stop: stop when the best cost has not improved for
-  /// max(plateau_min_ms, plateau_fraction * elapsed_ms). 0 = off.
+  /// the window of PlateauReached. 0 = off.
   double plateau_fraction = 0.0;
-  /// Floor of the plateau window, so tiny elapsed times cannot trigger an
-  /// instant stop.
-  int64_t plateau_min_ms = 50;
-  /// The hot loop consults the TimeManager every this many iterations; the
-  /// StopHandle flag is still polled every iteration. Bounds the stop
-  /// overshoot at check_interval + 1 iterations.
-  uint32_t check_interval = 16;
-  /// Fraction of deadline_ms reserved for the post-search phase.
-  double final_phase_fraction = 0.15;
 
-  /// True when any policy is enabled and a TimeManager should be attached.
-  bool active() const {
-    return deadline_ms > 0 || target_cost > 0.0 || plateau_fraction > 0.0;
-  }
-  /// The search-phase slice of deadline_ms (>= 1 ms when a deadline is
-  /// set), or 0 when no deadline is set.
+  /// The search-phase slice of deadline_ms (85% of it, >= 1 ms when a
+  /// deadline is set), or 0 when no deadline is set.
   int64_t SearchSliceMs() const;
 };
 
@@ -117,45 +100,13 @@ struct TimeControlOptions {
 int64_t EffectiveSearchBudgetMs(int64_t time_budget_ms,
                                 const TimeControlOptions& tc);
 
-/// \brief The stop-policy state machine shared by all trees of one search.
-///
-/// Root-parallel searches call Update() from several threads against one
-/// instance, so the state is guarded by a mutex; the per-iteration fast
-/// path in the hot loop is the StopHandle's relaxed atomic, and Update()
-/// only runs every check_interval iterations.
-class TimeManager {
- public:
-  /// \param opts the policy knobs (a copy is kept).
-  /// \param hard_iteration_cap SearchOptions::max_iterations (0 = none);
-  ///        latched as kIterations so the reason survives even when the
-  ///        loop's own cap check fires first.
-  /// \param stop optional handle to latch stop decisions into (may be null,
-  ///        e.g. in unit tests that only probe the state machine).
-  TimeManager(const TimeControlOptions& opts, size_t hard_iteration_cap,
-              StopHandle* stop);
-
-  /// Feeds the state machine: `new_iterations` iterations ran since this
-  /// caller's previous Update, the search is `elapsed_ms` in, and the best
-  /// cost so far is `best_cost`. Returns the (possibly just latched) stop
-  /// reason; kNone means keep searching. Thread-safe.
-  StopReason Update(size_t new_iterations, int64_t elapsed_ms, double best_cost);
-
-  /// The latched reason (kNone while running). Thread-safe.
-  StopReason reason() const;
-
-  const TimeControlOptions& options() const { return opts_; }
-
- private:
-  const TimeControlOptions opts_;
-  const size_t hard_cap_;
-  StopHandle* const stop_;
-
-  mutable std::mutex mu_;
-  size_t iterations_total_ = 0;     ///< sum of all Update deltas
-  double best_cost_;                ///< lowest cost seen (starts +inf)
-  int64_t last_improvement_ms_ = 0; ///< elapsed_ms of the last improvement
-  StopReason reason_ = StopReason::kNone;
-};
+/// True when a search `elapsed_ms` in, whose best cost last improved at
+/// `last_improvement_ms`, has stalled for the plateau window
+/// max(50 ms, plateau_fraction * elapsed_ms). The 50 ms floor keeps a tiny
+/// elapsed time from triggering an instant stop. Always false when
+/// `plateau_fraction <= 0`.
+bool PlateauReached(double plateau_fraction, int64_t elapsed_ms,
+                    int64_t last_improvement_ms);
 
 /// Resolves the final SearchStats::stop_reason after a search loop exits:
 /// a latched StopHandle reason wins; otherwise an expired deadline maps to

@@ -96,17 +96,6 @@ TEST(Parameterize, RejectsAlreadyParameterizedShape) {
   EXPECT_FALSE(again.ok());
 }
 
-TEST(SqlKeyedCache, CapFlushesWholesale) {
-  SqlKeyedCache<const int> cache(2);
-  cache.Insert("a", std::make_shared<const int>(1));
-  cache.Insert("b", std::make_shared<const int>(2));
-  EXPECT_EQ(cache.size(), 2u);
-  cache.Insert("c", std::make_shared<const int>(3));  // full -> flush, then insert
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.Lookup("a"), nullptr);
-  EXPECT_NE(cache.Lookup("c"), nullptr);
-}
-
 TEST(Parameterize, ProjectionLiteralsStayInline) {
   Ast q = *ParseQuery("select a + 1 from t where a > 2");
   auto pq = ParameterizeQuery(q);
@@ -452,26 +441,6 @@ TEST(ParameterizeProperty, MalformedBindsRejectedCleanly) {
     ASSERT_TRUE(plan.ok()) << BackendKindName(kind);
     EXPECT_FALSE((*plan)->Execute({}).ok()) << BackendKindName(kind);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Executor::ExecuteSql prepared-AST cache (the re-parse fix).
-
-TEST(ExecutorSqlCache, ReusesParsedQueries) {
-  Database db = TinyDb();
-  Executor ex(&db);
-  EXPECT_EQ(ex.sql_cache_hits(), 0u);
-  ASSERT_TRUE(ex.ExecuteSql("select a from t where a > 1").ok());
-  EXPECT_EQ(ex.sql_cache_hits(), 0u);
-  EXPECT_EQ(ex.sql_cache_misses(), 1u);
-  // The widget-transition pattern: the same SQL text executed repeatedly.
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(ex.ExecuteSql("select a from t where a > 1").ok());
-  }
-  EXPECT_EQ(ex.sql_cache_hits(), 5u);
-  EXPECT_EQ(ex.sql_cache_misses(), 1u);
-  ASSERT_TRUE(ex.ExecuteSql("select a from t where a > 2").ok());
-  EXPECT_EQ(ex.sql_cache_misses(), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -333,12 +333,6 @@ TEST(GenerationService, JobKeyCoversEveryResultAffectingOption) {
        [](GeneratorOptions* o) { o->search.time_control.target_cost = 10.0; }},
       {"search.time_control.plateau_fraction",
        [](GeneratorOptions* o) { o->search.time_control.plateau_fraction = 0.5; }},
-      {"search.time_control.plateau_min_ms",
-       [](GeneratorOptions* o) { o->search.time_control.plateau_min_ms = 10; }},
-      {"search.time_control.check_interval",
-       [](GeneratorOptions* o) { o->search.time_control.check_interval = 1; }},
-      {"search.time_control.final_phase_fraction",
-       [](GeneratorOptions* o) { o->search.time_control.final_phase_fraction = 0.3; }},
       {"parallel.num_threads", [](GeneratorOptions* o) { o->parallel.num_threads = 2; }},
       {"rules.enable_noop_wrap", [](GeneratorOptions* o) { o->rules.enable_noop_wrap = true; }},
       {"rules.max_tree_nodes", [](GeneratorOptions* o) { o->rules.max_tree_nodes = 900; }},

@@ -159,8 +159,12 @@ TEST(Streaming, SinkAndStopWiringDoesNotPerturbSerialSearch) {
 /// handle, and the progress sink.
 const Algorithm kBaselines[] = {Algorithm::kRandom, Algorithm::kGreedy,
                                 Algorithm::kBeam, Algorithm::kExhaustive};
+/// MCTS and the four baselines.
+const Algorithm kSearchers[] = {Algorithm::kMcts, Algorithm::kRandom,
+                                Algorithm::kGreedy, Algorithm::kBeam,
+                                Algorithm::kExhaustive};
 
-/// Iteration-capped options under which every baseline improves on the
+/// Iteration-capped options under which every searcher improves on the
 /// initial state of the flights log and keeps running afterwards.
 SearchOptions BaselineOptions() {
   SearchOptions o = FastOptions(30);
@@ -170,11 +174,11 @@ SearchOptions BaselineOptions() {
   return o;
 }
 
-TEST(BaselineControl, TargetCostStopsWithinOneCheckInterval) {
+TEST(SearchControl, TargetCostStopsInTheIterationThatReachesIt) {
   auto queries = WorkloadLog("flights", 6);
   RuleEngine rules;
   DiffTree initial = *BuildInitialTree(queries);
-  for (Algorithm algorithm : kBaselines) {
+  for (Algorithm algorithm : kSearchers) {
     SCOPED_TRACE(AlgorithmName(algorithm));
     StateEvaluator free_eval(SmallEvalOptions(), queries);
     auto free_run =
@@ -190,7 +194,6 @@ TEST(BaselineControl, TargetCostStopsWithinOneCheckInterval) {
     StateEvaluator eval(SmallEvalOptions(), queries);
     SearchOptions opts = BaselineOptions();
     opts.time_control.target_cost = target;
-    opts.time_control.check_interval = 1;
     auto r = MakeSearcher(algorithm, &rules, &eval, opts)->Run(initial);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->stats.stop_reason, StopReason::kTargetCost);
@@ -203,7 +206,8 @@ TEST(BaselineControl, TargetCostStopsWithinOneCheckInterval) {
       }
     }
     EXPECT_GT(reached, 0u);
-    EXPECT_LE(r->stats.iterations, reached + opts.time_control.check_interval + 1);
+    EXPECT_EQ(r->stats.iterations, reached)
+        << "the run must stop in the iteration that reached the target";
   }
 }
 
@@ -303,118 +307,63 @@ TEST(ProgressSink, HistoryIsBoundedButVersionsKeepIncreasing) {
   EXPECT_TRUE(sink.EventsAfter(total).empty());
 }
 
-// ------------------------------------------------------- TimeManager units
+// ------------------------------------------------------ time control units
 
-TEST(TimeManager, SearchSliceReservesFinalPhaseHeadroom) {
+TEST(TimeControl, SearchSliceReservesFinalPhaseHeadroom) {
   TimeControlOptions tc;
   EXPECT_EQ(tc.SearchSliceMs(), 0) << "no deadline: no slice";
   tc.deadline_ms = 100;
-  tc.final_phase_fraction = 0.15;
   EXPECT_EQ(tc.SearchSliceMs(), 85);
-  tc.final_phase_fraction = 0.0;
-  EXPECT_EQ(tc.SearchSliceMs(), 100);
   tc.deadline_ms = 1;
-  tc.final_phase_fraction = 0.9;
   EXPECT_GE(tc.SearchSliceMs(), 1) << "slice never rounds down to zero";
 }
 
-TEST(TimeManager, EffectiveBudgetIsIdentityWithTimeControlOff) {
+TEST(TimeControl, EffectiveBudgetIsIdentityWithTimeControlOff) {
   TimeControlOptions off;
   EXPECT_EQ(EffectiveSearchBudgetMs(0, off), 0);
   EXPECT_EQ(EffectiveSearchBudgetMs(250, off), 250);
 
   TimeControlOptions tc;
-  tc.deadline_ms = 100;  // slice 85 with the default 0.15 headroom
+  tc.deadline_ms = 100;  // slice 85 with the 0.15 headroom
   EXPECT_EQ(EffectiveSearchBudgetMs(0, tc), 85) << "deadline alone binds";
   EXPECT_EQ(EffectiveSearchBudgetMs(40, tc), 40) << "tighter budget wins";
   EXPECT_EQ(EffectiveSearchBudgetMs(500, tc), 85) << "tighter deadline wins";
 }
 
-TEST(TimeManager, DeadlineLatchesAtSliceNotAtFullDeadline) {
-  TimeControlOptions tc;
-  tc.deadline_ms = 100;
-  tc.final_phase_fraction = 0.15;  // slice = 85
-  StopHandle stop;
-  TimeManager tm(tc, 0, &stop);
-  EXPECT_EQ(tm.Update(16, 84, 10.0), StopReason::kNone);
-  EXPECT_FALSE(stop.stop_requested());
-  EXPECT_EQ(tm.Update(16, 85, 10.0), StopReason::kDeadline);
-  EXPECT_TRUE(stop.stop_requested());
-  EXPECT_EQ(stop.reason(), StopReason::kDeadline);
-  // Latched: later updates cannot change the reason.
-  EXPECT_EQ(tm.Update(16, 300, 0.001), StopReason::kDeadline);
+TEST(TimeControl, OfferLatchesTargetCost) {
+  auto queries = SmallLog();
+  DiffTree tree = *BuildInitialTree(queries);
+  SearchOptions opts = FastOptions(10);
+  opts.time_control.target_cost = 5.0;
+  SearchRun run(opts);
+  EXPECT_TRUE(run.Offer(tree, 9.0, &run.stats()));
+  EXPECT_FALSE(run.Stopped());
+  EXPECT_TRUE(run.Offer(tree, 5.0, &run.stats()));
+  EXPECT_TRUE(run.Stopped()) << "a best at the target stops the run at once";
+  EXPECT_FALSE(run.Next(&run.stats()));
+  EXPECT_EQ(run.Finish().stats.stop_reason, StopReason::kTargetCost);
 }
 
-TEST(TimeManager, TargetCostStops) {
-  TimeControlOptions tc;
-  tc.target_cost = 5.0;
-  StopHandle stop;
-  TimeManager tm(tc, 0, &stop);
-  EXPECT_EQ(tm.Update(8, 1, 9.0), StopReason::kNone);
-  EXPECT_EQ(tm.Update(8, 2, 5.0), StopReason::kTargetCost);
-  EXPECT_TRUE(stop.stop_requested());
-}
-
-TEST(TimeManager, PlateauFiresIffNoImprovementWindow) {
-  TimeControlOptions tc;
-  tc.plateau_fraction = 0.5;
-  tc.plateau_min_ms = 50;
-  StopHandle stop;
-  TimeManager tm(tc, 0, &stop);
+TEST(TimeControl, PlateauFiresIffNoImprovementWindow) {
   // Steady improvement: never fires, no matter how long.
-  double cost = 100.0;
   for (int64_t ms = 10; ms <= 400; ms += 10) {
-    cost -= 1.0;
-    ASSERT_EQ(tm.Update(16, ms, cost), StopReason::kNone) << "at " << ms;
+    ASSERT_FALSE(PlateauReached(0.5, ms, ms)) << "at " << ms;
   }
   // Improvement stops at 400ms. Window = max(50, 0.5 * elapsed). At 500ms
   // the stall is 100ms < 250; at 810ms the stall is 410 >= 405 — fires.
-  EXPECT_EQ(tm.Update(16, 500, cost), StopReason::kNone);
-  EXPECT_EQ(tm.Update(16, 790, cost), StopReason::kNone);
-  EXPECT_EQ(tm.Update(16, 810, cost), StopReason::kPlateau);
+  EXPECT_FALSE(PlateauReached(0.5, 500, 400));
+  EXPECT_FALSE(PlateauReached(0.5, 790, 400));
+  EXPECT_TRUE(PlateauReached(0.5, 810, 400));
+  EXPECT_FALSE(PlateauReached(0.0, 810, 400)) << "fraction 0 = off";
 }
 
-TEST(TimeManager, PlateauMinWindowBlocksInstantStops) {
-  TimeControlOptions tc;
-  tc.plateau_fraction = 0.9;
-  tc.plateau_min_ms = 50;
-  StopHandle stop;
-  TimeManager tm(tc, 0, &stop);
+TEST(TimeControl, PlateauMinWindowBlocksInstantStops) {
   // 10ms in with no improvement yet: 10 < max(50, 9) — must not fire.
-  EXPECT_EQ(tm.Update(16, 10, 100.0), StopReason::kNone);
+  EXPECT_FALSE(PlateauReached(0.9, 10, 0));
+  EXPECT_TRUE(PlateauReached(0.9, 50, 0));
 }
 
-/// Deadline overshoot is bounded in *iterations*, not wall-clock: a hot loop
-/// that consults the manager every check_interval iterations runs at most
-/// check_interval further iterations past the crossing point. Simulated
-/// loop with injected elapsed time — no sleeps, no timing flake.
-TEST(TimeManager, DeadlineOvershootBoundedInIterations) {
-  TimeControlOptions tc;
-  tc.deadline_ms = 100;
-  tc.final_phase_fraction = 0.0;  // slice = 100
-  tc.check_interval = 16;
-  StopHandle stop;
-  TimeManager tm(tc, 0, &stop);
-
-  // 1 iteration == 1 ms; the deadline crosses at iteration 100.
-  const size_t crossing = 100;
-  size_t iterations = 0;
-  uint32_t since_check = 0;
-  while (iterations < 10000) {
-    if (stop.stop_requested()) break;
-    ++iterations;
-    if (++since_check >= tc.check_interval) {
-      tm.Update(since_check, static_cast<int64_t>(iterations), 42.0);
-      since_check = 0;
-    }
-  }
-  EXPECT_GE(iterations, crossing);
-  EXPECT_LE(iterations, crossing + tc.check_interval)
-      << "overshoot must be bounded by one check interval";
-  EXPECT_EQ(tm.reason(), StopReason::kDeadline);
-}
-
-TEST(TimeManager, StopHandleFirstReasonWins) {
+TEST(TimeControl, StopHandleFirstReasonWins) {
   StopHandle stop;
   stop.RequestStop(StopReason::kCancelled);
   stop.RequestStop(StopReason::kDeadline);
@@ -422,7 +371,7 @@ TEST(TimeManager, StopHandleFirstReasonWins) {
   EXPECT_EQ(stop.reason(), StopReason::kCancelled);
 }
 
-TEST(TimeManager, ResolveStopReasonPrecedence) {
+TEST(TimeControl, ResolveStopReasonPrecedence) {
   TimeControlOptions off;
   // Latched handle wins over everything.
   StopHandle cancelled;
@@ -445,57 +394,41 @@ TEST(TimeManager, ResolveStopReasonPrecedence) {
             StopReason::kExhausted);
 }
 
-/// Property fuzz: for any random (deadline, target_cost, plateau) config, a
-/// simulated search loop always terminates with a definite stop reason and
-/// never exceeds the hard iteration cap.
-TEST(TimeManager, PropertyFuzzAlwaysTerminatesWithReason) {
+/// Property fuzz: for any random (searcher, deadline, target_cost,
+/// plateau) config, a real search always terminates with a definite stop
+/// reason and never exceeds its iteration cap.
+TEST(TimeControl, PropertyFuzzAlwaysTerminatesWithReason) {
+  auto queries = SmallLog();
+  RuleEngine rules;
+  DiffTree initial = *BuildInitialTree(queries);
+  Rng cost_rng(1);
+  const double initial_cost =
+      StateEvaluator(SmallEvalOptions(), queries).SampleCost(initial, &cost_rng);
   std::mt19937_64 rng(20260808);
-  std::uniform_int_distribution<int64_t> deadline_dist(0, 200);
-  std::uniform_real_distribution<double> target_dist(0.0, 2.0);
+  std::uniform_int_distribution<int64_t> deadline_dist(1, 60);
+  std::uniform_real_distribution<double> target_dist(0.0, 1.0);
   std::uniform_real_distribution<double> plateau_dist(0.0, 1.0);
   std::uniform_int_distribution<int> coin(0, 1);
 
-  for (int trial = 0; trial < 200; ++trial) {
+  for (int trial = 0; trial < 40; ++trial) {
     SCOPED_TRACE(trial);
-    TimeControlOptions tc;
-    if (coin(rng)) tc.deadline_ms = deadline_dist(rng);
-    if (coin(rng)) tc.target_cost = target_dist(rng);
-    if (coin(rng)) tc.plateau_fraction = plateau_dist(rng);
-    tc.plateau_min_ms = 10;
-    tc.check_interval = 1 + static_cast<uint32_t>(rng() % 32);
+    const Algorithm algorithm = kSearchers[rng() % 5];
+    SearchOptions opts = FastOptions(1 + rng() % 64);
+    opts.seed = rng();
+    if (coin(rng)) opts.time_control.deadline_ms = deadline_dist(rng);
+    if (coin(rng)) opts.time_control.target_cost = initial_cost * target_dist(rng);
+    if (coin(rng)) opts.time_control.plateau_fraction = plateau_dist(rng);
+    SCOPED_TRACE(AlgorithmName(algorithm));
 
-    const size_t hard_cap = 64 + rng() % 512;
-    StopHandle stop;
-    TimeManager tm(tc, hard_cap, &stop);
-
-    // Cost decays toward zero with random plateaus; 1 iteration == 1 ms.
-    double cost = 10.0;
-    size_t iterations = 0;
-    uint32_t since_check = 0;
-    bool deadline_expired = false;
-    const int64_t effective = EffectiveSearchBudgetMs(0, tc);
-    while (iterations < hard_cap) {
-      if (stop.stop_requested()) break;
-      ++iterations;
-      if (coin(rng)) cost *= 0.95;  // improvement ~half the time
-      const auto elapsed = static_cast<int64_t>(iterations);
-      if (effective > 0 && elapsed >= effective) {
-        deadline_expired = true;
-        break;
-      }
-      if (++since_check >= tc.check_interval) {
-        tm.Update(since_check, elapsed, cost);
-        since_check = 0;
-      }
+    StateEvaluator eval(SmallEvalOptions(), queries);
+    auto r = MakeSearcher(algorithm, &rules, &eval, opts)->Run(initial);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_LE(r->stats.iterations, opts.max_iterations);
+    EXPECT_NE(r->stats.stop_reason, StopReason::kNone)
+        << "every terminated search must report why it stopped";
+    if (r->stats.stop_reason == StopReason::kTargetCost) {
+      EXPECT_LE(r->best_cost, opts.time_control.target_cost);
     }
-    EXPECT_LE(iterations, hard_cap);
-    const StopReason reason = ResolveStopReason(
-        &stop, deadline_expired, 0, tc, iterations, hard_cap);
-    EXPECT_NE(reason, StopReason::kNone)
-        << "every terminated loop must report why it stopped";
-    EXPECT_NE(reason, StopReason::kExhausted)
-        << "nothing was exhausted in this simulation";
-    EXPECT_FALSE(StopReasonName(reason).empty());
   }
 }
 
