@@ -1,5 +1,12 @@
 #include "cost/cost_model.h"
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <memory_resource>
+#include <string>
+#include <unordered_map>
+
 #include "difftree/selection.h"
 #include "interface/layout.h"
 #include "widgets/appropriateness.h"
@@ -74,36 +81,113 @@ void PriceTransition(FlatLayout* layout, const std::vector<int>& changed_ids,
   *navigation = nav;
 }
 
+namespace {
+
+/// Sticky widget state held flat, one value code per choice id, against
+/// which PlanTransitions scores every parse in place. A code is the ANY
+/// alternative, OPT present (1) or absent (0), or a MULTI's Encode()
+/// interned per plan; kUnset marks a widget no query has set yet. Equal
+/// codes of one id mean equal ExtractSelections values.
+class StickyState {
+ public:
+  struct Selection {
+    int id;
+    int code;
+  };
+
+  explicit StickyState(const DiffTree& tree)
+      : index_(tree), codes_(index_.size(), kUnset) {}
+
+  /// Writes the selections of `d` into `out` in ForEachSelection order and
+  /// returns how many of them differ from the sticky state.
+  size_t Score(const Derivation& d, std::vector<Selection>* out) {
+    out->clear();
+    ForEachSelection(index_, d, [&](int id, const Derivation& c) {
+      out->push_back({id, c.node->kind == DKind::kMulti ? Intern(c) : c.choice});
+    });
+    size_t changed = 0;
+    for (const Selection& s : *out) changed += codes_[static_cast<size_t>(s.id)] != s.code;
+    return changed;
+  }
+
+  /// Moves the state to `sels`. Unless `changed_ids` is null, appends the ids
+  /// that change in the iteration order of a SelectionMap filled in
+  /// ForEachSelection order, as ExtractSelections fills it. PriceTransition
+  /// sums in this order, so it is part of the bit-identity contract.
+  void Advance(const std::vector<Selection>& sels, std::vector<int>* changed_ids) {
+    if (changed_ids != nullptr) {
+      changed_.clear();
+      for (const Selection& s : sels) {
+        if (codes_[static_cast<size_t>(s.id)] != s.code) changed_.push_back(s.id);
+      }
+      if (changed_.size() > 1) {
+        // A SelectionMap but for its allocator, which takes the nodes from
+        // arena_: its iteration order depends on the key sequence alone.
+        std::pmr::monotonic_buffer_resource arena(arena_.data(), arena_.size());
+        std::pmr::unordered_map<int, std::string> order(&arena);
+        for (const Selection& s : sels) order[s.id];
+        for (const auto& entry : order) {
+          if (std::find(changed_.begin(), changed_.end(), entry.first) != changed_.end()) {
+            changed_ids->push_back(entry.first);
+          }
+        }
+      } else {
+        changed_ids->assign(changed_.begin(), changed_.end());
+      }
+    }
+    for (const Selection& s : sels) codes_[static_cast<size_t>(s.id)] = s.code;
+  }
+
+ private:
+  static constexpr int kUnset = -1;
+
+  int Intern(const Derivation& multi) {
+    key_.clear();
+    multi.EncodeTo(&key_);
+    auto it = multi_codes_.find(key_);
+    if (it == multi_codes_.end()) {
+      it = multi_codes_.emplace(key_, static_cast<int>(multi_codes_.size())).first;
+    }
+    return it->second;
+  }
+
+  ChoiceIndex index_;
+  std::vector<int> codes_;
+  std::unordered_map<std::string, int> multi_codes_;
+  std::string key_;          ///< Encode() buffer, reused across MULTI selections
+  std::vector<int> changed_;  ///< Advance's changed ids in selection order
+  std::array<std::byte, 8192> arena_;  ///< backs Advance's ordering map
+};
+
+}  // namespace
+
 TransitionPlan PlanTransitions(const DiffTree& tree, const std::vector<Ast>& queries,
                                size_t parse_limit) {
   TransitionPlan plan;
-  ChoiceIndex index(tree);
-  SelectionMap state;
+  StickyState state(tree);
+  Derivation scratch;  // the matcher's live derivation, reused by every query
+  std::vector<StickyState::Selection> trial;
+  std::vector<StickyState::Selection> best;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    std::vector<Derivation> derivs = EnumerateDerivations(tree, queries[qi], parse_limit);
-    if (derivs.empty()) {
-      plan.valid = false;
+    // Min-change parse under sticky semantics ("minimum set of widgets"):
+    // the first parse with the fewest changes wins, and a parse changing
+    // nothing ends the search.
+    size_t best_changed = static_cast<size_t>(-1);
+    const size_t parses = ForEachDerivation(
+        tree, queries[qi], parse_limit, &scratch, [&](const Derivation& d) {
+          const size_t changed = state.Score(d, &trial);
+          if (changed >= best_changed) return false;
+          best_changed = changed;
+          best.swap(trial);
+          return best_changed == 0;
+        });
+    if (parses == 0) {
       plan.invalid_reason = "query " + std::to_string(qi) + " inexpressible";
       return plan;
     }
-    // Min-change parse under sticky semantics ("minimum set of widgets").
-    size_t best_changed = static_cast<size_t>(-1);
-    SelectionMap best_next;
-    std::vector<int> best_ids;
-    for (const Derivation& d : derivs) {
-      SelectionMap sels = ExtractSelections(index, d);
-      SelectionMap trial = state;
-      std::vector<int> ids;
-      size_t changed = CountChangedAndAdvance(sels, &trial, &ids);
-      if (changed < best_changed) {
-        best_changed = changed;
-        best_next = std::move(trial);
-        best_ids = std::move(ids);
-        if (best_changed == 0) break;
-      }
-    }
-    plan.changed_ids.push_back(qi == 0 ? std::vector<int>{} : std::move(best_ids));
-    state = std::move(best_next);
+    // changed_ids[0] is the free initial configuration, left empty.
+    plan.changed_ids.emplace_back();
+    state.Advance(best, qi == 0 ? nullptr : &plan.changed_ids.back());
   }
   plan.valid = true;
   return plan;

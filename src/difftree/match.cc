@@ -1,6 +1,6 @@
 #include "difftree/match.h"
 
-#include <type_traits>
+#include <charconv>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -10,28 +10,38 @@ namespace ifgen {
 
 std::string Derivation::Encode() const {
   std::string out;
+  EncodeTo(&out);
+  return out;
+}
+
+void Derivation::EncodeTo(std::string* out) const {
+  auto append_int = [out](char tag, int v) {
+    char buf[16];
+    buf[0] = tag;
+    const char* end = std::to_chars(buf + 1, buf + sizeof buf, v).ptr;
+    out->append(buf, static_cast<size_t>(end - buf));
+  };
   switch (node->kind) {
     case DKind::kAll:
       break;
     case DKind::kAny:
-      out += "a" + std::to_string(choice);
+      append_int('a', choice);
       break;
     case DKind::kOpt:
-      out += choice != 0 ? "p1" : "p0";
+      out->append(choice != 0 ? "p1" : "p0");
       break;
     case DKind::kMulti:
-      out += "m" + std::to_string(choice);
+      append_int('m', choice);
       break;
   }
   if (!children.empty()) {
-    out += "(";
+    out->push_back('(');
     for (size_t i = 0; i < children.size(); ++i) {
-      if (i > 0) out += " ";
-      out += children[i].Encode();
+      if (i > 0) out->push_back(' ');
+      children[i].EncodeTo(out);
     }
-    out += ")";
+    out->push_back(')');
   }
-  return out;
 }
 
 namespace {
@@ -57,23 +67,9 @@ struct AstList {
 /// the next unconsumed AST node at the *same* list level; returning true
 /// commits the branch, returning false requests further backtracking.
 ///
-/// A `Cont` is a non-owning reference to a callable (an object pointer and
-/// a call thunk): every continuation is a lambda living in the frame of the
-/// call that receives it, so no step allocates.
-class Cont {
- public:
-  template <typename F, typename = std::enable_if_t<!std::is_same_v<F, Cont>>>
-  Cont(const F& f)  // NOLINT(runtime/explicit): lambdas convert implicitly
-      : callable_(&f), call_([](const void* c, size_t j) {
-          return (*static_cast<const F*>(c))(j);
-        }) {}
-
-  bool operator()(size_t j) const { return call_(callable_, j); }
-
- private:
-  const void* callable_;
-  bool (*call_)(const void*, size_t);
-};
+/// Every continuation is a lambda living in the frame of the call that
+/// receives it, so a non-owning reference suffices and no step allocates.
+using Cont = FunctionRef<bool(size_t)>;
 
 class Matcher {
  public:
@@ -221,22 +217,36 @@ std::optional<Derivation> MatchQuery(const DiffTree& root, const Ast& query,
   return deriv;
 }
 
+size_t ForEachDerivation(const DiffTree& root, const Ast& query, size_t limit,
+                         Derivation* scratch, const DerivationVisitor& visit,
+                         const MatchOptions& opts) {
+  if (limit == 0) return 0;
+  Matcher m(opts);
+  size_t visited = 0;
+  // The continuation reports failure after visiting each complete parse so
+  // the matcher keeps backtracking into the next one, until `limit` or until
+  // the visitor stops it.
+  m.MatchOne(root, AstList{&query, 1}, 0, scratch, [&](size_t j) {
+    if (j != 1) return false;
+    ++visited;
+    return visit(*scratch) || visited >= limit;  // true stops the search
+  });
+  // The parses visited before the budget ran out still count (and are priced
+  // by PlanTransitions); the counter makes the truncation visible.
+  if (m.exhausted()) BudgetExhaustedMetric().Inc();
+  return visited;
+}
+
 std::vector<Derivation> EnumerateDerivations(const DiffTree& root, const Ast& query,
                                              size_t limit, const MatchOptions& opts) {
   std::vector<Derivation> out;
-  if (limit == 0) return out;
-  Matcher m(opts);
-  Derivation deriv;
-  // The continuation reports failure after collecting each complete parse so
-  // the matcher keeps backtracking into the next one, until `limit`.
-  m.MatchOne(root, AstList{&query, 1}, 0, &deriv, [&](size_t j) {
-    if (j != 1) return false;
-    out.push_back(deriv);
-    return out.size() >= limit;  // true stops the search
-  });
-  // The parses found before the budget ran out are still returned (and
-  // priced by PlanTransitions); the counter makes the truncation visible.
-  if (m.exhausted()) BudgetExhaustedMetric().Inc();
+  Derivation scratch;
+  ForEachDerivation(root, query, limit, &scratch,
+                    [&](const Derivation& d) {
+                      out.push_back(d);
+                      return false;
+                    },
+                    opts);
   return out;
 }
 

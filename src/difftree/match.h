@@ -1,10 +1,12 @@
 #pragma once
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "difftree/difftree.h"
 #include "sql/ast.h"
+#include "util/function_ref.h"
 
 namespace ifgen {
 
@@ -27,13 +29,16 @@ struct Derivation {
   /// Canonical encoding of every choice made in this derivation subtree;
   /// two derivations encode equal iff they make identical choices.
   std::string Encode() const;
+  /// Appends Encode() to `out`, so a reused buffer encodes without allocating.
+  void EncodeTo(std::string* out) const;
 };
 
 /// \brief Limits for the backtracking matcher.
 struct MatchOptions {
   /// Backtracking step budget. Exceeding it makes MatchQuery report
-  /// no-match (logged) and EnumerateDerivations return the parses found so
-  /// far; both bump `ifgen_match_budget_exhausted_total`.
+  /// no-match (logged) and ForEachDerivation / EnumerateDerivations stop
+  /// after the parses found so far; each bumps
+  /// `ifgen_match_budget_exhausted_total`.
   size_t max_steps = 2'000'000;
   /// Maximum repetitions a MULTI may consume.
   size_t max_multi = 24;
@@ -45,8 +50,22 @@ struct MatchOptions {
 std::optional<Derivation> MatchQuery(const DiffTree& root, const Ast& query,
                                      const MatchOptions& opts = {});
 
-/// \brief Enumerates up to `limit` distinct derivations of `query` (used by
-/// the cost model to pick the parse minimizing widget changes).
+/// Receives the live derivation at each complete parse; true stops the search.
+using DerivationVisitor = FunctionRef<bool(const Derivation&)>;
+
+/// \brief Hands up to `limit` distinct derivations of `query` to `visit`, in
+/// EnumerateDerivations' order, without copying them: `visit` sees the
+/// matcher's live derivation, which lives in `*scratch` and is overwritten by
+/// the next parse. `visit` returns true to stop. Reusing one scratch across
+/// calls (even on other trees) reuses its child-vector capacity. Returns the
+/// number of parses visited; a search cut off by `max_steps` bumps
+/// `ifgen_match_budget_exhausted_total`.
+size_t ForEachDerivation(const DiffTree& root, const Ast& query, size_t limit,
+                         Derivation* scratch, const DerivationVisitor& visit,
+                         const MatchOptions& opts = {});
+
+/// \brief Enumerates up to `limit` distinct derivations of `query`: a copy of
+/// each parse ForEachDerivation visits.
 std::vector<Derivation> EnumerateDerivations(const DiffTree& root, const Ast& query,
                                              size_t limit,
                                              const MatchOptions& opts = {});

@@ -1,5 +1,6 @@
 #include "difftree/normalize.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/string_util.h"
@@ -14,18 +15,23 @@ void NormalizeRec(DiffTree* n) {
   switch (n->kind) {
     case DKind::kAll: {
       // Splice Seq children; drop Empty children (they expand to nothing).
-      std::vector<DiffTree> kids;
-      kids.reserve(n->children.size());
-      for (DiffTree& c : n->children) {
-        if (c.IsSeq()) {
-          for (DiffTree& gc : c.children) kids.push_back(std::move(gc));
-        } else if (c.IsEmptyLeaf()) {
-          // dropped
-        } else {
-          kids.push_back(std::move(c));
+      // Most ALL nodes have neither, and keep their children vector.
+      const bool splice = std::any_of(n->children.begin(), n->children.end(),
+                                      [](const DiffTree& c) {
+                                        return c.IsSeq() || c.IsEmptyLeaf();
+                                      });
+      if (splice) {
+        std::vector<DiffTree> kids;
+        kids.reserve(n->children.size());
+        for (DiffTree& c : n->children) {
+          if (c.IsSeq()) {
+            for (DiffTree& gc : c.children) kids.push_back(std::move(gc));
+          } else if (!c.IsEmptyLeaf()) {
+            kids.push_back(std::move(c));
+          }
         }
+        n->children = std::move(kids);
       }
-      n->children = std::move(kids);
       if (n->IsSeq()) {
         if (n->children.empty()) {
           *n = DiffTree::Empty();

@@ -2,9 +2,11 @@
 
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "difftree/match.h"
+#include "util/function_ref.h"
 
 namespace ifgen {
 
@@ -29,7 +31,9 @@ class ChoiceIndex {
  private:
   std::vector<const DiffTree*> nodes_;
   std::vector<bool> inside_multi_;
-  std::unordered_map<const DiffTree*, int> id_of_;
+  /// (node, id) sorted by node address: IdOf is a binary search, and
+  /// building an index (once per planned state) allocates one array.
+  std::vector<std::pair<const DiffTree*, int>> id_of_;
 };
 
 /// \brief The selection a query induces on each *active* widget.
@@ -39,6 +43,15 @@ class ChoiceIndex {
 /// "sticky" semantics, matching how a real interface behaves). Choice nodes
 /// inside MULTI subtrees are folded into the MULTI's own encoding.
 using SelectionMap = std::unordered_map<int, std::string>;
+
+/// Receives a selection: the choice id and the choice node's derivation.
+using SelectionVisitor = FunctionRef<void(int, const Derivation&)>;
+
+/// \brief Visits the selections of a derivation in pre-order: every choice
+/// node outside MULTI subtrees (a MULTI's own selection covers them). This is
+/// the order ExtractSelections fills its map in.
+void ForEachSelection(const ChoiceIndex& index, const Derivation& deriv,
+                      const SelectionVisitor& visit);
 
 /// Extracts the selection map from a derivation.
 SelectionMap ExtractSelections(const ChoiceIndex& index, const Derivation& deriv);

@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include "rules/align.h"
 #include "rules/rule.h"
 
@@ -98,39 +100,39 @@ class MultiRule final : public Rule {
     return Status::OK();
   }
 
-  /// Flattens an alternative into its element list; returns false when the
-  /// alternative is not a sequence of alignable elements.
-  static bool ElementsOf(const DiffTree& alt, std::vector<const DiffTree*>* elems) {
-    if (alt.IsEmptyLeaf()) return true;  // zero elements
-    if (alt.IsSeq()) {
-      for (const DiffTree& c : alt.children) elems->push_back(&c);
-      return true;
-    }
-    elems->push_back(&alt);
-    return true;
+  /// An alternative is a list of elements: none for an Empty leaf, a Seq's
+  /// children, else the alternative itself. ElementCount and ElementAt read
+  /// that list in place.
+  static size_t ElementCount(const DiffTree& alt) {
+    if (alt.IsEmptyLeaf()) return 0;
+    return alt.IsSeq() ? alt.children.size() : 1;
   }
 
+  static const DiffTree& ElementAt(const DiffTree& alt, size_t i) {
+    return alt.IsSeq() ? alt.children[i] : alt;
+  }
+
+  /// Runs on every ANY of every enumerated state, so it builds no lists.
   static void CollectRepeatUnion(const DiffTree& node, const TreePath& path,
                                  std::vector<RuleApplication>* out) {
     if (node.kind != DKind::kAny || node.children.size() < 2) return;
-    std::vector<const DiffTree*> all_elems;
+    const size_t first_count = ElementCount(node.children[0]);
     bool varying_count = false;
-    size_t first_count = std::string::npos;
+    size_t total = 0;
+    const DiffTree* first = nullptr;
     for (const DiffTree& alt : node.children) {
-      std::vector<const DiffTree*> elems;
-      if (!ElementsOf(alt, &elems)) return;
-      if (first_count == std::string::npos) {
-        first_count = elems.size();
-      } else if (elems.size() != first_count) {
-        varying_count = true;
-      }
-      for (const DiffTree* e : elems) all_elems.push_back(e);
+      const size_t count = ElementCount(alt);
+      if (count != first_count) varying_count = true;
+      if (first == nullptr && count > 0) first = &ElementAt(alt, 0);
+      total += count;
     }
-    if (all_elems.size() < 2) return;
-    if (!MayRepeat(*all_elems[0])) return;
-    uint64_t key = AlignKey(*all_elems[0]);
-    for (const DiffTree* e : all_elems) {
-      if (AlignKey(*e) != key) return;
+    if (total < 2) return;
+    if (!MayRepeat(*first)) return;
+    const uint64_t key = AlignKey(*first);
+    for (const DiffTree& alt : node.children) {
+      for (size_t i = 0, n = ElementCount(alt); i < n; ++i) {
+        if (AlignKey(ElementAt(alt, i)) != key) return;
+      }
     }
     // Only propose when repetition is actually present (count variation or
     // a run within an alternative); otherwise Any2All covers it better.
@@ -149,19 +151,11 @@ class MultiRule final : public Rule {
     if (node->kind != DKind::kAny) return Status::Invalid("Multi: target not ANY");
     std::vector<DiffTree> distinct;
     for (const DiffTree& alt : node->children) {
-      std::vector<const DiffTree*> elems;
-      if (!ElementsOf(alt, &elems)) {
-        return Status::Invalid("Multi: alternative is not a sequence");
-      }
-      for (const DiffTree* e : elems) {
-        bool seen = false;
-        for (const DiffTree& d : distinct) {
-          if (d == *e) {
-            seen = true;
-            break;
-          }
+      for (size_t i = 0, n = ElementCount(alt); i < n; ++i) {
+        const DiffTree& e = ElementAt(alt, i);
+        if (std::find(distinct.begin(), distinct.end(), e) == distinct.end()) {
+          distinct.push_back(e);
         }
-        if (!seen) distinct.push_back(*e);
       }
     }
     if (distinct.empty()) return Status::Invalid("Multi: no elements");

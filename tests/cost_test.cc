@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 
 #include "core/options.h"
 #include "cost/cost_model.h"
 #include "cost/evaluator.h"
 #include "cost/transition.h"
 #include "difftree/builder.h"
+#include "difftree/selection.h"
 #include "interface/assignment.h"
 #include "sql/parser.h"
 #include "util/hash.h"
@@ -429,6 +432,115 @@ TEST(EvaluationPin, RolloutStatesEvaluateBitForBit) {
     EXPECT_EQ(derivations, pin.derivations) << row;
     EXPECT_EQ(breakdowns, pin.breakdowns) << row;
     EXPECT_EQ(find_best, pin.find_best) << row;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Transition planning against its reference: the planner that copied every
+// parse out of EnumerateDerivations, built its SelectionMap and counted
+// changes on a copy of the sticky state.
+
+TransitionPlan ReferencePlan(const DiffTree& tree, const std::vector<Ast>& queries,
+                             size_t parse_limit) {
+  TransitionPlan plan;
+  ChoiceIndex index(tree);
+  SelectionMap state;
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    std::vector<Derivation> derivs = EnumerateDerivations(tree, queries[qi], parse_limit);
+    if (derivs.empty()) {
+      plan.valid = false;
+      plan.invalid_reason = "query " + std::to_string(qi) + " inexpressible";
+      return plan;
+    }
+    size_t best_changed = static_cast<size_t>(-1);
+    SelectionMap best_next;
+    std::vector<int> best_ids;
+    for (const Derivation& d : derivs) {
+      SelectionMap sels = ExtractSelections(index, d);
+      SelectionMap trial = state;
+      std::vector<int> ids;
+      size_t changed = CountChangedAndAdvance(sels, &trial, &ids);
+      if (changed < best_changed) {
+        best_changed = changed;
+        best_next = std::move(trial);
+        best_ids = std::move(ids);
+        if (best_changed == 0) break;
+      }
+    }
+    plan.changed_ids.push_back(qi == 0 ? std::vector<int>{} : std::move(best_ids));
+    state = std::move(best_next);
+  }
+  plan.valid = true;
+  return plan;
+}
+
+/// The pin's mix of forward-biased and uniform rollout states.
+std::vector<DiffTree> PlanningStates(const std::vector<Ast>& queries) {
+  std::vector<DiffTree> states = RolloutStates(queries, 11, 24, 0.8);
+  for (DiffTree& s : RolloutStates(queries, 13, 24, 0.0)) states.push_back(std::move(s));
+  return states;
+}
+
+void ExpectSamePlan(const TransitionPlan& got, const TransitionPlan& want,
+                    const std::string& where) {
+  EXPECT_EQ(got.valid, want.valid) << where;
+  EXPECT_EQ(got.invalid_reason, want.invalid_reason) << where;
+  EXPECT_EQ(got.changed_ids, want.changed_ids) << where;  // order included
+}
+
+TEST(Plan, MatchesReferencePlanner) {
+  for (const char* workload : {"flights", "sdss", "synthetic"}) {
+    const std::vector<Ast> queries = *ParseQueries(LoadWorkload(workload, 10)->log);
+    // The same log with one query no state expresses: invalid mid-log.
+    std::vector<Ast> broken = queries;
+    broken.insert(broken.begin() + 3, Q("select zz from nowhere"));
+    size_t reordered = 0;  // transitions whose ids are not in selection order
+    size_t multi_id = 0;   // transitions changing several ids
+    const std::vector<DiffTree> states = PlanningStates(queries);
+    for (size_t i = 0; i < states.size(); ++i) {
+      for (size_t limit : {8, 2, 1}) {
+        const std::string where =
+            std::string(workload) + " state " + std::to_string(i) + " limit " +
+            std::to_string(limit);
+        const TransitionPlan want = ReferencePlan(states[i], queries, limit);
+        const TransitionPlan got = PlanTransitions(states[i], queries, limit);
+        ExpectSamePlan(got, want, where);
+        ExpectSamePlan(PlanTransitions(states[i], broken, limit),
+                       ReferencePlan(states[i], broken, limit), where + " broken");
+        for (const std::vector<int>& ids : want.changed_ids) {
+          if (ids.size() > 1) ++multi_id;
+          if (!std::is_sorted(ids.begin(), ids.end())) ++reordered;
+        }
+      }
+    }
+    // The order rule is exercised: several ids change, out of id order.
+    EXPECT_GT(multi_id, 0u) << workload;
+    EXPECT_GT(reordered, 0u) << workload;
+  }
+}
+
+TEST(Plan, ConcurrentPlanningIsIdentical) {
+  const std::vector<Ast> queries = *ParseQueries(LoadWorkload("sdss", 10)->log);
+  const std::vector<DiffTree> states = PlanningStates(queries);
+  std::vector<TransitionPlan> serial;
+  for (const DiffTree& s : states) serial.push_back(PlanTransitions(s, queries, kParseLimit));
+  constexpr int kThreads = 4;
+  std::vector<std::vector<TransitionPlan>> parallel(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const DiffTree& s : states) {
+        parallel[static_cast<size_t>(t)].push_back(PlanTransitions(s, queries, kParseLimit));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(parallel[static_cast<size_t>(t)].size(), serial.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+      ExpectSamePlan(parallel[static_cast<size_t>(t)][i], serial[i],
+                     "thread " + std::to_string(t) + " state " + std::to_string(i));
+    }
   }
 }
 

@@ -247,6 +247,73 @@ TEST(Match, EnumerateDerivationsFindsAmbiguity) {
   EXPECT_EQ(parses.size(), 2u);
 }
 
+/// Encode() of every parse ForEachDerivation visits, reusing `scratch`.
+std::vector<std::string> VisitedEncodings(const DiffTree& d, const Ast& q, size_t limit,
+                                          Derivation* scratch) {
+  std::vector<std::string> seen;
+  const size_t n = ForEachDerivation(d, q, limit, scratch, [&](const Derivation& v) {
+    seen.push_back(v.Encode());
+    return false;
+  });
+  EXPECT_EQ(n, seen.size());
+  return seen;
+}
+
+std::vector<std::string> EnumeratedEncodings(const DiffTree& d, const Ast& q, size_t limit) {
+  std::vector<std::string> out;
+  for (const Derivation& v : EnumerateDerivations(d, q, limit)) out.push_back(v.Encode());
+  return out;
+}
+
+TEST(Match, ForEachDerivationFollowsEnumerateOrder) {
+  // PROJECT(OPT(ANY(a, a)), MULTI(ANY(a, a))) parses PROJECT(a, a) eight
+  // ways: OPT present (2) x one copy (2), and OPT absent x two copies (4).
+  auto a_or_a = [] {
+    return DiffTree::Any({DiffTree::FromAst(Col("a")), DiffTree::FromAst(Col("a"))});
+  };
+  DiffTree proj(Symbol::kProject, "");
+  proj.children.push_back(DiffTree::Opt(a_or_a()));
+  proj.children.push_back(DiffTree::Multi(a_or_a()));
+  const Ast aa(Symbol::kProject, "", {Col("a"), Col("a")});
+
+  Derivation scratch;
+  const std::vector<std::string> all = EnumeratedEncodings(proj, aa, 100);
+  ASSERT_EQ(all.size(), 8u);
+  EXPECT_EQ(VisitedEncodings(proj, aa, 100, &scratch), all);
+
+  // `limit` caps the visits; a visitor returning true stops at once.
+  EXPECT_EQ(VisitedEncodings(proj, aa, 3, &scratch),
+            std::vector<std::string>(all.begin(), all.begin() + 3));
+  EXPECT_EQ(ForEachDerivation(proj, aa, 0, &scratch, [](const Derivation&) { return false; }),
+            0u);
+  size_t calls = 0;
+  EXPECT_EQ(ForEachDerivation(proj, aa, 100, &scratch,
+                              [&](const Derivation&) { return ++calls == 2; }),
+            2u);
+  EXPECT_EQ(calls, 2u);
+
+  // A cut-off search is counted once.
+  obs::Counter* exhausted = obs::MetricsRegistry::Default().GetCounter(
+      "ifgen_match_budget_exhausted_total", "");
+  MatchOptions tiny;
+  tiny.max_steps = 3;
+  const uint64_t before = exhausted->Value();
+  EXPECT_EQ(ForEachDerivation(proj, aa, 100, &scratch,
+                              [](const Derivation&) { return false; }, tiny),
+            0u);
+  EXPECT_EQ(exhausted->Value(), before + 1);
+
+  // One scratch reused across trees gives what a fresh match gives.
+  const std::vector<Ast> log = {Q("select top 10 a from t where x = 1 and y = 2"),
+                                Q("select b from t"), Q("select a, b from t where x = 3")};
+  const DiffTree built = *BuildInitialTree(log);
+  for (const Ast& q : log) {
+    EXPECT_EQ(VisitedEncodings(built, q, 8, &scratch), EnumeratedEncodings(built, q, 8));
+    EXPECT_EQ(VisitedEncodings(proj, aa, 8, &scratch), all);
+  }
+  EXPECT_EQ(exhausted->Value(), before + 1);
+}
+
 TEST(Match, ExpandDerivationInvertsMatch) {
   std::vector<Ast> queries = {Q("select top 10 a from t where x = 1 and y = 2"),
                               Q("select b from t")};
