@@ -47,7 +47,7 @@ DiffTree MergeNodes(const std::vector<const DiffTree*>& nodes) {
   }
 
   std::vector<const std::vector<DiffTree>*> alt_children;
-  for (const DiffTree* n : distinct) alt_children.push_back(&n->children);
+  for (const DiffTree* n : distinct) alt_children.push_back(&n->children.view());
   std::vector<AlignedColumn> columns = AlignBySymbol(alt_children);
   DiffTree result(first->sym, first->value);
   for (const AlignedColumn& col : columns) {

@@ -49,15 +49,6 @@ Result<std::vector<InterfaceSession::StepReport>> InterfaceSession::ReplayLog(
   return reports;
 }
 
-Derivation* InterfaceSession::FindActive(Derivation* d, const DiffTree* target) {
-  if (d->node == target) return d;
-  for (Derivation& c : d->children) {
-    Derivation* found = FindActive(&c, target);
-    if (found != nullptr) return found;
-  }
-  return nullptr;
-}
-
 Status InterfaceSession::SetAnyChoice(int choice_id, int option_index) {
   if (!has_current_) return Status::Invalid("session has no current query");
   if (choice_id < 0 || static_cast<size_t>(choice_id) >= index_->size()) {
@@ -69,7 +60,7 @@ Status InterfaceSession::SetAnyChoice(int choice_id, int option_index) {
       static_cast<size_t>(option_index) >= node->children.size()) {
     return Status::OutOfRange("bad option index");
   }
-  Derivation* active = FindActive(&current_, node);
+  Derivation* active = FindChoice(*index_, &current_, choice_id);
   if (active == nullptr) {
     return Status::Invalid("widget is not active in the current query");
   }
@@ -87,7 +78,7 @@ Status InterfaceSession::SetOptPresent(int choice_id, bool present) {
   }
   const DiffTree* node = index_->node(static_cast<size_t>(choice_id));
   if (node->kind != DKind::kOpt) return Status::Invalid("choice is not an OPT");
-  Derivation* active = FindActive(&current_, node);
+  Derivation* active = FindChoice(*index_, &current_, choice_id);
   if (active == nullptr) {
     return Status::Invalid("widget is not active in the current query");
   }
@@ -112,7 +103,7 @@ Status InterfaceSession::SetMultiCount(int choice_id, size_t count) {
     return Status::OutOfRange("multi count " + std::to_string(count) +
                               " exceeds maximum " + std::to_string(kMaxMultiCount));
   }
-  Derivation* active = FindActive(&current_, node);
+  Derivation* active = FindChoice(*index_, &current_, choice_id);
   if (active == nullptr) {
     return Status::Invalid("widget is not active in the current query");
   }

@@ -85,10 +85,6 @@ class InterfaceSession {
  private:
   InterfaceSession(DiffTree tree, WidgetTree wt, CostConstants constants);
 
-  /// Finds the derivation node controlling `choice_id` in the active
-  /// derivation; null when the choice is not active (hidden alternative).
-  Derivation* FindActive(Derivation* d, const DiffTree* target);
-
   // The tree and index live behind stable pointers: derivations and the
   // choice index point into tree nodes, and sessions are movable values.
   std::unique_ptr<DiffTree> tree_;

@@ -23,52 +23,134 @@ std::string_view DKindName(DKind k) {
   return "?";
 }
 
-DiffTree DiffTree::Opt(DiffTree child) {
-  DiffTree t;
-  t.kind = DKind::kOpt;
-  t.children.push_back(std::move(child));
-  return t;
+ChildList::ChildList(std::vector<DiffTree> kids)
+    : block_(kids.empty() ? nullptr : new Block(std::move(kids))) {}
+
+ChildList::ChildList(std::initializer_list<DiffTree> kids)
+    : ChildList(std::vector<DiffTree>(kids)) {}
+
+ChildList& ChildList::operator=(const ChildList& other) noexcept {
+  // Take the new block before dropping the old one: `other` may live in it.
+  Block* next = other.block_;
+  if (next != nullptr) next->refs.fetch_add(1, std::memory_order_relaxed);
+  Release(block_);
+  block_ = next;
+  return *this;
 }
 
-DiffTree DiffTree::Multi(DiffTree child) {
-  DiffTree t;
-  t.kind = DKind::kMulti;
-  t.children.push_back(std::move(child));
-  return t;
+ChildList& ChildList::operator=(ChildList&& other) noexcept {
+  Block* next = other.block_;
+  other.block_ = nullptr;
+  Release(block_);
+  block_ = next;
+  return *this;
 }
 
-DiffTree DiffTree::Seq(std::vector<DiffTree> kids) {
-  DiffTree t(Symbol::kSeq, "");
-  t.children = std::move(kids);
-  return t;
-}
-
-DiffTree DiffTree::FromAst(const Ast& ast) {
-  DiffTree t(ast.sym, ast.value);
-  t.children.reserve(ast.children.size());
-  for (const Ast& c : ast.children) {
-    t.children.push_back(FromAst(c));
+std::vector<DiffTree>& ChildList::Mutable() {
+  if (block_ == nullptr) {
+    block_ = new Block({});
+  } else if (block_->refs.load(std::memory_order_acquire) != 1) {
+    // Shared: copy the k child handles; the grandchildren stay shared.
+    Block* copy = new Block(block_->kids);
+    Release(block_);
+    block_ = copy;
+  } else {
+    if (block_->cache.load(std::memory_order_relaxed) != Block::kEmpty) {
+      block_->cache.store(Block::kEmpty, std::memory_order_relaxed);
+    }
+    if (block_->normal.load(std::memory_order_relaxed)) {
+      block_->normal.store(false, std::memory_order_relaxed);
+    }
   }
-  return t;
+  return block_->kids;
 }
 
-bool DiffTree::operator==(const DiffTree& other) const {
-  if (kind != other.kind || sym != other.sym || value != other.value ||
-      children.size() != other.children.size()) {
-    return false;
+void ChildList::MarkNormal() const {
+  if (block_ != nullptr && block_->refs.load(std::memory_order_relaxed) >= 2) {
+    block_->normal.store(true, std::memory_order_relaxed);
   }
-  for (size_t i = 0; i < children.size(); ++i) {
-    if (!(children[i] == other.children[i])) return false;
+}
+
+const ChildFacts* ChildList::facts() const {
+  if (block_ == nullptr) return nullptr;
+  uint8_t state = block_->cache.load(std::memory_order_acquire);
+  if (state == Block::kReady) return block_->facts.data();
+  // A private block may still change in place, so only a shared one caches.
+  if (state != Block::kEmpty || block_->refs.load(std::memory_order_relaxed) < 2) {
+    return nullptr;
+  }
+  if (!block_->cache.compare_exchange_strong(state, Block::kFilling,
+                                             std::memory_order_acquire)) {
+    return state == Block::kReady ? block_->facts.data() : nullptr;
+  }
+  std::vector<ChildFacts>& facts = block_->facts;
+  facts.resize(block_->kids.size());
+  for (size_t i = 0; i < facts.size(); ++i) {
+    const DiffTree& c = block_->kids[i];
+    facts[i] = {c.Hash(), c.CanonicalHash(), static_cast<uint32_t>(c.NodeCount()),
+                static_cast<uint32_t>(c.ChoiceCount())};
+  }
+  block_->cache.store(Block::kReady, std::memory_order_release);
+  return facts.data();
+}
+
+size_t ChildList::ChoiceCountOf(size_t i) const {
+  const ChildFacts* f = facts();
+  return f != nullptr ? f[i].choices : (*this)[i].ChoiceCount();
+}
+
+bool ChildList::operator==(const ChildList& other) const {
+  if (block_ == other.block_) return true;
+  const size_t n = size();
+  if (n != other.size()) return false;
+  const ChildFacts* mine = CachedFacts();
+  const ChildFacts* theirs = other.CachedFacts();
+  if (mine != nullptr && theirs != nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      if (mine[i].hash != theirs[i].hash) return false;
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!(block_->kids[i] == other.block_->kids[i])) return false;
   }
   return true;
 }
+
+DiffTree DiffTree::Opt(DiffTree child) {
+  return DiffTree(DKind::kOpt, {std::move(child)});
+}
+
+DiffTree DiffTree::Multi(DiffTree child) {
+  return DiffTree(DKind::kMulti, {std::move(child)});
+}
+
+DiffTree DiffTree::Seq(ChildList kids) {
+  return DiffTree(Symbol::kSeq, "", std::move(kids));
+}
+
+DiffTree DiffTree::FromAst(const Ast& ast) {
+  std::vector<DiffTree> kids;
+  kids.reserve(ast.children.size());
+  for (const Ast& c : ast.children) kids.push_back(FromAst(c));
+  return DiffTree(ast.sym, ast.value, std::move(kids));
+}
+
+bool DiffTree::operator==(const DiffTree& other) const {
+  return kind == other.kind && sym == other.sym && value == other.value &&
+         children == other.children;
+}
+
+// Hash, CanonicalHash, NodeCount and ChoiceCount read each child's value from
+// the child list's cache when it has one; the fold is the same either way.
 
 uint64_t DiffTree::Hash() const {
   uint64_t h = HashCombine(0x1f3d5b79a2c4e6f8ULL, static_cast<uint64_t>(kind));
   h = HashCombine(h, static_cast<uint64_t>(sym));
   h = HashCombine(h, HashBytes(value));
-  for (const DiffTree& c : children) {
-    h = HashCombine(h, c.Hash());
+  if (const ChildFacts* f = children.facts()) {
+    for (size_t i = 0; i < children.size(); ++i) h = HashCombine(h, f[i].hash);
+  } else {
+    for (const DiffTree& c : children) h = HashCombine(h, c.Hash());
   }
   return h;
 }
@@ -77,27 +159,48 @@ uint64_t DiffTree::CanonicalHash() const {
   uint64_t h = HashCombine(0x2e4a6c8d1b3f5e7aULL, static_cast<uint64_t>(kind));
   h = HashCombine(h, static_cast<uint64_t>(sym));
   h = HashCombine(h, HashBytes(value));
+  const ChildFacts* f = children.facts();
+  auto child_hash = [&](size_t i) {
+    return f != nullptr ? f[i].canonical_hash : children[i].CanonicalHash();
+  };
+  const size_t n = children.size();
   if (kind == DKind::kAny) {
-    std::vector<uint64_t> hs;
-    hs.reserve(children.size());
-    for (const DiffTree& c : children) hs.push_back(c.CanonicalHash());
-    std::sort(hs.begin(), hs.end());
-    for (uint64_t ch : hs) h = HashCombine(h, ch);
+    // Fold the alternatives' hashes in sorted order; most ANY nodes fit the
+    // stack buffer.
+    constexpr size_t kInline = 32;
+    uint64_t inline_hs[kInline];
+    std::vector<uint64_t> heap_hs;
+    uint64_t* hs = inline_hs;
+    if (n > kInline) {
+      heap_hs.resize(n);
+      hs = heap_hs.data();
+    }
+    for (size_t i = 0; i < n; ++i) hs[i] = child_hash(i);
+    std::sort(hs, hs + n);
+    for (size_t i = 0; i < n; ++i) h = HashCombine(h, hs[i]);
   } else {
-    for (const DiffTree& c : children) h = HashCombine(h, c.CanonicalHash());
+    for (size_t i = 0; i < n; ++i) h = HashCombine(h, child_hash(i));
   }
   return h;
 }
 
 size_t DiffTree::NodeCount() const {
   size_t n = 1;
-  for (const DiffTree& c : children) n += c.NodeCount();
+  if (const ChildFacts* f = children.facts()) {
+    for (size_t i = 0; i < children.size(); ++i) n += f[i].nodes;
+  } else {
+    for (const DiffTree& c : children) n += c.NodeCount();
+  }
   return n;
 }
 
 size_t DiffTree::ChoiceCount() const {
   size_t n = IsChoice() ? 1 : 0;
-  for (const DiffTree& c : children) n += c.ChoiceCount();
+  if (const ChildFacts* f = children.facts()) {
+    for (size_t i = 0; i < children.size(); ++i) n += f[i].choices;
+  } else {
+    for (const DiffTree& c : children) n += c.ChoiceCount();
+  }
   return n;
 }
 

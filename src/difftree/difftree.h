@@ -1,6 +1,8 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,85 @@ enum class DKind : uint8_t { kAll = 0, kAny, kOpt, kMulti };
 
 std::string_view DKindName(DKind k);
 
+struct DiffTree;
+
+/// \brief What a shared child list caches about each of its children.
+struct ChildFacts {
+  uint64_t hash = 0;            ///< DiffTree::Hash()
+  uint64_t canonical_hash = 0;  ///< DiffTree::CanonicalHash()
+  uint32_t nodes = 0;           ///< DiffTree::NodeCount()
+  uint32_t choices = 0;         ///< DiffTree::ChoiceCount()
+};
+
+/// \brief The children of a difftree node: a copy-on-write list.
+///
+/// Copies share one immutable block, so copying a whole tree costs O(1).
+/// Const access never copies. Any non-const access first *detaches*: a block
+/// that other lists share is replaced by a private copy of its k child
+/// handles (the grandchildren stay shared), and a private block drops its
+/// caches. A rewrite therefore copies only the path it edits.
+///
+/// A shared block caches the ChildFacts of its children the first time they
+/// are asked for, so hashes and counts of a state cost O(changed path). A
+/// private block never fills its caches, since its owner may still mutate it
+/// in place. Fills are published with atomics: trees of concurrent searches
+/// share blocks.
+///
+/// Rule for callers: never hold a `DiffTree&` (or pointer) obtained through
+/// non-const access across a copy of one of its ancestors. The copy shares
+/// the block, and writing through the old reference would change both trees.
+class ChildList {
+ public:
+  ChildList() noexcept = default;
+  ChildList(std::vector<DiffTree> kids);  // NOLINT: implicit by design
+  ChildList(std::initializer_list<DiffTree> kids);
+  ChildList(const ChildList& other) noexcept;
+  ChildList(ChildList&& other) noexcept : block_(other.block_) { other.block_ = nullptr; }
+  ChildList& operator=(const ChildList& other) noexcept;
+  ChildList& operator=(ChildList&& other) noexcept;
+  ~ChildList() { Release(block_); }
+
+  // Const access: never copies and never drops a cache.
+  const std::vector<DiffTree>& view() const;
+  operator const std::vector<DiffTree>&() const { return view(); }  // NOLINT
+  size_t size() const;
+  bool empty() const { return size() == 0; }
+  const DiffTree& operator[](size_t i) const;
+  const DiffTree* begin() const;
+  const DiffTree* end() const;
+
+  /// The children's cached facts, filling them first when this block is
+  /// shared; null when the block is private (or another thread is filling
+  /// it), in which case callers compute the facts from the children.
+  const ChildFacts* facts() const;
+  /// ChoiceCount() of child i, from the cache when there is one.
+  size_t ChoiceCountOf(size_t i) const;
+  /// Normalize's cache: true once every child was found in normal form
+  /// while the block was shared. MarkNormal records that (a private block
+  /// ignores it, like the facts cache).
+  bool KnownNormal() const;
+  void MarkNormal() const;
+
+  // Non-const access: detaches first (see the class comment). Iteration is
+  // const only, so a read-only loop never detaches; loop over Mutable() to
+  // edit the children.
+  std::vector<DiffTree>& Mutable();
+  DiffTree& operator[](size_t i) { return Mutable()[i]; }
+  void push_back(DiffTree child);
+
+  /// Element-wise equality; shared blocks are equal, and differing cached
+  /// hashes are unequal without a walk.
+  bool operator==(const ChildList& other) const;
+
+ private:
+  struct Block;
+  static void Release(Block* block);
+  /// The children's facts when they are already cached, else null.
+  const ChildFacts* CachedFacts() const;
+
+  Block* block_ = nullptr;  ///< null for no children
+};
+
 /// \brief A difftree: jointly encodes the variation among a set of query
 /// ASTs and the hierarchical layout of the interface that expresses them.
 ///
@@ -31,26 +112,29 @@ std::string_view DKindName(DKind k);
 ///  - OPT denotes its child's set plus the empty sequence.
 ///  - MULTI denotes the Kleene closure (0+ concatenated repetitions).
 ///
-/// Value-semantic like Ast; search states are independent copies.
+/// Value-semantic like Ast, but search states share their unchanged
+/// subtrees: `children` is a copy-on-write list (see ChildList), so a copy
+/// costs O(1) and a rewrite copies only the path it edits. One block may sit
+/// at several positions of one tree (All2Any copies a sibling list into every
+/// host), so a node's address does not name its position: choice ids are
+/// positional (see ForEachSelection).
 struct DiffTree {
   DKind kind = DKind::kAll;
   Symbol sym = Symbol::kEmpty;  ///< meaningful only when kind == kAll
   std::string value;            ///< meaningful only when kind == kAll
-  std::vector<DiffTree> children;
+  ChildList children;
 
   DiffTree() = default;
-  DiffTree(DKind k, std::vector<DiffTree> kids) : kind(k), children(std::move(kids)) {}
+  DiffTree(DKind k, ChildList kids) : kind(k), children(std::move(kids)) {}
   DiffTree(Symbol s, std::string v) : sym(s), value(std::move(v)) {}
-  DiffTree(Symbol s, std::string v, std::vector<DiffTree> kids)
+  DiffTree(Symbol s, std::string v, ChildList kids)
       : sym(s), value(std::move(v)), children(std::move(kids)) {}
 
   /// Factory helpers.
-  static DiffTree Any(std::vector<DiffTree> alts) {
-    return DiffTree(DKind::kAny, std::move(alts));
-  }
+  static DiffTree Any(ChildList alts) { return DiffTree(DKind::kAny, std::move(alts)); }
   static DiffTree Opt(DiffTree child);
   static DiffTree Multi(DiffTree child);
-  static DiffTree Seq(std::vector<DiffTree> kids);
+  static DiffTree Seq(ChildList kids);
   static DiffTree Empty() { return DiffTree(Symbol::kEmpty, ""); }
 
   /// Wraps an AST as an all-ALL difftree.
@@ -91,6 +175,52 @@ struct DiffTree {
   /// One-line s-expression, e.g. `(ANY (Select ...) (Select ...))`.
   std::string ToSExpr() const;
 };
+
+/// The shared block behind a ChildList.
+struct ChildList::Block {
+  explicit Block(std::vector<DiffTree> k) : kids(std::move(k)) {}
+
+  enum : uint8_t { kEmpty = 0, kFilling = 1, kReady = 2 };
+
+  std::atomic<uint32_t> refs{1};
+  std::atomic<uint8_t> cache{kEmpty};
+  std::atomic<bool> normal{false};  ///< see KnownNormal
+  std::vector<DiffTree> kids;
+  /// One per kid; written by the one filler, read once `cache` is kReady.
+  std::vector<ChildFacts> facts;
+};
+
+inline ChildList::ChildList(const ChildList& other) noexcept : block_(other.block_) {
+  if (block_ != nullptr) block_->refs.fetch_add(1, std::memory_order_relaxed);
+}
+inline void ChildList::Release(Block* block) {
+  if (block != nullptr && block->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    delete block;
+  }
+}
+inline const std::vector<DiffTree>& ChildList::view() const {
+  static const std::vector<DiffTree> kNone;
+  return block_ != nullptr ? block_->kids : kNone;
+}
+inline size_t ChildList::size() const {
+  return block_ != nullptr ? block_->kids.size() : 0;
+}
+inline const DiffTree& ChildList::operator[](size_t i) const { return block_->kids[i]; }
+inline const DiffTree* ChildList::begin() const {
+  return block_ != nullptr ? block_->kids.data() : nullptr;
+}
+inline const DiffTree* ChildList::end() const {
+  return block_ != nullptr ? block_->kids.data() + block_->kids.size() : nullptr;
+}
+inline bool ChildList::KnownNormal() const {
+  return block_ != nullptr && block_->normal.load(std::memory_order_relaxed);
+}
+inline void ChildList::push_back(DiffTree child) { Mutable().push_back(std::move(child)); }
+inline const ChildFacts* ChildList::CachedFacts() const {
+  return block_ != nullptr && block_->cache.load(std::memory_order_acquire) == Block::kReady
+             ? block_->facts.data()
+             : nullptr;
+}
 
 /// \brief A path from the root: the sequence of child indices.
 using TreePath = std::vector<int>;

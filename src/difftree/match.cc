@@ -148,7 +148,7 @@ class Matcher {
   }
 
   /// Matches a child list (sequence semantics) against asts[j...).
-  bool MatchList(const std::vector<DiffTree>& items, AstList asts, size_t i, size_t j,
+  bool MatchList(const ChildList& items, AstList asts, size_t i, size_t j,
                  std::vector<Derivation>* derivs, const Cont& cont) {
     if (i == items.size()) return cont(j);
     return MatchOne(items[i], asts, j, &(*derivs)[i], [&](size_t j2) {

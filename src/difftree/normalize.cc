@@ -1,6 +1,7 @@
 #include "difftree/normalize.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "util/string_util.h"
@@ -9,68 +10,80 @@ namespace ifgen {
 
 namespace {
 
-void NormalizeRec(DiffTree* n) {
-  for (DiffTree& c : n->children) NormalizeRec(&c);
-
-  switch (n->kind) {
+/// The node-level rewrite of `n`, whose children are in normal form, or
+/// nullopt when none applies. Reads `n` through const access only, so the
+/// blocks of a node it keeps stay shared.
+std::optional<DiffTree> RewriteNode(const DiffTree& n) {
+  switch (n.kind) {
     case DKind::kAll: {
       // Splice Seq children; drop Empty children (they expand to nothing).
-      // Most ALL nodes have neither, and keep their children vector.
-      const bool splice = std::any_of(n->children.begin(), n->children.end(),
+      // Most ALL nodes have neither, and keep their child list.
+      const bool splice = std::any_of(n.children.begin(), n.children.end(),
                                       [](const DiffTree& c) {
                                         return c.IsSeq() || c.IsEmptyLeaf();
                                       });
+      std::optional<DiffTree> out;
       if (splice) {
         std::vector<DiffTree> kids;
-        kids.reserve(n->children.size());
-        for (DiffTree& c : n->children) {
+        kids.reserve(n.children.size());
+        for (const DiffTree& c : n.children) {
           if (c.IsSeq()) {
-            for (DiffTree& gc : c.children) kids.push_back(std::move(gc));
+            kids.insert(kids.end(), c.children.begin(), c.children.end());
           } else if (!c.IsEmptyLeaf()) {
-            kids.push_back(std::move(c));
+            kids.push_back(c);
           }
         }
-        n->children = std::move(kids);
+        out = DiffTree(n.sym, n.value, std::move(kids));
       }
-      if (n->IsSeq()) {
-        if (n->children.empty()) {
-          *n = DiffTree::Empty();
-        } else if (n->children.size() == 1) {
-          DiffTree only = std::move(n->children[0]);
-          *n = std::move(only);
-        }
+      const DiffTree& cur = out ? *out : n;
+      if (cur.IsSeq()) {
+        if (cur.children.empty()) return DiffTree::Empty();
+        if (cur.children.size() == 1) return DiffTree(cur.children[0]);
       }
-      break;
+      return out;
     }
     case DKind::kOpt: {
-      DiffTree& c = n->children[0];
-      if (c.IsEmptyLeaf()) {
-        *n = DiffTree::Empty();
-      } else if (c.kind == DKind::kOpt) {
-        DiffTree inner = std::move(c);
-        *n = std::move(inner);
-      } else if (c.kind == DKind::kMulti) {
-        DiffTree inner = std::move(c);
-        *n = std::move(inner);
-      }
-      break;
+      const DiffTree& c = n.children[0];
+      if (c.IsEmptyLeaf()) return DiffTree::Empty();
+      if (c.kind == DKind::kOpt || c.kind == DKind::kMulti) return c;
+      return std::nullopt;
     }
     case DKind::kMulti: {
-      DiffTree& c = n->children[0];
-      if (c.IsEmptyLeaf()) {
-        *n = DiffTree::Empty();
-      } else if (c.kind == DKind::kMulti || c.kind == DKind::kOpt) {
-        DiffTree grand = std::move(c.children[0]);
-        n->children[0] = std::move(grand);
+      const DiffTree& c = n.children[0];
+      if (c.IsEmptyLeaf()) return DiffTree::Empty();
+      if (c.kind == DKind::kMulti || c.kind == DKind::kOpt) {
+        DiffTree grand = c.children[0];
+        DiffTree out = n;
+        out.children[0] = std::move(grand);
+        return out;
       }
-      break;
+      return std::nullopt;
     }
-    case DKind::kAny: {
-      // Unwrap single-child Seq alternatives (Seq of one == the one).
-      // (Already handled by the kAll case via recursion.)
-      break;
-    }
+    case DKind::kAny:
+      // Single-child Seq alternatives were already unwrapped by the kAll
+      // case on the way up.
+      return std::nullopt;
   }
+  return std::nullopt;
+}
+
+/// Normal form of `n`, or nullopt when `n` already is in it. Only the nodes
+/// that change are rebuilt; every other subtree stays shared with `n`. A
+/// child list already known to be normal is not walked again, so
+/// normalizing a rule's result walks little more than the rewritten path.
+std::optional<DiffTree> NormalizedOrSame(const DiffTree& n) {
+  std::optional<DiffTree> out;  // `n` with its changed children, made on the first change
+  if (!n.children.KnownNormal()) {
+    for (size_t i = 0; i < n.children.size(); ++i) {
+      std::optional<DiffTree> c = NormalizedOrSame(n.children[i]);
+      if (!c) continue;
+      if (!out) out = n;
+      out->children[i] = std::move(*c);
+    }
+    if (!out) n.children.MarkNormal();
+  }
+  std::optional<DiffTree> rewritten = RewriteNode(out ? *out : n);
+  return rewritten ? std::move(rewritten) : std::move(out);
 }
 
 bool CheckNode(const DiffTree& n, bool seq_ok, std::string* why) {
@@ -108,7 +121,9 @@ bool CheckNode(const DiffTree& n, bool seq_ok, std::string* why) {
 
 }  // namespace
 
-void Normalize(DiffTree* tree) { NormalizeRec(tree); }
+void Normalize(DiffTree* tree) {
+  if (std::optional<DiffTree> n = NormalizedOrSame(*tree)) *tree = std::move(*n);
+}
 
 DiffTree Normalized(DiffTree tree) {
   Normalize(&tree);

@@ -1,68 +1,87 @@
 #include "difftree/selection.h"
 
-#include <algorithm>
-#include <functional>
-
 #include "util/logging.h"
 
 namespace ifgen {
 
 namespace {
-void CollectChoicesRec(const DiffTree& n, bool inside_multi,
-                       std::vector<const DiffTree*>* nodes,
-                       std::vector<bool>* inside) {
-  bool here_multi = inside_multi;
-  if (n.IsChoice()) {
-    nodes->push_back(&n);
-    inside->push_back(inside_multi);
-    if (n.kind == DKind::kMulti) here_multi = true;
-  }
-  for (const DiffTree& c : n.children) {
-    CollectChoicesRec(c, here_multi, nodes, inside);
-  }
+void CollectRec(const DiffTree& n, std::vector<const DiffTree*>* nodes,
+                std::vector<ChoiceIndex::Position>* positions) {
+  const size_t at = positions->size();
+  positions->push_back({0, static_cast<int>(nodes->size())});
+  if (n.IsChoice()) nodes->push_back(&n);
+  for (const DiffTree& c : n.children) CollectRec(c, nodes, positions);
+  (*positions)[at].end = static_cast<int>(positions->size());
 }
 }  // namespace
 
 ChoiceIndex::ChoiceIndex(const DiffTree& root) {
-  CollectChoicesRec(root, /*inside_multi=*/false, &nodes_, &inside_multi_);
-  id_of_.reserve(nodes_.size());
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    id_of_.emplace_back(nodes_[i], static_cast<int>(i));
-  }
-  std::sort(id_of_.begin(), id_of_.end(), [](const auto& a, const auto& b) {
-    return std::less<const DiffTree*>()(a.first, b.first);
-  });
-}
-
-int ChoiceIndex::IdOf(const DiffTree* node) const {
-  auto it = std::lower_bound(id_of_.begin(), id_of_.end(), node,
-                             [](const auto& entry, const DiffTree* n) {
-                               return std::less<const DiffTree*>()(entry.first, n);
-                             });
-  return it != id_of_.end() && it->first == node ? it->second : -1;
+  positions_.reserve(root.NodeCount() + 1);
+  CollectRec(root, &nodes_, &positions_);
+  positions_.push_back({static_cast<int>(positions_.size()), static_cast<int>(nodes_.size())});
 }
 
 namespace {
 
-void ForEachSelectionRec(const ChoiceIndex& index, const Derivation& d, bool inside_multi,
-                         const SelectionVisitor& visit) {
-  const DiffTree* n = d.node;
-  IFGEN_DCHECK(n != nullptr);
-  if (n->IsChoice() && !inside_multi) {
-    int id = index.IdOf(n);
-    if (id >= 0) visit(id, d);
+using Positions = std::vector<ChoiceIndex::Position>;
+
+/// Calls visit(child, position) for each child derivation of `d`, whose node
+/// sits at position `at`: a node's first child is at the next position, and
+/// each later sibling starts where the one before it ends.
+template <typename D, typename Visit>
+void ForEachChildPosition(const Positions& pos, D& d, int at, Visit&& visit) {
+  int child = at + 1;
+  switch (d.node->kind) {
+    case DKind::kAll:
+      // One child derivation per difftree child.
+      for (auto& c : d.children) {
+        visit(c, child);
+        child = pos[static_cast<size_t>(child)].end;
+      }
+      return;
+    case DKind::kAny:
+      // The chosen alternative only.
+      for (int alt = 0; alt < d.choice; ++alt) child = pos[static_cast<size_t>(child)].end;
+      break;
+    case DKind::kOpt:    // the child, when present
+    case DKind::kMulti:  // one derivation per copy of the one child
+      break;
   }
-  bool next_inside = inside_multi || n->kind == DKind::kMulti;
-  for (const Derivation& c : d.children) {
-    ForEachSelectionRec(index, c, next_inside, visit);
-  }
+  for (auto& c : d.children) visit(c, child);
+}
+
+void ForEachSelectionRec(const Positions& pos, const Derivation& d, int at,
+                         bool inside_multi, const SelectionVisitor& visit) {
+  IFGEN_DCHECK(d.node != nullptr && static_cast<size_t>(at) + 1 < pos.size());
+  if (d.node->IsChoice() && !inside_multi) visit(pos[static_cast<size_t>(at)].first_id, d);
+  const bool next_inside = inside_multi || d.node->kind == DKind::kMulti;
+  ForEachChildPosition(pos, d, at, [&](const Derivation& c, int child) {
+    ForEachSelectionRec(pos, c, child, next_inside, visit);
+  });
+}
+
+Derivation* FindChoiceRec(const Positions& pos, Derivation* d, int at, int id) {
+  if (d->node->IsChoice() && pos[static_cast<size_t>(at)].first_id == id) return d;
+  Derivation* found = nullptr;
+  ForEachChildPosition(pos, *d, at, [&](Derivation& c, int child) {
+    const ChoiceIndex::Position& p = pos[static_cast<size_t>(child)];
+    if (found == nullptr && id >= p.first_id &&
+        id < pos[static_cast<size_t>(p.end)].first_id) {
+      found = FindChoiceRec(pos, &c, child, id);
+    }
+  });
+  return found;
 }
 
 }  // namespace
 
 void ForEachSelection(const ChoiceIndex& index, const Derivation& deriv,
                       const SelectionVisitor& visit) {
-  ForEachSelectionRec(index, deriv, /*inside_multi=*/false, visit);
+  ForEachSelectionRec(index.positions(), deriv, /*at=*/0, /*inside_multi=*/false, visit);
+}
+
+Derivation* FindChoice(const ChoiceIndex& index, Derivation* deriv, int id) {
+  return FindChoiceRec(index.positions(), deriv, /*at=*/0, id);
 }
 
 SelectionMap ExtractSelections(const ChoiceIndex& index, const Derivation& deriv) {

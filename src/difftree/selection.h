@@ -2,7 +2,6 @@
 
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "difftree/match.h"
@@ -10,10 +9,14 @@
 
 namespace ifgen {
 
-/// \brief Stable identifiers for the choice nodes of a fixed difftree.
+/// \brief The positions of a fixed difftree, and its choice nodes by id.
 ///
-/// Choice ids are the pre-order indices over choice nodes; they stay valid
-/// as long as the tree instance is not mutated. The cost model, the widget
+/// Choice ids are the pre-order indices over choice nodes: the id of a
+/// position in the tree, not of a node object. One shared block may sit at
+/// several positions (see DiffTree), so `node(id)` may return the same object
+/// for two ids. Ids of a derivation's nodes therefore come from walking the
+/// derivation in step with the tree's pre-order positions (see
+/// ForEachSelection), never from addresses. The cost model, the widget
 /// assigner, and the interface runtime all address widgets by choice id.
 class ChoiceIndex {
  public:
@@ -21,19 +24,19 @@ class ChoiceIndex {
 
   size_t size() const { return nodes_.size(); }
   const DiffTree* node(size_t id) const { return nodes_[id]; }
-  /// Returns -1 when the node is not a choice node of the indexed tree.
-  int IdOf(const DiffTree* node) const;
 
-  /// Ids of choice nodes that lie inside a MULTI subtree (excluded from
-  /// per-widget selection tracking: the adder widget owns them).
-  bool InsideMulti(size_t id) const { return inside_multi_[id]; }
+  /// A node position in pre-order: `end` is the position after its subtree,
+  /// `first_id` the id of the first choice node at or after it. The last
+  /// entry is a sentinel (end of the tree, total choice count).
+  struct Position {
+    int end;
+    int first_id;
+  };
+  const std::vector<Position>& positions() const { return positions_; }
 
  private:
   std::vector<const DiffTree*> nodes_;
-  std::vector<bool> inside_multi_;
-  /// (node, id) sorted by node address: IdOf is a binary search, and
-  /// building an index (once per planned state) allocates one array.
-  std::vector<std::pair<const DiffTree*, int>> id_of_;
+  std::vector<Position> positions_;
 };
 
 /// \brief The selection a query induces on each *active* widget.
@@ -49,9 +52,15 @@ using SelectionVisitor = FunctionRef<void(int, const Derivation&)>;
 
 /// \brief Visits the selections of a derivation in pre-order: every choice
 /// node outside MULTI subtrees (a MULTI's own selection covers them). This is
-/// the order ExtractSelections fills its map in.
+/// the order ExtractSelections fills its map in. `index` is the ChoiceIndex
+/// of the tree the derivation was matched against (all the functions below
+/// take it so); a node's id is that of its position in the walk.
 void ForEachSelection(const ChoiceIndex& index, const Derivation& deriv,
                       const SelectionVisitor& visit);
+
+/// \brief The derivation node of choice `id`, with the MULTI copies searched
+/// in order; null when the choice is not on the derivation's active path.
+Derivation* FindChoice(const ChoiceIndex& index, Derivation* deriv, int id);
 
 /// Extracts the selection map from a derivation.
 SelectionMap ExtractSelections(const ChoiceIndex& index, const Derivation& deriv);

@@ -32,19 +32,12 @@ std::string_view ContextFor(const DiffTree& node, std::string_view inherited) {
   }
 }
 
-bool ProducesWidgets(const DiffTree& n) {
-  if (n.IsChoice()) return true;
-  for (const DiffTree& c : n.children) {
-    if (ProducesWidgets(c)) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 WidgetAssigner::WidgetAssigner(const DiffTree& tree, const CostConstants& constants,
                                DeltaCostCache* delta)
     : constants_(constants), delta_(delta), size_model_(constants_) {
+  slots_.reserve(tree.NodeCount());
   Collect(tree, "");
 }
 
@@ -73,8 +66,11 @@ void WidgetAssigner::Collect(const DiffTree& node, std::string_view inherited) {
         ranges_.push_back(std::move(r));
         decisions_.push_back(std::move(d));
       }
+      // A child produces widgets when its subtree holds a choice node.
       size_t widget_kids = 0;
-      for (const DiffTree& c : node.children) widget_kids += ProducesWidgets(c) ? 1 : 0;
+      for (size_t i = 0; i < node.children.size(); ++i) {
+        widget_kids += node.children.ChoiceCountOf(i) > 0 ? 1 : 0;
+      }
       if (widget_kids >= 2) {
         DecisionPoint d;
         d.type = DecisionType::kContainerLayout;
@@ -112,7 +108,7 @@ void WidgetAssigner::Collect(const DiffTree& node, std::string_view inherited) {
       }
       slots_[s].choice = static_cast<int>(decisions_.size());
       decisions_.push_back(std::move(d));
-      if (node.kind == DKind::kOpt && ProducesWidgets(node.children[0])) {
+      if (node.kind == DKind::kOpt && node.children.ChoiceCountOf(0) > 0) {
         DecisionPoint g;
         g.type = DecisionType::kContainerLayout;
         g.node = &node;

@@ -37,25 +37,20 @@ class All2AnyRule final : public Rule {
 
   Status ApplyAt(DiffTree* node, const RuleApplication& app,
                  const RuleSetOptions& /*opts*/) const override {
-    if (node->kind != DKind::kAll) return Status::Invalid("All2Any: target not ALL");
+    const DiffTree& all = *node;  // read-only: its blocks stay shared
+    if (all.kind != DKind::kAll) return Status::Invalid("All2Any: target not ALL");
     size_t idx = static_cast<size_t>(app.param);
-    if (idx >= node->children.size() || node->children[idx].kind != DKind::kAny) {
+    if (idx >= all.children.size() || all.children[idx].kind != DKind::kAny) {
       return Status::Invalid("All2Any: selected child is not an ANY");
     }
-    DiffTree any = std::move(node->children[idx]);
+    const DiffTree& any = all.children[idx];
+    // Every host shares the other siblings' subtrees.
     std::vector<DiffTree> alts;
     alts.reserve(any.children.size());
-    for (DiffTree& option : any.children) {
-      DiffTree host(node->sym, node->value);
-      host.children.reserve(node->children.size());
-      for (size_t i = 0; i < node->children.size(); ++i) {
-        if (i == idx) {
-          host.children.push_back(std::move(option));
-        } else {
-          host.children.push_back(node->children[i]);
-        }
-      }
-      alts.push_back(std::move(host));
+    for (const DiffTree& option : any.children) {
+      std::vector<DiffTree> kids = all.children.view();
+      kids[idx] = option;
+      alts.emplace_back(all.sym, all.value, std::move(kids));
     }
     *node = DiffTree::Any(std::move(alts));
     return Status::OK();

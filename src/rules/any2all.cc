@@ -64,23 +64,24 @@ class Any2AllRule final : public Rule {
 
   Status ApplyAt(DiffTree* node, const RuleApplication& app,
                  const RuleSetOptions& /*opts*/) const override {
-    if (node->kind != DKind::kAny || node->children.size() < 2) {
+    const DiffTree& any = *node;  // read-only: its blocks stay shared
+    if (any.kind != DKind::kAny || any.children.size() < 2) {
       return Status::Invalid("Any2All: target is not a multi-alternative ANY");
     }
     std::vector<const std::vector<DiffTree>*> alt_children;
-    alt_children.reserve(node->children.size());
-    for (const DiffTree& alt : node->children) {
-      alt_children.push_back(&alt.children);
+    alt_children.reserve(any.children.size());
+    for (const DiffTree& alt : any.children) {
+      alt_children.push_back(&alt.children.view());
     }
     std::vector<AlignedColumn> columns = app.param == 1
                                              ? AlignByPosition(alt_children)
                                              : AlignBySymbol(alt_children);
-    DiffTree result(node->children[0].sym, node->children[0].value);
-    result.children.reserve(columns.size());
+    std::vector<DiffTree> kids;
+    kids.reserve(columns.size());
     for (const AlignedColumn& col : columns) {
-      result.children.push_back(ColumnToNode(alt_children, col));
+      kids.push_back(ColumnToNode(alt_children, col));
     }
-    *node = std::move(result);
+    *node = DiffTree(any.children[0].sym, any.children[0].value, std::move(kids));
     return Status::OK();
   }
 };

@@ -39,16 +39,15 @@ class LiftRule final : public Rule {
 
   Status ApplyAt(DiffTree* node, const RuleApplication& /*app*/,
                  const RuleSetOptions& /*opts*/) const override {
-    if (node->kind != DKind::kAny || node->children.size() < 2) {
+    const DiffTree& any = *node;  // read-only: its blocks stay shared
+    if (any.kind != DKind::kAny || any.children.size() < 2) {
       return Status::Invalid("Lift: target is not a multi-alternative ANY");
     }
-    DiffTree result(node->children[0].sym, node->children[0].value);
+    DiffTree result(any.children[0].sym, any.children[0].value);
     std::vector<DiffTree> bodies;
-    bodies.reserve(node->children.size());
-    for (DiffTree& alt : node->children) {
-      DiffTree body = alt.children.empty()
-                          ? DiffTree::Empty()
-                          : DiffTree::Seq(std::move(alt.children));
+    bodies.reserve(any.children.size());
+    for (const DiffTree& alt : any.children) {
+      DiffTree body = alt.children.empty() ? DiffTree::Empty() : DiffTree::Seq(alt.children);
       // Deduplicate identical bodies — they would be pure redundancy in the
       // widget domain (distinct from Merge, which dedups whole alternatives).
       bool seen = false;

@@ -15,8 +15,11 @@ class MergeRule final : public Rule {
                const RuleSetOptions& /*opts*/,
                std::vector<RuleApplication>* out) const override {
     if (node.kind != DKind::kAny || node.children.size() < 2) return;
+    // Cached hashes rule out most pairs without walking them.
+    const ChildFacts* facts = node.children.facts();
     for (size_t i = 0; i < node.children.size(); ++i) {
       for (size_t j = i + 1; j < node.children.size(); ++j) {
+        if (facts != nullptr && facts[i].hash != facts[j].hash) continue;
         if (node.children[i] == node.children[j]) {
           RuleApplication app;
           app.path = path;
@@ -29,12 +32,13 @@ class MergeRule final : public Rule {
 
   Status ApplyAt(DiffTree* node, const RuleApplication& /*app*/,
                  const RuleSetOptions& /*opts*/) const override {
-    if (node->kind != DKind::kAny) {
+    const DiffTree& any = *node;  // read-only: its blocks stay shared
+    if (any.kind != DKind::kAny) {
       return Status::Invalid("Merge: target is not an ANY");
     }
     std::vector<DiffTree> kept;
-    kept.reserve(node->children.size());
-    for (DiffTree& alt : node->children) {
+    kept.reserve(any.children.size());
+    for (const DiffTree& alt : any.children) {
       bool seen = false;
       for (const DiffTree& k : kept) {
         if (k == alt) {
@@ -42,9 +46,9 @@ class MergeRule final : public Rule {
           break;
         }
       }
-      if (!seen) kept.push_back(std::move(alt));
+      if (!seen) kept.push_back(alt);
     }
-    if (kept.size() == node->children.size()) {
+    if (kept.size() == any.children.size()) {
       return Status::Invalid("Merge: no duplicate alternatives");
     }
     if (kept.size() == 1) {

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <utility>
 
 #include "rules/align.h"
 #include "rules/rule.h"
@@ -82,21 +83,23 @@ class MultiRule final : public Rule {
   }
 
   static Status ApplyRun(DiffTree* node, const RuleApplication& app) {
+    const ChildList& kids = std::as_const(*node).children;
     if (node->kind != DKind::kAll) return Status::Invalid("Multi: target not ALL");
     size_t start = static_cast<size_t>(app.param);
     size_t len = static_cast<size_t>(app.param2);
-    if (start + len > node->children.size() || len < 2) {
+    if (start + len > kids.size() || len < 2) {
       return Status::Invalid("Multi: bad run bounds");
     }
     for (size_t k = 1; k < len; ++k) {
-      if (!(node->children[start + k] == node->children[start])) {
+      if (!(kids[start + k] == kids[start])) {
         return Status::Invalid("Multi: run is not uniform");
       }
     }
-    DiffTree rep = DiffTree::Multi(std::move(node->children[start]));
-    node->children.erase(node->children.begin() + static_cast<long>(start + 1),
-                         node->children.begin() + static_cast<long>(start + len));
-    node->children[start] = std::move(rep);
+    DiffTree rep = DiffTree::Multi(kids[start]);
+    std::vector<DiffTree>& mut = node->children.Mutable();
+    mut.erase(mut.begin() + static_cast<long>(start + 1),
+              mut.begin() + static_cast<long>(start + len));
+    mut[start] = std::move(rep);
     return Status::OK();
   }
 
@@ -148,9 +151,10 @@ class MultiRule final : public Rule {
   }
 
   static Status ApplyRepeatUnion(DiffTree* node) {
-    if (node->kind != DKind::kAny) return Status::Invalid("Multi: target not ANY");
+    const DiffTree& any = *node;  // read-only: its blocks stay shared
+    if (any.kind != DKind::kAny) return Status::Invalid("Multi: target not ANY");
     std::vector<DiffTree> distinct;
-    for (const DiffTree& alt : node->children) {
+    for (const DiffTree& alt : any.children) {
       for (size_t i = 0, n = ElementCount(alt); i < n; ++i) {
         const DiffTree& e = ElementAt(alt, i);
         if (std::find(distinct.begin(), distinct.end(), e) == distinct.end()) {

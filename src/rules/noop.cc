@@ -1,3 +1,5 @@
+#include <utility>
+
 #include "rules/rule.h"
 
 namespace ifgen {
@@ -43,7 +45,7 @@ class NoopRule final : public Rule {
       if (node->kind != DKind::kAny || node->children.size() != 1) {
         return Status::Invalid("Noop: target is not a singleton ANY");
       }
-      DiffTree child = std::move(node->children[0]);
+      DiffTree child = std::as_const(*node).children[0];
       *node = std::move(child);
       return Status::OK();
     }

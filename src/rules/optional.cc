@@ -1,3 +1,5 @@
+#include <utility>
+
 #include "rules/rule.h"
 
 namespace ifgen {
@@ -36,12 +38,13 @@ class OptionalRule final : public Rule {
   Status ApplyAt(DiffTree* node, const RuleApplication& app,
                  const RuleSetOptions& /*opts*/) const override {
     if (app.param == 0) {
-      if (node->kind != DKind::kAny) return Status::Invalid("Optional: target not ANY");
+      const DiffTree& any = *node;  // read-only: its blocks stay shared
+      if (any.kind != DKind::kAny) return Status::Invalid("Optional: target not ANY");
       std::vector<DiffTree> non_empty;
-      for (DiffTree& alt : node->children) {
-        if (!alt.IsEmptyLeaf()) non_empty.push_back(std::move(alt));
+      for (const DiffTree& alt : any.children) {
+        if (!alt.IsEmptyLeaf()) non_empty.push_back(alt);
       }
-      if (non_empty.size() == node->children.size()) {
+      if (non_empty.size() == any.children.size()) {
         return Status::Invalid("Optional: ANY has no Empty alternative");
       }
       if (non_empty.empty()) {
@@ -54,7 +57,7 @@ class OptionalRule final : public Rule {
       return Status::OK();
     }
     if (node->kind != DKind::kOpt) return Status::Invalid("Optional: target not OPT");
-    DiffTree child = std::move(node->children[0]);
+    DiffTree child = std::as_const(*node).children[0];
     *node = DiffTree::Any({DiffTree::Empty(), std::move(child)});
     return Status::OK();
   }

@@ -46,7 +46,9 @@ class Rule {
                        std::vector<RuleApplication>* out) const = 0;
 
   /// Rewrites the node at `app.path`. `*node` is the mutable target inside a
-  /// fresh copy of the state; the engine normalizes afterwards.
+  /// copy of the state that shares every subtree off the path to it; a rule
+  /// reads `*node` through const access so the subtrees it keeps stay
+  /// shared. The engine normalizes afterwards.
   virtual Status ApplyAt(DiffTree* node, const RuleApplication& app,
                          const RuleSetOptions& opts) const = 0;
 };

@@ -57,7 +57,7 @@ Result<DiffTree> RuleEngine::Apply(const DiffTree& root,
   if (app.rule_index < 0 || static_cast<size_t>(app.rule_index) >= rules_.size()) {
     return Status::Invalid("bad rule index");
   }
-  DiffTree next = root;  // value copy: states are independent
+  DiffTree next = root;  // shares every block; MutableNodeAt copies the path
   DiffTree* target = MutableNodeAt(&next, app.path);
   if (target == nullptr) {
     return Status::Invalid("rule application path no longer valid");

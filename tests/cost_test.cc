@@ -7,12 +7,14 @@
 #include <thread>
 
 #include "core/options.h"
+#include "core/session.h"
 #include "cost/cost_model.h"
 #include "cost/evaluator.h"
 #include "cost/transition.h"
 #include "difftree/builder.h"
 #include "difftree/selection.h"
 #include "interface/assignment.h"
+#include "rollout_states.h"
 #include "sql/parser.h"
 #include "util/hash.h"
 #include "workload/loader.h"
@@ -317,45 +319,6 @@ uint64_t FoldWidget(uint64_t h, const WidgetNode& n) {
   return h;
 }
 
-/// Seeded rollout states: random rule applications from the initial tree,
-/// drawn among the forward ones with probability `forward_bias`, restarting
-/// after 14 steps or at a dead end.
-std::vector<DiffTree> RolloutStates(const std::vector<Ast>& queries, uint64_t seed,
-                                    size_t n, double forward_bias) {
-  const RuleEngine rules(GeneratorOptions().rules);
-  const DiffTree initial = *BuildInitialTree(queries);
-  Rng rng(seed);
-  std::vector<DiffTree> states;
-  DiffTree s = initial;
-  size_t depth = 0;
-  while (states.size() < n) {
-    states.push_back(s);
-    std::vector<RuleApplication> apps = rules.EnumerateApplications(s);
-    std::vector<RuleApplication> forward;
-    for (const RuleApplication& a : apps) {
-      if (rules.IsForward(a)) forward.push_back(a);
-    }
-    std::vector<RuleApplication>* pool =
-        !forward.empty() && rng.Bernoulli(forward_bias) ? &forward : &apps;
-    bool advanced = false;
-    while (!pool->empty() && !advanced) {
-      const size_t pick = rng.UniformIndex(pool->size());
-      auto next = rules.Apply(s, (*pool)[pick]);
-      if (next.ok()) {
-        s = std::move(next).MoveValueUnsafe();
-        advanced = true;
-      } else {
-        pool->erase(pool->begin() + static_cast<long>(pick));
-      }
-    }
-    if (!advanced || ++depth == 14) {
-      s = initial;
-      depth = 0;
-    }
-  }
-  return states;
-}
-
 TEST(EvaluationPin, RolloutStatesEvaluateBitForBit) {
   for (const EvalPin& pin : kEvalPins) {
     const std::vector<Ast> queries = *ParseQueries(LoadWorkload(pin.workload, 10)->log);
@@ -517,6 +480,68 @@ TEST(Plan, MatchesReferencePlanner) {
     EXPECT_GT(multi_id, 0u) << workload;
     EXPECT_GT(reordered, 0u) << workload;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Choice ids are positions, not addresses: one shared block may sit at two
+// positions of a tree, so the same choice node object has two ids.
+
+TEST(Plan, SharedSubtreeKeepsPositionalIds) {
+  // Select(Project(a), From(t), Where(And(P, P))) with P = (x = ANY(1, 2)):
+  // both copies of P share one child block, so both predicates hold the
+  // same ANY object.
+  DiffTree tree = DiffTree::FromAst(Q("select a from t where x = 1 and x = 1"));
+  DiffTree* conj = MutableNodeAt(&tree, {2, 0});
+  ASSERT_NE(conj, nullptr);
+  const DiffTree pred(Symbol::kBiExpr, "=",
+                      {DiffTree::FromAst(Ast(Symbol::kColExpr, "x")),
+                       DiffTree::Any({DiffTree::FromAst(Ast(Symbol::kNumExpr, "1")),
+                                      DiffTree::FromAst(Ast(Symbol::kNumExpr, "2"))})});
+  conj->children = {pred, pred};
+  const DiffTree deep = DeepCopy(tree);
+  const ChoiceIndex index(tree);
+  const ChoiceIndex deep_index(deep);
+  ASSERT_EQ(index.size(), 2u);
+  ASSERT_EQ(index.node(0), index.node(1));  // one object at two positions
+  ASSERT_NE(deep_index.node(0), deep_index.node(1));
+
+  const std::vector<Ast> queries = {Q("select a from t where x = 1 and x = 1"),
+                                    Q("select a from t where x = 1 and x = 2"),
+                                    Q("select a from t where x = 2 and x = 2"),
+                                    Q("select a from t where x = 2 and x = 1")};
+  for (size_t limit : {8, 1}) {
+    const TransitionPlan want = PlanTransitions(deep, queries, limit);
+    ASSERT_TRUE(want.valid);
+    ExpectSamePlan(PlanTransitions(tree, queries, limit), want,
+                   "limit " + std::to_string(limit));
+    ExpectSamePlan(ReferencePlan(tree, queries, limit), want,
+                   "reference, limit " + std::to_string(limit));
+  }
+  for (const Ast& q : queries) {
+    auto got = MatchQuery(tree, q);
+    auto want = MatchQuery(deep, q);
+    ASSERT_TRUE(got.has_value() && want.has_value());
+    EXPECT_EQ(ExtractSelections(index, *got), ExtractSelections(deep_index, *want));
+  }
+
+  // The session moves the widget at the second position only.
+  auto session_of = [&](const DiffTree& t) {
+    GeneratedInterface iface;
+    iface.queries = queries;
+    iface.difftree = t;
+    const CostConstants constants;
+    WidgetAssigner assigner(t, constants);
+    iface.widgets = *assigner.Build(assigner.FirstAssignment());
+    return InterfaceSession::Create(iface, constants);
+  };
+  auto shared = session_of(tree);
+  auto unshared = session_of(deep);
+  ASSERT_TRUE(shared.ok() && unshared.ok());
+  ASSERT_TRUE(shared->SetAnyChoice(1, 1).ok());
+  ASSERT_TRUE(unshared->SetAnyChoice(1, 1).ok());
+  EXPECT_EQ(*shared->CurrentSql(), *unshared->CurrentSql());
+  EXPECT_EQ(*shared->CurrentSql(), "select a from t where x = 1 and x = 2");
+  EXPECT_EQ(shared->selections(), unshared->selections());
 }
 
 TEST(Plan, ConcurrentPlanningIsIdentical) {

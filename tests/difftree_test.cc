@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <thread>
+#include <utility>
+
 #include "difftree/builder.h"
 #include "difftree/difftree.h"
 #include "difftree/enumerate.h"
@@ -7,8 +11,11 @@
 #include "difftree/normalize.h"
 #include "difftree/selection.h"
 #include "obs/metrics.h"
+#include "rollout_states.h"
+#include "rules/rule.h"
 #include "sql/parser.h"
 #include "sql/unparser.h"
+#include "workload/loader.h"
 
 namespace ifgen {
 namespace {
@@ -132,6 +139,23 @@ TEST(Normalize, CollapsesDegenerateChoices) {
   Normalize(&oo);
   EXPECT_EQ(oo.kind, DKind::kOpt);
   EXPECT_EQ(oo.children[0].kind, DKind::kAll);
+}
+
+TEST(Normalize, KnownNormalListIsDroppedOnEdit) {
+  DiffTree t = *BuildInitialTree({Q("select a from t"), Q("select b from t where x = 1")});
+  {
+    const DiffTree other = t;  // shares t's root list
+    Normalize(&t);             // finds it normal while shared, and marks it
+    EXPECT_TRUE(t.children.KnownNormal());
+  }
+  // Private again and still marked: an edit in place must drop the mark, or
+  // the next Normalize would skip the Seq below.
+  t.children[1].children[0] =
+      DiffTree::Seq({DiffTree::FromAst(Col("b")), DiffTree::FromAst(Col("c"))});
+  EXPECT_FALSE(t.children.KnownNormal());
+  Normalize(&t);
+  EXPECT_EQ(t.ToSExpr(), Normalized(DeepCopy(t)).ToSExpr());
+  EXPECT_EQ(t.children[1].children.size(), 4u);  // the Seq was spliced
 }
 
 TEST(Normalize, WellFormedAfter) {
@@ -339,8 +363,8 @@ TEST(Selection, ChoiceIndexIdsAreStable) {
   DiffTree d = *BuildInitialTree({Q("select a from t"), Q("select b from t")});
   ChoiceIndex idx(d);
   ASSERT_EQ(idx.size(), 1u);
-  EXPECT_EQ(idx.IdOf(idx.node(0)), 0);
-  EXPECT_EQ(idx.IdOf(&d.children[0]), -1);  // not a choice node
+  EXPECT_EQ(idx.node(0), &d);  // the root ANY is choice 0
+  EXPECT_FALSE(d.children[0].IsChoice());
 }
 
 TEST(Selection, StickySemantics) {
@@ -391,6 +415,104 @@ TEST(DiffTreeLabel, RendersFragments) {
   EXPECT_EQ(DiffTreeLabel(top), "top 10");
   DiffTree any = DiffTree::Any({top});
   EXPECT_EQ(DiffTreeLabel(any), "▾");
+}
+
+// ---------------------------------------------------------------------------
+// Copy-on-write children: copies share blocks, and shared blocks cache the
+// children's hashes and counts.
+
+/// Hash, CanonicalHash, NodeCount and ChoiceCount of `t`, in that order.
+std::vector<uint64_t> FactsOf(const DiffTree& t) {
+  return {t.Hash(), t.CanonicalHash(), t.NodeCount(), t.ChoiceCount()};
+}
+
+TEST(DiffTree, CopyOnWrite) {
+  const DiffTree original = *BuildInitialTree(
+      {Q("select a from t where x = 1"), Q("select b from t where y = 2 and z = 3"),
+       Q("select c, d from u")});
+  const std::string sexpr = original.ToSExpr();
+  const std::vector<uint64_t> facts = FactsOf(DeepCopy(original));
+  ASSERT_EQ(FactsOf(original), facts);
+
+  // Every non-const accessor, on a copy whose caches are filled.
+  const std::vector<std::function<void(DiffTree*)>> edits = {
+      [](DiffTree* t) { t->children[0].value = "edited"; },
+      [](DiffTree* t) {
+        for (DiffTree& c : t->children.Mutable()) c.children.Mutable().clear();
+      },
+      [](DiffTree* t) { t->children.Mutable().back().kind = DKind::kOpt; },
+      [](DiffTree* t) { t->children.push_back(DiffTree::Empty()); },
+      [](DiffTree* t) { t->children.Mutable().pop_back(); },
+      [](DiffTree* t) { t->children = {}; },
+      [](DiffTree* t) { MutableNodeAt(t, {1, 2, 0})->value = "deep"; },
+      [](DiffTree* t) { MutableNodeAt(t, {2, 0})->children[1] = DiffTree::Empty(); },
+  };
+  for (size_t e = 0; e < edits.size(); ++e) {
+    DiffTree copy = original;
+    EXPECT_EQ(&std::as_const(copy).children[0], &original.children[0]);  // one block
+    ASSERT_EQ(FactsOf(copy), facts);  // fills the shared caches
+    edits[e](&copy);
+    EXPECT_NE(copy.children.begin(), original.children.begin()) << e;
+    EXPECT_NE(copy.ToSExpr(), sexpr) << e;
+    EXPECT_EQ(original.ToSExpr(), sexpr) << e;
+    EXPECT_EQ(FactsOf(original), facts) << e;
+    const DiffTree keep = copy;  // shares, so the copy's caches fill again
+    EXPECT_EQ(FactsOf(copy), FactsOf(DeepCopy(copy))) << e;
+    EXPECT_EQ(FactsOf(keep), FactsOf(DeepCopy(copy))) << e;
+  }
+
+  // Caches fill only on a shared block.
+  DiffTree mine = DeepCopy(original);
+  EXPECT_EQ(mine.children.facts(), nullptr);
+  {
+    const DiffTree other = mine;
+    ASSERT_NE(mine.children.facts(), nullptr);
+  }
+  // `mine` is the only owner again, with its cache filled: an in-place
+  // mutation must drop the cache.
+  mine.children[0].value = "changed";
+  EXPECT_EQ(mine.children.facts(), nullptr);
+  EXPECT_EQ(FactsOf(mine), FactsOf(DeepCopy(mine)));
+  EXPECT_NE(mine.Hash(), facts[0]);
+}
+
+TEST(DiffTree, ConcurrentCacheFill) {
+  const std::vector<Ast> queries = *ParseQueries(LoadWorkload("sdss", 10)->log);
+  const RuleEngine rules;
+  const std::vector<DiffTree> states = RolloutStates(queries, 5, 12, 0.8);
+  // Hashes and counts of a state and of up to 16 of its successors.
+  auto summarize = [&](const DiffTree& t) {
+    std::vector<uint64_t> out = FactsOf(t);
+    std::vector<RuleApplication> apps = rules.EnumerateApplications(t);
+    out.push_back(apps.size());
+    for (size_t a = 0; a < apps.size() && a < 16; ++a) {
+      auto next = rules.Apply(t, apps[a]);
+      out.push_back(next.ok() ? 1 : 0);
+      if (!next.ok()) continue;
+      for (uint64_t f : FactsOf(*next)) out.push_back(f);
+    }
+    return out;
+  };
+  std::vector<std::vector<uint64_t>> serial;
+  for (const DiffTree& s : states) serial.push_back(summarize(DeepCopy(s)));
+
+  // Every thread works on its own copies of the same shared states, so the
+  // threads race to fill the same caches.
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<uint64_t>>> parallel(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const DiffTree& s : states) {
+        const DiffTree mine = s;
+        parallel[static_cast<size_t>(t)].push_back(summarize(mine));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(parallel[static_cast<size_t>(t)], serial) << "thread " << t;
+  }
 }
 
 }  // namespace

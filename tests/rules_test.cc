@@ -4,9 +4,11 @@
 #include "difftree/enumerate.h"
 #include "difftree/match.h"
 #include "difftree/normalize.h"
+#include "rollout_states.h"
 #include "rules/rule.h"
 #include "sql/parser.h"
 #include "util/rng.h"
+#include "workload/loader.h"
 #include "workload/sdss.h"
 #include "workload/synthetic.h"
 
@@ -307,6 +309,47 @@ TEST(RuleProperty, SdssLogSurvivesLongForwardChains) {
     }
     if (!advanced) break;
     ASSERT_TRUE(ExpressesAll(tree, queries)) << "lost a query at step " << step;
+  }
+}
+
+// Apply shares the input's blocks with its result; it must never write
+// through them.
+TEST(Rules, ApplyNeverMutatesItsInput) {
+  const RuleEngine engine;
+  for (const char* workload : {"flights", "sdss", "synthetic"}) {
+    const std::vector<Ast> queries = *ParseQueries(LoadWorkload(workload, 10)->log);
+    std::vector<DiffTree> states = RolloutStates(queries, 21, 24, 0.8);
+    for (DiffTree& s : RolloutStates(queries, 23, 24, 0.0)) states.push_back(std::move(s));
+    size_t applied = 0;
+    for (size_t i = 0; i < states.size(); ++i) {
+      const DiffTree& s = states[i];
+      const std::string where = std::string(workload) + " state " + std::to_string(i);
+      const std::string sexpr = s.ToSExpr();
+      const uint64_t hash = s.Hash();
+      const uint64_t canonical = s.CanonicalHash();
+      const DiffTree deep = DeepCopy(s);
+      for (const RuleApplication& app : engine.EnumerateApplications(s)) {
+        auto got = engine.Apply(s, app);
+        auto want = engine.Apply(deep, app);
+        ASSERT_EQ(got.ok(), want.ok()) << where << " " << engine.Describe(s, app);
+        if (!got.ok()) continue;
+        ++applied;
+        // Against a result that holds no cache at all.
+        const DiffTree plain = DeepCopy(*want);
+        EXPECT_TRUE(*got == plain) << where << " " << engine.Describe(s, app);
+        EXPECT_EQ(got->Hash(), plain.Hash()) << where;
+        EXPECT_EQ(got->CanonicalHash(), plain.CanonicalHash()) << where;
+        EXPECT_EQ(got->NodeCount(), plain.NodeCount()) << where;
+        EXPECT_EQ(got->ChoiceCount(), plain.ChoiceCount()) << where;
+        // Normal form, checked by a Normalize that walks every node.
+        EXPECT_EQ(Normalized(plain).ToSExpr(), plain.ToSExpr()) << where;
+      }
+      EXPECT_EQ(s.ToSExpr(), sexpr) << where;
+      EXPECT_EQ(s.Hash(), hash) << where;
+      EXPECT_EQ(s.CanonicalHash(), canonical) << where;
+      EXPECT_TRUE(s == deep) << where;
+    }
+    EXPECT_GT(applied, 0u) << workload;
   }
 }
 
