@@ -1,25 +1,20 @@
-// Cluster cache peering: a same-schema job storm through a 3-worker
-// cluster, with and without the peering tier (docs/cluster.md).
+// Cluster result cache: a same-schema job storm through a 3-worker cluster
+// (docs/cluster.md).
 //
 // The storm submits N jobs that share workload + seed but differ in
 // iteration budget: distinct result-cache keys (budgets are part of the
-// job fingerprint) over ONE shared transposition store (budgets are
-// deliberately excluded from the TT store key — they change which states
-// a search visits, not what they cost). With peering on, workers gossip
-// hot TT entries through the router, so later budgets warm-start from
-// sibling discoveries; a repeat of the storm then measures the result
-// cache (local hits plus `cache.probe` redirects).
+// job fingerprint). A cold pass computes every job on its placement
+// worker; a repeat of the identical storm then measures the result cache
+// (consistent-hash placement routes each repeat to the worker that ran it).
 //
-// Emits one `"bench":"cluster_cache"` JSON row per arm (peering on/off),
-// documented in bench/README.md and validated by
-// scripts/check_bench_json.py. IFGEN_BENCH_SMOKE=1 shrinks the storm.
+// Emits one `"bench":"cluster_cache"` JSON row, documented in
+// bench/README.md and validated by scripts/check_bench_json.py.
+// IFGEN_BENCH_SMOKE=1 shrinks the storm.
 //
 // This binary doubles as the worker binary: main() checks
 // IsWorkerInvocation and re-execs itself per worker (fork+exec).
-#include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/dto.h"
@@ -35,7 +30,7 @@ namespace {
 
 constexpr int kWorkers = 3;
 
-api::GenerateRequest StormRequest(int64_t max_iterations, bool peering) {
+api::GenerateRequest StormRequest(int64_t max_iterations) {
   api::GenerateRequest req;
   req.workload = "flights";
   req.options.time_budget_ms = 0;  // iteration-capped: deterministic
@@ -43,29 +38,22 @@ api::GenerateRequest StormRequest(int64_t max_iterations, bool peering) {
   req.options.seed = 5;
   req.options.screen_width = 90;
   req.options.screen_height = 32;
-  req.options.cache_peering = peering;
   return req;
 }
 
-struct ArmResult {
+struct StormResult {
   size_t jobs = 0;
   double cold_ms = 0.0;
   double repeat_ms = 0.0;
   int64_t repeat_cache_hits = 0;
-  int64_t cache_probes = 0;
-  int64_t cache_probe_hits = 0;
-  int64_t tt_peer_ingested = 0;
-  int64_t tt_peer_hits = 0;
-  int64_t tt_published = 0;
-  int64_t result_peer_hits = 0;
   bool ok = false;
 };
 
 /// Runs the storm (cold pass + repeat pass) against a fresh 3-worker
-/// cluster with peering on or off; tears the cluster down afterwards.
-ArmResult RunArm(const std::string& self_exe,
-                 const std::vector<int64_t>& budgets, bool peering) {
-  ArmResult out;
+/// cluster; tears the cluster down afterwards.
+StormResult RunStorm(const std::string& self_exe,
+                     const std::vector<int64_t>& budgets) {
+  StormResult out;
   out.jobs = budgets.size();
 
   std::vector<cluster::SpawnedWorker> spawned;
@@ -81,9 +69,8 @@ ArmResult RunArm(const std::string& self_exe,
     spawned.push_back(*w);
     ropts.workers.push_back({"127.0.0.1", w->port});
   }
-  ropts.health_interval_ms = 100;  // gossip rides the health cadence
+  ropts.health_interval_ms = 100;  // the cadence cluster_test uses
   ropts.reconnect_backoff_ms = 50;
-  ropts.cache_peering = peering;
   auto shutdown = [&] {
     router.Stop();
     for (const cluster::SpawnedWorker& w : spawned) {
@@ -96,12 +83,11 @@ ArmResult RunArm(const std::string& self_exe,
     return out;
   }
 
-  // Pass 1 (cold): sequential so the health loop's gossip rounds run
-  // between jobs — later budgets warm-start from earlier exports.
+  // Sequential passes: one job in flight at a time.
   auto run_pass = [&](double* total_ms, int64_t* cache_hits) -> bool {
     Stopwatch watch;
     for (const int64_t budget : budgets) {
-      auto acc = router.SubmitGenerate(StormRequest(budget, peering));
+      auto acc = router.SubmitGenerate(StormRequest(budget));
       if (!acc.ok()) {
         std::fprintf(stderr, "submit: %s\n", acc.status().ToString().c_str());
         return false;
@@ -121,50 +107,26 @@ ArmResult RunArm(const std::string& self_exe,
     return out;
   }
 
-  // Let a few gossip rounds land, then repeat the identical storm: every
-  // job answers from a result cache (the owner's, or a sibling's via
-  // `cache.probe` when placement shifted).
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  // Repeat the identical storm: every job answers from its owner's result
+  // cache.
   if (!run_pass(&out.repeat_ms, &out.repeat_cache_hits)) {
     shutdown();
     return out;
   }
 
-  // One more health tick so the per-worker ping counters are fresh.
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  auto stats = router.Stats();
-  if (stats.ok()) {
-    for (const api::WorkerStatsDto& w : stats->cluster_workers) {
-      out.cache_probes += w.cache_probes;
-      out.cache_probe_hits += w.cache_probe_hits;
-      out.tt_peer_ingested += w.tt_peer_ingested;
-      out.tt_peer_hits += w.tt_peer_hits;
-      out.tt_published += w.tt_published;
-      out.result_peer_hits += w.result_peer_hits;
-    }
-  }
   out.ok = true;
   shutdown();
   return out;
 }
 
-void EmitRow(const ArmResult& r, bool peering) {
+void EmitRow(const StormResult& r) {
   std::printf(
       "{\"bench\":\"cluster_cache\",\"workload\":\"flights\","
-      "\"peering\":%s,\"workers\":%d,\"jobs\":%zu,"
-      "\"cold_ms\":%s,\"repeat_ms\":%s,\"repeat_cache_hits\":%lld,"
-      "\"cache_probes\":%lld,\"cache_probe_hits\":%lld,"
-      "\"tt_peer_ingested\":%lld,\"tt_peer_hits\":%lld,"
-      "\"tt_published\":%lld,\"result_peer_hits\":%lld}\n",
-      peering ? "true" : "false", kWorkers, r.jobs,
-      JsonDouble(r.cold_ms).c_str(), JsonDouble(r.repeat_ms).c_str(),
-      static_cast<long long>(r.repeat_cache_hits),
-      static_cast<long long>(r.cache_probes),
-      static_cast<long long>(r.cache_probe_hits),
-      static_cast<long long>(r.tt_peer_ingested),
-      static_cast<long long>(r.tt_peer_hits),
-      static_cast<long long>(r.tt_published),
-      static_cast<long long>(r.result_peer_hits));
+      "\"workers\":%d,\"jobs\":%zu,\"cold_ms\":%s,\"repeat_ms\":%s,"
+      "\"repeat_cache_hits\":%lld}\n",
+      kWorkers, r.jobs, JsonDouble(r.cold_ms).c_str(),
+      JsonDouble(r.repeat_ms).c_str(),
+      static_cast<long long>(r.repeat_cache_hits));
 }
 
 }  // namespace
@@ -175,7 +137,7 @@ int main(int argc, char** argv) {
   }
   const bool smoke = bench::SmokeMode();
 
-  bench::PrintHeader("Cluster cache peering: same-schema job storm");
+  bench::PrintHeader("Cluster result cache: same-schema job storm");
 
   auto self = cluster::SelfExePath();
   if (!self.ok()) {
@@ -183,33 +145,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Same workload + seed, distinct budgets: one shared TT store, N distinct
-  // result-cache keys.
+  // Same workload + seed, distinct budgets: N distinct result-cache keys.
   std::vector<int64_t> budgets;
   const size_t jobs = smoke ? 4 : 10;
   for (size_t i = 0; i < jobs; ++i) {
     budgets.push_back(static_cast<int64_t>(smoke ? 12 + 8 * i : 20 + 12 * i));
   }
 
-  int rc = 0;
-  for (const bool peering : {true, false}) {
-    ArmResult r = RunArm(*self, budgets, peering);
-    if (!r.ok) {
-      rc = 1;
-      continue;
-    }
-    std::printf(
-        "peering=%-5s cold %8.1f ms, repeat %8.1f ms (%lld/%zu cached), "
-        "probes %lld (%lld hits), tt ingested %lld / hits %lld / published %lld\n",
-        peering ? "on" : "off", r.cold_ms, r.repeat_ms,
-        static_cast<long long>(r.repeat_cache_hits), r.jobs,
-        static_cast<long long>(r.cache_probes),
-        static_cast<long long>(r.cache_probe_hits),
-        static_cast<long long>(r.tt_peer_ingested),
-        static_cast<long long>(r.tt_peer_hits),
-        static_cast<long long>(r.tt_published));
-    EmitRow(r, peering);
-  }
-  if (rc == 0) std::printf("clean shutdown\n");
-  return rc;
+  StormResult r = RunStorm(*self, budgets);
+  if (!r.ok) return 1;
+  std::printf("cold %8.1f ms, repeat %8.1f ms (%lld/%zu cached)\n", r.cold_ms,
+              r.repeat_ms, static_cast<long long>(r.repeat_cache_hits), r.jobs);
+  EmitRow(r);
+  std::printf("clean shutdown\n");
+  return 0;
 }

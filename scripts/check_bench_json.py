@@ -123,18 +123,11 @@ SCHEMAS = {
     },
     "cluster_cache": {
         "workload": str,
-        "peering": bool,
         "workers": int,
         "jobs": int,
         "cold_ms": NUM,
         "repeat_ms": NUM,
         "repeat_cache_hits": int,
-        "cache_probes": int,
-        "cache_probe_hits": int,
-        "tt_peer_ingested": int,
-        "tt_peer_hits": int,
-        "tt_published": int,
-        "result_peer_hits": int,
     },
 }
 

@@ -129,33 +129,20 @@ def main():
         step = call("POST", f"/v1/sessions/{sid}/events", event)
         print(f"session {sid}: event -> {step['report']['transition']}")
 
-        # Cache peering: a same-schema storm (same workload + seed,
-        # different budgets -> one shared transposition store) with
-        # cache_peering on; the router's gossip rounds must publish TT
-        # batches to the workers (observable via /v1/stats).
+        # A same-schema storm (same workload + seed, different budgets):
+        # every job must finish on whichever worker placement picks.
         for budget in (25, 18, 31):
             accepted = call("POST", "/v1/generate", {
                 "workload": "flights",
                 "options": {"time_budget_ms": 0, "max_iterations": budget,
                             "seed": 7, "screen_width": 90,
-                            "screen_height": 32, "cache_peering": True},
+                            "screen_height": 32},
             })
-            peer_job = call(
+            storm_job = call(
                 "GET", f"/v1/jobs/{accepted['job_id']}?wait_ms=60000")
-            if peer_job["state"] != "done":
-                fail(f"peering job state {peer_job['state']}")
-        deadline = time.time() + 30
-        published = 0
-        while time.time() < deadline:
-            stats = call("GET", "/v1/stats")
-            published = sum(w.get("tt_published", 0)
-                            for w in stats["cluster"]["workers"])
-            if published > 0:
-                break
-            time.sleep(0.5)
-        if published == 0:
-            fail("router never published TT gossip batches to the workers")
-        print(f"cache peering: router published {published} TT entries")
+            if storm_job["state"] != "done":
+                fail(f"storm job state {storm_job['state']}")
+        print("same-schema storm: 3 jobs done")
 
         # Kill one worker process outright; the router must notice and the
         # cluster keeps serving from the survivors.

@@ -156,29 +156,6 @@ Result<GenerateAccepted> ApiService::SubmitGenerate(const GenerateRequest& req) 
   return accepted;
 }
 
-Result<bool> ApiService::ProbeCache(const GenerateRequest& req) {
-  IFGEN_ASSIGN_OR_RETURN(GeneratorOptions options, req.options.ToGeneratorOptions());
-  if (!opts_.learned_prior_weights.empty()) {
-    options.search.priors.learned_weights = opts_.learned_prior_weights;
-  }
-  if (req.workload.empty() && req.sqls.empty()) {
-    return Status::Invalid("GenerateRequest: either 'workload' or 'sqls' required");
-  }
-  // A backend or workload this worker cannot serve is simply "no hit" — the
-  // prober is looking for a cached result, not validating the request.
-  if (!BackendAvailable(options.backend)) return false;
-  const WorkloadBundle* bundle = nullptr;
-  if (!req.workload.empty()) {
-    auto found = FindWorkload(req.workload);
-    if (!found.ok()) return false;
-    bundle = *found;
-  }
-  JobSpec spec;
-  spec.sqls = req.sqls.empty() ? bundle->log : req.sqls;
-  spec.options = std::move(options);
-  return service_.CachePeek(GenerationService::JobKey(spec));
-}
-
 GenerateResponse ApiService::BuildGenerateResponse(GenerationService::JobId id,
                                                    const GeneratedInterface& iface,
                                                    const JobMeta& meta) const {

@@ -51,8 +51,7 @@ class ApiService : public ServiceFrontend {
     int64_t session_ttl_ms = 10 * 60 * 1000;
     InteractiveRuntime::Options runtime;
     /// Trace-fitted prior weights (learn/prior_fit.h) applied to every
-    /// admitted job's PriorOptions. Applied identically in SubmitGenerate
-    /// and ProbeCache, so local and probed cache keys cannot diverge.
+    /// admitted job's PriorOptions in SubmitGenerate.
     /// Empty = the hand-set BaseRuleWeight defaults.
     std::vector<std::pair<std::string, double>> learned_prior_weights;
   };
@@ -64,12 +63,6 @@ class ApiService : public ServiceFrontend {
 
   // ---- jobs -------------------------------------------------------------
   Result<GenerateAccepted> SubmitGenerate(const GenerateRequest& req) override;
-  /// Cluster cache.probe: whether this service's result cache already holds
-  /// the completed result of an identical request. Side-effect free beyond
-  /// probe counters (no LRU bump, no cache_hits count) — see
-  /// GenerationService::CachePeek. Not part of ServiceFrontend: only the
-  /// cluster worker exposes it, and only the router calls it.
-  Result<bool> ProbeCache(const GenerateRequest& req);
   /// `wait_ms` > 0 blocks until the job is terminal or the deadline.
   Result<JobStatusResponse> GetJob(const std::string& job_id,
                                    int64_t wait_ms = 0) override;

@@ -158,7 +158,6 @@ Result<GeneratorOptions> ApiOptions::ToGeneratorOptions() const {
   o.parallel.num_threads = static_cast<size_t>(num_threads);
   o.delta_cost_eval = delta_cost_eval;
   o.k_assignments = static_cast<size_t>(k_assignments);
-  o.cache_peering = cache_peering;
   o.experience = experience;
   return o;
 }
@@ -177,7 +176,6 @@ ApiOptions ApiOptions::FromGeneratorOptions(const GeneratorOptions& o) {
   a.use_priors = o.search.priors.use_priors;
   a.progressive_widening = o.search.priors.progressive_widening;
   a.delta_cost_eval = o.delta_cost_eval;
-  a.cache_peering = o.cache_peering;
   a.experience = o.experience;
   a.deadline_ms = o.search.time_control.deadline_ms;
   a.target_cost = o.search.time_control.target_cost;

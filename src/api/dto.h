@@ -154,16 +154,11 @@ struct ApiOptions {
   bool use_priors = true;
   bool progressive_widening = true;
   bool delta_cost_eval = true;
-  /// Cluster cache peering (GeneratorOptions::cache_peering): the job's
-  /// transposition entries may warm-start from / export to sibling workers,
-  /// and cost sampling becomes state-keyed so peering preserves
-  /// bit-identity. Default off: a single-process request is unchanged.
-  bool cache_peering = false;
   /// Persistent experience (GeneratorOptions::experience): the job may
   /// warm-start from the service's on-disk experience store and records its
   /// discoveries back (src/learn/). Switches cost sampling to the
-  /// state-keyed mode exactly like `cache_peering`. Default off: a request
-  /// without the flag is unchanged.
+  /// state-keyed mode, so seeding preserves bit-identity. Default off: a
+  /// request without the flag is unchanged.
   bool experience = false;
   /// Anytime time control (search/timeman.h). deadline_ms: wall-clock
   /// deadline for the whole call, 0 = off; target_cost: stop once the best
@@ -193,7 +188,6 @@ struct ApiOptions {
         wire::Field("use_priors", &A::use_priors),
         wire::Field("progressive_widening", &A::progressive_widening),
         wire::Field("delta_cost_eval", &A::delta_cost_eval),
-        wire::Field("cache_peering", &A::cache_peering),
         wire::Field("experience", &A::experience),
         wire::Field("deadline_ms", &A::deadline_ms),
         wire::Field("target_cost", &A::target_cost),
@@ -639,14 +633,6 @@ struct WorkerStatsDto {
   int64_t rpcs = 0;          ///< RPCs the router sent this worker
   int64_t rpc_failures = 0;  ///< transport-level failures (marks unhealthy)
   int64_t reconnects = 0;    ///< successful health-probe recoveries
-  // Cache peering (docs/cluster.md). Worker-reported:
-  int64_t cache_probes = 0;      ///< cache.probe lookups answered
-  int64_t cache_probe_hits = 0;  ///< ...that found a completed identical job
-  int64_t tt_peer_ingested = 0;  ///< gossiped TT entries merged (first write)
-  int64_t tt_peer_hits = 0;      ///< searches' lookups served by peer entries
-  // Router-observed:
-  int64_t result_peer_hits = 0;  ///< submits routed here by a sibling probe hit
-  int64_t tt_published = 0;      ///< TT entries the router pushed to this worker
 
   static constexpr auto Fields() {
     using W = WorkerStatsDto;
@@ -659,13 +645,7 @@ struct WorkerStatsDto {
         wire::Field("jobs_pending", &W::jobs_pending),
         wire::Field("sessions_active", &W::sessions_active), wire::Field("rpcs", &W::rpcs),
         wire::Field("rpc_failures", &W::rpc_failures),
-        wire::Field("reconnects", &W::reconnects),
-        wire::Field("cache_probes", &W::cache_probes),
-        wire::Field("cache_probe_hits", &W::cache_probe_hits),
-        wire::Field("tt_peer_ingested", &W::tt_peer_ingested),
-        wire::Field("tt_peer_hits", &W::tt_peer_hits),
-        wire::Field("result_peer_hits", &W::result_peer_hits),
-        wire::Field("tt_published", &W::tt_published));
+        wire::Field("reconnects", &W::reconnects));
   }
   JsonValue ToJson() const;
   static Result<WorkerStatsDto> FromJson(const JsonValue& v);

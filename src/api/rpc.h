@@ -38,14 +38,6 @@ inline constexpr const char kMethodCatalog[] = "catalog.get";
 inline constexpr const char kMethodStats[] = "stats.get";
 inline constexpr const char kMethodPing[] = "worker.ping";
 inline constexpr const char kMethodDrain[] = "worker.drain";
-// Cache peering (cluster-wide shared caches; see docs/cluster.md):
-// cache.probe asks a worker whether its result cache already holds a
-// completed identical job; cache.export pulls a worker's locally discovered
-// transposition entries; cache.publish pushes sibling entries into a
-// worker's peer store.
-inline constexpr const char kMethodCacheProbe[] = "cache.probe";
-inline constexpr const char kMethodCacheExport[] = "cache.export";
-inline constexpr const char kMethodCachePublish[] = "cache.publish";
 
 /// \brief One request frame: which operation, against which payload.
 /// `request_id` is caller-chosen and echoed verbatim in the reply so a
@@ -154,11 +146,6 @@ struct WorkerPingResponse {
   int64_t jobs_pending = 0;
   int64_t sessions_active = 0;
   bool draining = false;
-  /// Cache-peering telemetry (see GenerationService::CountersSnapshot).
-  int64_t cache_probes = 0;
-  int64_t cache_probe_hits = 0;
-  int64_t tt_peer_ingested = 0;
-  int64_t tt_peer_hits = 0;
 
   static constexpr auto Fields() {
     using W = WorkerPingResponse;
@@ -166,88 +153,11 @@ struct WorkerPingResponse {
                            wire::Field("jobs_executed", &W::jobs_executed),
                            wire::Field("jobs_pending", &W::jobs_pending),
                            wire::Field("sessions_active", &W::sessions_active),
-                           wire::Field("draining", &W::draining),
-                           wire::Field("cache_probes", &W::cache_probes).Min(0),
-                           wire::Field("cache_probe_hits", &W::cache_probe_hits).Min(0),
-                           wire::Field("tt_peer_ingested", &W::tt_peer_ingested).Min(0),
-                           wire::Field("tt_peer_hits", &W::tt_peer_hits).Min(0));
+                           wire::Field("draining", &W::draining));
   }
   JsonValue ToJson() const;
   static Result<WorkerPingResponse> FromJson(const JsonValue& v);
   bool operator==(const WorkerPingResponse& o) const;
-};
-
-// ---------------------------------------------------------------------------
-// Cache-peering payloads.
-
-/// \brief Reply payload of cache.probe: whether the worker's result cache
-/// holds a completed identical job (probing is side-effect free — no LRU
-/// bump, no cache_hits count).
-struct CacheProbeResponse {
-  bool hit = false;
-
-  static constexpr auto Fields() {
-    return std::make_tuple(wire::Field("hit", &CacheProbeResponse::hit).Required());
-  }
-  JsonValue ToJson() const;
-  static Result<CacheProbeResponse> FromJson(const JsonValue& v);
-  bool operator==(const CacheProbeResponse& o) const;
-};
-
-/// \brief Request payload of cache.export: how many entries per store the
-/// caller wants at most.
-struct TtExportRequest {
-  int64_t max_entries = 256;
-
-  /// Values below 256 are rejected as OutOfRange.
-  static constexpr auto Fields() {
-    return std::make_tuple(
-        wire::Field("max_entries", &TtExportRequest::max_entries).Min(256));
-  }
-  JsonValue ToJson() const;
-  static Result<TtExportRequest> FromJson(const JsonValue& v);
-  bool operator==(const TtExportRequest& o) const;
-};
-
-/// \brief One cost-identity store's transposition entries on the wire.
-/// `store_key` and each entry's canonical hash are full uint64s, encoded as
-/// hex strings (the strict Int codec is int64 and hashes use all 64 bits);
-/// costs are finite by construction (non-finite entries are never exported
-/// — JSON cannot encode them).
-struct TtBatchDto {
-  uint64_t store_key = 0;
-  std::vector<TtSeedEntry> entries;
-
-  JsonValue ToJson() const;
-  static Result<TtBatchDto> FromJson(const JsonValue& v);
-  bool operator==(const TtBatchDto& o) const;
-};
-
-/// \brief Reply payload of cache.export and request payload of
-/// cache.publish: a batch of stores' entries.
-struct TtSyncDto {
-  std::vector<TtBatchDto> batches;
-
-  static constexpr auto Fields() {
-    return std::make_tuple(
-        wire::Field("batches", &TtSyncDto::batches).Required().BareArrayError());
-  }
-  JsonValue ToJson() const;
-  static Result<TtSyncDto> FromJson(const JsonValue& v);
-  bool operator==(const TtSyncDto& o) const;
-};
-
-/// \brief Reply payload of cache.publish: how many entries were new to the
-/// receiving worker (first-writer-wins merge).
-struct TtSyncAck {
-  int64_t ingested = 0;
-
-  static constexpr auto Fields() {
-    return std::make_tuple(wire::Field("ingested", &TtSyncAck::ingested).Min(0));
-  }
-  JsonValue ToJson() const;
-  static Result<TtSyncAck> FromJson(const JsonValue& v);
-  bool operator==(const TtSyncAck& o) const;
 };
 
 /// \brief Reply payload of job.trace (a JSON document in a string) and

@@ -23,7 +23,6 @@ namespace {
 constexpr size_t kVirtualNodes = 16;         ///< ring points per worker
 constexpr size_t kMaxPooledConnections = 8;  ///< idle connections per worker
 constexpr size_t kMaxJobRoutes = 4096;       ///< terminal routes kept
-constexpr size_t kTtGossipMaxEntries = 256;  ///< per store and gossip round
 
 obs::CounterFamily& RpcsFamily() {
   static obs::CounterFamily* f = obs::MetricsRegistry::Default().GetCounterFamily(
@@ -244,67 +243,16 @@ void ClusterRouter::HealthLoop() {
         w->draining = parsed->draining;
       }
     }
-    if (opts_.cache_peering) GossipTt();
   }
 }
 
-void ClusterRouter::GossipTt() {
-  // Pull phase: each healthy worker's locally discovered transposition
-  // entries (workers never re-export what they ingested from peers, so a
-  // batch seen here is first-hand and gossip cannot echo).
-  struct Pulled {
-    size_t source;
-    api::TtSyncDto sync;
-  };
-  std::vector<Pulled> pulled;
-  api::TtExportRequest exp;
-  exp.max_entries = static_cast<int64_t>(kTtGossipMaxEntries);
-  for (auto& w : workers_) {
-    {
-      std::lock_guard<std::mutex> lock(w->mu);
-      if (!w->healthy) continue;
-    }
-    auto r = Rpc(w.get(), api::kMethodCacheExport, exp.ToJson());
-    if (!r.ok()) continue;
-    auto sync = api::TtSyncDto::FromJson(*r);
-    if (!sync.ok() || sync->batches.empty()) continue;
-    pulled.push_back(Pulled{w->index, std::move(*sync)});
-  }
-  if (pulled.empty()) return;
-  // Push phase: every worker receives everyone ELSE's batches. Workers
-  // merge first-writer-wins per canonical hash, so re-publishing the same
-  // entry on later rounds is an idempotent no-op.
-  for (auto& w : workers_) {
-    {
-      std::lock_guard<std::mutex> lock(w->mu);
-      if (!w->healthy) continue;
-    }
-    api::TtSyncDto out;
-    int64_t entries = 0;
-    for (const Pulled& p : pulled) {
-      if (p.source == w->index) continue;
-      for (const api::TtBatchDto& b : p.sync.batches) {
-        entries += static_cast<int64_t>(b.entries.size());
-        out.batches.push_back(b);
-      }
-    }
-    if (out.batches.empty()) continue;
-    auto r = Rpc(w.get(), api::kMethodCachePublish, out.ToJson());
-    if (!r.ok()) continue;
-    std::lock_guard<std::mutex> lock(w->mu);
-    w->tt_published += entries;
-  }
-}
-
-ClusterRouter::WorkerState* ClusterRouter::PickWorker(uint64_t key,
-                                                      size_t skip) {
+ClusterRouter::WorkerState* ClusterRouter::PickWorker(uint64_t key) {
   if (ring_.empty()) return nullptr;
   auto it = std::lower_bound(ring_.begin(), ring_.end(),
                              std::make_pair(key, size_t{0}));
   for (size_t n = 0; n < ring_.size(); ++n, ++it) {
     if (it == ring_.end()) it = ring_.begin();
     WorkerState* w = workers_[it->second].get();
-    if (w->index == skip) continue;
     std::lock_guard<std::mutex> lock(w->mu);
     if (w->healthy) return w;
   }
@@ -369,29 +317,6 @@ Status ClusterRouter::CheckSessionEpoch(const std::string& session_id,
                           "is gone — reopen");
 }
 
-size_t ClusterRouter::ProbeForCachedResult(const JsonValue& req_json,
-                                           WorkerState* placement) {
-  // Placement first: when the co-located worker already holds the result,
-  // the normal submit path is the hit and no redirect is needed.
-  auto own = Rpc(placement, api::kMethodCacheProbe, req_json);
-  if (own.ok()) {
-    auto resp = api::CacheProbeResponse::FromJson(*own);
-    if (resp.ok() && resp->hit) return SIZE_MAX;
-  }
-  for (auto& w : workers_) {
-    if (w->index == placement->index) continue;
-    {
-      std::lock_guard<std::mutex> lock(w->mu);
-      if (!w->healthy) continue;
-    }
-    auto r = Rpc(w.get(), api::kMethodCacheProbe, req_json);
-    if (!r.ok()) continue;  // a probe never fails the submit
-    auto resp = api::CacheProbeResponse::FromJson(*r);
-    if (resp.ok() && resp->hit) return w->index;
-  }
-  return SIZE_MAX;
-}
-
 Result<api::GenerateAccepted> ClusterRouter::SubmitGenerate(
     const api::GenerateRequest& req) {
   // Consistent hash of the canonical request JSON: identical requests land
@@ -399,28 +324,8 @@ Result<api::GenerateAccepted> ClusterRouter::SubmitGenerate(
   const JsonValue req_json = req.ToJson();
   const uint64_t key = HashBytes(WriteJson(req_json));
   Status last = Status::Unavailable("no healthy workers");
-  // Cache peering: when a sibling (not the placement worker) already holds
-  // the completed identical job, route there once — the submit becomes that
-  // worker's local result-cache hit, bit-identical to the co-located path.
-  // Probe failures or a vanished cache entry fall through to normal ring
-  // placement; peer_hint is consumed on the first attempt only.
-  size_t peer_hint = SIZE_MAX;
-  if (opts_.cache_peering) {
-    WorkerState* placement = PickWorker(key, /*skip=*/SIZE_MAX);
-    if (placement != nullptr) {
-      peer_hint = ProbeForCachedResult(req_json, placement);
-    }
-  }
   for (size_t attempt = 0; attempt < workers_.size(); ++attempt) {
-    WorkerState* w = nullptr;
-    bool via_peer = false;
-    if (peer_hint != SIZE_MAX) {
-      w = workers_[peer_hint].get();
-      via_peer = true;
-      peer_hint = SIZE_MAX;
-    } else {
-      w = PickWorker(key, /*skip=*/SIZE_MAX);
-    }
+    WorkerState* w = PickWorker(key);
     if (w == nullptr) break;
     int64_t reply_epoch = 0;
     auto r = Rpc(w, api::kMethodSubmitGenerate, req_json, /*extra_wait_ms=*/0,
@@ -437,10 +342,6 @@ Result<api::GenerateAccepted> ClusterRouter::SubmitGenerate(
     }
     IFGEN_ASSIGN_OR_RETURN(api::GenerateAccepted acc,
                            api::GenerateAccepted::FromJson(*r));
-    if (via_peer) {
-      std::lock_guard<std::mutex> lock(w->mu);
-      ++w->result_peer_hits;
-    }
     std::string cluster_id;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -617,7 +518,7 @@ Result<api::TableDto> ClusterRouter::SessionTable(
 
 Result<api::CatalogResponse> ClusterRouter::Catalog() {
   // Workers load the same registered workloads; any healthy one answers.
-  WorkerState* w = PickWorker(0, /*skip=*/SIZE_MAX);
+  WorkerState* w = PickWorker(0);
   if (w == nullptr) return Status::Unavailable("no healthy workers");
   IFGEN_ASSIGN_OR_RETURN(JsonValue payload,
                          Rpc(w, api::kMethodCatalog, JsonValue::Object()));
@@ -638,12 +539,6 @@ api::WorkerStatsDto ClusterRouter::WorkerRow(WorkerState* w) {
   row.rpcs = w->rpcs;
   row.rpc_failures = w->failures;
   row.reconnects = w->reconnects;
-  row.cache_probes = w->last_ping.cache_probes;
-  row.cache_probe_hits = w->last_ping.cache_probe_hits;
-  row.tt_peer_ingested = w->last_ping.tt_peer_ingested;
-  row.tt_peer_hits = w->last_ping.tt_peer_hits;
-  row.result_peer_hits = w->result_peer_hits;
-  row.tt_published = w->tt_published;
   return row;
 }
 

@@ -59,14 +59,6 @@ class ClusterRouter : public api::ServiceFrontend {
     int64_t reconnect_backoff_max_ms = 2000;
     /// RPCs in flight per worker beyond this answer ResourceExhausted.
     size_t max_inflight_per_worker = 64;
-    /// Cache peering (default ON in cluster mode; the single-process
-    /// frontend has no peers): generate.submit probes siblings for a
-    /// completed identical job (`cache.probe`) and routes to the holder on
-    /// a hit, and the health loop gossips workers' locally discovered
-    /// transposition entries (`cache.export` -> `cache.publish`).
-    /// Routing/transport only — request payloads are never mutated, so
-    /// per-request ablation stays with ApiOptions::cache_peering.
-    bool cache_peering = true;
   };
 
   ClusterRouter() = default;
@@ -132,11 +124,6 @@ class ClusterRouter : public api::ServiceFrontend {
     /// Last epoch any reply from this address carried (0 = never heard).
     /// A change means the process restarted and its dense id space reset.
     int64_t epoch = 0;
-    /// Submits routed here because a cache.probe found the result cached
-    /// on this worker while placement pointed elsewhere.
-    int64_t result_peer_hits = 0;
-    /// Transposition entries this router has published to this worker.
-    int64_t tt_published = 0;
   };
 
   struct Route {
@@ -158,17 +145,9 @@ class ClusterRouter : public api::ServiceFrontend {
                         int64_t* reply_epoch = nullptr);
   void MarkUnhealthyLocked(WorkerState* w);
   void HealthLoop();
-  /// One gossip round: pull every healthy worker's locally discovered hot
-  /// transposition entries, push each worker everyone else's.
-  void GossipTt();
-  /// Probes workers for a completed identical job. Returns the index of a
-  /// NON-placement worker whose result cache has it (routing there turns
-  /// the submit into that worker's local cache hit), or SIZE_MAX when the
-  /// placement worker has it / nobody does / probing failed.
-  size_t ProbeForCachedResult(const JsonValue& req_json, WorkerState* placement);
-  /// Ring walk: the first healthy worker at/after `key`, skipping `skip`
-  /// (SIZE_MAX = none). Null when no worker is healthy.
-  WorkerState* PickWorker(uint64_t key, size_t skip);
+  /// Ring walk: the first healthy worker at/after `key`. Null when no
+  /// worker is healthy.
+  WorkerState* PickWorker(uint64_t key);
   Result<Route> FindJob(const std::string& job_id);
   Result<Route> FindSession(const std::string& session_id);
   /// Epoch guards: NotFound + route erasure when `reply_epoch` shows the

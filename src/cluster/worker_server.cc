@@ -1,5 +1,7 @@
 #include "cluster/worker_server.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -90,6 +92,11 @@ void WorkerServer::AcceptLoop() {
       if (errno == EINTR) continue;
       break;  // listener shut down
     }
+    // Same reason as ConnectTcp: a reply is two sends (length prefix, then
+    // payload), and under Nagle the payload waits for the router's delayed
+    // ACK of the prefix — about 40 ms per RPC on loopback.
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     std::lock_guard<std::mutex> lock(conns_mu_);
     ReapFinishedLocked();
     auto conn = std::make_unique<Connection>();
@@ -218,51 +225,7 @@ Result<JsonValue> WorkerServer::Call(const RpcEnvelope& env) {
     p.jobs_pending = static_cast<int64_t>(svc.jobs_pending);
     p.sessions_active = static_cast<int64_t>(service_->sessions_active());
     p.draining = draining();
-    p.cache_probes = static_cast<int64_t>(svc.cache_probes);
-    p.cache_probe_hits = static_cast<int64_t>(svc.cache_probe_hits);
-    p.tt_peer_ingested = static_cast<int64_t>(svc.tt_peer_ingested);
-    p.tt_peer_hits = static_cast<int64_t>(svc.tt_peer_hits);
     return p.ToJson();
-  }
-  if (m == kMethodCacheProbe) {
-    // A draining worker rejects generate.submit, so a probe hit would only
-    // lure the router into a 503 — report a miss instead.
-    if (draining()) {
-      CacheProbeResponse miss;
-      return miss.ToJson();
-    }
-    IFGEN_ASSIGN_OR_RETURN(GenerateRequest req,
-                           GenerateRequest::FromJson(env.payload));
-    IFGEN_ASSIGN_OR_RETURN(bool hit, service_->ProbeCache(req));
-    CacheProbeResponse resp;
-    resp.hit = hit;
-    return resp.ToJson();
-  }
-  if (m == kMethodCacheExport) {
-    IFGEN_ASSIGN_OR_RETURN(TtExportRequest q,
-                           TtExportRequest::FromJson(env.payload));
-    const size_t cap =
-        q.max_entries <= 0 ? 0 : static_cast<size_t>(q.max_entries);
-    TtSyncDto sync;
-    for (auto& batch :
-         service_->generation_service().TtExportLocal(cap)) {
-      TtBatchDto dto;
-      dto.store_key = batch.store_key;
-      dto.entries = std::move(batch.entries);
-      sync.batches.push_back(std::move(dto));
-    }
-    return sync.ToJson();
-  }
-  if (m == kMethodCachePublish) {
-    IFGEN_ASSIGN_OR_RETURN(TtSyncDto sync, TtSyncDto::FromJson(env.payload));
-    int64_t ingested = 0;
-    for (const TtBatchDto& batch : sync.batches) {
-      ingested += static_cast<int64_t>(service_->generation_service().TtIngest(
-          batch.store_key, batch.entries, /*local_origin=*/false));
-    }
-    TtSyncAck ack;
-    ack.ingested = ingested;
-    return ack.ToJson();
   }
   if (m == kMethodDrain) {
     Drain();

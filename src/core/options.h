@@ -47,22 +47,16 @@ struct GeneratorOptions {
   bool delta_cost_eval = true;
   /// k random widget assignments per state during search (paper's k).
   size_t k_assignments = 8;
-  /// Cache peering (cluster ablation flag): makes this job's sampled state
-  /// costs exportable to sibling workers and eligible to warm-start from
-  /// theirs. Turns on state-keyed sampling (EvalOptions) so sampled costs
-  /// are pure functions of (state, options, seed) — pre-seeded entries then
-  /// change the amount of work, never the values or the RNG streams; a
-  /// peered run is bit-identical to a cold run with the same flag. Changes
-  /// which costs the k random assignments produce vs. the default caller-
-  /// stream sampling, so it participates in cache keys and fingerprints.
-  bool cache_peering = false;
   /// Persistent-experience ablation flag (src/learn/): makes this job
   /// eligible to warm-start from the service's ExperienceStore (root-action
   /// virtual visits + cost-memo/delta-cache seeding) and to record its
-  /// discoveries back. Turns on state-keyed sampling exactly like
-  /// `cache_peering` — and for the same soundness reason — so it
-  /// participates in cache keys and fingerprints the same way; the runtime
-  /// store/bridge wiring does not.
+  /// discoveries back. Turns on state-keyed sampling (EvalOptions) so
+  /// sampled costs are pure functions of (state, options, seed) — seeded
+  /// entries then change the amount of work, never the values or the RNG
+  /// streams; a warm run is bit-identical to a cold run with the same flag.
+  /// Changes which costs the k random assignments produce vs. the default
+  /// caller-stream sampling, so it participates in cache keys and
+  /// fingerprints; the runtime store/bridge wiring does not.
   bool experience = false;
   /// Cross-job delta-cost cache shared by the service for same-cost-identity
   /// experience jobs (cost/delta.h documents why sharing is bit-safe).
@@ -75,7 +69,7 @@ struct GeneratorOptions {
     e.constants = constants;
     e.k_assignments = k_assignments;
     e.delta_eval = delta_cost_eval;
-    e.state_keyed_sampling = cache_peering || experience;
+    e.state_keyed_sampling = experience;
     e.sampling_seed = search.seed;
     e.shared_delta = shared_delta_cache;
     return e;

@@ -27,7 +27,7 @@ obs::Counter& EvalCacheHitsMetric() {
 obs::Counter& SeededHitsMetric() {
   static obs::Counter* c = obs::MetricsRegistry::Default().GetCounter(
       "ifgen_tt_peer_cost_hits_total",
-      "Sampled-cost cache hits served by a warm-start seeded entry");
+      "Sampled-cost memo hits served by an experience-seeded entry");
   return *c;
 }
 }  // namespace

@@ -49,7 +49,7 @@ struct EvalOptions {
   /// (state, options, sampling_seed) — independent of visit order and of
   /// which caches already hold it — which is what lets a search warm-start
   /// pre-seed the cost memo without perturbing the caller's RNG stream.
-  /// Enabled by GeneratorOptions::cache_peering and ::experience.
+  /// Enabled by GeneratorOptions::experience.
   bool state_keyed_sampling = false;
   uint64_t sampling_seed = 0;
   /// Cross-search delta-cost cache to use instead of an evaluator-local one.

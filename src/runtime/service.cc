@@ -20,9 +20,6 @@ struct ServiceMetrics {
   obs::Counter* jobs_cache_hits;
   obs::Counter* jobs_evicted;
   obs::Counter* sessions_opened;
-  obs::Counter* cache_probes;
-  obs::Counter* cache_probe_hits;
-  obs::Counter* tt_peer_ingested;
   obs::Gauge* jobs_pending;
   obs::Histogram* queued_us;
   obs::Histogram* run_us;
@@ -42,14 +39,6 @@ struct ServiceMetrics {
                                       "Terminal job records evicted from history");
       s.sessions_opened = reg.GetCounter("ifgen_sessions_opened_total",
                                          "Interactive sessions opened");
-      s.cache_probes = reg.GetCounter("ifgen_cache_probes_total",
-                                      "Cluster cache.probe requests answered");
-      s.cache_probe_hits =
-          reg.GetCounter("ifgen_cache_probe_hits_total",
-                         "Cluster cache.probe requests that found a cached result");
-      s.tt_peer_ingested =
-          reg.GetCounter("ifgen_tt_peer_ingested_total",
-                         "Transposition entries accepted from sibling workers");
       s.jobs_pending =
           reg.GetGauge("ifgen_jobs_pending", "Jobs admitted but not yet terminal");
       // 64us..~8.6s in x2 steps: generation runs for milliseconds to seconds.
@@ -71,8 +60,6 @@ struct ServiceMetrics {
 
 // Cross-job store bounds; docs/runtime.md and docs/learning.md give the
 // reason for each value.
-constexpr size_t kTtPeerStoreCapacity = 32;      ///< peer stores, oldest dropped
-constexpr size_t kTtPeerEntriesPerStore = 4096;  ///< first writer wins
 constexpr size_t kExperienceSeedLimit = 1024;    ///< records seeded per search
 constexpr size_t kSharedDeltaStoreCapacity = 8;  ///< delta caches, oldest dropped
 
@@ -142,11 +129,9 @@ uint64_t OptionsFingerprint(const GeneratorOptions& o) {
   // requests differing only in backend must not alias one cache entry.
   h = HashU64(h, static_cast<uint64_t>(o.backend));
   h = HashU64(h, o.k_assignments);
-  // cache_peering switches cost sampling to the state-keyed mode, which
+  // experience switches cost sampling to the state-keyed mode, which
   // changes which assignments the k random draws produce — two requests
-  // differing only in this flag must not alias one cache entry.
-  h = HashU64(h, o.cache_peering ? 1 : 0);
-  // experience switches sampling mode exactly like cache_peering (the store
+  // differing only in this flag must not alias one cache entry (the store
   // bridge itself is runtime wiring and stays out of every key).
   h = HashU64(h, o.experience ? 1 : 0);
   return h;
@@ -210,7 +195,8 @@ uint64_t GenerationService::TtStoreKey(const JobSpec& spec) {
   // and entries are interchangeable. Budgets, deadlines, algorithm, and
   // parallelism change which states get visited — not what they cost — so
   // they are deliberately absent. The parse-limit and enumeration-cap
-  // constants keep their slots: persisted experience records use this key.
+  // constants keep their slots, and so does the deleted cache-peering flag
+  // (always 0): persisted experience records use this key.
   uint64_t h = 0x77a5ULL;
   h = HashU64(h, static_cast<uint64_t>(o.screen.width));
   h = HashU64(h, static_cast<uint64_t>(o.screen.height));
@@ -221,7 +207,7 @@ uint64_t GenerationService::TtStoreKey(const JobSpec& spec) {
   h = HashU64(h, kParseLimit);
   h = HashF64(h, kEnumerationCap);
   h = HashU64(h, o.delta_cost_eval ? 1 : 0);
-  h = HashU64(h, o.cache_peering ? 1 : 0);
+  h = HashU64(h, 0);
   h = HashU64(h, o.experience ? 1 : 0);
   h = HashU64(h, o.search.seed);
   for (const std::string& sql : CanonicalSqls(spec.sqls)) {
@@ -303,83 +289,6 @@ std::shared_ptr<const GeneratedInterface> GenerationService::CacheLookup(uint64_
   ++cache_hits_;
   ServiceMetrics::Get().jobs_cache_hits->Inc();
   return it->second->second;
-}
-
-bool GenerationService::CachePeek(uint64_t key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++cache_probes_;
-  ServiceMetrics::Get().cache_probes->Inc();
-  const bool hit = index_.find(key) != index_.end();
-  if (hit) {
-    ++cache_probe_hits_;
-    ServiceMetrics::Get().cache_probe_hits->Inc();
-  }
-  return hit;
-}
-
-size_t GenerationService::TtIngest(uint64_t store_key,
-                                   const std::vector<TtSeedEntry>& entries,
-                                   bool local_origin) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tt_peers_.find(store_key);
-  if (it == tt_peers_.end()) {
-    if (entries.empty()) return 0;  // don't spend a store slot on nothing
-    while (tt_peers_.size() >= kTtPeerStoreCapacity &&
-           !tt_peer_order_.empty()) {
-      tt_peers_.erase(tt_peer_order_.front());
-      tt_peer_order_.pop_front();
-    }
-    it = tt_peers_.emplace(store_key, TtPeerStore{}).first;
-    tt_peer_order_.push_back(store_key);
-  }
-  TtPeerStore& store = it->second;
-  size_t inserted = 0;
-  for (const TtSeedEntry& e : entries) {
-    if (store.entries.size() >= kTtPeerEntriesPerStore) break;
-    auto [slot, fresh] = store.entries.try_emplace(e.canonical);
-    if (!fresh) continue;  // first writer wins, matching the table semantics
-    slot->second.entry = e;
-    slot->second.local = local_origin;
-    ++inserted;
-  }
-  if (!local_origin && inserted > 0) {
-    tt_peer_ingested_ += inserted;
-    ServiceMetrics::Get().tt_peer_ingested->Add(inserted);
-  }
-  return inserted;
-}
-
-std::vector<GenerationService::TtExportBatch> GenerationService::TtExportLocal(
-    size_t max_entries_per_store) const {
-  std::vector<TtExportBatch> out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [store_key, store] : tt_peers_) {
-    TtExportBatch batch;
-    batch.store_key = store_key;
-    for (const auto& [canonical, pe] : store.entries) {
-      if (pe.local) batch.entries.push_back(pe.entry);
-    }
-    if (batch.entries.empty()) continue;
-    // Visits descending, then canonical ascending, bounded batch. Search
-    // exports carry 0 visits, so in practice this is canonical order.
-    std::stable_sort(batch.entries.begin(), batch.entries.end(),
-                     [](const TtSeedEntry& a, const TtSeedEntry& b) {
-                       if (a.visits != b.visits) return a.visits > b.visits;
-                       return a.canonical < b.canonical;
-                     });
-    if (batch.entries.size() > max_entries_per_store) {
-      batch.entries.resize(max_entries_per_store);
-    }
-    out.push_back(std::move(batch));
-  }
-  return out;
-}
-
-size_t GenerationService::tt_peer_entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t total = 0;
-  for (const auto& [key, store] : tt_peers_) total += store.entries.size();
-  return total;
 }
 
 void GenerationService::CacheStore(uint64_t key,
@@ -511,32 +420,18 @@ Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
     // Wired AFTER JobKey was computed, so cache keys stay value-only.
     spec.options.search.progress = progress;
     spec.options.search.stop = stop;
-    // Warm start: seed the search from the cost-identity peer store
-    // (cache_peering) and the experience store (experience), and harvest its
-    // discoveries into both afterwards. Runtime wiring like progress/stop —
-    // both flags turn on state-keyed sampling, under which seeded entries
-    // change only the work done, never the values produced, so the bridge
-    // stays outside every cache key.
-    const bool peering = spec.options.cache_peering;
+    // Warm start: seed the search from the experience store and harvest its
+    // discoveries back afterwards. Runtime wiring like progress/stop — the
+    // experience flag turns on state-keyed sampling, under which seeded
+    // entries change only the work done, never the values produced, so the
+    // bridge stays outside every cache key.
     const bool experience = spec.options.experience && experience_ != nullptr;
     std::shared_ptr<WarmStart> warm;
     uint64_t store_key = 0;
-    if (peering || experience) {
+    if (experience) {
       store_key = TtStoreKey(spec);
       warm = std::make_shared<WarmStart>();
       spec.options.search.warm_start = warm;
-    }
-    if (peering) {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = tt_peers_.find(store_key);
-      if (it != tt_peers_.end()) {
-        warm->peer_seed.reserve(it->second.entries.size());
-        for (const auto& [canonical, pe] : it->second.entries) {
-          warm->peer_seed.push_back(pe.entry);
-        }
-      }
-    }
-    if (experience) {
       const std::vector<learn::ExperienceRecord> snap =
           experience_->Snapshot(store_key, kExperienceSeedLimit);
       warm->experience_seed.reserve(snap.size());
@@ -584,11 +479,6 @@ Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
     }();
     ServiceMetrics::Get().run_us->Observe(
         static_cast<double>(MsBetween(run_start, Clock::now()) * 1000));
-    if (peering) {
-      TtIngest(store_key, warm->exported, /*local_origin=*/true);
-      std::lock_guard<std::mutex> lock(mu_);
-      tt_peer_hits_ += warm->peer_hits;
-    }
     if (experience) {
       // Harvest: one record for the root carrying the preferred action (the
       // training signal the prior fitter and future warm starts consume),
@@ -802,10 +692,6 @@ GenerationService::CountersSnapshot GenerationService::counters_snapshot() const
   s.jobs_pending = jobs_pending_;
   s.cache_hits = cache_hits_;
   s.sessions_opened = sessions_opened_;
-  s.cache_probes = cache_probes_;
-  s.cache_probe_hits = cache_probe_hits_;
-  s.tt_peer_ingested = tt_peer_ingested_;
-  s.tt_peer_hits = tt_peer_hits_;
   s.learn_seeded = learn_seeded_;
   s.learn_recorded = learn_recorded_;
   if (experience_ != nullptr) {

@@ -180,46 +180,15 @@ class GenerationService {
   /// backend sessions will execute on.
   static uint64_t JobKey(const JobSpec& spec);
 
-  /// True when the result cache holds a completed result for `key` — the
-  /// cluster's `cache.probe` path. Deliberately bumps neither `cache_hits`
-  /// nor the entry's LRU recency: a probe only becomes a hit when the
-  /// probing router actually routes the job here (the submit then takes the
-  /// normal CacheLookup path, bit-identical to a local repeat submission).
-  /// Probes are counted separately (`cache_probes`/`cache_probe_hits`).
-  bool CachePeek(uint64_t key) const;
-
-  /// Cost-identity fingerprint for transposition peering: two jobs share a
-  /// peer store iff a canonical state's sampled cost is interchangeable
-  /// between them — same canonical query log and every EvalOptions-affecting
-  /// knob (screen, constants, k/parse/enumeration, delta flag, seed, and the
-  /// cache_peering flag itself). Deliberately EXCLUDES budget/deadline/
-  /// iteration caps, algorithm, parallelism, and backend, so a re-run of the
-  /// same log under a different budget still warm-starts from the store.
+  /// Cost-identity fingerprint of the experience store and the shared
+  /// delta-cost caches: two jobs share records iff a canonical state's
+  /// sampled cost is interchangeable between them — same canonical query
+  /// log and every EvalOptions-affecting knob (screen, constants,
+  /// k/parse/enumeration, delta flag, seed, and the experience flag itself).
+  /// Deliberately EXCLUDES budget/deadline/iteration caps, algorithm,
+  /// parallelism, and backend, so a re-run of the same log under a
+  /// different budget still warm-starts from the store.
   static uint64_t TtStoreKey(const JobSpec& spec);
-
-  /// Merges `entries` into peer store `store_key` (first writer wins per
-  /// canonical hash, mirroring the evaluator memo's semantics). Entries from
-  /// this worker's own searches are `local_origin` and get re-exported by
-  /// TtExportLocal; entries ingested from siblings (cache.publish) are not,
-  /// so gossip never echoes. Returns how many entries were newly inserted.
-  size_t TtIngest(uint64_t store_key, const std::vector<TtSeedEntry>& entries,
-                  bool local_origin);
-
-  /// \brief One store's locally discovered entries, the unit of gossip.
-  struct TtExportBatch {
-    uint64_t store_key = 0;
-    std::vector<TtSeedEntry> entries;
-  };
-  /// Snapshot of every store's local-origin entries (up to
-  /// `max_entries_per_store` each) — what the router pulls via
-  /// `cache.export` and publishes to siblings. Ordered by visits, then
-  /// canonical hash; search exports all carry 0 visits, so batches go out
-  /// in ascending canonical order and the router's per-store cap keeps the
-  /// lowest hashes (ROADMAP: "Rank warm-start exports by real visit counts").
-  std::vector<TtExportBatch> TtExportLocal(size_t max_entries_per_store) const;
-
-  /// Entries currently held across all peer stores (tests/metrics).
-  size_t tt_peer_entries() const;
 
   /// Returns the execution backend for (db, kind), constructing it on first
   /// use and caching it for the service's lifetime so plan caches stay warm
@@ -265,11 +234,6 @@ class GenerationService {
     size_t jobs_pending = 0;
     size_t cache_hits = 0;
     size_t sessions_opened = 0;
-    /// Cluster cache-peering telemetry (all zero outside cluster mode).
-    size_t cache_probes = 0;      ///< cache.probe requests answered
-    size_t cache_probe_hits = 0;  ///< probes that found a cached result
-    size_t tt_peer_ingested = 0;  ///< TT entries accepted from siblings
-    size_t tt_peer_hits = 0;      ///< search cost-memo hits served by seeds
     /// Experience-store telemetry (all zero without a configured store).
     size_t learn_store_entries = 0;  ///< records currently held
     size_t learn_hits = 0;           ///< store probes that found a record
@@ -343,27 +307,9 @@ class GenerationService {
   size_t jobs_executed_ = 0;
   size_t cache_hits_ = 0;
   size_t sessions_opened_ = 0;
-  mutable size_t cache_probes_ = 0;      ///< bumped from const CachePeek
-  mutable size_t cache_probe_hits_ = 0;  ///< bumped from const CachePeek
-  size_t tt_peer_ingested_ = 0;
-  size_t tt_peer_hits_ = 0;
-
-  /// Transposition peer stores: cost identity (TtStoreKey) -> canonical
-  /// state hash -> entry. `local` marks entries this worker's own searches
-  /// discovered (re-exported by TtExportLocal) vs. ones ingested from
-  /// siblings (seeded into local runs, never echoed back into gossip).
-  struct TtPeerEntry {
-    TtSeedEntry entry;
-    bool local = false;
-  };
-  struct TtPeerStore {
-    std::unordered_map<uint64_t, TtPeerEntry> entries;
-  };
-  std::map<uint64_t, TtPeerStore> tt_peers_;
-  std::deque<uint64_t> tt_peer_order_;  ///< store keys, oldest first
 
   /// Shared cross-job delta-cost caches for experience jobs, keyed by
-  /// TtStoreKey cost identity (FIFO eviction, like tt_peers_).
+  /// TtStoreKey cost identity (FIFO eviction).
   std::map<uint64_t, std::shared_ptr<DeltaCostCache>> delta_stores_;
   std::deque<uint64_t> delta_store_order_;  ///< store keys, oldest first
   size_t learn_seeded_ = 0;   ///< experience records seeded into searches

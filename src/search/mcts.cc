@@ -350,22 +350,19 @@ Result<SearchResult> MctsSearcher::Run(const DiffTree& initial) {
   Rng anchor_rng(opts_.seed);
   const double c0 = run.Start(initial, evaluator_, &anchor_rng);
 
-  // Warm start: peer entries first, then experience records (first writer
-  // wins in the memo). Sound only under state-keyed sampling, where a
-  // seeded hit returns exactly the value a fresh sample would. Seeded
-  // states also count as known: expanding one is a transposition hit.
+  // Warm start: experience records (first writer wins in the memo). Sound
+  // only under state-keyed sampling, where a seeded hit returns exactly the
+  // value a fresh sample would. Seeded states also count as known:
+  // expanding one is a transposition hit.
   WarmStart* warm = opts_.warm_start.get();
   std::unordered_set<uint64_t> seeded;
   if (warm != nullptr) {
-    for (const auto* entries : {&warm->peer_seed, &warm->experience_seed}) {
-      for (const TtSeedEntry& e : *entries) {
-        evaluator_->SeedCost(e.canonical, e.cost);
-        if (std::isfinite(e.cost)) seeded.insert(e.canonical);
-      }
+    for (const TtSeedEntry& e : warm->experience_seed) {
+      evaluator_->SeedCost(e.canonical, e.cost);
+      if (std::isfinite(e.cost)) seeded.insert(e.canonical);
     }
     for (uint64_t key : seeded) run.tt().Visit(key);
   }
-  const size_t seeded_hits_before = evaluator_->seeded_hits();
 
   // Invariant: a single tree continues the anchor's stream, so it draws
   // exactly what one serial loop seeded with `opts_.seed` draws; with more
@@ -422,7 +419,6 @@ Result<SearchResult> MctsSearcher::Run(const DiffTree& initial) {
     }
     warm->root_actions = result.root_actions;
     warm->root_canonical = initial.CanonicalHash();
-    warm->peer_hits = evaluator_->seeded_hits() - seeded_hits_before;
   }
   return result;
 }

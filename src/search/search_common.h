@@ -50,16 +50,11 @@ struct PriorOptions {
 };
 
 /// \brief One warm-start entry: a canonical state hash with its sampled
-/// cost and visit count. The unit of cross-worker peering and of
-/// experience seeding (see WarmStart).
+/// cost and visit count. The unit of experience seeding (see WarmStart).
 struct TtSeedEntry {
   uint64_t canonical = 0;
   double cost = 0.0;
   uint64_t visits = 0;
-
-  bool operator==(const TtSeedEntry& o) const {
-    return canonical == o.canonical && cost == o.cost && visits == o.visits;
-  }
 };
 
 /// \brief Per-root-action statistics of a (possibly merged) MCTS root.
@@ -78,11 +73,10 @@ struct RootActionStat {
 
 /// \brief Warm-start wiring of one search: seed costs in, discoveries out.
 ///
-/// Built once per job by GenerationService from the cost-identity peer store
-/// (transposition peering) and the persistent experience store
-/// (src/learn/experience.h). Every seed cost lands in the StateEvaluator's
-/// memo before the first iteration (first writer wins; the anchor cost is
-/// already in it), and experience seeds matching a root child also grant
+/// Built once per job by GenerationService from the persistent experience
+/// store (src/learn/experience.h). Every seed cost lands in the
+/// StateEvaluator's memo before the first iteration (first writer wins; the
+/// anchor cost is already in it), and seeds matching a root child also grant
 /// that child capped virtual visits + reward, steering early PUCT selection
 /// toward previously good actions. Seeding is sound only under state-keyed
 /// sampling (costs are pure functions of the state), so seeded entries
@@ -95,8 +89,6 @@ struct WarmStart {
   /// Cap on entries exported after the run.
   static constexpr size_t kExportLimit = 512;
 
-  /// In: entries exported by sibling searches of the same cost identity.
-  std::vector<TtSeedEntry> peer_seed;
   /// In: experience-store records for this cost identity.
   std::vector<TtSeedEntry> experience_seed;
   /// Out: expanded states with a finite memo cost that did not come from
@@ -107,8 +99,6 @@ struct WarmStart {
   std::vector<RootActionStat> root_actions;
   /// Out: canonical hash of the search's initial state.
   uint64_t root_canonical = 0;
-  /// Out: sampled-cost lookups this run answered from a seeded memo entry.
-  size_t peer_hits = 0;
 };
 
 /// \brief Knobs of the parallel search runtime.
@@ -187,7 +177,7 @@ struct SearchOptions {
   std::shared_ptr<ProgressSink> progress;
   /// Warm-start bridge (see WarmStart). Null = off. Runtime wiring only —
   /// NOT part of any cache key or fingerprint; requires state-keyed
-  /// sampling (cache_peering or experience) for bit-identity under seeding.
+  /// sampling (GeneratorOptions::experience) for bit-identity under seeding.
   std::shared_ptr<WarmStart> warm_start;
 };
 

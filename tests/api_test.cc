@@ -537,7 +537,6 @@ ApiOptions PinnedOptions() {
   o.use_priors = false;
   o.progressive_widening = false;
   o.delta_cost_eval = false;
-  o.cache_peering = true;
   o.experience = true;
   o.deadline_ms = 9000;
   o.target_cost = 20.25;
@@ -626,20 +625,7 @@ api::WorkerStatsDto PinnedWorker() {
   w.rpcs = 15;
   w.rpc_failures = 16;
   w.reconnects = 17;
-  w.cache_probes = 18;
-  w.cache_probe_hits = 19;
-  w.tt_peer_ingested = 20;
-  w.tt_peer_hits = 21;
-  w.result_peer_hits = 22;
-  w.tt_published = 23;
   return w;
-}
-
-api::TtBatchDto PinnedTtBatch() {
-  api::TtBatchDto b;
-  b.store_key = 0xdeadbeefcafef00dULL;
-  b.entries = {{0xffffffffffffffffULL, 20.25, 9}, {0x10ULL, 3.5, 0}};
-  return b;
 }
 
 TEST(WirePin, ErrorBody) {
@@ -656,7 +642,7 @@ TEST(WirePin, ApiOptions) {
           R"("screen_width":120,"screen_height":48,"num_threads":4,)"
           R"("k_assignments":16,"use_priors":false,)"
           R"("progressive_widening":false,"delta_cost_eval":false,)"
-          R"("cache_peering":true,"experience":true,"deadline_ms":9000,)"
+          R"("experience":true,"deadline_ms":9000,)"
           R"("target_cost":20.25,"plateau_fraction":0.5})");
   PinRejection<ApiOptions>(R"({"seed":"42"})", kInvalid,
                            "options: field 'seed' must be an integer");
@@ -675,10 +661,14 @@ TEST(WirePin, GenerateRequest) {
           R"("screen_width":120,"screen_height":48,"num_threads":4,)"
           R"("k_assignments":16,"use_priors":false,)"
           R"("progressive_widening":false,"delta_cost_eval":false,)"
-          R"("cache_peering":true,"experience":true,"deadline_ms":9000,)"
+          R"("experience":true,"deadline_ms":9000,)"
           R"("target_cost":20.25,"plateau_fraction":0.5}})");
   PinRejection<GenerateRequest>(R"({"sqls":"SELECT a FROM t"})", kInvalid,
                                 "GenerateRequest: field 'sqls' must be an array");
+  // The cache-peering option is gone from the wire: a request that still
+  // sends it fails loudly instead of being silently ignored.
+  PinRejection<GenerateRequest>(R"({"options":{"cache_peering":true}})", kInvalid,
+                                "options: unknown field(s) 'cache_peering'");
 }
 
 TEST(WirePin, GenerateAccepted) {
@@ -933,9 +923,7 @@ TEST(WirePin, WorkerStatsDto) {
           R"({"worker":2,"address":"127.0.0.1:9001","healthy":false,)"
           R"("draining":true,"jobs_submitted":11,"jobs_executed":12,)"
           R"("jobs_pending":13,"sessions_active":14,"rpcs":15,)"
-          R"("rpc_failures":16,"reconnects":17,"cache_probes":18,)"
-          R"("cache_probe_hits":19,"tt_peer_ingested":20,"tt_peer_hits":21,)"
-          R"("result_peer_hits":22,"tt_published":23})");
+          R"("rpc_failures":16,"reconnects":17})");
   PinRejection<api::WorkerStatsDto>(
       R"({"worker":-1,"address":"a"})", kRange,
       "WorkerStatsDto: field 'worker'=-1 outside [0, 9223372036854775807]");
@@ -949,9 +937,8 @@ TEST(WirePin, ClusterResponse) {
           R"({"mode":"cluster","workers":[{"worker":2,)"
           R"("address":"127.0.0.1:9001","healthy":false,"draining":true,)"
           R"("jobs_submitted":11,"jobs_executed":12,"jobs_pending":13,)"
-          R"("sessions_active":14,"rpcs":15,"rpc_failures":16,"reconnects":17,)"
-          R"("cache_probes":18,"cache_probe_hits":19,"tt_peer_ingested":20,)"
-          R"("tt_peer_hits":21,"result_peer_hits":22,"tt_published":23}]})");
+          R"("sessions_active":14,"rpcs":15,"rpc_failures":16,)"
+          R"("reconnects":17}]})");
   PinRejection<api::ClusterResponse>(
       R"({})", kInvalid, "ClusterResponse: missing required field 'mode'");
 }
@@ -993,9 +980,7 @@ TEST(WirePin, StatsResponse) {
           R"("cluster":{"workers":[{"worker":2,"address":"127.0.0.1:9001",)"
           R"("healthy":false,"draining":true,"jobs_submitted":11,)"
           R"("jobs_executed":12,"jobs_pending":13,"sessions_active":14,)"
-          R"("rpcs":15,"rpc_failures":16,"reconnects":17,"cache_probes":18,)"
-          R"("cache_probe_hits":19,"tt_peer_ingested":20,"tt_peer_hits":21,)"
-          R"("result_peer_hits":22,"tt_published":23}]}})");
+          R"("rpcs":15,"rpc_failures":16,"reconnects":17}]}})");
   PinRejection<api::StatsResponse>(
       R"({"learn":{"hits":"x"}})", kInvalid,
       "StatsResponse.learn: field 'hits' must be an integer");
@@ -1062,58 +1047,12 @@ TEST(WirePin, SessionEventRequest) {
 }
 
 TEST(WirePin, WorkerPingResponse) {
-  PinWire(api::WorkerPingResponse{1, 2, 3, 4, true, 5, 6, 7, 8},
-          "WorkerPingResponse",
+  PinWire(api::WorkerPingResponse{1, 2, 3, 4, true}, "WorkerPingResponse",
           R"({"jobs_submitted":1,"jobs_executed":2,"jobs_pending":3,)"
-          R"("sessions_active":4,"draining":true,"cache_probes":5,)"
-          R"("cache_probe_hits":6,"tt_peer_ingested":7,"tt_peer_hits":8})");
+          R"("sessions_active":4,"draining":true})");
   PinRejection<api::WorkerPingResponse>(
-      R"({"cache_probes":-1})", kRange,
-      "WorkerPingResponse: field 'cache_probes'=-1 outside [0, "
-      "9223372036854775807]");
-}
-
-TEST(WirePin, CacheProbeResponse) {
-  PinWire(api::CacheProbeResponse{true}, "CacheProbeResponse",
-          R"({"hit":true})");
-  PinRejection<api::CacheProbeResponse>(
-      R"({})", kInvalid, "CacheProbeResponse: missing required field 'hit'");
-}
-
-TEST(WirePin, TtExportRequest) {
-  PinWire(api::TtExportRequest{512}, "TtExportRequest",
-          R"({"max_entries":512})");
-  PinRejection<api::TtExportRequest>(
-      R"({"max_entries":10})", kRange,
-      "TtExportRequest: field 'max_entries'=10 outside [256, 9223372036854775807]");
-}
-
-TEST(WirePin, TtBatchDto) {
-  PinWire(PinnedTtBatch(), "TtBatchDto",
-          R"({"store_key":"deadbeefcafef00d",)"
-          R"("entries":[{"h":"ffffffffffffffff","c":20.25,"v":9},)"
-          R"({"h":"0000000000000010","c":3.5,"v":0}]})");
-  PinRejection<api::TtBatchDto>(R"({"store_key":"zz","entries":[]})", kInvalid,
-                                "TtBatchDto.store_key: bad hex 'zz'");
-}
-
-TEST(WirePin, TtSyncDto) {
-  api::TtSyncDto s;
-  s.batches = {PinnedTtBatch()};
-  PinWire(s, "TtSyncDto",
-          R"({"batches":[{"store_key":"deadbeefcafef00d",)"
-          R"("entries":[{"h":"ffffffffffffffff","c":20.25,"v":9},)"
-          R"({"h":"0000000000000010","c":3.5,"v":0}]}]})");
-  PinRejection<api::TtSyncDto>(R"({"batches":{}})", kInvalid,
-                               "TtSyncDto.batches must be an array");
-}
-
-TEST(WirePin, TtSyncAck) {
-  PinWire(api::TtSyncAck{17}, "TtSyncAck",
-          R"({"ingested":17})");
-  PinRejection<api::TtSyncAck>(
-      R"({"ingested":-1})", kRange,
-      "TtSyncAck: field 'ingested'=-1 outside [0, 9223372036854775807]");
+      R"({"draining":1})", kInvalid,
+      "WorkerPingResponse: field 'draining' must be a boolean");
 }
 
 TEST(WirePin, TextReply) {

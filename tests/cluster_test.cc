@@ -217,6 +217,36 @@ TEST(WorkerServer, DispatchVersionGateAndUnknownMethod) {
   server.Stop();
 }
 
+/// Back-to-back RPCs over one pooled connection, as the router sends them,
+/// must not wait on TCP: a reply is written as two sends (length prefix,
+/// then payload), and without TCP_NODELAY on the worker's side each reply
+/// stalls about 40 ms on the client's delayed ACK (50 pings: ~2 s).
+TEST(WorkerServer, RepliesOnAPooledConnectionDoNotStall) {
+  WorkerServer server;
+  WorkerServer::Options opts;
+  opts.service = SmallServiceOptions();
+  ASSERT_TRUE(server.Start(std::move(opts)).ok());
+  auto fd = cluster::ConnectTcp("127.0.0.1", server.port(), 2000);
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+
+  RpcEnvelope ping;
+  ping.method = api::kMethodPing;
+  constexpr int kPings = 50;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 1; i <= kPings; ++i) {
+    ping.request_id = i;
+    ASSERT_TRUE(WriteFrame(*fd, WriteJson(ping.ToJson())).ok());
+    auto frame = ReadFrame(*fd, 10000);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  }
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  ::close(*fd);
+  server.Stop();
+  EXPECT_LT(elapsed.count(), 1000) << kPings << " pings took "
+                                   << elapsed.count() << " ms";
+}
+
 // ------------------------------------------------- multi-process fixture
 
 /// Spawns N workers (this test binary re-exec'd) + a router over them.
@@ -224,7 +254,7 @@ class ClusterTest : public ::testing::Test {
  protected:
   static constexpr int kWorkers = 3;
 
-  void StartCluster(size_t max_inflight = 64, bool cache_peering = true) {
+  void StartCluster(size_t max_inflight = 64) {
     auto self = cluster::SelfExePath();
     ASSERT_TRUE(self.ok()) << self.status().ToString();
     ClusterRouter::Options ropts;
@@ -237,7 +267,6 @@ class ClusterTest : public ::testing::Test {
     ropts.max_inflight_per_worker = max_inflight;
     ropts.health_interval_ms = 100;  // fast recovery detection in tests
     ropts.reconnect_backoff_ms = 50;
-    ropts.cache_peering = cache_peering;
     ASSERT_TRUE(router_.Start(std::move(ropts)).ok());
   }
 
@@ -566,43 +595,33 @@ TEST_F(ClusterTest, DrainRefusesNewWorkKeepsReads) {
   EXPECT_EQ(still->state, "done");
 }
 
-// ------------------------------------------------------- cache peering
+// ------------------------------------------------- same-schema job storm
 
-ApiOptions PeeringGenOptions(int64_t max_iterations) {
+/// Iteration-capped options with state-keyed cost sampling (the experience
+/// flag; neither frontend has an experience store, so nothing is seeded).
+ApiOptions StateKeyedGenOptions(int64_t max_iterations) {
   ApiOptions o = FastGenOptions();
-  o.cache_peering = true;
+  o.experience = true;
   o.max_iterations = max_iterations;
   return o;
 }
 
-/// Sums a per-worker counter over a Stats response's cluster rows.
-int64_t SumWorkers(const api::StatsResponse& st,
-                   int64_t api::WorkerStatsDto::*field) {
-  int64_t total = 0;
-  for (const api::WorkerStatsDto& w : st.cluster_workers) total += w.*field;
-  return total;
-}
-
-/// The tentpole acceptance test: a same-schema job storm (same workload +
-/// seed, different budgets — same TT store, distinct result-cache keys)
-/// through a 3-worker peering cluster must stay bit-identical to the
-/// in-process frontend while the transposition gossip demonstrably flows:
-/// cross-worker ingests, warm-start hits, and router publishes all nonzero.
-TEST_F(ClusterTest, PeeringStormBitIdenticalWithNonzeroTtGossip) {
+/// A same-schema job storm (same workload + seed, different budgets —
+/// distinct result-cache keys) through a 3-worker cluster must stay
+/// bit-identical to the in-process frontend, job for job.
+TEST_F(ClusterTest, SameSchemaStormBitIdenticalToInProcess) {
   StartCluster();
   auto local = ApiService::Create(SmallServiceOptions());
   ASSERT_TRUE(local.ok()) << local.status().ToString();
   api::ServiceFrontend* lhs = local->get();
   api::ServiceFrontend* rhs = &router_;
 
-  // Sequential storm so gossip rounds (every health tick, 100 ms here) run
-  // between jobs: later budgets warm-start from earlier exports.
   const int64_t budgets[] = {200, 24, 60, 36, 96, 48};
   for (const int64_t budget : budgets) {
     SCOPED_TRACE("budget=" + std::to_string(budget));
     GenerateRequest req;
     req.workload = "flights";
-    req.options = PeeringGenOptions(budget);
+    req.options = StateKeyedGenOptions(budget);
 
     auto a = lhs->SubmitGenerate(req);
     auto b = rhs->SubmitGenerate(req);
@@ -618,51 +637,21 @@ TEST_F(ClusterTest, PeeringStormBitIdenticalWithNonzeroTtGossip) {
     NormalizeStatus(&*sa);
     NormalizeStatus(&*sb);
     EXPECT_TRUE(*sa == *sb)
-        << "peered cluster diverged from single-process:\n"
+        << "cluster diverged from single-process:\n"
         << WriteJson(sa->ToJson()) << "\nvs\n" << WriteJson(sb->ToJson());
-    // A pause per job: the health loop's gossip round distributes the
-    // just-finished job's hot entries before the next budget runs.
-    std::this_thread::sleep_for(std::chrono::milliseconds(250));
   }
-
-  // Gossip evidence, polled until the health loop's pings have refreshed
-  // the per-worker rows: some worker merged entries it did not discover
-  // (cross-worker ingest), some search was served by a peer-seeded entry,
-  // and the router published batches.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(15);
-  api::StatsResponse last;
-  while (std::chrono::steady_clock::now() < deadline) {
-    auto st = rhs->Stats();
-    ASSERT_TRUE(st.ok()) << st.status().ToString();
-    last = *st;
-    if (SumWorkers(last, &api::WorkerStatsDto::tt_peer_ingested) > 0 &&
-        SumWorkers(last, &api::WorkerStatsDto::tt_peer_hits) > 0 &&
-        SumWorkers(last, &api::WorkerStatsDto::tt_published) > 0) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  }
-  EXPECT_GT(SumWorkers(last, &api::WorkerStatsDto::tt_peer_ingested), 0)
-      << "no worker ingested gossiped transposition entries";
-  EXPECT_GT(SumWorkers(last, &api::WorkerStatsDto::tt_peer_hits), 0)
-      << "no search warm-started from peer-seeded entries";
-  EXPECT_GT(SumWorkers(last, &api::WorkerStatsDto::tt_published), 0)
-      << "the router published no gossip batches";
 }
 
-/// Cross-worker result-cache peering, exercised through the only topology
-/// where placement and holder can differ: the owner dies, an identical
-/// resubmission reroutes to a sibling (which computes and caches), the
-/// owner returns empty on the same port — and the next identical submit is
-/// probe-routed to the sibling's cache instead of recomputing on placement.
-/// The same restart pins the stale-id contract: ids minted by the dead
-/// incarnation answer NotFound, never a new job's aliased result.
-TEST_F(ClusterTest, ResultPeeringAfterOwnerRestartAndStaleIdsAreNotFound) {
+/// A rolling restart: the owner dies, an identical resubmission reroutes to
+/// a sibling, and the owner returns empty on the same port. Ids minted by
+/// the dead incarnation answer NotFound, never a new job's aliased result,
+/// and the next identical submit is placed on the restarted owner again,
+/// which recomputes the bit-identical result.
+TEST_F(ClusterTest, RerouteAfterOwnerRestartAndStaleIdsAreNotFound) {
   StartCluster();
   GenerateRequest req;
   req.workload = "flights";
-  req.options = PeeringGenOptions(12);
+  req.options = StateKeyedGenOptions(12);
 
   auto first = router_.SubmitGenerate(req);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
@@ -718,46 +707,26 @@ TEST_F(ClusterTest, ResultPeeringAfterOwnerRestartAndStaleIdsAreNotFound) {
   EXPECT_EQ(stale.status().code(), StatusCode::kNotFound)
       << stale.status().ToString();
 
-  // Identical submit again: placement hashes to the restarted owner (empty
-  // cache), but the probe finds the sibling's cached result and routes
-  // there — a cross-worker cache hit, bit-identical to the original run.
-  auto peered = router_.SubmitGenerate(req);
-  ASSERT_TRUE(peered.ok()) << peered.status().ToString();
-  auto holder = router_.WorkerIndexForJob(peered->job_id);
-  ASSERT_TRUE(holder.ok());
-  EXPECT_EQ(*holder, *sibling) << "submit was not routed to the cache holder";
-  auto hit = router_.GetJob(peered->job_id, /*wait_ms=*/30000);
-  ASSERT_TRUE(hit.ok());
-  ASSERT_EQ(hit->state, "done");
-  EXPECT_TRUE(hit->cache_hit) << "peer-routed submit recomputed";
-  api::JobStatusResponse norm_hit = *hit;
-  NormalizeStatus(&norm_hit);
-  norm_hit.cache_hit = baseline.cache_hit;  // provenance flag, not payload
-  norm_hit.job_id = baseline.job_id;
-  if (norm_hit.result.value.has_value() && baseline.result.value.has_value()) {
-    norm_hit.result.value->job_id = baseline.result.value->job_id;
+  // Identical submit again: placement hashes to the restarted owner, whose
+  // cache is empty, so it recomputes the original result bit for bit.
+  auto again = router_.SubmitGenerate(req);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  auto placed = router_.WorkerIndexForJob(again->job_id);
+  ASSERT_TRUE(placed.ok());
+  EXPECT_EQ(*placed, *owner) << "submit was not placed on the restarted owner";
+  auto recomputed = router_.GetJob(again->job_id, /*wait_ms=*/30000);
+  ASSERT_TRUE(recomputed.ok());
+  ASSERT_EQ(recomputed->state, "done");
+  EXPECT_FALSE(recomputed->cache_hit) << "restarted owner kept a cache";
+  api::JobStatusResponse norm = *recomputed;
+  NormalizeStatus(&norm);
+  norm.job_id = baseline.job_id;
+  if (norm.result.value.has_value() && baseline.result.value.has_value()) {
+    norm.result.value->job_id = baseline.result.value->job_id;
   }
-  EXPECT_TRUE(norm_hit == baseline)
-      << "cross-worker cache hit diverged from the original result:\n"
-      << WriteJson(norm_hit.ToJson()) << "\nvs\n"
-      << WriteJson(baseline.ToJson());
-
-  // The router observed the redirect, and the sibling answered the probe.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  api::StatsResponse last;
-  while (std::chrono::steady_clock::now() < deadline) {
-    auto st = router_.Stats();
-    ASSERT_TRUE(st.ok());
-    last = *st;
-    if (last.cluster_workers[*sibling].result_peer_hits > 0 &&
-        SumWorkers(last, &api::WorkerStatsDto::cache_probe_hits) > 0) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  }
-  EXPECT_GT(last.cluster_workers[*sibling].result_peer_hits, 0);
-  EXPECT_GT(SumWorkers(last, &api::WorkerStatsDto::cache_probe_hits), 0);
+  EXPECT_TRUE(norm == baseline)
+      << "recomputed result diverged from the original:\n"
+      << WriteJson(norm.ToJson()) << "\nvs\n" << WriteJson(baseline.ToJson());
 }
 
 /// A worker dying in the middle of a long-poll (not just before submit)
@@ -810,43 +779,6 @@ TEST_F(ClusterTest, WorkerKillMidLongPollSurfacesRetryableUnavailable) {
   EXPECT_EQ(wait_status.code(), StatusCode::kUnavailable)
       << wait_status.ToString();
   EXPECT_TRUE(ErrorBody::FromStatus(wait_status).retryable);
-}
-
-/// Ablation arm: with peering off at the router (and off in requests, the
-/// default), the cluster behaves exactly as before the peering tier —
-/// bit-identical results and zero probe/gossip traffic.
-TEST_F(ClusterTest, PeeringOffAblationMatchesBaselineWithNoPeerTraffic) {
-  StartCluster(/*max_inflight=*/64, /*cache_peering=*/false);
-  auto local = ApiService::Create(SmallServiceOptions());
-  ASSERT_TRUE(local.ok()) << local.status().ToString();
-
-  for (int64_t seed : {5, 11}) {
-    GenerateRequest req;
-    req.workload = "synthetic";
-    req.options = FastGenOptions();
-    req.options.seed = seed;
-    auto a = (*local)->SubmitGenerate(req);
-    auto b = router_.SubmitGenerate(req);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    auto sa = (*local)->GetJob(a->job_id, /*wait_ms=*/30000);
-    auto sb = router_.GetJob(b->job_id, /*wait_ms=*/30000);
-    ASSERT_TRUE(sa.ok());
-    ASSERT_TRUE(sb.ok());
-    NormalizeStatus(&*sa);
-    NormalizeStatus(&*sb);
-    EXPECT_TRUE(*sa == *sb) << "ablation arm diverged";
-  }
-
-  // Let a few health ticks pass: were gossip misguardedly enabled, it
-  // would have run by now.
-  std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  auto st = router_.Stats();
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(SumWorkers(*st, &api::WorkerStatsDto::cache_probes), 0);
-  EXPECT_EQ(SumWorkers(*st, &api::WorkerStatsDto::tt_peer_ingested), 0);
-  EXPECT_EQ(SumWorkers(*st, &api::WorkerStatsDto::tt_published), 0);
-  EXPECT_EQ(SumWorkers(*st, &api::WorkerStatsDto::result_peer_hits), 0);
 }
 
 }  // namespace

@@ -62,7 +62,7 @@ struct Fixture {
     options.search.time_budget_ms = 0;
     options.search.max_iterations = cap;
     options.search.seed = seed;
-    options.cache_peering = state_keyed;
+    options.experience = state_keyed;
   }
 };
 

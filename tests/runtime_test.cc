@@ -341,7 +341,6 @@ TEST(GenerationService, JobKeyCoversEveryResultAffectingOption) {
       // the response reports it, so backends must not alias one result.
       {"backend", [](GeneratorOptions* o) { o->backend = BackendKind::kReference; }},
       {"k_assignments", [](GeneratorOptions* o) { o->k_assignments = 4; }},
-      {"cache_peering", [](GeneratorOptions* o) { o->cache_peering = true; }},
       {"experience", [](GeneratorOptions* o) { o->experience = true; }},
   };
   const uint64_t base = GenerationService::JobKey(SmallJob(1));
