@@ -75,6 +75,32 @@ void BM_EnumerateApplications(benchmark::State& state) {
 }
 BENCHMARK(BM_EnumerateApplications)->Arg(0)->Arg(1)->Arg(8);
 
+/// One rollout step as the search takes it: count the state's applications,
+/// descend to a drawn one, Apply it. Walks from the factored tree and
+/// restarts every 14 steps or at a dead end, so most counted states are
+/// fresh Apply results whose new blocks are counted for the first time.
+void BM_RolloutStep(benchmark::State& state) {
+  RuleEngine engine;
+  const DiffTree start = FactoredSdss(static_cast<int>(state.range(0)));
+  Seal(start);  // as the search seals its initial state
+  DiffTree cur = start;
+  size_t steps = 0;
+  size_t draw = 0;
+  for (auto _ : state) {
+    const ApplicationCount count = engine.CountApplications(cur);
+    if (count.total == 0 || ++steps == 14) {
+      cur = start;
+      steps = 0;
+      continue;
+    }
+    draw = draw * 6364136223846793005ULL + 1442695040888963407ULL;
+    auto next = engine.Apply(cur, engine.ApplicationAt(cur, (draw >> 33) % count.total, false));
+    if (next.ok()) cur = std::move(next).MoveValueUnsafe();
+  }
+  state.counters["fanout"] = static_cast<double>(engine.CountApplications(start).total);
+}
+BENCHMARK(BM_RolloutStep)->Arg(0)->Arg(1)->Arg(8);
+
 void BM_ApplyRule(benchmark::State& state) {
   RuleEngine engine;
   DiffTree tree = FactoredSdss(1);

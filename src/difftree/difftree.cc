@@ -49,14 +49,17 @@ ChildList& ChildList::operator=(ChildList&& other) noexcept {
 std::vector<DiffTree>& ChildList::Mutable() {
   if (block_ == nullptr) {
     block_ = new Block({});
-  } else if (block_->refs.load(std::memory_order_acquire) != 1) {
-    // Shared: copy the k child handles; the grandchildren stay shared.
+  } else if (block_->refs.load(std::memory_order_acquire) != 1 ||
+             block_->sealed.load(std::memory_order_relaxed)) {
+    // Shared or sealed: copy the k child handles; the grandchildren stay
+    // shared.
     Block* copy = new Block(block_->kids);
     Release(block_);
     block_ = copy;
   } else {
     if (block_->cache.load(std::memory_order_relaxed) != Block::kEmpty) {
       block_->cache.store(Block::kEmpty, std::memory_order_relaxed);
+      block_->counts.store(Block::kEmpty, std::memory_order_relaxed);
     }
     if (block_->normal.load(std::memory_order_relaxed)) {
       block_->normal.store(false, std::memory_order_relaxed);
@@ -65,8 +68,13 @@ std::vector<DiffTree>& ChildList::Mutable() {
   return block_->kids;
 }
 
+bool ChildList::Caches() const {
+  return block_->sealed.load(std::memory_order_relaxed) ||
+         block_->refs.load(std::memory_order_relaxed) >= 2;
+}
+
 void ChildList::MarkNormal() const {
-  if (block_ != nullptr && block_->refs.load(std::memory_order_relaxed) >= 2) {
+  if (block_ != nullptr && Caches()) {
     block_->normal.store(true, std::memory_order_relaxed);
   }
 }
@@ -75,10 +83,8 @@ const ChildFacts* ChildList::facts() const {
   if (block_ == nullptr) return nullptr;
   uint8_t state = block_->cache.load(std::memory_order_acquire);
   if (state == Block::kReady) return block_->facts.data();
-  // A private block may still change in place, so only a shared one caches.
-  if (state != Block::kEmpty || block_->refs.load(std::memory_order_relaxed) < 2) {
-    return nullptr;
-  }
+  // A private unsealed block may still change in place, so it never caches.
+  if (state != Block::kEmpty || !Caches()) return nullptr;
   if (!block_->cache.compare_exchange_strong(state, Block::kFilling,
                                              std::memory_order_acquire)) {
     return state == Block::kReady ? block_->facts.data() : nullptr;
@@ -88,10 +94,37 @@ const ChildFacts* ChildList::facts() const {
   for (size_t i = 0; i < facts.size(); ++i) {
     const DiffTree& c = block_->kids[i];
     facts[i] = {c.Hash(), c.CanonicalHash(), static_cast<uint32_t>(c.NodeCount()),
-                static_cast<uint32_t>(c.ChoiceCount())};
+                static_cast<uint32_t>(c.ChoiceCount()), {}};
   }
   block_->cache.store(Block::kReady, std::memory_order_release);
   return facts.data();
+}
+
+const ChildFacts* ChildList::CountedFacts(
+    FunctionRef<ApplicationCount(const DiffTree&)> count) const {
+  // The counts live in the facts array, so they fill after it; a filler
+  // writes only the `apps` fields, which facts() readers never touch.
+  const ChildFacts* ready = facts();
+  if (ready == nullptr) return nullptr;
+  uint8_t state = block_->counts.load(std::memory_order_acquire);
+  if (state == Block::kReady) return ready;
+  if (state != Block::kEmpty ||
+      !block_->counts.compare_exchange_strong(state, Block::kFilling,
+                                              std::memory_order_acquire)) {
+    return state == Block::kReady ? ready : nullptr;
+  }
+  for (size_t i = 0; i < block_->kids.size(); ++i) {
+    block_->facts[i].apps = count(block_->kids[i]);
+  }
+  block_->counts.store(Block::kReady, std::memory_order_release);
+  return ready;
+}
+
+void Seal(const DiffTree& tree) {
+  ChildList::Block* block = tree.children.block_;
+  if (block == nullptr || block->sealed.load(std::memory_order_relaxed)) return;
+  block->sealed.store(true, std::memory_order_relaxed);
+  for (const DiffTree& c : block->kids) Seal(c);
 }
 
 size_t ChildList::ChoiceCountOf(size_t i) const {

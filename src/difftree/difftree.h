@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sql/ast.h"
+#include "util/function_ref.h"
 #include "util/status.h"
 
 namespace ifgen {
@@ -23,31 +24,51 @@ std::string_view DKindName(DKind k);
 
 struct DiffTree;
 
-/// \brief What a shared child list caches about each of its children.
+/// \brief Rule applications in a subtree: all of them and the forward ones
+/// (see RuleEngine::CountApplications).
+struct ApplicationCount {
+  uint32_t total = 0;
+  uint32_t forward = 0;
+
+  ApplicationCount& operator+=(const ApplicationCount& o) {
+    total += o.total;
+    forward += o.forward;
+    return *this;
+  }
+};
+
+/// \brief What a sealed or shared child list caches about each of its
+/// children.
 struct ChildFacts {
   uint64_t hash = 0;            ///< DiffTree::Hash()
   uint64_t canonical_hash = 0;  ///< DiffTree::CanonicalHash()
   uint32_t nodes = 0;           ///< DiffTree::NodeCount()
   uint32_t choices = 0;         ///< DiffTree::ChoiceCount()
+  /// RuleEngine::CountApplications() of the child; valid only in the
+  /// array CountedFacts returns.
+  ApplicationCount apps;
 };
 
 /// \brief The children of a difftree node: a copy-on-write list.
 ///
 /// Copies share one immutable block, so copying a whole tree costs O(1).
 /// Const access never copies. Any non-const access first *detaches*: a block
-/// that other lists share is replaced by a private copy of its k child
-/// handles (the grandchildren stay shared), and a private block drops its
-/// caches. A rewrite therefore copies only the path it edits.
+/// that other lists share, or that is sealed, is replaced by a private copy
+/// of its k child handles (the grandchildren stay shared), and a private
+/// block drops its caches. A rewrite therefore copies only the path it edits.
 ///
-/// A shared block caches the ChildFacts of its children the first time they
-/// are asked for, so hashes and counts of a state cost O(changed path). A
-/// private block never fills its caches, since its owner may still mutate it
-/// in place. Fills are published with atomics: trees of concurrent searches
-/// share blocks.
+/// A block is *sealed* once its tree is a finished search state (see
+/// Seal): from then on it never changes in place. A sealed or shared block
+/// caches the ChildFacts of its children the first time they are asked
+/// for, so hashes and counts of a state cost O(changed path). A private
+/// unsealed block never fills its caches, since its owner may still mutate
+/// it in place. Fills are published with atomics: trees of concurrent
+/// searches share blocks.
 ///
 /// Rule for callers: never hold a `DiffTree&` (or pointer) obtained through
-/// non-const access across a copy of one of its ancestors. The copy shares
-/// the block, and writing through the old reference would change both trees.
+/// non-const access across a copy of one of its ancestors, or across a Seal
+/// or RuleEngine::Apply of its tree. The copy shares the block, and writing
+/// through the old reference would change both trees.
 class ChildList {
  public:
   ChildList() noexcept = default;
@@ -69,14 +90,20 @@ class ChildList {
   const DiffTree* end() const;
 
   /// The children's cached facts, filling them first when this block is
-  /// shared; null when the block is private (or another thread is filling
-  /// it), in which case callers compute the facts from the children.
+  /// sealed or shared; null when the block is private and unsealed (or
+  /// another thread is filling it), in which case callers compute the facts
+  /// from the children.
   const ChildFacts* facts() const;
+  /// facts() with each child's `apps` filled by `count(child)` first; null
+  /// whenever facts() is (or another thread is filling the counts). The
+  /// counts carry no key: `count` must be a pure function of the child's
+  /// subtree, the same for every caller (RuleEngine's is).
+  const ChildFacts* CountedFacts(FunctionRef<ApplicationCount(const DiffTree&)> count) const;
   /// ChoiceCount() of child i, from the cache when there is one.
   size_t ChoiceCountOf(size_t i) const;
   /// Normalize's cache: true once every child was found in normal form
-  /// while the block was shared. MarkNormal records that (a private block
-  /// ignores it, like the facts cache).
+  /// while the block was sealed or shared. MarkNormal records that (a
+  /// private unsealed block ignores it, like the facts cache).
   bool KnownNormal() const;
   void MarkNormal() const;
 
@@ -92,8 +119,11 @@ class ChildList {
   bool operator==(const ChildList& other) const;
 
  private:
+  friend void Seal(const DiffTree& tree);
   struct Block;
   static void Release(Block* block);
+  /// Sealed or shared: the block can no longer change in place.
+  bool Caches() const;
   /// The children's facts when they are already cached, else null.
   const ChildFacts* CachedFacts() const;
 
@@ -184,7 +214,10 @@ struct ChildList::Block {
 
   std::atomic<uint32_t> refs{1};
   std::atomic<uint8_t> cache{kEmpty};
+  /// The facts' `apps` fields: filled only after `cache` is kReady.
+  std::atomic<uint8_t> counts{kEmpty};
   std::atomic<bool> normal{false};  ///< see KnownNormal
+  std::atomic<bool> sealed{false};  ///< see Seal; never cleared
   std::vector<DiffTree> kids;
   /// One per kid; written by the one filler, read once `cache` is kReady.
   std::vector<ChildFacts> facts;
@@ -221,6 +254,13 @@ inline const ChildFacts* ChildList::CachedFacts() const {
              ? block_->facts.data()
              : nullptr;
 }
+
+/// Seals every block of `tree`: from then on non-const access to any of
+/// them copies it, so its caches fill and stay valid. The value does not
+/// change. Sealing stops at blocks already sealed, so sealing a state made
+/// from a sealed one walks only its new blocks. RuleEngine::Apply seals its
+/// results and the searchers seal their initial state.
+void Seal(const DiffTree& tree);
 
 /// \brief A path from the root: the sequence of child indices.
 using TreePath = std::vector<int>;

@@ -19,21 +19,20 @@ class All2AnyRule final : public Rule {
  public:
   std::string_view name() const override { return "All2Any"; }
 
-  void Collect(const DiffTree& /*root*/, const DiffTree& node, const TreePath& path,
-               const RuleSetOptions& /*opts*/,
-               std::vector<RuleApplication>* out) const override {
+  void Collect(const DiffTree& node, std::vector<RuleApplication>* out) const override {
     if (node.kind != DKind::kAll || node.sym == Symbol::kEmpty) return;
     for (size_t i = 0; i < node.children.size(); ++i) {
       const DiffTree& c = node.children[i];
       if (c.kind == DKind::kAny && c.children.size() >= 2 &&
           c.children.size() <= kAll2AnyMaxAlts) {
         RuleApplication app;
-        app.path = path;
         app.param = static_cast<int>(i);
         out->push_back(app);
       }
     }
   }
+
+  bool IsForward(const RuleApplication& /*app*/) const override { return false; }
 
   Status ApplyAt(DiffTree* node, const RuleApplication& app,
                  const RuleSetOptions& /*opts*/) const override {

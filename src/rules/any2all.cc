@@ -15,9 +15,7 @@ class Any2AllRule final : public Rule {
  public:
   std::string_view name() const override { return "Any2All"; }
 
-  void Collect(const DiffTree& /*root*/, const DiffTree& node, const TreePath& path,
-               const RuleSetOptions& /*opts*/,
-               std::vector<RuleApplication>* out) const override {
+  void Collect(const DiffTree& node, std::vector<RuleApplication>* out) const override {
     if (node.kind != DKind::kAny || node.children.size() < 2) return;
     const DiffTree& first = node.children[0];
     if (first.kind != DKind::kAll || first.sym == Symbol::kSeq ||
@@ -35,7 +33,6 @@ class Any2AllRule final : public Rule {
     if (!any_children) return;
 
     RuleApplication lcs;
-    lcs.path = path;
     lcs.param = 0;
     out->push_back(lcs);
     // Positional alignment only differs when some alternative's child
@@ -56,7 +53,6 @@ class Any2AllRule final : public Rule {
     }
     if (!symbols_uniform) {
       RuleApplication pos;
-      pos.path = path;
       pos.param = 1;
       out->push_back(pos);
     }

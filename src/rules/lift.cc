@@ -13,9 +13,7 @@ class LiftRule final : public Rule {
  public:
   std::string_view name() const override { return "Lift"; }
 
-  void Collect(const DiffTree& /*root*/, const DiffTree& node, const TreePath& path,
-               const RuleSetOptions& /*opts*/,
-               std::vector<RuleApplication>* out) const override {
+  void Collect(const DiffTree& node, std::vector<RuleApplication>* out) const override {
     if (node.kind != DKind::kAny || node.children.size() < 2) return;
     const DiffTree& first = node.children[0];
     if (first.kind != DKind::kAll || first.sym == Symbol::kSeq ||
@@ -33,7 +31,6 @@ class LiftRule final : public Rule {
     }
     if (!worthwhile) return;
     RuleApplication app;
-    app.path = path;
     out->push_back(app);
   }
 

@@ -11,9 +11,7 @@ class MergeRule final : public Rule {
  public:
   std::string_view name() const override { return "Merge"; }
 
-  void Collect(const DiffTree& /*root*/, const DiffTree& node, const TreePath& path,
-               const RuleSetOptions& /*opts*/,
-               std::vector<RuleApplication>* out) const override {
+  void Collect(const DiffTree& node, std::vector<RuleApplication>* out) const override {
     if (node.kind != DKind::kAny || node.children.size() < 2) return;
     // Cached hashes rule out most pairs without walking them.
     const ChildFacts* facts = node.children.facts();
@@ -22,7 +20,6 @@ class MergeRule final : public Rule {
         if (facts != nullptr && facts[i].hash != facts[j].hash) continue;
         if (node.children[i] == node.children[j]) {
           RuleApplication app;
-          app.path = path;
           out->push_back(app);
           return;
         }

@@ -47,11 +47,9 @@ class MultiRule final : public Rule {
  public:
   std::string_view name() const override { return "Multi"; }
 
-  void Collect(const DiffTree& /*root*/, const DiffTree& node, const TreePath& path,
-               const RuleSetOptions& /*opts*/,
-               std::vector<RuleApplication>* out) const override {
-    CollectRuns(node, path, out);
-    CollectRepeatUnion(node, path, out);
+  void Collect(const DiffTree& node, std::vector<RuleApplication>* out) const override {
+    CollectRuns(node, out);
+    CollectRepeatUnion(node, out);
   }
 
   Status ApplyAt(DiffTree* node, const RuleApplication& app,
@@ -61,8 +59,7 @@ class MultiRule final : public Rule {
   }
 
  private:
-  static void CollectRuns(const DiffTree& node, const TreePath& path,
-                          std::vector<RuleApplication>* out) {
+  static void CollectRuns(const DiffTree& node, std::vector<RuleApplication>* out) {
     if (node.kind != DKind::kAll || node.sym == Symbol::kEmpty) return;
     size_t i = 0;
     while (i < node.children.size()) {
@@ -73,7 +70,6 @@ class MultiRule final : public Rule {
       }
       if (run >= 2 && MayRepeat(node.children[i])) {
         RuleApplication app;
-        app.path = path;
         app.param = static_cast<int>(i);
         app.param2 = static_cast<int>(run);
         out->push_back(app);
@@ -116,8 +112,7 @@ class MultiRule final : public Rule {
   }
 
   /// Runs on every ANY of every enumerated state, so it builds no lists.
-  static void CollectRepeatUnion(const DiffTree& node, const TreePath& path,
-                                 std::vector<RuleApplication>* out) {
+  static void CollectRepeatUnion(const DiffTree& node, std::vector<RuleApplication>* out) {
     if (node.kind != DKind::kAny || node.children.size() < 2) return;
     const size_t first_count = ElementCount(node.children[0]);
     bool varying_count = false;
@@ -145,7 +140,6 @@ class MultiRule final : public Rule {
     }
     if (!varying_count && !has_run) return;
     RuleApplication app;
-    app.path = path;
     app.param = -1;
     out->push_back(app);
   }

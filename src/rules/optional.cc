@@ -14,14 +14,11 @@ class OptionalRule final : public Rule {
  public:
   std::string_view name() const override { return "Optional"; }
 
-  void Collect(const DiffTree& /*root*/, const DiffTree& node, const TreePath& path,
-               const RuleSetOptions& /*opts*/,
-               std::vector<RuleApplication>* out) const override {
+  void Collect(const DiffTree& node, std::vector<RuleApplication>* out) const override {
     if (node.kind == DKind::kAny) {
       for (const DiffTree& alt : node.children) {
         if (alt.IsEmptyLeaf()) {
           RuleApplication app;
-          app.path = path;
           app.param = 0;
           out->push_back(app);
           return;
@@ -29,11 +26,12 @@ class OptionalRule final : public Rule {
       }
     } else if (node.kind == DKind::kOpt) {
       RuleApplication app;
-      app.path = path;
       app.param = 1;
       out->push_back(app);
     }
   }
+
+  bool IsForward(const RuleApplication& app) const override { return app.param == 0; }
 
   Status ApplyAt(DiffTree* node, const RuleApplication& app,
                  const RuleSetOptions& /*opts*/) const override {

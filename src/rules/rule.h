@@ -21,9 +21,6 @@ struct RuleApplication {
 
 /// \brief Knobs bounding the rewrite system.
 struct RuleSetOptions {
-  /// Noop's wrap direction (x -> ANY(x)) is applicable almost everywhere and
-  /// inflates fanout; it is off by default and exercised by ablation benches.
-  bool enable_noop_wrap = false;
   /// Hard cap on result size; Apply fails beyond it (guards MCTS rollouts).
   size_t max_tree_nodes = 1500;
 };
@@ -39,11 +36,15 @@ class Rule {
 
   virtual std::string_view name() const = 0;
 
-  /// Collects applications rooted at `node` (located at `path` in `root`).
-  /// Called once per node by the engine's traversal.
-  virtual void Collect(const DiffTree& root, const DiffTree& node, const TreePath& path,
-                       const RuleSetOptions& opts,
-                       std::vector<RuleApplication>* out) const = 0;
+  /// Collects the applications rooted at `node`, filling `param`/`param2`;
+  /// the engine sets their rule index and path. Called once per node by the
+  /// engine's traversal. Reads only `node`'s subtree, so the number of
+  /// applications in a subtree depends on nothing else and can be cached on
+  /// its block (see RuleEngine::CountApplications).
+  virtual void Collect(const DiffTree& node, std::vector<RuleApplication>* out) const = 0;
+
+  /// See RuleEngine::IsForward.
+  virtual bool IsForward(const RuleApplication& /*app*/) const { return true; }
 
   /// Rewrites the node at `app.path`. `*node` is the mutable target inside a
   /// copy of the state that shares every subtree off the path to it; a rule
@@ -63,19 +64,33 @@ class RuleEngine {
   const Rule& rule(size_t i) const { return *rules_[i]; }
   std::string_view RuleName(const RuleApplication& app) const;
 
-  /// All applicable (rule, site) pairs for `root`; its size is the fanout.
+  /// All applicable (rule, site) pairs for `root` in pre-order (at each
+  /// node, in rule order); its size is the fanout.
   std::vector<RuleApplication> EnumerateApplications(const DiffTree& root) const;
 
-  /// Applies one rewrite, returning the normalized successor state.
+  /// EnumerateApplications(root).size() and how many of those are forward,
+  /// without building the list. Each child list that caches (see ChildList)
+  /// keeps its children's counts, so on a state made by Apply from a counted
+  /// one this walks little more than the rewritten path.
+  ApplicationCount CountApplications(const DiffTree& root) const;
+
+  /// EnumerateApplications(root)[k], or with `forward_only` the k-th forward
+  /// application in that order. Descends by the cached counts, so it builds
+  /// only the applications at the nodes on the way. `k` must be below the
+  /// matching CountApplications(root) figure.
+  RuleApplication ApplicationAt(const DiffTree& root, size_t k, bool forward_only) const;
+
+  /// Applies one rewrite, returning the normalized successor state, sealed
+  /// (see Seal).
   Result<DiffTree> Apply(const DiffTree& root, const RuleApplication& app) const;
 
   /// Human-readable description of an application (for traces).
   std::string Describe(const DiffTree& root, const RuleApplication& app) const;
 
   /// True for "forward" (factoring) applications — Any2All, Lift, Merge,
-  /// Multi, Optional(fwd), Noop(unwrap) — versus inverse/expanding ones
-  /// (All2Any, Optional(bwd), Noop(wrap)). Informed rollouts bias toward
-  /// forward moves; see SearchOptions::rollout_forward_bias.
+  /// Multi, Optional(fwd), Noop — versus inverse/expanding ones (All2Any,
+  /// Optional(bwd)). Informed rollouts bias toward forward moves; see
+  /// SearchOptions::rollout_forward_bias.
   bool IsForward(const RuleApplication& app) const;
 
  private:

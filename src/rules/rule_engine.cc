@@ -2,6 +2,7 @@
 
 #include "difftree/normalize.h"
 #include "rules/rule.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace ifgen {
@@ -25,21 +26,37 @@ std::string_view RuleEngine::RuleName(const RuleApplication& app) const {
 
 namespace {
 
-void CollectRec(const std::vector<std::unique_ptr<Rule>>& rules,
-                const RuleSetOptions& opts, const DiffTree& root, const DiffTree& node,
-                TreePath* path, std::vector<RuleApplication>* out) {
+/// The applications rooted at `node`, in rule order, with their rule index
+/// set and an empty path.
+void CollectAt(const std::vector<std::unique_ptr<Rule>>& rules, const DiffTree& node,
+               std::vector<RuleApplication>* out) {
   for (size_t r = 0; r < rules.size(); ++r) {
-    size_t before = out->size();
-    rules[r]->Collect(root, node, *path, opts, out);
+    const size_t before = out->size();
+    rules[r]->Collect(node, out);
     for (size_t k = before; k < out->size(); ++k) {
       (*out)[k].rule_index = static_cast<int>(r);
     }
   }
+}
+
+void CollectRec(const std::vector<std::unique_ptr<Rule>>& rules, const DiffTree& node,
+                TreePath* path, std::vector<RuleApplication>* out) {
+  const size_t before = out->size();
+  CollectAt(rules, node, out);
+  for (size_t k = before; k < out->size(); ++k) (*out)[k].path = *path;
   for (size_t i = 0; i < node.children.size(); ++i) {
     path->push_back(static_cast<int>(i));
-    CollectRec(rules, opts, root, node.children[i], path, out);
+    CollectRec(rules, node.children[i], path, out);
     path->pop_back();
   }
+}
+
+/// Per-thread buffer for the applications at one node; the count and the
+/// descent use it one node at a time, so no call nests in another's use.
+std::vector<RuleApplication>& NodeScratch() {
+  thread_local std::vector<RuleApplication> scratch;
+  scratch.clear();
+  return scratch;
 }
 
 }  // namespace
@@ -48,8 +65,52 @@ std::vector<RuleApplication> RuleEngine::EnumerateApplications(
     const DiffTree& root) const {
   std::vector<RuleApplication> out;
   TreePath path;
-  CollectRec(rules_, opts_, root, root, &path, &out);
+  CollectRec(rules_, root, &path, &out);
   return out;
+}
+
+ApplicationCount RuleEngine::CountApplications(const DiffTree& root) const {
+  ApplicationCount count;
+  std::vector<RuleApplication>& here = NodeScratch();
+  CollectAt(rules_, root, &here);
+  count.total = static_cast<uint32_t>(here.size());
+  for (const RuleApplication& app : here) count.forward += IsForward(app) ? 1 : 0;
+  auto subtree = [this](const DiffTree& kid) { return CountApplications(kid); };
+  if (const ChildFacts* f = root.children.CountedFacts(subtree)) {
+    for (size_t i = 0; i < root.children.size(); ++i) count += f[i].apps;
+  } else {
+    for (const DiffTree& kid : root.children) count += subtree(kid);
+  }
+  return count;
+}
+
+RuleApplication RuleEngine::ApplicationAt(const DiffTree& root, size_t k,
+                                          bool forward_only) const {
+  auto subtree = [this](const DiffTree& kid) { return CountApplications(kid); };
+  TreePath path;
+  const DiffTree* node = &root;
+  while (true) {
+    std::vector<RuleApplication>& here = NodeScratch();
+    CollectAt(rules_, *node, &here);
+    for (RuleApplication& app : here) {
+      if (forward_only && !IsForward(app)) continue;
+      if (k-- > 0) continue;
+      app.path = std::move(path);
+      return std::move(app);
+    }
+    const ChildFacts* f = node->children.CountedFacts(subtree);
+    const size_t n = node->children.size();
+    size_t i = 0;
+    for (; i < n; ++i) {
+      const ApplicationCount c = f != nullptr ? f[i].apps : subtree(node->children[i]);
+      const size_t in_child = forward_only ? c.forward : c.total;
+      if (k < in_child) break;
+      k -= in_child;
+    }
+    IFGEN_CHECK_LT(i, n) << " application index past the count";
+    path.push_back(static_cast<int>(i));
+    node = &node->children[i];
+  }
 }
 
 Result<DiffTree> RuleEngine::Apply(const DiffTree& root,
@@ -65,6 +126,9 @@ Result<DiffTree> RuleEngine::Apply(const DiffTree& root,
   IFGEN_RETURN_NOT_OK(
       rules_[static_cast<size_t>(app.rule_index)]->ApplyAt(target, app, opts_));
   Normalize(&next);
+  // Sealed first, so the size check fills the new blocks' facts that the
+  // counts and hashes of the state read next.
+  Seal(next);
   if (next.NodeCount() > opts_.max_tree_nodes) {
     return Status::ResourceExhausted(
         StrFormat("result tree exceeds %zu nodes", opts_.max_tree_nodes));
@@ -73,10 +137,10 @@ Result<DiffTree> RuleEngine::Apply(const DiffTree& root,
 }
 
 bool RuleEngine::IsForward(const RuleApplication& app) const {
-  std::string_view name = RuleName(app);
-  if (name == "All2Any") return false;
-  if (name == "Optional" || name == "Noop") return app.param == 0;
-  return true;  // Any2All, Lift, Merge, Multi
+  if (app.rule_index < 0 || static_cast<size_t>(app.rule_index) >= rules_.size()) {
+    return true;  // an unknown rule (RuleName "?") is not an inverse
+  }
+  return rules_[static_cast<size_t>(app.rule_index)]->IsForward(app);
 }
 
 std::string RuleEngine::Describe(const DiffTree& root,

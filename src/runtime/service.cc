@@ -117,7 +117,6 @@ uint64_t OptionsFingerprint(const GeneratorOptions& o) {
   h = HashU64(h, p.num_threads);
 
   const RuleSetOptions& r = o.rules;
-  h = HashU64(h, r.enable_noop_wrap ? 1 : 0);
   h = HashU64(h, r.max_tree_nodes);
 
   h = HashBytes(std::string_view(reinterpret_cast<const char*>(&o.constants),

@@ -57,8 +57,9 @@ void CollectTreeLabels(const DiffTree& node, size_t* budget,
 }
 
 /// Base weight per rule name. Forward/factoring rules lead; the expanding
-/// inverses trail (they are escapes, not destinations). Values swept by
-/// bench_ablation; the ordering, not the decimals, is what matters.
+/// inverse All2Any trails (an escape, not a destination), and so does Noop,
+/// which only unwraps a singleton ANY. Values swept by bench_ablation; the
+/// ordering, not the decimals, is what matters.
 double BaseRuleWeight(std::string_view name) {
   if (name == "Merge") return 2.2;
   if (name == "Any2All") return 1.8;

@@ -27,8 +27,8 @@ size_t ProgressiveWideningLimit(size_t visits);
 ///
 ///  1. **Rule type.** Forward/factoring rules (Merge, Lift, Any2All, Multi)
 ///     are where good interfaces live (the paper's own rollouts are biased
-///     the same way); inverse rules (All2Any, Noop-wrap) mostly pay off as
-///     escapes. Each rule gets a base weight.
+///     the same way); the inverse rule All2Any mostly pays off as an
+///     escape. Each rule gets a base weight.
 ///  2. **Label frequency.** Sites whose subtree mentions symbols/values that
 ///     occur in many log queries affect more of the log when factored, so
 ///     they get a boost proportional to the mean normalized frequency of

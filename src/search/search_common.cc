@@ -37,32 +37,43 @@ struct SearchMetrics {
   }
 };
 
-/// One biased-random rule application; false when no application succeeds.
-bool RolloutStepRandom(const RolloutContext& ctx, DiffTree* state,
-                       std::vector<RuleApplication>* apps, Rng* rng) {
+/// One biased-random rule application among the `count` at `*state`; false
+/// when no application succeeds. Draws what picking from the materialized
+/// list (or its forward subset) and erasing each failed pick would draw, but
+/// builds only the applications it tries.
+bool RolloutStepRandom(const RolloutContext& ctx, const ApplicationCount& count,
+                       DiffTree* state, Rng* rng) {
   const SearchOptions& opts = *ctx.opts;
   // Optionally restrict this step to the forward (factoring) subset.
-  std::vector<RuleApplication>* pool = apps;
-  std::vector<RuleApplication> forward;
-  if (opts.rollout_forward_bias > 0.5 && rng->Bernoulli(opts.rollout_forward_bias)) {
-    for (const RuleApplication& a : *apps) {
-      if (ctx.rules->IsForward(a)) forward.push_back(a);
-    }
-    if (!forward.empty()) pool = &forward;
-  }
-  for (int attempt = 0; attempt < 4 && !pool->empty(); ++attempt) {
-    size_t pick = rng->UniformIndex(pool->size());
-    auto next = ctx.rules->Apply(*state, (*pool)[pick]);
+  const bool forward_only = opts.rollout_forward_bias > 0.5 &&
+                            rng->Bernoulli(opts.rollout_forward_bias) &&
+                            count.forward > 0;
+  const size_t pool = forward_only ? count.forward : count.total;
+  ErasedPicks failed;
+  for (int attempt = 0; attempt < 4 && failed.size < pool; ++attempt) {
+    const size_t pick = failed.Remap(rng->UniformIndex(pool - failed.size));
+    auto next = ctx.rules->Apply(*state, ctx.rules->ApplicationAt(*state, pick, forward_only));
     if (next.ok()) {
       *state = std::move(next).MoveValueUnsafe();
       return true;
     }
-    pool->erase(pool->begin() + static_cast<long>(pick));
+    if (failed.size < ErasedPicks::kMax) failed.Erase(pick);
   }
   return false;
 }
 
 }  // namespace
+
+size_t ErasedPicks::Remap(size_t pick) const {
+  for (size_t e = 0; e < size && index[e] <= pick; ++e) ++pick;
+  return pick;
+}
+
+void ErasedPicks::Erase(size_t i) {
+  size_t e = size++;
+  for (; e > 0 && index[e - 1] > i; --e) index[e] = index[e - 1];
+  index[e] = i;
+}
 
 SearchRun::SearchRun(const SearchOptions& opts, size_t loops)
     : opts_(opts),
@@ -75,6 +86,7 @@ SearchRun::SearchRun(const SearchOptions& opts, size_t loops)
 }
 
 double SearchRun::Start(const DiffTree& initial, StateEvaluator* evaluator, Rng* rng) {
+  Seal(initial);
   stats_.initial_cost = evaluator->SampleCost(initial, rng);
   Offer(initial, stats_.initial_cost, &stats_);
   return stats_.initial_cost;
@@ -179,23 +191,21 @@ double RolloutAndEvaluateState(const RolloutContext& ctx, const DiffTree& start,
       opts.rollout_saturate_prob > 0 && rng->Bernoulli(opts.rollout_saturate_prob);
   for (size_t step = 0; step < kRolloutLen; ++step) {
     if (!saturate && rng->Bernoulli(kRolloutStopProb)) break;
-    std::vector<RuleApplication> apps = ctx.rules->EnumerateApplications(state);
-    stats->RecordFanout(apps.size());
-    if (apps.empty()) break;
+    const ApplicationCount count = ctx.rules->CountApplications(state);
+    stats->RecordFanout(count.total);
+    if (count.total == 0) break;
     if (saturate) {
       // Canonical factoring: first forward application in pre-order.
       bool advanced = false;
-      for (const RuleApplication& a : apps) {
-        if (!ctx.rules->IsForward(a)) continue;
-        auto next = ctx.rules->Apply(state, a);
+      for (size_t k = 0; k < count.forward && !advanced; ++k) {
+        auto next = ctx.rules->Apply(state, ctx.rules->ApplicationAt(state, k, true));
         if (!next.ok()) continue;
         state = std::move(next).MoveValueUnsafe();
         advanced = true;
-        break;
       }
       if (!advanced) break;  // forward fixpoint reached
     } else {
-      if (!RolloutStepRandom(ctx, &state, &apps, rng)) break;
+      if (!RolloutStepRandom(ctx, count, &state, rng)) break;
     }
     ++stats->rollout_steps;
     if (opts.rollout_eval_prob > 0 && rng->Bernoulli(opts.rollout_eval_prob)) {

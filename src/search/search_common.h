@@ -267,6 +267,22 @@ struct RolloutContext {
   const SearchOptions* opts = nullptr;
 };
 
+/// \brief The failed picks of one rollout step, as ascending indices into
+/// the step's full application list. A draw among the survivors maps past
+/// them, so the step picks what erasing each failed pick from a
+/// materialized list would pick. A step tries 4 picks, so at most 3 fail
+/// before the last one.
+struct ErasedPicks {
+  static constexpr size_t kMax = 3;
+  size_t index[kMax] = {};
+  size_t size = 0;
+
+  /// The full-list index of the survivor at position `pick`.
+  size_t Remap(size_t pick) const;
+  /// Records full-list index `i` (a Remap result) as erased; size < kMax.
+  void Erase(size_t i);
+};
+
 /// Rollout of up to `kRolloutLen` (200) rule applications that also samples
 /// intermediate states for evaluation and always evaluates the terminus;
 /// returns the best cost seen (`best_state` receives the matching state).
@@ -304,7 +320,7 @@ class SearchRun {
   SearchRun(const SearchRun&) = delete;
   SearchRun& operator=(const SearchRun&) = delete;
 
-  /// Samples the initial state's cost with `rng`, records it as
+  /// Seals `initial` (see Seal), samples its cost with `rng`, records it as
   /// stats().initial_cost and offers the state as the first best (trace
   /// entry at iteration 0). Returns the cost.
   double Start(const DiffTree& initial, StateEvaluator* evaluator, Rng* rng);

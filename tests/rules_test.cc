@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <thread>
+
 #include "difftree/builder.h"
 #include "difftree/enumerate.h"
 #include "difftree/match.h"
 #include "difftree/normalize.h"
 #include "rollout_states.h"
 #include "rules/rule.h"
+#include "search/search_common.h"
 #include "sql/parser.h"
 #include "util/rng.h"
 #include "workload/loader.h"
@@ -152,14 +156,29 @@ TEST(Rules, NoopUnwrapsSingletonAny) {
   EXPECT_EQ(next.ChoiceCount(), 0u);
 }
 
-TEST(Rules, NoopWrapDisabledByDefault) {
-  RuleEngine engine;
-  DiffTree d = DiffTree::FromAst(Q("select a from t"));
-  EXPECT_TRUE(AppsOf(engine, d, "Noop", 1).empty());
-  RuleSetOptions opts;
-  opts.enable_noop_wrap = true;
-  RuleEngine engine2(opts);
-  EXPECT_FALSE(AppsOf(engine2, d, "Noop", 1).empty());
+// Noop has only its unwrap direction: a wrap (x -> ANY(x)) would apply at
+// nearly every ALL node, plain ASTs included.
+TEST(Rules, NoopOnlyUnwraps) {
+  const RuleEngine engine;
+  EXPECT_TRUE(AppsOf(engine, DiffTree::FromAst(Q("select a from t")), "Noop").empty());
+  const DiffTree host(Symbol::kProject, "",
+                      {DiffTree::Any({DiffTree::FromAst(Col("a"))}), DiffTree::FromAst(Col("b"))});
+  const std::vector<RuleApplication> unwrap = AppsOf(engine, host, "Noop");
+  ASSERT_EQ(unwrap.size(), 1u);
+  EXPECT_EQ(unwrap[0].param, 0);
+  EXPECT_EQ(unwrap[0].path, TreePath{0});
+  for (const char* workload : {"flights", "sdss", "synthetic"}) {
+    const std::vector<Ast> queries = *ParseQueries(LoadWorkload(workload, 10)->log);
+    for (const DiffTree& s : RolloutStates(queries, 31, 40, 0.5)) {
+      for (const RuleApplication& app : AppsOf(engine, s, "Noop")) {
+        EXPECT_EQ(app.param, 0) << workload;
+        const DiffTree* node = NodeAt(s, app.path);
+        ASSERT_NE(node, nullptr);
+        EXPECT_EQ(node->kind, DKind::kAny) << workload;
+        EXPECT_EQ(node->children.size(), 1u) << workload;
+      }
+    }
+  }
 }
 
 TEST(Rules, MultiRunPattern) {
@@ -350,6 +369,197 @@ TEST(Rules, ApplyNeverMutatesItsInput) {
       EXPECT_TRUE(s == deep) << where;
     }
     EXPECT_GT(applied, 0u) << workload;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Rollout steps count the applications and descend to the one they draw
+// instead of materializing the list; both must agree with the list.
+
+std::string AppKey(const RuleApplication& app) {
+  std::string key = std::to_string(app.rule_index) + ":" + std::to_string(app.param) + ":" +
+                    std::to_string(app.param2) + "@";
+  for (int i : app.path) key += "/" + std::to_string(i);
+  return key;
+}
+
+std::vector<RuleApplication> ForwardOf(const RuleEngine& engine,
+                                       const std::vector<RuleApplication>& apps) {
+  std::vector<RuleApplication> forward;
+  for (const RuleApplication& a : apps) {
+    if (engine.IsForward(a)) forward.push_back(a);
+  }
+  return forward;
+}
+
+/// Counts and every descent of `t`, with `apps` the enumerated list.
+void ExpectCountAndDescentsMatch(const RuleEngine& engine, const DiffTree& t,
+                                 const std::vector<RuleApplication>& apps,
+                                 const std::string& where) {
+  const std::vector<RuleApplication> forward = ForwardOf(engine, apps);
+  const ApplicationCount count = engine.CountApplications(t);
+  ASSERT_EQ(count.total, apps.size()) << where;
+  ASSERT_EQ(count.forward, forward.size()) << where;
+  for (size_t k = 0; k < apps.size(); ++k) {
+    EXPECT_EQ(AppKey(engine.ApplicationAt(t, k, false)), AppKey(apps[k])) << where << " k=" << k;
+  }
+  for (size_t k = 0; k < forward.size(); ++k) {
+    EXPECT_EQ(AppKey(engine.ApplicationAt(t, k, true)), AppKey(forward[k]))
+        << where << " forward k=" << k;
+  }
+}
+
+std::vector<std::pair<std::string, DiffTree>> CountedStates() {
+  std::vector<std::pair<std::string, DiffTree>> out;
+  for (const char* workload : {"sdss", "flights"}) {
+    const std::vector<Ast> queries = *ParseQueries(LoadWorkload(workload, 10)->log);
+    for (double bias : {0.5, 0.8}) {
+      const std::vector<DiffTree> states = RolloutStates(queries, 41, 30, bias);
+      for (size_t i = 0; i < states.size(); ++i) {
+        out.emplace_back(std::string(workload) + " bias " + std::to_string(bias) + " state " +
+                             std::to_string(i),
+                         states[i]);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(RuleCounts, CountsAndDescentsMatchEnumeration) {
+  const RuleEngine engine;
+  size_t nonempty = 0;
+  for (const auto& [where, s] : CountedStates()) {
+    const std::vector<RuleApplication> apps = engine.EnumerateApplications(s);
+    nonempty += apps.empty() ? 0 : 1;
+    // Twice on the state (the first call fills its blocks' counts, the
+    // second reads them), then on a copy that holds no cache at all.
+    ExpectCountAndDescentsMatch(engine, s, apps, where + " cold-fill");
+    ExpectCountAndDescentsMatch(engine, s, apps, where + " warm");
+    ExpectCountAndDescentsMatch(engine, DeepCopy(s), apps, where + " deep copy");
+  }
+  EXPECT_GT(nonempty, 100u);
+}
+
+// A rollout step draws among the survivors of its failed picks and maps the
+// draw past them; it must pick what erasing them from the list would.
+TEST(RuleCounts, ErasedPicksRemapLikeVectorErase) {
+  const RuleEngine engine;
+  size_t checked = 0;
+  uint64_t seed = 0;
+  for (const auto& [where, s] : CountedStates()) {
+    const std::vector<RuleApplication> apps = engine.EnumerateApplications(s);
+    for (bool forward_only : {false, true}) {
+      std::vector<RuleApplication> pool = forward_only ? ForwardOf(engine, apps) : apps;
+      const size_t n = pool.size();
+      Rng listed(++seed);
+      Rng counted(seed);
+      ErasedPicks failed;
+      for (int attempt = 0; attempt < 4 && !pool.empty(); ++attempt) {
+        const size_t pick = listed.UniformIndex(pool.size());
+        const size_t index = failed.Remap(counted.UniformIndex(n - failed.size));
+        ASSERT_LT(index, n);
+        EXPECT_EQ(AppKey(engine.ApplicationAt(s, index, forward_only)), AppKey(pool[pick]))
+            << where << " attempt " << attempt;
+        ++checked;
+        if (failed.size == ErasedPicks::kMax) break;
+        pool.erase(pool.begin() + static_cast<long>(pick));
+        failed.Erase(index);
+      }
+    }
+  }
+  EXPECT_GT(checked, 500u);
+}
+
+// Counted (sealed) blocks never change in place: non-const access copies
+// them, so an edit of a copy leaves the original's caches valid.
+TEST(RuleCounts, EditingACopyOfASealedStateLeavesItsCountsAlone) {
+  const RuleEngine engine;
+  auto facts = [&](const DiffTree& t) {
+    const ApplicationCount c = engine.CountApplications(t);
+    return std::vector<uint64_t>{t.Hash(), t.CanonicalHash(), t.NodeCount(), c.total, c.forward};
+  };
+  size_t edited = 0;
+  for (const auto& [where, s] : CountedStates()) {
+    const std::vector<uint64_t> before = facts(s);
+    ASSERT_EQ(before, facts(DeepCopy(s))) << where;
+    const std::vector<RuleApplication> apps = engine.EnumerateApplications(s);
+    if (apps.empty()) continue;
+    const TreePath& deep = apps.back().path;
+    const std::vector<std::function<void(DiffTree*)>> edits = {
+        [&](DiffTree* t) {
+          DiffTree* n = MutableNodeAt(t, deep);
+          DiffTree twin = *n;
+          *n = DiffTree::Any({twin, twin});  // a Merge site, at least
+        },
+        [&](DiffTree* t) { MutableNodeAt(t, deep)->children.Mutable().clear(); },
+        [&](DiffTree* t) { t->children.push_back(DiffTree::Empty()); },
+    };
+    for (size_t e = 0; e < edits.size(); ++e) {
+      DiffTree copy = s;
+      edits[e](&copy);
+      ++edited;
+      EXPECT_EQ(facts(s), before) << where << " edit " << e;
+      EXPECT_EQ(facts(copy), facts(DeepCopy(copy))) << where << " edit " << e;
+      ExpectCountAndDescentsMatch(engine, copy, engine.EnumerateApplications(copy),
+                                  where + " edited copy");
+    }
+  }
+  EXPECT_GT(edited, 100u);
+
+  // A private block caches only once sealed, and an edit then copies it.
+  DiffTree mine = DeepCopy(CountedStates().back().second);
+  EXPECT_EQ(mine.children.facts(), nullptr);
+  Seal(mine);
+  ASSERT_NE(mine.children.facts(), nullptr);
+  const DiffTree* sealed_kids = std::as_const(mine).children.begin();
+  const std::vector<uint64_t> sealed_facts = facts(mine);
+  mine.children[0].value = "edited";
+  EXPECT_NE(std::as_const(mine).children.begin(), sealed_kids);
+  EXPECT_EQ(mine.children.facts(), nullptr);  // the copy is private again
+  EXPECT_EQ(facts(mine), facts(DeepCopy(mine)));
+  EXPECT_NE(facts(mine)[0], sealed_facts[0]);
+
+  // An unsealed block counted while shared drops its counts when its one
+  // owner left edits it in place, so they refill once it is shared again.
+  DiffTree own = DeepCopy(CountedStates().back().second);
+  {
+    const DiffTree other = own;
+    ASSERT_EQ(facts(own), facts(DeepCopy(own)));
+  }
+  const DiffTree twin = std::as_const(own).children[0];
+  own.children[0] = DiffTree::Any({twin, twin});
+  const DiffTree again = own;
+  EXPECT_EQ(facts(own), facts(DeepCopy(own)));
+}
+
+// Trees of concurrent searches share sealed blocks, so threads race to fill
+// the same count caches.
+TEST(RuleCounts, ConcurrentCountFills) {
+  const RuleEngine engine;
+  const std::vector<Ast> queries = *ParseQueries(LoadWorkload("sdss", 10)->log);
+  std::vector<DiffTree> states = RolloutStates(queries, 43, 24, 0.8);
+  for (DiffTree& s : RolloutStates(queries, 47, 24, 0.5)) states.push_back(std::move(s));
+  auto summarize = [&](const DiffTree& t) {
+    const ApplicationCount c = engine.CountApplications(t);
+    std::vector<std::string> out = {std::to_string(c.total) + "/" + std::to_string(c.forward)};
+    for (size_t k = 0; k < c.total; ++k) out.push_back(AppKey(engine.ApplicationAt(t, k, false)));
+    for (size_t k = 0; k < c.forward; ++k) out.push_back(AppKey(engine.ApplicationAt(t, k, true)));
+    return out;
+  };
+  std::vector<std::vector<std::string>> serial;
+  for (const DiffTree& s : states) serial.push_back(summarize(DeepCopy(s)));
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<std::string>>> parallel(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const DiffTree& s : states) parallel[static_cast<size_t>(t)].push_back(summarize(s));
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(parallel[static_cast<size_t>(t)], serial) << "thread " << t;
   }
 }
 

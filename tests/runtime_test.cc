@@ -334,7 +334,6 @@ TEST(GenerationService, JobKeyCoversEveryResultAffectingOption) {
       {"search.time_control.plateau_fraction",
        [](GeneratorOptions* o) { o->search.time_control.plateau_fraction = 0.5; }},
       {"parallel.num_threads", [](GeneratorOptions* o) { o->parallel.num_threads = 2; }},
-      {"rules.enable_noop_wrap", [](GeneratorOptions* o) { o->rules.enable_noop_wrap = true; }},
       {"rules.max_tree_nodes", [](GeneratorOptions* o) { o->rules.max_tree_nodes = 900; }},
       {"constants", [](GeneratorOptions* o) { o->constants.m_label += 0.1; }},
       // The backend never changes the widgets, but requests select it and
