@@ -7,7 +7,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "difftree/selection.h"
+#include "difftree/match.h"
 #include "interface/layout.h"
 #include "widgets/appropriateness.h"
 
@@ -84,10 +84,12 @@ void PriceTransition(FlatLayout* layout, const std::vector<int>& changed_ids,
 namespace {
 
 /// Sticky widget state held flat, one value code per choice id, against
-/// which PlanTransitions scores every parse in place. A code is the ANY
-/// alternative, OPT present (1) or absent (0), or a MULTI's Encode()
+/// which PlanTransitions scores every parse trail in place. A code is the
+/// ANY alternative, OPT present (1) or absent (0), or a MULTI's sub-trail
 /// interned per plan; kUnset marks a widget no query has set yet. Equal
-/// codes of one id mean equal ExtractSelections values.
+/// codes of one id mean equal ExtractSelections values: a MULTI's id fixes
+/// its node, and the trail values of a fixed node's parses are equal iff
+/// their derivations (so their Encode()s) are.
 class StickyState {
  public:
   struct Selection {
@@ -95,25 +97,34 @@ class StickyState {
     int code;
   };
 
-  explicit StickyState(const DiffTree& tree)
-      : index_(tree), codes_(index_.size(), kUnset) {}
+  explicit StickyState(const DiffTree& tree) : codes_(tree.ChoiceCount(), kUnset) {}
 
-  /// Writes the selections of `d` into `out` in ForEachSelection order and
-  /// returns how many of them differ from the sticky state.
-  size_t Score(const Derivation& d, std::vector<Selection>* out) {
+  /// Writes the selections of `trail` into `out` in trail order (the
+  /// pre-order ExtractSelections fills its map in) and returns how many of
+  /// them differ from the sticky state. A MULTI's step covers its copies'
+  /// steps, as its selection covers their choices.
+  size_t Score(const ParseTrail& trail, std::vector<Selection>* out) {
     out->clear();
-    ForEachSelection(index_, d, [&](int id, const Derivation& c) {
-      out->push_back({id, c.node->kind == DKind::kMulti ? Intern(c) : c.choice});
-    });
     size_t changed = 0;
-    for (const Selection& s : *out) changed += codes_[static_cast<size_t>(s.id)] != s.code;
+    for (size_t k = 0; k < trail.size();) {
+      const ParseStep& s = trail[k];
+      int code = s.value;
+      if (s.end != 0) {
+        code = Intern(trail, k);
+        k = s.end;
+      } else {
+        ++k;
+      }
+      out->push_back({s.id, code});
+      changed += codes_[static_cast<size_t>(s.id)] != code;
+    }
     return changed;
   }
 
   /// Moves the state to `sels`. Unless `changed_ids` is null, appends the ids
-  /// that change in the iteration order of a SelectionMap filled in
-  /// ForEachSelection order, as ExtractSelections fills it. PriceTransition
-  /// sums in this order, so it is part of the bit-identity contract.
+  /// that change in the iteration order of a SelectionMap filled in `sels`
+  /// order, as ExtractSelections fills it. PriceTransition sums in this
+  /// order, so it is part of the bit-identity contract.
   void Advance(const std::vector<Selection>& sels, std::vector<int>* changed_ids) {
     if (changed_ids != nullptr) {
       changed_.clear();
@@ -141,9 +152,14 @@ class StickyState {
  private:
   static constexpr int kUnset = -1;
 
-  int Intern(const Derivation& multi) {
+  /// The code of the MULTI at trail[k]: its count and every value of its
+  /// sub-trail, in order.
+  int Intern(const ParseTrail& trail, size_t k) {
     key_.clear();
-    multi.EncodeTo(&key_);
+    for (size_t i = k; i < trail[k].end; ++i) {
+      const int32_t v = trail[i].value;
+      key_.append(reinterpret_cast<const char*>(&v), sizeof v);
+    }
     auto it = multi_codes_.find(key_);
     if (it == multi_codes_.end()) {
       it = multi_codes_.emplace(key_, static_cast<int>(multi_codes_.size())).first;
@@ -151,10 +167,9 @@ class StickyState {
     return it->second;
   }
 
-  ChoiceIndex index_;
   std::vector<int> codes_;
   std::unordered_map<std::string, int> multi_codes_;
-  std::string key_;          ///< Encode() buffer, reused across MULTI selections
+  std::string key_;          ///< Intern's key buffer, reused across MULTI selections
   std::vector<int> changed_;  ///< Advance's changed ids in selection order
   std::array<std::byte, 8192> arena_;  ///< backs Advance's ordering map
 };
@@ -165,7 +180,7 @@ TransitionPlan PlanTransitions(const DiffTree& tree, const std::vector<Ast>& que
                                size_t parse_limit) {
   TransitionPlan plan;
   StickyState state(tree);
-  Derivation scratch;  // the matcher's live derivation, reused by every query
+  ParseTrail trail;  // the matcher's live trail, reused by every query
   std::vector<StickyState::Selection> trial;
   std::vector<StickyState::Selection> best;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
@@ -173,9 +188,9 @@ TransitionPlan PlanTransitions(const DiffTree& tree, const std::vector<Ast>& que
     // the first parse with the fewest changes wins, and a parse changing
     // nothing ends the search.
     size_t best_changed = static_cast<size_t>(-1);
-    const size_t parses = ForEachDerivation(
-        tree, queries[qi], parse_limit, &scratch, [&](const Derivation& d) {
-          const size_t changed = state.Score(d, &trial);
+    const size_t parses = ForEachParse(
+        tree, queries[qi], parse_limit, &trail, [&](const ParseTrail& t) {
+          const size_t changed = state.Score(t, &trial);
           if (changed >= best_changed) return false;
           best_changed = changed;
           best.swap(trial);

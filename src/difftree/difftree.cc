@@ -68,23 +68,16 @@ std::vector<DiffTree>& ChildList::Mutable() {
   return block_->kids;
 }
 
-bool ChildList::Caches() const {
-  return block_->sealed.load(std::memory_order_relaxed) ||
-         block_->refs.load(std::memory_order_relaxed) >= 2;
-}
-
 void ChildList::MarkNormal() const {
   if (block_ != nullptr && Caches()) {
     block_->normal.store(true, std::memory_order_relaxed);
   }
 }
 
-const ChildFacts* ChildList::facts() const {
-  if (block_ == nullptr) return nullptr;
-  uint8_t state = block_->cache.load(std::memory_order_acquire);
-  if (state == Block::kReady) return block_->facts.data();
-  // A private unsealed block may still change in place, so it never caches.
-  if (state != Block::kEmpty || !Caches()) return nullptr;
+const ChildFacts* ChildList::FillFacts() const {
+  // A private unsealed block may still change in place, so it never caches
+  // (facts() asks only sealed or shared ones).
+  uint8_t state = Block::kEmpty;
   if (!block_->cache.compare_exchange_strong(state, Block::kFilling,
                                              std::memory_order_acquire)) {
     return state == Block::kReady ? block_->facts.data() : nullptr;
@@ -120,11 +113,12 @@ const ChildFacts* ChildList::CountedFacts(
   return ready;
 }
 
-void Seal(const DiffTree& tree) {
+void Seal(const DiffTree& tree, bool normal) {
   ChildList::Block* block = tree.children.block_;
   if (block == nullptr || block->sealed.load(std::memory_order_relaxed)) return;
   block->sealed.store(true, std::memory_order_relaxed);
-  for (const DiffTree& c : block->kids) Seal(c);
+  if (normal) block->normal.store(true, std::memory_order_relaxed);
+  for (const DiffTree& c : block->kids) Seal(c, normal);
 }
 
 size_t ChildList::ChoiceCountOf(size_t i) const {

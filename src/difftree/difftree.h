@@ -102,8 +102,9 @@ class ChildList {
   /// ChoiceCount() of child i, from the cache when there is one.
   size_t ChoiceCountOf(size_t i) const;
   /// Normalize's cache: true once every child was found in normal form
-  /// while the block was sealed or shared. MarkNormal records that (a
-  /// private unsealed block ignores it, like the facts cache).
+  /// while the block was sealed or shared, or the block was sealed right
+  /// after a Normalize (see Seal). MarkNormal records the former (a private
+  /// unsealed block ignores it, like the facts cache).
   bool KnownNormal() const;
   void MarkNormal() const;
 
@@ -119,13 +120,15 @@ class ChildList {
   bool operator==(const ChildList& other) const;
 
  private:
-  friend void Seal(const DiffTree& tree);
+  friend void Seal(const DiffTree& tree, bool normal);
   struct Block;
   static void Release(Block* block);
   /// Sealed or shared: the block can no longer change in place.
   bool Caches() const;
   /// The children's facts when they are already cached, else null.
   const ChildFacts* CachedFacts() const;
+  /// facts() of a sealed or shared block whose facts are not ready yet.
+  const ChildFacts* FillFacts() const;
 
   Block* block_ = nullptr;  ///< null for no children
 };
@@ -147,7 +150,7 @@ class ChildList {
 /// costs O(1) and a rewrite copies only the path it edits. One block may sit
 /// at several positions of one tree (All2Any copies a sibling list into every
 /// host), so a node's address does not name its position: choice ids are
-/// positional (see ForEachSelection).
+/// positional (see ChoiceIndex).
 struct DiffTree {
   DKind kind = DKind::kAll;
   Symbol sym = Symbol::kEmpty;  ///< meaningful only when kind == kAll
@@ -254,13 +257,25 @@ inline const ChildFacts* ChildList::CachedFacts() const {
              ? block_->facts.data()
              : nullptr;
 }
+inline bool ChildList::Caches() const {
+  return block_->sealed.load(std::memory_order_relaxed) ||
+         block_->refs.load(std::memory_order_relaxed) >= 2;
+}
+// Inline, since the matcher asks at every node: a ready cache or a private
+// unsealed block answers without a call.
+inline const ChildFacts* ChildList::facts() const {
+  if (const ChildFacts* f = CachedFacts()) return f;
+  return block_ != nullptr && Caches() ? FillFacts() : nullptr;
+}
 
 /// Seals every block of `tree`: from then on non-const access to any of
 /// them copies it, so its caches fill and stay valid. The value does not
 /// change. Sealing stops at blocks already sealed, so sealing a state made
 /// from a sealed one walks only its new blocks. RuleEngine::Apply seals its
-/// results and the searchers seal their initial state.
-void Seal(const DiffTree& tree);
+/// results and the searchers seal their initial state. `normal` says that
+/// `tree` was just normalized, so the blocks it seals are also marked
+/// KnownNormal; only Apply passes it (the initial state is not normalized).
+void Seal(const DiffTree& tree, bool normal = false);
 
 /// \brief A path from the root: the sequence of child indices.
 using TreePath = std::vector<int>;

@@ -8,40 +8,45 @@
 
 namespace ifgen {
 
-std::string Derivation::Encode() const {
-  std::string out;
-  EncodeTo(&out);
-  return out;
-}
+namespace {
 
-void Derivation::EncodeTo(std::string* out) const {
+/// Appends Encode() of `d` to `out`.
+void EncodeInto(const Derivation& d, std::string* out) {
   auto append_int = [out](char tag, int v) {
     char buf[16];
     buf[0] = tag;
     const char* end = std::to_chars(buf + 1, buf + sizeof buf, v).ptr;
     out->append(buf, static_cast<size_t>(end - buf));
   };
-  switch (node->kind) {
+  switch (d.node->kind) {
     case DKind::kAll:
       break;
     case DKind::kAny:
-      append_int('a', choice);
+      append_int('a', d.choice);
       break;
     case DKind::kOpt:
-      out->append(choice != 0 ? "p1" : "p0");
+      out->append(d.choice != 0 ? "p1" : "p0");
       break;
     case DKind::kMulti:
-      append_int('m', choice);
+      append_int('m', d.choice);
       break;
   }
-  if (!children.empty()) {
+  if (!d.children.empty()) {
     out->push_back('(');
-    for (size_t i = 0; i < children.size(); ++i) {
+    for (size_t i = 0; i < d.children.size(); ++i) {
       if (i > 0) out->push_back(' ');
-      children[i].EncodeTo(out);
+      EncodeInto(d.children[i], out);
     }
     out->push_back(')');
   }
+}
+
+}  // namespace
+
+std::string Derivation::Encode() const {
+  std::string out;
+  EncodeInto(*this, &out);
+  return out;
 }
 
 namespace {
@@ -73,90 +78,207 @@ using Cont = FunctionRef<bool(size_t)>;
 
 class Matcher {
  public:
-  explicit Matcher(const MatchOptions& opts) : opts_(opts) {}
+  /// `with_ids`: record each step's positional choice id; without it every
+  /// id is 0 and the matcher never counts a subtree's choices (DerivationOf
+  /// reads values only).
+  Matcher(const MatchOptions& opts, ParseTrail* trail, bool with_ids)
+      : opts_(opts), trail_(*trail), with_ids_(with_ids) {
+    trail_.clear();
+  }
 
   bool exhausted() const { return exhausted_; }
 
-  /// Tries every way `node` can consume a prefix of asts[j...); `deriv` holds
-  /// the derivation of the branch active when `cont` committed. Child
-  /// vectors are resized, never rebuilt, so retries reuse their capacity;
-  /// entries of a failed branch may hold stale values until overwritten.
-  bool MatchOne(const DiffTree& node, AstList asts, size_t j, Derivation* deriv,
-                const Cont& cont) {
+  /// Matches `query` against `root`, calling `on_parse` with the trail of
+  /// each complete parse until it returns true (then so does Run).
+  bool Run(const DiffTree& root, const Ast& query, FunctionRef<bool()> on_parse) {
+    return MatchOne(root, AstList{&query, 1}, 0, 0, [&](size_t j) {
+      if (j != 1) return false;
+      ++parses_;
+      return on_parse();
+    });
+  }
+
+ private:
+  /// A continuation that returned false without reaching a parse, by the
+  /// position it was called at, is dead: it would spend the same steps and
+  /// fail again. Kept only once a search passed this many steps, because
+  /// wrapping every ANY's continuation costs more than ordinary searches
+  /// save; pathological ones (MULTI copies that parse one run of AST nodes
+  /// in exponentially many ways) drop from millions of steps to thousands.
+  static constexpr size_t kDeadEndMemoSteps = 8192;
+  static constexpr size_t kLive = static_cast<size_t>(-1);
+
+  /// Tries every way `node`, whose first choice id is `id`, can consume a
+  /// prefix of asts[j...). Called with the trail holding exactly the steps
+  /// of the branch so far; calls `cont` with the trail holding those plus
+  /// `node`'s. Steps past that may be stale on return, so callers truncate
+  /// before trying another branch.
+  bool MatchOne(const DiffTree& node, AstList asts, size_t j, int id, const Cont& cont) {
     if (!CountStep()) return false;
-    deriv->node = &node;
-    deriv->choice = -1;
     switch (node.kind) {
       case DKind::kAll: {
-        if (node.sym == Symbol::kEmpty) {
-          deriv->children.clear();
-          return cont(j);
-        }
-        if (node.sym == Symbol::kSeq) {
-          deriv->children.resize(node.children.size());
-          return MatchList(node.children, asts, 0, j, &deriv->children, cont);
-        }
+        if (node.sym == Symbol::kEmpty) return cont(j);
+        const ChildFacts* f = node.children.facts();
+        if (node.sym == Symbol::kSeq) return MatchList(node.children, f, asts, 0, j, id, cont);
         if (!HeadMatches(node, asts, j)) return false;
         // The node's children must expand to exactly a.children; different
         // inner parses are explored via the continuation so enumeration of
         // derivations is complete.
         const Ast& a = asts[j];
         const AstList sub{a.children.data(), a.children.size()};
-        deriv->children.resize(node.children.size());
-        return MatchList(node.children, sub, 0, 0, &deriv->children, [&](size_t used) {
+        return MatchList(node.children, f, sub, 0, 0, id, [&](size_t used) {
           if (used != sub.size()) return false;
           return cont(j + 1);
         });
       }
       case DKind::kAny: {
-        deriv->children.resize(1);
-        for (size_t alt = 0; alt < node.children.size(); ++alt) {
-          const DiffTree& option = node.children[alt];
-          // An ALL alternative whose head cannot match fails on its first
-          // step; count that step without touching the derivation.
-          if (IsHeadedAll(option) && !HeadMatches(option, asts, j)) {
-            if (!CountStep()) return false;
-            continue;
-          }
-          deriv->choice = static_cast<int>(alt);
-          if (MatchOne(option, asts, j, &deriv->children[0], cont)) return true;
-          if (exhausted_) return false;
-        }
-        return false;
+        if (steps_ < kDeadEndMemoSteps) return MatchAny(node, asts, j, id, cont);
+        return MatchAnyMemo(node, asts, j, id, cont);
       }
       case DKind::kOpt: {
         // Prefer present (consumes input) over absent; backtracking covers
         // the other order.
-        deriv->choice = 1;
-        deriv->children.resize(1);
-        if (MatchOne(node.children[0], asts, j, &deriv->children[0], cont)) return true;
+        const size_t at = trail_.size();
+        trail_.push_back({id, 1, 0});
+        if (MatchChild(node.children, node.children.facts(), 0, asts, j, id + 1, cont)) {
+          return true;
+        }
         if (exhausted_) return false;
-        deriv->choice = 0;
-        deriv->children.clear();
+        trail_.resize(at + 1);
+        trail_[at].value = 0;
         return cont(j);
       }
       case DKind::kMulti: {
-        deriv->choice = 0;
-        deriv->children.clear();
-        // MatchMulti resizes deriv->children while recursion holds pointers
-        // to earlier elements; reserving up front pins them in place.
-        deriv->children.reserve(opts_.max_multi + 1);
-        return MatchMulti(node, asts, j, 0, deriv, cont);
+        const size_t at = trail_.size();
+        trail_.push_back({id, 0, 0});
+        return MatchMulti(node, asts, j, id, at, 0, cont);
       }
     }
     return false;
   }
 
-  /// Matches a child list (sequence semantics) against asts[j...).
-  bool MatchList(const ChildList& items, AstList asts, size_t i, size_t j,
-                 std::vector<Derivation>* derivs, const Cont& cont) {
+  /// MatchOne of child `i` of `kids`, whose cached facts are `f` (or
+  /// null). A child without choice nodes has at most one way to match,
+  /// found by MatchFixed without continuations.
+  bool MatchChild(const ChildList& kids, const ChildFacts* f, size_t i, AstList asts,
+                  size_t j, int id, const Cont& cont) {
+    if (f == nullptr || f[i].choices != 0) return MatchOne(kids[i], asts, j, id, cont);
+    size_t end = j;
+    return MatchFixed(kids[i], asts, j, &end) && cont(end);
+  }
+
+  /// Matches a choice-free subtree against asts[j...), setting `*end` past
+  /// what it consumed. Spends one step per node it reaches, in the order
+  /// MatchOne would reach them, so the budget runs out at the same node.
+  bool MatchFixed(const DiffTree& node, AstList asts, size_t j, size_t* end) {
+    if (!CountStep()) return false;
+    if (node.sym == Symbol::kEmpty) {
+      *end = j;
+      return true;
+    }
+    if (node.sym == Symbol::kSeq) {
+      for (const DiffTree& c : node.children) {
+        if (!MatchFixed(c, asts, j, &j)) return false;
+      }
+      *end = j;
+      return true;
+    }
+    if (!HeadMatches(node, asts, j)) return false;
+    const Ast& a = asts[j];
+    const AstList sub{a.children.data(), a.children.size()};
+    size_t used = 0;
+    for (const DiffTree& c : node.children) {
+      if (!MatchFixed(c, sub, used, &used)) return false;
+    }
+    *end = j + 1;
+    return used == sub.size();
+  }
+
+  /// Matches a child list (sequence semantics) against asts[j...); `id` is
+  /// the first choice id of child i, `f` the list's cached facts or null.
+  bool MatchList(const ChildList& items, const ChildFacts* f, AstList asts, size_t i,
+                 size_t j, int id, const Cont& cont) {
+    // Choice-free children match in place; their ids take no room.
+    for (; i < items.size() && f != nullptr && f[i].choices == 0; ++i) {
+      if (!MatchFixed(items[i], asts, j, &j)) return false;
+    }
     if (i == items.size()) return cont(j);
-    return MatchOne(items[i], asts, j, &(*derivs)[i], [&](size_t j2) {
-      return MatchList(items, asts, i + 1, j2, derivs, cont);
+    return MatchOne(items[i], asts, j, id, [&](size_t j2) {
+      const int next = id + Choices(items, f, i);
+      return MatchList(items, f, asts, i + 1, j2, next, cont);
     });
   }
 
- private:
+  /// An ANY tries its alternatives in order.
+  bool MatchAny(const DiffTree& node, AstList asts, size_t j, int id, const Cont& cont) {
+    const size_t at = trail_.size();
+    trail_.push_back({id, 0, 0});
+    const ChildFacts* f = node.children.facts();
+    int alt_id = id + 1;  // first choice id of alternative `counted`
+    size_t counted = 0;
+    for (size_t alt = 0; alt < node.children.size(); ++alt) {
+      const DiffTree& option = node.children[alt];
+      // An ALL alternative whose head cannot match fails on its first step;
+      // count that step without touching the trail.
+      if (IsHeadedAll(option) && !HeadMatches(option, asts, j)) {
+        if (!CountStep()) return false;
+        continue;
+      }
+      for (; counted < alt; ++counted) alt_id += Choices(node.children, f, counted);
+      trail_.resize(at + 1);
+      trail_[at].value = static_cast<int32_t>(alt);
+      if (MatchChild(node.children, f, alt, asts, j, alt_id, cont)) return true;
+      if (exhausted_) return false;
+    }
+    return false;
+  }
+
+  /// MatchAny with `cont` behind the dead-continuation memo: a position
+  /// whose continuation failed without a parse is not tried again; its
+  /// recorded steps are charged instead, so the budget runs out exactly
+  /// where the repeated calls would have run it out.
+  bool MatchAnyMemo(const DiffTree& node, AstList asts, size_t j, int id,
+                    const Cont& cont) {
+    std::vector<size_t> dead(asts.size() - j + 1, kLive);
+    return MatchAny(node, asts, j, id, [&](size_t j2) {
+      size_t& spent = dead[j2 - j];
+      if (spent != kLive) {
+        steps_ += spent;
+        if (steps_ > opts_.max_steps) exhausted_ = true;
+        return false;
+      }
+      const size_t steps = steps_;
+      const size_t parses = parses_;
+      if (cont(j2)) return true;
+      if (!exhausted_ && parses_ == parses) spent = steps_ - steps;
+      return false;
+    });
+  }
+
+  /// A MULTI at trail index `at` with `count` copies matched: stop here, or
+  /// match one more copy. Prefers fewer copies.
+  bool MatchMulti(const DiffTree& node, AstList asts, size_t j, int id, size_t at,
+                  size_t count, const Cont& cont) {
+    const size_t here = trail_.size();
+    trail_[at].value = static_cast<int32_t>(count);
+    trail_[at].end = static_cast<uint32_t>(here);
+    if (cont(j)) return true;
+    if (exhausted_ || count >= opts_.max_multi) return false;
+    trail_.resize(here);
+    return MatchChild(node.children, node.children.facts(), 0, asts, j, id + 1,
+                      [&](size_t j2) {
+                        if (j2 == j) return false;  // forbid empty repetitions
+                        return MatchMulti(node, asts, j2, id, at, count + 1, cont);
+                      });
+  }
+
+  /// Choice count of child `i` of `kids` (0 without ids), from its cached
+  /// facts `f` when the block has them.
+  int Choices(const ChildList& kids, const ChildFacts* f, size_t i) const {
+    if (!with_ids_) return 0;
+    return static_cast<int>(f != nullptr ? f[i].choices : kids[i].ChoiceCount());
+  }
+
   /// Spends one step of the budget; false once it is exhausted.
   bool CountStep() {
     if (++steps_ > opts_.max_steps) {
@@ -175,61 +297,49 @@ class Matcher {
     return j < asts.size() && asts[j].sym == n.sym && asts[j].value == n.value;
   }
 
-  bool MatchMulti(const DiffTree& node, AstList asts, size_t j, size_t count,
-                  Derivation* deriv, const Cont& cont) {
-    // Prefer fewer copies: try stopping first.
-    deriv->choice = static_cast<int>(count);
-    deriv->children.resize(count);
-    if (cont(j)) return true;
-    if (exhausted_ || count >= opts_.max_multi) return false;
-    deriv->children.resize(count + 1);
-    bool ok = MatchOne(node.children[0], asts, j, &deriv->children[count],
-                       [&](size_t j2) {
-                         if (j2 == j) return false;  // forbid empty repetitions
-                         return MatchMulti(node, asts, j2, count + 1, deriv, cont);
-                       });
-    if (!ok) {
-      deriv->choice = static_cast<int>(count);
-      deriv->children.resize(count);
-    }
-    return ok;
-  }
-
   const MatchOptions& opts_;
+  ParseTrail& trail_;
+  const bool with_ids_;
   size_t steps_ = 0;
+  size_t parses_ = 0;
   bool exhausted_ = false;
 };
 
-}  // namespace
-
-std::optional<Derivation> MatchQuery(const DiffTree& root, const Ast& query,
-                                     const MatchOptions& opts) {
-  Matcher m(opts);
-  Derivation deriv;
-  bool ok = m.MatchOne(root, AstList{&query, 1}, 0, &deriv,
-                       [](size_t j) { return j == 1; });
-  if (m.exhausted()) {
-    BudgetExhaustedMetric().Inc();
-    IFGEN_LOG(Warning) << "matcher step budget exhausted; treating as no-match";
-    return std::nullopt;
+/// DerivationOf's walk, filling `*d`: `next` is the trail step of the next
+/// choice node.
+void BuildDerivation(const DiffTree& node, const ParseStep*& next, Derivation* d) {
+  d->node = &node;
+  if (node.kind == DKind::kAll) {
+    d->children.resize(node.children.size());
+    for (size_t i = 0; i < node.children.size(); ++i) {
+      BuildDerivation(node.children[i], next, &d->children[i]);
+    }
+    return;
   }
-  if (!ok) return std::nullopt;
-  return deriv;
+  d->choice = (next++)->value;
+  // kAny: the chosen alternative; kOpt: the child, when present; kMulti: one
+  // derivation per copy of the child.
+  const bool any = node.kind == DKind::kAny;
+  const DiffTree& child = node.children[any ? static_cast<size_t>(d->choice) : 0];
+  const size_t copies = node.kind == DKind::kMulti ? static_cast<size_t>(d->choice)
+                        : any || d->choice != 0    ? 1
+                                                   : 0;
+  d->children.resize(copies);
+  for (Derivation& c : d->children) BuildDerivation(child, next, &c);
 }
 
-size_t ForEachDerivation(const DiffTree& root, const Ast& query, size_t limit,
-                         Derivation* scratch, const DerivationVisitor& visit,
-                         const MatchOptions& opts) {
+/// ForEachParse, with ids recorded or not.
+size_t VisitParses(const DiffTree& root, const Ast& query, size_t limit, ParseTrail* trail,
+                   bool with_ids, const ParseVisitor& visit, const MatchOptions& opts) {
   if (limit == 0) return 0;
-  Matcher m(opts);
+  Matcher m(opts, trail, with_ids);
   size_t visited = 0;
-  // The continuation reports failure after visiting each complete parse so
-  // the matcher keeps backtracking into the next one, until `limit` or until
-  // the visitor stops it.
-  m.MatchOne(root, AstList{&query, 1}, 0, scratch, [&](size_t j) {
-    if (j != 1) return false;
+  // Each parse reports failure after its visit, so the matcher keeps
+  // backtracking into the next one, until `limit` or until the visitor
+  // stops it.
+  m.Run(root, query, [&] {
     ++visited;
-    return visit(*scratch) || visited >= limit;  // true stops the search
+    return visit(*trail) || visited >= limit;  // true stops the search
   });
   // The parses visited before the budget ran out still count (and are priced
   // by PlanTransitions); the counter makes the truncation visible.
@@ -237,16 +347,46 @@ size_t ForEachDerivation(const DiffTree& root, const Ast& query, size_t limit,
   return visited;
 }
 
+}  // namespace
+
+Derivation DerivationOf(const DiffTree& root, const ParseTrail& trail) {
+  const ParseStep* next = trail.data();
+  Derivation d;
+  BuildDerivation(root, next, &d);
+  IFGEN_DCHECK(next == trail.data() + trail.size());
+  return d;
+}
+
+std::optional<Derivation> MatchQuery(const DiffTree& root, const Ast& query,
+                                     const MatchOptions& opts) {
+  ParseTrail trail;
+  Matcher m(opts, &trail, /*with_ids=*/false);
+  const bool ok = m.Run(root, query, [] { return true; });
+  if (m.exhausted()) {
+    BudgetExhaustedMetric().Inc();
+    IFGEN_LOG(Warning) << "matcher step budget exhausted; treating as no-match";
+    return std::nullopt;
+  }
+  if (!ok) return std::nullopt;
+  return DerivationOf(root, trail);
+}
+
+size_t ForEachParse(const DiffTree& root, const Ast& query, size_t limit,
+                    ParseTrail* trail, const ParseVisitor& visit,
+                    const MatchOptions& opts) {
+  return VisitParses(root, query, limit, trail, /*with_ids=*/true, visit, opts);
+}
+
 std::vector<Derivation> EnumerateDerivations(const DiffTree& root, const Ast& query,
                                              size_t limit, const MatchOptions& opts) {
   std::vector<Derivation> out;
-  Derivation scratch;
-  ForEachDerivation(root, query, limit, &scratch,
-                    [&](const Derivation& d) {
-                      out.push_back(d);
-                      return false;
-                    },
-                    opts);
+  ParseTrail trail;
+  VisitParses(root, query, limit, &trail, /*with_ids=*/false,
+              [&](const ParseTrail& t) {
+                out.push_back(DerivationOf(root, t));
+                return false;
+              },
+              opts);
   return out;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,14 +30,12 @@ struct Derivation {
   /// Canonical encoding of every choice made in this derivation subtree;
   /// two derivations encode equal iff they make identical choices.
   std::string Encode() const;
-  /// Appends Encode() to `out`, so a reused buffer encodes without allocating.
-  void EncodeTo(std::string* out) const;
 };
 
 /// \brief Limits for the backtracking matcher.
 struct MatchOptions {
   /// Backtracking step budget. Exceeding it makes MatchQuery report
-  /// no-match (logged) and ForEachDerivation / EnumerateDerivations stop
+  /// no-match (logged) and ForEachParse / EnumerateDerivations stop
   /// after the parses found so far; each bumps
   /// `ifgen_match_budget_exhausted_total`.
   size_t max_steps = 2'000'000;
@@ -50,22 +49,44 @@ struct MatchOptions {
 std::optional<Derivation> MatchQuery(const DiffTree& root, const Ast& query,
                                      const MatchOptions& opts = {});
 
-/// Receives the live derivation at each complete parse; true stops the search.
-using DerivationVisitor = FunctionRef<bool(const Derivation&)>;
+/// \brief One choice of a parse: a choice node's positional id (ChoiceIndex
+/// numbering) and the value it takes there.
+struct ParseStep {
+  int32_t id;
+  /// kAny: index of the chosen alternative. kOpt: 1 if present else 0.
+  /// kMulti: repetition count.
+  int32_t value;
+  /// kMulti: one past the trail index of the last step inside its copies,
+  /// so the steps after it up to `end` are its sub-trail. 0 for kAny/kOpt.
+  uint32_t end;
+};
 
-/// \brief Hands up to `limit` distinct derivations of `query` to `visit`, in
-/// EnumerateDerivations' order, without copying them: `visit` sees the
-/// matcher's live derivation, which lives in `*scratch` and is overwritten by
-/// the next parse. `visit` returns true to stop. Reusing one scratch across
-/// calls (even on other trees) reuses its child-vector capacity. Returns the
-/// number of parses visited; a search cut off by `max_steps` bumps
-/// `ifgen_match_budget_exhausted_total`.
-size_t ForEachDerivation(const DiffTree& root, const Ast& query, size_t limit,
-                         Derivation* scratch, const DerivationVisitor& visit,
-                         const MatchOptions& opts = {});
+/// \brief A parse as a flat pre-order trail: one step per choice node the
+/// parse passes through, the copies of a MULTI one after another after the
+/// MULTI's own step. For a fixed tree the trail determines the derivation
+/// (see DerivationOf), and vice versa.
+using ParseTrail = std::vector<ParseStep>;
 
-/// \brief Enumerates up to `limit` distinct derivations of `query`: a copy of
-/// each parse ForEachDerivation visits.
+/// Receives the matcher's live trail at each complete parse; true stops the
+/// search.
+using ParseVisitor = FunctionRef<bool(const ParseTrail&)>;
+
+/// \brief Hands up to `limit` distinct parses of `query` to `visit` as
+/// trails, in EnumerateDerivations' order, without copying them: `visit`
+/// sees the matcher's live trail, which lives in `*trail` and is overwritten
+/// by the next parse. `visit` returns true to stop. Reusing one trail across
+/// calls reuses its capacity. Returns the number of parses visited; a search
+/// cut off by `max_steps` bumps `ifgen_match_budget_exhausted_total`.
+size_t ForEachParse(const DiffTree& root, const Ast& query, size_t limit,
+                    ParseTrail* trail, const ParseVisitor& visit,
+                    const MatchOptions& opts = {});
+
+/// \brief The derivation a trail of `root` records, built by one walk of
+/// the tree guided by the trail's values.
+Derivation DerivationOf(const DiffTree& root, const ParseTrail& trail);
+
+/// \brief Enumerates up to `limit` distinct derivations of `query`: the
+/// derivation of each parse ForEachParse visits.
 std::vector<Derivation> EnumerateDerivations(const DiffTree& root, const Ast& query,
                                              size_t limit,
                                              const MatchOptions& opts = {});

@@ -50,13 +50,32 @@ void ForEachChildPosition(const Positions& pos, D& d, int at, Visit&& visit) {
   for (auto& c : d.children) visit(c, child);
 }
 
-void ForEachSelectionRec(const Positions& pos, const Derivation& d, int at,
-                         bool inside_multi, const SelectionVisitor& visit) {
+/// Fills `out` with the selections of `d`, whose node sits at position
+/// `at`, in pre-order.
+void ExtractRec(const Positions& pos, const Derivation& d, int at, bool inside_multi,
+                SelectionMap* out) {
   IFGEN_DCHECK(d.node != nullptr && static_cast<size_t>(at) + 1 < pos.size());
-  if (d.node->IsChoice() && !inside_multi) visit(pos[static_cast<size_t>(at)].first_id, d);
+  if (!inside_multi) {
+    const int id = pos[static_cast<size_t>(at)].first_id;
+    switch (d.node->kind) {
+      case DKind::kAny:
+        (*out)[id] = "a" + std::to_string(d.choice);
+        break;
+      case DKind::kOpt:
+        (*out)[id] = d.choice != 0 ? "p1" : "p0";
+        break;
+      case DKind::kMulti:
+        // The adder widget's value is the full sub-derivation (count plus
+        // every nested choice in every copy).
+        (*out)[id] = d.Encode();
+        break;
+      case DKind::kAll:
+        break;
+    }
+  }
   const bool next_inside = inside_multi || d.node->kind == DKind::kMulti;
   ForEachChildPosition(pos, d, at, [&](const Derivation& c, int child) {
-    ForEachSelectionRec(pos, c, child, next_inside, visit);
+    ExtractRec(pos, c, child, next_inside, out);
   });
 }
 
@@ -75,34 +94,13 @@ Derivation* FindChoiceRec(const Positions& pos, Derivation* d, int at, int id) {
 
 }  // namespace
 
-void ForEachSelection(const ChoiceIndex& index, const Derivation& deriv,
-                      const SelectionVisitor& visit) {
-  ForEachSelectionRec(index.positions(), deriv, /*at=*/0, /*inside_multi=*/false, visit);
-}
-
 Derivation* FindChoice(const ChoiceIndex& index, Derivation* deriv, int id) {
   return FindChoiceRec(index.positions(), deriv, /*at=*/0, id);
 }
 
 SelectionMap ExtractSelections(const ChoiceIndex& index, const Derivation& deriv) {
   SelectionMap out;
-  ForEachSelection(index, deriv, [&](int id, const Derivation& d) {
-    switch (d.node->kind) {
-      case DKind::kAny:
-        out[id] = "a" + std::to_string(d.choice);
-        break;
-      case DKind::kOpt:
-        out[id] = d.choice != 0 ? "p1" : "p0";
-        break;
-      case DKind::kMulti:
-        // The adder widget's value is the full sub-derivation (count plus
-        // every nested choice in every copy).
-        out[id] = d.Encode();
-        break;
-      case DKind::kAll:
-        break;
-    }
-  });
+  ExtractRec(index.positions(), deriv, /*at=*/0, /*inside_multi=*/false, &out);
   return out;
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "difftree/match.h"
-#include "util/function_ref.h"
 
 namespace ifgen {
 
@@ -16,7 +15,7 @@ namespace ifgen {
 /// several positions (see DiffTree), so `node(id)` may return the same object
 /// for two ids. Ids of a derivation's nodes therefore come from walking the
 /// derivation in step with the tree's pre-order positions (see
-/// ForEachSelection), never from addresses. The cost model, the widget
+/// ExtractSelections), never from addresses. The cost model, the widget
 /// assigner, and the interface runtime all address widgets by choice id.
 class ChoiceIndex {
  public:
@@ -47,22 +46,15 @@ class ChoiceIndex {
 /// inside MULTI subtrees are folded into the MULTI's own encoding.
 using SelectionMap = std::unordered_map<int, std::string>;
 
-/// Receives a selection: the choice id and the choice node's derivation.
-using SelectionVisitor = FunctionRef<void(int, const Derivation&)>;
-
-/// \brief Visits the selections of a derivation in pre-order: every choice
-/// node outside MULTI subtrees (a MULTI's own selection covers them). This is
-/// the order ExtractSelections fills its map in. `index` is the ChoiceIndex
-/// of the tree the derivation was matched against (all the functions below
-/// take it so); a node's id is that of its position in the walk.
-void ForEachSelection(const ChoiceIndex& index, const Derivation& deriv,
-                      const SelectionVisitor& visit);
-
 /// \brief The derivation node of choice `id`, with the MULTI copies searched
 /// in order; null when the choice is not on the derivation's active path.
+/// `index` is the ChoiceIndex of the tree the derivation was matched against
+/// (ExtractSelections takes it so too).
 Derivation* FindChoice(const ChoiceIndex& index, Derivation* deriv, int id);
 
-/// Extracts the selection map from a derivation.
+/// \brief Extracts the selection map from a derivation: one entry per
+/// choice node outside MULTI subtrees (a MULTI's own selection covers them),
+/// filled in pre-order; a node's id is that of its position in the walk.
 SelectionMap ExtractSelections(const ChoiceIndex& index, const Derivation& deriv);
 
 /// Number of selections that differ between consecutive queries under sticky

@@ -127,8 +127,9 @@ Result<DiffTree> RuleEngine::Apply(const DiffTree& root,
       rules_[static_cast<size_t>(app.rule_index)]->ApplyAt(target, app, opts_));
   Normalize(&next);
   // Sealed first, so the size check fills the new blocks' facts that the
-  // counts and hashes of the state read next.
-  Seal(next);
+  // counts and hashes of the state read next. Every block is in normal form
+  // now, so the next Apply's Normalize skips the ones sealed here.
+  Seal(next, /*normal=*/true);
   if (next.NodeCount() > opts_.max_tree_nodes) {
     return Status::ResourceExhausted(
         StrFormat("result tree exceeds %zu nodes", opts_.max_tree_nodes));

@@ -14,6 +14,7 @@
 #include "difftree/builder.h"
 #include "difftree/selection.h"
 #include "interface/assignment.h"
+#include "reference_matcher.h"
 #include "rollout_states.h"
 #include "sql/parser.h"
 #include "util/hash.h"
@@ -400,8 +401,8 @@ TEST(EvaluationPin, RolloutStatesEvaluateBitForBit) {
 
 // ---------------------------------------------------------------------------
 // Transition planning against its reference: the planner that copied every
-// parse out of EnumerateDerivations, built its SelectionMap and counted
-// changes on a copy of the sticky state.
+// parse out of the reference (Derivation-building) matcher, built its
+// SelectionMap and counted changes on a copy of the sticky state.
 
 TransitionPlan ReferencePlan(const DiffTree& tree, const std::vector<Ast>& queries,
                              size_t parse_limit) {
@@ -409,7 +410,8 @@ TransitionPlan ReferencePlan(const DiffTree& tree, const std::vector<Ast>& queri
   ChoiceIndex index(tree);
   SelectionMap state;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    std::vector<Derivation> derivs = EnumerateDerivations(tree, queries[qi], parse_limit);
+    std::vector<Derivation> derivs =
+        reference::Enumerate(tree, queries[qi], parse_limit).parses;
     if (derivs.empty()) {
       plan.valid = false;
       plan.invalid_reason = "query " + std::to_string(qi) + " inexpressible";
@@ -468,6 +470,10 @@ TEST(Plan, MatchesReferencePlanner) {
         const TransitionPlan want = ReferencePlan(states[i], queries, limit);
         const TransitionPlan got = PlanTransitions(states[i], queries, limit);
         ExpectSamePlan(got, want, where);
+        // Unsealed, the matcher counts choices below each node itself
+        // instead of reading the blocks' cached counts.
+        ExpectSamePlan(PlanTransitions(DeepCopy(states[i]), queries, limit), want,
+                       where + " deep copy");
         ExpectSamePlan(PlanTransitions(states[i], broken, limit),
                        ReferencePlan(states[i], broken, limit), where + " broken");
         for (const std::vector<int>& ids : want.changed_ids) {
@@ -479,6 +485,37 @@ TEST(Plan, MatchesReferencePlanner) {
     // The order rule is exercised: several ids change, out of id order.
     EXPECT_GT(multi_id, 0u) << workload;
     EXPECT_GT(reordered, 0u) << workload;
+  }
+}
+
+TEST(Plan, MultiCodesCoverCountsAndCopies) {
+  // PROJECT(MULTI(a), MULTI(ANY(b, c))): ids 0 (the first MULTI), 1 (the
+  // second) and 2 (its ANY). The first MULTI's copies have no choices, so
+  // only their count tells its selections apart; the second's copies differ
+  // by their ANY values at equal counts.
+  DiffTree proj(Symbol::kProject, "");
+  proj.children.push_back(DiffTree::Multi(DiffTree::FromAst(Col("a"))));
+  proj.children.push_back(DiffTree::Multi(
+      DiffTree::Any({DiffTree::FromAst(Col("b")), DiffTree::FromAst(Col("c"))})));
+  auto cols = [](std::vector<std::string> names) {
+    std::vector<Ast> out;
+    for (const std::string& n : names) out.push_back(Col(n));
+    return Ast(Symbol::kProject, "", std::move(out));
+  };
+  const std::vector<Ast> queries = {cols({"a", "b"}),      cols({"a", "a", "b"}),
+                                    cols({"a", "a", "b"}), cols({"a", "a", "c"}),
+                                    cols({"b", "c"}),      cols({"a", "c", "b"}),
+                                    cols({"a", "b", "c"})};
+  const std::vector<std::vector<int>> want_ids = {{}, {0}, {}, {1}, {0, 1}, {0, 1}, {1}};
+  for (bool sealed : {false, true}) {
+    if (sealed) Seal(proj);
+    const TransitionPlan want = ReferencePlan(proj, queries, kParseLimit);
+    ASSERT_TRUE(want.valid);
+    std::vector<std::vector<int>> sorted = want.changed_ids;
+    for (std::vector<int>& ids : sorted) std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(sorted, want_ids);
+    ExpectSamePlan(PlanTransitions(proj, queries, kParseLimit), want,
+                   sealed ? "sealed" : "unsealed");
   }
 }
 

@@ -11,6 +11,7 @@
 #include "difftree/normalize.h"
 #include "difftree/selection.h"
 #include "obs/metrics.h"
+#include "reference_matcher.h"
 #include "rollout_states.h"
 #include "rules/rule.h"
 #include "sql/parser.h"
@@ -271,12 +272,13 @@ TEST(Match, EnumerateDerivationsFindsAmbiguity) {
   EXPECT_EQ(parses.size(), 2u);
 }
 
-/// Encode() of every parse ForEachDerivation visits, reusing `scratch`.
+/// Encode() of the derivation of every parse ForEachParse visits, reusing
+/// `trail`.
 std::vector<std::string> VisitedEncodings(const DiffTree& d, const Ast& q, size_t limit,
-                                          Derivation* scratch) {
+                                          ParseTrail* trail) {
   std::vector<std::string> seen;
-  const size_t n = ForEachDerivation(d, q, limit, scratch, [&](const Derivation& v) {
-    seen.push_back(v.Encode());
+  const size_t n = ForEachParse(d, q, limit, trail, [&](const ParseTrail& t) {
+    seen.push_back(DerivationOf(d, t).Encode());
     return false;
   });
   EXPECT_EQ(n, seen.size());
@@ -289,7 +291,7 @@ std::vector<std::string> EnumeratedEncodings(const DiffTree& d, const Ast& q, si
   return out;
 }
 
-TEST(Match, ForEachDerivationFollowsEnumerateOrder) {
+TEST(Match, ForEachParseFollowsEnumerateOrder) {
   // PROJECT(OPT(ANY(a, a)), MULTI(ANY(a, a))) parses PROJECT(a, a) eight
   // ways: OPT present (2) x one copy (2), and OPT absent x two copies (4).
   auto a_or_a = [] {
@@ -300,19 +302,18 @@ TEST(Match, ForEachDerivationFollowsEnumerateOrder) {
   proj.children.push_back(DiffTree::Multi(a_or_a()));
   const Ast aa(Symbol::kProject, "", {Col("a"), Col("a")});
 
-  Derivation scratch;
+  ParseTrail trail;
   const std::vector<std::string> all = EnumeratedEncodings(proj, aa, 100);
   ASSERT_EQ(all.size(), 8u);
-  EXPECT_EQ(VisitedEncodings(proj, aa, 100, &scratch), all);
+  EXPECT_EQ(VisitedEncodings(proj, aa, 100, &trail), all);
 
   // `limit` caps the visits; a visitor returning true stops at once.
-  EXPECT_EQ(VisitedEncodings(proj, aa, 3, &scratch),
+  EXPECT_EQ(VisitedEncodings(proj, aa, 3, &trail),
             std::vector<std::string>(all.begin(), all.begin() + 3));
-  EXPECT_EQ(ForEachDerivation(proj, aa, 0, &scratch, [](const Derivation&) { return false; }),
-            0u);
+  EXPECT_EQ(ForEachParse(proj, aa, 0, &trail, [](const ParseTrail&) { return false; }), 0u);
   size_t calls = 0;
-  EXPECT_EQ(ForEachDerivation(proj, aa, 100, &scratch,
-                              [&](const Derivation&) { return ++calls == 2; }),
+  EXPECT_EQ(ForEachParse(proj, aa, 100, &trail,
+                         [&](const ParseTrail&) { return ++calls == 2; }),
             2u);
   EXPECT_EQ(calls, 2u);
 
@@ -322,20 +323,168 @@ TEST(Match, ForEachDerivationFollowsEnumerateOrder) {
   MatchOptions tiny;
   tiny.max_steps = 3;
   const uint64_t before = exhausted->Value();
-  EXPECT_EQ(ForEachDerivation(proj, aa, 100, &scratch,
-                              [](const Derivation&) { return false; }, tiny),
+  EXPECT_EQ(ForEachParse(proj, aa, 100, &trail, [](const ParseTrail&) { return false; }, tiny),
             0u);
   EXPECT_EQ(exhausted->Value(), before + 1);
 
-  // One scratch reused across trees gives what a fresh match gives.
+  // One trail reused across trees gives what a fresh match gives.
   const std::vector<Ast> log = {Q("select top 10 a from t where x = 1 and y = 2"),
                                 Q("select b from t"), Q("select a, b from t where x = 3")};
   const DiffTree built = *BuildInitialTree(log);
   for (const Ast& q : log) {
-    EXPECT_EQ(VisitedEncodings(built, q, 8, &scratch), EnumeratedEncodings(built, q, 8));
-    EXPECT_EQ(VisitedEncodings(proj, aa, 8, &scratch), all);
+    EXPECT_EQ(VisitedEncodings(built, q, 8, &trail), EnumeratedEncodings(built, q, 8));
+    EXPECT_EQ(VisitedEncodings(proj, aa, 8, &trail), all);
   }
   EXPECT_EQ(exhausted->Value(), before + 1);
+}
+
+TEST(Match, TrailRecordsPositionalChoices) {
+  // PROJECT(OPT(ANY(a, b)), MULTI(ANY(a, OPT(b)))): choice ids 0..4 in
+  // pre-order. PROJECT(a, b, a) parses first as OPT present with a, then
+  // two copies: b (through the OPT) and a.
+  DiffTree proj(Symbol::kProject, "");
+  proj.children.push_back(DiffTree::Opt(
+      DiffTree::Any({DiffTree::FromAst(Col("a")), DiffTree::FromAst(Col("b"))})));
+  proj.children.push_back(DiffTree::Multi(DiffTree::Any(
+      {DiffTree::FromAst(Col("a")), DiffTree::Opt(DiffTree::FromAst(Col("b")))})));
+  const Ast q(Symbol::kProject, "", {Col("a"), Col("b"), Col("a")});
+  ParseTrail trail;
+  std::vector<std::vector<int>> first;  // {id, value, end} per step
+  ASSERT_EQ(ForEachParse(proj, q, 1, &trail, [&](const ParseTrail& t) {
+              for (const ParseStep& s : t) first.push_back({s.id, s.value, static_cast<int>(s.end)});
+              return false;
+            }),
+            1u);
+  const std::vector<std::vector<int>> want = {
+      {0, 1, 0}, {1, 0, 0},             // OPT present, ANY picks a
+      {2, 2, 6},                        // MULTI: two copies, steps 3..5
+      {3, 1, 0}, {4, 1, 0},             // copy 1: ANY picks OPT(b), present
+      {3, 0, 0}};                       // copy 2: ANY picks a
+  EXPECT_EQ(first, want);
+  EXPECT_EQ(DerivationOf(proj, trail).Encode(), EnumerateDerivations(proj, q, 1)[0].Encode());
+}
+
+std::vector<std::string> Encodings(const std::vector<Derivation>& ds) {
+  std::vector<std::string> out;
+  for (const Derivation& d : ds) out.push_back(d.Encode());
+  return out;
+}
+
+/// Compares EnumerateDerivations and MatchQuery with the reference matcher
+/// on one (tree, query, limit, budget): the same parses in the same order,
+/// and the same exhaustion, seen through the counter. Returns the
+/// reference's step count.
+size_t ExpectMatchesReference(const DiffTree& d, const Ast& q, size_t limit,
+                              const MatchOptions& opts, const std::string& where) {
+  obs::Counter* exhausted = obs::MetricsRegistry::Default().GetCounter(
+      "ifgen_match_budget_exhausted_total", "");
+  const reference::MatchRun want = reference::Enumerate(d, q, limit, opts);
+  uint64_t before = exhausted->Value();
+  EXPECT_EQ(Encodings(EnumerateDerivations(d, q, limit, opts)), Encodings(want.parses))
+      << where;
+  EXPECT_EQ(exhausted->Value() - before, want.exhausted ? 1u : 0u) << where;
+
+  const std::optional<Derivation> first = reference::Match(d, q, opts);
+  before = exhausted->Value();
+  const std::optional<Derivation> got = MatchQuery(d, q, opts);
+  EXPECT_EQ(got.has_value(), first.has_value()) << where;
+  if (got && first) EXPECT_EQ(got->Encode(), first->Encode()) << where;
+  // MatchQuery counts its own cut-off, which may differ from the full
+  // enumeration's (it stops at the first parse).
+  EXPECT_EQ(exhausted->Value() - before,
+            reference::Enumerate(d, q, 1, opts).exhausted ? 1u : 0u)
+      << where;
+  return want.steps;
+}
+
+TEST(Match, TrailMatcherMatchesReferenceOnRolloutStates) {
+  for (const char* workload : {"sdss", "flights", "synthetic"}) {
+    const std::vector<Ast> queries = *ParseQueries(LoadWorkload(workload, 10)->log);
+    std::vector<DiffTree> states = RolloutStates(queries, 5, 20, 0.8);
+    for (DiffTree& s : RolloutStates(queries, 7, 20, 0.0)) states.push_back(std::move(s));
+    for (size_t i = 0; i < states.size(); ++i) {
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        const std::string where = std::string(workload) + " state " + std::to_string(i) +
+                                  " query " + std::to_string(qi);
+        const size_t steps = ExpectMatchesReference(states[i], queries[qi], 8, {}, where);
+        // Budgets that cut the same search off part of the way through, or
+        // one step before its end.
+        for (size_t cut : {size_t{3}, steps / 2, steps - 1}) {
+          MatchOptions tiny;
+          tiny.max_steps = cut;
+          ExpectMatchesReference(states[i], queries[qi], 8, tiny,
+                                 where + " max_steps " + std::to_string(cut));
+        }
+      }
+    }
+  }
+}
+
+/// A random difftree over the columns a and b: the kind of nesting (MULTI
+/// copies of ANYs of sequences) that parses a long column list in thousands
+/// of ways, so searches run past the dead-continuation memo's step
+/// threshold.
+DiffTree RandomChoiceTree(Rng* rng, int depth) {
+  const size_t pick = depth == 0 ? rng->UniformIndex(2) : rng->UniformIndex(8);
+  switch (pick) {
+    case 0:
+      return DiffTree::FromAst(Col("a"));
+    case 1:
+      return DiffTree::FromAst(Col("b"));
+    case 2:
+    case 3:
+      return DiffTree::Any({RandomChoiceTree(rng, depth - 1), RandomChoiceTree(rng, depth - 1),
+                            RandomChoiceTree(rng, depth - 1)});
+    case 4:
+      return DiffTree::Opt(RandomChoiceTree(rng, depth - 1));
+    case 5:
+    case 6:
+      return DiffTree::Multi(RandomChoiceTree(rng, depth - 1));
+    default:
+      return DiffTree::Seq({RandomChoiceTree(rng, depth - 1), RandomChoiceTree(rng, depth - 1)});
+  }
+}
+
+TEST(Match, TrailMatcherMatchesReferenceOnAmbiguousTrees) {
+  Rng rng(2024);
+  size_t long_searches = 0;  // past the memo's threshold
+  size_t long_with_parses = 0;
+  for (int round = 0; round < 120; ++round) {
+    // PROJECT(ANY(SEQ(MULTI(x), c), MULTI(y)), z): the first alternative
+    // parses the columns many ways and fails at c (the query has none), so
+    // every continuation it reaches is dead; the second may then parse.
+    DiffTree proj(Symbol::kProject, "");
+    proj.children.push_back(DiffTree::Any(
+        {DiffTree::Seq({DiffTree::Multi(RandomChoiceTree(&rng, 2)), DiffTree::FromAst(Col("c"))}),
+         DiffTree::Multi(RandomChoiceTree(&rng, 2))}));
+    proj.children.push_back(RandomChoiceTree(&rng, 2));
+    std::vector<Ast> cols;
+    const size_t n = 7 + rng.UniformIndex(8);
+    for (size_t k = 0; k < n; ++k) cols.push_back(Col(rng.Bernoulli(0.7) ? "a" : "b"));
+    const Ast q(Symbol::kProject, "", cols);
+    MatchOptions opts;
+    opts.max_steps = 200'000;
+    const std::string where = "round " + std::to_string(round);
+    // Unsealed first, then sealed: the matcher takes choice-free children
+    // from the blocks' cached facts only.
+    for (bool sealed : {false, true}) {
+      if (sealed) Seal(proj);
+      const std::string at = where + (sealed ? " sealed" : "");
+      const size_t steps = ExpectMatchesReference(proj, q, 8, opts, at);
+      if (steps <= 20'000) continue;
+      if (sealed) {
+        ++long_searches;
+        if (!reference::Enumerate(proj, q, 8, opts).parses.empty()) ++long_with_parses;
+      }
+      for (size_t cut : {steps / 3, steps - 1}) {
+        MatchOptions tiny;
+        tiny.max_steps = cut;
+        ExpectMatchesReference(proj, q, 8, tiny, at + " max_steps " + std::to_string(cut));
+      }
+    }
+  }
+  EXPECT_GT(long_searches, 5u);
+  EXPECT_GT(long_with_parses, 0u);
 }
 
 TEST(Match, ExpandDerivationInvertsMatch) {

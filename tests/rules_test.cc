@@ -472,6 +472,33 @@ TEST(RuleCounts, ErasedPicksRemapLikeVectorErase) {
 
 // Counted (sealed) blocks never change in place: non-const access copies
 // them, so an edit of a copy leaves the original's caches valid.
+/// Number of nodes with children in `n` whose child list is not marked
+/// normal.
+size_t UnmarkedLists(const DiffTree& n) {
+  size_t unmarked = !n.children.empty() && !n.children.KnownNormal() ? 1 : 0;
+  for (const DiffTree& c : n.children) unmarked += UnmarkedLists(c);
+  return unmarked;
+}
+
+TEST(RuleCounts, ApplyMarksTheBlocksItSealsNormal) {
+  const std::vector<Ast> queries = *ParseQueries(LoadWorkload("sdss", 10)->log);
+  // The initial state is sealed without normalizing, so it stays unmarked.
+  const DiffTree initial = *BuildInitialTree(queries);
+  Seal(initial);
+  EXPECT_GT(UnmarkedLists(initial), 0u);
+  EXPECT_FALSE(initial.children.KnownNormal());
+  // RolloutStates seals nothing itself, so every block of an Apply result
+  // was sealed by an Apply, right after its Normalize.
+  size_t applied = 0;
+  for (const DiffTree& s : RolloutStates(queries, 9, 60, 0.8)) {
+    if (!s.children.KnownNormal()) continue;  // a restart at the initial state
+    ++applied;
+    EXPECT_EQ(UnmarkedLists(s), 0u);
+    EXPECT_EQ(Normalized(s), s);
+  }
+  EXPECT_GT(applied, 40u);
+}
+
 TEST(RuleCounts, EditingACopyOfASealedStateLeavesItsCountsAlone) {
   const RuleEngine engine;
   auto facts = [&](const DiffTree& t) {
