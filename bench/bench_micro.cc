@@ -125,27 +125,31 @@ void BM_MatchQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_MatchQuery)->Arg(0)->Arg(8);
 
-/// Transition planning of the Listing-1 log: on FactoredSdss(8) (arg 0), or
-/// round robin over 240 sealed rollout states (arg 1), half from
-/// forward-biased walks and half from uniform ones, whose inverse rewrites
-/// leave queries with several parses: the states a search plans for.
+/// Transition planning of the Listing-1 log: on FactoredSdss(8) unsealed
+/// (arg 0), whose blocks cache no choice counts, like the bottom-up
+/// baseline's result; round robin over 240 sealed rollout states (arg 1),
+/// half from forward-biased walks and half from uniform ones, whose inverse
+/// rewrites leave queries with several parses: the states a search plans
+/// for; or on FactoredSdss(8) sealed (arg 2).
 void BM_PlanTransitions(benchmark::State& state) {
   const std::vector<Ast> queries = SdssAsts();
   std::vector<DiffTree> trees;
-  if (state.range(0) == 0) {
-    trees.push_back(FactoredSdss(8));
-  } else {
+  if (state.range(0) == 1) {
     trees = RolloutStates(queries, 11, 120, 0.8);
     for (DiffTree& s : RolloutStates(queries, 13, 120, 0.0)) trees.push_back(std::move(s));
+  } else {
+    trees.push_back(FactoredSdss(8));
   }
-  for (const DiffTree& t : trees) Seal(t);  // as the search seals its initial state
+  if (state.range(0) != 0) {
+    for (const DiffTree& t : trees) Seal(t);  // as the search seals its initial state
+  }
   size_t i = 0;
   for (auto _ : state) {
     auto plan = PlanTransitions(trees[i++ % trees.size()], queries, 8);
     benchmark::DoNotOptimize(plan);
   }
 }
-BENCHMARK(BM_PlanTransitions)->Arg(0)->Arg(1);
+BENCHMARK(BM_PlanTransitions)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_EvaluateAssignment_Recompute(benchmark::State& state) {
   // The unoptimized path: derivations re-enumerated per widget tree.

@@ -118,7 +118,7 @@ class Matcher {
     switch (node.kind) {
       case DKind::kAll: {
         if (node.sym == Symbol::kEmpty) return cont(j);
-        const ChildFacts* f = node.children.facts();
+        const ChildFacts* f = Facts(node.children);
         if (node.sym == Symbol::kSeq) return MatchList(node.children, f, asts, 0, j, id, cont);
         if (!HeadMatches(node, asts, j)) return false;
         // The node's children must expand to exactly a.children; different
@@ -140,9 +140,7 @@ class Matcher {
         // the other order.
         const size_t at = trail_.size();
         trail_.push_back({id, 1, 0});
-        if (MatchChild(node.children, node.children.facts(), 0, asts, j, id + 1, cont)) {
-          return true;
-        }
+        if (MatchOne(node.children[0], asts, j, id + 1, cont)) return true;
         if (exhausted_) return false;
         trail_.resize(at + 1);
         trail_[at].value = 0;
@@ -157,51 +155,10 @@ class Matcher {
     return false;
   }
 
-  /// MatchOne of child `i` of `kids`, whose cached facts are `f` (or
-  /// null). A child without choice nodes has at most one way to match,
-  /// found by MatchFixed without continuations.
-  bool MatchChild(const ChildList& kids, const ChildFacts* f, size_t i, AstList asts,
-                  size_t j, int id, const Cont& cont) {
-    if (f == nullptr || f[i].choices != 0) return MatchOne(kids[i], asts, j, id, cont);
-    size_t end = j;
-    return MatchFixed(kids[i], asts, j, &end) && cont(end);
-  }
-
-  /// Matches a choice-free subtree against asts[j...), setting `*end` past
-  /// what it consumed. Spends one step per node it reaches, in the order
-  /// MatchOne would reach them, so the budget runs out at the same node.
-  bool MatchFixed(const DiffTree& node, AstList asts, size_t j, size_t* end) {
-    if (!CountStep()) return false;
-    if (node.sym == Symbol::kEmpty) {
-      *end = j;
-      return true;
-    }
-    if (node.sym == Symbol::kSeq) {
-      for (const DiffTree& c : node.children) {
-        if (!MatchFixed(c, asts, j, &j)) return false;
-      }
-      *end = j;
-      return true;
-    }
-    if (!HeadMatches(node, asts, j)) return false;
-    const Ast& a = asts[j];
-    const AstList sub{a.children.data(), a.children.size()};
-    size_t used = 0;
-    for (const DiffTree& c : node.children) {
-      if (!MatchFixed(c, sub, used, &used)) return false;
-    }
-    *end = j + 1;
-    return used == sub.size();
-  }
-
   /// Matches a child list (sequence semantics) against asts[j...); `id` is
   /// the first choice id of child i, `f` the list's cached facts or null.
   bool MatchList(const ChildList& items, const ChildFacts* f, AstList asts, size_t i,
                  size_t j, int id, const Cont& cont) {
-    // Choice-free children match in place; their ids take no room.
-    for (; i < items.size() && f != nullptr && f[i].choices == 0; ++i) {
-      if (!MatchFixed(items[i], asts, j, &j)) return false;
-    }
     if (i == items.size()) return cont(j);
     return MatchOne(items[i], asts, j, id, [&](size_t j2) {
       const int next = id + Choices(items, f, i);
@@ -213,7 +170,7 @@ class Matcher {
   bool MatchAny(const DiffTree& node, AstList asts, size_t j, int id, const Cont& cont) {
     const size_t at = trail_.size();
     trail_.push_back({id, 0, 0});
-    const ChildFacts* f = node.children.facts();
+    const ChildFacts* f = Facts(node.children);
     int alt_id = id + 1;  // first choice id of alternative `counted`
     size_t counted = 0;
     for (size_t alt = 0; alt < node.children.size(); ++alt) {
@@ -227,7 +184,7 @@ class Matcher {
       for (; counted < alt; ++counted) alt_id += Choices(node.children, f, counted);
       trail_.resize(at + 1);
       trail_[at].value = static_cast<int32_t>(alt);
-      if (MatchChild(node.children, f, alt, asts, j, alt_id, cont)) return true;
+      if (MatchOne(option, asts, j, alt_id, cont)) return true;
       if (exhausted_) return false;
     }
     return false;
@@ -265,11 +222,16 @@ class Matcher {
     if (cont(j)) return true;
     if (exhausted_ || count >= opts_.max_multi) return false;
     trail_.resize(here);
-    return MatchChild(node.children, node.children.facts(), 0, asts, j, id + 1,
-                      [&](size_t j2) {
-                        if (j2 == j) return false;  // forbid empty repetitions
-                        return MatchMulti(node, asts, j2, id, at, count + 1, cont);
-                      });
+    return MatchOne(node.children[0], asts, j, id + 1, [&](size_t j2) {
+      if (j2 == j) return false;  // forbid empty repetitions
+      return MatchMulti(node, asts, j2, id, at, count + 1, cont);
+    });
+  }
+
+  /// The cached facts of `kids` when ids are recorded, for Choices; null
+  /// without ids, so nothing is counted.
+  const ChildFacts* Facts(const ChildList& kids) const {
+    return with_ids_ ? kids.facts() : nullptr;
   }
 
   /// Choice count of child `i` of `kids` (0 without ids), from its cached

@@ -465,22 +465,14 @@ TEST(Match, TrailMatcherMatchesReferenceOnAmbiguousTrees) {
     MatchOptions opts;
     opts.max_steps = 200'000;
     const std::string where = "round " + std::to_string(round);
-    // Unsealed first, then sealed: the matcher takes choice-free children
-    // from the blocks' cached facts only.
-    for (bool sealed : {false, true}) {
-      if (sealed) Seal(proj);
-      const std::string at = where + (sealed ? " sealed" : "");
-      const size_t steps = ExpectMatchesReference(proj, q, 8, opts, at);
-      if (steps <= 20'000) continue;
-      if (sealed) {
-        ++long_searches;
-        if (!reference::Enumerate(proj, q, 8, opts).parses.empty()) ++long_with_parses;
-      }
-      for (size_t cut : {steps / 3, steps - 1}) {
-        MatchOptions tiny;
-        tiny.max_steps = cut;
-        ExpectMatchesReference(proj, q, 8, tiny, at + " max_steps " + std::to_string(cut));
-      }
+    const size_t steps = ExpectMatchesReference(proj, q, 8, opts, where);
+    if (steps <= 20'000) continue;
+    ++long_searches;
+    if (!reference::Enumerate(proj, q, 8, opts).parses.empty()) ++long_with_parses;
+    for (size_t cut : {steps / 3, steps - 1}) {
+      MatchOptions tiny;
+      tiny.max_steps = cut;
+      ExpectMatchesReference(proj, q, 8, tiny, where + " max_steps " + std::to_string(cut));
     }
   }
   EXPECT_GT(long_searches, 5u);
