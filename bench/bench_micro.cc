@@ -5,6 +5,8 @@
 // optimization the paper proposes).
 #include <benchmark/benchmark.h>
 
+#include <limits>
+
 #include "cost/cost_model.h"
 #include "cost/evaluator.h"
 #include "difftree/builder.h"
@@ -184,6 +186,8 @@ void BM_EvaluateAssignment_PlanCached(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateAssignment_PlanCached);
 
+/// /0 unbounded (draw, fill, plan and price); /1 bounded at 0, below every
+/// draw's M(.), so each call stops after drawing and filling.
 void BM_SampleCost(benchmark::State& state) {
   DiffTree tree = FactoredSdss(8);
   auto queries = SdssAsts();
@@ -192,12 +196,14 @@ void BM_SampleCost(benchmark::State& state) {
   opts.cache_enabled = false;
   StateEvaluator eval(opts, queries);
   Rng rng(1);
+  const double bound = state.range(0) == 0 ? std::numeric_limits<double>::infinity() : 0.0;
   for (auto _ : state) {
-    double c = eval.SampleCost(tree, &rng);
+    double c = eval.SampleCost(tree, &rng, bound);
     benchmark::DoNotOptimize(c);
   }
+  state.counters["bound_skips"] = static_cast<double>(eval.bound_skips());
 }
-BENCHMARK(BM_SampleCost);
+BENCHMARK(BM_SampleCost)->Arg(0)->Arg(1);
 
 void BM_CanonicalHash(benchmark::State& state) {
   DiffTree tree = FactoredSdss(8);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <limits>
 #include <memory_resource>
 #include <string>
 #include <unordered_map>
@@ -208,6 +209,39 @@ TransitionPlan PlanTransitions(const DiffTree& tree, const std::vector<Ast>& que
   return plan;
 }
 
+namespace {
+
+/// Adds the plan's per-transition U terms in log order to `*u`, each also
+/// to `per_transition` unless it is null, and stops once m + *u reaches a
+/// finite `bound`.
+void SumTransitions(const CostConstants& c, const TransitionPlan& plan,
+                    FlatLayout* layout, double m, double bound, double* u,
+                    std::vector<double>* per_transition) {
+  for (size_t qi = 1; qi < plan.changed_ids.size(); ++qi) {
+    double interaction = 0.0;
+    double nav = 0.0;
+    PriceTransition(layout, plan.changed_ids[qi], c, &interaction, &nav);
+    if (per_transition != nullptr) per_transition->push_back(interaction + nav);
+    *u += interaction + nav;
+    if (bound < std::numeric_limits<double>::infinity() && m + *u >= bound) return;
+  }
+}
+
+}  // namespace
+
+double CostModel::LayoutM(const FlatLayout& layout) const {
+  return MSumRec(constants_, layout, layout.root);
+}
+
+double CostModel::BoundedTotal(const TransitionPlan& plan, FlatLayout* layout, double m,
+                               double bound) const {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (!plan.valid || !ComputeLayout(layout, screen_).fits) return kInf;
+  double u = 0.0;
+  SumTransitions(constants_, plan, layout, m, bound, &u, nullptr);
+  return m + u;
+}
+
 void CostModel::ScoreLayout(const TransitionPlan& plan, FlatLayout* layout,
                             CostBreakdown* out) const {
   out->valid = false;
@@ -228,14 +262,10 @@ void CostModel::ScoreLayout(const TransitionPlan& plan, FlatLayout* layout,
     out->invalid_reason = "layout exceeds screen";
     return;
   }
-  out->m_total = MSumRec(constants_, *layout, layout->root);
-  for (size_t qi = 1; qi < plan.changed_ids.size(); ++qi) {
-    double interaction = 0.0;
-    double nav = 0.0;
-    PriceTransition(layout, plan.changed_ids[qi], constants_, &interaction, &nav);
-    out->per_transition.push_back(interaction + nav);
-    out->u_total += interaction + nav;
-  }
+  out->m_total = LayoutM(*layout);
+  SumTransitions(constants_, plan, layout, out->m_total,
+                 std::numeric_limits<double>::infinity(), &out->u_total,
+                 &out->per_transition);
   out->valid = true;
 }
 

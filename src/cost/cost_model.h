@@ -86,6 +86,18 @@ class CostModel {
   void ScoreLayout(const TransitionPlan& plan, FlatLayout* layout,
                    CostBreakdown* out) const;
 
+  /// The M(.) sum ScoreLayout computes for a filled layout; it reads no
+  /// layout position, so it is known before ComputeLayout.
+  double LayoutM(const FlatLayout& layout) const;
+
+  /// ScoreLayout's total() for a filled layout whose LayoutM is `m`, except
+  /// that pricing stops as soon as M+U reaches `bound` and returns that
+  /// partial sum. Sums in ScoreLayout's order, so a draw that is priced in
+  /// full gets the same bits; a stopped one is >= `bound` and, when every U
+  /// term is >= 0, no larger than the full total.
+  double BoundedTotal(const TransitionPlan& plan, FlatLayout* layout, double m,
+                      double bound) const;
+
   const Screen& screen() const { return screen_; }
   const CostConstants& constants() const { return constants_; }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -30,6 +31,31 @@ obs::Counter& SeededHitsMetric() {
       "Sampled-cost memo hits served by an experience-seeded entry");
   return *c;
 }
+obs::Counter& BoundSkipsMetric() {
+  static obs::Counter* c = obs::MetricsRegistry::Default().GetCounter(
+      "ifgen_eval_bound_skips_total",
+      "Sampled-cost misses whose bound skipped transition planning and pricing");
+  return *c;
+}
+obs::Counter& DeferredResolvesMetric() {
+  static obs::Counter* c = obs::MetricsRegistry::Default().GetCounter(
+      "ifgen_eval_deferred_resolves_total",
+      "Deferred sampled-cost memo entries resolved to their exact cost");
+  return *c;
+}
+
+/// True when every U(.) term is >= 0: no interaction or navigation
+/// constant is negative or NaN (InteractionCost scales them by factors
+/// >= 0).
+bool UTermsNonNegative(const CostConstants& c) {
+  for (double v : {c.i_toggle, c.i_checkbox, c.i_radio, c.i_buttons, c.i_dropdown_base,
+                   c.i_dropdown_log_factor, c.i_slider, c.i_range_slider, c.i_textbox_base,
+                   c.i_textbox_per_char, c.i_tabs, c.i_adder, c.i_label, c.nav_edge,
+                   c.nav_tab_switch}) {
+    if (!(v >= 0.0)) return false;
+  }
+  return true;
+}
 }  // namespace
 
 StateEvaluator::StateEvaluator(const EvalOptions& opts, const std::vector<Ast>& queries)
@@ -40,7 +66,8 @@ StateEvaluator::StateEvaluator(const EvalOptions& opts, const std::vector<Ast>& 
       // win); private otherwise.
       delta_(opts.shared_delta != nullptr && opts.delta_eval
                  ? opts.shared_delta
-                 : std::make_shared<DeltaCostCache>(opts.delta_eval)) {}
+                 : std::make_shared<DeltaCostCache>(opts.delta_eval)),
+      bounds_sound_(UTermsNonNegative(opts_.constants)) {}
 
 std::shared_ptr<const TransitionPlan> StateEvaluator::PlanFor(const DiffTree& tree) {
   // Order-sensitive hash: plans encode pre-order choice ids, so two trees
@@ -63,8 +90,116 @@ double StateEvaluator::ScoreAssignment(const WidgetAssigner& assigner,
   return scratch->cost.total();
 }
 
-double StateEvaluator::SampleCost(const DiffTree& tree, Rng* rng) {
+StateEvaluator::Draws& StateEvaluator::LocalDraws() {
+  static thread_local Draws draws;
+  draws.size = 0;
+  return draws;
+}
+
+void StateEvaluator::AddDraw(const WidgetAssigner& assigner, const Assignment& a,
+                             bool count, Draws* draws) {
+  const size_t i = draws->size++;
+  if (draws->layouts.size() < draws->size) {
+    draws->picks.resize(draws->size);
+    draws->layouts.resize(draws->size);
+    draws->m.resize(draws->size);
+  }
+  draws->picks[i] = a;
+  if (!assigner.Fill(a, &draws->layouts[i]).ok()) {
+    draws->m[i] = kInf;
+    return;
+  }
+  draws->m[i] = model_.LayoutM(draws->layouts[i]);
+  if (count) {
+    evaluations_.fetch_add(1, std::memory_order_relaxed);
+    EvaluationsMetric().Inc();
+  }
+}
+
+void StateEvaluator::DrawAll(const WidgetAssigner& assigner, Rng* rng, bool count,
+                             Draws* draws) {
+  size_t random_draws = opts_.k_assignments;
+  if (opts_.greedy_seed && random_draws > 0) {
+    AddDraw(assigner, assigner.MinAppropriatenessAssignment(), count, draws);
+    --random_draws;
+  }
+  Assignment a;
+  for (size_t i = 0; i < random_draws; ++i) {
+    assigner.DrawRandomAssignment(rng, &a);
+    AddDraw(assigner, a, count, draws);
+  }
+}
+
+double StateEvaluator::ScoreDraws(const TransitionPlan& plan, Draws* draws) const {
+  double best = kInf;
+  for (size_t i = 0; i < draws->size; ++i) {
+    // A draw whose M(.) reaches the best cannot beat it; one that does not
+    // fill has M +infinity.
+    const double cut = bounds_sound_ ? best : kInf;
+    if (!(draws->m[i] < cut)) continue;
+    best = std::min(best, model_.BoundedTotal(plan, &draws->layouts[i], draws->m[i], cut));
+  }
+  return best;
+}
+
+std::shared_ptr<const StateEvaluator::DeferredDraws> StateEvaluator::Defer(
+    const DiffTree& tree, const WidgetAssigner& assigner, const Draws& draws) const {
+  auto deferred = std::make_shared<DeferredDraws>();
+  if (!RecordAnyOrder(tree, &deferred->any_order)) return nullptr;
+  if (opts_.state_keyed_sampling) return deferred;
+  const std::vector<DecisionPoint>& decisions = assigner.decisions();
+  for (const DecisionPoint& d : decisions) {
+    if (d.options.size() > 256) return nullptr;
+  }
+  deferred->decisions = decisions.size();
+  for (size_t i = 0; i < draws.size; ++i) {
+    if (draws.m[i] == kInf) continue;  // never the best
+    ++deferred->filled;
+    for (int p : draws.picks[i].picks) deferred->picks.push_back(static_cast<uint8_t>(p));
+  }
+  return deferred;
+}
+
+double StateEvaluator::Resolve(const DiffTree& tree, uint64_t key,
+                               const DeferredDraws& deferred) {
+  double best = kInf;
+  DiffTree drawn;
+  if (ReorderAny(tree, deferred.any_order, &drawn)) {
+    Seal(drawn);
+    WidgetAssigner assigner(drawn, opts_.constants, delta_.get());
+    const std::vector<DecisionPoint>& decisions = assigner.decisions();
+    Draws& draws = LocalDraws();
+    if (opts_.state_keyed_sampling) {
+      Rng state_rng(HashCombine(opts_.sampling_seed, key));
+      DrawAll(assigner, &state_rng, /*count=*/false, &draws);
+    } else if (decisions.size() == deferred.decisions) {
+      Assignment a;
+      a.picks.resize(deferred.decisions);
+      for (size_t j = 0; j < deferred.filled; ++j) {
+        const uint8_t* picks = deferred.picks.data() + j * deferred.decisions;
+        bool fits = true;
+        for (size_t d = 0; d < deferred.decisions; ++d) {
+          a.picks[d] = picks[d];
+          fits &= static_cast<size_t>(a.picks[d]) < decisions[d].options.size();
+        }
+        if (fits) AddDraw(assigner, a, /*count=*/false, &draws);
+      }
+    }
+    best = ScoreDraws(*PlanFor(drawn), &draws);
+  }
+  // A tree that does not fit the record has a colliding canonical hash;
+  // the memo answers +infinity for it.
+  cost_cache_.Mutate(key, [&](MemoEntry& e, bool) {
+    if (e.deferred != nullptr) e = {best, false, nullptr};
+  });
+  deferred_resolves_.fetch_add(1, std::memory_order_relaxed);
+  DeferredResolvesMetric().Inc();
+  return best;
+}
+
+double StateEvaluator::SampleCost(const DiffTree& tree, Rng* rng, double bound) {
   obs::TraceSpan span("eval.sample_cost", "cost");
+  if (!bounds_sound_) bound = kInf;
   uint64_t key = 0;
   if (opts_.cache_enabled || opts_.state_keyed_sampling) {
     key = tree.CanonicalHash();
@@ -77,38 +212,45 @@ double StateEvaluator::SampleCost(const DiffTree& tree, Rng* rng) {
         seeded_hits_.fetch_add(1, std::memory_order_relaxed);
         SeededHitsMetric().Inc();
       }
-      return cached->cost;
+      if (cached->deferred == nullptr || cached->cost >= bound) return cached->cost;
+      return Resolve(tree, key, *cached->deferred);
     }
   }
   // State-keyed mode draws from a per-state generator so the caller's
   // stream is never consumed: a seeded memo entry (SeedCost) then changes
   // how much work happens, never which values the surrounding search
   // observes.
-  Rng state_rng(HashCombine(opts_.sampling_seed, key));
-  Rng* draw_rng = opts_.state_keyed_sampling ? &state_rng : rng;
+  std::optional<Rng> state_rng;
+  Rng* draw_rng = rng;
+  if (opts_.state_keyed_sampling) {
+    draw_rng = &state_rng.emplace(HashCombine(opts_.sampling_seed, key));
+  }
   WidgetAssigner assigner(tree, opts_.constants, delta_.get());
   double best = kInf;
   if (assigner.viable()) {
-    auto plan = PlanFor(tree);
-    // One layout, breakdown and assignment serve every draw of the state.
-    Scratch scratch;
-    size_t random_draws = opts_.k_assignments;
-    if (opts_.greedy_seed && random_draws > 0) {
-      best = std::min(best, ScoreAssignment(assigner,
-                                            assigner.MinAppropriatenessAssignment(),
-                                            *plan, &scratch));
-      --random_draws;
+    // Every draw is made and filled before any is scored: their M(.) alone
+    // may already settle that the state cannot beat `bound`.
+    Draws& draws = LocalDraws();
+    DrawAll(assigner, draw_rng, /*count=*/true, &draws);
+    double lower = kInf;
+    for (size_t i = 0; i < draws.size; ++i) lower = std::min(lower, draws.m[i]);
+    if (lower >= bound && lower < kInf) {
+      // M <= M+U for every draw, so the cost is at least `lower`. A later
+      // call that needs the exact cost resolves the deferred entry.
+      std::shared_ptr<const DeferredDraws> deferred;
+      if (!opts_.cache_enabled || (deferred = Defer(tree, assigner, draws)) != nullptr) {
+        if (deferred != nullptr) cost_cache_.Insert(key, {lower, false, std::move(deferred)});
+        bound_skips_.fetch_add(1, std::memory_order_relaxed);
+        BoundSkipsMetric().Inc();
+        return lower;
+      }
     }
-    Assignment a;
-    for (size_t i = 0; i < random_draws; ++i) {
-      assigner.DrawRandomAssignment(draw_rng, &a);
-      best = std::min(best, ScoreAssignment(assigner, a, *plan, &scratch));
-    }
+    best = ScoreDraws(*PlanFor(tree), &draws);
   }
   if (opts_.cache_enabled) {
     // First writer wins: concurrent misses on the same state each compute a
     // valid sample; overwriting would let the cached value drift mid-search.
-    cost_cache_.Insert(key, {best, false});
+    cost_cache_.Insert(key, {best, false, nullptr});
   }
   return best;
 }
@@ -116,11 +258,13 @@ double StateEvaluator::SampleCost(const DiffTree& tree, Rng* rng) {
 bool StateEvaluator::SeedCost(uint64_t key, double cost) {
   // The wire formats that carry seeds cannot encode ±inf anyway.
   if (!opts_.cache_enabled || !std::isfinite(cost)) return false;
-  return cost_cache_.Insert(key, {cost, true});
+  return cost_cache_.Insert(key, {cost, true, nullptr});
 }
 
 std::optional<double> StateEvaluator::MemoCost(uint64_t key) const {
-  if (auto e = cost_cache_.Lookup(key)) return e->cost;
+  if (auto e = cost_cache_.Lookup(key); e.has_value() && e->deferred == nullptr) {
+    return e->cost;
+  }
   return std::nullopt;
 }
 

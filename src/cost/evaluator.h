@@ -1,6 +1,8 @@
 #pragma once
 
 #include <atomic>
+#include <limits>
+#include <memory>
 #include <optional>
 
 #include "cost/cost_model.h"
@@ -84,7 +86,16 @@ class StateEvaluator {
 
   /// Reward backbone for MCTS: the best cost among k random assignments
   /// (+infinity when none is valid). Results are memoized per state.
-  double SampleCost(const DiffTree& tree, Rng* rng);
+  ///
+  /// `bound` says which costs the caller can use: the result is exact when
+  /// the cost is below it, and otherwise some value >= `bound` (a lower bound
+  /// of the cost, or the cost itself). A miss whose draws' smallest M(.)
+  /// already reaches it skips transition planning and U pricing and leaves
+  /// a deferred memo entry, resolved to the exact cost by the first later
+  /// call that needs it. The draws, the RNG stream and evaluations() are the
+  /// same for every bound (docs/cost-model.md, "Bounded evaluation").
+  double SampleCost(const DiffTree& tree, Rng* rng,
+                    double bound = std::numeric_limits<double>::infinity());
 
   /// Pre-seeds the memo with `cost` for canonical hash `key`, found by an
   /// earlier search of the same cost identity. First writer wins, so an
@@ -95,7 +106,8 @@ class StateEvaluator {
   bool SeedCost(uint64_t key, double cost);
 
   /// The memoized cost of canonical hash `key` (sampled or seeded), if any;
-  /// counts no hit.
+  /// counts no hit. A deferred entry has no cost yet, only a bound, and
+  /// reads as absent.
   std::optional<double> MemoCost(uint64_t key) const;
 
   /// Thorough search over the widget-tree space of one state: exhaustive
@@ -109,6 +121,12 @@ class StateEvaluator {
   size_t cache_hits() const { return cache_hits_.load(std::memory_order_relaxed); }
   /// The subset of cache_hits() answered by a seeded entry.
   size_t seeded_hits() const { return seeded_hits_.load(std::memory_order_relaxed); }
+  /// Misses whose bound made SampleCost skip planning and pricing.
+  size_t bound_skips() const { return bound_skips_.load(std::memory_order_relaxed); }
+  /// Deferred memo entries replaced by their exact cost.
+  size_t deferred_resolves() const {
+    return deferred_resolves_.load(std::memory_order_relaxed);
+  }
 
   /// Delta-cost instrumentation (see DeltaCostCache): subtree-term and
   /// transition-plan computations performed vs. answered from the caches.
@@ -126,10 +144,60 @@ class StateEvaluator {
     CostBreakdown cost;
   };
 
+  /// One state's k assignments, filled, with their M(.) (+infinity for a
+  /// draw that did not fill). Storage is kept across states (LocalDraws).
+  struct Draws {
+    std::vector<Assignment> picks;
+    std::vector<FlatLayout> layouts;
+    std::vector<double> m;
+    size_t size = 0;
+  };
+
+  /// What a miss pruned by its bound keeps instead of the tree: enough to
+  /// rebuild the tree it drew for and to score the same draws later.
+  struct DeferredDraws {
+    AnyOrder any_order;  ///< the drawn-for tree's (RecordAnyOrder)
+    /// The `filled` draws' picks, draw after draw, `decisions` per draw.
+    /// Empty under state-keyed sampling, which can draw them again.
+    std::vector<uint8_t> picks;
+    size_t decisions = 0;
+    size_t filled = 0;
+  };
+
   /// Fills and scores one assignment (+infinity when it is structurally
   /// invalid or does not fit); counts as an evaluation when it fills.
   double ScoreAssignment(const WidgetAssigner& assigner, const Assignment& a,
                          const TransitionPlan& plan, Scratch* scratch);
+
+  /// This thread's Draws, emptied. A miss and a resolve never overlap on a
+  /// thread, so they share it.
+  static Draws& LocalDraws();
+
+  /// Fills `a` as the next draw of `draws`; counts an evaluation when
+  /// `count` and it fills.
+  void AddDraw(const WidgetAssigner& assigner, const Assignment& a, bool count,
+               Draws* draws);
+
+  /// Makes and fills the state's k draws: the greedy seed, then random
+  /// ones from `rng`.
+  void DrawAll(const WidgetAssigner& assigner, Rng* rng, bool count, Draws* draws);
+
+  /// The smallest total cost among the filled draws. Each draw is priced
+  /// only as far as it can still beat the best earlier one (when bounds are
+  /// sound): one whose M(.) reaches it is skipped, and U pricing stops once
+  /// M+U reaches it.
+  double ScoreDraws(const TransitionPlan& plan, Draws* draws) const;
+
+  /// The compact record of a pruned miss; null when it cannot be encoded
+  /// in bytes (more than 256 alternatives or options).
+  std::shared_ptr<const DeferredDraws> Defer(const DiffTree& tree,
+                                             const WidgetAssigner& assigner,
+                                             const Draws& draws) const;
+
+  /// The exact cost of a deferred entry: the recorded draws scored on the
+  /// tree they were drawn for, rebuilt from `tree`. Replaces the entry and
+  /// counts no evaluation.
+  double Resolve(const DiffTree& tree, uint64_t key, const DeferredDraws& deferred);
 
   /// The state's transition plan, memoized by order-sensitive tree hash
   /// when delta evaluation is on (shared immutable object — cache hits
@@ -140,8 +208,9 @@ class StateEvaluator {
   std::vector<Ast> queries_;
   CostModel model_;
   struct MemoEntry {
-    double cost = 0.0;
+    double cost = 0.0;    ///< a lower bound of the cost while `deferred` is set
     bool seeded = false;  ///< came from SeedCost, not a local sample
+    std::shared_ptr<const DeferredDraws> deferred;
   };
   /// Sampled-cost memo by canonical state hash (sharded: many search
   /// threads hit this on every rollout step).
@@ -152,6 +221,11 @@ class StateEvaluator {
   std::atomic<size_t> evaluations_{0};
   std::atomic<size_t> cache_hits_{0};
   std::atomic<size_t> seeded_hits_{0};
+  std::atomic<size_t> bound_skips_{0};
+  std::atomic<size_t> deferred_resolves_{0};
+  /// Bounds prune only while every U term is >= 0 (no interaction or
+  /// navigation constant is negative or NaN): then M <= M+U.
+  bool bounds_sound_ = true;
 };
 
 }  // namespace ifgen

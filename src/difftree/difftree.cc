@@ -1,6 +1,7 @@
 #include "difftree/difftree.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "sql/unparser.h"
 #include "util/hash.h"
@@ -405,6 +406,102 @@ void LabelNode(const DiffTree& n, std::string* out) {
   }
 }
 }  // namespace
+
+namespace {
+
+/// The indices of `node`'s children sorted by CanonicalHash, ties in tree
+/// order: the order CanonicalHash folds an ANY's alternatives in.
+std::vector<uint32_t> CanonicalOrder(const DiffTree& node) {
+  const ChildFacts* f = node.children.facts();
+  const size_t n = node.children.size();
+  std::vector<uint64_t> hs(n);
+  for (size_t i = 0; i < n; ++i) {
+    hs[i] = f != nullptr ? f[i].canonical_hash : node.children[i].CanonicalHash();
+  }
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](uint32_t a, uint32_t b) { return hs[a] < hs[b]; });
+  return order;
+}
+
+bool RecordAnyOrderRec(const DiffTree& node, AnyOrder* out) {
+  const size_t n = node.children.size();
+  if (node.kind == DKind::kAny) {
+    if (n > 256) return false;
+    const std::vector<uint32_t> order = CanonicalOrder(node);
+    const size_t at = out->size();
+    out->resize(at + n);
+    for (size_t r = 0; r < n; ++r) (*out)[at + order[r]] = static_cast<uint8_t>(r);
+  }
+  // A choice-free subtree holds no ANY, so it records nothing.
+  for (size_t i = 0; i < n; ++i) {
+    if (node.children.ChoiceCountOf(i) != 0 &&
+        !RecordAnyOrderRec(node.children[i], out)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+struct OrderCursor {
+  const uint8_t* at;
+  const uint8_t* end;
+};
+
+/// Writes `node` in the recorded order to `*out` and returns 1; returns 0
+/// (`*out` untouched) when it already is in that order, -1 when the record
+/// does not fit. Walks the ANY nodes in the pre-order of the rebuilt tree,
+/// which is the recorded tree's.
+int ReorderAnyRec(const DiffTree& node, OrderCursor* c, DiffTree* out) {
+  const size_t n = node.children.size();
+  std::vector<uint32_t> src(n);
+  std::iota(src.begin(), src.end(), 0u);
+  bool changed = false;
+  if (node.kind == DKind::kAny) {
+    if (static_cast<size_t>(c->end - c->at) < n) return -1;
+    const std::vector<uint32_t> canonical = CanonicalOrder(node);
+    std::vector<bool> taken(n, false);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t rank = c->at[i];
+      if (rank >= n || taken[rank]) return -1;
+      taken[rank] = true;
+      src[i] = canonical[rank];
+      changed |= src[i] != i;
+    }
+    c->at += n;
+  }
+  std::vector<DiffTree> kids;
+  kids.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    kids.push_back(node.children[src[i]]);
+    if (node.children.ChoiceCountOf(src[i]) == 0) continue;
+    const int r = ReorderAnyRec(node.children[src[i]], c, &kids.back());
+    if (r < 0) return -1;
+    changed |= r > 0;
+  }
+  if (!changed) return 0;
+  DiffTree rebuilt(node.kind, std::move(kids));
+  rebuilt.sym = node.sym;
+  rebuilt.value = node.value;
+  *out = std::move(rebuilt);
+  return 1;
+}
+
+}  // namespace
+
+bool RecordAnyOrder(const DiffTree& tree, AnyOrder* out) {
+  return RecordAnyOrderRec(tree, out);
+}
+
+bool ReorderAny(const DiffTree& tree, const AnyOrder& order, DiffTree* out) {
+  OrderCursor c{order.data(), order.data() + order.size()};
+  DiffTree rebuilt;
+  const int r = ReorderAnyRec(tree, &c, &rebuilt);
+  if (r < 0 || c.at != c.end) return false;
+  *out = r > 0 ? std::move(rebuilt) : tree;
+  return true;
+}
 
 std::string DiffTreeLabel(const DiffTree& node, size_t max_len) {
   std::string out;

@@ -277,6 +277,21 @@ inline const ChildFacts* ChildList::facts() const {
 /// KnownNormal; only Apply passes it (the initial state is not normalized).
 void Seal(const DiffTree& tree, bool normal = false);
 
+/// \brief Where a tree's ANY alternatives sit, which CanonicalHash forgets:
+/// per ANY node in pre-order, each alternative's rank in CanonicalHash order
+/// (ties ranked in tree order), one byte per alternative.
+using AnyOrder = std::vector<uint8_t>;
+
+/// Appends `tree`'s AnyOrder to `*out`. Returns false, leaving `*out`
+/// unspecified, when an ANY has more than 256 alternatives.
+bool RecordAnyOrder(const DiffTree& tree, AnyOrder* out);
+
+/// Rebuilds `tree` with the AnyOrder `order` recorded from a tree of the
+/// same CanonicalHash: `*out` then equals the recorded tree (operator==,
+/// Hash()). Subtrees already in order are shared, not copied. Returns false
+/// when `order` does not fit `tree` (a different canonical shape).
+bool ReorderAny(const DiffTree& tree, const AnyOrder& order, DiffTree* out);
+
 /// \brief A path from the root: the sequence of child indices.
 using TreePath = std::vector<int>;
 

@@ -314,9 +314,13 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
       const double child_cost = p.evaluator->SampleCost(child->state, &rng);
       run.Offer(child->state, child_cost, &stats);
 
+      // Only a rollout cost below the child's can change the reward or the
+      // best, so the rollout skips pricing states that cannot beat it (while
+      // costs are >= 0, where reward_of decreases).
       DiffTree rollout_best;
-      double roll_cost =
-          RolloutAndEvaluateState(rctx, child->state, &rng, &stats, &rollout_best);
+      double roll_cost = RolloutAndEvaluateState(
+          rctx, child->state, &rng, &stats, &rollout_best,
+          child_cost >= 0.0 ? child_cost : std::numeric_limits<double>::infinity());
       run.Offer(rollout_best, roll_cost, &stats);
 
       const double r = std::max(reward_of(child_cost), reward_of(roll_cost));

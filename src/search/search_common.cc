@@ -175,13 +175,14 @@ constexpr size_t kRolloutLen = 200;        ///< paper: walks of up to 200 steps
 constexpr double kRolloutStopProb = 0.02;  ///< per-step stop, random walks
 
 double RolloutAndEvaluateState(const RolloutContext& ctx, const DiffTree& start,
-                               Rng* rng, SearchStats* stats, DiffTree* best_state) {
+                               Rng* rng, SearchStats* stats, DiffTree* best_state,
+                               double bound) {
   const SearchOptions& opts = *ctx.opts;
   ++stats->rollouts;
   DiffTree state = start;
-  double best_cost = std::numeric_limits<double>::infinity();
+  double best_cost = bound;
   auto consider = [&](const DiffTree& s) {
-    double cost = ctx.evaluator->SampleCost(s, rng);
+    double cost = ctx.evaluator->SampleCost(s, rng, best_cost);
     if (cost < best_cost) {
       best_cost = cost;
       *best_state = s;
@@ -213,7 +214,7 @@ double RolloutAndEvaluateState(const RolloutContext& ctx, const DiffTree& start,
     }
   }
   consider(state);  // the terminus is always evaluated (paper behavior)
-  return best_cost;
+  return best_cost < bound ? best_cost : std::numeric_limits<double>::infinity();
 }
 
 }  // namespace ifgen

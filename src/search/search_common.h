@@ -285,10 +285,14 @@ struct ErasedPicks {
 
 /// Rollout of up to `kRolloutLen` (200) rule applications that also samples
 /// intermediate states for evaluation and always evaluates the terminus;
-/// returns the best cost seen (`best_state` receives the matching state).
+/// returns the best cost seen below `bound` (`best_state` receives the
+/// matching state), or +infinity when no state beats `bound`. Each
+/// evaluation is bounded by the best so far (StateEvaluator::SampleCost),
+/// so states that cannot beat it are never planned or priced.
 /// Thread-compatible: distinct (rng, stats) per caller.
 double RolloutAndEvaluateState(const RolloutContext& ctx, const DiffTree& start,
-                               Rng* rng, SearchStats* stats, DiffTree* best_state);
+                               Rng* rng, SearchStats* stats, DiffTree* best_state,
+                               double bound = std::numeric_limits<double>::infinity());
 
 /// \brief One search run: the machinery every searcher shares across its
 /// loop and, for root-parallel MCTS, across its trees.

@@ -4,6 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <thread>
 
 #include "core/options.h"
@@ -397,6 +399,241 @@ TEST(EvaluationPin, RolloutStatesEvaluateBitForBit) {
     EXPECT_EQ(breakdowns, pin.breakdowns) << row;
     EXPECT_EQ(find_best, pin.find_best) << row;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Bounded evaluation (docs/cost-model.md): a bound changes which misses are
+// planned and priced, never the draws, the evaluation count or a cost below
+// it.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Forward-biased and uniform rollout states, `n` in all.
+std::vector<DiffTree> BoundStates(const std::vector<Ast>& queries, size_t n) {
+  std::vector<DiffTree> states = RolloutStates(queries, 5, n / 2, 0.8);
+  for (DiffTree& s : RolloutStates(queries, 6, n - states.size(), 0.0)) {
+    states.push_back(std::move(s));
+  }
+  return states;
+}
+
+/// SampleCost's draws (the greedy seed, then k - 1 random ones from `rng`),
+/// each priced in full by ScoreLayout.
+double FullyPricedSample(const DiffTree& tree, const std::vector<Ast>& queries,
+                         const EvalOptions& opts, Rng* rng) {
+  const WidgetAssigner assigner(tree, opts.constants);
+  if (!assigner.viable()) return kInf;
+  const CostModel model(opts.constants, opts.screen, opts.parse_limit);
+  const TransitionPlan plan = PlanTransitions(tree, queries, opts.parse_limit);
+  FlatLayout layout;
+  CostBreakdown cost;
+  double best = kInf;
+  auto score = [&](const Assignment& a) {
+    if (!assigner.Fill(a, &layout).ok()) return;
+    model.ScoreLayout(plan, &layout, &cost);
+    best = std::min(best, cost.total());
+  };
+  score(assigner.MinAppropriatenessAssignment());
+  for (size_t i = 1; i < opts.k_assignments; ++i) score(assigner.RandomAssignment(rng));
+  return best;
+}
+
+TEST(Evaluator, BoundedSampleCostMatchesUnbounded) {
+  size_t skips = 0;
+  size_t resolves = 0;
+  for (const char* workload : {"sdss", "flights", "synthetic"}) {
+    const std::vector<Ast> queries = *ParseQueries(LoadWorkload(workload, 10)->log);
+    const std::vector<DiffTree> states = BoundStates(queries, 40);
+    for (bool state_keyed : {false, true}) {
+      EvalOptions opts = GeneratorOptions().MakeEvalOptions();
+      opts.state_keyed_sampling = state_keyed;
+      opts.sampling_seed = 3;
+      // Unbounded, each draw is priced only while it can beat the best
+      // earlier one; the minimum is that of full pricing.
+      EvalOptions uncached_opts = opts;
+      uncached_opts.cache_enabled = false;
+      StateEvaluator uncached(uncached_opts, queries);
+      for (size_t i = 0; i < states.size(); ++i) {
+        Rng rng(i);
+        Rng draws(state_keyed ? HashCombine(opts.sampling_seed, states[i].CanonicalHash()) : i);
+        EXPECT_EQ(uncached.SampleCost(states[i], &rng),
+                  FullyPricedSample(states[i], queries, opts, &draws))
+            << workload << " keyed " << state_keyed << " state " << i;
+      }
+      for (int kind = 0; kind < 4; ++kind) {  // 0, random, the exact cost, +inf
+        StateEvaluator exact(opts, queries);
+        StateEvaluator bounded(opts, queries);
+        Rng pick(static_cast<uint64_t>(kind));
+        for (size_t i = 0; i < states.size(); ++i) {
+          const std::string where = std::string(workload) + " keyed " +
+                                    std::to_string(state_keyed) + " bound kind " +
+                                    std::to_string(kind) + " state " + std::to_string(i);
+          Rng want_rng(i);
+          Rng got_rng(i);
+          const double want = exact.SampleCost(states[i], &want_rng);
+          const double bound =
+              kind == 0   ? 0.0
+              : kind == 1 ? pick.UniformDouble(0.0, std::isfinite(want) ? 2 * want : 40.0)
+              : kind == 2 ? want
+                          : kInf;
+          const double got = bounded.SampleCost(states[i], &got_rng, bound);
+          EXPECT_EQ(got_rng.Next(), want_rng.Next()) << where;
+          EXPECT_EQ(bounded.evaluations(), exact.evaluations()) << where;
+          if (want < bound) {
+            EXPECT_EQ(got, want) << where;
+          } else {
+            EXPECT_GE(got, bound) << where;
+          }
+        }
+        // Unbounded again: every deferred entry resolves to the cost the
+        // exact evaluator memoized, without an evaluation.
+        for (size_t i = 0; i < states.size(); ++i) {
+          Rng rng(i);
+          EXPECT_EQ(bounded.SampleCost(states[i], &rng),
+                    *exact.MemoCost(states[i].CanonicalHash()))
+              << workload << " keyed " << state_keyed << " kind " << kind << " state " << i;
+        }
+        EXPECT_EQ(bounded.evaluations(), exact.evaluations());
+        EXPECT_EQ(bounded.deferred_resolves() == 0, bounded.bound_skips() == 0);
+        skips += bounded.bound_skips();
+        resolves += bounded.deferred_resolves();
+      }
+    }
+  }
+  EXPECT_GT(skips, 0u);
+  EXPECT_GT(resolves, 0u);
+}
+
+TEST(Evaluator, DeferredEntryResolvesToFirstTreesCost) {
+  const EvalOptions opts = GeneratorOptions().MakeEvalOptions();
+  Rng shuffle(5);
+  size_t checked = 0;
+  size_t order_matters = 0;  // a fresh sample of the permuted copy differs
+  for (const char* workload : {"sdss", "flights", "synthetic"}) {
+    const std::vector<Ast> queries = *ParseQueries(LoadWorkload(workload, 10)->log);
+    const std::vector<DiffTree> states = BoundStates(queries, 60);
+    for (size_t i = 0; i < states.size(); ++i) {
+      const DiffTree& s = states[i];
+      const std::string where = std::string(workload) + " state " + std::to_string(i);
+      StateEvaluator reference(opts, queries);
+      Rng ref_rng(i);
+      const double want = reference.SampleCost(s, &ref_rng);
+      if (!std::isfinite(want)) continue;
+
+      StateEvaluator pruned(opts, queries);
+      Rng rng(i);
+      const double lower = pruned.SampleCost(s, &rng, 0.0);
+      ASSERT_EQ(pruned.bound_skips(), 1u) << where;
+      EXPECT_GE(lower, 0.0) << where;
+      EXPECT_LE(lower, want) << where;
+      const uint64_t key = s.CanonicalHash();
+      EXPECT_FALSE(pruned.MemoCost(key).has_value()) << where;
+
+      const DiffTree permuted = ShuffleAnys(s, &shuffle);
+      ASSERT_EQ(permuted.CanonicalHash(), key) << where;
+      StateEvaluator fresh(opts, queries);
+      Rng fresh_rng(i);
+      order_matters += fresh.SampleCost(permuted, &fresh_rng) != want;
+
+      const size_t evaluations = pruned.evaluations();
+      Rng unused(99);
+      EXPECT_EQ(pruned.SampleCost(permuted, &unused), want) << where;
+      EXPECT_EQ(pruned.evaluations(), evaluations) << where;
+      EXPECT_EQ(pruned.deferred_resolves(), 1u) << where;
+      EXPECT_EQ(pruned.MemoCost(key), std::optional<double>(want)) << where;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 100u);
+  EXPECT_GT(order_matters, 0u);
+}
+
+TEST(Evaluator, DeferredEntryOfAChoiceFreeState) {
+  // No decisions: every draw is the empty assignment, recorded in no bytes.
+  const std::vector<Ast> queries = *ParseQueries(std::vector<std::string>{"select a from t"});
+  const DiffTree d = DiffTree::FromAst(queries[0]);
+  const EvalOptions opts = GeneratorOptions().MakeEvalOptions();
+  StateEvaluator reference(opts, queries);
+  Rng ref_rng(1);
+  const double want = reference.SampleCost(d, &ref_rng);
+  ASSERT_TRUE(std::isfinite(want));
+  StateEvaluator pruned(opts, queries);
+  Rng rng(1);
+  EXPECT_LE(pruned.SampleCost(d, &rng, 0.0), want);
+  ASSERT_EQ(pruned.bound_skips(), 1u);
+  EXPECT_EQ(pruned.SampleCost(d, &rng), want);
+  EXPECT_EQ(pruned.deferred_resolves(), 1u);
+}
+
+TEST(Evaluator, NegativeConstantsDisableBound) {
+  const std::vector<Ast> queries = *ParseQueries(LoadWorkload("sdss", 10)->log);
+  const std::vector<DiffTree> states = BoundStates(queries, 16);
+  struct Case {
+    CostConstants constants;
+    bool bounds_apply;
+  };
+  Case negative{CostConstants{}, false};
+  negative.constants.nav_edge = -0.02;
+  Case nan{CostConstants{}, false};
+  nan.constants.i_dropdown_log_factor = std::numeric_limits<double>::quiet_NaN();
+  // The default constants prune the same states at bound 0.
+  for (const Case& c : {Case{CostConstants{}, true}, negative, nan}) {
+    EvalOptions opts = GeneratorOptions().MakeEvalOptions();
+    opts.constants = c.constants;
+    StateEvaluator reference(opts, queries);
+    StateEvaluator bounded(opts, queries);
+    for (size_t i = 0; i < states.size(); ++i) {
+      Rng want_rng(i);
+      Rng got_rng(i);
+      const double want = reference.SampleCost(states[i], &want_rng);
+      const double got = bounded.SampleCost(states[i], &got_rng, 0.0);
+      if (!c.bounds_apply) {
+        EXPECT_TRUE(got == want || (std::isnan(got) && std::isnan(want))) << "state " << i;
+      }
+    }
+    EXPECT_EQ(bounded.bound_skips() > 0, c.bounds_apply);
+  }
+}
+
+TEST(Evaluator, ConcurrentBoundedMissesAndResolves) {
+  const std::vector<Ast> queries = *ParseQueries(LoadWorkload("sdss", 10)->log);
+  const std::vector<DiffTree> states = BoundStates(queries, 40);
+  EvalOptions opts = GeneratorOptions().MakeEvalOptions();
+  // A state's draws then do not depend on which thread misses first.
+  opts.state_keyed_sampling = true;
+  StateEvaluator reference(opts, queries);
+  std::vector<double> want;
+  for (const DiffTree& s : states) {
+    Rng rng(0);
+    want.push_back(reference.SampleCost(s, &rng));
+  }
+  StateEvaluator shared(opts, queries);
+  Rng first(0);
+  shared.SampleCost(states[1], &first, 0.0);  // at least one deferred entry
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<std::string>> failures(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(t);
+      for (int pass = 0; pass < 2; ++pass) {
+        for (size_t k = 0; k < states.size(); ++k) {
+          const size_t i = t % 2 == 0 ? k : states.size() - 1 - k;
+          // First pass: half the calls pruned at bound 0. Second: exact.
+          const bool bounded = pass == 0 && (i + t) % 2 == 0;
+          const double got = shared.SampleCost(states[i], &rng, bounded ? 0.0 : kInf);
+          if (bounded ? !(got >= 0.0 && got <= want[i]) : got != want[i]) {
+            failures[t].push_back("pass " + std::to_string(pass) + " state " +
+                                  std::to_string(i));
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) EXPECT_TRUE(failures[t].empty()) << failures[t][0];
+  EXPECT_GT(shared.bound_skips(), 0u);
+  EXPECT_GT(shared.deferred_resolves(), 0u);
 }
 
 // ---------------------------------------------------------------------------

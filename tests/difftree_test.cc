@@ -103,6 +103,73 @@ TEST(DiffTree, CanonicalHashSeparatesSemanticallyDistinctTrees) {
             DiffTree::FromAst(Col("b")).CanonicalHash());
 }
 
+/// A random difftree whose ANYs (nested, 1-5 alternatives) often repeat an
+/// alternative: leaves come from three columns.
+DiffTree RandomAnyTree(Rng* rng, int depth) {
+  const size_t pick = depth == 0 ? 0 : rng->UniformIndex(6);
+  switch (pick) {
+    case 0: {
+      static const char* const kCols[] = {"a", "b", "c"};
+      return DiffTree::FromAst(Col(kCols[rng->UniformIndex(3)]));
+    }
+    case 1:
+      return DiffTree::Opt(RandomAnyTree(rng, depth - 1));
+    case 2:
+      return DiffTree(Symbol::kList, "",
+                      {RandomAnyTree(rng, depth - 1), RandomAnyTree(rng, depth - 1)});
+    default: {
+      std::vector<DiffTree> alts;
+      const size_t n = 1 + rng->UniformIndex(5);
+      const DiffTree first = RandomAnyTree(rng, depth - 1);
+      for (size_t k = 0; k < n; ++k) {
+        alts.push_back(rng->Bernoulli(0.3) ? first : RandomAnyTree(rng, depth - 1));
+      }
+      return DiffTree::Any(std::move(alts));
+    }
+  }
+}
+
+TEST(DiffTree, AnyOrderRoundTripsShuffledTrees) {
+  Rng rng(27);
+  size_t reordered = 0;  // trees whose shuffle moved some alternative
+  for (int round = 0; round < 120; ++round) {
+    const DiffTree tree = RandomAnyTree(&rng, 1 + static_cast<int>(rng.UniformIndex(4)));
+    const DiffTree shuffled = ShuffleAnys(tree, &rng);
+    ASSERT_EQ(shuffled.CanonicalHash(), tree.CanonicalHash());
+    // Sealed trees read the children's hashes from their caches.
+    if (round % 2 == 0) Seal(tree);
+    if (round % 3 == 0) Seal(shuffled);
+    AnyOrder order;
+    ASSERT_TRUE(RecordAnyOrder(tree, &order));
+    DiffTree rebuilt;
+    ASSERT_TRUE(ReorderAny(shuffled, order, &rebuilt)) << "round " << round;
+    EXPECT_TRUE(rebuilt == tree) << "round " << round << "\n" << tree.ToSExpr() << "\n"
+                                 << rebuilt.ToSExpr();
+    EXPECT_EQ(rebuilt.Hash(), tree.Hash()) << "round " << round;
+    if (shuffled.Hash() != tree.Hash()) ++reordered;
+    // A record that runs short or long does not fit.
+    if (!order.empty()) {
+      AnyOrder shorter(order.begin(), order.end() - 1);
+      EXPECT_FALSE(ReorderAny(shuffled, shorter, &rebuilt));
+    }
+    AnyOrder longer = order;
+    longer.push_back(0);
+    EXPECT_FALSE(ReorderAny(shuffled, longer, &rebuilt));
+  }
+  EXPECT_GT(reordered, 30u);
+}
+
+TEST(DiffTree, AnyOrderNeedsAByteSizedAny) {
+  std::vector<DiffTree> alts;
+  for (int i = 0; i < 257; ++i) alts.push_back(DiffTree::FromAst(Col("c" + std::to_string(i))));
+  AnyOrder order;
+  EXPECT_FALSE(RecordAnyOrder(DiffTree::Any(alts), &order));
+  alts.pop_back();
+  order.clear();
+  EXPECT_TRUE(RecordAnyOrder(DiffTree::Any(alts), &order));
+  EXPECT_EQ(order.size(), 256u);
+}
+
 TEST(DiffTree, NodeAtPaths) {
   DiffTree d = DiffTree::FromAst(Q("select a from t"));
   EXPECT_EQ(NodeAt(d, {})->sym, Symbol::kSelect);

@@ -61,4 +61,17 @@ inline DiffTree DeepCopy(const DiffTree& n) {
   return out;
 }
 
+/// A copy of `n` like DeepCopy, with every ANY's alternatives shuffled:
+/// the same CanonicalHash, usually another Hash.
+inline DiffTree ShuffleAnys(const DiffTree& n, Rng* rng) {
+  std::vector<DiffTree> kids;
+  kids.reserve(n.children.size());
+  for (const DiffTree& c : n.children) kids.push_back(ShuffleAnys(c, rng));
+  if (n.kind == DKind::kAny) rng->Shuffle(&kids);
+  DiffTree out(n.kind, std::move(kids));
+  out.sym = n.sym;
+  out.value = n.value;
+  return out;
+}
+
 }  // namespace ifgen
