@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the hot paths the paper's
 // "Ongoing Work" section worries about: parsing, rule enumeration and
-// application, expressibility matching, transition planning, and widget-tree
-// evaluation (plan-cached vs recomputed — the incremental-evaluation
-// optimization the paper proposes).
+// application, expressibility matching, transition planning (for a search
+// and for a session step), and widget-tree evaluation (plan-cached vs
+// recomputed — the incremental-evaluation optimization the paper proposes).
 #include <benchmark/benchmark.h>
 
 #include <limits>
 
+#include "core/interface_generator.h"
+#include "core/session.h"
 #include "cost/cost_model.h"
 #include "cost/evaluator.h"
 #include "difftree/builder.h"
@@ -152,6 +154,25 @@ void BM_PlanTransitions(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlanTransitions)->Arg(0)->Arg(1)->Arg(2);
+
+/// One session step per iteration: the Listing-1 log replayed round robin
+/// through InterfaceSession::LoadQuery on the SDSS dashboard a 200-iteration
+/// search generates (plan the step, rebuild the current derivation, price
+/// the changed widgets).
+void BM_SessionLoadQuery(benchmark::State& state) {
+  GeneratorOptions opts;
+  opts.screen = {100, 40};
+  opts.search.time_budget_ms = 0;
+  opts.search.max_iterations = 200;
+  const GeneratedInterface iface = *GenerateInterface(SdssLog(), opts);
+  InterfaceSession session = InterfaceSession::Create(iface, opts.constants).MoveValueUnsafe();
+  size_t i = 0;
+  for (auto _ : state) {
+    auto report = session.LoadQuery(iface.queries[i++ % iface.queries.size()]);
+    benchmark::DoNotOptimize(report);
+  }
+}
+BENCHMARK(BM_SessionLoadQuery);
 
 void BM_EvaluateAssignment_Recompute(benchmark::State& state) {
   // The unoptimized path: derivations re-enumerated per widget tree.

@@ -99,7 +99,9 @@ Result<BottomUpResult> RunBottomUpBaseline(const std::vector<Ast>& queries,
   Assignment a = assigner.MinAppropriatenessAssignment();
   IFGEN_ASSIGN_OR_RETURN(WidgetTree wt, assigner.Build(a));
   // Score with the full model for comparability; note the baseline itself
-  // never looked at U(.) or the screen.
+  // never looked at U(.) or the screen. Sealed, the planner reads cached
+  // choice counts instead of recounting subtrees; the value is unchanged.
+  Seal(tree);
   CostModel model(constants, screen);
   BottomUpResult out;
   out.cost = model.Evaluate(tree, &wt, queries);

@@ -6,18 +6,34 @@
 
 namespace ifgen {
 
+namespace {
+
+/// The selections of the first parse of `query` as (id, code) pairs sorted
+/// by id, their codes from `codes`; false when `tree` cannot express it.
+bool FirstParseKeys(const DiffTree& tree, const Ast& query, StickyState* codes,
+                    std::vector<std::pair<int, int>>* keys) {
+  ParseTrail trail;
+  std::vector<StickyState::Selection> sels;
+  const size_t parses = ForEachParse(tree, query, 1, &trail, [&](const ParseTrail& t) {
+    codes->Score(t, &sels);
+    return true;
+  });
+  if (parses == 0) return false;
+  keys->clear();
+  for (const StickyState::Selection& s : sels) keys->emplace_back(s.id, s.code);
+  std::sort(keys->begin(), keys->end());
+  return true;
+}
+
+}  // namespace
+
 CooccurrenceModel::CooccurrenceModel(const DiffTree& tree,
                                      const std::vector<Ast>& queries)
-    : tree_(&tree), index_(tree) {
+    : tree_(&tree), codes_(tree) {
+  std::vector<Key> keys;
   for (const Ast& q : queries) {
-    auto deriv = MatchQuery(tree, q);
-    if (!deriv.has_value()) continue;
-    SelectionMap sels = ExtractSelections(index_, *deriv);
+    if (!FirstParseKeys(tree, q, &codes_, &keys)) continue;
     ++observations_;
-    std::vector<Key> keys;
-    keys.reserve(sels.size());
-    for (const auto& [id, sel] : sels) keys.emplace_back(id, sel);
-    std::sort(keys.begin(), keys.end());
     for (size_t i = 0; i < keys.size(); ++i) {
       ++single_counts_[keys[i]];
       for (size_t j = i + 1; j < keys.size(); ++j) {
@@ -27,13 +43,8 @@ CooccurrenceModel::CooccurrenceModel(const DiffTree& tree,
   }
 }
 
-double CooccurrenceModel::Score(const SelectionMap& selections) const {
+double CooccurrenceModel::Score(const std::vector<Key>& keys) const {
   if (observations_ == 0) return 0.0;
-  std::vector<Key> keys;
-  keys.reserve(selections.size());
-  for (const auto& [id, sel] : selections) keys.emplace_back(id, sel);
-  std::sort(keys.begin(), keys.end());
-
   // A selection value never seen in the log at all marks the combination as
   // fully novel.
   for (const Key& k : keys) {
@@ -60,9 +71,12 @@ double CooccurrenceModel::Score(const SelectionMap& selections) const {
 }
 
 double CooccurrenceModel::ScoreQuery(const Ast& query) const {
-  auto deriv = MatchQuery(*tree_, query);
-  if (!deriv.has_value()) return 0.0;
-  return Score(ExtractSelections(index_, *deriv));
+  // A copy, so scoring interns a new MULTI selection (one the log never
+  // held, so it scores 0) without changing the model.
+  StickyState codes = codes_;
+  std::vector<Key> keys;
+  if (!FirstParseKeys(*tree_, query, &codes, &keys)) return 0.0;
+  return Score(keys);
 }
 
 CooccurrenceModel::Partition CooccurrenceModel::PartitionQueries(

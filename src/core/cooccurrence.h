@@ -1,11 +1,11 @@
 #pragma once
 
 #include <map>
-#include <string>
+#include <utility>
 #include <vector>
 
+#include "cost/cost_model.h"
 #include "difftree/difftree.h"
-#include "difftree/selection.h"
 #include "sql/ast.h"
 #include "util/status.h"
 
@@ -17,9 +17,9 @@ namespace ifgen {
 /// identify likely and unlikely combinations of widget choices").
 ///
 /// The model records, for a fixed difftree, which widget selections each log
-/// query induces and how often pairs of selections appear together. A
-/// candidate interface state (a full SelectionMap, or an enumerated query)
-/// is scored in [0, 1]: 1.0 means every selection pair was observed together
+/// query induces (its first parse's (choice id, StickyState code) pairs) and
+/// how often pairs of selections appear together. A candidate query is
+/// scored in [0, 1]: 1.0 means every selection pair was observed together
 /// in the log; 0.0 means some selection never occurred at all.
 class CooccurrenceModel {
  public:
@@ -29,11 +29,8 @@ class CooccurrenceModel {
   /// Number of log queries that contributed observations.
   size_t observations() const { return observations_; }
 
-  /// Likelihood score of a full selection state.
-  double Score(const SelectionMap& selections) const;
-
-  /// Convenience: match `query` against the tree and score its selections;
-  /// returns 0 for inexpressible queries.
+  /// Matches `query` against the tree and scores its selections; returns 0
+  /// for inexpressible queries.
   double ScoreQuery(const Ast& query) const;
 
   /// Splits enumerated queries into (likely, unlikely) by `threshold`.
@@ -45,10 +42,13 @@ class CooccurrenceModel {
                              double threshold = 0.5) const;
 
  private:
-  using Key = std::pair<int, std::string>;  // (choice id, encoded selection)
+  using Key = std::pair<int, int>;  // (choice id, selection code)
+
+  /// Likelihood score of the selections `keys`, sorted by id.
+  double Score(const std::vector<Key>& keys) const;
 
   const DiffTree* tree_;
-  ChoiceIndex index_;
+  StickyState codes_;  ///< holds the codes of the log's MULTI selections
   size_t observations_ = 0;
   std::map<Key, size_t> single_counts_;
   std::map<std::pair<Key, Key>, size_t> pair_counts_;

@@ -8,8 +8,13 @@ namespace ifgen {
 InterfaceSession::InterfaceSession(DiffTree tree, WidgetTree wt,
                                    CostConstants constants)
     : tree_(std::make_unique<DiffTree>(std::move(tree))),
-      widget_tree_(std::move(wt)), constants_(std::move(constants)),
-      index_(std::make_unique<ChoiceIndex>(*tree_)) {}
+      widget_tree_(std::make_unique<WidgetTree>(std::move(wt))),
+      constants_(std::move(constants)),
+      index_(std::make_unique<ChoiceIndex>(*tree_)),
+      sticky_(*tree_) {
+  Seal(*tree_);
+  Flatten(widget_tree_->root, &layout_);
+}
 
 Result<InterfaceSession> InterfaceSession::Create(const GeneratedInterface& iface,
                                                   const CostConstants& constants) {
@@ -24,17 +29,22 @@ Result<InterfaceSession> InterfaceSession::Create(const GeneratedInterface& ifac
 }
 
 Result<InterfaceSession::StepReport> InterfaceSession::LoadQuery(const Ast& query) {
-  IFGEN_ASSIGN_OR_RETURN(
-      StepOutcome outcome,
-      ComputeTransition(*tree_, *index_, widget_tree_, constants_, kParseLimit,
-                        selections_, query));
-  StepReport report;
-  report.widgets_changed = outcome.widgets_changed;
-  report.interaction_cost = outcome.interaction_cost;
-  report.navigation_cost = outcome.navigation_cost;
-  selections_ = std::move(outcome.next_state);
-  current_ = std::move(outcome.derivation);
+  std::vector<int> changed_ids;
+  ParseTrail chosen;
+  if (!sticky_.Step(*tree_, query, kParseLimit, &changed_ids, &chosen)) {
+    return Status::NotFound("query is not expressible by this interface");
+  }
+  current_ = DerivationOf(*tree_, chosen);
   has_current_ = true;
+  return PriceChange(changed_ids);
+}
+
+InterfaceSession::StepReport InterfaceSession::PriceChange(
+    const std::vector<int>& changed_ids) {
+  StepReport report;
+  report.widgets_changed = changed_ids.size();
+  PriceTransition(&layout_, changed_ids, constants_, &report.interaction_cost,
+                  &report.navigation_cost);
   return report;
 }
 
@@ -67,7 +77,7 @@ Status InterfaceSession::SetAnyChoice(int choice_id, int option_index) {
   active->choice = option_index;
   active->children.assign(
       1, DefaultDerivation(node->children[static_cast<size_t>(option_index)]));
-  selections_[choice_id] = "a" + std::to_string(option_index);
+  sticky_.SetCode(choice_id, option_index);
   return Status::OK();
 }
 
@@ -88,7 +98,7 @@ Status InterfaceSession::SetOptPresent(int choice_id, bool present) {
   } else {
     active->children.clear();
   }
-  selections_[choice_id] = present ? "p1" : "p0";
+  sticky_.SetCode(choice_id, present ? 1 : 0);
   return Status::OK();
 }
 
@@ -109,7 +119,7 @@ Status InterfaceSession::SetMultiCount(int choice_id, size_t count) {
   }
   active->choice = static_cast<int>(count);
   active->children.assign(count, DefaultDerivation(node->children[0]));
-  selections_[choice_id] = active->Encode();
+  sticky_.SetMultiCode(choice_id, *active);
   return Status::OK();
 }
 

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/interface_generator.h"
-#include "cost/transition.h"
+#include "cost/cost_model.h"
 #include "difftree/match.h"
 #include "difftree/selection.h"
 #include "engine/backend.h"
@@ -20,7 +20,9 @@ namespace ifgen {
 /// current query is re-materialized (and optionally re-executed).
 ///
 /// The session owns copies of the difftree and widget tree; derivations
-/// point into the session's own difftree.
+/// point into the session's own difftree. Its sticky widget state is a
+/// StickyState, the planner the search prices interfaces with, so a load
+/// moves the same widgets at the same cost as U(.) assumes.
 class InterfaceSession {
  public:
   /// Builds a session positioned at the interface's first query.
@@ -38,6 +40,10 @@ class InterfaceSession {
   /// Moves the widgets to express `query` (min-change), returning the
   /// effort; fails when the interface cannot express it.
   Result<StepReport> LoadQuery(const Ast& query);
+
+  /// The effort of changing the widgets of `changed_ids` (PriceTransition
+  /// on this session's widget tree); widgets_changed is their count.
+  StepReport PriceChange(const std::vector<int>& changed_ids);
 
   /// Replays a whole log, returning per-step efforts (first step free).
   Result<std::vector<StepReport>> ReplayLog(const std::vector<Ast>& queries);
@@ -78,21 +84,22 @@ class InterfaceSession {
   /// GenerationService::BackendFor).
   Result<Table> ExecuteCurrent(ExecutionBackend* backend) const;
 
-  const SelectionMap& selections() const { return selections_; }
   const DiffTree& difftree() const { return *tree_; }
-  const WidgetTree& widgets() const { return widget_tree_; }
+  const WidgetTree& widgets() const { return *widget_tree_; }
 
  private:
   InterfaceSession(DiffTree tree, WidgetTree wt, CostConstants constants);
 
-  // The tree and index live behind stable pointers: derivations and the
-  // choice index point into tree nodes, and sessions are movable values.
-  std::unique_ptr<DiffTree> tree_;
-  WidgetTree widget_tree_;
+  // The trees and index live behind stable pointers: derivations and the
+  // choice index point into tree nodes, the flat layout into widget nodes,
+  // and sessions are movable values.
+  std::unique_ptr<DiffTree> tree_;  ///< sealed, so planning reads cached counts
+  std::unique_ptr<WidgetTree> widget_tree_;
   CostConstants constants_;
   std::unique_ptr<ChoiceIndex> index_;
+  FlatLayout layout_;  ///< widget_tree_ flattened once, for pricing
+  StickyState sticky_;
   Derivation current_;
-  SelectionMap selections_;
   bool has_current_ = false;
 
   /// Lazily-built reference backend for ExecuteCurrent(const Database&),

@@ -82,128 +82,117 @@ void PriceTransition(FlatLayout* layout, const std::vector<int>& changed_ids,
   *navigation = nav;
 }
 
+bool StickyState::Step(const DiffTree& tree, const Ast& query, size_t parse_limit,
+                       std::vector<int>* changed_ids, ParseTrail* chosen_trail) {
+  if (Oversized()) Compact();
+  // Min-change parse under sticky semantics ("minimum set of widgets"):
+  // the first parse with the fewest changes wins, and a parse changing
+  // nothing ends the search.
+  size_t best_changed = static_cast<size_t>(-1);
+  const size_t parses =
+      ForEachParse(tree, query, parse_limit, &trail_, [&](const ParseTrail& t) {
+        const size_t changed = Score(t, &trial_);
+        if (changed >= best_changed) return false;
+        best_changed = changed;
+        best_.swap(trial_);
+        if (chosen_trail != nullptr) *chosen_trail = t;
+        return best_changed == 0;
+      });
+  if (parses == 0) return false;
+  Advance(best_, changed_ids);
+  return true;
+}
+
+void StickyState::Advance(const std::vector<Selection>& sels,
+                          std::vector<int>* changed_ids) {
+  if (changed_ids != nullptr) {
+    changed_.clear();
+    for (const Selection& s : sels) {
+      if (codes_[static_cast<size_t>(s.id)] != s.code) changed_.push_back(s.id);
+    }
+    if (changed_.size() > 1) {
+      // The ordering map but for its allocator, which takes the nodes from
+      // arena_: its iteration order depends on the key sequence alone.
+      std::pmr::monotonic_buffer_resource arena(arena_.data(), arena_.size());
+      std::pmr::unordered_map<int, std::string> order(&arena);
+      for (const Selection& s : sels) order[s.id];
+      changed_ids->clear();
+      for (const auto& entry : order) {
+        if (std::find(changed_.begin(), changed_.end(), entry.first) != changed_.end()) {
+          changed_ids->push_back(entry.first);
+        }
+      }
+    } else {
+      changed_ids->assign(changed_.begin(), changed_.end());
+    }
+  }
+  for (const Selection& s : sels) codes_[static_cast<size_t>(s.id)] = s.code;
+}
+
 namespace {
 
-/// Sticky widget state held flat, one value code per choice id, against
-/// which PlanTransitions scores every parse trail in place. A code is the
-/// ANY alternative, OPT present (1) or absent (0), or a MULTI's sub-trail
-/// interned per plan; kUnset marks a widget no query has set yet. Equal
-/// codes of one id mean equal ExtractSelections values: a MULTI's id fixes
-/// its node, and the trail values of a fixed node's parses are equal iff
-/// their derivations (so their Encode()s) are.
-class StickyState {
- public:
-  struct Selection {
-    int id;
-    int code;
-  };
+void AppendValue(int32_t v, std::string* key) {
+  key->append(reinterpret_cast<const char*>(&v), sizeof v);
+}
 
-  explicit StickyState(const DiffTree& tree) : codes_(tree.ChoiceCount(), kUnset) {}
-
-  /// Writes the selections of `trail` into `out` in trail order (the
-  /// pre-order ExtractSelections fills its map in) and returns how many of
-  /// them differ from the sticky state. A MULTI's step covers its copies'
-  /// steps, as its selection covers their choices.
-  size_t Score(const ParseTrail& trail, std::vector<Selection>* out) {
-    out->clear();
-    size_t changed = 0;
-    for (size_t k = 0; k < trail.size();) {
-      const ParseStep& s = trail[k];
-      int code = s.value;
-      if (s.end != 0) {
-        code = Intern(trail, k);
-        k = s.end;
-      } else {
-        ++k;
-      }
-      out->push_back({s.id, code});
-      changed += codes_[static_cast<size_t>(s.id)] != code;
-    }
-    return changed;
-  }
-
-  /// Moves the state to `sels`. Unless `changed_ids` is null, appends the ids
-  /// that change in the iteration order of a SelectionMap filled in `sels`
-  /// order, as ExtractSelections fills it. PriceTransition sums in this
-  /// order, so it is part of the bit-identity contract.
-  void Advance(const std::vector<Selection>& sels, std::vector<int>* changed_ids) {
-    if (changed_ids != nullptr) {
-      changed_.clear();
-      for (const Selection& s : sels) {
-        if (codes_[static_cast<size_t>(s.id)] != s.code) changed_.push_back(s.id);
-      }
-      if (changed_.size() > 1) {
-        // A SelectionMap but for its allocator, which takes the nodes from
-        // arena_: its iteration order depends on the key sequence alone.
-        std::pmr::monotonic_buffer_resource arena(arena_.data(), arena_.size());
-        std::pmr::unordered_map<int, std::string> order(&arena);
-        for (const Selection& s : sels) order[s.id];
-        for (const auto& entry : order) {
-          if (std::find(changed_.begin(), changed_.end(), entry.first) != changed_.end()) {
-            changed_ids->push_back(entry.first);
-          }
-        }
-      } else {
-        changed_ids->assign(changed_.begin(), changed_.end());
-      }
-    }
-    for (const Selection& s : sels) codes_[static_cast<size_t>(s.id)] = s.code;
-  }
-
- private:
-  static constexpr int kUnset = -1;
-
-  /// The code of the MULTI at trail[k]: its count and every value of its
-  /// sub-trail, in order.
-  int Intern(const ParseTrail& trail, size_t k) {
-    key_.clear();
-    for (size_t i = k; i < trail[k].end; ++i) {
-      const int32_t v = trail[i].value;
-      key_.append(reinterpret_cast<const char*>(&v), sizeof v);
-    }
-    auto it = multi_codes_.find(key_);
-    if (it == multi_codes_.end()) {
-      it = multi_codes_.emplace(key_, static_cast<int>(multi_codes_.size())).first;
-    }
-    return it->second;
-  }
-
-  std::vector<int> codes_;
-  std::unordered_map<std::string, int> multi_codes_;
-  std::string key_;          ///< Intern's key buffer, reused across MULTI selections
-  std::vector<int> changed_;  ///< Advance's changed ids in selection order
-  std::array<std::byte, 8192> arena_;  ///< backs Advance's ordering map
-};
+/// Appends the values of `d`'s choice nodes in pre-order: the values its
+/// parse trail holds.
+void AppendValues(const Derivation& d, std::string* key) {
+  if (d.node->IsChoice()) AppendValue(d.choice, key);
+  for (const Derivation& c : d.children) AppendValues(c, key);
+}
 
 }  // namespace
+
+void StickyState::SetMultiCode(int id, const Derivation& multi) {
+  if (Oversized()) Compact();
+  key_.clear();
+  AppendValues(multi, &key_);
+  codes_[static_cast<size_t>(id)] = InternKey();
+}
+
+int StickyState::Intern(const ParseTrail& trail, size_t k) {
+  key_.clear();
+  for (size_t i = k; i < trail[k].end; ++i) AppendValue(trail[i].value, &key_);
+  return InternKey();
+}
+
+int StickyState::InternKey() {
+  auto it = multi_codes_.find(key_);
+  if (it == multi_codes_.end()) {
+    const int code = kUnset - 1 - static_cast<int>(multi_codes_.size());
+    it = multi_codes_.emplace(key_, code).first;
+  }
+  return it->second;
+}
+
+void StickyState::Compact() {
+  std::vector<const std::string*> key_of(multi_codes_.size());
+  for (const auto& [key, code] : multi_codes_) {
+    key_of[static_cast<size_t>(kUnset - 1 - code)] = &key;
+  }
+  std::unordered_map<std::string, int> live;
+  for (int& code : codes_) {
+    if (code >= kUnset) continue;  // an ANY or OPT value, or unset
+    const int next = kUnset - 1 - static_cast<int>(live.size());
+    code = live.try_emplace(*key_of[static_cast<size_t>(kUnset - 1 - code)], next)
+               .first->second;
+  }
+  multi_codes_.swap(live);
+}
 
 TransitionPlan PlanTransitions(const DiffTree& tree, const std::vector<Ast>& queries,
                                size_t parse_limit) {
   TransitionPlan plan;
   StickyState state(tree);
-  ParseTrail trail;  // the matcher's live trail, reused by every query
-  std::vector<StickyState::Selection> trial;
-  std::vector<StickyState::Selection> best;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    // Min-change parse under sticky semantics ("minimum set of widgets"):
-    // the first parse with the fewest changes wins, and a parse changing
-    // nothing ends the search.
-    size_t best_changed = static_cast<size_t>(-1);
-    const size_t parses = ForEachParse(
-        tree, queries[qi], parse_limit, &trail, [&](const ParseTrail& t) {
-          const size_t changed = state.Score(t, &trial);
-          if (changed >= best_changed) return false;
-          best_changed = changed;
-          best.swap(trial);
-          return best_changed == 0;
-        });
-    if (parses == 0) {
+    // changed_ids[0] is the free initial configuration, left empty.
+    std::vector<int>& ids = plan.changed_ids.emplace_back();
+    if (!state.Step(tree, queries[qi], parse_limit, qi == 0 ? nullptr : &ids)) {
+      plan.changed_ids.pop_back();
       plan.invalid_reason = "query " + std::to_string(qi) + " inexpressible";
       return plan;
     }
-    // changed_ids[0] is the free initial configuration, left empty.
-    plan.changed_ids.emplace_back();
-    state.Advance(best, qi == 0 ? nullptr : &plan.changed_ids.back());
   }
   plan.valid = true;
   return plan;

@@ -1,10 +1,14 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <limits>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "difftree/difftree.h"
+#include "difftree/match.h"
 #include "interface/widget_tree.h"
 #include "sql/ast.h"
 #include "util/status.h"
@@ -44,7 +48,103 @@ struct TransitionPlan {
 /// Derivations per query enumerated by the min-change U computation.
 inline constexpr size_t kParseLimit = 8;
 
-/// Computes the plan (min-change parse per query under sticky semantics).
+/// \brief The min-change transition planner: sticky widget state held flat,
+/// one value code per choice id, against which each parse trail of the next
+/// query is scored in place. The search plans a log with it
+/// (PlanTransitions), a session steps its widgets with it, and the
+/// co-occurrence model reads its selection codes.
+///
+/// A code is the ANY alternative, OPT present (1) or absent (0), or a
+/// MULTI's value sequence (its count, then every value of its copies in
+/// pre-order) interned to a code below kUnset; kUnset marks a widget no
+/// query has set yet. A MULTI's id fixes its node, so two of its value
+/// sequences are equal iff their derivations (so their Encode()s) are.
+/// Choice nodes inside a MULTI's copies have no selection of their own:
+/// the MULTI's covers them.
+class StickyState {
+ public:
+  struct Selection {
+    int id;
+    int code;
+  };
+
+  explicit StickyState(const DiffTree& tree) : codes_(tree.ChoiceCount(), kUnset) {}
+
+  /// Moves the state to the min-change parse of `query` under sticky
+  /// semantics: of the first `parse_limit` parses, the first with the fewest
+  /// changed selections; a parse changing nothing ends the search. Unless
+  /// null, `changed_ids` receives the ids that change and `chosen_trail` the
+  /// chosen parse. Returns false, leaving everything as it was, when `tree`
+  /// cannot express `query`.
+  ///
+  /// `changed_ids` order (PriceTransition sums interaction costs in it, so
+  /// it is part of the bit-identity contract): the iteration order of a
+  /// std::unordered_map<int, std::string> into which the parse's selection
+  /// ids were inserted in trail order, restricted to the changed ones.
+  bool Step(const DiffTree& tree, const Ast& query, size_t parse_limit,
+            std::vector<int>* changed_ids, ParseTrail* chosen_trail = nullptr);
+
+  /// Writes the selections of `trail` into `out` in trail order and returns
+  /// how many of them differ from the sticky state. A MULTI's step covers
+  /// its copies' steps, as its selection covers their choices.
+  size_t Score(const ParseTrail& trail, std::vector<Selection>* out) {
+    out->clear();
+    size_t changed = 0;
+    for (size_t k = 0; k < trail.size();) {
+      const ParseStep& s = trail[k];
+      int code = s.value;
+      if (s.end != 0) {
+        code = Intern(trail, k);
+        k = s.end;
+      } else {
+        ++k;
+      }
+      out->push_back({s.id, code});
+      changed += codes_[static_cast<size_t>(s.id)] != code;
+    }
+    return changed;
+  }
+
+  /// Sets the sticky code of an ANY (its alternative) or an OPT (1 present,
+  /// 0 absent) directly, as a widget event does.
+  void SetCode(int id, int code) { codes_[static_cast<size_t>(id)] = code; }
+  /// Sets the sticky code of the MULTI at `id` to that of `multi`, its
+  /// derivation.
+  void SetMultiCode(int id, const Derivation& multi);
+
+  /// Interned MULTI value sequences held. Once they outnumber twice the
+  /// choice ids (plus a margin), the next Step or SetMultiCode drops those
+  /// no id holds any more, so a long session keeps a bounded table.
+  size_t interned() const { return multi_codes_.size(); }
+
+ private:
+  static constexpr int kUnset = -1;
+
+  /// Moves the state to `sels`. Unless `changed_ids` is null, replaces it
+  /// with the ids that change, in Step's order.
+  void Advance(const std::vector<Selection>& sels, std::vector<int>* changed_ids);
+  /// The code of the MULTI at trail[k]: its count and every value of its
+  /// sub-trail, in order.
+  int Intern(const ParseTrail& trail, size_t k);
+  /// The code of the value sequence in key_.
+  int InternKey();
+  /// True once the interned sequences outnumber twice the ids (plus 64).
+  bool Oversized() const { return multi_codes_.size() > 2 * codes_.size() + 64; }
+  /// Drops the interned sequences no id holds, renumbering the rest.
+  void Compact();
+
+  std::vector<int> codes_;
+  std::unordered_map<std::string, int> multi_codes_;
+  std::string key_;              ///< Intern's key buffer, reused across MULTI selections
+  ParseTrail trail_;             ///< the matcher's live trail, reused by every Step
+  std::vector<Selection> trial_;  ///< the parse being scored
+  std::vector<Selection> best_;   ///< the best parse so far
+  std::vector<int> changed_;     ///< Advance's changed ids in selection order
+  std::array<std::byte, 8192> arena_;  ///< backs Advance's ordering map
+};
+
+/// Computes the plan (min-change parse per query under sticky semantics):
+/// one StickyState stepped through the log.
 TransitionPlan PlanTransitions(const DiffTree& tree, const std::vector<Ast>& queries,
                                size_t parse_limit);
 

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "difftree/match.h"
@@ -14,9 +12,10 @@ namespace ifgen {
 /// position in the tree, not of a node object. One shared block may sit at
 /// several positions (see DiffTree), so `node(id)` may return the same object
 /// for two ids. Ids of a derivation's nodes therefore come from walking the
-/// derivation in step with the tree's pre-order positions (see
-/// ExtractSelections), never from addresses. The cost model, the widget
-/// assigner, and the interface runtime all address widgets by choice id.
+/// derivation in step with the tree's pre-order positions (see FindChoice),
+/// never from addresses; the matcher records them in its parse trails the
+/// same way. The cost model, the widget assigner, and the interface runtime
+/// all address widgets by choice id.
 class ChoiceIndex {
  public:
   explicit ChoiceIndex(const DiffTree& root);
@@ -38,30 +37,9 @@ class ChoiceIndex {
   std::vector<Position> positions_;
 };
 
-/// \brief The selection a query induces on each *active* widget.
-///
-/// Maps choice id -> encoded selection. Choice nodes in unchosen ANY
-/// branches are absent (the corresponding widgets keep their prior state —
-/// "sticky" semantics, matching how a real interface behaves). Choice nodes
-/// inside MULTI subtrees are folded into the MULTI's own encoding.
-using SelectionMap = std::unordered_map<int, std::string>;
-
 /// \brief The derivation node of choice `id`, with the MULTI copies searched
 /// in order; null when the choice is not on the derivation's active path.
-/// `index` is the ChoiceIndex of the tree the derivation was matched against
-/// (ExtractSelections takes it so too).
+/// `index` is the ChoiceIndex of the tree the derivation was matched against.
 Derivation* FindChoice(const ChoiceIndex& index, Derivation* deriv, int id);
-
-/// \brief Extracts the selection map from a derivation: one entry per
-/// choice node outside MULTI subtrees (a MULTI's own selection covers them),
-/// filled in pre-order; a node's id is that of its position in the walk.
-SelectionMap ExtractSelections(const ChoiceIndex& index, const Derivation& deriv);
-
-/// Number of selections that differ between consecutive queries under sticky
-/// semantics: a widget counts as changed when `next` assigns it a value
-/// different from its current sticky value in `state`; `state` is updated.
-size_t CountChangedAndAdvance(const SelectionMap& next,
-                              SelectionMap* state,
-                              std::vector<int>* changed_ids = nullptr);
 
 }  // namespace ifgen

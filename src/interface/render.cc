@@ -49,19 +49,7 @@ class Canvas {
   std::vector<std::string> rows_;
 };
 
-int SelectedOption(const WidgetNode& n, const SelectionMap& sel) {
-  auto it = sel.find(n.choice_id);
-  if (it == sel.end() || it->second.empty() || it->second[0] != 'a') return 0;
-  return std::atoi(it->second.c_str() + 1);
-}
-
-bool ToggleOn(const WidgetNode& n, const SelectionMap& sel) {
-  auto it = sel.find(n.choice_id);
-  if (it == sel.end()) return true;
-  return it->second == "p1";
-}
-
-void DrawRec(const WidgetNode& n, const SelectionMap& sel, Canvas* canvas) {
+void DrawRec(const WidgetNode& n, Canvas* canvas) {
   switch (n.kind) {
     case WidgetKind::kLabel:
       canvas->Put(n.x, n.y, Ellipsize(n.label.empty() && !n.domain.labels.empty()
@@ -75,12 +63,7 @@ void DrawRec(const WidgetNode& n, const SelectionMap& sel, Canvas* canvas) {
       return;
     }
     case WidgetKind::kDropdown: {
-      int opt = SelectedOption(n, sel);
-      std::string text = n.domain.labels.empty()
-                             ? ""
-                             : n.domain.labels[static_cast<size_t>(std::clamp(
-                                   opt, 0,
-                                   static_cast<int>(n.domain.labels.size()) - 1))];
+      std::string text = n.domain.labels.empty() ? "" : n.domain.labels[0];
       std::string body = Ellipsize(text, static_cast<size_t>(std::max(0, n.width - 4)));
       canvas->Put(n.x, n.y,
                   "[" + PadRight(body, static_cast<size_t>(std::max(0, n.width - 4))) +
@@ -88,10 +71,7 @@ void DrawRec(const WidgetNode& n, const SelectionMap& sel, Canvas* canvas) {
       return;
     }
     case WidgetKind::kSlider: {
-      int opt = SelectedOption(n, sel);
-      std::string text = n.domain.labels.empty() ? "" : n.domain.labels[
-          static_cast<size_t>(std::clamp(opt, 0,
-                                         static_cast<int>(n.domain.labels.size()) - 1))];
+      std::string text = n.domain.labels.empty() ? "" : n.domain.labels[0];
       int bar = std::max(4, n.width - static_cast<int>(text.size()) - 2);
       std::string s(static_cast<size_t>(bar), '-');
       s[s.size() / 2] = 'o';
@@ -109,18 +89,15 @@ void DrawRec(const WidgetNode& n, const SelectionMap& sel, Canvas* canvas) {
     }
     case WidgetKind::kToggle:
     case WidgetKind::kCheckbox: {
-      bool on = ToggleOn(n, sel);
-      std::string mark = n.kind == WidgetKind::kToggle ? (on ? "(#)" : "( )")
-                                                       : (on ? "[x]" : "[ ]");
+      std::string mark = n.kind == WidgetKind::kToggle ? "(#)" : "[x]";
       canvas->Put(n.x, n.y,
                   mark + " " + Ellipsize(n.label, static_cast<size_t>(
                                                       std::max(0, n.width - 4))));
       return;
     }
     case WidgetKind::kRadio: {
-      int opt = SelectedOption(n, sel);
       for (size_t i = 0; i < n.domain.labels.size(); ++i) {
-        std::string mark = static_cast<int>(i) == opt ? "(o) " : "( ) ";
+        std::string mark = i == 0 ? "(o) " : "( ) ";
         canvas->Put(n.x, n.y + static_cast<int>(i),
                     mark + Ellipsize(n.domain.labels[i],
                                      static_cast<size_t>(std::max(0, n.width - 4))));
@@ -128,12 +105,10 @@ void DrawRec(const WidgetNode& n, const SelectionMap& sel, Canvas* canvas) {
       return;
     }
     case WidgetKind::kButtons: {
-      int opt = SelectedOption(n, sel);
       int cx = n.x;
       for (size_t i = 0; i < n.domain.labels.size(); ++i) {
         std::string text = Ellipsize(n.domain.labels[i], 12);
-        std::string box = (static_cast<int>(i) == opt ? "<" : "[") + text +
-                          (static_cast<int>(i) == opt ? ">" : "]");
+        std::string box = (i == 0 ? "<" : "[") + text + (i == 0 ? ">" : "]");
         canvas->Put(cx, n.y, box);
         cx += static_cast<int>(box.size()) + 1;
       }
@@ -141,33 +116,26 @@ void DrawRec(const WidgetNode& n, const SelectionMap& sel, Canvas* canvas) {
     }
     case WidgetKind::kTabs:
     case WidgetKind::kTabLayout: {
-      int active = n.kind == WidgetKind::kTabs ? SelectedOption(n, sel) : 0;
       int cx = n.x;
       for (size_t i = 0; i < n.children.size(); ++i) {
         std::string lbl = n.kind == WidgetKind::kTabs && i < n.domain.labels.size()
                               ? n.domain.labels[i]
                               : n.children[i].label;
-        std::string tab = (static_cast<int>(i) == active ? "/" : "|") +
-                          Ellipsize(lbl, 10) +
-                          (static_cast<int>(i) == active ? "\\" : "|");
+        std::string tab = (i == 0 ? "/" : "|") + Ellipsize(lbl, 10) + (i == 0 ? "\\" : "|");
         canvas->Put(cx, n.y, tab);
         cx += static_cast<int>(tab.size()) + 1;
       }
-      if (!n.children.empty()) {
-        size_t idx = static_cast<size_t>(
-            std::clamp(active, 0, static_cast<int>(n.children.size()) - 1));
-        DrawRec(n.children[idx], sel, canvas);
-      }
+      if (!n.children.empty()) DrawRec(n.children[0], canvas);
       return;
     }
     case WidgetKind::kAdder: {
-      for (const WidgetNode& c : n.children) DrawRec(c, sel, canvas);
+      for (const WidgetNode& c : n.children) DrawRec(c, canvas);
       canvas->Put(n.x, n.y + n.height - 1, "[+ add]");
       return;
     }
     case WidgetKind::kVertical:
     case WidgetKind::kHorizontal: {
-      for (const WidgetNode& c : n.children) DrawRec(c, sel, canvas);
+      for (const WidgetNode& c : n.children) DrawRec(c, canvas);
       return;
     }
   }
@@ -279,11 +247,10 @@ void HtmlRec(const WidgetNode& n, std::string* out) {
 
 }  // namespace
 
-std::string RenderAscii(const WidgetTree& tree, const Screen& screen,
-                        const SelectionMap& selections) {
+std::string RenderAscii(const WidgetTree& tree, const Screen& screen) {
   Canvas canvas(std::max(screen.width, tree.root.width),
                 std::max(screen.height, tree.root.height));
-  DrawRec(tree.root, selections, &canvas);
+  DrawRec(tree.root, &canvas);
   return canvas.ToString();
 }
 

@@ -2,19 +2,15 @@
 
 #include <string>
 
-#include "difftree/selection.h"
 #include "interface/widget_tree.h"
 #include "widgets/widget.h"
 
 namespace ifgen {
 
 /// \brief Renders a laid-out widget tree as ASCII art (the stand-in for the
-/// paper's browser dashboard — Figure 6 screenshots).
-///
-/// `selections` (optional) highlights current widget values; pass an empty
-/// map to render defaults (first option selected, toggles on).
-std::string RenderAscii(const WidgetTree& tree, const Screen& screen,
-                        const SelectionMap& selections = {});
+/// paper's browser dashboard — Figure 6 screenshots) with every widget at
+/// its default: first option selected, toggles on.
+std::string RenderAscii(const WidgetTree& tree, const Screen& screen);
 
 /// \brief Emits a standalone static HTML page with real form controls, so a
 /// generated interface can be opened in a browser.

@@ -4,13 +4,11 @@
 #include <chrono>
 #include <utility>
 
-#include "cost/cost_model.h"
 #include "engine/exec_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
 #include "util/timer.h"
-#include "widgets/appropriateness.h"
 
 namespace ifgen {
 
@@ -212,10 +210,9 @@ Result<std::unique_ptr<InteractiveRuntime>> InteractiveRuntime::Create(
                          InterfaceSession::Create(iface, constants));
   std::unique_ptr<InteractiveRuntime> rt(
       new InteractiveRuntime(std::move(session), std::move(backend), opts));
-  rt->constants_ = constants;
   {
     std::lock_guard<std::mutex> lock(rt->mu_);
-    IFGEN_RETURN_NOT_OK(rt->StepLocked(0, 0.0, 0.0).status());
+    IFGEN_RETURN_NOT_OK(rt->StepLocked({}).status());
     // The initial execution primes prev state and version 1; counters track
     // *interactions*, so they restart at zero.
     rt->counters_ = Counters{};
@@ -226,53 +223,34 @@ Result<std::unique_ptr<InteractiveRuntime>> InteractiveRuntime::Create(
 Result<InteractiveRuntime::StepReport> InteractiveRuntime::LoadQuery(
     const Ast& query) {
   std::lock_guard<std::mutex> lock(mu_);
-  IFGEN_ASSIGN_OR_RETURN(InterfaceSession::StepReport sess,
+  IFGEN_ASSIGN_OR_RETURN(InterfaceSession::StepReport effort,
                          session_->LoadQuery(query));
-  return StepLocked(sess.widgets_changed, sess.interaction_cost,
-                    sess.navigation_cost);
+  return StepLocked(effort);
 }
 
 Result<InteractiveRuntime::StepReport> InteractiveRuntime::SetAnyChoice(
     int choice_id, int option_index) {
   std::lock_guard<std::mutex> lock(mu_);
   IFGEN_RETURN_NOT_OK(session_->SetAnyChoice(choice_id, option_index));
-  double ic = 0.0, nc = 0.0;
-  PriceWidgetChange(choice_id, &ic, &nc);
-  return StepLocked(1, ic, nc);
+  return StepLocked(session_->PriceChange({choice_id}));
 }
 
 Result<InteractiveRuntime::StepReport> InteractiveRuntime::SetOptPresent(
     int choice_id, bool present) {
   std::lock_guard<std::mutex> lock(mu_);
   IFGEN_RETURN_NOT_OK(session_->SetOptPresent(choice_id, present));
-  double ic = 0.0, nc = 0.0;
-  PriceWidgetChange(choice_id, &ic, &nc);
-  return StepLocked(1, ic, nc);
+  return StepLocked(session_->PriceChange({choice_id}));
 }
 
 Result<InteractiveRuntime::StepReport> InteractiveRuntime::SetMultiCount(
     int choice_id, size_t count) {
   std::lock_guard<std::mutex> lock(mu_);
   IFGEN_RETURN_NOT_OK(session_->SetMultiCount(choice_id, count));
-  double ic = 0.0, nc = 0.0;
-  PriceWidgetChange(choice_id, &ic, &nc);
-  return StepLocked(1, ic, nc);
-}
-
-void InteractiveRuntime::PriceWidgetChange(int choice_id, double* interaction_cost,
-                                           double* navigation_cost) const {
-  const WidgetTree& wt = session_->widgets();
-  auto it = wt.path_by_choice.find(choice_id);
-  if (it == wt.path_by_choice.end()) return;  // owned by an enclosing adder
-  const WidgetNode* w = wt.NodeAtPath(it->second);
-  if (w == nullptr) return;
-  *interaction_cost = InteractionCost(constants_, w->kind, w->domain);
-  // One changed widget is its own Steiner tree: no edge to navigate.
-  *navigation_cost = 0.0;
+  return StepLocked(session_->PriceChange({choice_id}));
 }
 
 Result<InteractiveRuntime::StepReport> InteractiveRuntime::StepLocked(
-    size_t widgets_changed, double interaction_cost, double navigation_cost) {
+    const InterfaceSession::StepReport& effort) {
   obs::TraceSpan span("runtime.step", "runtime");
   Stopwatch step_watch;
   // Create()'s priming execution (version_ 0) resets the per-instance
@@ -283,9 +261,9 @@ Result<InteractiveRuntime::StepReport> InteractiveRuntime::StepLocked(
     if (!priming) RuntimePathMetric(path).Inc();
   };
   StepReport report;
-  report.widgets_changed = widgets_changed;
-  report.interaction_cost = interaction_cost;
-  report.navigation_cost = navigation_cost;
+  report.widgets_changed = effort.widgets_changed;
+  report.interaction_cost = effort.interaction_cost;
+  report.navigation_cost = effort.navigation_cost;
 
   IFGEN_ASSIGN_OR_RETURN(Ast query, session_->CurrentQuery());
   IFGEN_ASSIGN_OR_RETURN(ParameterizedQuery pq, ParameterizeQuery(query));

@@ -191,18 +191,15 @@ class InteractiveRuntime {
                      std::shared_ptr<ExecutionBackend> backend, Options opts);
 
   /// The shared tail of every interaction: (re)executes or maintains the
-  /// result for the session's current query. Requires mu_ held.
+  /// result for the session's current query, reporting `effort` (the
+  /// session's pricing of the step). Requires mu_ held.
   ///
   /// On error (e.g. the new widget state orders by a column the projection
   /// dropped) the result side of the runtime — CurrentResult, version, the
   /// feed, and the retained delta state — stays at the last *executed*
   /// step, while the session's widget state (CurrentSql) has already
   /// advanced; the next successful step re-synchronizes them.
-  Result<StepReport> StepLocked(size_t widgets_changed, double interaction_cost,
-                                double navigation_cost);
-  /// Cost attribution of flipping one widget (mirrors cost/transition.cc).
-  void PriceWidgetChange(int choice_id, double* interaction_cost,
-                         double* navigation_cost) const;
+  Result<StepReport> StepLocked(const InterfaceSession::StepReport& effort);
 
   static CachedResultPtr MakeCached(DeltaResult dr);
   /// The single owner of the served-aliases-full invariant: `served` copies
@@ -217,7 +214,6 @@ class InteractiveRuntime {
   std::unique_ptr<InterfaceSession> session_;
   std::shared_ptr<ExecutionBackend> backend_;
   Options opts_;
-  CostConstants constants_;
 
   mutable std::mutex mu_;
   /// Signaled (all waiters) on every version_ bump.

@@ -5,15 +5,17 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <optional>
 #include <thread>
+#include <utility>
 
 #include "core/options.h"
 #include "core/session.h"
 #include "cost/cost_model.h"
 #include "cost/evaluator.h"
-#include "cost/transition.h"
 #include "difftree/builder.h"
+#include "difftree/enumerate.h"
 #include "difftree/selection.h"
 #include "interface/assignment.h"
 #include "reference_matcher.h"
@@ -249,19 +251,22 @@ TEST(Transition, PricesChangedWidgets) {
   CostConstants constants;
   std::vector<Ast> queries = {Q("select a from t"), Q("select b from t")};
   DiffTree d = *BuildInitialTree(queries);
-  ChoiceIndex index(d);
   WidgetAssigner assigner(d, constants);
   auto wt = assigner.Build(assigner.MinAppropriatenessAssignment());
   ASSERT_TRUE(wt.ok());
-  SelectionMap state;
-  auto s1 = ComputeTransition(d, index, *wt, constants, 8, state, queries[0]);
-  ASSERT_TRUE(s1.ok());
-  auto s2 = ComputeTransition(d, index, *wt, constants, 8, s1->next_state, queries[1]);
-  ASSERT_TRUE(s2.ok());
-  EXPECT_EQ(s2->widgets_changed, 1u);
-  EXPECT_GT(s2->interaction_cost, 0.0);
-  auto bad = ComputeTransition(d, index, *wt, constants, 8, state, Q("select z from t"));
-  EXPECT_FALSE(bad.ok());
+  FlatLayout flat;
+  Flatten(wt->root, &flat);
+  StickyState state(d);
+  std::vector<int> changed;
+  ASSERT_TRUE(state.Step(d, queries[0], 8, &changed));
+  ASSERT_TRUE(state.Step(d, queries[1], 8, &changed));
+  EXPECT_EQ(changed.size(), 1u);
+  double interaction = 0.0;
+  double navigation = 0.0;
+  PriceTransition(&flat, changed, constants, &interaction, &navigation);
+  EXPECT_GT(interaction, 0.0);
+  StickyState fresh(d);
+  EXPECT_FALSE(fresh.Step(d, Q("select z from t"), 8, &changed));
 }
 
 // ---------------------------------------------------------------------------
@@ -643,6 +648,7 @@ TEST(Evaluator, ConcurrentBoundedMissesAndResolves) {
 
 TransitionPlan ReferencePlan(const DiffTree& tree, const std::vector<Ast>& queries,
                              size_t parse_limit) {
+  using reference::SelectionMap;
   TransitionPlan plan;
   ChoiceIndex index(tree);
   SelectionMap state;
@@ -658,10 +664,10 @@ TransitionPlan ReferencePlan(const DiffTree& tree, const std::vector<Ast>& queri
     SelectionMap best_next;
     std::vector<int> best_ids;
     for (const Derivation& d : derivs) {
-      SelectionMap sels = ExtractSelections(index, d);
+      SelectionMap sels = reference::ExtractSelections(index, d);
       SelectionMap trial = state;
       std::vector<int> ids;
-      size_t changed = CountChangedAndAdvance(sels, &trial, &ids);
+      size_t changed = reference::CountChangedAndAdvance(sels, &trial, &ids);
       if (changed < best_changed) {
         best_changed = changed;
         best_next = std::move(trial);
@@ -725,6 +731,56 @@ TEST(Plan, MatchesReferencePlanner) {
   }
 }
 
+TEST(Plan, SelectionCodesMatchSelectionMaps) {
+  // Two first parses give one id equal codes iff the reference selection
+  // maps give it equal strings (for a MULTI, equal Encode()s), and both
+  // hold the same ids: the co-occurrence model keys its counts on codes.
+  for (const char* workload : {"flights", "sdss", "synthetic"}) {
+    const std::vector<Ast> log = *ParseQueries(LoadWorkload(workload, 10)->log);
+    size_t multis = 0;
+    // Seeds whose walks reach MULTIs on every workload.
+    std::vector<DiffTree> states = RolloutStates(log, 24, 48, 0.8);
+    for (DiffTree& s : RolloutStates(log, 23, 48, 0.0)) states.push_back(std::move(s));
+    for (const DiffTree& s : states) {
+      std::vector<Ast> queries = log;
+      for (Ast& q : EnumerateQueries(s, 20)) queries.push_back(std::move(q));
+      const ChoiceIndex index(s);
+      StickyState codes(s);
+      std::vector<std::map<int, int>> got;
+      std::vector<reference::SelectionMap> want;
+      ParseTrail trail;
+      for (const Ast& q : queries) {
+        std::vector<StickyState::Selection> sels;
+        ForEachParse(s, q, 1, &trail, [&](const ParseTrail& t) {
+          codes.Score(t, &sels);
+          return true;
+        });
+        std::map<int, int>& by_id = got.emplace_back();
+        for (const StickyState::Selection& sel : sels) by_id[sel.id] = sel.code;
+        std::optional<Derivation> d = reference::Match(s, q);
+        want.push_back(d.has_value() ? reference::ExtractSelections(index, *d)
+                                     : reference::SelectionMap{});
+        ASSERT_EQ(by_id.size(), want.back().size()) << workload;
+        for (const auto& [id, sel] : want.back()) {
+          ASSERT_EQ(by_id.count(id), 1u) << workload << " id " << id;
+          multis += index.node(static_cast<size_t>(id))->kind == DKind::kMulti;
+        }
+      }
+      for (size_t i = 0; i < queries.size(); ++i) {
+        for (size_t j = i + 1; j < queries.size(); ++j) {
+          for (const auto& [id, code] : got[i]) {
+            auto other = got[j].find(id);
+            if (other == got[j].end()) continue;
+            EXPECT_EQ(code == other->second, want[i].at(id) == want[j].at(id))
+                << workload << " id " << id << " queries " << i << ", " << j;
+          }
+        }
+      }
+    }
+    EXPECT_GT(multis, 0u) << workload;
+  }
+}
+
 TEST(Plan, MultiCodesCoverCountsAndCopies) {
   // PROJECT(MULTI(a), MULTI(ANY(b, c))): ids 0 (the first MULTI), 1 (the
   // second) and 2 (its ANY). The first MULTI's copies have no choices, so
@@ -754,6 +810,44 @@ TEST(Plan, MultiCodesCoverCountsAndCopies) {
     ExpectSamePlan(PlanTransitions(proj, queries, kParseLimit), want,
                    sealed ? "sealed" : "unsealed");
   }
+}
+
+TEST(Plan, InternedMultiCodesStayBounded) {
+  // PROJECT(MULTI(a), MULTI(ANY(b, c))) as in MultiCodesCoverCountsAndCopies:
+  // three choice ids. Widget events setting ever new MULTI values must not
+  // grow the intern table without bound, and dropping unheld values must
+  // keep the held ones' codes.
+  DiffTree proj(Symbol::kProject, "");
+  proj.children.push_back(DiffTree::Multi(DiffTree::FromAst(Col("a"))));
+  proj.children.push_back(DiffTree::Multi(
+      DiffTree::Any({DiffTree::FromAst(Col("b")), DiffTree::FromAst(Col("c"))})));
+  Seal(proj);
+  auto cols = [](std::vector<std::string> names) {
+    std::vector<Ast> out;
+    for (const std::string& n : names) out.push_back(Col(n));
+    return Ast(Symbol::kProject, "", std::move(out));
+  };
+  const DiffTree& multi = std::as_const(proj).children[0];
+  auto copies = [&](size_t count) {  // as InterfaceSession::SetMultiCount builds it
+    Derivation d = DefaultDerivation(multi);
+    d.choice = static_cast<int>(count);
+    d.children.assign(count, DefaultDerivation(multi.children[0]));
+    return d;
+  };
+  const size_t bound = 2 * proj.ChoiceCount() + 64 + 1;
+  StickyState state(proj);
+  std::vector<int> changed;
+  ASSERT_TRUE(state.Step(proj, cols({"a", "b"}), kParseLimit, &changed));
+  for (size_t count = 0; count <= 300; ++count) {
+    state.SetMultiCode(0, copies(count));
+    EXPECT_LE(state.interned(), bound) << count;
+  }
+  state.SetMultiCode(0, copies(2));
+  ASSERT_TRUE(state.Step(proj, cols({"a", "a", "b"}), kParseLimit, &changed));
+  EXPECT_EQ(changed, std::vector<int>{});
+  ASSERT_TRUE(state.Step(proj, cols({"a", "b"}), kParseLimit, &changed));
+  EXPECT_EQ(changed, std::vector<int>{0});
+  EXPECT_LE(state.interned(), bound);
 }
 
 // ---------------------------------------------------------------------------
@@ -795,7 +889,8 @@ TEST(Plan, SharedSubtreeKeepsPositionalIds) {
     auto got = MatchQuery(tree, q);
     auto want = MatchQuery(deep, q);
     ASSERT_TRUE(got.has_value() && want.has_value());
-    EXPECT_EQ(ExtractSelections(index, *got), ExtractSelections(deep_index, *want));
+    EXPECT_EQ(reference::ExtractSelections(index, *got),
+              reference::ExtractSelections(deep_index, *want));
   }
 
   // The session moves the widget at the second position only.
@@ -815,7 +910,6 @@ TEST(Plan, SharedSubtreeKeepsPositionalIds) {
   ASSERT_TRUE(unshared->SetAnyChoice(1, 1).ok());
   EXPECT_EQ(*shared->CurrentSql(), *unshared->CurrentSql());
   EXPECT_EQ(*shared->CurrentSql(), "select a from t where x = 1 and x = 2");
-  EXPECT_EQ(shared->selections(), unshared->selections());
 }
 
 TEST(Plan, ConcurrentPlanningIsIdentical) {

@@ -4,6 +4,7 @@
 #include <thread>
 #include <utility>
 
+#include "cost/cost_model.h"
 #include "difftree/builder.h"
 #include "difftree/difftree.h"
 #include "difftree/enumerate.h"
@@ -577,17 +578,14 @@ TEST(Selection, ChoiceIndexIdsAreStable) {
 
 TEST(Selection, StickySemantics) {
   DiffTree d = *BuildInitialTree({Q("select a from t"), Q("select b from t")});
-  ChoiceIndex idx(d);
-  SelectionMap state;
-  auto m0 = MatchQuery(d, Q("select a from t"));
-  size_t c0 = CountChangedAndAdvance(ExtractSelections(idx, *m0), &state);
-  EXPECT_EQ(c0, 1u);  // first configuration sets the widget
-  auto m0b = MatchQuery(d, Q("select a from t"));
-  size_t c1 = CountChangedAndAdvance(ExtractSelections(idx, *m0b), &state);
-  EXPECT_EQ(c1, 0u);  // same query: nothing changes
-  auto m1 = MatchQuery(d, Q("select b from t"));
-  size_t c2 = CountChangedAndAdvance(ExtractSelections(idx, *m1), &state);
-  EXPECT_EQ(c2, 1u);
+  StickyState state(d);
+  std::vector<int> changed;
+  ASSERT_TRUE(state.Step(d, Q("select a from t"), kParseLimit, &changed));
+  EXPECT_EQ(changed.size(), 1u);  // first configuration sets the widget
+  ASSERT_TRUE(state.Step(d, Q("select a from t"), kParseLimit, &changed));
+  EXPECT_EQ(changed.size(), 0u);  // same query: nothing changes
+  ASSERT_TRUE(state.Step(d, Q("select b from t"), kParseLimit, &changed));
+  EXPECT_EQ(changed.size(), 1u);
 }
 
 TEST(Enumerate, CoversInitialLanguage) {

@@ -1,14 +1,20 @@
 // The derivation matcher as it was before parses became flat trails: it
 // builds each parse as a nested Derivation tree, resizing child vectors as
 // it backtracks. Kept as the reference the trail matcher is tested against
-// (parse order, step budget, exhaustion).
+// (parse order, step budget, exhaustion). With it, the selection maps the
+// transition planner used to compare parses by, kept as the reference the
+// StickyState planner is tested against.
 #pragma once
 
 #include <optional>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "difftree/match.h"
+#include "difftree/selection.h"
 #include "util/function_ref.h"
+#include "util/logging.h"
 
 namespace ifgen {
 namespace reference {
@@ -168,6 +174,99 @@ inline std::optional<Derivation> Match(const DiffTree& root, const Ast& query,
                              [](size_t j) { return j == 1; });
   if (m.exhausted() || !ok) return std::nullopt;
   return deriv;
+}
+
+// ---------------------------------------------------------------------------
+// Selection maps.
+
+/// \brief The selection a query induces on each *active* widget.
+///
+/// Maps choice id -> encoded selection. Choice nodes in unchosen ANY
+/// branches are absent (the corresponding widgets keep their prior state —
+/// "sticky" semantics, matching how a real interface behaves). Choice nodes
+/// inside MULTI subtrees are folded into the MULTI's own encoding.
+using SelectionMap = std::unordered_map<int, std::string>;
+
+using Positions = std::vector<ChoiceIndex::Position>;
+
+/// Calls visit(child, position) for each child derivation of `d`, whose node
+/// sits at position `at`: a node's first child is at the next position, and
+/// each later sibling starts where the one before it ends.
+template <typename D, typename Visit>
+void ForEachChildPosition(const Positions& pos, D& d, int at, Visit&& visit) {
+  int child = at + 1;
+  switch (d.node->kind) {
+    case DKind::kAll:
+      // One child derivation per difftree child.
+      for (auto& c : d.children) {
+        visit(c, child);
+        child = pos[static_cast<size_t>(child)].end;
+      }
+      return;
+    case DKind::kAny:
+      // The chosen alternative only.
+      for (int alt = 0; alt < d.choice; ++alt) child = pos[static_cast<size_t>(child)].end;
+      break;
+    case DKind::kOpt:    // the child, when present
+    case DKind::kMulti:  // one derivation per copy of the one child
+      break;
+  }
+  for (auto& c : d.children) visit(c, child);
+}
+
+/// Fills `out` with the selections of `d`, whose node sits at position
+/// `at`, in pre-order.
+inline void ExtractRec(const Positions& pos, const Derivation& d, int at, bool inside_multi,
+                       SelectionMap* out) {
+  IFGEN_DCHECK(d.node != nullptr && static_cast<size_t>(at) + 1 < pos.size());
+  if (!inside_multi) {
+    const int id = pos[static_cast<size_t>(at)].first_id;
+    switch (d.node->kind) {
+      case DKind::kAny:
+        (*out)[id] = "a" + std::to_string(d.choice);
+        break;
+      case DKind::kOpt:
+        (*out)[id] = d.choice != 0 ? "p1" : "p0";
+        break;
+      case DKind::kMulti:
+        // The adder widget's value is the full sub-derivation (count plus
+        // every nested choice in every copy).
+        (*out)[id] = d.Encode();
+        break;
+      case DKind::kAll:
+        break;
+    }
+  }
+  const bool next_inside = inside_multi || d.node->kind == DKind::kMulti;
+  ForEachChildPosition(pos, d, at, [&](const Derivation& c, int child) {
+    ExtractRec(pos, c, child, next_inside, out);
+  });
+}
+
+/// \brief Extracts the selection map from a derivation: one entry per
+/// choice node outside MULTI subtrees (a MULTI's own selection covers them),
+/// filled in pre-order; a node's id is that of its position in the walk.
+inline SelectionMap ExtractSelections(const ChoiceIndex& index, const Derivation& deriv) {
+  SelectionMap out;
+  ExtractRec(index.positions(), deriv, /*at=*/0, /*inside_multi=*/false, &out);
+  return out;
+}
+
+/// Number of selections that differ between consecutive queries under sticky
+/// semantics: a widget counts as changed when `next` assigns it a value
+/// different from its current sticky value in `state`; `state` is updated.
+inline size_t CountChangedAndAdvance(const SelectionMap& next, SelectionMap* state,
+                                     std::vector<int>* changed_ids = nullptr) {
+  size_t changed = 0;
+  for (const auto& [id, sel] : next) {
+    auto it = state->find(id);
+    if (it == state->end() || it->second != sel) {
+      ++changed;
+      if (changed_ids != nullptr) changed_ids->push_back(id);
+      (*state)[id] = sel;
+    }
+  }
+  return changed;
 }
 
 }  // namespace reference
