@@ -10,6 +10,7 @@
 #include "core/interface_generator.h"
 #include "core/session.h"
 #include "cost/cost_model.h"
+#include "cost/delta.h"
 #include "cost/evaluator.h"
 #include "difftree/builder.h"
 #include "difftree/match.h"
@@ -129,23 +130,23 @@ void BM_MatchQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_MatchQuery)->Arg(0)->Arg(8);
 
-/// Transition planning of the Listing-1 log: on FactoredSdss(8) unsealed
-/// (arg 0), whose blocks cache no choice counts, like the bottom-up
-/// baseline's result; round robin over 240 sealed rollout states (arg 1),
+/// Transition planning of the Listing-1 log: on an unsealed copy of
+/// FactoredSdss(8) (arg 0), whose blocks cache no choice counts, like a
+/// hand-built tree; round robin over 240 sealed rollout states (arg 1),
 /// half from forward-biased walks and half from uniform ones, whose inverse
 /// rewrites leave queries with several parses: the states a search plans
-/// for; or on FactoredSdss(8) sealed (arg 2).
+/// for; or on FactoredSdss(8) itself, which RuleEngine::Apply sealed (arg 2).
 void BM_PlanTransitions(benchmark::State& state) {
   const std::vector<Ast> queries = SdssAsts();
   std::vector<DiffTree> trees;
   if (state.range(0) == 1) {
     trees = RolloutStates(queries, 11, 120, 0.8);
     for (DiffTree& s : RolloutStates(queries, 13, 120, 0.0)) trees.push_back(std::move(s));
+    for (const DiffTree& t : trees) Seal(t);  // as the search seals its initial state
+  } else if (state.range(0) == 0) {
+    trees.push_back(DeepCopy(FactoredSdss(8)));
   } else {
     trees.push_back(FactoredSdss(8));
-  }
-  if (state.range(0) != 0) {
-    for (const DiffTree& t : trees) Seal(t);  // as the search seals its initial state
   }
   size_t i = 0;
   for (auto _ : state) {
@@ -173,6 +174,27 @@ void BM_SessionLoadQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SessionLoadQuery);
+
+/// A rollout state's widget assigner: round robin over 240 sealed sdss
+/// rollout states (forward-biased and uniform walks) whose choice and
+/// BETWEEN terms a warm DeltaCostCache holds, as on a search's cache misses.
+void BM_WidgetAssigner(benchmark::State& state) {
+  const std::vector<Ast> queries = SdssAsts();
+  std::vector<DiffTree> trees = RolloutStates(queries, 11, 120, 0.8);
+  for (DiffTree& s : RolloutStates(queries, 13, 120, 0.0)) trees.push_back(std::move(s));
+  const CostConstants constants;
+  DeltaCostCache delta;
+  for (const DiffTree& t : trees) {
+    Seal(t);
+    const WidgetAssigner warm(t, constants, &delta);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const WidgetAssigner assigner(trees[i++ % trees.size()], constants, &delta);
+    benchmark::DoNotOptimize(assigner.decisions().data());
+  }
+}
+BENCHMARK(BM_WidgetAssigner);
 
 void BM_EvaluateAssignment_Recompute(benchmark::State& state) {
   // The unoptimized path: derivations re-enumerated per widget tree.

@@ -1,8 +1,10 @@
 #include "cost/delta.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "obs/metrics.h"
+#include "util/string_util.h"
 #include "widgets/appropriateness.h"
 
 namespace ifgen {
@@ -59,31 +61,79 @@ ChoiceWidgetTerms ComputeChoiceWidgetTerms(const DiffTree& choice_node,
       t.min_m_pick = static_cast<int>(o);
     }
   }
+  if (choice_node.kind == DKind::kOpt) t.toggle_label = Ellipsize(t.domain.labels[0], 16);
   return t;
+}
+
+std::shared_ptr<const BetweenTerms> ComputeBetweenTerms(const DiffTree& node,
+                                                        const SizeModel& size_model) {
+  BetweenPattern bp;
+  if (!MatchBetweenPattern(node, &bp)) return nullptr;
+  auto t = std::make_shared<BetweenTerms>();
+  t->label = std::move(bp.label);
+  t->domain = ExtractDomain(*bp.lo_any);
+  const WidgetDomain hi = ExtractDomain(*bp.hi_any);
+  t->domain.num_hi = std::max(t->domain.num_hi, hi.num_hi);
+  t->domain.num_lo = std::min(t->domain.num_lo, hi.num_lo);
+  Result<SizeClass> sc = size_model.PickTemplate(WidgetKind::kRangeSlider, t->domain);
+  if (sc.ok()) {
+    WidgetSize sz = size_model.SizeOf(WidgetKind::kRangeSlider, *sc, t->domain);
+    sz.width += static_cast<int>(std::min<size_t>(t->label.size(), 10));
+    t->tmpl = {*sc, sz};
+  } else {
+    t->status = sc.status();
+  }
+  return t;
+}
+
+void DeltaCostCache::CountSubtree(bool hit) {
+  if (hit) {
+    subtree_hits_.fetch_add(1, std::memory_order_relaxed);
+    SubtreeHitsMetric().Inc();
+  } else {
+    subtree_recomputes_.fetch_add(1, std::memory_order_relaxed);
+    SubtreeRecomputesMetric().Inc();
+  }
 }
 
 std::shared_ptr<const ChoiceWidgetTerms> DeltaCostCache::GetChoiceTerms(
     const DiffTree& choice_node, const CostConstants& constants,
     const SizeModel& size_model) {
   if (!enabled_) {
-    subtree_recomputes_.fetch_add(1, std::memory_order_relaxed);
-    SubtreeRecomputesMetric().Inc();
+    CountSubtree(/*hit=*/false);
     return std::make_shared<const ChoiceWidgetTerms>(
         ComputeChoiceWidgetTerms(choice_node, constants, size_model));
   }
   // Order-sensitive hash: the cached labels are read by index against the
   // node's actual children at widget-build time (see delta.h).
-  uint64_t key = choice_node.Hash();
+  const uint64_t key = choice_node.Hash();
   if (auto cached = terms_.Lookup(key)) {
-    subtree_hits_.fetch_add(1, std::memory_order_relaxed);
-    SubtreeHitsMetric().Inc();
+    CountSubtree(/*hit=*/true);
     return *cached;
   }
-  subtree_recomputes_.fetch_add(1, std::memory_order_relaxed);
-  SubtreeRecomputesMetric().Inc();
+  CountSubtree(/*hit=*/false);
   auto t = std::make_shared<const ChoiceWidgetTerms>(
       ComputeChoiceWidgetTerms(choice_node, constants, size_model));
   terms_.Insert(key, t);
+  return t;
+}
+
+std::shared_ptr<const BetweenTerms> DeltaCostCache::GetBetweenTerms(
+    const DiffTree& between, const SizeModel& size_model) {
+  if (!enabled_) {
+    CountSubtree(/*hit=*/false);
+    return ComputeBetweenTerms(between, size_model);
+  }
+  // Order-sensitive, like the choice terms: the slider's domain holds lo's
+  // labels in the order of its alternatives.
+  const uint64_t key = between.Hash();
+  if (auto cached = betweens_.Lookup(key)) {
+    CountSubtree(/*hit=*/true);
+    return *cached;
+  }
+  CountSubtree(/*hit=*/false);
+  std::shared_ptr<const BetweenTerms> t = ComputeBetweenTerms(between, size_model);
+  betweens_.Insert(key, t);
   return t;
 }
 

@@ -152,6 +152,7 @@ std::shared_ptr<const StateEvaluator::DeferredDraws> StateEvaluator::Defer(
     if (d.options.size() > 256) return nullptr;
   }
   deferred->decisions = decisions.size();
+  deferred->picks.reserve(draws.size * decisions.size());
   for (size_t i = 0; i < draws.size; ++i) {
     if (draws.m[i] == kInf) continue;  // never the best
     ++deferred->filled;

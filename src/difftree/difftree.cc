@@ -47,26 +47,56 @@ ChildList& ChildList::operator=(ChildList&& other) noexcept {
   return *this;
 }
 
+void ChildList::Detach(bool carry) {
+  if (block_->refs.load(std::memory_order_acquire) == 1 &&
+      !block_->sealed.load(std::memory_order_relaxed)) {
+    return;
+  }
+  // Shared or sealed: copy the k child handles; the grandchildren stay
+  // shared.
+  Block* copy = new Block(block_->kids);
+  if (carry && block_->cache.load(std::memory_order_acquire) == Block::kReady) {
+    // Field by field: another thread may be filling the source's counts.
+    const bool counted = block_->counts.load(std::memory_order_acquire) == Block::kReady;
+    copy->facts.resize(block_->facts.size());
+    for (size_t i = 0; i < copy->facts.size(); ++i) {
+      const ChildFacts& f = block_->facts[i];
+      copy->facts[i] = {f.hash, f.canonical_hash, f.nodes, f.choices,
+                        counted ? f.apps : Block::kStale.apps};
+    }
+    copy->cache.store(Block::kCarried, std::memory_order_relaxed);
+  }
+  Release(block_);
+  block_ = copy;
+}
+
 std::vector<DiffTree>& ChildList::Mutable() {
   if (block_ == nullptr) {
     block_ = new Block({});
-  } else if (block_->refs.load(std::memory_order_acquire) != 1 ||
-             block_->sealed.load(std::memory_order_relaxed)) {
-    // Shared or sealed: copy the k child handles; the grandchildren stay
-    // shared.
-    Block* copy = new Block(block_->kids);
-    Release(block_);
-    block_ = copy;
-  } else {
-    if (block_->cache.load(std::memory_order_relaxed) != Block::kEmpty) {
-      block_->cache.store(Block::kEmpty, std::memory_order_relaxed);
-      block_->counts.store(Block::kEmpty, std::memory_order_relaxed);
-    }
-    if (block_->normal.load(std::memory_order_relaxed)) {
-      block_->normal.store(false, std::memory_order_relaxed);
-    }
+    return block_->kids;
+  }
+  Detach(/*carry=*/false);
+  if (block_->cache.load(std::memory_order_relaxed) != Block::kEmpty) {
+    block_->cache.store(Block::kEmpty, std::memory_order_relaxed);
+    block_->counts.store(Block::kEmpty, std::memory_order_relaxed);
+  }
+  if (block_->normal.load(std::memory_order_relaxed)) {
+    block_->normal.store(false, std::memory_order_relaxed);
   }
   return block_->kids;
+}
+
+DiffTree& ChildList::operator[](size_t i) {
+  Detach(/*carry=*/true);
+  Block& b = *block_;
+  if (b.cache.load(std::memory_order_relaxed) != Block::kEmpty) {
+    // Private now: the facts stay for the next fill, all but child i's.
+    b.facts[i] = Block::kStale;
+    b.cache.store(Block::kCarried, std::memory_order_relaxed);
+    b.counts.store(Block::kEmpty, std::memory_order_relaxed);
+  }
+  if (b.normal.load(std::memory_order_relaxed)) b.normal.store(false, std::memory_order_relaxed);
+  return b.kids[i];
 }
 
 void ChildList::MarkNormal() const {
@@ -78,17 +108,19 @@ void ChildList::MarkNormal() const {
 const ChildFacts* ChildList::FillFacts() const {
   // A private unsealed block may still change in place, so it never caches
   // (facts() asks only sealed or shared ones).
-  uint8_t state = Block::kEmpty;
-  if (!block_->cache.compare_exchange_strong(state, Block::kFilling,
+  uint8_t state = block_->cache.load(std::memory_order_acquire);
+  if (state == Block::kFilling ||
+      !block_->cache.compare_exchange_strong(state, Block::kFilling,
                                              std::memory_order_acquire)) {
     return state == Block::kReady ? block_->facts.data() : nullptr;
   }
   std::vector<ChildFacts>& facts = block_->facts;
-  facts.resize(block_->kids.size());
+  if (state == Block::kEmpty) facts.assign(block_->kids.size(), Block::kStale);
   for (size_t i = 0; i < facts.size(); ++i) {
+    if (facts[i].nodes != 0) continue;  // carried, still valid
     const DiffTree& c = block_->kids[i];
     facts[i] = {c.Hash(), c.CanonicalHash(), static_cast<uint32_t>(c.NodeCount()),
-                static_cast<uint32_t>(c.ChoiceCount()), {}};
+                static_cast<uint32_t>(c.ChoiceCount()), Block::kStale.apps};
   }
   block_->cache.store(Block::kReady, std::memory_order_release);
   return facts.data();
@@ -108,7 +140,10 @@ const ChildFacts* ChildList::CountedFacts(
     return state == Block::kReady ? ready : nullptr;
   }
   for (size_t i = 0; i < block_->kids.size(); ++i) {
-    block_->facts[i].apps = count(block_->kids[i]);
+    // Counts carried from the block this one copies stay.
+    if (block_->facts[i].apps.total == Block::kUncounted) {
+      block_->facts[i].apps = count(block_->kids[i]);
+    }
   }
   block_->counts.store(Block::kReady, std::memory_order_release);
   return ready;
@@ -409,27 +444,48 @@ void LabelNode(const DiffTree& n, std::string* out) {
 
 namespace {
 
-/// The indices of `node`'s children sorted by CanonicalHash, ties in tree
-/// order: the order CanonicalHash folds an ANY's alternatives in.
-std::vector<uint32_t> CanonicalOrder(const DiffTree& node) {
+/// Writes the indices of `node`'s n children, sorted by CanonicalHash with
+/// ties in tree order, to `order`: the order CanonicalHash folds an ANY's
+/// alternatives in. `hs` is scratch for n hashes. Up to 32 children sort by
+/// insertion, so a caller's stack buffers suffice.
+void CanonicalOrder(const DiffTree& node, uint64_t* hs, uint32_t* order) {
   const ChildFacts* f = node.children.facts();
   const size_t n = node.children.size();
-  std::vector<uint64_t> hs(n);
   for (size_t i = 0; i < n; ++i) {
     hs[i] = f != nullptr ? f[i].canonical_hash : node.children[i].CanonicalHash();
+    order[i] = static_cast<uint32_t>(i);
   }
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](uint32_t a, uint32_t b) { return hs[a] < hs[b]; });
-  return order;
+  auto before = [&](uint32_t a, uint32_t b) { return hs[a] < hs[b]; };
+  if (n > 32) {
+    std::stable_sort(order, order + n, before);
+    return;
+  }
+  for (size_t i = 1; i < n; ++i) {
+    const uint32_t x = order[i];
+    size_t j = i;
+    for (; j > 0 && before(x, order[j - 1]); --j) order[j] = order[j - 1];
+    order[j] = x;
+  }
 }
 
 bool RecordAnyOrderRec(const DiffTree& node, AnyOrder* out) {
   const size_t n = node.children.size();
   if (node.kind == DKind::kAny) {
     if (n > 256) return false;
-    const std::vector<uint32_t> order = CanonicalOrder(node);
+    constexpr size_t kInline = 32;
+    uint64_t inline_hs[kInline];
+    uint32_t inline_order[kInline];
+    std::vector<uint64_t> heap_hs;
+    std::vector<uint32_t> heap_order;
+    uint64_t* hs = inline_hs;
+    uint32_t* order = inline_order;
+    if (n > kInline) {
+      heap_hs.resize(n);
+      heap_order.resize(n);
+      hs = heap_hs.data();
+      order = heap_order.data();
+    }
+    CanonicalOrder(node, hs, order);
     const size_t at = out->size();
     out->resize(at + n);
     for (size_t r = 0; r < n; ++r) (*out)[at + order[r]] = static_cast<uint8_t>(r);
@@ -460,7 +516,9 @@ int ReorderAnyRec(const DiffTree& node, OrderCursor* c, DiffTree* out) {
   bool changed = false;
   if (node.kind == DKind::kAny) {
     if (static_cast<size_t>(c->end - c->at) < n) return -1;
-    const std::vector<uint32_t> canonical = CanonicalOrder(node);
+    std::vector<uint64_t> hs(n);
+    std::vector<uint32_t> canonical(n);
+    CanonicalOrder(node, hs.data(), canonical.data());
     std::vector<bool> taken(n, false);
     for (size_t i = 0; i < n; ++i) {
       const size_t rank = c->at[i];

@@ -54,16 +54,23 @@ struct ChildFacts {
 /// Copies share one immutable block, so copying a whole tree costs O(1).
 /// Const access never copies. Any non-const access first *detaches*: a block
 /// that other lists share, or that is sealed, is replaced by a private copy
-/// of its k child handles (the grandchildren stay shared), and a private
-/// block drops its caches. A rewrite therefore copies only the path it edits.
+/// of its k child handles (the grandchildren stay shared). A rewrite
+/// therefore copies only the path it edits.
 ///
 /// A block is *sealed* once its tree is a finished search state (see
 /// Seal): from then on it never changes in place. A sealed or shared block
 /// caches the ChildFacts of its children the first time they are asked
 /// for, so hashes and counts of a state cost O(changed path). A private
-/// unsealed block never fills its caches, since its owner may still mutate
-/// it in place. Fills are published with atomics: trees of concurrent
+/// unsealed block never hands out its facts, since its owner may still
+/// mutate it in place. Fills are published with atomics: trees of concurrent
 /// searches share blocks.
+///
+/// Writing one child keeps the facts of the others. `operator[](i)` carries
+/// the block's ready facts (and counts, when ready) into the private copy it
+/// detaches to, or keeps a private block's, and marks only child i stale;
+/// the next fill, once the block is sealed or shared again, recomputes the
+/// stale entries alone. So a path copy re-derives the facts of the path, not
+/// of its siblings. Whole-list access (Mutable, push_back) drops them.
 ///
 /// Rule for callers: never hold a `DiffTree&` (or pointer) obtained through
 /// non-const access across a copy of one of its ancestors, or across a Seal
@@ -112,7 +119,7 @@ class ChildList {
   // const only, so a read-only loop never detaches; loop over Mutable() to
   // edit the children.
   std::vector<DiffTree>& Mutable();
-  DiffTree& operator[](size_t i) { return Mutable()[i]; }
+  DiffTree& operator[](size_t i);
   void push_back(DiffTree child);
 
   /// Element-wise equality; shared blocks are equal, and differing cached
@@ -123,11 +130,15 @@ class ChildList {
   friend void Seal(const DiffTree& tree, bool normal);
   struct Block;
   static void Release(Block* block);
+  /// Replaces a sealed or shared block with a private copy of its child
+  /// handles; with `carry`, the copy keeps the block's ready facts.
+  void Detach(bool carry);
   /// Sealed or shared: the block can no longer change in place.
   bool Caches() const;
   /// The children's facts when they are already cached, else null.
   const ChildFacts* CachedFacts() const;
-  /// facts() of a sealed or shared block whose facts are not ready yet.
+  /// facts() of a sealed or shared block whose facts are not ready yet:
+  /// computes them all, or only the stale ones of carried facts.
   const ChildFacts* FillFacts() const;
 
   Block* block_ = nullptr;  ///< null for no children
@@ -213,11 +224,19 @@ struct DiffTree {
 struct ChildList::Block {
   explicit Block(std::vector<DiffTree> k) : kids(std::move(k)) {}
 
-  enum : uint8_t { kEmpty = 0, kFilling = 1, kReady = 2 };
+  /// `cache` states; kCarried: `facts` holds one entry per kid, carried
+  /// over from the block this one was copied from, and an entry whose
+  /// `nodes` is 0 (no subtree has 0 nodes) is stale.
+  enum : uint8_t { kEmpty = 0, kFilling = 1, kReady = 2, kCarried = 3 };
+  /// A stale `apps` entry, recounted by the next CountedFacts fill.
+  static constexpr uint32_t kUncounted = ~uint32_t{0};
+  /// A facts entry the next fill recomputes, its count included.
+  static constexpr ChildFacts kStale{0, 0, 0, 0, {kUncounted, 0}};
 
   std::atomic<uint32_t> refs{1};
   std::atomic<uint8_t> cache{kEmpty};
-  /// The facts' `apps` fields: filled only after `cache` is kReady.
+  /// The facts' `apps` fields: filled only after `cache` is kReady. Until
+  /// `counts` is kReady, an entry is valid unless its total is kUncounted.
   std::atomic<uint8_t> counts{kEmpty};
   std::atomic<bool> normal{false};  ///< see KnownNormal
   std::atomic<bool> sealed{false};  ///< see Seal; never cleared

@@ -32,12 +32,29 @@ std::string_view ContextFor(const DiffTree& node, std::string_view inherited) {
   }
 }
 
+/// The options of the decisions that are not a choice node's widget.
+constexpr WidgetKind kBetweenOptions[] = {WidgetKind::kVertical, WidgetKind::kRangeSlider};
+constexpr WidgetKind kGroupLayouts[] = {WidgetKind::kVertical, WidgetKind::kHorizontal,
+                                        WidgetKind::kTabLayout};
+constexpr WidgetKind kOptLayouts[] = {WidgetKind::kHorizontal, WidgetKind::kVertical};
+
+template <size_t N>
+WidgetKindView ViewOf(const WidgetKind (&kinds)[N]) {
+  return {kinds, N};
+}
+
 }  // namespace
 
 WidgetAssigner::WidgetAssigner(const DiffTree& tree, const CostConstants& constants,
                                DeltaCostCache* delta)
     : constants_(constants), delta_(delta), size_model_(constants_) {
+  // Reserved up front, so a state costs a fixed number of allocations: a
+  // choice widget per choice node, plus at most an OPT group, an ALL group
+  // and a BETWEEN composite (which holds two ANYs) per choice node below them.
+  const size_t choices = tree.ChoiceCount();
   slots_.reserve(tree.NodeCount());
+  decisions_.reserve(4 * choices);
+  ranges_.reserve(choices / 2);
   Collect(tree, "");
 }
 
@@ -52,19 +69,21 @@ void WidgetAssigner::Collect(const DiffTree& node, std::string_view inherited) {
   if (node.IsChoice()) slots_[s].choice_id = num_choices_++;
   switch (node.kind) {
     case DKind::kAll: {
-      BetweenPattern bp;
-      if (MatchBetweenPattern(node, &bp)) {
-        DecisionPoint d;
-        d.type = DecisionType::kBetweenComposite;
-        d.node = &node;
-        // Two pseudo-options: 0 = separate widgets, 1 = range slider.
-        d.options = {WidgetKind::kVertical, WidgetKind::kRangeSlider};
-        RangeSlider r;
-        r.decision = static_cast<int>(decisions_.size());
-        r.label = std::move(bp.label);
-        slots_[s].range = static_cast<int>(ranges_.size());
-        ranges_.push_back(std::move(r));
-        decisions_.push_back(std::move(d));
+      if (node.sym == Symbol::kBetween && node.children.size() == 3) {
+        // The range terms come from the delta-cost cache like the choice
+        // terms below.
+        std::shared_ptr<const BetweenTerms> terms =
+            delta_ != nullptr ? delta_->GetBetweenTerms(node, size_model_)
+                              : ComputeBetweenTerms(node, size_model_);
+        if (terms != nullptr) {
+          RangeSlider r;
+          r.decision = static_cast<int>(decisions_.size());
+          r.terms = std::move(terms);
+          slots_[s].range = static_cast<int>(ranges_.size());
+          ranges_.push_back(std::move(r));
+          decisions_.push_back(
+              {DecisionType::kBetweenComposite, &node, ViewOf(kBetweenOptions), nullptr});
+        }
       }
       // A child produces widgets when its subtree holds a choice node.
       size_t widget_kids = 0;
@@ -72,13 +91,9 @@ void WidgetAssigner::Collect(const DiffTree& node, std::string_view inherited) {
         widget_kids += node.children.ChoiceCountOf(i) > 0 ? 1 : 0;
       }
       if (widget_kids >= 2) {
-        DecisionPoint d;
-        d.type = DecisionType::kContainerLayout;
-        d.node = &node;
-        d.options = {WidgetKind::kVertical, WidgetKind::kHorizontal,
-                     WidgetKind::kTabLayout};
         slots_[s].container = static_cast<int>(decisions_.size());
-        decisions_.push_back(std::move(d));
+        decisions_.push_back(
+            {DecisionType::kContainerLayout, &node, ViewOf(kGroupLayouts), nullptr});
       }
       break;
     }
@@ -95,55 +110,47 @@ void WidgetAssigner::Collect(const DiffTree& node, std::string_view inherited) {
                     ? delta_->GetChoiceTerms(node, constants_, size_model_)
                     : std::make_shared<const ChoiceWidgetTerms>(
                           ComputeChoiceWidgetTerms(node, constants_, size_model_));
-      d.options = d.terms->options;
+      d.options = {d.terms->options.data(), d.terms->options.size()};
       if (d.options.empty()) viable_ = false;
       if (node.kind == DKind::kOpt) {
         // Prefer the child's clause name ("where", "top") as the toggle label.
         const std::string_view ctx = slots_[s].context;
         const std::string_view child_ctx = ContextFor(node.children[0], ctx);
-        slots_[s].toggle_context = !child_ctx.empty() ? child_ctx : ctx;
-        if (slots_[s].toggle_context.empty()) {
-          slots_[s].own_label = Ellipsize(d.terms->domain.labels[0], 16);
-        }
+        slots_[s].toggle_label = !child_ctx.empty() ? child_ctx : ctx;
+        if (slots_[s].toggle_label.empty()) slots_[s].toggle_label = d.terms->toggle_label;
       }
       slots_[s].choice = static_cast<int>(decisions_.size());
       decisions_.push_back(std::move(d));
       if (node.kind == DKind::kOpt && node.children.ChoiceCountOf(0) > 0) {
-        DecisionPoint g;
-        g.type = DecisionType::kContainerLayout;
-        g.node = &node;
-        g.options = {WidgetKind::kHorizontal, WidgetKind::kVertical};
         slots_[s].container = static_cast<int>(decisions_.size());
-        decisions_.push_back(std::move(g));
+        decisions_.push_back(
+            {DecisionType::kContainerLayout, &node, ViewOf(kOptLayouts), nullptr});
       }
       break;
     }
   }
   const std::string_view ctx = slots_[s].context;
-  for (const DiffTree& c : node.children) Collect(c, ctx);
+  for (size_t i = 0; i < node.children.size(); ++i) {
+    if (node.children.ChoiceCountOf(i) > 0) {
+      Collect(node.children[i], ctx);
+      continue;
+    }
+    // A choice-free child yields no decision and no widget (nor a BETWEEN
+    // composite, whose endpoints are ANYs): one slot, not descended, keeps
+    // its place among its siblings (an ANY's tab panels count them).
+    NodeSlot& leaf = slots_.emplace_back();
+    leaf.node = &node.children[i];
+    leaf.end = static_cast<int>(slots_.size());
+  }
   slots_[s].end = static_cast<int>(slots_.size());
 
   if (slots_[s].range >= 0) {
-    // The endpoints are children 1 and 2, both numeric choice nodes whose
-    // terms are collected by now.
+    // The endpoints are children 1 and 2, both choice nodes.
     const NodeSlot& lo = slots_[static_cast<size_t>(slots_[s + 1].end)];
     const NodeSlot& hi = slots_[static_cast<size_t>(lo.end)];
-    const WidgetDomain& lo_d = decisions_[static_cast<size_t>(lo.choice)].terms->domain;
-    const WidgetDomain& hi_d = decisions_[static_cast<size_t>(hi.choice)].terms->domain;
     RangeSlider& r = ranges_[static_cast<size_t>(slots_[s].range)];
     r.lo_id = lo.choice_id;
     r.hi_id = hi.choice_id;
-    r.domain = lo_d;
-    r.domain.num_hi = std::max(lo_d.num_hi, hi_d.num_hi);
-    r.domain.num_lo = std::min(lo_d.num_lo, hi_d.num_lo);
-    Result<SizeClass> sc = size_model_.PickTemplate(WidgetKind::kRangeSlider, r.domain);
-    if (sc.ok()) {
-      WidgetSize sz = size_model_.SizeOf(WidgetKind::kRangeSlider, *sc, r.domain);
-      sz.width += static_cast<int>(std::min<size_t>(r.label.size(), 10));
-      r.tmpl = {*sc, sz};
-    } else {
-      r.status = sc.status();
-    }
   }
 }
 
@@ -227,22 +234,25 @@ Status WidgetAssigner::FillNode(int s, const Assignment& a, FlatLayout* out,
       if (slot.range >= 0) {
         const RangeSlider& r = ranges_[static_cast<size_t>(slot.range)];
         if (Pick(r.decision, a) == WidgetKind::kRangeSlider) {
-          IFGEN_RETURN_NOT_OK(r.status);
+          const BetweenTerms& t = *r.terms;
+          IFGEN_RETURN_NOT_OK(t.status);
           FlatWidget w;
           w.kind = WidgetKind::kRangeSlider;
-          w.size_class = r.tmpl.size_class;
+          w.size_class = t.tmpl.size_class;
           w.choice_id = r.lo_id;
           w.choice_id2 = r.hi_id;
-          w.domain = &r.domain;
-          w.label = r.label;
-          w.width = r.tmpl.size.width;
-          w.height = r.tmpl.size.height;
+          w.domain = &t.domain;
+          w.label = t.label;
+          w.width = t.tmpl.size.width;
+          w.height = t.tmpl.size.height;
           out->Append(list, out->Add(w));
           return Status::OK();
         }
       }
       FlatList widgets;
       for (int c = s + 1; c < slot.end; c = slots_[static_cast<size_t>(c)].end) {
+        // A slot without children stands for a choice-free subtree.
+        if (slots_[static_cast<size_t>(c)].end == c + 1) continue;
         IFGEN_RETURN_NOT_OK(FillNode(c, a, out, &widgets));
       }
       if (widgets.count == 0) return Status::OK();
@@ -286,8 +296,7 @@ Status WidgetAssigner::FillNode(int s, const Assignment& a, FlatLayout* out,
       const DecisionPoint& d = decisions_[static_cast<size_t>(slot.choice)];
       if (d.options.empty()) return Status::Invalid("OPT has no valid widget");
       FlatWidget toggle = ChoiceWidget(slot, a);
-      toggle.label = slot.own_label.empty() ? slot.toggle_context
-                                            : std::string_view(slot.own_label);
+      toggle.label = slot.toggle_label;
       // Toggle + dependent widgets form a group (paper Fig. 3b: the toggle
       // and the StrExpr dropdown are organized together).
       FlatList group_widgets;

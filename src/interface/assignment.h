@@ -15,6 +15,7 @@
 namespace ifgen {
 
 class DeltaCostCache;
+struct BetweenTerms;
 struct ChoiceWidgetTerms;
 
 /// \brief The kinds of decisions that turn a difftree into a widget tree.
@@ -24,14 +25,27 @@ enum class DecisionType : uint8_t {
   kBetweenComposite,  ///< range slider vs. two separate numeric widgets
 };
 
+/// \brief A read-only view of widget kinds, which live elsewhere.
+struct WidgetKindView {
+  const WidgetKind* data = nullptr;
+  size_t count = 0;
+
+  size_t size() const { return count; }
+  bool empty() const { return count == 0; }
+  WidgetKind operator[](size_t i) const { return data[i]; }
+  const WidgetKind* begin() const { return data; }
+  const WidgetKind* end() const { return data + count; }
+};
+
 /// \brief One decision point with its valid options.
 struct DecisionPoint {
   DecisionType type = DecisionType::kChoiceWidget;
   const DiffTree* node = nullptr;
-  /// kChoiceWidget / kContainerLayout: candidate widget kinds.
+  /// kChoiceWidget: the candidate widget kinds, viewing `terms->options`.
+  /// kContainerLayout: candidate layouts, viewing a static list.
   /// kBetweenComposite: {0 = separate widgets, 1 = range slider} — encoded
   /// as a two-entry dummy kind list for uniform odometer handling.
-  std::vector<WidgetKind> options;
+  WidgetKindView options;
   /// kChoiceWidget only: the choice node's subtree-local terms (domain,
   /// option size templates, greedy min-M pick), computed once at Collect
   /// time — possibly by the delta-cost cache — and shared, never copied, by
@@ -90,8 +104,9 @@ class WidgetAssigner {
   Result<WidgetTree> Build(const Assignment& a) const;
 
  private:
-  /// Per difftree node, in pre-order: what Fill needs, resolved once per
-  /// state so a draw does no lookups.
+  /// Per difftree node that holds a choice, in pre-order: what Fill needs,
+  /// resolved once per state so a draw does no lookups. A choice-free
+  /// subtree shows no widget, so one slot (no children) stands for it.
   struct NodeSlot {
     const DiffTree* node = nullptr;
     int end = 0;          ///< one past the subtree's last slot
@@ -100,20 +115,15 @@ class WidgetAssigner {
     int container = -1;   ///< kContainerLayout decision
     int range = -1;       ///< ranges_ entry of a BETWEEN composite
     std::string_view context;  ///< clause label shown next to widgets
-    /// OPT: the toggle's clause label; when there is none, own_label holds
-    /// the ellipsized domain label instead.
-    std::string_view toggle_context;
-    std::string own_label;
+    /// OPT: the toggle's clause label, else its ellipsized domain label.
+    std::string_view toggle_label;
   };
   /// A BETWEEN composite's range slider, resolved once per state.
   struct RangeSlider {
     int decision = -1;  ///< its kBetweenComposite decision
     int lo_id = -1;
     int hi_id = -1;
-    std::string label;    ///< the rendered lhs expression
-    WidgetDomain domain;  ///< lo's domain with the merged numeric extent
-    Status status;        ///< the size model's verdict on the template
-    WidgetTemplate tmpl;  ///< size includes the label allowance
+    std::shared_ptr<const BetweenTerms> terms;
   };
 
   void Collect(const DiffTree& node, std::string_view inherited);

@@ -22,25 +22,29 @@ std::vector<std::pair<size_t, size_t>> LcsPairs(const std::vector<uint64_t>& a,
                                                 const std::vector<uint64_t>& b) {
   const size_t n = a.size();
   const size_t m = b.size();
-  std::vector<std::vector<int>> dp(n + 1, std::vector<int>(m + 1, 0));
+  // One flat (n+1) x (m+1) table, reused by every call on this thread.
+  thread_local std::vector<int> table;
+  table.assign((n + 1) * (m + 1), 0);
+  auto dp = [&](size_t i, size_t j) -> int& { return table[i * (m + 1) + j]; };
   for (size_t i = n; i-- > 0;) {
     for (size_t j = m; j-- > 0;) {
       if (a[i] == b[j]) {
-        dp[i][j] = dp[i + 1][j + 1] + 1;
+        dp(i, j) = dp(i + 1, j + 1) + 1;
       } else {
-        dp[i][j] = std::max(dp[i + 1][j], dp[i][j + 1]);
+        dp(i, j) = std::max(dp(i + 1, j), dp(i, j + 1));
       }
     }
   }
   std::vector<std::pair<size_t, size_t>> pairs;
+  pairs.reserve(std::min(n, m));
   size_t i = 0;
   size_t j = 0;
   while (i < n && j < m) {
-    if (a[i] == b[j] && dp[i][j] == dp[i + 1][j + 1] + 1) {
+    if (a[i] == b[j] && dp(i, j) == dp(i + 1, j + 1) + 1) {
       pairs.emplace_back(i, j);
       ++i;
       ++j;
-    } else if (dp[i + 1][j] >= dp[i][j + 1]) {
+    } else if (dp(i + 1, j) >= dp(i, j + 1)) {
       ++i;
     } else {
       ++j;

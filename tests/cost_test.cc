@@ -10,9 +10,11 @@
 #include <thread>
 #include <utility>
 
+#include "core/json_export.h"
 #include "core/options.h"
 #include "core/session.h"
 #include "cost/cost_model.h"
+#include "cost/delta.h"
 #include "cost/evaluator.h"
 #include "difftree/builder.h"
 #include "difftree/enumerate.h"
@@ -935,6 +937,65 @@ TEST(Plan, ConcurrentPlanningIsIdentical) {
                      "thread " + std::to_string(t) + " state " + std::to_string(i));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The assigner walks only the subtrees that hold a choice and takes its
+// choice and BETWEEN range terms from the delta-cost cache when it has one.
+// Neither may change a built widget tree.
+
+/// Counts `n`'s range sliders and checks every ANY's tabs against its node:
+/// one panel per alternative.
+void CheckPanels(const WidgetNode& n, const ChoiceIndex& index, const std::string& where,
+                 size_t* sliders, size_t* tabs) {
+  if (n.kind == WidgetKind::kRangeSlider) ++*sliders;
+  if (n.kind == WidgetKind::kTabs) {
+    ++*tabs;
+    ASSERT_GE(n.choice_id, 0) << where;
+    EXPECT_EQ(n.children.size(), index.node(static_cast<size_t>(n.choice_id))->children.size())
+        << where << " choice " << n.choice_id;
+  }
+  for (const WidgetNode& c : n.children) CheckPanels(c, index, where, sliders, tabs);
+}
+
+TEST(Assigner, CachedAndFreshTermsBuildTheSameTrees) {
+  const CostConstants constants;
+  size_t sliders = 0;
+  size_t tabs = 0;
+  size_t built = 0;
+  for (const char* workload : {"flights", "sdss", "synthetic"}) {
+    const std::vector<Ast> queries = *ParseQueries(LoadWorkload(workload, 10)->log);
+    std::vector<DiffTree> states = RolloutStates(queries, 31, 40, 0.8);
+    for (DiffTree& s : RolloutStates(queries, 33, 40, 0.0)) states.push_back(std::move(s));
+    DeltaCostCache delta;
+    for (size_t i = 0; i < states.size(); ++i) {
+      const DiffTree& s = states[i];
+      const std::string where = std::string(workload) + " state " + std::to_string(i);
+      const ChoiceIndex index(s);
+      const WidgetAssigner cold(s, constants, &delta);
+      const WidgetAssigner warm(s, constants, &delta);  // every term a cache hit
+      const WidgetAssigner fresh(s, constants);
+      ASSERT_EQ(warm.decisions().size(), fresh.decisions().size()) << where;
+      ASSERT_EQ(cold.decisions().size(), fresh.decisions().size()) << where;
+      Rng rng(HashCombine(31, i));
+      std::vector<Assignment> assignments = {fresh.MinAppropriatenessAssignment()};
+      for (int k = 0; k < 8; ++k) assignments.push_back(fresh.RandomAssignment(&rng));
+      for (const Assignment& a : assignments) {
+        Result<WidgetTree> want = fresh.Build(a);
+        for (const WidgetAssigner* cached : {&cold, &warm}) {
+          Result<WidgetTree> got = cached->Build(a);
+          ASSERT_EQ(got.ok(), want.ok()) << where;
+          if (got.ok()) EXPECT_EQ(WidgetTreeToJson(*got), WidgetTreeToJson(*want)) << where;
+        }
+        if (!want.ok()) continue;
+        ++built;
+        CheckPanels(want->root, index, where, &sliders, &tabs);
+      }
+    }
+  }
+  EXPECT_GT(built, 500u);
+  EXPECT_GT(sliders, 0u);
+  EXPECT_GT(tabs, 0u);
 }
 
 }  // namespace

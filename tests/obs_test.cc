@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -7,13 +8,20 @@
 #include <thread>
 #include <vector>
 
+#include "cost/delta.h"
+#include "difftree/builder.h"
+#include "interface/assignment.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rollout_states.h"
+#include "sql/parser.h"
+#include "workload/sdss.h"
 
 // ---------------------------------------------------------------------------
-// Allocation counter for the disabled-tracing zero-allocation test. The
-// replacement operators serve the whole test binary; everything except the
-// counter bump forwards to malloc/free.
+// Allocation counter for the zero- and fixed-allocation tests (disabled
+// tracing, the widget assigner, RecordAnyOrder). The replacement operators
+// serve the whole test binary; everything except the counter bump forwards
+// to malloc/free.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -353,4 +361,60 @@ TEST(ObsTrace, DisabledSpansAllocateNothing) {
 
 }  // namespace
 }  // namespace obs
+
+namespace {
+
+// A rollout state's evaluation builds a widget assigner; on a sealed state
+// whose terms the delta-cost cache holds, that costs a fixed number of
+// allocations (its three reserved vectors), however big the state.
+TEST(AllocationBudget, WidgetAssignerOnAWarmSealedState) {
+  const std::vector<Ast> queries = *ParseQueries(SdssListing1());
+  std::vector<DiffTree> states = RolloutStates(queries, 5, 60, 0.8);
+  const CostConstants constants;
+  DeltaCostCache delta;
+  for (const DiffTree& s : states) {
+    Seal(s);  // as the search seals its initial state; the rest are Apply's
+    const WidgetAssigner warm(s, constants, &delta);
+  }
+  uint64_t worst = 0;
+  size_t decisions = 0;
+  for (const DiffTree& s : states) {
+    const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    {
+      const WidgetAssigner assigner(s, constants, &delta);
+      decisions += assigner.decisions().size();
+    }
+    worst = std::max(worst, g_alloc_count.load(std::memory_order_relaxed) - before);
+  }
+  EXPECT_GT(decisions, 500u);
+  EXPECT_LE(worst, 3u);
+}
+
+DiffTree NumberAny(size_t n, uint64_t seed) {
+  std::vector<DiffTree> alts;
+  for (size_t i = 0; i < n; ++i) {
+    alts.emplace_back(Symbol::kNumExpr, std::to_string((i * 7919 + seed) % 1000));
+  }
+  return DiffTree::Any(std::move(alts));
+}
+
+// RecordAnyOrder ranks up to 32 alternatives in stack buffers: with room in
+// its output it allocates nothing.
+TEST(AllocationBudget, RecordAnyOrderAllocatesOnlyItsOutput) {
+  const std::vector<Ast> queries = *ParseQueries(SdssListing1());
+  std::vector<DiffTree> trees = RolloutStates(queries, 7, 40, 0.0);
+  for (size_t n = 1; n <= 32; ++n) trees.push_back(DiffTree::Seq({NumberAny(n, n), NumberAny(n, 3)}));
+  size_t recorded = 0;
+  for (const DiffTree& t : trees) {
+    AnyOrder order;
+    order.reserve(4096);
+    const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    ASSERT_TRUE(RecordAnyOrder(t, &order));
+    EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), before);
+    recorded += order.size();
+  }
+  EXPECT_GT(recorded, 1000u);
+}
+
+}  // namespace
 }  // namespace ifgen

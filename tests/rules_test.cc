@@ -590,5 +590,107 @@ TEST(RuleCounts, ConcurrentCountFills) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Apply's path copies carry the facts and counts of the siblings they do
+// not write; a later fill recomputes only the written children's. Either
+// way every entry must be what a fill from scratch computes.
+
+/// The facts and counts of `got`'s children against those of `fresh`'s.
+void ExpectChildFactsAsFresh(const RuleEngine& engine, const DiffTree& got,
+                             const DiffTree& fresh, const std::string& where) {
+  const size_t n = got.children.size();
+  ASSERT_EQ(n, fresh.children.size()) << where;
+  auto count = [&](const DiffTree& kid) { return engine.CountApplications(kid); };
+  const ChildFacts* g = got.children.CountedFacts(count);
+  const ChildFacts* f = fresh.children.CountedFacts(count);
+  ASSERT_NE(g, nullptr) << where;
+  ASSERT_NE(f, nullptr) << where;
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(g[i].hash, f[i].hash) << where << " child " << i;
+    EXPECT_EQ(g[i].canonical_hash, f[i].canonical_hash) << where << " child " << i;
+    EXPECT_EQ(g[i].nodes, f[i].nodes) << where << " child " << i;
+    EXPECT_EQ(g[i].choices, f[i].choices) << where << " child " << i;
+    EXPECT_EQ(g[i].apps.total, f[i].apps.total) << where << " child " << i;
+    EXPECT_EQ(g[i].apps.forward, f[i].apps.forward) << where << " child " << i;
+  }
+}
+
+/// ExpectChildFactsAsFresh at every block of `got`; returns the blocks seen.
+size_t ExpectFactsAsFresh(const RuleEngine& engine, const DiffTree& got, const DiffTree& fresh,
+                          const std::string& where) {
+  if (got.children.empty() || ::testing::Test::HasFailure()) return 0;
+  ExpectChildFactsAsFresh(engine, got, fresh, where);
+  size_t blocks = 1;
+  for (size_t i = 0; i < got.children.size() && i < fresh.children.size(); ++i) {
+    blocks += ExpectFactsAsFresh(engine, got.children[i], fresh.children[i], where);
+  }
+  return blocks;
+}
+
+TEST(RuleCounts, PathCopiesCarryTheFactsOfUntouchedSiblings) {
+  const RuleEngine engine;
+  size_t blocks = 0;
+  size_t applied = 0;
+  for (const char* workload : {"flights", "sdss", "synthetic"}) {
+    const std::vector<Ast> queries = *ParseQueries(LoadWorkload(workload, 10)->log);
+    DiffTree initial = *BuildInitialTree(queries);
+    Seal(initial);
+    // Forward-biased walks and uniform ones, whose picks include inverse
+    // rewrites; restarts every 14 steps, as RolloutStates does.
+    for (double bias : {0.8, 0.0}) {
+      Rng rng(bias > 0 ? 61 : 67);
+      DiffTree s = initial;
+      for (int step = 0; step < 60; ++step) {
+        // Every fact and count of `s` is filled first, so the path copies
+        // of Apply have them to carry.
+        const ApplicationCount c = engine.CountApplications(s);
+        if (c.total == 0 || step % 14 == 13) {
+          s = initial;
+          continue;
+        }
+        const bool forward = c.forward > 0 && rng.Bernoulli(bias);
+        const RuleApplication app =
+            engine.ApplicationAt(s, rng.UniformIndex(forward ? c.forward : c.total), forward);
+        auto next = engine.Apply(s, app);
+        if (!next.ok()) continue;
+        ++applied;
+        DiffTree fresh = DeepCopy(*next);
+        Seal(fresh);
+        const std::string where = std::string(workload) + " bias " + std::to_string(bias) +
+                                  " step " + std::to_string(step) + " " +
+                                  engine.Describe(s, app);
+        blocks += ExpectFactsAsFresh(engine, *next, fresh, where);
+        ASSERT_FALSE(HasFailure()) << where;
+        s = std::move(next).MoveValueUnsafe();
+      }
+    }
+  }
+  EXPECT_GT(applied, 200u);
+  EXPECT_GT(blocks, 10000u);
+
+  // A block whose facts filled while it was shared, then released back to
+  // one owner, keeps them for the children not written through operator[].
+  const std::vector<Ast> queries = *ParseQueries(LoadWorkload("sdss", 10)->log);
+  size_t released = 0;
+  for (const DiffTree& state : RolloutStates(queries, 71, 12, 0.8)) {
+    DiffTree own = DeepCopy(state);
+    if (own.children.size() < 2) continue;
+    {
+      const DiffTree other = own;
+      ASSERT_NE(own.children.CountedFacts(
+                    [&](const DiffTree& kid) { return engine.CountApplications(kid); }),
+                nullptr);
+    }
+    const DiffTree twin = std::as_const(own).children[1];
+    own.children[1] = DiffTree::Any({twin, twin});
+    const DiffTree again = own;  // shared again, so its facts fill
+    DiffTree fresh = DeepCopy(own);
+    Seal(fresh);
+    ExpectChildFactsAsFresh(engine, own, fresh, "released block");
+    ++released;
+  }
+  EXPECT_GT(released, 0u);
+}
+
 }  // namespace
 }  // namespace ifgen
