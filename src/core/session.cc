@@ -5,6 +5,17 @@
 
 namespace ifgen {
 
+namespace {
+
+/// A choice inside a MULTI's copies has no sticky code of its own: the
+/// MULTI's value sequence covers it, so an event on it re-interns the code
+/// of every MULTI whose copies hold it from its edited derivation.
+void ResetEnclosingCodes(const std::vector<EnclosingMulti>& enclosing, StickyState* sticky) {
+  for (const EnclosingMulti& m : enclosing) sticky->SetMultiCode(m.id, *m.derivation);
+}
+
+}  // namespace
+
 InterfaceSession::InterfaceSession(DiffTree tree, WidgetTree wt,
                                    CostConstants constants)
     : tree_(std::make_unique<DiffTree>(std::move(tree))),
@@ -70,7 +81,8 @@ Status InterfaceSession::SetAnyChoice(int choice_id, int option_index) {
       static_cast<size_t>(option_index) >= node->children.size()) {
     return Status::OutOfRange("bad option index");
   }
-  Derivation* active = FindChoice(*index_, &current_, choice_id);
+  std::vector<EnclosingMulti> enclosing;
+  Derivation* active = FindChoice(*index_, &current_, choice_id, &enclosing);
   if (active == nullptr) {
     return Status::Invalid("widget is not active in the current query");
   }
@@ -78,6 +90,7 @@ Status InterfaceSession::SetAnyChoice(int choice_id, int option_index) {
   active->children.assign(
       1, DefaultDerivation(node->children[static_cast<size_t>(option_index)]));
   sticky_.SetCode(choice_id, option_index);
+  ResetEnclosingCodes(enclosing, &sticky_);
   return Status::OK();
 }
 
@@ -88,7 +101,8 @@ Status InterfaceSession::SetOptPresent(int choice_id, bool present) {
   }
   const DiffTree* node = index_->node(static_cast<size_t>(choice_id));
   if (node->kind != DKind::kOpt) return Status::Invalid("choice is not an OPT");
-  Derivation* active = FindChoice(*index_, &current_, choice_id);
+  std::vector<EnclosingMulti> enclosing;
+  Derivation* active = FindChoice(*index_, &current_, choice_id, &enclosing);
   if (active == nullptr) {
     return Status::Invalid("widget is not active in the current query");
   }
@@ -99,6 +113,7 @@ Status InterfaceSession::SetOptPresent(int choice_id, bool present) {
     active->children.clear();
   }
   sticky_.SetCode(choice_id, present ? 1 : 0);
+  ResetEnclosingCodes(enclosing, &sticky_);
   return Status::OK();
 }
 
@@ -113,13 +128,15 @@ Status InterfaceSession::SetMultiCount(int choice_id, size_t count) {
     return Status::OutOfRange("multi count " + std::to_string(count) +
                               " exceeds maximum " + std::to_string(kMaxMultiCount));
   }
-  Derivation* active = FindChoice(*index_, &current_, choice_id);
+  std::vector<EnclosingMulti> enclosing;
+  Derivation* active = FindChoice(*index_, &current_, choice_id, &enclosing);
   if (active == nullptr) {
     return Status::Invalid("widget is not active in the current query");
   }
   active->choice = static_cast<int>(count);
   active->children.assign(count, DefaultDerivation(node->children[0]));
   sticky_.SetMultiCode(choice_id, *active);
+  ResetEnclosingCodes(enclosing, &sticky_);
   return Status::OK();
 }
 

@@ -48,23 +48,29 @@ void ForEachChildPosition(const Positions& pos, Derivation& d, int at, Visit&& v
   for (Derivation& c : d.children) visit(c, child);
 }
 
-Derivation* FindChoiceRec(const Positions& pos, Derivation* d, int at, int id) {
-  if (d->node->IsChoice() && pos[static_cast<size_t>(at)].first_id == id) return d;
+Derivation* FindChoiceRec(const Positions& pos, Derivation* d, int at, int id,
+                          std::vector<EnclosingMulti>* enclosing) {
+  const int own_id = pos[static_cast<size_t>(at)].first_id;
+  if (d->node->IsChoice() && own_id == id) return d;
+  const bool multi = enclosing != nullptr && d->node->kind == DKind::kMulti;
+  if (multi) enclosing->push_back({own_id, d});
   Derivation* found = nullptr;
   ForEachChildPosition(pos, *d, at, [&](Derivation& c, int child) {
     const ChoiceIndex::Position& p = pos[static_cast<size_t>(child)];
     if (found == nullptr && id >= p.first_id &&
         id < pos[static_cast<size_t>(p.end)].first_id) {
-      found = FindChoiceRec(pos, &c, child, id);
+      found = FindChoiceRec(pos, &c, child, id, enclosing);
     }
   });
+  if (multi && found == nullptr) enclosing->pop_back();
   return found;
 }
 
 }  // namespace
 
-Derivation* FindChoice(const ChoiceIndex& index, Derivation* deriv, int id) {
-  return FindChoiceRec(index.positions(), deriv, /*at=*/0, id);
+Derivation* FindChoice(const ChoiceIndex& index, Derivation* deriv, int id,
+                       std::vector<EnclosingMulti>* enclosing) {
+  return FindChoiceRec(index.positions(), deriv, /*at=*/0, id, enclosing);
 }
 
 }  // namespace ifgen

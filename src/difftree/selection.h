@@ -37,9 +37,18 @@ class ChoiceIndex {
   std::vector<Position> positions_;
 };
 
+/// \brief A MULTI whose copies hold a choice: its id and its derivation.
+struct EnclosingMulti {
+  int id;
+  Derivation* derivation;
+};
+
 /// \brief The derivation node of choice `id`, with the MULTI copies searched
 /// in order; null when the choice is not on the derivation's active path.
 /// `index` is the ChoiceIndex of the tree the derivation was matched against.
-Derivation* FindChoice(const ChoiceIndex& index, Derivation* deriv, int id);
+/// Unless null, `enclosing` receives the MULTIs whose copies hold the found
+/// node, outermost first.
+Derivation* FindChoice(const ChoiceIndex& index, Derivation* deriv, int id,
+                       std::vector<EnclosingMulti>* enclosing = nullptr);
 
 }  // namespace ifgen

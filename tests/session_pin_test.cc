@@ -36,10 +36,13 @@ struct SessionPinRow {
 };
 
 // Recorded while sessions still planned through Derivation trees and string
-// selection maps.
+// selection maps. The flights rollout and sdss generated digests were
+// re-recorded once set events on a choice inside a MULTI's copies began to
+// re-intern the MULTI's sticky code, so the walks' later loads stopped
+// counting that MULTI as changed.
 const SessionPinRow kSessionPins[] = {
-    {"flights", 0x5ac4724eadc5b8d9ULL, 0xd24eb18d3c561f6eULL},
-    {"sdss", 0x6fae481d1cb0f889ULL, 0x5d46281b748f46fbULL},
+    {"flights", 0x5ac4724eadc5b8d9ULL, 0x0915ba900d3e54a7ULL},
+    {"sdss", 0x1203683893e35bdbULL, 0x5d46281b748f46fbULL},
     {"synthetic", 0x3e31073dba846a27ULL, 0xcb8e2da51aa70758ULL},
 };
 

@@ -4,6 +4,7 @@
 
 #include "core/interface_generator.h"
 #include "core/session.h"
+#include "interface/assignment.h"
 #include "sql/parser.h"
 #include "workload/sdss.h"
 
@@ -147,6 +148,36 @@ TEST(Session, ReplayReportsMatchCostModel) {
   double replay_u = 0.0;
   for (size_t i = 1; i < reports->size(); ++i) replay_u += (*reports)[i].total();
   EXPECT_NEAR(replay_u, iface.cost.u_total, 1e-9);
+}
+
+// A choice inside a MULTI's copies has no sticky code of its own, so a set
+// event on it must move the MULTI's: loading the query the widgets then
+// show changes nothing.
+TEST(Session, SetEventsInsideAMultiKeepItsCodeCurrent) {
+  const std::vector<Ast> log = {*ParseQuery("select carrier from flights"),
+                                *ParseQuery("select origin from flights")};
+  // PROJECT(MULTI(ANY(carrier, origin))): the MULTI is id 0, its ANY id 1.
+  DiffTree tree = DiffTree::FromAst(log[0]);
+  MutableNodeAt(&tree, {0})->children = {DiffTree::Multi(DiffTree::Any(
+      {DiffTree::FromAst(Col("carrier")), DiffTree::FromAst(Col("origin"))}))};
+  const CostConstants constants;
+  const WidgetAssigner assigner(tree, constants);
+  GeneratedInterface iface;
+  iface.queries = {log[0]};
+  iface.difftree = tree;
+  iface.widgets = *assigner.Build(assigner.MinAppropriatenessAssignment());
+  auto session = InterfaceSession::Create(iface, constants);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(session->SetAnyChoice(1, 1).ok());
+  EXPECT_EQ(*session->CurrentSql(), "select origin from flights");
+  auto report = session->LoadQuery(log[1]);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->widgets_changed, 0u);
+  EXPECT_EQ(report->interaction_cost, 0.0);
+  // Back to the first query: the MULTI's one widget changes.
+  report = session->LoadQuery(log[0]);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->widgets_changed, 1u);
 }
 
 }  // namespace
