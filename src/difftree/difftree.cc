@@ -71,10 +71,7 @@ void ChildList::Detach(bool carry) {
 }
 
 std::vector<DiffTree>& ChildList::Mutable() {
-  if (block_ == nullptr) {
-    block_ = new Block({});
-    return block_->kids;
-  }
+  if (block_ == nullptr) block_ = new Block({});
   Detach(/*carry=*/false);
   if (block_->cache.load(std::memory_order_relaxed) != Block::kEmpty) {
     block_->cache.store(Block::kEmpty, std::memory_order_relaxed);
