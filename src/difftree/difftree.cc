@@ -104,9 +104,11 @@ void ChildList::MarkNormal() const {
 
 const ChildFacts* ChildList::FillFacts() const {
   // A private unsealed block may still change in place, so it never caches
-  // (facts() asks only sealed or shared ones).
+  // (facts() asks only sealed or shared ones). Only an empty or carried
+  // block is claimed: one another thread filled since the caller looked
+  // stays ready.
   uint8_t state = block_->cache.load(std::memory_order_acquire);
-  if (state == Block::kFilling ||
+  if ((state != Block::kEmpty && state != Block::kCarried) ||
       !block_->cache.compare_exchange_strong(state, Block::kFilling,
                                              std::memory_order_acquire)) {
     return state == Block::kReady ? block_->facts.data() : nullptr;
@@ -443,8 +445,8 @@ namespace {
 
 /// Writes the indices of `node`'s n children, sorted by CanonicalHash with
 /// ties in tree order, to `order`: the order CanonicalHash folds an ANY's
-/// alternatives in. `hs` is scratch for n hashes. Up to 32 children sort by
-/// insertion, so a caller's stack buffers suffice.
+/// alternatives in. `hs` is scratch for n hashes. A stable insertion sort:
+/// an ANY has few alternatives, and it needs no buffers of its own.
 void CanonicalOrder(const DiffTree& node, uint64_t* hs, uint32_t* order) {
   const ChildFacts* f = node.children.facts();
   const size_t n = node.children.size();
@@ -452,40 +454,32 @@ void CanonicalOrder(const DiffTree& node, uint64_t* hs, uint32_t* order) {
     hs[i] = f != nullptr ? f[i].canonical_hash : node.children[i].CanonicalHash();
     order[i] = static_cast<uint32_t>(i);
   }
-  auto before = [&](uint32_t a, uint32_t b) { return hs[a] < hs[b]; };
-  if (n > 32) {
-    std::stable_sort(order, order + n, before);
-    return;
-  }
   for (size_t i = 1; i < n; ++i) {
     const uint32_t x = order[i];
     size_t j = i;
-    for (; j > 0 && before(x, order[j - 1]); --j) order[j] = order[j - 1];
+    for (; j > 0 && hs[x] < hs[order[j - 1]]; --j) order[j] = order[j - 1];
     order[j] = x;
   }
+}
+
+/// Appends the rank of each of the ANY `node`'s alternatives (at most 256,
+/// as ranks are bytes) in the canonical order. Out of line, so the stack
+/// buffers are not live across RecordAnyOrderRec's recursion.
+[[gnu::noinline]] void RecordRanks(const DiffTree& node, AnyOrder* out) {
+  uint64_t hs[256];
+  uint32_t order[256];
+  CanonicalOrder(node, hs, order);
+  const size_t n = node.children.size();
+  const size_t at = out->size();
+  out->resize(at + n);
+  for (size_t r = 0; r < n; ++r) (*out)[at + order[r]] = static_cast<uint8_t>(r);
 }
 
 bool RecordAnyOrderRec(const DiffTree& node, AnyOrder* out) {
   const size_t n = node.children.size();
   if (node.kind == DKind::kAny) {
     if (n > 256) return false;
-    constexpr size_t kInline = 32;
-    uint64_t inline_hs[kInline];
-    uint32_t inline_order[kInline];
-    std::vector<uint64_t> heap_hs;
-    std::vector<uint32_t> heap_order;
-    uint64_t* hs = inline_hs;
-    uint32_t* order = inline_order;
-    if (n > kInline) {
-      heap_hs.resize(n);
-      heap_order.resize(n);
-      hs = heap_hs.data();
-      order = heap_order.data();
-    }
-    CanonicalOrder(node, hs, order);
-    const size_t at = out->size();
-    out->resize(at + n);
-    for (size_t r = 0; r < n; ++r) (*out)[at + order[r]] = static_cast<uint8_t>(r);
+    RecordRanks(node, out);
   }
   // A choice-free subtree holds no ANY, so it records nothing.
   for (size_t i = 0; i < n; ++i) {

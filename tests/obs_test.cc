@@ -398,12 +398,13 @@ DiffTree NumberAny(size_t n, uint64_t seed) {
   return DiffTree::Any(std::move(alts));
 }
 
-// RecordAnyOrder ranks up to 32 alternatives in stack buffers: with room in
-// its output it allocates nothing.
+// RecordAnyOrder ranks an ANY's alternatives (up to 256) in stack buffers:
+// with room in its output it allocates nothing.
 TEST(AllocationBudget, RecordAnyOrderAllocatesOnlyItsOutput) {
   const std::vector<Ast> queries = *ParseQueries(SdssListing1());
   std::vector<DiffTree> trees = RolloutStates(queries, 7, 40, 0.0);
   for (size_t n = 1; n <= 32; ++n) trees.push_back(DiffTree::Seq({NumberAny(n, n), NumberAny(n, 3)}));
+  for (size_t n : {64, 255, 256}) trees.push_back(DiffTree::Seq({NumberAny(n, n), NumberAny(n, 3)}));
   size_t recorded = 0;
   for (const DiffTree& t : trees) {
     AnyOrder order;
