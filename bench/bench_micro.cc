@@ -176,8 +176,8 @@ void BM_SessionLoadQuery(benchmark::State& state) {
 BENCHMARK(BM_SessionLoadQuery);
 
 /// A rollout state's widget assigner: round robin over 240 sealed sdss
-/// rollout states (forward-biased and uniform walks) whose choice and
-/// BETWEEN terms a warm DeltaCostCache holds, as on a search's cache misses.
+/// rollout states (forward-biased and uniform walks) whose choice terms a
+/// warm DeltaCostCache holds, as on a search's cache misses.
 void BM_WidgetAssigner(benchmark::State& state) {
   const std::vector<Ast> queries = SdssAsts();
   std::vector<DiffTree> trees = RolloutStates(queries, 11, 120, 0.8);

@@ -1,6 +1,5 @@
 #include "cost/delta.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "obs/metrics.h"
@@ -65,75 +64,28 @@ ChoiceWidgetTerms ComputeChoiceWidgetTerms(const DiffTree& choice_node,
   return t;
 }
 
-std::shared_ptr<const BetweenTerms> ComputeBetweenTerms(const DiffTree& node,
-                                                        const SizeModel& size_model) {
-  BetweenPattern bp;
-  if (!MatchBetweenPattern(node, &bp)) return nullptr;
-  auto t = std::make_shared<BetweenTerms>();
-  t->label = std::move(bp.label);
-  t->domain = ExtractDomain(*bp.lo_any);
-  const WidgetDomain hi = ExtractDomain(*bp.hi_any);
-  t->domain.num_hi = std::max(t->domain.num_hi, hi.num_hi);
-  t->domain.num_lo = std::min(t->domain.num_lo, hi.num_lo);
-  Result<SizeClass> sc = size_model.PickTemplate(WidgetKind::kRangeSlider, t->domain);
-  if (sc.ok()) {
-    WidgetSize sz = size_model.SizeOf(WidgetKind::kRangeSlider, *sc, t->domain);
-    sz.width += static_cast<int>(std::min<size_t>(t->label.size(), 10));
-    t->tmpl = {*sc, sz};
-  } else {
-    t->status = sc.status();
-  }
-  return t;
-}
-
-void DeltaCostCache::CountSubtree(bool hit) {
-  if (hit) {
-    subtree_hits_.fetch_add(1, std::memory_order_relaxed);
-    SubtreeHitsMetric().Inc();
-  } else {
-    subtree_recomputes_.fetch_add(1, std::memory_order_relaxed);
-    SubtreeRecomputesMetric().Inc();
-  }
-}
-
 std::shared_ptr<const ChoiceWidgetTerms> DeltaCostCache::GetChoiceTerms(
     const DiffTree& choice_node, const CostConstants& constants,
     const SizeModel& size_model) {
   if (!enabled_) {
-    CountSubtree(/*hit=*/false);
+    subtree_recomputes_.fetch_add(1, std::memory_order_relaxed);
+    SubtreeRecomputesMetric().Inc();
     return std::make_shared<const ChoiceWidgetTerms>(
         ComputeChoiceWidgetTerms(choice_node, constants, size_model));
   }
   // Order-sensitive hash: the cached labels are read by index against the
   // node's actual children at widget-build time (see delta.h).
-  const uint64_t key = choice_node.Hash();
+  uint64_t key = choice_node.Hash();
   if (auto cached = terms_.Lookup(key)) {
-    CountSubtree(/*hit=*/true);
+    subtree_hits_.fetch_add(1, std::memory_order_relaxed);
+    SubtreeHitsMetric().Inc();
     return *cached;
   }
-  CountSubtree(/*hit=*/false);
+  subtree_recomputes_.fetch_add(1, std::memory_order_relaxed);
+  SubtreeRecomputesMetric().Inc();
   auto t = std::make_shared<const ChoiceWidgetTerms>(
       ComputeChoiceWidgetTerms(choice_node, constants, size_model));
   terms_.Insert(key, t);
-  return t;
-}
-
-std::shared_ptr<const BetweenTerms> DeltaCostCache::GetBetweenTerms(
-    const DiffTree& between, const SizeModel& size_model) {
-  if (!enabled_) {
-    CountSubtree(/*hit=*/false);
-    return ComputeBetweenTerms(between, size_model);
-  }
-  // Order-sensitive, like the choice terms: the slider's domain holds lo's
-  // labels in the order of its alternatives.
-  const uint64_t key = between.Hash();
-  if (auto cached = betweens_.Lookup(key)) {
-    CountSubtree(/*hit=*/true);
-    return *cached;
-  }
-  CountSubtree(/*hit=*/false);
-  std::shared_ptr<const BetweenTerms> t = ComputeBetweenTerms(between, size_model);
-  betweens_.Insert(key, t);
   return t;
 }
 

@@ -34,23 +34,10 @@ ChoiceWidgetTerms ComputeChoiceWidgetTerms(const DiffTree& choice_node,
                                            const CostConstants& constants,
                                            const SizeModel& size_model);
 
-/// \brief The subtree-local terms of a BETWEEN composite (see
-/// MatchBetweenPattern): the range slider that may cover both endpoints.
-struct BetweenTerms {
-  std::string label;    ///< the rendered lhs expression
-  WidgetDomain domain;  ///< lo's domain with the merged numeric extent
-  Status status;        ///< the size model's verdict on the template
-  WidgetTemplate tmpl;  ///< size includes the label allowance
-};
-
-/// The terms of `node` when it matches the BETWEEN pattern, else null.
-std::shared_ptr<const BetweenTerms> ComputeBetweenTerms(const DiffTree& node,
-                                                        const SizeModel& size_model);
-
 /// \brief Delta-cost evaluation caches (see docs/cost-model.md).
 ///
 /// Instead of re-deriving every per-subtree cost contribution for each
-/// candidate state, the evaluator memoizes three term classes on the sharded
+/// candidate state, the evaluator memoizes two term classes on the sharded
 /// machinery of runtime/tt.h:
 ///
 ///  - **Choice widget terms**, keyed by the choice subtree's order-sensitive
@@ -62,9 +49,6 @@ std::shared_ptr<const BetweenTerms> ComputeBetweenTerms(const DiffTree& node,
 ///    cached `WidgetDomain::labels` are read by index against the node's
 ///    actual children when widgets are built — an aliased entry would wire
 ///    labels to the wrong alternatives in the rendered interface.
-///  - **BETWEEN range terms**, beside the choice terms and keyed the same
-///    way (the BETWEEN subtree's `Hash()`), including the verdict that a
-///    subtree does not match the pattern. They share the subtree counters.
 ///  - **Transition plans**, keyed by the full tree's order-sensitive
 ///    `DiffTree::Hash()` — plans encode choice ids, which are pre-order
 ///    positions and therefore order-sensitive. This shares the expensive
@@ -80,7 +64,7 @@ std::shared_ptr<const BetweenTerms> ComputeBetweenTerms(const DiffTree& node,
 class DeltaCostCache {
  public:
   explicit DeltaCostCache(bool enabled = true, size_t shards = 16)
-      : enabled_(enabled), terms_(shards), betweens_(shards), plans_(shards) {}
+      : enabled_(enabled), terms_(shards), plans_(shards) {}
 
   bool enabled() const { return enabled_; }
 
@@ -91,18 +75,13 @@ class DeltaCostCache {
       const DiffTree& choice_node, const CostConstants& constants,
       const SizeModel& size_model);
 
-  /// ComputeBetweenTerms(`between`), from cache when possible; call it only
-  /// for an ALL(kBetween) node with three children.
-  std::shared_ptr<const BetweenTerms> GetBetweenTerms(const DiffTree& between,
-                                                      const SizeModel& size_model);
-
   /// Fetches a memoized transition plan; null = caller must compute (and
   /// should StorePlan the result).
   std::shared_ptr<const TransitionPlan> LookupPlan(uint64_t tree_hash) const;
   void StorePlan(uint64_t tree_hash, std::shared_ptr<const TransitionPlan> plan);
 
-  /// Choice- and BETWEEN-subtree term computations actually performed
-  /// ("full recomputes") vs. answered from the cache.
+  /// Choice-subtree term computations actually performed ("full
+  /// recomputes") vs. answered from the cache.
   size_t subtree_recomputes() const {
     return subtree_recomputes_.load(std::memory_order_relaxed);
   }
@@ -116,12 +95,8 @@ class DeltaCostCache {
   size_t plan_hits() const { return plan_hits_.load(std::memory_order_relaxed); }
 
  private:
-  /// Counts one subtree-term answer: a hit or a recompute.
-  void CountSubtree(bool hit);
-
   bool enabled_;
   ShardedMap<std::shared_ptr<const ChoiceWidgetTerms>> terms_;
-  ShardedMap<std::shared_ptr<const BetweenTerms>> betweens_;  ///< null: no match
   ShardedMap<std::shared_ptr<const TransitionPlan>> plans_;
   std::atomic<size_t> subtree_recomputes_{0};
   mutable std::atomic<size_t> subtree_hits_{0};

@@ -69,21 +69,15 @@ void WidgetAssigner::Collect(const DiffTree& node, std::string_view inherited) {
   if (node.IsChoice()) slots_[s].choice_id = num_choices_++;
   switch (node.kind) {
     case DKind::kAll: {
-      if (node.sym == Symbol::kBetween && node.children.size() == 3) {
-        // The range terms come from the delta-cost cache like the choice
-        // terms below.
-        std::shared_ptr<const BetweenTerms> terms =
-            delta_ != nullptr ? delta_->GetBetweenTerms(node, size_model_)
-                              : ComputeBetweenTerms(node, size_model_);
-        if (terms != nullptr) {
-          RangeSlider r;
-          r.decision = static_cast<int>(decisions_.size());
-          r.terms = std::move(terms);
-          slots_[s].range = static_cast<int>(ranges_.size());
-          ranges_.push_back(std::move(r));
-          decisions_.push_back(
-              {DecisionType::kBetweenComposite, &node, ViewOf(kBetweenOptions), nullptr});
-        }
+      BetweenPattern bp;
+      if (MatchBetweenPattern(node, &bp)) {
+        RangeSlider r;
+        r.decision = static_cast<int>(decisions_.size());
+        r.label = std::move(bp.label);
+        slots_[s].range = static_cast<int>(ranges_.size());
+        ranges_.push_back(std::move(r));
+        decisions_.push_back(
+            {DecisionType::kBetweenComposite, &node, ViewOf(kBetweenOptions), nullptr});
       }
       // A child produces widgets when its subtree holds a choice node.
       size_t widget_kids = 0;
@@ -145,12 +139,26 @@ void WidgetAssigner::Collect(const DiffTree& node, std::string_view inherited) {
   slots_[s].end = static_cast<int>(slots_.size());
 
   if (slots_[s].range >= 0) {
-    // The endpoints are children 1 and 2, both choice nodes.
+    // The endpoints are children 1 and 2, both numeric choice nodes whose
+    // terms are collected by now.
     const NodeSlot& lo = slots_[static_cast<size_t>(slots_[s + 1].end)];
     const NodeSlot& hi = slots_[static_cast<size_t>(lo.end)];
+    const WidgetDomain& lo_d = decisions_[static_cast<size_t>(lo.choice)].terms->domain;
+    const WidgetDomain& hi_d = decisions_[static_cast<size_t>(hi.choice)].terms->domain;
     RangeSlider& r = ranges_[static_cast<size_t>(slots_[s].range)];
     r.lo_id = lo.choice_id;
     r.hi_id = hi.choice_id;
+    r.domain = lo_d;
+    r.domain.num_hi = std::max(lo_d.num_hi, hi_d.num_hi);
+    r.domain.num_lo = std::min(lo_d.num_lo, hi_d.num_lo);
+    Result<SizeClass> sc = size_model_.PickTemplate(WidgetKind::kRangeSlider, r.domain);
+    if (sc.ok()) {
+      WidgetSize sz = size_model_.SizeOf(WidgetKind::kRangeSlider, *sc, r.domain);
+      sz.width += static_cast<int>(std::min<size_t>(r.label.size(), 10));
+      r.tmpl = {*sc, sz};
+    } else {
+      r.status = sc.status();
+    }
   }
 }
 
@@ -234,17 +242,16 @@ Status WidgetAssigner::FillNode(int s, const Assignment& a, FlatLayout* out,
       if (slot.range >= 0) {
         const RangeSlider& r = ranges_[static_cast<size_t>(slot.range)];
         if (Pick(r.decision, a) == WidgetKind::kRangeSlider) {
-          const BetweenTerms& t = *r.terms;
-          IFGEN_RETURN_NOT_OK(t.status);
+          IFGEN_RETURN_NOT_OK(r.status);
           FlatWidget w;
           w.kind = WidgetKind::kRangeSlider;
-          w.size_class = t.tmpl.size_class;
+          w.size_class = r.tmpl.size_class;
           w.choice_id = r.lo_id;
           w.choice_id2 = r.hi_id;
-          w.domain = &t.domain;
-          w.label = t.label;
-          w.width = t.tmpl.size.width;
-          w.height = t.tmpl.size.height;
+          w.domain = &r.domain;
+          w.label = r.label;
+          w.width = r.tmpl.size.width;
+          w.height = r.tmpl.size.height;
           out->Append(list, out->Add(w));
           return Status::OK();
         }

@@ -15,7 +15,6 @@
 namespace ifgen {
 
 class DeltaCostCache;
-struct BetweenTerms;
 struct ChoiceWidgetTerms;
 
 /// \brief The kinds of decisions that turn a difftree into a widget tree.
@@ -123,7 +122,10 @@ class WidgetAssigner {
     int decision = -1;  ///< its kBetweenComposite decision
     int lo_id = -1;
     int hi_id = -1;
-    std::shared_ptr<const BetweenTerms> terms;
+    std::string label;    ///< the rendered lhs expression
+    WidgetDomain domain;  ///< lo's domain with the merged numeric extent
+    Status status;        ///< the size model's verdict on the template
+    WidgetTemplate tmpl;  ///< size includes the label allowance
   };
 
   void Collect(const DiffTree& node, std::string_view inherited);

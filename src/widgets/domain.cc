@@ -131,10 +131,13 @@ bool MatchBetweenPattern(const DiffTree& node, BetweenPattern* out) {
   const DiffTree& lo = node.children[1];
   const DiffTree& hi = node.children[2];
   if (lhs.ChoiceCount() != 0) return false;
+  // ExtractDomain's all_numeric && !has_nested_choices, without the labels.
   auto numeric_any = [](const DiffTree& n) {
     if (n.kind != DKind::kAny) return false;
-    WidgetDomain d = ExtractDomain(n);
-    return d.all_numeric && !d.has_nested_choices;
+    for (size_t i = 0; i < n.children.size(); ++i) {
+      if (!IsNumericLeaf(n.children[i]) || n.children.ChoiceCountOf(i) > 0) return false;
+    }
+    return true;
   };
   // Both endpoints must be choice nodes for a range slider to earn its keep;
   // a fixed endpoint leaves a plain slider for the other end.

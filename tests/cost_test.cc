@@ -941,8 +941,8 @@ TEST(Plan, ConcurrentPlanningIsIdentical) {
 
 // ---------------------------------------------------------------------------
 // The assigner walks only the subtrees that hold a choice and takes its
-// choice and BETWEEN range terms from the delta-cost cache when it has one.
-// Neither may change a built widget tree.
+// choice terms (and from them its range sliders' domains) from the
+// delta-cost cache when it has one. Neither may change a built widget tree.
 
 /// Counts `n`'s range sliders and checks every ANY's tabs against its node:
 /// one panel per alternative.

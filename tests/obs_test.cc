@@ -366,7 +366,9 @@ namespace {
 
 // A rollout state's evaluation builds a widget assigner; on a sealed state
 // whose terms the delta-cost cache holds, that costs a fixed number of
-// allocations (its three reserved vectors), however big the state.
+// allocations (its three reserved vectors), however big the state, plus two
+// per BETWEEN composite (its range slider's copy of lo's domain and its
+// rendered label).
 TEST(AllocationBudget, WidgetAssignerOnAWarmSealedState) {
   const std::vector<Ast> queries = *ParseQueries(SdssListing1());
   std::vector<DiffTree> states = RolloutStates(queries, 5, 60, 0.8);
@@ -376,18 +378,24 @@ TEST(AllocationBudget, WidgetAssignerOnAWarmSealedState) {
     Seal(s);  // as the search seals its initial state; the rest are Apply's
     const WidgetAssigner warm(s, constants, &delta);
   }
-  uint64_t worst = 0;
   size_t decisions = 0;
+  size_t ranges = 0;
   for (const DiffTree& s : states) {
     const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    size_t state_ranges = 0;
     {
       const WidgetAssigner assigner(s, constants, &delta);
       decisions += assigner.decisions().size();
+      for (const DecisionPoint& d : assigner.decisions()) {
+        state_ranges += d.type == DecisionType::kBetweenComposite ? 1 : 0;
+      }
     }
-    worst = std::max(worst, g_alloc_count.load(std::memory_order_relaxed) - before);
+    const uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+    EXPECT_LE(allocs, 3 + 2 * state_ranges);
+    ranges += state_ranges;
   }
   EXPECT_GT(decisions, 500u);
-  EXPECT_LE(worst, 3u);
+  EXPECT_GT(ranges, 10u);
 }
 
 DiffTree NumberAny(size_t n, uint64_t seed) {
