@@ -14,6 +14,7 @@
 #include "cost/evaluator.h"
 #include "difftree/builder.h"
 #include "difftree/match.h"
+#include "difftree/normalize.h"
 #include "interface/assignment.h"
 #include "rules/rule.h"
 #include "sql/parser.h"
@@ -88,7 +89,7 @@ BENCHMARK(BM_EnumerateApplications)->Arg(0)->Arg(1)->Arg(8);
 void BM_RolloutStep(benchmark::State& state) {
   RuleEngine engine;
   const DiffTree start = FactoredSdss(static_cast<int>(state.range(0)));
-  Seal(start);  // as the search seals its initial state
+  Seal(start, Normalized(start) == start);  // as SearchRun::Start seals it
   DiffTree cur = start;
   size_t steps = 0;
   size_t draw = 0;

@@ -48,23 +48,20 @@ ChildList& ChildList::operator=(ChildList&& other) noexcept {
 }
 
 void ChildList::Detach(bool carry) {
-  if (block_->refs.load(std::memory_order_acquire) == 1 &&
-      !block_->sealed.load(std::memory_order_relaxed)) {
-    return;
-  }
+  const uint8_t state = block_->state.load(std::memory_order_acquire);
+  if (state == Block::kOpen && block_->refs.load(std::memory_order_acquire) == 1) return;
   // Shared or sealed: copy the k child handles; the grandchildren stay
   // shared.
   Block* copy = new Block(block_->kids);
-  if (carry && block_->cache.load(std::memory_order_acquire) == Block::kReady) {
+  if (carry && state == Block::kSealed) {
     // Field by field: another thread may be filling the source's counts.
-    const bool counted = block_->counts.load(std::memory_order_acquire) == Block::kReady;
+    const bool counted = block_->counts.load(std::memory_order_acquire) == Block::kCounted;
     copy->facts.resize(block_->facts.size());
     for (size_t i = 0; i < copy->facts.size(); ++i) {
       const ChildFacts& f = block_->facts[i];
       copy->facts[i] = {f.hash, f.canonical_hash, f.nodes, f.choices,
                         counted ? f.apps : Block::kStale.apps};
     }
-    copy->cache.store(Block::kCarried, std::memory_order_relaxed);
   }
   Release(block_);
   block_ = copy;
@@ -73,70 +70,30 @@ void ChildList::Detach(bool carry) {
 std::vector<DiffTree>& ChildList::Mutable() {
   if (block_ == nullptr) block_ = new Block({});
   Detach(/*carry=*/false);
-  if (block_->cache.load(std::memory_order_relaxed) != Block::kEmpty) {
-    block_->cache.store(Block::kEmpty, std::memory_order_relaxed);
-    block_->counts.store(Block::kEmpty, std::memory_order_relaxed);
-  }
-  if (block_->normal.load(std::memory_order_relaxed)) {
-    block_->normal.store(false, std::memory_order_relaxed);
-  }
+  block_->facts.clear();
   return block_->kids;
 }
 
 DiffTree& ChildList::operator[](size_t i) {
   Detach(/*carry=*/true);
-  Block& b = *block_;
-  if (b.cache.load(std::memory_order_relaxed) != Block::kEmpty) {
-    // Private now: the facts stay for the next fill, all but child i's.
-    b.facts[i] = Block::kStale;
-    b.cache.store(Block::kCarried, std::memory_order_relaxed);
-    b.counts.store(Block::kEmpty, std::memory_order_relaxed);
-  }
-  if (b.normal.load(std::memory_order_relaxed)) b.normal.store(false, std::memory_order_relaxed);
-  return b.kids[i];
-}
-
-void ChildList::MarkNormal() const {
-  if (block_ != nullptr && Caches()) {
-    block_->normal.store(true, std::memory_order_relaxed);
-  }
-}
-
-const ChildFacts* ChildList::FillFacts() const {
-  // A private unsealed block may still change in place, so it never caches
-  // (facts() asks only sealed or shared ones). Only an empty or carried
-  // block is claimed: one another thread filled since the caller looked
-  // stays ready.
-  uint8_t state = block_->cache.load(std::memory_order_acquire);
-  if ((state != Block::kEmpty && state != Block::kCarried) ||
-      !block_->cache.compare_exchange_strong(state, Block::kFilling,
-                                             std::memory_order_acquire)) {
-    return state == Block::kReady ? block_->facts.data() : nullptr;
-  }
-  std::vector<ChildFacts>& facts = block_->facts;
-  if (state == Block::kEmpty) facts.assign(block_->kids.size(), Block::kStale);
-  for (size_t i = 0; i < facts.size(); ++i) {
-    if (facts[i].nodes != 0) continue;  // carried, still valid
-    const DiffTree& c = block_->kids[i];
-    facts[i] = {c.Hash(), c.CanonicalHash(), static_cast<uint32_t>(c.NodeCount()),
-                static_cast<uint32_t>(c.ChoiceCount()), Block::kStale.apps};
-  }
-  block_->cache.store(Block::kReady, std::memory_order_release);
-  return facts.data();
+  // Private and open now: the carried facts stay for the next Seal, all but
+  // child i's.
+  if (!block_->facts.empty()) block_->facts[i] = Block::kStale;
+  return block_->kids[i];
 }
 
 const ChildFacts* ChildList::CountedFacts(
     FunctionRef<ApplicationCount(const DiffTree&)> count) const {
-  // The counts live in the facts array, so they fill after it; a filler
+  // The counts live in the facts array, so they fill after Seal; a filler
   // writes only the `apps` fields, which facts() readers never touch.
   const ChildFacts* ready = facts();
   if (ready == nullptr) return nullptr;
   uint8_t state = block_->counts.load(std::memory_order_acquire);
-  if (state == Block::kReady) return ready;
-  if (state != Block::kEmpty ||
-      !block_->counts.compare_exchange_strong(state, Block::kFilling,
+  if (state == Block::kCounted) return ready;
+  if (state != Block::kNoCounts ||
+      !block_->counts.compare_exchange_strong(state, Block::kCounting,
                                               std::memory_order_acquire)) {
-    return state == Block::kReady ? ready : nullptr;
+    return state == Block::kCounted ? ready : nullptr;
   }
   for (size_t i = 0; i < block_->kids.size(); ++i) {
     // Counts carried from the block this one copies stay.
@@ -144,16 +101,31 @@ const ChildFacts* ChildList::CountedFacts(
       block_->facts[i].apps = count(block_->kids[i]);
     }
   }
-  block_->counts.store(Block::kReady, std::memory_order_release);
+  block_->counts.store(Block::kCounted, std::memory_order_release);
   return ready;
 }
 
 void Seal(const DiffTree& tree, bool normal) {
   ChildList::Block* block = tree.children.block_;
-  if (block == nullptr || block->sealed.load(std::memory_order_relaxed)) return;
-  block->sealed.store(true, std::memory_order_relaxed);
-  if (normal) block->normal.store(true, std::memory_order_relaxed);
+  if (block == nullptr) return;
+  // One claim per block: a thread that loses it skips the block, whose
+  // facts its readers compute from the children until it is published.
+  uint8_t open = ChildList::Block::kOpen;
+  if (!block->state.compare_exchange_strong(open, ChildList::Block::kSealing,
+                                            std::memory_order_acquire)) {
+    return;
+  }
   for (const DiffTree& c : block->kids) Seal(c, normal);
+  std::vector<ChildFacts>& facts = block->facts;
+  if (facts.empty()) facts.assign(block->kids.size(), ChildList::Block::kStale);
+  for (size_t i = 0; i < facts.size(); ++i) {
+    if (facts[i].nodes != 0) continue;  // carried, still valid
+    const DiffTree& c = block->kids[i];
+    facts[i] = {c.Hash(), c.CanonicalHash(), static_cast<uint32_t>(c.NodeCount()),
+                static_cast<uint32_t>(c.ChoiceCount()), ChildList::Block::kStale.apps};
+  }
+  block->normal = normal;
+  block->state.store(ChildList::Block::kSealed, std::memory_order_release);
 }
 
 size_t ChildList::ChoiceCountOf(size_t i) const {
@@ -165,8 +137,8 @@ bool ChildList::operator==(const ChildList& other) const {
   if (block_ == other.block_) return true;
   const size_t n = size();
   if (n != other.size()) return false;
-  const ChildFacts* mine = CachedFacts();
-  const ChildFacts* theirs = other.CachedFacts();
+  const ChildFacts* mine = facts();
+  const ChildFacts* theirs = other.facts();
   if (mine != nullptr && theirs != nullptr) {
     for (size_t i = 0; i < n; ++i) {
       if (mine[i].hash != theirs[i].hash) return false;
@@ -203,7 +175,7 @@ bool DiffTree::operator==(const DiffTree& other) const {
 }
 
 // Hash, CanonicalHash, NodeCount and ChoiceCount read each child's value from
-// the child list's cache when it has one; the fold is the same either way.
+// the child list's cache when it is sealed; the fold is the same either way.
 
 uint64_t DiffTree::Hash() const {
   uint64_t h = HashCombine(0x1f3d5b79a2c4e6f8ULL, static_cast<uint64_t>(kind));
@@ -264,12 +236,6 @@ size_t DiffTree::ChoiceCount() const {
     for (const DiffTree& c : children) n += c.ChoiceCount();
   }
   return n;
-}
-
-size_t DiffTree::Depth() const {
-  size_t d = 0;
-  for (const DiffTree& c : children) d = std::max(d, c.Depth());
-  return d + 1;
 }
 
 Result<std::vector<Ast>> DiffTree::ToAstSequence() const {
@@ -363,32 +329,6 @@ DiffTree* MutableNodeAt(DiffTree* root, const TreePath& path) {
     n = &n->children[static_cast<size_t>(idx)];
   }
   return n;
-}
-
-namespace {
-void CollectChoices(const DiffTree& n, std::vector<const DiffTree*>* out) {
-  if (n.IsChoice()) out->push_back(&n);
-  for (const DiffTree& c : n.children) CollectChoices(c, out);
-}
-void CollectPaths(const DiffTree& n, TreePath* cur, std::vector<TreePath>* out) {
-  out->push_back(*cur);
-  for (size_t i = 0; i < n.children.size(); ++i) {
-    cur->push_back(static_cast<int>(i));
-    CollectPaths(n.children[i], cur, out);
-    cur->pop_back();
-  }
-}
-}  // namespace
-
-std::vector<const DiffTree*> ListChoiceNodes(const DiffTree& root) {
-  std::vector<const DiffTree*> out;
-  CollectChoices(root, &out);
-  return out;
-}
-
-void ListPaths(const DiffTree& root, std::vector<TreePath>* out) {
-  TreePath cur;
-  CollectPaths(root, &cur, out);
 }
 
 namespace {

@@ -37,8 +37,7 @@ struct ApplicationCount {
   }
 };
 
-/// \brief What a sealed or shared child list caches about each of its
-/// children.
+/// \brief What a sealed child list caches about each of its children.
 struct ChildFacts {
   uint64_t hash = 0;            ///< DiffTree::Hash()
   uint64_t canonical_hash = 0;  ///< DiffTree::CanonicalHash()
@@ -57,20 +56,19 @@ struct ChildFacts {
 /// of its k child handles (the grandchildren stay shared). A rewrite
 /// therefore copies only the path it edits.
 ///
-/// A block is *sealed* once its tree is a finished search state (see
-/// Seal): from then on it never changes in place. A sealed or shared block
-/// caches the ChildFacts of its children the first time they are asked
-/// for, so hashes and counts of a state cost O(changed path). A private
-/// unsealed block never hands out its facts, since its owner may still
-/// mutate it in place. Fills are published with atomics: trees of concurrent
-/// searches share blocks.
+/// One rule for the caches: a block caches only once *sealed* (see Seal),
+/// when its tree is a finished search state and it never changes in place
+/// again. Seal fills the ChildFacts of its children, so hashes and counts of
+/// a state cost O(changed path), and only Seal writes the normal mark. An
+/// open block hands out no facts and is never KnownNormal. Trees of
+/// concurrent searches share blocks, so a seal is published with atomics.
 ///
 /// Writing one child keeps the facts of the others. `operator[](i)` carries
-/// the block's ready facts (and counts, when ready) into the private copy it
-/// detaches to, or keeps a private block's, and marks only child i stale;
-/// the next fill, once the block is sealed or shared again, recomputes the
-/// stale entries alone. So a path copy re-derives the facts of the path, not
-/// of its siblings. Whole-list access (Mutable, push_back) drops them.
+/// a sealed block's facts (and counts, when ready) into the private copy it
+/// detaches to, or keeps a private block's carried ones, and marks only
+/// child i stale; the next Seal recomputes the stale entries alone. So a
+/// path copy re-derives the facts of the path, not of its siblings.
+/// Whole-list access (Mutable, push_back) drops them.
 ///
 /// Rule for callers: never hold a `DiffTree&` (or pointer) obtained through
 /// non-const access across a copy of one of its ancestors, or across a Seal
@@ -96,10 +94,9 @@ class ChildList {
   const DiffTree* begin() const;
   const DiffTree* end() const;
 
-  /// The children's cached facts, filling them first when this block is
-  /// sealed or shared; null when the block is private and unsealed (or
-  /// another thread is filling it), in which case callers compute the facts
-  /// from the children.
+  /// The children's facts when this block is sealed; null when it is open
+  /// (or another thread is still sealing it), in which case callers compute
+  /// the facts from the children.
   const ChildFacts* facts() const;
   /// facts() with each child's `apps` filled by `count(child)` first; null
   /// whenever facts() is (or another thread is filling the counts). The
@@ -108,12 +105,9 @@ class ChildList {
   const ChildFacts* CountedFacts(FunctionRef<ApplicationCount(const DiffTree&)> count) const;
   /// ChoiceCount() of child i, from the cache when there is one.
   size_t ChoiceCountOf(size_t i) const;
-  /// Normalize's cache: true once every child was found in normal form
-  /// while the block was sealed or shared, or the block was sealed right
-  /// after a Normalize (see Seal). MarkNormal records the former (a private
-  /// unsealed block ignores it, like the facts cache).
+  /// Normalize's cache: true when the block was sealed with every child in
+  /// normal form (see Seal).
   bool KnownNormal() const;
-  void MarkNormal() const;
 
   // Non-const access: detaches first (see the class comment). Iteration is
   // const only, so a read-only loop never detaches; loop over Mutable() to
@@ -131,15 +125,8 @@ class ChildList {
   struct Block;
   static void Release(Block* block);
   /// Replaces a sealed or shared block with a private copy of its child
-  /// handles; with `carry`, the copy keeps the block's ready facts.
+  /// handles; with `carry`, the copy keeps a sealed block's facts.
   void Detach(bool carry);
-  /// Sealed or shared: the block can no longer change in place.
-  bool Caches() const;
-  /// The children's facts when they are already cached, else null.
-  const ChildFacts* CachedFacts() const;
-  /// facts() of a sealed or shared block whose facts are not ready yet:
-  /// computes them all, or only the stale ones of carried facts.
-  const ChildFacts* FillFacts() const;
 
   Block* block_ = nullptr;  ///< null for no children
 };
@@ -200,7 +187,6 @@ struct DiffTree {
 
   size_t NodeCount() const;
   size_t ChoiceCount() const;
-  size_t Depth() const;
 
   /// Converts a choice-free difftree back to a single AST (splicing Seq and
   /// dropping Empty). Errors if the subtree contains choice nodes or does
@@ -224,24 +210,26 @@ struct DiffTree {
 struct ChildList::Block {
   explicit Block(std::vector<DiffTree> k) : kids(std::move(k)) {}
 
-  /// `cache` states; kCarried: `facts` holds one entry per kid, carried
-  /// over from the block this one was copied from, and an entry whose
-  /// `nodes` is 0 (no subtree has 0 nodes) is stale.
-  enum : uint8_t { kEmpty = 0, kFilling = 1, kReady = 2, kCarried = 3 };
+  /// `state`: an open block may still change in place; Seal claims it
+  /// (kSealing), fills it and publishes it (kSealed), which is final.
+  enum : uint8_t { kOpen = 0, kSealing = 1, kSealed = 2 };
+  /// `counts`: the lazy fill of the facts' `apps` fields.
+  enum : uint8_t { kNoCounts = 0, kCounting = 1, kCounted = 2 };
   /// A stale `apps` entry, recounted by the next CountedFacts fill.
   static constexpr uint32_t kUncounted = ~uint32_t{0};
-  /// A facts entry the next fill recomputes, its count included.
+  /// A facts entry the next Seal recomputes, its count included; no subtree
+  /// has 0 nodes.
   static constexpr ChildFacts kStale{0, 0, 0, 0, {kUncounted, 0}};
 
   std::atomic<uint32_t> refs{1};
-  std::atomic<uint8_t> cache{kEmpty};
-  /// The facts' `apps` fields: filled only after `cache` is kReady. Until
-  /// `counts` is kReady, an entry is valid unless its total is kUncounted.
-  std::atomic<uint8_t> counts{kEmpty};
-  std::atomic<bool> normal{false};  ///< see KnownNormal
-  std::atomic<bool> sealed{false};  ///< see Seal; never cleared
+  std::atomic<uint8_t> state{kOpen};
+  /// Until `counts` is kCounted, an `apps` entry is valid unless its total
+  /// is kUncounted.
+  std::atomic<uint8_t> counts{kNoCounts};
+  bool normal = false;  ///< see KnownNormal; written by Seal before kSealed
   std::vector<DiffTree> kids;
-  /// One per kid; written by the one filler, read once `cache` is kReady.
+  /// One per kid once sealed. An open block holds none, or the entries
+  /// carried from the sealed block it was copied from (see kStale).
   std::vector<ChildFacts> facts;
 };
 
@@ -267,33 +255,26 @@ inline const DiffTree* ChildList::begin() const {
 inline const DiffTree* ChildList::end() const {
   return block_ != nullptr ? block_->kids.data() + block_->kids.size() : nullptr;
 }
-inline bool ChildList::KnownNormal() const {
-  return block_ != nullptr && block_->normal.load(std::memory_order_relaxed);
-}
-inline void ChildList::push_back(DiffTree child) { Mutable().push_back(std::move(child)); }
-inline const ChildFacts* ChildList::CachedFacts() const {
-  return block_ != nullptr && block_->cache.load(std::memory_order_acquire) == Block::kReady
+// Inline, since the matcher asks at every node.
+inline const ChildFacts* ChildList::facts() const {
+  return block_ != nullptr && block_->state.load(std::memory_order_acquire) == Block::kSealed
              ? block_->facts.data()
              : nullptr;
 }
-inline bool ChildList::Caches() const {
-  return block_->sealed.load(std::memory_order_relaxed) ||
-         block_->refs.load(std::memory_order_relaxed) >= 2;
+inline bool ChildList::KnownNormal() const {
+  return block_ != nullptr &&
+         block_->state.load(std::memory_order_acquire) == Block::kSealed && block_->normal;
 }
-// Inline, since the matcher asks at every node: a ready cache or a private
-// unsealed block answers without a call.
-inline const ChildFacts* ChildList::facts() const {
-  if (const ChildFacts* f = CachedFacts()) return f;
-  return block_ != nullptr && Caches() ? FillFacts() : nullptr;
-}
+inline void ChildList::push_back(DiffTree child) { Mutable().push_back(std::move(child)); }
 
-/// Seals every block of `tree`: from then on non-const access to any of
-/// them copies it, so its caches fill and stay valid. The value does not
-/// change. Sealing stops at blocks already sealed, so sealing a state made
-/// from a sealed one walks only its new blocks. RuleEngine::Apply seals its
-/// results and the searchers seal their initial state. `normal` says that
-/// `tree` was just normalized, so the blocks it seals are also marked
-/// KnownNormal; only Apply passes it (the initial state is not normalized).
+/// Seals every block of `tree` and fills its facts: from then on non-const
+/// access to any of them copies it, so its caches stay valid. The value does
+/// not change. Sealing stops at blocks already sealed (or being sealed by
+/// another thread), so sealing a state made from a sealed one walks only its
+/// new blocks. RuleEngine::Apply seals its results and the searchers seal
+/// their initial state. `normal` says that `tree` is in normal form, so the
+/// blocks it seals are also marked KnownNormal: Apply passes it right after
+/// its Normalize, and SearchRun::Start when the initial state is normal.
 void Seal(const DiffTree& tree, bool normal = false);
 
 /// \brief Where a tree's ANY alternatives sit, which CanonicalHash forgets:
@@ -317,13 +298,6 @@ using TreePath = std::vector<int>;
 /// Node lookup by path; returns nullptr when the path is invalid.
 const DiffTree* NodeAt(const DiffTree& root, const TreePath& path);
 DiffTree* MutableNodeAt(DiffTree* root, const TreePath& path);
-
-/// Lists all choice nodes in pre-order (their index is the "choice id" used
-/// by bindings, the cost model and the interface runtime).
-std::vector<const DiffTree*> ListChoiceNodes(const DiffTree& root);
-
-/// Pre-order paths of all nodes (choice and non-choice).
-void ListPaths(const DiffTree& root, std::vector<TreePath>* out);
 
 /// Short human-readable label for a difftree node's content, with choice
 /// nodes rendered as placeholders; used for widget labels.

@@ -69,8 +69,8 @@ std::optional<DiffTree> RewriteNode(const DiffTree& n) {
 
 /// Normal form of `n`, or nullopt when `n` already is in it. Only the nodes
 /// that change are rebuilt; every other subtree stays shared with `n`. A
-/// child list already known to be normal is not walked again, so
-/// normalizing a rule's result walks little more than the rewritten path.
+/// child list sealed as normal (KnownNormal) is not walked, so normalizing a
+/// rule's result walks little more than the rewritten path.
 std::optional<DiffTree> NormalizedOrSame(const DiffTree& n) {
   std::optional<DiffTree> out;  // `n` with its changed children, made on the first change
   if (!n.children.KnownNormal()) {
@@ -80,7 +80,6 @@ std::optional<DiffTree> NormalizedOrSame(const DiffTree& n) {
       if (!out) out = n;
       out->children[i] = std::move(*c);
     }
-    if (!out) n.children.MarkNormal();
   }
   std::optional<DiffTree> rewritten = RewriteNode(out ? *out : n);
   return rewritten ? std::move(rewritten) : std::move(out);

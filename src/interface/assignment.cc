@@ -204,6 +204,7 @@ Assignment WidgetAssigner::RandomAssignment(Rng* rng) const {
 
 void WidgetAssigner::DrawRandomAssignment(Rng* rng, Assignment* a) const {
   a->picks.clear();
+  a->picks.reserve(decisions_.size());
   for (const DecisionPoint& d : decisions_) {
     a->picks.push_back(d.options.empty()
                            ? 0

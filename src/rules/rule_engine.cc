@@ -87,7 +87,11 @@ ApplicationCount RuleEngine::CountApplications(const DiffTree& root) const {
 RuleApplication RuleEngine::ApplicationAt(const DiffTree& root, size_t k,
                                           bool forward_only) const {
   auto subtree = [this](const DiffTree& kid) { return CountApplications(kid); };
+  // Serial sdss searches (seeds 1-8, cap 900) reach states 17 levels deep,
+  // so a path to one of their nodes holds at most 16 indices.
+  constexpr size_t kPathReserve = 16;
   TreePath path;
+  path.reserve(kPathReserve);
   const DiffTree* node = &root;
   while (true) {
     std::vector<RuleApplication>& here = NodeScratch();
@@ -126,9 +130,9 @@ Result<DiffTree> RuleEngine::Apply(const DiffTree& root,
   IFGEN_RETURN_NOT_OK(
       rules_[static_cast<size_t>(app.rule_index)]->ApplyAt(target, app, opts_));
   Normalize(&next);
-  // Sealed first, so the size check fills the new blocks' facts that the
-  // counts and hashes of the state read next. Every block is in normal form
-  // now, so the next Apply's Normalize skips the ones sealed here.
+  // Sealed first: Seal fills the new blocks' facts, which the size check and
+  // the counts and hashes of the state read next. Every block is in normal
+  // form now, so the next Apply's Normalize skips the ones sealed here.
   Seal(next, /*normal=*/true);
   if (next.NodeCount() > opts_.max_tree_nodes) {
     return Status::ResourceExhausted(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "difftree/normalize.h"
 #include "obs/metrics.h"
 
 namespace ifgen {
@@ -86,7 +87,9 @@ SearchRun::SearchRun(const SearchOptions& opts, size_t loops)
 }
 
 double SearchRun::Start(const DiffTree& initial, StateEvaluator* evaluator, Rng* rng) {
-  Seal(initial);
+  // Marked normal when it is, so the first rewrites' Normalize skips its
+  // blocks as it skips those of every later state.
+  Seal(initial, Normalized(initial) == initial);
   stats_.initial_cost = evaluator->SampleCost(initial, rng);
   Offer(initial, stats_.initial_cost, &stats_);
   return stats_.initial_cost;

@@ -324,7 +324,8 @@ class SearchRun {
   SearchRun(const SearchRun&) = delete;
   SearchRun& operator=(const SearchRun&) = delete;
 
-  /// Seals `initial` (see Seal), samples its cost with `rng`, records it as
+  /// Seals `initial` (see Seal; marked KnownNormal when it is in normal
+  /// form), samples its cost with `rng`, records it as
   /// stats().initial_cost and offers the state as the first best (trace
   /// entry at iteration 0). Returns the cost.
   double Start(const DiffTree& initial, StateEvaluator* evaluator, Rng* rng);

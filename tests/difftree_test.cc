@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <functional>
 #include <thread>
 #include <utility>
@@ -212,16 +214,18 @@ TEST(Normalize, CollapsesDegenerateChoices) {
 
 TEST(Normalize, KnownNormalListIsDroppedOnEdit) {
   DiffTree t = *BuildInitialTree({Q("select a from t"), Q("select b from t where x = 1")});
-  {
-    const DiffTree other = t;  // shares t's root list
-    Normalize(&t);             // finds it normal while shared, and marks it
-    EXPECT_TRUE(t.children.KnownNormal());
-  }
-  // Private again and still marked: an edit in place must drop the mark, or
-  // the next Normalize would skip the Seq below.
+  ASSERT_EQ(Normalized(t), t);
+  Seal(t, /*normal=*/true);
+  EXPECT_TRUE(t.children.KnownNormal());
+  EXPECT_TRUE(std::as_const(t).children[1].children.KnownNormal());
+  const DiffTree sealed = t;
+  // The edit copies the sealed blocks on its path. Open copies are never
+  // marked, or the next Normalize would skip the Seq below.
   t.children[1].children[0] =
       DiffTree::Seq({DiffTree::FromAst(Col("b")), DiffTree::FromAst(Col("c"))});
   EXPECT_FALSE(t.children.KnownNormal());
+  EXPECT_FALSE(std::as_const(t).children[1].children.KnownNormal());
+  EXPECT_TRUE(sealed.children.KnownNormal());
   Normalize(&t);
   EXPECT_EQ(t.ToSExpr(), Normalized(DeepCopy(t)).ToSExpr());
   EXPECT_EQ(t.children[1].children.size(), 4u);  // the Seq was spliced
@@ -624,7 +628,7 @@ TEST(DiffTreeLabel, RendersFragments) {
 }
 
 // ---------------------------------------------------------------------------
-// Copy-on-write children: copies share blocks, and shared blocks cache the
+// Copy-on-write children: copies share blocks, and sealed blocks cache the
 // children's hashes and counts.
 
 /// Hash, CanonicalHash, NodeCount and ChoiceCount of `t`, in that order.
@@ -633,14 +637,15 @@ std::vector<uint64_t> FactsOf(const DiffTree& t) {
 }
 
 TEST(DiffTree, CopyOnWrite) {
-  const DiffTree original = *BuildInitialTree(
+  const DiffTree base = *BuildInitialTree(
       {Q("select a from t where x = 1"), Q("select b from t where y = 2 and z = 3"),
        Q("select c, d from u")});
-  const std::string sexpr = original.ToSExpr();
-  const std::vector<uint64_t> facts = FactsOf(DeepCopy(original));
-  ASSERT_EQ(FactsOf(original), facts);
+  const std::string sexpr = base.ToSExpr();
+  const std::vector<uint64_t> facts = FactsOf(DeepCopy(base));
+  ASSERT_EQ(FactsOf(base), facts);
 
-  // Every non-const accessor, on a copy whose caches are filled.
+  // Every non-const accessor, on a copy of an open tree and of a sealed one,
+  // whose caches are filled.
   const std::vector<std::function<void(DiffTree*)>> edits = {
       [](DiffTree* t) { t->children[0].value = "edited"; },
       [](DiffTree* t) {
@@ -653,33 +658,44 @@ TEST(DiffTree, CopyOnWrite) {
       [](DiffTree* t) { MutableNodeAt(t, {1, 2, 0})->value = "deep"; },
       [](DiffTree* t) { MutableNodeAt(t, {2, 0})->children[1] = DiffTree::Empty(); },
   };
-  for (size_t e = 0; e < edits.size(); ++e) {
-    DiffTree copy = original;
-    EXPECT_EQ(&std::as_const(copy).children[0], &original.children[0]);  // one block
-    ASSERT_EQ(FactsOf(copy), facts);  // fills the shared caches
-    edits[e](&copy);
-    EXPECT_NE(copy.children.begin(), original.children.begin()) << e;
-    EXPECT_NE(copy.ToSExpr(), sexpr) << e;
-    EXPECT_EQ(original.ToSExpr(), sexpr) << e;
-    EXPECT_EQ(FactsOf(original), facts) << e;
-    const DiffTree keep = copy;  // shares, so the copy's caches fill again
-    EXPECT_EQ(FactsOf(copy), FactsOf(DeepCopy(copy))) << e;
-    EXPECT_EQ(FactsOf(keep), FactsOf(DeepCopy(copy))) << e;
+  for (const bool sealed : {false, true}) {
+    const DiffTree original = DeepCopy(base);
+    if (sealed) Seal(original);
+    EXPECT_EQ(original.children.facts() != nullptr, sealed);
+    for (size_t e = 0; e < edits.size(); ++e) {
+      DiffTree copy = original;
+      EXPECT_EQ(&std::as_const(copy).children[0], &original.children[0]);  // one block
+      ASSERT_EQ(FactsOf(copy), facts);
+      edits[e](&copy);
+      EXPECT_NE(copy.children.begin(), original.children.begin()) << e;
+      EXPECT_NE(copy.ToSExpr(), sexpr) << e;
+      EXPECT_EQ(original.ToSExpr(), sexpr) << e;
+      EXPECT_EQ(FactsOf(original), facts) << e;
+      EXPECT_EQ(FactsOf(copy), FactsOf(DeepCopy(copy))) << e;
+      Seal(copy);  // fills the copy's new blocks, keeping what they carried
+      EXPECT_EQ(FactsOf(copy), FactsOf(DeepCopy(copy))) << e;
+    }
   }
 
-  // Caches fill only on a shared block.
-  DiffTree mine = DeepCopy(original);
+  // Caches fill only once sealed: sharing an open block fills nothing.
+  DiffTree mine = DeepCopy(base);
   EXPECT_EQ(mine.children.facts(), nullptr);
   {
     const DiffTree other = mine;
-    ASSERT_NE(mine.children.facts(), nullptr);
+    ASSERT_EQ(FactsOf(other), facts);
+    EXPECT_EQ(mine.children.facts(), nullptr);
   }
-  // `mine` is the only owner again, with its cache filled: an in-place
-  // mutation must drop the cache.
+  Seal(mine);
+  ASSERT_NE(mine.children.facts(), nullptr);
+  // An edit copies the sealed block; the copy is open, so it hands out no
+  // facts until it is sealed in turn.
   mine.children[0].value = "changed";
   EXPECT_EQ(mine.children.facts(), nullptr);
   EXPECT_EQ(FactsOf(mine), FactsOf(DeepCopy(mine)));
   EXPECT_NE(mine.Hash(), facts[0]);
+  Seal(mine);
+  ASSERT_NE(mine.children.facts(), nullptr);
+  EXPECT_EQ(FactsOf(mine), FactsOf(DeepCopy(mine)));
 }
 
 TEST(DiffTree, ConcurrentCacheFill) {
@@ -702,8 +718,8 @@ TEST(DiffTree, ConcurrentCacheFill) {
   std::vector<std::vector<uint64_t>> serial;
   for (const DiffTree& s : states) serial.push_back(summarize(DeepCopy(s)));
 
-  // Every thread works on its own copies of the same shared states, so the
-  // threads race to fill the same caches.
+  // Every thread works on its own copies of the same sealed states, so the
+  // threads read the same caches and carry them into their path copies.
   constexpr int kThreads = 4;
   std::vector<std::vector<std::vector<uint64_t>>> parallel(kThreads);
   std::vector<std::thread> threads;
@@ -719,6 +735,89 @@ TEST(DiffTree, ConcurrentCacheFill) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(parallel[static_cast<size_t>(t)], serial) << "thread " << t;
   }
+}
+
+/// Every block's facts in `t`, pre-order, as numbers; open blocks add none.
+void CollectFacts(const DiffTree& t, std::vector<uint64_t>* out) {
+  if (const ChildFacts* f = t.children.facts()) {
+    for (size_t i = 0; i < t.children.size(); ++i) {
+      out->insert(out->end(), {f[i].hash, f[i].canonical_hash, f[i].nodes, f[i].choices});
+    }
+  }
+  for (const DiffTree& c : t.children) CollectFacts(c, out);
+}
+
+// Threads seal copies of one open tree, so they race to claim its blocks; a
+// thread that loses a claim skips the block. Each also rewrites its copy
+// before and after its seal, until every thread has sealed, so its path
+// copies detach from blocks that other threads are still sealing and must
+// carry only published facts. Once the threads are done, every block holds
+// what a serial seal fills.
+TEST(DiffTree, ConcurrentSealOfSharedBlocks) {
+  const std::vector<Ast> queries = *ParseQueries(LoadWorkload("sdss", 10)->log);
+  const RuleEngine rules;
+  size_t checked = 0;
+  for (const DiffTree& state : RolloutStates(queries, 13, 8, 0.8)) {
+    const DiffTree serial = DeepCopy(state);
+    Seal(serial);
+    std::vector<uint64_t> want;
+    CollectFacts(serial, &want);
+    // Up to 16 applications spread over the tree.
+    const std::vector<RuleApplication> all = rules.EnumerateApplications(serial);
+    std::vector<RuleApplication> apps;
+    for (size_t a = 0; a < all.size(); a += std::max<size_t>(1, all.size() / 16)) {
+      apps.push_back(all[a]);
+    }
+    std::vector<uint64_t> want_next;
+    for (const RuleApplication& app : apps) {
+      auto next = rules.Apply(serial, app);
+      if (next.ok()) CollectFacts(*next, &want_next);
+    }
+
+    for (int round = 0; round < 4; ++round) {
+      const DiffTree shared = DeepCopy(state);  // open, and shared by every thread
+      constexpr size_t kThreads = 4;
+      std::atomic<size_t> started{0};
+      std::atomic<size_t> sealed{0};
+      std::vector<std::vector<uint64_t>> summary(kThreads);
+      std::vector<std::vector<DiffTree>> nexts(kThreads);
+      std::vector<std::thread> threads;
+      for (size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          started.fetch_add(1);
+          while (started.load() < kThreads) std::this_thread::yield();
+          const DiffTree mine = shared;
+          // Thread t seals after t passes of rewrites, so the others rewrite
+          // while it holds the root's claim.
+          for (size_t pass = 0;; ++pass) {
+            if (pass == t) {
+              Seal(mine);
+              sealed.fetch_add(1);
+            }
+            nexts[t].clear();
+            for (const RuleApplication& app : apps) {
+              auto next = rules.Apply(mine, app);
+              if (next.ok()) nexts[t].push_back(std::move(next).MoveValueUnsafe());
+            }
+            if (pass >= t && sealed.load() == kThreads) break;
+          }
+          summary[t] = FactsOf(mine);
+        });
+      }
+      for (std::thread& th : threads) th.join();
+      std::vector<uint64_t> got;
+      CollectFacts(shared, &got);
+      EXPECT_EQ(got, want);
+      for (size_t t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(summary[t], FactsOf(serial)) << "thread " << t;
+        std::vector<uint64_t> got_next;
+        for (const DiffTree& next : nexts[t]) CollectFacts(next, &got_next);
+        EXPECT_EQ(got_next, want_next) << "thread " << t;
+      }
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked, 8u);
 }
 
 }  // namespace

@@ -546,17 +546,26 @@ TEST(RuleCounts, EditingACopyOfASealedStateLeavesItsCountsAlone) {
   EXPECT_EQ(facts(mine), facts(DeepCopy(mine)));
   EXPECT_NE(facts(mine)[0], sealed_facts[0]);
 
-  // An unsealed block counted while shared drops its counts when its one
-  // owner left edits it in place, so they refill once it is shared again.
+  // An open block is never counted, shared or not. A sealed one is, and an
+  // edit of a copy carries its counts but the written child's, which the
+  // copy's Seal and next count fill.
+  auto count = [&](const DiffTree& kid) { return engine.CountApplications(kid); };
   DiffTree own = DeepCopy(CountedStates().back().second);
   {
     const DiffTree other = own;
     ASSERT_EQ(facts(own), facts(DeepCopy(own)));
+    EXPECT_EQ(own.children.CountedFacts(count), nullptr);
   }
+  Seal(own);
+  ASSERT_NE(own.children.CountedFacts(count), nullptr);
+  const DiffTree counted = own;
   const DiffTree twin = std::as_const(own).children[0];
   own.children[0] = DiffTree::Any({twin, twin});
-  const DiffTree again = own;
+  EXPECT_EQ(own.children.CountedFacts(count), nullptr);  // open again
   EXPECT_EQ(facts(own), facts(DeepCopy(own)));
+  Seal(own);
+  EXPECT_EQ(facts(own), facts(DeepCopy(own)));
+  EXPECT_EQ(facts(counted), facts(DeepCopy(counted)));
 }
 
 // Trees of concurrent searches share sealed blocks, so threads race to fill
@@ -592,8 +601,8 @@ TEST(RuleCounts, ConcurrentCountFills) {
 
 // ---------------------------------------------------------------------------
 // Apply's path copies carry the facts and counts of the siblings they do
-// not write; a later fill recomputes only the written children's. Either
-// way every entry must be what a fill from scratch computes.
+// not write; their Seal recomputes only the written children's. Either way
+// every entry must be what a seal from scratch computes.
 
 /// The facts and counts of `got`'s children against those of `fresh`'s.
 void ExpectChildFactsAsFresh(const RuleEngine& engine, const DiffTree& got,
@@ -668,28 +677,27 @@ TEST(RuleCounts, PathCopiesCarryTheFactsOfUntouchedSiblings) {
   EXPECT_GT(applied, 200u);
   EXPECT_GT(blocks, 10000u);
 
-  // A block whose facts filled while it was shared, then released back to
-  // one owner, keeps them for the children not written through operator[].
+  // A path copy of a sealed, counted state written through operator[] at two
+  // children: its Seal recomputes those two entries and keeps the others'.
   const std::vector<Ast> queries = *ParseQueries(LoadWorkload("sdss", 10)->log);
-  size_t released = 0;
+  size_t copied = 0;
   for (const DiffTree& state : RolloutStates(queries, 71, 12, 0.8)) {
-    DiffTree own = DeepCopy(state);
-    if (own.children.size() < 2) continue;
-    {
-      const DiffTree other = own;
-      ASSERT_NE(own.children.CountedFacts(
-                    [&](const DiffTree& kid) { return engine.CountApplications(kid); }),
-                nullptr);
+    const size_t n = state.children.size();
+    if (n < 2) continue;
+    Seal(state);
+    engine.CountApplications(state);
+    DiffTree copy = state;
+    for (size_t i : {size_t{0}, n - 1}) {
+      const DiffTree twin = std::as_const(copy).children[i];
+      copy.children[i] = DiffTree::Any({twin, twin});
     }
-    const DiffTree twin = std::as_const(own).children[1];
-    own.children[1] = DiffTree::Any({twin, twin});
-    const DiffTree again = own;  // shared again, so its facts fill
-    DiffTree fresh = DeepCopy(own);
+    Seal(copy);
+    DiffTree fresh = DeepCopy(copy);
     Seal(fresh);
-    ExpectChildFactsAsFresh(engine, own, fresh, "released block");
-    ++released;
+    ExpectFactsAsFresh(engine, copy, fresh, "path copy");
+    ++copied;
   }
-  EXPECT_GT(released, 0u);
+  EXPECT_GT(copied, 0u);
 }
 
 }  // namespace

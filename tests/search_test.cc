@@ -3,6 +3,8 @@
 #include "core/interface_generator.h"
 #include "difftree/builder.h"
 #include "difftree/match.h"
+#include "difftree/normalize.h"
+#include "rollout_states.h"
 #include "search/baselines.h"
 #include "search/mcts.h"
 #include "sql/parser.h"
@@ -87,6 +89,51 @@ TEST(Mcts, RecordsFanoutStats) {
   EXPECT_GT(r->stats.fanout_samples, 0u);
   EXPECT_GT(r->stats.fanout_max, 0u);
   EXPECT_GT(r->stats.MeanFanout(), 0.0);
+}
+
+/// Number of nodes with children in `n` whose child list is not marked
+/// normal.
+size_t UnmarkedLists(const DiffTree& n) {
+  size_t unmarked = !n.children.empty() && !n.children.KnownNormal() ? 1 : 0;
+  for (const DiffTree& c : n.children) unmarked += UnmarkedLists(c);
+  return unmarked;
+}
+
+// The search seals its initial state marked normal when it is in normal
+// form, so the first rewrites' Normalize skips its blocks; one that is not
+// stays unmarked, so Normalize still walks it.
+TEST(Mcts, StartSealsANormalInitialStateAsKnownNormal) {
+  RuleEngine rules;
+  EvalOptions eopts;
+  eopts.screen = {80, 24};
+  for (const char* workload : {"flights", "sdss", "synthetic"}) {
+    const std::vector<Ast> queries = *ParseQueries(LoadWorkload(workload, 10)->log);
+    const DiffTree initial = *BuildInitialTree(queries);
+    EXPECT_GT(UnmarkedLists(initial), 0u) << workload;
+    StateEvaluator eval(eopts, queries);
+    MctsSearcher mcts(&rules, &eval, FastOptions(3));
+    ASSERT_TRUE(mcts.Run(initial).ok()) << workload;
+    EXPECT_EQ(UnmarkedLists(initial), 0u) << workload;
+  }
+
+  // The first query's Select holds its projection in a Seq, which
+  // Normalize splices.
+  const std::vector<Ast> queries = SmallLog();
+  std::vector<DiffTree> alts;
+  for (const Ast& q : queries) alts.push_back(DiffTree::FromAst(q));
+  alts[0].children[0] = DiffTree::Seq({std::as_const(alts[0]).children[0]});
+  const DiffTree initial = DiffTree::Any(std::move(alts));
+  ASSERT_EQ(Normalized(initial), *BuildInitialTree(queries));
+  StateEvaluator eval(eopts, queries);
+  MctsSearcher mcts(&rules, &eval, FastOptions(40));
+  auto r = mcts.Run(initial);
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(initial.children.KnownNormal());
+  EXPECT_FALSE(std::as_const(initial).children[0].children.KnownNormal());
+  EXPECT_LT(r->best_cost, r->stats.initial_cost);
+  EXPECT_TRUE(ExpressesAll(r->best_tree, queries));
+  // Every state past the initial one is in normal form, the Seq spliced.
+  EXPECT_EQ(Normalized(DeepCopy(r->best_tree)), r->best_tree);
 }
 
 TEST(RandomSearch, AlsoImprovesButTracksBest) {
