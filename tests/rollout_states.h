@@ -61,6 +61,14 @@ inline DiffTree DeepCopy(const DiffTree& n) {
   return out;
 }
 
+/// Number of nodes with children in `n` whose child list is not marked
+/// normal.
+inline size_t UnmarkedLists(const DiffTree& n) {
+  size_t unmarked = !n.children.empty() && !n.children.KnownNormal() ? 1 : 0;
+  for (const DiffTree& c : n.children) unmarked += UnmarkedLists(c);
+  return unmarked;
+}
+
 /// A copy of `n` like DeepCopy, with every ANY's alternatives shuffled:
 /// the same CanonicalHash, usually another Hash.
 inline DiffTree ShuffleAnys(const DiffTree& n, Rng* rng) {

@@ -470,14 +470,6 @@ TEST(RuleCounts, ErasedPicksRemapLikeVectorErase) {
   EXPECT_GT(checked, 500u);
 }
 
-/// Number of nodes with children in `n` whose child list is not marked
-/// normal.
-size_t UnmarkedLists(const DiffTree& n) {
-  size_t unmarked = !n.children.empty() && !n.children.KnownNormal() ? 1 : 0;
-  for (const DiffTree& c : n.children) unmarked += UnmarkedLists(c);
-  return unmarked;
-}
-
 TEST(RuleCounts, ApplyMarksTheBlocksItSealsNormal) {
   const std::vector<Ast> queries = *ParseQueries(LoadWorkload("sdss", 10)->log);
   // The initial state is sealed without normalizing, so it stays unmarked.

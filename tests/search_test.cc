@@ -91,14 +91,6 @@ TEST(Mcts, RecordsFanoutStats) {
   EXPECT_GT(r->stats.MeanFanout(), 0.0);
 }
 
-/// Number of nodes with children in `n` whose child list is not marked
-/// normal.
-size_t UnmarkedLists(const DiffTree& n) {
-  size_t unmarked = !n.children.empty() && !n.children.KnownNormal() ? 1 : 0;
-  for (const DiffTree& c : n.children) unmarked += UnmarkedLists(c);
-  return unmarked;
-}
-
 // The search seals its initial state marked normal when it is in normal
 // form, so the first rewrites' Normalize skips its blocks; one that is not
 // stays unmarked, so Normalize still walks it.
@@ -129,7 +121,7 @@ TEST(Mcts, StartSealsANormalInitialStateAsKnownNormal) {
   auto r = mcts.Run(initial);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(initial.children.KnownNormal());
-  EXPECT_FALSE(std::as_const(initial).children[0].children.KnownNormal());
+  EXPECT_FALSE(initial.children[0].children.KnownNormal());
   EXPECT_LT(r->best_cost, r->stats.initial_cost);
   EXPECT_TRUE(ExpressesAll(r->best_tree, queries));
   // Every state past the initial one is in normal form, the Seq spliced.
