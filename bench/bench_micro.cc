@@ -89,7 +89,7 @@ BENCHMARK(BM_EnumerateApplications)->Arg(0)->Arg(1)->Arg(8);
 void BM_RolloutStep(benchmark::State& state) {
   RuleEngine engine;
   const DiffTree start = FactoredSdss(static_cast<int>(state.range(0)));
-  Seal(start, Normalized(start) == start);  // as SearchRun::Start seals it
+  SealCheckingNormal(start);  // as SearchRun::Start seals it
   DiffTree cur = start;
   size_t steps = 0;
   size_t draw = 0;
@@ -143,7 +143,7 @@ void BM_PlanTransitions(benchmark::State& state) {
   if (state.range(0) == 1) {
     trees = RolloutStates(queries, 11, 120, 0.8);
     for (DiffTree& s : RolloutStates(queries, 13, 120, 0.0)) trees.push_back(std::move(s));
-    for (const DiffTree& t : trees) Seal(t);  // as the search seals its initial state
+    for (const DiffTree& t : trees) SealCheckingNormal(t);  // as the search seals its initial state
   } else if (state.range(0) == 0) {
     trees.push_back(DeepCopy(FactoredSdss(8)));
   } else {
@@ -186,7 +186,7 @@ void BM_WidgetAssigner(benchmark::State& state) {
   const CostConstants constants;
   DeltaCostCache delta;
   for (const DiffTree& t : trees) {
-    Seal(t);
+    SealCheckingNormal(t);
     const WidgetAssigner warm(t, constants, &delta);
   }
   size_t i = 0;

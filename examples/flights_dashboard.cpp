@@ -63,6 +63,11 @@ int main() {
   std::printf("%s\n", RenderAscii(iface->widgets, options.screen).c_str());
 
   Database db = MakeFlightsDatabase(3000, 99);
+  auto backend = CreateBackend(BackendKind::kReference, &db);
+  if (!backend.ok()) {
+    std::printf("backend failed: %s\n", backend.status().ToString().c_str());
+    return 1;
+  }
   auto session = InterfaceSession::Create(*iface, options.constants);
   if (!session.ok()) {
     std::printf("session failed: %s\n", session.status().ToString().c_str());
@@ -78,7 +83,7 @@ int main() {
       continue;
     }
     auto sql = session->CurrentSql();
-    auto result = session->ExecuteCurrent(db);
+    auto result = session->ExecuteCurrent(backend->get());
     std::printf("== Dashboard state %zu (effort %.2f: %zu widget(s)) ==\n", i + 1,
                 report->total(), report->widgets_changed);
     std::printf("query: %s\n", sql.ok() ? sql->c_str() : "?");

@@ -132,7 +132,9 @@ int main() {
     std::printf("  total replay effort: %.2f\n\n", total);
 
     Database db = MakeSdssDatabase(300, 2020);
-    auto result = session->ExecuteCurrent(db);
+    auto backend = CreateBackend(BackendKind::kReference, &db);
+    auto result = backend.ok() ? session->ExecuteCurrent(backend->get())
+                               : Result<Table>(backend.status());
     auto sql = session->CurrentSql();
     if (result.ok() && sql.ok()) {
       std::printf("---- Current query & its result (the 'visualization') ----\n");

@@ -37,6 +37,45 @@ obs::Gauge& SessionsActiveMetric() {
   return *g;
 }
 
+std::string WireJobId(GenerationService::JobId id) { return "j-" + std::to_string(id); }
+
+/// The wire form of a job's result; its workload and backend come from the
+/// job's record.
+GenerateResponse BuildGenerateResponse(const GenerationService::JobInfo& info) {
+  const GeneratedInterface& iface = *info.result;
+  GenerateResponse g;
+  g.job_id = WireJobId(info.id);
+  g.workload = info.workload;
+  g.algorithm = iface.algorithm;
+  g.backend = std::string(BackendKindName(info.options.backend));
+  g.coverage = iface.coverage;
+  g.cost = CostToJsonValue(iface.cost);
+  g.difftree = DiffTreeToJsonValue(iface.difftree);
+  g.widgets = WidgetTreeToJsonValue(iface.widgets);
+  g.stats = SearchStatsDto::FromStats(iface.stats);
+  return g;
+}
+
+JobStatusResponse BuildJobStatus(const GenerationService::JobInfo& info) {
+  JobStatusResponse resp;
+  resp.job_id = WireJobId(info.id);
+  resp.state = std::string(JobStateName(info.state));
+  resp.cache_hit = info.cache_hit;
+  resp.queued_ms = info.queued_ms;
+  resp.run_ms = info.run_ms;
+  // kDone carries the full result; kCancelled may carry the best-so-far
+  // partial of a mid-run abort. The error (Cancelled/Failed) is reported
+  // alongside the partial, not instead of it.
+  if (info.result != nullptr &&
+      (info.state == JobState::kDone || info.state == JobState::kCancelled)) {
+    resp.result.value = BuildGenerateResponse(info);
+  }
+  if (!info.error.ok()) {
+    resp.result.error = ErrorBody::FromStatus(info.error);
+  }
+  return resp;
+}
+
 }  // namespace
 
 ApiService::ApiService(Options opts) : opts_(opts), service_(opts.service) {}
@@ -107,95 +146,14 @@ Result<GenerateAccepted> ApiService::SubmitGenerate(const GenerateRequest& req) 
   if (!req.workload.empty()) {
     IFGEN_ASSIGN_OR_RETURN(bundle, FindWorkload(req.workload));
   }
-  JobSpec spec;
-  spec.sqls = req.sqls.empty() ? bundle->log : req.sqls;
-  spec.options = options;
-  // mu_ is held across submit + meta insert: a cache-hit job is kDone the
-  // moment SubmitJob returns, and every meta reader (BuildJobStatus,
-  // OpenSession) locks mu_ — so no reader can observe the job without its
-  // meta. Lock order mu_ -> service mutex, consistent with the eviction
-  // scan below; the service never calls back into ApiService.
-  GenerationService::JobId id = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    IFGEN_ASSIGN_OR_RETURN(id, service_.SubmitJob(std::move(spec)));
-    job_meta_[id] = JobMeta{req.workload, options};
-    // Keep meta bounded alongside the service's finished-job history, but
-    // never drop a still-pending job's meta (admission may be unbounded).
-    // Mirror the service's own (finished-order) eviction: drop meta exactly
-    // for jobs the service no longer knows — evicting lowest-id terminal
-    // jobs instead would desync the two (a slow early job can outlive many
-    // later ones in the service history, and losing its meta while it is
-    // still queryable blanks workload/backend in its JobStatusResponse).
-    const size_t cap = opts_.service.job_history_capacity +
-                       std::max<size_t>(1, service_.jobs_pending());
-    auto it = job_meta_.begin();
-    while (job_meta_.size() > cap && it != job_meta_.end()) {
-      if (!service_.GetJob(it->first).ok()) {
-        it = job_meta_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    // Fallback bound (pending count can shrink between submissions): shed
-    // oldest terminal metas so job_meta_ cannot outgrow cap indefinitely.
-    it = job_meta_.begin();
-    while (job_meta_.size() > cap && it != job_meta_.end()) {
-      auto info = service_.GetJob(it->first);
-      if (!info.ok() || info->terminal()) {
-        it = job_meta_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  JobSpec spec{req.sqls.empty() ? bundle->log : req.sqls, std::move(options)};
+  IFGEN_ASSIGN_OR_RETURN(GenerationService::JobId id,
+                         service_.SubmitJob(std::move(spec), req.workload));
   IFGEN_ASSIGN_OR_RETURN(GenerationService::JobInfo info, service_.GetJob(id));
   GenerateAccepted accepted;
-  accepted.job_id = "j-" + std::to_string(id);
+  accepted.job_id = WireJobId(id);
   accepted.state = std::string(JobStateName(info.state));
   return accepted;
-}
-
-GenerateResponse ApiService::BuildGenerateResponse(GenerationService::JobId id,
-                                                   const GeneratedInterface& iface,
-                                                   const JobMeta& meta) const {
-  GenerateResponse g;
-  g.job_id = "j-" + std::to_string(id);
-  g.workload = meta.workload;
-  g.algorithm = iface.algorithm;
-  g.backend = std::string(BackendKindName(meta.options.backend));
-  g.coverage = iface.coverage;
-  g.cost = CostToJsonValue(iface.cost);
-  g.difftree = DiffTreeToJsonValue(iface.difftree);
-  g.widgets = WidgetTreeToJsonValue(iface.widgets);
-  g.stats = SearchStatsDto::FromStats(iface.stats);
-  return g;
-}
-
-JobStatusResponse ApiService::BuildJobStatus(const GenerationService::JobInfo& info) {
-  JobStatusResponse resp;
-  resp.job_id = "j-" + std::to_string(info.id);
-  resp.state = std::string(JobStateName(info.state));
-  resp.cache_hit = info.cache_hit;
-  resp.queued_ms = info.queued_ms;
-  resp.run_ms = info.run_ms;
-  // kDone carries the full result; kCancelled may carry the best-so-far
-  // partial of a mid-run abort. The error (Cancelled/Failed) is reported
-  // alongside the partial, not instead of it.
-  if (info.result != nullptr &&
-      (info.state == JobState::kDone || info.state == JobState::kCancelled)) {
-    JobMeta meta;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = job_meta_.find(info.id);
-      if (it != job_meta_.end()) meta = it->second;
-    }
-    resp.result.value = BuildGenerateResponse(info.id, *info.result, meta);
-  }
-  if (!info.error.ok()) {
-    resp.result.error = ErrorBody::FromStatus(info.error);
-  }
-  return resp;
 }
 
 Result<JobStatusResponse> ApiService::GetJob(const std::string& job_id,
@@ -224,37 +182,29 @@ Result<JobProgressResponse> ApiService::GetJobProgress(const std::string& job_id
       last_seen_version > 0 ? static_cast<uint64_t>(last_seen_version) : 0;
   IFGEN_ASSIGN_OR_RETURN(GenerationService::JobProgress p,
                          service_.GetJobProgress(id, last_seen, wait_ms));
+  // The job's context is read from its record; a job evicted since the
+  // progress snapshot answers NotFound, as every evicted job does.
+  IFGEN_ASSIGN_OR_RETURN(GenerationService::JobInfo info, service_.GetJob(id));
   JobProgressResponse resp;
-  resp.job_id = "j-" + std::to_string(id);
+  resp.job_id = WireJobId(id);
   resp.state = std::string(JobStateName(p.state));
   resp.version = static_cast<int64_t>(p.version);
   resp.final_frame = p.terminal;
-  JobMeta meta;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = job_meta_.find(id);
-    if (it != job_meta_.end()) meta = it->second;
-  }
   if (p.terminal) {
     // Terminal frame: embed the finished (or cancelled-partial) result and
     // any failure — as in GetJob — so a stream consumer never needs a
     // follow-up GetJob to learn how the job ended.
-    auto info = service_.GetJob(id);
-    if (info.ok() && info->result != nullptr) {
-      resp.result.value = BuildGenerateResponse(id, *info->result, meta);
-    }
-    if (info.ok() && !info->error.ok()) {
-      resp.result.error = ErrorBody::FromStatus(info->error);
-    }
+    if (info.result != nullptr) resp.result.value = BuildGenerateResponse(info);
+    if (!info.error.ok()) resp.result.error = ErrorBody::FromStatus(info.error);
   } else if (p.version > 0 && p.best_tree != nullptr) {
     // Mid-run frame: the best-so-far difftree without the widget phase —
     // layout and the full cost decomposition only exist once search ends,
     // so the cost object carries just the scalar being minimized.
     GenerateResponse g;
     g.job_id = resp.job_id;
-    g.workload = meta.workload;
-    g.algorithm = std::string(AlgorithmName(meta.options.algorithm));
-    g.backend = std::string(BackendKindName(meta.options.backend));
+    g.workload = info.workload;
+    g.algorithm = std::string(AlgorithmName(info.options.algorithm));
+    g.backend = std::string(BackendKindName(info.options.backend));
     JsonValue cost = JsonValue::Object();
     cost.Set("total", JsonValue::Double(p.best_cost));
     g.cost = std::move(cost);
@@ -326,21 +276,15 @@ Result<SessionOpenResponse> ApiService::OpenSession(const SessionOpenRequest& re
                            std::string(JobStateName(info.state)) +
                            "); sessions require a finished job");
   }
-  JobMeta meta;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = job_meta_.find(id);
-    if (it != job_meta_.end()) meta = it->second;
-  }
   const std::string workload_name =
-      !req.workload.empty() ? req.workload : meta.workload;
+      !req.workload.empty() ? req.workload : info.workload;
   if (workload_name.empty()) {
     return Status::Invalid(
         "no workload: the job was submitted with raw sqls; pass 'workload' in "
         "SessionOpenRequest to pick the store to execute against");
   }
   IFGEN_ASSIGN_OR_RETURN(const WorkloadBundle* bundle, FindWorkload(workload_name));
-  BackendKind kind = meta.options.backend;
+  BackendKind kind = info.options.backend;
   if (!req.backend.empty()) {
     // Reuse the options validator for the name -> kind mapping.
     ApiOptions probe;
@@ -354,7 +298,7 @@ Result<SessionOpenResponse> ApiService::OpenSession(const SessionOpenRequest& re
   }
   IFGEN_ASSIGN_OR_RETURN(
       std::shared_ptr<InteractiveRuntime> runtime,
-      service_.OpenSession(*info.result, meta.options.constants, &bundle->db, kind,
+      service_.OpenSession(*info.result, info.options.constants, &bundle->db, kind,
                            opts_.runtime));
 
   SessionOpenResponse resp;

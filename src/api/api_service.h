@@ -105,14 +105,6 @@ class ApiService : public ServiceFrontend {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// Sticky per-job context the wire protocol needs beyond the
-  /// GenerationService record: which workload/backend the job was admitted
-  /// against (sessions default to them).
-  struct JobMeta {
-    std::string workload;
-    GeneratorOptions options;
-  };
-
   struct SessionEntry {
     std::shared_ptr<InteractiveRuntime> runtime;
     InteractiveRuntime::SubscriberId feed_sub = 0;
@@ -131,10 +123,6 @@ class ApiService : public ServiceFrontend {
 
   Result<GenerationService::JobId> ParseJobId(const std::string& job_id) const;
   Result<const WorkloadBundle*> FindWorkload(const std::string& name) const;
-  JobStatusResponse BuildJobStatus(const GenerationService::JobInfo& info);
-  GenerateResponse BuildGenerateResponse(GenerationService::JobId id,
-                                         const GeneratedInterface& iface,
-                                         const JobMeta& meta) const;
   /// Finds + touches a session and sweeps expired ones. Requires mu_ held.
   Result<SessionEntry*> TouchSessionLocked(const std::string& session_id);
   void SweepSessionsLocked();
@@ -146,7 +134,6 @@ class ApiService : public ServiceFrontend {
   std::map<std::string, std::unique_ptr<WorkloadBundle>> workloads_;
 
   mutable std::mutex mu_;
-  std::map<GenerationService::JobId, JobMeta> job_meta_;
   std::map<std::string, SessionEntry> sessions_;
   uint64_t next_session_ = 1;
   size_t sessions_expired_ = 0;

@@ -101,7 +101,8 @@ Result<BottomUpResult> RunBottomUpBaseline(const std::vector<Ast>& queries,
   // Score with the full model for comparability; note the baseline itself
   // never looked at U(.) or the screen. Sealed, the planner reads cached
   // choice counts instead of recounting subtrees; the value is unchanged.
-  Seal(tree);
+  // BottomUpMerge returns a normalized tree.
+  Seal(tree, /*normal=*/true);
   CostModel model(constants, screen);
   BottomUpResult out;
   out.cost = model.Evaluate(tree, &wt, queries);

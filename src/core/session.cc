@@ -1,5 +1,6 @@
 #include "core/session.h"
 
+#include "difftree/normalize.h"
 #include "sql/unparser.h"
 #include "util/logging.h"
 
@@ -23,7 +24,7 @@ InterfaceSession::InterfaceSession(DiffTree tree, WidgetTree wt,
       constants_(std::move(constants)),
       index_(std::make_unique<ChoiceIndex>(*tree_)),
       sticky_(*tree_) {
-  Seal(*tree_);
+  Seal(*tree_, Normalized(*tree_) == *tree_);
   Flatten(widget_tree_->root, &layout_);
 }
 
@@ -148,17 +149,6 @@ Result<Ast> InterfaceSession::CurrentQuery() const {
 Result<std::string> InterfaceSession::CurrentSql() const {
   IFGEN_ASSIGN_OR_RETURN(Ast q, CurrentQuery());
   return Unparse(q);
-}
-
-Result<Table> InterfaceSession::ExecuteCurrent(const Database& db) const {
-  IFGEN_ASSIGN_OR_RETURN(Ast q, CurrentQuery());
-  if (db_backend_for_ != &db) {
-    IFGEN_ASSIGN_OR_RETURN(db_backend_,
-                           CreateBackend(BackendKind::kReference, &db));
-    db_backend_for_ = &db;
-    ++backends_created_;
-  }
-  return db_backend_->Execute(q);
 }
 
 Result<Table> InterfaceSession::ExecuteCurrent(ExecutionBackend* backend) const {

@@ -64,19 +64,6 @@ class InterfaceSession {
   Result<Ast> CurrentQuery() const;
   Result<std::string> CurrentSql() const;
 
-  /// Executes the current query against `db` (the "visualization" feed)
-  /// with reference-executor semantics. The reference backend is
-  /// constructed once per database and cached for the session's lifetime,
-  /// so repeated widget-driven calls reuse its plan cache (rebind, don't
-  /// re-plan) instead of rebuilding executor state per call. Not
-  /// thread-safe (sessions are single-user); `db` must outlive the session
-  /// or the next ExecuteCurrent call with a different database.
-  Result<Table> ExecuteCurrent(const Database& db) const;
-
-  /// Reference backends constructed by ExecuteCurrent(const Database&);
-  /// stays at 1 for the usual one-database session.
-  size_t backends_created() const { return backends_created_; }
-
   /// Executes the current query through an execution backend; repeated
   /// widget transitions hit the backend's plan cache (same query shape,
   /// new literal bindings). Backend selection comes from
@@ -101,15 +88,6 @@ class InterfaceSession {
   StickyState sticky_;
   Derivation current_;
   bool has_current_ = false;
-
-  /// Lazily-built reference backend for ExecuteCurrent(const Database&),
-  /// keyed by the database's address (rebuilt if the caller switches
-  /// databases — rare; sessions serve one store). Same lifetime contract as
-  /// GenerationService::BackendFor's (db, kind) cache: the database must
-  /// stay alive while the cached backend can still be used.
-  mutable std::unique_ptr<ExecutionBackend> db_backend_;
-  mutable const Database* db_backend_for_ = nullptr;
-  mutable size_t backends_created_ = 0;
 };
 
 }  // namespace ifgen

@@ -166,7 +166,9 @@ double StateEvaluator::Resolve(const DiffTree& tree, uint64_t key,
   double best = kInf;
   DiffTree drawn;
   if (ReorderAny(tree, deferred.any_order, &drawn)) {
-    Seal(drawn);
+    // Reordering ANY alternatives keeps normal form, so `drawn` carries the
+    // mark of the sealed state it reorders.
+    Seal(drawn, tree.children.KnownNormal());
     WidgetAssigner assigner(drawn, opts_.constants, delta_.get());
     const std::vector<DecisionPoint>& decisions = assigner.decisions();
     Draws& draws = LocalDraws();

@@ -272,10 +272,12 @@ inline void ChildList::push_back(DiffTree child) { Mutable().push_back(std::move
 /// not change. Sealing stops at blocks already sealed (or being sealed by
 /// another thread), so sealing a state made from a sealed one walks only its
 /// new blocks. RuleEngine::Apply seals its results and the searchers seal
-/// their initial state. `normal` says that `tree` is in normal form, so the
-/// blocks it seals are also marked KnownNormal: Apply passes it right after
-/// its Normalize, and SearchRun::Start when the initial state is normal.
-void Seal(const DiffTree& tree, bool normal = false);
+/// their initial state. `normal` says whether `tree` is in normal form; when
+/// it is, the blocks it seals are also marked KnownNormal. Every caller says
+/// which: Apply passes true right after its Normalize, and a caller that
+/// does not know computes it as SearchRun::Start does,
+/// `Normalized(tree) == tree`.
+void Seal(const DiffTree& tree, bool normal);
 
 /// \brief Where a tree's ANY alternatives sit, which CanonicalHash forgets:
 /// per ANY node in pre-order, each alternative's rank in CanonicalHash order

@@ -155,6 +155,10 @@ std::vector<std::string> CanonicalSqls(const std::vector<std::string>& sqls) {
   return canonical;
 }
 
+bool Terminal(JobState s) {
+  return s == JobState::kDone || s == JobState::kFailed || s == JobState::kCancelled;
+}
+
 int64_t MsBetween(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(b - a).count();
@@ -328,6 +332,8 @@ GenerationService::JobInfo GenerationService::SnapshotLocked(
   info.result = rec.result;
   info.error = rec.error;
   info.trace = rec.trace;
+  info.options = rec.options;
+  info.workload = rec.workload;
   return info;
 }
 
@@ -354,8 +360,15 @@ std::function<void(Result<GeneratedInterface>)> GenerationService::FinishLocked(
 }
 
 Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
-    JobSpec spec, std::function<void(Result<GeneratedInterface>)> on_done) {
+    JobSpec spec, std::string workload,
+    std::function<void(Result<GeneratedInterface>)> on_done) {
   const uint64_t key = JobKey(spec);
+  // The record keeps the options as submitted; the run's wiring is its own.
+  GeneratorOptions submitted = spec.options;
+  submitted.search.stop = nullptr;
+  submitted.search.progress = nullptr;
+  submitted.search.warm_start = nullptr;
+  submitted.shared_delta_cache = nullptr;
   JobId id = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -370,6 +383,8 @@ Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
     id = next_job_id_++;
     JobRecord& rec = jobs_[id];
     rec.submitted = Clock::now();
+    rec.options = std::move(submitted);
+    rec.workload = std::move(workload);
     rec.on_done = std::move(on_done);
     rec.progress = std::make_shared<ProgressSink>();
     rec.stop = std::make_shared<StopHandle>();
@@ -538,8 +553,9 @@ Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
   return id;
 }
 
-Result<GenerationService::JobId> GenerationService::SubmitJob(JobSpec spec) {
-  return SubmitJobWithCallback(std::move(spec), nullptr);
+Result<GenerationService::JobId> GenerationService::SubmitJob(JobSpec spec,
+                                                              std::string workload) {
+  return SubmitJobWithCallback(std::move(spec), std::move(workload), nullptr);
 }
 
 Result<GenerationService::JobInfo> GenerationService::GetJob(JobId id) const {
@@ -561,7 +577,7 @@ Result<GenerationService::JobInfo> GenerationService::WaitJob(JobId id,
   auto terminal = [&] {
     auto jt = jobs_.find(id);
     // Evicted mid-wait counts as terminal; the re-lookup below reports it.
-    return jt == jobs_.end() || SnapshotLocked(id, jt->second).terminal();
+    return jt == jobs_.end() || Terminal(jt->second.state);
   };
   if (timeout_ms < 0) {
     jobs_cv_.wait(lock, terminal);
@@ -630,8 +646,7 @@ Result<GenerationService::JobProgress> GenerationService::GetJobProgress(
   JobProgress p;
   p.id = id;
   p.state = it->second.state;
-  p.terminal = p.state == JobState::kDone || p.state == JobState::kFailed ||
-               p.state == JobState::kCancelled;
+  p.terminal = Terminal(p.state);
   if (sink != nullptr) {
     const ProgressSink::Event latest = sink->Latest();
     p.version = latest.version;
@@ -652,7 +667,7 @@ GenerationService::JobFuture GenerationService::Submit(JobSpec spec) {
   auto promise = std::make_shared<std::promise<Result<GeneratedInterface>>>();
   JobFuture future = promise->get_future();
   Result<JobId> id = SubmitJobWithCallback(
-      std::move(spec),
+      std::move(spec), {},
       [promise](Result<GeneratedInterface> r) { promise->set_value(std::move(r)); });
   if (!id.ok()) promise->set_value(id.status());
   return future;

@@ -106,6 +106,13 @@ class GenerationService {
     /// Per-job span capture, present when tracing (obs::SetTracingEnabled)
     /// was on while the job executed. Export with ToChromeTraceJson().
     std::shared_ptr<const obs::TraceRecorder> trace;
+    /// The options the job was submitted with, without the runtime wiring
+    /// the service adds to a run (stop handle, progress sink, warm start,
+    /// shared delta cache), and the workload name it was admitted under
+    /// (empty for a raw log). The record owns both, so they are evicted
+    /// with it.
+    GeneratorOptions options;
+    std::string workload;
 
     bool terminal() const {
       return state == JobState::kDone || state == JobState::kFailed ||
@@ -115,8 +122,9 @@ class GenerationService {
 
   /// Admits one job and returns its id immediately (kDone at once on a
   /// cache hit); ResourceExhausted when `max_pending_jobs` jobs are already
-  /// in flight.
-  Result<JobId> SubmitJob(JobSpec spec);
+  /// in flight. `workload` names the store the job's log came from; the
+  /// record keeps it for JobInfo and it plays no part in the result.
+  Result<JobId> SubmitJob(JobSpec spec, std::string workload = {});
 
   /// Snapshot of a job's current state; NotFound for ids never issued or
   /// evicted from the finished-job history.
@@ -265,6 +273,8 @@ class GenerationService {
     std::shared_ptr<const GeneratedInterface> result;
     Status error;
     std::shared_ptr<const obs::TraceRecorder> trace;
+    GeneratorOptions options;  ///< as submitted, wiring cleared
+    std::string workload;
     std::function<void(Result<GeneratedInterface>)> on_done;
     /// Created at admission for every tracked job (and closed on every
     /// terminal transition), so GetJobProgress always has a sink to watch.
@@ -274,7 +284,8 @@ class GenerationService {
   };
 
   Result<JobId> SubmitJobWithCallback(
-      JobSpec spec, std::function<void(Result<GeneratedInterface>)> on_done);
+      JobSpec spec, std::string workload,
+      std::function<void(Result<GeneratedInterface>)> on_done);
   JobInfo SnapshotLocked(JobId id, const JobRecord& rec) const;
   /// Marks `id` terminal, records history for eviction, and returns the
   /// callback to invoke (outside the lock). Requires mu_ held.

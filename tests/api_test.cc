@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <thread>
 
 #include "api/api_service.h"
@@ -15,6 +16,7 @@
 #include "core/session.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sql/parser.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "workload/loader.h"
@@ -1584,6 +1586,208 @@ TEST(ApiService, JobTraceExportsChromeJson) {
   ASSERT_EQ(AwaitJob(svc->get(), accepted2->job_id).state, "done");
   auto no_trace = (*svc)->JobTrace(accepted2->job_id);
   EXPECT_EQ(no_trace.status().code(), StatusCode::kNotFound);
+}
+
+/// Opens a session on `job_id` through `svc` and, beside it, an in-process
+/// runtime on `iface` over `workload`'s store, on `backend`, pricing with
+/// `constants`. Replays the workload's log through both and expects the same
+/// prices and tables, and a (workload, backend) store that has planned.
+/// Returns the session's summed price.
+double ExpectSessionAsInProcess(ApiService* svc, const std::string& job_id,
+                                const GeneratedInterface& iface,
+                                const std::string& workload, BackendKind backend,
+                                const CostConstants& constants) {
+  SessionOpenRequest open;
+  open.job_id = job_id;
+  auto session = svc->OpenSession(open);
+  EXPECT_TRUE(session.ok()) << job_id << ": " << session.status().ToString();
+  auto bundle = LoadWorkload(workload, 300);
+  EXPECT_TRUE(bundle.ok());
+  if (!session.ok() || !bundle.ok()) return 0.0;
+  auto store = MakeBackendFor(*bundle, backend);
+  EXPECT_TRUE(store.ok());
+  if (!store.ok()) return 0.0;
+  auto runtime = InteractiveRuntime::Create(
+      iface, constants, std::shared_ptr<ExecutionBackend>(std::move(*store)));
+  EXPECT_TRUE(runtime.ok());
+  if (!runtime.ok()) return 0.0;
+  EXPECT_TRUE(session->table == TableDto::FromTable(*(*runtime)->CurrentResult())) << job_id;
+  double price = 0.0;
+  for (const std::string& sql : bundle->log) {
+    WidgetEventRequest event;
+    event.kind = "load_query";
+    event.sql = sql;
+    auto api_step = svc->ApplyEvent(session->session_id, event);
+    auto local_step = (*runtime)->LoadQuery(*ParseQuery(sql));
+    EXPECT_EQ(api_step.ok(), local_step.ok()) << job_id << ": " << sql;
+    if (!api_step.ok() || !local_step.ok()) continue;
+    EXPECT_EQ(api_step->report.interaction_cost, local_step->interaction_cost) << sql;
+    EXPECT_EQ(api_step->report.navigation_cost, local_step->navigation_cost) << sql;
+    price += api_step->report.interaction_cost + api_step->report.navigation_cost;
+  }
+  auto table = svc->SessionTable(session->session_id);
+  EXPECT_TRUE(table.ok() && *table == TableDto::FromTable(*(*runtime)->CurrentResult()))
+      << job_id;
+  auto stats = svc->Stats();
+  EXPECT_TRUE(stats.ok());
+  if (stats.ok()) {
+    EXPECT_TRUE(std::any_of(stats->backends.begin(), stats->backends.end(),
+                            [&](const api::BackendStatsDto& b) {
+                              return b.workload == workload &&
+                                     b.backend == BackendKindName(backend) &&
+                                     b.prepares > 0;
+                            }))
+        << job_id << " did not run on " << workload << "/"
+        << BackendKindName(backend);
+  }
+  EXPECT_TRUE(svc->CloseSession(session->session_id).ok());
+  return price;
+}
+
+// A job's workload, backend, algorithm and cost constants live in its record
+// and nowhere else: while GetJob answers the job, its status, its progress
+// frames and its sessions report them; once the record is evicted, every one
+// of those calls answers NotFound. Covers a job submitted straight to the
+// generation service with its own constants, a cache hit, and a slow job that
+// finishes after jobs submitted later.
+TEST(ApiService, JobContextLivesAndDiesWithTheJobRecord) {
+  ApiService::Options opts = SmallServiceOptions();
+  opts.service.job_history_capacity = 2;
+  auto created = ApiService::Create(opts);
+  ASSERT_TRUE(created.ok());
+  ApiService* svc = created->get();
+  GenerationService& service = svc->generation_service();
+  auto record = [&](const std::string& job_id) {
+    return service.GetJob(std::strtoull(job_id.c_str() + 2, nullptr, 10));
+  };
+  auto expect_context = [&](const std::string& job_id, const std::string& workload,
+                            BackendKind backend, const std::string& algorithm) {
+    SCOPED_TRACE(job_id);
+    auto info = record(job_id);
+    auto status = svc->GetJob(job_id);
+    auto frame = svc->GetJobProgress(job_id, 0);
+    if (!info.ok() || !status.ok() || !frame.ok()) {
+      ADD_FAILURE() << "the job is gone";
+      return 0.0;
+    }
+    EXPECT_EQ(info->workload, workload);
+    EXPECT_EQ(info->options.backend, backend);
+    EXPECT_EQ(status->state, "done");
+    EXPECT_TRUE(frame->final_frame);
+    for (const api::JobResultDto* r : {&status->result, &frame->result}) {
+      EXPECT_TRUE(r->value.has_value());
+      if (!r->value.has_value()) continue;
+      EXPECT_EQ(r->value->workload, workload);
+      EXPECT_EQ(r->value->backend, BackendKindName(backend));
+      EXPECT_EQ(r->value->algorithm, algorithm);
+    }
+    return ExpectSessionAsInProcess(svc, job_id, *info->result, workload, backend,
+                                    info->options.constants);
+  };
+  auto expect_evicted = [&](const std::string& job_id) {
+    SCOPED_TRACE(job_id);
+    EXPECT_EQ(record(job_id).status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(svc->GetJob(job_id).status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(svc->GetJobProgress(job_id, 0).status().code(), StatusCode::kNotFound);
+    SessionOpenRequest open;
+    open.job_id = job_id;
+    EXPECT_EQ(svc->OpenSession(open).status().code(), StatusCode::kNotFound);
+  };
+
+  // Slow: sdss on the reference backend under a wall-clock budget that
+  // outlasts every job submitted after it.
+  GenerateRequest slow;
+  slow.workload = "sdss";
+  slow.options = FastGenOptions();
+  slow.options.backend = "reference";
+  slow.options.max_iterations = 0;
+  slow.options.time_budget_ms = 3000;
+  auto a = svc->SubmitGenerate(slow);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+
+  // The wire carries no cost constants, so this job goes straight to the
+  // service: greedy on flights, reference backend, dearer interactions.
+  GeneratorOptions dear = *FastGenOptions().ToGeneratorOptions();
+  dear.algorithm = Algorithm::kGreedy;
+  dear.backend = BackendKind::kReference;
+  for (double* c : {&dear.constants.i_toggle, &dear.constants.i_checkbox,
+                    &dear.constants.i_radio, &dear.constants.i_buttons,
+                    &dear.constants.i_dropdown_base, &dear.constants.i_slider,
+                    &dear.constants.i_range_slider, &dear.constants.i_textbox_base,
+                    &dear.constants.i_tabs, &dear.constants.i_adder,
+                    &dear.constants.nav_edge, &dear.constants.nav_tab_switch}) {
+    *c *= 3.0;
+  }
+  auto flights = LoadWorkload("flights", 300);
+  ASSERT_TRUE(flights.ok());
+  auto b_id = service.SubmitJob(JobSpec{flights->log, dear}, "flights");
+  ASSERT_TRUE(b_id.ok());
+  const std::string b = "j-" + std::to_string(*b_id);
+  ASSERT_EQ(AwaitJob(svc, b).state, "done");
+  EXPECT_EQ(record(b)->options.constants.i_radio, dear.constants.i_radio);
+  const double dear_price = expect_context(b, "flights", BackendKind::kReference, "greedy");
+  {
+    // The same replay priced with the default constants costs less.
+    auto store = MakeBackendFor(*flights, BackendKind::kReference);
+    ASSERT_TRUE(store.ok());
+    auto runtime = InteractiveRuntime::Create(
+        *record(b)->result, CostConstants(),
+        std::shared_ptr<ExecutionBackend>(std::move(*store)));
+    ASSERT_TRUE(runtime.ok());
+    double default_price = 0.0;
+    for (const std::string& sql : flights->log) {
+      auto step = (*runtime)->LoadQuery(*ParseQuery(sql));
+      if (step.ok()) default_price += step->total_cost();
+    }
+    EXPECT_GT(dear_price, default_price);
+  }
+
+  // The job the cache answers: an identical request, kDone on admission.
+  GenerateRequest synthetic;
+  synthetic.workload = "synthetic";
+  synthetic.options = FastGenOptions();
+  auto c = svc->SubmitGenerate(synthetic);
+  ASSERT_TRUE(c.ok());
+  ASSERT_EQ(AwaitJob(svc, c->job_id).state, "done");
+  auto d = svc->SubmitGenerate(synthetic);
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(d->state, "done");
+  auto d_status = svc->GetJob(d->job_id);
+  ASSERT_TRUE(d_status.ok());
+  EXPECT_TRUE(d_status->cache_hit);
+  expect_context(c->job_id, "synthetic", BackendKind::kColumnar, "mcts");
+  expect_context(d->job_id, "synthetic", BackendKind::kColumnar, "mcts");
+  // Three jobs finished into a history of two: the oldest went.
+  expect_evicted(b);
+
+  // The slow job is still running: its mid-run frames carry its context.
+  auto frame = svc->GetJobProgress(a->job_id, 0, /*wait_ms=*/10000);
+  ASSERT_TRUE(frame.ok());
+  EXPECT_FALSE(frame->final_frame) << "the slow job finished before later ones";
+  if (!frame->final_frame) {
+    ASSERT_TRUE(frame->result.value.has_value());
+    EXPECT_EQ(frame->result.value->workload, "sdss");
+    EXPECT_EQ(frame->result.value->backend, "reference");
+    EXPECT_EQ(frame->result.value->algorithm, "mcts");
+  }
+  ASSERT_EQ(AwaitJob(svc, a->job_id).state, "done");
+  // It finished last, so it outlives the earlier-finished job c.
+  expect_context(a->job_id, "sdss", BackendKind::kReference, "mcts");
+  expect_context(d->job_id, "synthetic", BackendKind::kColumnar, "mcts");
+  expect_evicted(c->job_id);
+
+  // Two more jobs finish and push out the slow job and the cache hit.
+  for (int64_t seed : {7, 8}) {
+    GenerateRequest more;
+    more.workload = "flights";
+    more.options = FastGenOptions();
+    more.options.seed = seed;
+    auto e = svc->SubmitGenerate(more);
+    ASSERT_TRUE(e.ok());
+    ASSERT_EQ(AwaitJob(svc, e->job_id).state, "done");
+  }
+  expect_evicted(a->job_id);
+  expect_evicted(d->job_id);
 }
 
 TEST(ApiService, ConcurrentSessionsAndPollers) {

@@ -464,6 +464,8 @@ TEST(BackendWiring, SessionExecutesThroughSelectedBackend) {
 
   auto backend = CreateBackend(GeneratorOptions().backend, &w->db);
   ASSERT_TRUE(backend.ok());
+  auto reference = CreateBackend(BackendKind::kReference, &w->db);
+  ASSERT_TRUE(reference.ok());
   auto queries = ParseQueries(w->log);
   ASSERT_TRUE(queries.ok());
   size_t executed = 0;
@@ -471,9 +473,9 @@ TEST(BackendWiring, SessionExecutesThroughSelectedBackend) {
     if (!session->LoadQuery(q).ok()) continue;  // inexpressible under tiny search
     auto via_backend = session->ExecuteCurrent(backend->get());
     ASSERT_TRUE(via_backend.ok()) << via_backend.status().ToString();
-    auto via_executor = session->ExecuteCurrent(w->db);
-    ASSERT_TRUE(via_executor.ok());
-    Status eq = TablesEquivalent(*via_executor, *via_backend);
+    auto via_reference = session->ExecuteCurrent(reference->get());
+    ASSERT_TRUE(via_reference.ok());
+    Status eq = TablesEquivalent(*via_reference, *via_backend);
     EXPECT_TRUE(eq.ok()) << eq.ToString();
     ++executed;
   }

@@ -803,7 +803,7 @@ TEST(Plan, MultiCodesCoverCountsAndCopies) {
                                     cols({"a", "b", "c"})};
   const std::vector<std::vector<int>> want_ids = {{}, {0}, {}, {1}, {0, 1}, {0, 1}, {1}};
   for (bool sealed : {false, true}) {
-    if (sealed) Seal(proj);
+    if (sealed) SealCheckingNormal(proj);
     const TransitionPlan want = ReferencePlan(proj, queries, kParseLimit);
     ASSERT_TRUE(want.valid);
     std::vector<std::vector<int>> sorted = want.changed_ids;
@@ -823,7 +823,7 @@ TEST(Plan, InternedMultiCodesStayBounded) {
   proj.children.push_back(DiffTree::Multi(DiffTree::FromAst(Col("a"))));
   proj.children.push_back(DiffTree::Multi(
       DiffTree::Any({DiffTree::FromAst(Col("b")), DiffTree::FromAst(Col("c"))})));
-  Seal(proj);
+  SealCheckingNormal(proj);
   auto cols = [](std::vector<std::string> names) {
     std::vector<Ast> out;
     for (const std::string& n : names) out.push_back(Col(n));

@@ -140,8 +140,8 @@ TEST(DiffTree, AnyOrderRoundTripsShuffledTrees) {
     const DiffTree shuffled = ShuffleAnys(tree, &rng);
     ASSERT_EQ(shuffled.CanonicalHash(), tree.CanonicalHash());
     // Sealed trees read the children's hashes from their caches.
-    if (round % 2 == 0) Seal(tree);
-    if (round % 3 == 0) Seal(shuffled);
+    if (round % 2 == 0) SealCheckingNormal(tree);
+    if (round % 3 == 0) SealCheckingNormal(shuffled);
     AnyOrder order;
     ASSERT_TRUE(RecordAnyOrder(tree, &order));
     DiffTree rebuilt;
@@ -660,7 +660,7 @@ TEST(DiffTree, CopyOnWrite) {
   };
   for (const bool sealed : {false, true}) {
     const DiffTree original = DeepCopy(base);
-    if (sealed) Seal(original);
+    if (sealed) SealCheckingNormal(original);
     EXPECT_EQ(original.children.facts() != nullptr, sealed);
     for (size_t e = 0; e < edits.size(); ++e) {
       DiffTree copy = original;
@@ -672,7 +672,7 @@ TEST(DiffTree, CopyOnWrite) {
       EXPECT_EQ(original.ToSExpr(), sexpr) << e;
       EXPECT_EQ(FactsOf(original), facts) << e;
       EXPECT_EQ(FactsOf(copy), FactsOf(DeepCopy(copy))) << e;
-      Seal(copy);  // fills the copy's new blocks, keeping what they carried
+      SealCheckingNormal(copy);  // fills the copy's new blocks, keeping what they carried
       EXPECT_EQ(FactsOf(copy), FactsOf(DeepCopy(copy))) << e;
     }
   }
@@ -685,7 +685,7 @@ TEST(DiffTree, CopyOnWrite) {
     ASSERT_EQ(FactsOf(other), facts);
     EXPECT_EQ(mine.children.facts(), nullptr);
   }
-  Seal(mine);
+  SealCheckingNormal(mine);
   ASSERT_NE(mine.children.facts(), nullptr);
   // An edit copies the sealed block; the copy is open, so it hands out no
   // facts until it is sealed in turn.
@@ -693,7 +693,7 @@ TEST(DiffTree, CopyOnWrite) {
   EXPECT_EQ(mine.children.facts(), nullptr);
   EXPECT_EQ(FactsOf(mine), FactsOf(DeepCopy(mine)));
   EXPECT_NE(mine.Hash(), facts[0]);
-  Seal(mine);
+  SealCheckingNormal(mine);
   ASSERT_NE(mine.children.facts(), nullptr);
   EXPECT_EQ(FactsOf(mine), FactsOf(DeepCopy(mine)));
 }
@@ -759,7 +759,8 @@ TEST(DiffTree, ConcurrentSealOfSharedBlocks) {
   size_t checked = 0;
   for (const DiffTree& state : RolloutStates(queries, 13, 8, 0.8)) {
     const DiffTree serial = DeepCopy(state);
-    Seal(serial);
+    const bool normal = Normalized(serial) == serial;
+    Seal(serial, normal);
     std::vector<uint64_t> want;
     CollectFacts(serial, &want);
     // Up to 16 applications spread over the tree.
@@ -791,7 +792,7 @@ TEST(DiffTree, ConcurrentSealOfSharedBlocks) {
           // while it holds the root's claim.
           for (size_t pass = 0;; ++pass) {
             if (pass == t) {
-              Seal(mine);
+              Seal(mine, normal);
               sealed.fetch_add(1);
             }
             nexts[t].clear();

@@ -631,7 +631,7 @@ TEST(ChangeFeed, ConcurrentPollersConverge) {
 }
 
 // ---------------------------------------------------------------------------
-// Wiring and the session executor-cache fix.
+// Wiring.
 
 TEST(InteractiveWiring, ServiceOpensSessionsOnSharedBackend) {
   auto w = LoadWorkload("flights", 150);
@@ -652,21 +652,6 @@ TEST(InteractiveWiring, ServiceOpensSessionsOnSharedBackend) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GE((*s1)->version(), 2u);
   EXPECT_EQ((*s2)->version(), 1u);
-}
-
-TEST(SessionExecutorCache, RepeatedExecuteCurrentReusesBackend) {
-  auto w = LoadWorkload("flights", 150);
-  ASSERT_TRUE(w.ok());
-  GeneratedInterface iface = MakeInterface(w->log, 15);
-  auto session = InterfaceSession::Create(iface, GeneratorOptions().constants);
-  ASSERT_TRUE(session.ok());
-  EXPECT_EQ(session->backends_created(), 0u);
-  for (int i = 0; i < 5; ++i) {
-    auto t = session->ExecuteCurrent(w->db);
-    ASSERT_TRUE(t.ok()) << t.status().ToString();
-  }
-  // One cached reference backend; repeated executions rebind its plans.
-  EXPECT_EQ(session->backends_created(), 1u);
 }
 
 }  // namespace

@@ -375,7 +375,7 @@ TEST(AllocationBudget, WidgetAssignerOnAWarmSealedState) {
   const CostConstants constants;
   DeltaCostCache delta;
   for (const DiffTree& s : states) {
-    Seal(s);  // as the search seals its initial state; the rest are Apply's
+    SealCheckingNormal(s);  // as the search seals its initial state; the rest are Apply's
     const WidgetAssigner warm(s, constants, &delta);
   }
   size_t decisions = 0;

@@ -5,6 +5,7 @@
 
 #include "core/options.h"
 #include "difftree/builder.h"
+#include "difftree/normalize.h"
 #include "rules/rule.h"
 #include "util/rng.h"
 
@@ -60,6 +61,10 @@ inline DiffTree DeepCopy(const DiffTree& n) {
   out.value = n.value;
   return out;
 }
+
+/// Seals `t` as SearchRun::Start seals its initial state: marked normal
+/// exactly when it is in normal form.
+inline void SealCheckingNormal(const DiffTree& t) { Seal(t, Normalized(t) == t); }
 
 /// Number of nodes with children in `n` whose child list is not marked
 /// normal.

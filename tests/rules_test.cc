@@ -472,11 +472,19 @@ TEST(RuleCounts, ErasedPicksRemapLikeVectorErase) {
 
 TEST(RuleCounts, ApplyMarksTheBlocksItSealsNormal) {
   const std::vector<Ast> queries = *ParseQueries(LoadWorkload("sdss", 10)->log);
-  // The initial state is sealed without normalizing, so it stays unmarked.
+  // Seal marks only what it is told is normal. The initial state is in
+  // normal form, so sealed as SearchRun::Start seals it, every list is
+  // marked; an ANY over a one-child Seq is not, and its new lists stay
+  // unmarked.
   const DiffTree initial = *BuildInitialTree(queries);
-  Seal(initial);
-  EXPECT_GT(UnmarkedLists(initial), 0u);
-  EXPECT_FALSE(initial.children.KnownNormal());
+  ASSERT_EQ(Normalized(initial), initial);
+  SealCheckingNormal(initial);
+  EXPECT_EQ(UnmarkedLists(initial), 0u);
+  const DiffTree wrapped = DiffTree::Any({DiffTree::Seq({initial}), initial});
+  ASSERT_NE(Normalized(wrapped), wrapped);
+  SealCheckingNormal(wrapped);
+  EXPECT_EQ(UnmarkedLists(wrapped), 2u);
+  EXPECT_FALSE(wrapped.children.KnownNormal());
   // RolloutStates seals nothing itself, so every block of an Apply result
   // was sealed by an Apply, right after its Normalize.
   size_t applied = 0;
@@ -528,7 +536,7 @@ TEST(RuleCounts, EditingACopyOfASealedStateLeavesItsCountsAlone) {
   // A private block caches only once sealed, and an edit then copies it.
   DiffTree mine = DeepCopy(CountedStates().back().second);
   EXPECT_EQ(mine.children.facts(), nullptr);
-  Seal(mine);
+  SealCheckingNormal(mine);
   ASSERT_NE(mine.children.facts(), nullptr);
   const DiffTree* sealed_kids = std::as_const(mine).children.begin();
   const std::vector<uint64_t> sealed_facts = facts(mine);
@@ -548,14 +556,14 @@ TEST(RuleCounts, EditingACopyOfASealedStateLeavesItsCountsAlone) {
     ASSERT_EQ(facts(own), facts(DeepCopy(own)));
     EXPECT_EQ(own.children.CountedFacts(count), nullptr);
   }
-  Seal(own);
+  SealCheckingNormal(own);
   ASSERT_NE(own.children.CountedFacts(count), nullptr);
   const DiffTree counted = own;
   const DiffTree twin = std::as_const(own).children[0];
   own.children[0] = DiffTree::Any({twin, twin});
   EXPECT_EQ(own.children.CountedFacts(count), nullptr);  // open again
   EXPECT_EQ(facts(own), facts(DeepCopy(own)));
-  Seal(own);
+  SealCheckingNormal(own);
   EXPECT_EQ(facts(own), facts(DeepCopy(own)));
   EXPECT_EQ(facts(counted), facts(DeepCopy(counted)));
 }
@@ -635,7 +643,7 @@ TEST(RuleCounts, PathCopiesCarryTheFactsOfUntouchedSiblings) {
   for (const char* workload : {"flights", "sdss", "synthetic"}) {
     const std::vector<Ast> queries = *ParseQueries(LoadWorkload(workload, 10)->log);
     DiffTree initial = *BuildInitialTree(queries);
-    Seal(initial);
+    SealCheckingNormal(initial);
     // Forward-biased walks and uniform ones, whose picks include inverse
     // rewrites; restarts every 14 steps, as RolloutStates does.
     for (double bias : {0.8, 0.0}) {
@@ -656,7 +664,7 @@ TEST(RuleCounts, PathCopiesCarryTheFactsOfUntouchedSiblings) {
         if (!next.ok()) continue;
         ++applied;
         DiffTree fresh = DeepCopy(*next);
-        Seal(fresh);
+        Seal(fresh, /*normal=*/true);  // a copy of an Apply result
         const std::string where = std::string(workload) + " bias " + std::to_string(bias) +
                                   " step " + std::to_string(step) + " " +
                                   engine.Describe(s, app);
@@ -676,16 +684,16 @@ TEST(RuleCounts, PathCopiesCarryTheFactsOfUntouchedSiblings) {
   for (const DiffTree& state : RolloutStates(queries, 71, 12, 0.8)) {
     const size_t n = state.children.size();
     if (n < 2) continue;
-    Seal(state);
+    SealCheckingNormal(state);
     engine.CountApplications(state);
     DiffTree copy = state;
     for (size_t i : {size_t{0}, n - 1}) {
       const DiffTree twin = std::as_const(copy).children[i];
       copy.children[i] = DiffTree::Any({twin, twin});
     }
-    Seal(copy);
+    SealCheckingNormal(copy);
     DiffTree fresh = DeepCopy(copy);
-    Seal(fresh);
+    SealCheckingNormal(fresh);
     ExpectFactsAsFresh(engine, copy, fresh, "path copy");
     ++copied;
   }

@@ -128,7 +128,9 @@ TEST(Session, ExecutesCurrentQueryAgainstDatabase) {
   auto session = InterfaceSession::Create(iface, {});
   ASSERT_TRUE(session.ok());
   Database db = MakeSdssDatabase(200, 5);
-  auto result = session->ExecuteCurrent(db);
+  auto backend = CreateBackend(BackendKind::kReference, &db);
+  ASSERT_TRUE(backend.ok());
+  auto result = session->ExecuteCurrent(backend->get());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_LE(result->num_rows(), 10u);  // query 6 has TOP 10
 }
