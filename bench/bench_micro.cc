@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <limits>
+#include <memory>
 
 #include "core/interface_generator.h"
 #include "core/session.h"
@@ -176,19 +177,23 @@ void BM_SessionLoadQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionLoadQuery);
 
-/// A rollout state's widget assigner: round robin over 240 sealed sdss
-/// rollout states (forward-biased and uniform walks) whose choice terms a
-/// warm DeltaCostCache holds, as on a search's cache misses.
-void BM_WidgetAssigner(benchmark::State& state) {
+/// 240 sealed sdss rollout states, from forward-biased and uniform walks.
+std::vector<DiffTree> SealedSdssRolloutStates() {
   const std::vector<Ast> queries = SdssAsts();
   std::vector<DiffTree> trees = RolloutStates(queries, 11, 120, 0.8);
   for (DiffTree& s : RolloutStates(queries, 13, 120, 0.0)) trees.push_back(std::move(s));
+  for (const DiffTree& t : trees) SealCheckingNormal(t);
+  return trees;
+}
+
+/// A rollout state's widget assigner: round robin over the sealed sdss
+/// rollout states, whose choice terms a warm DeltaCostCache holds, as on a
+/// search's cache misses.
+void BM_WidgetAssigner(benchmark::State& state) {
+  const std::vector<DiffTree> trees = SealedSdssRolloutStates();
   const CostConstants constants;
   DeltaCostCache delta;
-  for (const DiffTree& t : trees) {
-    SealCheckingNormal(t);
-    const WidgetAssigner warm(t, constants, &delta);
-  }
+  for (const DiffTree& t : trees) const WidgetAssigner warm(t, constants, &delta);
   size_t i = 0;
   for (auto _ : state) {
     const WidgetAssigner assigner(trees[i++ % trees.size()], constants, &delta);
@@ -196,6 +201,39 @@ void BM_WidgetAssigner(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WidgetAssigner);
+
+/// The M(.) of one state's 8 seeded draws per iteration, round robin over
+/// BM_WidgetAssigner's 240 states: /0 fills each draw's layout and sums it
+/// (CostModel::LayoutM), /1 prices it from its picks (WidgetAssigner::LayoutM).
+void BM_PriceDraws(benchmark::State& state) {
+  const std::vector<DiffTree> trees = SealedSdssRolloutStates();
+  const CostConstants constants;
+  const CostModel model(constants, {100, 40});
+  std::vector<std::unique_ptr<WidgetAssigner>> assigners;
+  std::vector<std::vector<Assignment>> draws;
+  for (size_t t = 0; t < trees.size(); ++t) {
+    assigners.push_back(std::make_unique<WidgetAssigner>(trees[t], constants));
+    Rng rng(t);
+    draws.emplace_back();
+    for (int k = 0; k < 8; ++k) draws.back().push_back(assigners.back()->RandomAssignment(&rng));
+  }
+  const bool from_picks = state.range(0) == 1;
+  FlatLayout layout;
+  size_t i = 0;
+  for (auto _ : state) {
+    const size_t t = i++ % trees.size();
+    double sum = 0.0;
+    for (const Assignment& a : draws[t]) {
+      if (from_picks) {
+        sum += assigners[t]->LayoutM(a);
+      } else if (assigners[t]->Fill(a, &layout).ok()) {
+        sum += model.LayoutM(layout);
+      }
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+}
+BENCHMARK(BM_PriceDraws)->Arg(0)->Arg(1);
 
 void BM_EvaluateAssignment_Recompute(benchmark::State& state) {
   // The unoptimized path: derivations re-enumerated per widget tree.
@@ -230,8 +268,9 @@ void BM_EvaluateAssignment_PlanCached(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateAssignment_PlanCached);
 
-/// /0 unbounded (draw, fill, plan and price); /1 bounded at 0, below every
-/// draw's M(.), so each call stops after drawing and filling.
+/// /0 unbounded (draw, price M(.), plan, fill and price the draws that can
+/// win); /1 bounded at 0, below every draw's M(.), so each call stops after
+/// drawing and pricing M(.).
 void BM_SampleCost(benchmark::State& state) {
   DiffTree tree = FactoredSdss(8);
   auto queries = SdssAsts();

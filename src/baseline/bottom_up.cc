@@ -48,14 +48,17 @@ DiffTree MergeNodes(const std::vector<const DiffTree*>& nodes) {
 
   std::vector<const std::vector<DiffTree>*> alt_children;
   for (const DiffTree* n : distinct) alt_children.push_back(&n->children.view());
-  std::vector<AlignedColumn> columns = AlignBySymbol(alt_children);
+  // Each level of the recursion holds its own alignment.
+  Alignment alignment;
+  AlignBySymbol(alt_children, &alignment);
   DiffTree result(first->sym, first->value);
-  for (const AlignedColumn& col : columns) {
+  for (size_t c = 0; c < alignment.columns(); ++c) {
+    const uint32_t* entry = alignment.column(c);
     std::vector<const DiffTree*> entries;
     bool missing = false;
-    for (size_t a = 0; a < col.entry.size(); ++a) {
-      if (col.entry[a].has_value()) {
-        entries.push_back(&(*alt_children[a])[*col.entry[a]]);
+    for (size_t a = 0; a < alignment.alts; ++a) {
+      if (entry[a] != Alignment::kAbsent) {
+        entries.push_back(&(*alt_children[a])[entry[a]]);
       } else {
         missing = true;
       }

@@ -175,8 +175,9 @@ class CostModel {
   /// scores it by flattening it through ScoreLayout.
   CostBreakdown EvaluateWithPlan(const TransitionPlan& plan, WidgetTree* wt) const;
 
-  /// Scores a filled flat layout in place — the only M/U arithmetic. Writes
-  /// into `out`, reusing its storage, so scoring many assignments of one
+  /// Scores a filled flat layout in place — the only U arithmetic; M(.) is
+  /// also priced from an assignment's picks (WidgetAssigner::LayoutM), in
+  /// the same order. Writes into `out`, reusing its storage, so scoring many assignments of one
   /// state allocates nothing. Summation order (bit-identity contract):
   ///  - M: each widget's M(.) plus its children's subtree sums, left to
   ///    right (widget-tree pre-order, nested association);

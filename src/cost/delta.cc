@@ -41,22 +41,20 @@ ChoiceWidgetTerms ComputeChoiceWidgetTerms(const DiffTree& choice_node,
   for (WidgetKind k : ValidWidgetKinds(t.domain)) {
     // The adder composes its size from its children (layout-style), so it
     // has no leaf template to check.
-    if (k == WidgetKind::kAdder) {
-      t.options.push_back(k);
-      t.templates.emplace_back();
-      continue;
+    WidgetTemplate tmpl;
+    if (k != WidgetKind::kAdder) {
+      Result<SizeClass> sc = size_model.PickTemplate(k, t.domain);
+      if (!sc.ok()) continue;
+      tmpl = {*sc, size_model.SizeOf(k, *sc, t.domain)};
     }
-    Result<SizeClass> sc = size_model.PickTemplate(k, t.domain);
-    if (!sc.ok()) continue;
     t.options.push_back(k);
-    t.templates.push_back({*sc, size_model.SizeOf(k, *sc, t.domain)});
+    t.option_terms.push_back({tmpl, AppropriatenessCost(constants, k, t.domain)});
   }
   // First minimum wins, matching the historical greedy-assignment loop.
   double best_m = std::numeric_limits<double>::infinity();
   for (size_t o = 0; o < t.options.size(); ++o) {
-    double m = AppropriatenessCost(constants, t.options[o], t.domain);
-    if (m < best_m) {
-      best_m = m;
+    if (t.option_terms[o].m < best_m) {
+      best_m = t.option_terms[o].m;
       t.min_m_pick = static_cast<int>(o);
     }
   }

@@ -17,11 +17,18 @@ namespace ifgen {
 /// shared across every state containing an identical subtree — after a rule
 /// application, only subtrees along the rewritten path miss the cache.
 struct ChoiceWidgetTerms {
+  /// What one valid option costs and measures.
+  struct Option {
+    /// Its size template; the adder's is empty, its box is composed from
+    /// its children.
+    WidgetTemplate tmpl;
+    /// Its M(.) over `domain`. The adder's only ranks it for `min_m_pick`:
+    /// a layout's M(.) counts its children.
+    double m = 0.0;
+  };
   WidgetDomain domain;              ///< ExtractDomain(choice node)
   std::vector<WidgetKind> options;  ///< valid widget kinds (size-checked)
-  /// Size template per option (parallel to `options`); the adder's is
-  /// empty, its box is composed from its children.
-  std::vector<WidgetTemplate> templates;
+  std::vector<Option> option_terms;  ///< parallel to `options`
   int min_m_pick = 0;               ///< options index minimizing M(.)
   /// OPT: the first label ellipsized for a toggle that has no clause name.
   std::string toggle_label;

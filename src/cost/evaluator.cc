@@ -80,16 +80,6 @@ std::shared_ptr<const TransitionPlan> StateEvaluator::PlanFor(const DiffTree& tr
   return plan;
 }
 
-double StateEvaluator::ScoreAssignment(const WidgetAssigner& assigner,
-                                       const Assignment& a, const TransitionPlan& plan,
-                                       Scratch* scratch) {
-  if (!assigner.Fill(a, &scratch->layout).ok()) return kInf;
-  model_.ScoreLayout(plan, &scratch->layout, &scratch->cost);
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  EvaluationsMetric().Inc();
-  return scratch->cost.total();
-}
-
 StateEvaluator::Draws& StateEvaluator::LocalDraws() {
   static thread_local Draws draws;
   draws.size = 0;
@@ -99,18 +89,13 @@ StateEvaluator::Draws& StateEvaluator::LocalDraws() {
 void StateEvaluator::AddDraw(const WidgetAssigner& assigner, const Assignment& a,
                              bool count, Draws* draws) {
   const size_t i = draws->size++;
-  if (draws->layouts.size() < draws->size) {
+  if (draws->picks.size() < draws->size) {
     draws->picks.resize(draws->size);
-    draws->layouts.resize(draws->size);
     draws->m.resize(draws->size);
   }
   draws->picks[i] = a;
-  if (!assigner.Fill(a, &draws->layouts[i]).ok()) {
-    draws->m[i] = kInf;
-    return;
-  }
-  draws->m[i] = model_.LayoutM(draws->layouts[i]);
-  if (count) {
+  draws->m[i] = assigner.LayoutM(a);
+  if (count && draws->m[i] < kInf) {
     evaluations_.fetch_add(1, std::memory_order_relaxed);
     EvaluationsMetric().Inc();
   }
@@ -130,14 +115,16 @@ void StateEvaluator::DrawAll(const WidgetAssigner& assigner, Rng* rng, bool coun
   }
 }
 
-double StateEvaluator::ScoreDraws(const TransitionPlan& plan, Draws* draws) const {
+double StateEvaluator::ScoreDraws(const WidgetAssigner& assigner,
+                                  const TransitionPlan& plan, Draws* draws) const {
   double best = kInf;
   for (size_t i = 0; i < draws->size; ++i) {
     // A draw whose M(.) reaches the best cannot beat it; one that does not
-    // fill has M +infinity.
+    // fill has M +infinity. Only a draw priced in full is filled.
     const double cut = bounds_sound_ ? best : kInf;
     if (!(draws->m[i] < cut)) continue;
-    best = std::min(best, model_.BoundedTotal(plan, &draws->layouts[i], draws->m[i], cut));
+    IFGEN_CHECK(assigner.Fill(draws->picks[i], &draws->layout).ok());
+    best = std::min(best, model_.BoundedTotal(plan, &draws->layout, draws->m[i], cut));
   }
   return best;
 }
@@ -188,7 +175,7 @@ double StateEvaluator::Resolve(const DiffTree& tree, uint64_t key,
         if (fits) AddDraw(assigner, a, /*count=*/false, &draws);
       }
     }
-    best = ScoreDraws(*PlanFor(drawn), &draws);
+    best = ScoreDraws(assigner, *PlanFor(drawn), &draws);
   }
   // A tree that does not fit the record has a colliding canonical hash;
   // the memo answers +infinity for it.
@@ -231,8 +218,8 @@ double StateEvaluator::SampleCost(const DiffTree& tree, Rng* rng, double bound) 
   WidgetAssigner assigner(tree, opts_.constants, delta_.get());
   double best = kInf;
   if (assigner.viable()) {
-    // Every draw is made and filled before any is scored: their M(.) alone
-    // may already settle that the state cannot beat `bound`.
+    // Every draw is made and its M(.) priced before any is scored: their
+    // M(.) alone may already settle that the state cannot beat `bound`.
     Draws& draws = LocalDraws();
     DrawAll(assigner, draw_rng, /*count=*/true, &draws);
     double lower = kInf;
@@ -248,7 +235,7 @@ double StateEvaluator::SampleCost(const DiffTree& tree, Rng* rng, double bound) 
         return lower;
       }
     }
-    best = ScoreDraws(*PlanFor(tree), &draws);
+    best = ScoreDraws(assigner, *PlanFor(tree), &draws);
   }
   if (opts_.cache_enabled) {
     // First writer wins: concurrent misses on the same state each compute a
@@ -278,12 +265,21 @@ Result<ScoredWidgetTree> StateEvaluator::FindBest(const DiffTree& tree, Rng* rng
     return Status::Invalid("state has a choice node with no valid widget");
   }
   auto plan = PlanFor(tree);
-  // Every candidate is scored flat; only the winner is materialized.
-  Scratch scratch;
+  // Every candidate's M(.) is priced from its picks; one that can still win
+  // is filled and scored flat; only the winner is materialized.
+  FlatLayout layout;
   Assignment best;
   double best_cost = kInf;
   auto consider = [&](const Assignment& a) {
-    const double cost = ScoreAssignment(assigner, a, *plan, &scratch);
+    const double m = assigner.LayoutM(a);
+    if (!(m < kInf)) return;  // would not fill
+    evaluations_.fetch_add(1, std::memory_order_relaxed);
+    EvaluationsMetric().Inc();
+    // The cost is at least M(.), and only a strictly lower cost wins.
+    const double cut = bounds_sound_ ? best_cost : kInf;
+    if (!(m < cut)) return;
+    IFGEN_CHECK(assigner.Fill(a, &layout).ok());
+    const double cost = model_.BoundedTotal(*plan, &layout, m, cut);
     if (cost < best_cost) {
       best_cost = cost;
       best = a;

@@ -138,18 +138,13 @@ class StateEvaluator {
   size_t plan_cache_hits() const { return delta_->plan_hits(); }
 
  private:
-  /// Reused storage for scoring many assignments of one state.
-  struct Scratch {
-    FlatLayout layout;
-    CostBreakdown cost;
-  };
-
-  /// One state's k assignments, filled, with their M(.) (+infinity for a
-  /// draw that did not fill). Storage is kept across states (LocalDraws).
+  /// One state's k assignments with their M(.) (+infinity for a draw that
+  /// would not fill), and the layout a draw is filled into when it is priced
+  /// in full. Storage is kept across states (LocalDraws).
   struct Draws {
     std::vector<Assignment> picks;
-    std::vector<FlatLayout> layouts;
     std::vector<double> m;
+    FlatLayout layout;
     size_t size = 0;
   };
 
@@ -164,29 +159,25 @@ class StateEvaluator {
     size_t filled = 0;
   };
 
-  /// Fills and scores one assignment (+infinity when it is structurally
-  /// invalid or does not fit); counts as an evaluation when it fills.
-  double ScoreAssignment(const WidgetAssigner& assigner, const Assignment& a,
-                         const TransitionPlan& plan, Scratch* scratch);
-
   /// This thread's Draws, emptied. A miss and a resolve never overlap on a
   /// thread, so they share it.
   static Draws& LocalDraws();
 
-  /// Fills `a` as the next draw of `draws`; counts an evaluation when
-  /// `count` and it fills.
+  /// Prices `a`'s M(.) as the next draw of `draws`, without filling it;
+  /// counts an evaluation when `count` and it would fill.
   void AddDraw(const WidgetAssigner& assigner, const Assignment& a, bool count,
                Draws* draws);
 
-  /// Makes and fills the state's k draws: the greedy seed, then random
+  /// Makes and prices the state's k draws: the greedy seed, then random
   /// ones from `rng`.
   void DrawAll(const WidgetAssigner& assigner, Rng* rng, bool count, Draws* draws);
 
-  /// The smallest total cost among the filled draws. Each draw is priced
-  /// only as far as it can still beat the best earlier one (when bounds are
-  /// sound): one whose M(.) reaches it is skipped, and U pricing stops once
+  /// The smallest total cost among the draws. Each draw is priced only as
+  /// far as it can still beat the best earlier one (when bounds are sound):
+  /// one whose M(.) reaches it is skipped unfilled, and U pricing stops once
   /// M+U reaches it.
-  double ScoreDraws(const TransitionPlan& plan, Draws* draws) const;
+  double ScoreDraws(const WidgetAssigner& assigner, const TransitionPlan& plan,
+                    Draws* draws) const;
 
   /// The compact record of a pruned miss; null when it cannot be encoded
   /// in bytes (more than 256 alternatives or options).

@@ -177,14 +177,14 @@ const ExecutionBackend::ObsHandles& ExecutionBackend::ObsMetrics() const {
         reg.GetCounter("ifgen_backend_plan_cache_hits_total",
                        "PrepareShape calls served from the plan cache", labels);
     obs_.executions = reg.GetCounter("ifgen_backend_executions_total",
-                                     "Prepared-plan executions via Execute", labels);
+                                     "Prepared-plan executions, full or delta", labels);
     // 1us..~8.4s in x2 steps.
     obs::HistogramOptions opts;
     opts.first_bound = 1.0;
     opts.growth = 2.0;
     opts.num_buckets = 24;
     obs_.execute_us = reg.GetHistogram("ifgen_backend_execute_duration_us",
-                                       "Latency of Execute calls (microseconds)",
+                                       "Latency of plan executions (microseconds)",
                                        opts, labels);
   });
   return obs_;
@@ -206,14 +206,14 @@ Result<PreparedQuery*> ExecutionBackend::PrepareShape(const ParameterizedQuery& 
 Result<Table> ExecutionBackend::Execute(const Ast& query) {
   std::vector<Value> params;
   IFGEN_ASSIGN_OR_RETURN(PreparedQuery * plan, Prepare(query, &params));
+  return RunExecution([&] { return plan->Execute(params); });
+}
+
+const ExecutionBackend::ObsHandles& ExecutionBackend::CountExecution() {
   executions_.fetch_add(1, std::memory_order_relaxed);
   const ObsHandles& obs = ObsMetrics();
   obs.executions->Inc();
-  obs::TraceSpan span("engine.execute", "engine");
-  Stopwatch watch;
-  Result<Table> result = plan->Execute(params);
-  obs.execute_us->Observe(static_cast<double>(watch.ElapsedMicros()));
-  return result;
+  return obs;
 }
 
 Result<Table> ExecutionBackend::ExecuteSql(std::string_view sql) {

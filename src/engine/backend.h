@@ -8,9 +8,11 @@
 
 #include "engine/plan_cache.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "engine/table.h"
 #include "sql/ast.h"
 #include "util/status.h"
+#include "util/timer.h"
 
 namespace ifgen {
 
@@ -54,7 +56,7 @@ Result<Ast> BindParams(const Ast& shape, const std::vector<Value>& params);
 struct BackendStats {
   size_t prepares = 0;         ///< plan compilations (plan-cache misses)
   size_t plan_cache_hits = 0;  ///< Prepare calls answered from the cache
-  size_t executions = 0;       ///< Execute/ExecuteSql calls
+  size_t executions = 0;       ///< plan executions, full or delta (RunExecution)
 };
 
 /// \brief A compiled query plan bound to one backend; re-executable with
@@ -111,6 +113,20 @@ class ExecutionBackend {
   /// Prepare + Execute with the query's own literals.
   Result<Table> Execute(const Ast& query);
 
+  /// Runs `execute`, one full or delta execution of a plan this backend
+  /// prepared, and returns its result. Every execution goes through here,
+  /// so `stats().executions` and `ifgen_backend_execute_duration_us` count
+  /// the same executions.
+  template <class Fn>
+  auto RunExecution(Fn&& execute) -> decltype(execute()) {
+    const ObsHandles& obs = CountExecution();
+    obs::TraceSpan span("engine.execute", "engine");
+    Stopwatch watch;
+    auto result = execute();
+    obs.execute_us->Observe(static_cast<double>(watch.ElapsedMicros()));
+    return result;
+  }
+
   /// Parse + Execute.
   Result<Table> ExecuteSql(std::string_view sql);
 
@@ -132,6 +148,8 @@ class ExecutionBackend {
     obs::Histogram* execute_us = nullptr;
   };
   const ObsHandles& ObsMetrics() const;
+  /// Counts one execution; returns the handles that time it.
+  const ObsHandles& CountExecution();
 
   const Database* db_;
   SqlKeyedCache<PreparedQuery> plans_;

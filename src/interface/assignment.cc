@@ -1,9 +1,11 @@
 #include "interface/assignment.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "cost/delta.h"
 #include "util/string_util.h"
+#include "widgets/appropriateness.h"
 
 namespace ifgen {
 
@@ -156,6 +158,7 @@ void WidgetAssigner::Collect(const DiffTree& node, std::string_view inherited) {
       WidgetSize sz = size_model_.SizeOf(WidgetKind::kRangeSlider, *sc, r.domain);
       sz.width += static_cast<int>(std::min<size_t>(r.label.size(), 10));
       r.tmpl = {*sc, sz};
+      r.m = AppropriatenessCost(constants_, WidgetKind::kRangeSlider, r.domain);
     } else {
       r.status = sc.status();
     }
@@ -217,157 +220,273 @@ WidgetKind WidgetAssigner::Pick(int decision, const Assignment& a) const {
   return decisions_[i].options[static_cast<size_t>(a.picks[i])];
 }
 
-FlatWidget WidgetAssigner::ChoiceWidget(const NodeSlot& slot, const Assignment& a) const {
-  const DecisionPoint& d = decisions_[static_cast<size_t>(slot.choice)];
-  const size_t pick = static_cast<size_t>(a.picks[static_cast<size_t>(slot.choice)]);
-  const WidgetTemplate& t = d.terms->templates[pick];
-  FlatWidget w;
-  w.kind = d.options[pick];
-  w.size_class = t.size_class;
-  w.choice_id = slot.choice_id;
-  w.domain = &d.terms->domain;
-  w.label = slot.context;
-  w.width = t.size.width;
-  w.height = t.size.height;
-  return w;
-}
+/// Fill's sink: each node is a widget of the layout, each list a sibling
+/// chain.
+class WidgetAssigner::LayoutSink {
+ public:
+  using Node = int;
+  using List = FlatList;
 
-Status WidgetAssigner::FillNode(int s, const Assignment& a, FlatLayout* out,
-                                FlatList* list) const {
+  LayoutSink(const WidgetAssigner& assigner, FlatLayout* out)
+      : assigner_(assigner), out_(out) {}
+
+  Node Choice(const NodeSlot& slot, const Assignment& a, std::string_view label) {
+    const DecisionPoint& d = assigner_.decisions_[static_cast<size_t>(slot.choice)];
+    const size_t pick = static_cast<size_t>(a.picks[static_cast<size_t>(slot.choice)]);
+    const WidgetTemplate& t = d.terms->option_terms[pick].tmpl;
+    FlatWidget w;
+    w.kind = d.options[pick];
+    w.size_class = t.size_class;
+    w.choice_id = slot.choice_id;
+    w.domain = &d.terms->domain;
+    w.label = label;
+    w.width = t.size.width;
+    w.height = t.size.height;
+    return out_->Add(w);
+  }
+  Node Range(const RangeSlider& r) {
+    FlatWidget w;
+    w.kind = WidgetKind::kRangeSlider;
+    w.size_class = r.tmpl.size_class;
+    w.choice_id = r.lo_id;
+    w.choice_id2 = r.hi_id;
+    w.domain = &r.domain;
+    w.label = r.label;
+    w.width = r.tmpl.size.width;
+    w.height = r.tmpl.size.height;
+    return out_->Add(w);
+  }
+  Node Layout(WidgetKind kind, std::string_view label) {
+    FlatWidget group;
+    group.kind = kind;
+    group.label = label;
+    return out_->Add(group);
+  }
+  /// A choice-free difftree renders as a single static label.
+  Node QueryLabel() {
+    FlatWidget label;
+    label.kind = WidgetKind::kLabel;
+    label.label = "query";
+    label.width = 8;
+    label.height = 1;
+    return out_->Add(label);
+  }
+  void Adopt(Node* parent, List* children) { out_->Adopt(*parent, *children); }
+  void Append(List* list, Node n) { out_->Append(list, n); }
+  /// The node of a one-node list.
+  Node Only(List* list) { return list->head; }
+  void Relabel(Node n, std::string_view label) {
+    out_->widgets[static_cast<size_t>(n)].label = label;
+  }
+
+ private:
+  const WidgetAssigner& assigner_;
+  FlatLayout* out_;
+};
+
+/// LayoutM's sink: each node is a widget subtree's M(.) sum, each list a run
+/// of such sums on a stack. A node adopts its children as CostModel::LayoutM
+/// sums them: its own term first, then each child's sum, left to right. A
+/// layout's term counts its children, so it is set when the layout adopts
+/// them, which every layout of the walk does.
+class WidgetAssigner::MSink {
+ public:
+  struct Node {
+    WidgetKind kind = WidgetKind::kVertical;
+    bool layout = false;  ///< its term waits for its children
+    double m = 0.0;
+  };
+  struct List {
+    size_t start = 0;  ///< its first sum on the stack, once it has one
+    int count = 0;
+  };
+
+  MSink(const WidgetAssigner& assigner, std::vector<double>* sums)
+      : assigner_(assigner), sums_(sums) {}
+
+  Node Choice(const NodeSlot& slot, const Assignment& a, std::string_view /*label*/) {
+    const DecisionPoint& d = assigner_.decisions_[static_cast<size_t>(slot.choice)];
+    const size_t pick = static_cast<size_t>(a.picks[static_cast<size_t>(slot.choice)]);
+    // An adder is a layout: its term counts its children, not its domain.
+    const WidgetKind kind = d.options[pick];
+    if (IsLayoutWidget(kind)) return Layout(kind, {});
+    return {kind, false, d.terms->option_terms[pick].m};
+  }
+  Node Range(const RangeSlider& r) { return {WidgetKind::kRangeSlider, false, r.m}; }
+  Node Layout(WidgetKind kind, std::string_view /*label*/) { return {kind, true, 0.0}; }
+  Node QueryLabel() {
+    return {WidgetKind::kLabel, false,
+            AppropriatenessCost(assigner_.constants_, WidgetKind::kLabel, WidgetDomain{})};
+  }
+  void Adopt(Node* parent, List* children) {
+    if (parent->layout) {
+      // A layout widget's M(.) depends on its child count alone.
+      layout_domain_.cardinality = static_cast<size_t>(children->count);
+      parent->m = AppropriatenessCost(assigner_.constants_, parent->kind, layout_domain_);
+    }
+    if (children->count == 0) return;
+    // The children's sums are the top of the stack.
+    const size_t end = children->start + static_cast<size_t>(children->count);
+    for (size_t i = children->start; i < end; ++i) parent->m += (*sums_)[i];
+    sums_->resize(children->start);
+  }
+  void Append(List* list, Node n) {
+    if (list->count++ == 0) list->start = sums_->size();
+    sums_->push_back(n.m);
+  }
+  Node Only(List* /*list*/) {
+    const Node n{WidgetKind::kVertical, false, sums_->back()};
+    sums_->pop_back();
+    return n;
+  }
+  void Relabel(Node /*n*/, std::string_view /*label*/) {}
+
+ private:
+  const WidgetAssigner& assigner_;
+  std::vector<double>* sums_;
+  WidgetDomain layout_domain_;
+};
+
+template <class Sink>
+const Status* WidgetAssigner::Walk(int s, const Assignment& a, Sink* out,
+                                   typename Sink::List* list) const {
+  using Node = typename Sink::Node;
+  using List = typename Sink::List;
   const NodeSlot& slot = slots_[static_cast<size_t>(s)];
   const DiffTree& node = *slot.node;
   switch (node.kind) {
     case DKind::kAll: {
-      if (node.sym == Symbol::kEmpty) return Status::OK();
+      if (node.sym == Symbol::kEmpty) return nullptr;
       // BETWEEN composite: one range slider may cover both endpoints.
       if (slot.range >= 0) {
         const RangeSlider& r = ranges_[static_cast<size_t>(slot.range)];
         if (Pick(r.decision, a) == WidgetKind::kRangeSlider) {
-          IFGEN_RETURN_NOT_OK(r.status);
-          FlatWidget w;
-          w.kind = WidgetKind::kRangeSlider;
-          w.size_class = r.tmpl.size_class;
-          w.choice_id = r.lo_id;
-          w.choice_id2 = r.hi_id;
-          w.domain = &r.domain;
-          w.label = r.label;
-          w.width = r.tmpl.size.width;
-          w.height = r.tmpl.size.height;
-          out->Append(list, out->Add(w));
-          return Status::OK();
+          if (!r.status.ok()) return &r.status;
+          out->Append(list, out->Range(r));
+          return nullptr;
         }
       }
-      FlatList widgets;
+      List widgets;
       for (int c = s + 1; c < slot.end; c = slots_[static_cast<size_t>(c)].end) {
         // A slot without children stands for a choice-free subtree.
         if (slots_[static_cast<size_t>(c)].end == c + 1) continue;
-        IFGEN_RETURN_NOT_OK(FillNode(c, a, out, &widgets));
+        if (const Status* st = Walk(c, a, out, &widgets)) return st;
       }
-      if (widgets.count == 0) return Status::OK();
+      if (widgets.count == 0) return nullptr;
       if (widgets.count == 1) {
-        out->Append(list, widgets.head);
-        return Status::OK();
+        out->Append(list, out->Only(&widgets));
+        return nullptr;
       }
-      FlatWidget group;
-      group.kind = slot.container >= 0 ? Pick(slot.container, a) : WidgetKind::kVertical;
-      group.label = slot.context;
-      const int g = out->Add(group);
-      out->Adopt(g, widgets);
+      Node g = out->Layout(slot.container >= 0 ? Pick(slot.container, a) : WidgetKind::kVertical,
+                           slot.context);
+      out->Adopt(&g, &widgets);
       out->Append(list, g);
-      return Status::OK();
+      return nullptr;
     }
     case DKind::kAny: {
       const DecisionPoint& d = decisions_[static_cast<size_t>(slot.choice)];
-      if (d.options.empty()) return Status::Invalid("choice node has no valid widget");
-      const int w = out->Add(ChoiceWidget(slot, a));
-      if (out->widgets[static_cast<size_t>(w)].kind == WidgetKind::kTabs) {
+      Node w = out->Choice(slot, a, slot.context);
+      if (Pick(slot.choice, a) == WidgetKind::kTabs) {
         // One child panel per alternative, labeled with it.
-        FlatList panels;
+        List panels;
         size_t alt = 0;
         for (int c = s + 1; c < slot.end; c = slots_[static_cast<size_t>(c)].end, ++alt) {
-          FlatList alt_widgets;
-          IFGEN_RETURN_NOT_OK(FillNode(c, a, out, &alt_widgets));
-          int panel = alt_widgets.head;
-          if (alt_widgets.count != 1) {
-            panel = out->Add(FlatWidget{});  // a vertical group
-            out->Adopt(panel, alt_widgets);
+          List alt_widgets;
+          if (const Status* st = Walk(c, a, out, &alt_widgets)) return st;
+          const std::string_view label = d.terms->domain.labels[alt];
+          Node panel;
+          if (alt_widgets.count == 1) {
+            panel = out->Only(&alt_widgets);
+            out->Relabel(panel, label);
+          } else {
+            panel = out->Layout(WidgetKind::kVertical, label);
+            out->Adopt(&panel, &alt_widgets);
           }
-          out->widgets[static_cast<size_t>(panel)].label = d.terms->domain.labels[alt];
           out->Append(&panels, panel);
         }
-        out->Adopt(w, panels);
+        out->Adopt(&w, &panels);
       }
       out->Append(list, w);
-      return Status::OK();
+      return nullptr;
     }
     case DKind::kOpt: {
-      const DecisionPoint& d = decisions_[static_cast<size_t>(slot.choice)];
-      if (d.options.empty()) return Status::Invalid("OPT has no valid widget");
-      FlatWidget toggle = ChoiceWidget(slot, a);
-      toggle.label = slot.toggle_label;
       // Toggle + dependent widgets form a group (paper Fig. 3b: the toggle
       // and the StrExpr dropdown are organized together).
-      FlatList group_widgets;
-      const int t = out->Add(toggle);
-      out->Append(&group_widgets, t);
-      IFGEN_RETURN_NOT_OK(FillNode(s + 1, a, out, &group_widgets));
+      List group_widgets;
+      out->Append(&group_widgets, out->Choice(slot, a, slot.toggle_label));
+      if (const Status* st = Walk(s + 1, a, out, &group_widgets)) return st;
       if (group_widgets.count == 1) {
-        out->Append(list, t);
-        return Status::OK();
+        out->Append(list, out->Only(&group_widgets));
+        return nullptr;
       }
-      FlatWidget group;
-      group.kind = slot.container >= 0 ? Pick(slot.container, a) : WidgetKind::kHorizontal;
-      group.label = slot.context;
-      const int g = out->Add(group);
-      out->Adopt(g, group_widgets);
+      Node g = out->Layout(
+          slot.container >= 0 ? Pick(slot.container, a) : WidgetKind::kHorizontal, slot.context);
+      out->Adopt(&g, &group_widgets);
       out->Append(list, g);
-      return Status::OK();
+      return nullptr;
     }
     case DKind::kMulti: {
-      const int adder = out->Add(ChoiceWidget(slot, a));
-      FlatList inner;
-      IFGEN_RETURN_NOT_OK(FillNode(s + 1, a, out, &inner));
+      Node adder = out->Choice(slot, a, slot.context);
+      List inner;
+      if (const Status* st = Walk(s + 1, a, out, &inner)) return st;
       if (inner.count > 1) {
-        FlatWidget row;
-        row.kind = WidgetKind::kHorizontal;
-        const int g = out->Add(row);
-        out->Adopt(g, inner);
-        inner = FlatList{};
-        out->Append(&inner, g);
+        Node row = out->Layout(WidgetKind::kHorizontal, {});
+        out->Adopt(&row, &inner);
+        inner = List{};
+        out->Append(&inner, row);
       }
-      out->Adopt(adder, inner);
+      out->Adopt(&adder, &inner);
       out->Append(list, adder);
-      return Status::OK();
+      return nullptr;
     }
   }
-  return Status::OK();
+  return nullptr;
 }
 
-Status WidgetAssigner::Fill(const Assignment& a, FlatLayout* out) const {
+template <class Sink>
+const Status* WidgetAssigner::WalkRoot(const Assignment& a, Sink* out,
+                                       typename Sink::Node* root) const {
+  typename Sink::List widgets;
+  if (const Status* st = Walk(0, a, out, &widgets)) return st;
+  if (widgets.count == 0) {
+    *root = out->QueryLabel();
+  } else if (widgets.count == 1) {
+    *root = out->Only(&widgets);
+  } else {
+    *root = out->Layout(WidgetKind::kVertical, {});
+    out->Adopt(root, &widgets);
+  }
+  return nullptr;
+}
+
+Status WidgetAssigner::CheckAssignment(const Assignment& a) const {
   if (a.picks.size() != decisions_.size()) {
     return Status::Invalid("assignment size mismatch");
   }
   if (!viable_) {
     return Status::Invalid("difftree has a choice node with no valid widget");
   }
-  out->Reset(static_cast<size_t>(num_choices_));
-  FlatList widgets;
-  IFGEN_RETURN_NOT_OK(FillNode(0, a, out, &widgets));
-  if (widgets.count == 0) {
-    // A choice-free difftree renders as a single static label.
-    FlatWidget label;
-    label.kind = WidgetKind::kLabel;
-    label.label = "query";
-    label.width = 8;
-    label.height = 1;
-    out->root = out->Add(label);
-  } else if (widgets.count == 1) {
-    out->root = widgets.head;
-  } else {
-    out->root = out->Add(FlatWidget{});  // a vertical group
-    out->Adopt(out->root, widgets);
-  }
   return Status::OK();
+}
+
+Status WidgetAssigner::Fill(const Assignment& a, FlatLayout* out) const {
+  IFGEN_RETURN_NOT_OK(CheckAssignment(a));
+  out->Reset(static_cast<size_t>(num_choices_));
+  LayoutSink sink(*this, out);
+  const Status* failed = WalkRoot(a, &sink, &out->root);
+  return failed != nullptr ? *failed : Status::OK();
+}
+
+double WidgetAssigner::LayoutM(const Assignment& a) const {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (!CheckAssignment(a).ok()) return kInf;
+  // The sums stack, reused by every call on this thread.
+  thread_local std::vector<double> sums;
+  sums.clear();
+  MSink sink(*this, &sums);
+  MSink::Node root;
+  if (WalkRoot(a, &sink, &root) != nullptr) return kInf;
+  return root.m;
 }
 
 Result<WidgetTree> WidgetAssigner::Build(const Assignment& a) const {

@@ -46,9 +46,9 @@ struct DecisionPoint {
   /// as a two-entry dummy kind list for uniform odometer handling.
   WidgetKindView options;
   /// kChoiceWidget only: the choice node's subtree-local terms (domain,
-  /// option size templates, greedy min-M pick), computed once at Collect
-  /// time — possibly by the delta-cost cache — and shared, never copied, by
-  /// every Fill of this assigner.
+  /// each option's size template and M(.), greedy min-M pick), computed
+  /// once at Collect time — possibly by the delta-cost cache — and shared,
+  /// never copied, by every Fill and LayoutM of this assigner.
   std::shared_ptr<const ChoiceWidgetTerms> terms;
 };
 
@@ -62,7 +62,8 @@ struct Assignment {
 /// The mapping is factored into an explicit decision vector so that the
 /// search can (a) sample k random widget trees per state during rollouts and
 /// (b) exhaustively enumerate widget trees for the final state. Sampling
-/// scores flat layouts (Fill); Build materializes a WidgetTree.
+/// prices M(.) from the picks (LayoutM), fills a flat layout (Fill) only for
+/// a draw it prices in full; Build materializes a WidgetTree.
 class WidgetAssigner {
  public:
   /// `delta` (optional) memoizes per-choice-subtree widget terms across
@@ -98,6 +99,10 @@ class WidgetAssigner {
   /// when the assignment is structurally invalid.
   Status Fill(const Assignment& a, FlatLayout* out) const;
 
+  /// `CostModel::LayoutM` of the layout Fill would make, summed in the same
+  /// order but without making it: +infinity exactly when Fill fails.
+  double LayoutM(const Assignment& a) const;
+
   /// Materializes the widget tree for an assignment (sizes included; layout
   /// positions are the layout solver's job): Fill, then Materialize.
   Result<WidgetTree> Build(const Assignment& a) const;
@@ -126,11 +131,25 @@ class WidgetAssigner {
     WidgetDomain domain;  ///< lo's domain with the merged numeric extent
     Status status;        ///< the size model's verdict on the template
     WidgetTemplate tmpl;  ///< size includes the label allowance
+    double m = 0.0;       ///< its M(.), when the template fits
   };
+  /// Where a slot walk puts what it emits: widgets into a FlatLayout (Fill)
+  /// or their M(.) sums (LayoutM).
+  class LayoutSink;
+  class MSink;
 
   void Collect(const DiffTree& node, std::string_view inherited);
-  Status FillNode(int slot, const Assignment& a, FlatLayout* out, FlatList* list) const;
-  FlatWidget ChoiceWidget(const NodeSlot& slot, const Assignment& a) const;
+  Status CheckAssignment(const Assignment& a) const;
+  /// The widget tree of a checked assignment `a`, emitted into `out`: the
+  /// root's node in `root`. Returns the size model's verdict that stops the
+  /// walk (a range slider that does not fit), or null.
+  template <class Sink>
+  const Status* WalkRoot(const Assignment& a, Sink* out, typename Sink::Node* root) const;
+  /// Emits the subtree at `slot` as at most one node appended to `list`;
+  /// returns as WalkRoot.
+  template <class Sink>
+  const Status* Walk(int slot, const Assignment& a, Sink* out,
+                     typename Sink::List* list) const;
   WidgetKind Pick(int decision, const Assignment& a) const;
 
   const CostConstants& constants_;

@@ -17,9 +17,9 @@ uint64_t AlignKey(const DiffTree& n) {
 namespace {
 
 /// Longest common subsequence between the current column keys and an
-/// alternative's child keys; returns pairs (column index, child index).
-std::vector<std::pair<size_t, size_t>> LcsPairs(const std::vector<uint64_t>& a,
-                                                const std::vector<uint64_t>& b) {
+/// alternative's child keys, as pairs (column index, child index) in `pairs`.
+void LcsPairs(const std::vector<uint64_t>& a, const std::vector<uint64_t>& b,
+              std::vector<std::pair<size_t, size_t>>* pairs) {
   const size_t n = a.size();
   const size_t m = b.size();
   // One flat (n+1) x (m+1) table, reused by every call on this thread.
@@ -35,13 +35,12 @@ std::vector<std::pair<size_t, size_t>> LcsPairs(const std::vector<uint64_t>& a,
       }
     }
   }
-  std::vector<std::pair<size_t, size_t>> pairs;
-  pairs.reserve(std::min(n, m));
+  pairs->clear();
   size_t i = 0;
   size_t j = 0;
   while (i < n && j < m) {
     if (a[i] == b[j] && dp(i, j) == dp(i + 1, j + 1) + 1) {
-      pairs.emplace_back(i, j);
+      pairs->emplace_back(i, j);
       ++i;
       ++j;
     } else if (dp(i + 1, j) >= dp(i, j + 1)) {
@@ -50,103 +49,119 @@ std::vector<std::pair<size_t, size_t>> LcsPairs(const std::vector<uint64_t>& a,
       ++j;
     }
   }
-  return pairs;
+}
+
+/// Appends a column keyed `key` that no alternative holds yet.
+void AddAbsentColumn(Alignment* out, uint64_t key) {
+  out->keys.push_back(key);
+  out->entries.resize(out->entries.size() + out->alts, Alignment::kAbsent);
 }
 
 }  // namespace
 
-std::vector<AlignedColumn> AlignBySymbol(
-    const std::vector<const std::vector<DiffTree>*>& alt_children) {
+void AlignBySymbol(const std::vector<const std::vector<DiffTree>*>& alt_children,
+                   Alignment* out) {
   const size_t num_alts = alt_children.size();
-  std::vector<AlignedColumn> columns;
+  out->alts = num_alts;
+  out->keys.clear();
+  out->entries.clear();
   // Seed with alternative 0.
   for (size_t j = 0; j < alt_children[0]->size(); ++j) {
-    AlignedColumn col;
-    col.key = AlignKey((*alt_children[0])[j]);
-    col.entry.assign(num_alts, std::nullopt);
-    col.entry[0] = j;
-    columns.push_back(std::move(col));
+    AddAbsentColumn(out, AlignKey((*alt_children[0])[j]));
+    out->entries[j * num_alts] = static_cast<uint32_t>(j);
   }
+  // Reused by every call on this thread: each alternative merges the
+  // columns so far and its children into `merged`, which then swaps with
+  // `out`.
+  thread_local Alignment merged;
+  thread_local std::vector<uint64_t> kid_keys;
+  thread_local std::vector<std::pair<size_t, size_t>> pairs;
+  merged.alts = num_alts;
   for (size_t a = 1; a < num_alts; ++a) {
     const std::vector<DiffTree>& kids = *alt_children[a];
-    std::vector<uint64_t> col_keys;
-    col_keys.reserve(columns.size());
-    for (const AlignedColumn& c : columns) col_keys.push_back(c.key);
-    std::vector<uint64_t> kid_keys;
-    kid_keys.reserve(kids.size());
+    kid_keys.clear();
     for (const DiffTree& k : kids) kid_keys.push_back(AlignKey(k));
-
-    auto pairs = LcsPairs(col_keys, kid_keys);
+    LcsPairs(out->keys, kid_keys, &pairs);
     // Merge: walk columns and children with LCS anchors; unmatched children
     // are inserted as new columns before the next anchored column.
-    std::vector<AlignedColumn> merged;
+    merged.keys.clear();
+    merged.entries.clear();
     size_t ci = 0;
     size_t ki = 0;
-    auto push_new_column = [&](size_t child_idx) {
-      AlignedColumn col;
-      col.key = kid_keys[child_idx];
-      col.entry.assign(num_alts, std::nullopt);
-      col.entry[a] = child_idx;
-      merged.push_back(std::move(col));
+    auto take_column = [&](size_t c) {
+      merged.keys.push_back(out->keys[c]);
+      merged.entries.insert(merged.entries.end(), out->column(c), out->column(c) + num_alts);
+    };
+    auto place_child = [&](size_t child_idx) {
+      merged.entries[(merged.columns() - 1) * num_alts + a] = static_cast<uint32_t>(child_idx);
     };
     for (const auto& [pc, pk] : pairs) {
-      while (ci < pc) merged.push_back(std::move(columns[ci++]));
-      while (ki < pk) push_new_column(ki++);
-      AlignedColumn col = std::move(columns[ci++]);
-      col.entry[a] = ki++;
-      merged.push_back(std::move(col));
+      while (ci < pc) take_column(ci++);
+      while (ki < pk) {
+        AddAbsentColumn(&merged, kid_keys[ki]);
+        place_child(ki++);
+      }
+      take_column(ci++);
+      place_child(ki++);
     }
-    while (ci < columns.size()) merged.push_back(std::move(columns[ci++]));
-    while (ki < kids.size()) push_new_column(ki++);
-    columns = std::move(merged);
+    while (ci < out->columns()) take_column(ci++);
+    while (ki < kids.size()) {
+      AddAbsentColumn(&merged, kid_keys[ki]);
+      place_child(ki++);
+    }
+    std::swap(out->keys, merged.keys);
+    std::swap(out->entries, merged.entries);
   }
-  return columns;
 }
 
-std::vector<AlignedColumn> AlignByPosition(
-    const std::vector<const std::vector<DiffTree>*>& alt_children) {
+void AlignByPosition(const std::vector<const std::vector<DiffTree>*>& alt_children,
+                     Alignment* out) {
   const size_t num_alts = alt_children.size();
   size_t max_len = 0;
   for (const auto* kids : alt_children) max_len = std::max(max_len, kids->size());
-  std::vector<AlignedColumn> columns(max_len);
+  out->alts = num_alts;
+  out->keys.assign(max_len, 0);
+  out->entries.assign(max_len * num_alts, Alignment::kAbsent);
   for (size_t j = 0; j < max_len; ++j) {
-    columns[j].entry.assign(num_alts, std::nullopt);
     for (size_t a = 0; a < num_alts; ++a) {
       if (j < alt_children[a]->size()) {
-        columns[j].entry[a] = j;
-        columns[j].key = AlignKey((*alt_children[a])[j]);
+        out->entries[j * num_alts + a] = static_cast<uint32_t>(j);
+        out->keys[j] = AlignKey((*alt_children[a])[j]);
       }
     }
   }
-  return columns;
 }
 
 DiffTree ColumnToNode(const std::vector<const std::vector<DiffTree>*>& alt_children,
-                      const AlignedColumn& col) {
-  std::vector<DiffTree> distinct;
+                      const Alignment& alignment, size_t col) {
+  // The distinct entries by address, reused by every call on this thread;
+  // only an ANY built from them copies them.
+  thread_local std::vector<const DiffTree*> distinct;
+  distinct.clear();
   bool missing_somewhere = false;
-  for (size_t a = 0; a < col.entry.size(); ++a) {
-    if (!col.entry[a].has_value()) {
+  const uint32_t* entry = alignment.column(col);
+  for (size_t a = 0; a < alignment.alts; ++a) {
+    if (entry[a] == Alignment::kAbsent) {
       missing_somewhere = true;
       continue;
     }
-    const DiffTree& node = (*alt_children[a])[*col.entry[a]];
+    const DiffTree& node = (*alt_children[a])[entry[a]];
     bool seen = false;
-    for (const DiffTree& d : distinct) {
-      if (d == node) {
+    for (const DiffTree* d : distinct) {
+      if (*d == node) {
         seen = true;
         break;
       }
     }
-    if (!seen) distinct.push_back(node);
+    if (!seen) distinct.push_back(&node);
   }
   IFGEN_CHECK(!distinct.empty());
-  if (!missing_somewhere && distinct.size() == 1) {
-    return distinct[0];
-  }
-  if (missing_somewhere) distinct.push_back(DiffTree::Empty());
-  if (distinct.size() == 1) return distinct[0];
-  return DiffTree::Any(std::move(distinct));
+  if (!missing_somewhere && distinct.size() == 1) return *distinct[0];
+  std::vector<DiffTree> alts;
+  alts.reserve(distinct.size() + (missing_somewhere ? 1 : 0));
+  for (const DiffTree* d : distinct) alts.push_back(*d);
+  if (missing_somewhere) alts.push_back(DiffTree::Empty());
+  return DiffTree::Any(std::move(alts));
 }
 
 }  // namespace ifgen

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "difftree/difftree.h"
@@ -20,30 +19,36 @@ namespace ifgen {
 /// widget domain); choice nodes align by kind.
 uint64_t AlignKey(const DiffTree& n);
 
-/// One aligned column: per-alternative index into that alternative's child
-/// list, or nullopt when the alternative lacks this column.
-struct AlignedColumn {
-  uint64_t key = 0;
-  std::vector<std::optional<size_t>> entry;
+/// \brief An alignment of `alts` child lists into columns, held flat so
+/// that aligning reuses storage. Column c's entry for alternative a is that
+/// alternative's child index, or kAbsent when it lacks the column.
+struct Alignment {
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+  size_t alts = 0;
+  std::vector<uint64_t> keys;     ///< one AlignKey per column
+  std::vector<uint32_t> entries;  ///< column-major, `alts` entries per column
+
+  size_t columns() const { return keys.size(); }
+  const uint32_t* column(size_t c) const { return entries.data() + c * alts; }
 };
 
-/// \brief LCS-based alignment ("symbol" mode): children with equal keys are
-/// anchored; unmatched children become columns absent from the other
-/// alternatives.
-std::vector<AlignedColumn> AlignBySymbol(
-    const std::vector<const std::vector<DiffTree>*>& alt_children);
+/// \brief LCS-based alignment ("symbol" mode) into `out`: children with equal
+/// keys are anchored; unmatched children become columns absent from the
+/// other alternatives.
+void AlignBySymbol(const std::vector<const std::vector<DiffTree>*>& alt_children,
+                   Alignment* out);
 
-/// \brief Positional alignment: column j holds every alternative's j-th
-/// child regardless of symbol; shorter alternatives are absent from the
-/// tail columns. This pairs e.g. `objid` with `count(*)` into one widget
-/// domain (paper, Figure 6a).
-std::vector<AlignedColumn> AlignByPosition(
-    const std::vector<const std::vector<DiffTree>*>& alt_children);
+/// \brief Positional alignment into `out`: column j holds every
+/// alternative's j-th child regardless of symbol; shorter alternatives are
+/// absent from the tail columns. This pairs e.g. `objid` with `count(*)`
+/// into one widget domain (paper, Figure 6a).
+void AlignByPosition(const std::vector<const std::vector<DiffTree>*>& alt_children,
+                     Alignment* out);
 
-/// Materializes a column as a difftree child: the shared node when all
+/// Materializes column `col` as a difftree child: the shared node when all
 /// alternatives agree, otherwise ANY over the distinct entries (with an
 /// Empty alternative when some alternative lacks the column).
 DiffTree ColumnToNode(const std::vector<const std::vector<DiffTree>*>& alt_children,
-                      const AlignedColumn& col);
+                      const Alignment& alignment, size_t col);
 
 }  // namespace ifgen

@@ -69,13 +69,17 @@ class Any2AllRule final : public Rule {
     for (const DiffTree& alt : any.children) {
       alt_children.push_back(&alt.children.view());
     }
-    std::vector<AlignedColumn> columns = app.param == 1
-                                             ? AlignByPosition(alt_children)
-                                             : AlignBySymbol(alt_children);
+    // Per-thread scratch: every application on this thread reuses it.
+    thread_local Alignment alignment;
+    if (app.param == 1) {
+      AlignByPosition(alt_children, &alignment);
+    } else {
+      AlignBySymbol(alt_children, &alignment);
+    }
     std::vector<DiffTree> kids;
-    kids.reserve(columns.size());
-    for (const AlignedColumn& col : columns) {
-      kids.push_back(ColumnToNode(alt_children, col));
+    kids.reserve(alignment.columns());
+    for (size_t c = 0; c < alignment.columns(); ++c) {
+      kids.push_back(ColumnToNode(alt_children, alignment, c));
     }
     *node = DiffTree(any.children[0].sym, any.children[0].value, std::move(kids));
     return Status::OK();

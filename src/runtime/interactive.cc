@@ -316,7 +316,9 @@ Result<InteractiveRuntime::StepReport> InteractiveRuntime::StepLocked(
           hint.mode = cls == TransitionClass::kTighten ? DeltaHint::Mode::kTighten
                                                        : DeltaHint::Mode::kLoosen;
           hint.prior_selection = prev_result_->selection.get();
-          IFGEN_ASSIGN_OR_RETURN(DeltaResult dr, dc->ExecuteDelta(pq.params, &hint));
+          IFGEN_ASSIGN_OR_RETURN(
+              DeltaResult dr,
+              backend_->RunExecution([&] { return dc->ExecuteDelta(pq.params, &hint); }));
           out = MakeCached(std::move(dr));
           report.incremental = true;
           ++counters_.delta_execs;
@@ -410,11 +412,14 @@ Result<InteractiveRuntime::CachedResultPtr> InteractiveRuntime::ExecuteFull(
   DeltaCapablePlan* dc =
       opts_.enable_delta ? dynamic_cast<DeltaCapablePlan*>(plan) : nullptr;
   if (dc != nullptr) {
-    IFGEN_ASSIGN_OR_RETURN(DeltaResult dr, dc->ExecuteDelta(pq.params, nullptr));
+    IFGEN_ASSIGN_OR_RETURN(
+        DeltaResult dr,
+        backend_->RunExecution([&] { return dc->ExecuteDelta(pq.params, nullptr); }));
     return MakeCached(std::move(dr));
   }
   auto cr = std::make_shared<CachedResult>();
-  IFGEN_ASSIGN_OR_RETURN(Table served, plan->Execute(pq.params));
+  IFGEN_ASSIGN_OR_RETURN(Table served,
+                         backend_->RunExecution([&] { return plan->Execute(pq.params); }));
   cr->served = std::make_shared<const Table>(std::move(served));
   cr->full = cr->served;
   return CachedResultPtr(std::move(cr));

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <thread>
 
 #include "api/api_service.h"
@@ -14,6 +15,7 @@
 #include "api/rpc.h"
 #include "core/interface_generator.h"
 #include "core/session.h"
+#include "engine/backend.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sql/parser.h"
@@ -1482,9 +1484,9 @@ TEST(ApiService, CatalogAndStats) {
   EXPECT_EQ(stats.sessions_opened, 1);
   ASSERT_FALSE(stats.backends.empty());
   EXPECT_EQ(stats.backends[0].workload, "flights");
-  // The delta-capable execution path runs plans directly, so `executions`
-  // may stay 0 — plan compilations always register.
+  // Opening the session executed its first query through the store.
   EXPECT_GT(stats.backends[0].prepares, 0);
+  EXPECT_GT(stats.backends[0].executions, 0);
   ExpectRoundTrip(stats);
 }
 
@@ -1505,6 +1507,14 @@ TEST(ApiService, StatsMatchesRegistryDeltas) {
   };
   const uint64_t base_noop = path_total("noop");
   const uint64_t base_full = path_total("full_exec");
+  // Per backend kind: executions counted, and executions timed.
+  std::map<std::string, std::pair<uint64_t, uint64_t>> base_exec;
+  for (BackendKind kind : AvailableBackends()) {
+    const obs::LabelSet labels = {{"backend", std::string(BackendKindName(kind))}};
+    base_exec[std::string(BackendKindName(kind))] = {
+        reg.CounterValue("ifgen_backend_executions_total", labels),
+        reg.HistogramSnapshot("ifgen_backend_execute_duration_us", labels).count};
+  }
 
   auto svc = ApiService::Create(SmallServiceOptions());
   ASSERT_TRUE(svc.ok());
@@ -1552,6 +1562,25 @@ TEST(ApiService, StatsMatchesRegistryDeltas) {
             path_total("full_exec") - base_full);
   EXPECT_EQ(static_cast<double>(stats.jobs_pending),
             reg.GaugeValue("ifgen_jobs_pending"));
+  // Every full or delta execution of the session's store is counted once
+  // and timed once.
+  std::map<std::string, uint64_t> executions;
+  uint64_t total_executions = 0;
+  for (const api::BackendStatsDto& b : stats.backends) {
+    executions[b.backend] += static_cast<uint64_t>(b.executions);
+    total_executions += static_cast<uint64_t>(b.executions);
+  }
+  EXPECT_GT(total_executions, 0u);
+  for (const auto& [name, base] : base_exec) {
+    const obs::LabelSet labels = {{"backend", name}};
+    EXPECT_EQ(executions[name],
+              reg.CounterValue("ifgen_backend_executions_total", labels) - base.first)
+        << name;
+    EXPECT_EQ(executions[name],
+              reg.HistogramSnapshot("ifgen_backend_execute_duration_us", labels).count -
+                  base.second)
+        << name;
+  }
 }
 
 TEST(ApiService, JobTraceExportsChromeJson) {

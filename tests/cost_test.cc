@@ -998,5 +998,125 @@ TEST(Assigner, CachedAndFreshTermsBuildTheSameTrees) {
   EXPECT_GT(tabs, 0u);
 }
 
+/// Which widget structures a filled layout holds, below widget `i`.
+struct LayoutShapes {
+  size_t range_sliders = 0;
+  size_t tabs = 0;        ///< tabs with their panels
+  size_t multi_rows = 0;  ///< adders over more than one inner widget
+};
+
+/// Counts the widgets below `i` that are not layouts; adds `i`'s shapes.
+size_t CountShapes(const FlatLayout& layout, int i, LayoutShapes* shapes) {
+  const FlatWidget& w = layout.widgets[static_cast<size_t>(i)];
+  size_t below = 0;
+  for (int k = w.first_child; k >= 0; k = layout.widgets[static_cast<size_t>(k)].next_sibling) {
+    below += CountShapes(layout, k, shapes);
+  }
+  shapes->range_sliders += w.kind == WidgetKind::kRangeSlider ? 1 : 0;
+  shapes->tabs += w.kind == WidgetKind::kTabs && w.num_children > 0 ? 1 : 0;
+  shapes->multi_rows += w.kind == WidgetKind::kAdder && below > 1 ? 1 : 0;
+  return below + (IsLayoutWidget(w.kind) ? 0 : 1);
+}
+
+/// The greedy assignment, the first one, `random` seeded draws and every
+/// neighbour of the greedy one that differs in one decision.
+std::vector<Assignment> PinAssignments(const WidgetAssigner& assigner, uint64_t seed,
+                                       int random) {
+  const Assignment greedy = assigner.MinAppropriatenessAssignment();
+  std::vector<Assignment> out = {greedy, assigner.FirstAssignment()};
+  Rng rng(seed);
+  for (int k = 0; k < random; ++k) out.push_back(assigner.RandomAssignment(&rng));
+  for (size_t d = 0; d < assigner.decisions().size(); ++d) {
+    for (size_t o = 0; o < assigner.decisions()[d].options.size(); ++o) {
+      if (static_cast<int>(o) == greedy.picks[d]) continue;
+      Assignment next = greedy;
+      next.picks[d] = static_cast<int>(o);
+      out.push_back(std::move(next));
+    }
+  }
+  return out;
+}
+
+TEST(Assigner, SlotPricedMEqualsLayoutM) {
+  // WidgetAssigner::LayoutM prices M(.) from the picks, without a layout:
+  // it must equal CostModel::LayoutM of the filled layout bit for bit (the
+  // same terms, summed in the same order), and be +infinity exactly when
+  // Fill fails.
+  const EvalOptions opts = GeneratorOptions().MakeEvalOptions();
+  const CostModel model(opts.constants, opts.screen, opts.parse_limit);
+  FlatLayout layout;
+  size_t compared = 0;
+  size_t failed = 0;
+  LayoutShapes shapes;
+  size_t opt_groups = 0;
+  auto check = [&](const WidgetAssigner& assigner, const Assignment& a,
+                   const std::string& where) {
+    const double m = assigner.LayoutM(a);
+    if (!assigner.Fill(a, &layout).ok()) {
+      ++failed;
+      EXPECT_EQ(m, kInf) << where;
+      return;
+    }
+    ++compared;
+    EXPECT_EQ(m, model.LayoutM(layout)) << where;
+    CountShapes(layout, layout.root, &shapes);
+  };
+  for (const char* workload : {"sdss", "flights", "synthetic"}) {
+    const std::vector<Ast> queries = *ParseQueries(LoadWorkload(workload, 10)->log);
+    std::vector<DiffTree> states = RolloutStates(queries, 41, 40, 0.8);
+    for (DiffTree& s : RolloutStates(queries, 43, 40, 0.0)) states.push_back(std::move(s));
+    DeltaCostCache delta;
+    for (size_t i = 0; i < states.size(); ++i) {
+      const DiffTree& sealed = states[i];
+      SealCheckingNormal(sealed);
+      const DiffTree copy = DeepCopy(sealed);
+      for (const DiffTree* s : {&sealed, &copy}) {
+        const std::string where = std::string(workload) + " state " + std::to_string(i) +
+                                  (s == &copy ? " (copy)" : " (sealed)");
+        const WidgetAssigner assigner(*s, opts.constants, &delta);
+        for (const DecisionPoint& d : assigner.decisions()) {
+          opt_groups += d.type == DecisionType::kContainerLayout &&
+                        d.node->kind == DKind::kOpt;
+        }
+        for (const Assignment& a : PinAssignments(assigner, HashCombine(41, i), 8)) {
+          check(assigner, a, where);
+        }
+        Assignment longer = assigner.FirstAssignment();
+        longer.picks.push_back(0);
+        check(assigner, longer, where + ", one pick too many");
+      }
+    }
+  }
+  EXPECT_GT(compared, 10000u);
+  EXPECT_GT(shapes.range_sliders, 0u);
+  EXPECT_GT(shapes.tabs, 0u);
+  EXPECT_GT(shapes.multi_rows, 0u);
+  EXPECT_GT(opt_groups, 0u);
+
+  // A hand-built BETWEEN under a WHERE, with its range slider and without.
+  const DiffTree between(
+      Symbol::kBetween, "",
+      {DiffTree::FromAst(Col("u")),
+       DiffTree::Any({DiffTree::FromAst(Num(0)), DiffTree::FromAst(Num(5))}),
+       DiffTree::Any({DiffTree::FromAst(Num(15)), DiffTree::FromAst(Num(30))})});
+  const DiffTree where_between(Symbol::kWhere, "", {between});
+  const WidgetAssigner slider(where_between, opts.constants);
+  const size_t ranges_before = shapes.range_sliders;
+  for (const Assignment& a : PinAssignments(slider, 7, 8)) check(slider, a, "BETWEEN");
+  EXPECT_GT(shapes.range_sliders, ranges_before);
+  // An ANY over more alternatives with nested choices than tabs can hold
+  // has no valid widget: no assignment fills, so none has an M(.).
+  std::vector<DiffTree> alts;
+  for (int k = 0; k <= static_cast<int>(opts.constants.tabs_max_options); ++k) {
+    alts.push_back(DiffTree(Symbol::kWhere, "",
+                            {DiffTree::Opt(DiffTree::FromAst(Num(k)))}));
+  }
+  const WidgetAssigner unviable(DiffTree::Any(std::move(alts)), opts.constants);
+  ASSERT_FALSE(unviable.viable());
+  const size_t failed_before = failed;
+  check(unviable, unviable.FirstAssignment(), "non-viable ANY");
+  EXPECT_EQ(failed, failed_before + 1);
+}
+
 }  // namespace
 }  // namespace ifgen
