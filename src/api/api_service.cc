@@ -301,12 +301,12 @@ Result<SessionOpenResponse> ApiService::OpenSession(const SessionOpenRequest& re
       service_.OpenSession(*info.result, info.options.constants, &bundle->db, kind,
                            opts_.runtime));
 
+  // Nothing can step the runtime before the session is registered, so the
+  // snapshot, the version and the feed's cursor all stand at Create's result.
   SessionOpenResponse resp;
-  Table snapshot;
+  IFGEN_ASSIGN_OR_RETURN(Table snapshot, runtime->CurrentResult());
   SessionEntry entry;
   entry.runtime = runtime;
-  entry.feed_sub = runtime->Subscribe(&snapshot);
-  entry.event_sub = runtime->Subscribe();
   entry.workload = workload_name;
   entry.last_touch = Clock::now();
 
@@ -338,14 +338,10 @@ Result<SessionOpenResponse> ApiService::OpenSession(const SessionOpenRequest& re
 Result<StepResponse> ApiService::ApplyEvent(const std::string& session_id,
                                             const WidgetEventRequest& event) {
   std::shared_ptr<InteractiveRuntime> runtime;
-  InteractiveRuntime::SubscriberId event_sub = 0;
-  std::shared_ptr<std::mutex> step_mu;
   {
     std::lock_guard<std::mutex> lock(mu_);
     IFGEN_ASSIGN_OR_RETURN(SessionEntry * entry, TouchSessionLocked(session_id));
     runtime = entry->runtime;
-    event_sub = entry->event_sub;
-    step_mu = entry->step_mu;
   }
 
   // Bounds-check before narrowing: a wire int64 outside int range must be
@@ -372,28 +368,25 @@ Result<StepResponse> ApiService::ApplyEvent(const std::string& session_id,
                               " outside [0, " + std::to_string(kMaxCount) + "]");
   }
 
-  // Step + drain must be atomic per session: without the lock a concurrent
-  // event's drain lands between this step and its Poll, so one response
-  // carries both steps' diffs and the other an empty batch.
-  std::lock_guard<std::mutex> step_lock(*step_mu);
+  // The step fills `batch` with its own diff under the runtime's lock, so
+  // concurrent events on one session each get exactly their own step.
+  InteractiveRuntime::ChangeBatch batch;
   Result<InteractiveRuntime::StepReport> report = Status::OK();
   const int choice = static_cast<int>(event.choice_id);
   if (event.kind == "set_any") {
-    report = runtime->SetAnyChoice(choice, static_cast<int>(event.option_index));
+    report = runtime->SetAnyChoice(choice, static_cast<int>(event.option_index), &batch);
   } else if (event.kind == "set_opt") {
-    report = runtime->SetOptPresent(choice, event.present);
+    report = runtime->SetOptPresent(choice, event.present, &batch);
   } else if (event.kind == "set_multi") {
-    report = runtime->SetMultiCount(choice, static_cast<size_t>(event.count));
+    report = runtime->SetMultiCount(choice, static_cast<size_t>(event.count), &batch);
   } else if (event.kind == "load_query") {
     IFGEN_ASSIGN_OR_RETURN(Ast query, ParseQuery(event.sql));
-    report = runtime->LoadQuery(query);
+    report = runtime->LoadQuery(query, &batch);
   } else {
     return Status::Invalid("unknown event kind '" + event.kind + "'");
   }
   if (!report.ok()) return report.status();
 
-  IFGEN_ASSIGN_OR_RETURN(InteractiveRuntime::ChangeBatch batch,
-                         runtime->Poll(event_sub));
   IFGEN_ASSIGN_OR_RETURN(std::string sql, runtime->CurrentSql());
 
   StepResponse resp;
@@ -408,21 +401,18 @@ Result<StepResponse> ApiService::ApplyEvent(const std::string& session_id,
 Result<ChangeBatchDto> ApiService::PollSession(const std::string& session_id,
                                                int64_t wait_ms) {
   std::shared_ptr<InteractiveRuntime> runtime;
-  InteractiveRuntime::SubscriberId feed_sub = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     IFGEN_ASSIGN_OR_RETURN(SessionEntry * entry, TouchSessionLocked(session_id));
     runtime = entry->runtime;
-    feed_sub = entry->feed_sub;
   }
-  IFGEN_ASSIGN_OR_RETURN(InteractiveRuntime::ChangeBatch batch,
-                         runtime->Poll(feed_sub));
+  InteractiveRuntime::ChangeBatch batch = runtime->PollFeed();
   if (wait_ms > 0 && batch.to_version == batch.from_version) {
     // Nothing pending: park on the runtime's version condvar (no busy
     // polling) and re-drain whatever the wait uncovered — possibly still
     // nothing, which is the long-poll timeout answer.
     runtime->WaitForVersionExceeding(batch.to_version, wait_ms);
-    IFGEN_ASSIGN_OR_RETURN(batch, runtime->Poll(feed_sub));
+    batch = runtime->PollFeed();
   }
   return ChangeBatchDto::FromBatch(batch);
 }

@@ -26,7 +26,8 @@ namespace api {
 ///  - a concurrency-safe session registry: OpenSession binds a finished
 ///    job's interface to a per-user InteractiveRuntime over the named
 ///    workload's store, with TTL + capacity eviction; ApplyEvent drives
-///    widgets; PollSession drains the session's feed subscriber;
+///    widgets and answers with its step's own batch; PollSession drains the
+///    session's one feed, shared by all of its pollers;
 ///  - catalog/introspection: the registered workloads and compiled-in
 ///    backends, plus service/backend/runtime counters.
 class ApiService : public ServiceFrontend {
@@ -83,10 +84,11 @@ class ApiService : public ServiceFrontend {
   Result<SessionOpenResponse> OpenSession(const SessionOpenRequest& req) override;
   Result<StepResponse> ApplyEvent(const std::string& session_id,
                                   const WidgetEventRequest& event) override;
-  /// Drains the session's feed subscriber (distinct from the per-event
-  /// batches in StepResponse, so a feed consumer sees every step exactly
-  /// once regardless of event traffic). `wait_ms` > 0 parks on the
-  /// runtime's version condvar until a step lands or the deadline.
+  /// Drains the session's feed (InteractiveRuntime::PollFeed; independent
+  /// of the per-event batches in StepResponse, so a feed consumer sees
+  /// every step exactly once regardless of event traffic). `wait_ms` > 0
+  /// parks on the runtime's version condvar until a step lands or the
+  /// deadline.
   Result<ChangeBatchDto> PollSession(const std::string& session_id,
                                      int64_t wait_ms = 0) override;
   Status CloseSession(const std::string& session_id) override;
@@ -107,15 +109,8 @@ class ApiService : public ServiceFrontend {
 
   struct SessionEntry {
     std::shared_ptr<InteractiveRuntime> runtime;
-    InteractiveRuntime::SubscriberId feed_sub = 0;
-    InteractiveRuntime::SubscriberId event_sub = 0;
     std::string workload;
     Clock::time_point last_touch;
-    /// Serializes step + event-subscriber drain per session (held outside
-    /// mu_): the runtime alone would serialize the steps but not the
-    /// drains, letting one StepResponse swallow another step's diffs.
-    /// shared_ptr so ApplyEvent can hold it across eviction.
-    std::shared_ptr<std::mutex> step_mu = std::make_shared<std::mutex>();
   };
 
   explicit ApiService(Options opts);

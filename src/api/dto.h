@@ -71,6 +71,12 @@ struct FieldSpec {
     f.lo = min;
     return f;
   }
+  /// int64 members: decoding rejects values above `max` as OutOfRange.
+  constexpr FieldSpec Max(int64_t max) const {
+    FieldSpec f = *this;
+    f.hi = max;
+    return f;
+  }
   constexpr FieldSpec BareArrayError() const {
     FieldSpec f = *this;
     f.bare_array_error = true;
@@ -531,8 +537,8 @@ struct ChangeBatchDto {
   bool operator==(const ChangeBatchDto& o) const;
 };
 
-/// \brief Response to a widget event: the step's report plus this event
-/// subscriber's diff batch since its previous event response.
+/// \brief Response to a widget event: the step's report plus its own diff
+/// batch, spanning exactly that step's versions.
 struct StepResponse {
   std::string session_id;
   std::string sql;

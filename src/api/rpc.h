@@ -91,6 +91,10 @@ struct RpcReply {
 // Request payloads for methods whose HTTP shape is path/query-encoded (the
 // body-carrying methods reuse their existing DTOs directly).
 
+/// Cap of a wire `wait_ms` (the `deadline_ms` cap): larger waits would
+/// overflow `std::chrono::milliseconds` arithmetic in the condvar waits.
+inline constexpr int64_t kMaxWaitMs = 10 * 60 * 1000;
+
 /// \brief Payload of job.get / job.cancel / job.trace / session.close /
 /// session.poll / session.table: just the target id (+ optional wait).
 struct IdRequest {
@@ -99,7 +103,7 @@ struct IdRequest {
 
   static constexpr auto Fields() {
     return std::make_tuple(wire::Field("id", &IdRequest::id).Required(),
-                           wire::Field("wait_ms", &IdRequest::wait_ms).Min(0));
+                           wire::Field("wait_ms", &IdRequest::wait_ms).Min(0).Max(kMaxWaitMs));
   }
   JsonValue ToJson() const;
   static Result<IdRequest> FromJson(const JsonValue& v);
@@ -116,7 +120,7 @@ struct ProgressRequest {
     using P = ProgressRequest;
     return std::make_tuple(wire::Field("job_id", &P::job_id).Required(),
                            wire::Field("last_seen_version", &P::last_seen_version).Min(0),
-                           wire::Field("wait_ms", &P::wait_ms).Min(0));
+                           wire::Field("wait_ms", &P::wait_ms).Min(0).Max(kMaxWaitMs));
   }
   JsonValue ToJson() const;
   static Result<ProgressRequest> FromJson(const JsonValue& v);

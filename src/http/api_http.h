@@ -52,7 +52,9 @@ class ApiHttpFrontend {
     }
 
     HttpServer::Options http = DefaultHttpOptions();
-    /// Long-poll cap: ?timeout_ms is clamped to this.
+    /// Long-poll cap: ?timeout_ms and ?wait_ms are clamped to this. Keep
+    /// it at or below api::kMaxWaitMs (api/rpc.h): a cluster router
+    /// forwards the wait to its workers, which reject larger ones.
     int64_t max_poll_ms = 30000;
     /// Per-iteration blocking wait of a feed loop (SSE and long-poll): the
     /// poll parks on the session's version condvar for up to one slice, so

@@ -153,15 +153,13 @@ void WidgetAssigner::Collect(const DiffTree& node, std::string_view inherited) {
     r.domain = lo_d;
     r.domain.num_hi = std::max(lo_d.num_hi, hi_d.num_hi);
     r.domain.num_lo = std::min(lo_d.num_lo, hi_d.num_lo);
-    Result<SizeClass> sc = size_model_.PickTemplate(WidgetKind::kRangeSlider, r.domain);
-    if (sc.ok()) {
-      WidgetSize sz = size_model_.SizeOf(WidgetKind::kRangeSlider, *sc, r.domain);
-      sz.width += static_cast<int>(std::min<size_t>(r.label.size(), 10));
-      r.tmpl = {*sc, sz};
-      r.m = AppropriatenessCost(constants_, WidgetKind::kRangeSlider, r.domain);
-    } else {
-      r.status = sc.status();
-    }
+    // A range slider always gets a size class: the large template caps it.
+    const SizeClass sc =
+        size_model_.PickTemplate(WidgetKind::kRangeSlider, r.domain).ValueOrDie();
+    WidgetSize sz = size_model_.SizeOf(WidgetKind::kRangeSlider, sc, r.domain);
+    sz.width += static_cast<int>(std::min<size_t>(r.label.size(), 10));
+    r.tmpl = {sc, sz};
+    r.m = AppropriatenessCost(constants_, WidgetKind::kRangeSlider, r.domain);
   }
 }
 
@@ -348,40 +346,39 @@ class WidgetAssigner::MSink {
 };
 
 template <class Sink>
-const Status* WidgetAssigner::Walk(int s, const Assignment& a, Sink* out,
-                                   typename Sink::List* list) const {
+void WidgetAssigner::Walk(int s, const Assignment& a, Sink* out,
+                          typename Sink::List* list) const {
   using Node = typename Sink::Node;
   using List = typename Sink::List;
   const NodeSlot& slot = slots_[static_cast<size_t>(s)];
   const DiffTree& node = *slot.node;
   switch (node.kind) {
     case DKind::kAll: {
-      if (node.sym == Symbol::kEmpty) return nullptr;
+      if (node.sym == Symbol::kEmpty) return;
       // BETWEEN composite: one range slider may cover both endpoints.
       if (slot.range >= 0) {
         const RangeSlider& r = ranges_[static_cast<size_t>(slot.range)];
         if (Pick(r.decision, a) == WidgetKind::kRangeSlider) {
-          if (!r.status.ok()) return &r.status;
           out->Append(list, out->Range(r));
-          return nullptr;
+          return;
         }
       }
       List widgets;
       for (int c = s + 1; c < slot.end; c = slots_[static_cast<size_t>(c)].end) {
         // A slot without children stands for a choice-free subtree.
         if (slots_[static_cast<size_t>(c)].end == c + 1) continue;
-        if (const Status* st = Walk(c, a, out, &widgets)) return st;
+        Walk(c, a, out, &widgets);
       }
-      if (widgets.count == 0) return nullptr;
+      if (widgets.count == 0) return;
       if (widgets.count == 1) {
         out->Append(list, out->Only(&widgets));
-        return nullptr;
+        return;
       }
       Node g = out->Layout(slot.container >= 0 ? Pick(slot.container, a) : WidgetKind::kVertical,
                            slot.context);
       out->Adopt(&g, &widgets);
       out->Append(list, g);
-      return nullptr;
+      return;
     }
     case DKind::kAny: {
       const DecisionPoint& d = decisions_[static_cast<size_t>(slot.choice)];
@@ -392,7 +389,7 @@ const Status* WidgetAssigner::Walk(int s, const Assignment& a, Sink* out,
         size_t alt = 0;
         for (int c = s + 1; c < slot.end; c = slots_[static_cast<size_t>(c)].end, ++alt) {
           List alt_widgets;
-          if (const Status* st = Walk(c, a, out, &alt_widgets)) return st;
+          Walk(c, a, out, &alt_widgets);
           const std::string_view label = d.terms->domain.labels[alt];
           Node panel;
           if (alt_widgets.count == 1) {
@@ -407,28 +404,28 @@ const Status* WidgetAssigner::Walk(int s, const Assignment& a, Sink* out,
         out->Adopt(&w, &panels);
       }
       out->Append(list, w);
-      return nullptr;
+      return;
     }
     case DKind::kOpt: {
       // Toggle + dependent widgets form a group (paper Fig. 3b: the toggle
       // and the StrExpr dropdown are organized together).
       List group_widgets;
       out->Append(&group_widgets, out->Choice(slot, a, slot.toggle_label));
-      if (const Status* st = Walk(s + 1, a, out, &group_widgets)) return st;
+      Walk(s + 1, a, out, &group_widgets);
       if (group_widgets.count == 1) {
         out->Append(list, out->Only(&group_widgets));
-        return nullptr;
+        return;
       }
       Node g = out->Layout(
           slot.container >= 0 ? Pick(slot.container, a) : WidgetKind::kHorizontal, slot.context);
       out->Adopt(&g, &group_widgets);
       out->Append(list, g);
-      return nullptr;
+      return;
     }
     case DKind::kMulti: {
       Node adder = out->Choice(slot, a, slot.context);
       List inner;
-      if (const Status* st = Walk(s + 1, a, out, &inner)) return st;
+      Walk(s + 1, a, out, &inner);
       if (inner.count > 1) {
         Node row = out->Layout(WidgetKind::kHorizontal, {});
         out->Adopt(&row, &inner);
@@ -437,17 +434,16 @@ const Status* WidgetAssigner::Walk(int s, const Assignment& a, Sink* out,
       }
       out->Adopt(&adder, &inner);
       out->Append(list, adder);
-      return nullptr;
+      return;
     }
   }
-  return nullptr;
 }
 
 template <class Sink>
-const Status* WidgetAssigner::WalkRoot(const Assignment& a, Sink* out,
-                                       typename Sink::Node* root) const {
+void WidgetAssigner::WalkRoot(const Assignment& a, Sink* out,
+                              typename Sink::Node* root) const {
   typename Sink::List widgets;
-  if (const Status* st = Walk(0, a, out, &widgets)) return st;
+  Walk(0, a, out, &widgets);
   if (widgets.count == 0) {
     *root = out->QueryLabel();
   } else if (widgets.count == 1) {
@@ -456,7 +452,6 @@ const Status* WidgetAssigner::WalkRoot(const Assignment& a, Sink* out,
     *root = out->Layout(WidgetKind::kVertical, {});
     out->Adopt(root, &widgets);
   }
-  return nullptr;
 }
 
 Status WidgetAssigner::CheckAssignment(const Assignment& a) const {
@@ -473,8 +468,8 @@ Status WidgetAssigner::Fill(const Assignment& a, FlatLayout* out) const {
   IFGEN_RETURN_NOT_OK(CheckAssignment(a));
   out->Reset(static_cast<size_t>(num_choices_));
   LayoutSink sink(*this, out);
-  const Status* failed = WalkRoot(a, &sink, &out->root);
-  return failed != nullptr ? *failed : Status::OK();
+  WalkRoot(a, &sink, &out->root);
+  return Status::OK();
 }
 
 double WidgetAssigner::LayoutM(const Assignment& a) const {
@@ -485,7 +480,7 @@ double WidgetAssigner::LayoutM(const Assignment& a) const {
   sums.clear();
   MSink sink(*this, &sums);
   MSink::Node root;
-  if (WalkRoot(a, &sink, &root) != nullptr) return kInf;
+  WalkRoot(a, &sink, &root);
   return root.m;
 }
 

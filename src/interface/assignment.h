@@ -129,9 +129,8 @@ class WidgetAssigner {
     int hi_id = -1;
     std::string label;    ///< the rendered lhs expression
     WidgetDomain domain;  ///< lo's domain with the merged numeric extent
-    Status status;        ///< the size model's verdict on the template
     WidgetTemplate tmpl;  ///< size includes the label allowance
-    double m = 0.0;       ///< its M(.), when the template fits
+    double m = 0.0;       ///< its M(.)
   };
   /// Where a slot walk puts what it emits: widgets into a FlatLayout (Fill)
   /// or their M(.) sums (LayoutM).
@@ -141,15 +140,12 @@ class WidgetAssigner {
   void Collect(const DiffTree& node, std::string_view inherited);
   Status CheckAssignment(const Assignment& a) const;
   /// The widget tree of a checked assignment `a`, emitted into `out`: the
-  /// root's node in `root`. Returns the size model's verdict that stops the
-  /// walk (a range slider that does not fit), or null.
+  /// root's node in `root`.
   template <class Sink>
-  const Status* WalkRoot(const Assignment& a, Sink* out, typename Sink::Node* root) const;
-  /// Emits the subtree at `slot` as at most one node appended to `list`;
-  /// returns as WalkRoot.
+  void WalkRoot(const Assignment& a, Sink* out, typename Sink::Node* root) const;
+  /// Emits the subtree at `slot` as at most one node appended to `list`.
   template <class Sink>
-  const Status* Walk(int slot, const Assignment& a, Sink* out,
-                     typename Sink::List* list) const;
+  void Walk(int slot, const Assignment& a, Sink* out, typename Sink::List* list) const;
   WidgetKind Pick(int decision, const Assignment& a) const;
 
   const CostConstants& constants_;

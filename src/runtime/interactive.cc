@@ -212,45 +212,47 @@ Result<std::unique_ptr<InteractiveRuntime>> InteractiveRuntime::Create(
       new InteractiveRuntime(std::move(session), std::move(backend), opts));
   {
     std::lock_guard<std::mutex> lock(rt->mu_);
-    IFGEN_RETURN_NOT_OK(rt->StepLocked({}).status());
+    IFGEN_RETURN_NOT_OK(rt->StepLocked({}, nullptr).status());
     // The initial execution primes prev state and version 1; counters track
-    // *interactions*, so they restart at zero.
+    // *interactions*, so they restart at zero. The feed starts here.
     rt->counters_ = Counters{};
+    rt->feed_version_ = rt->version_;
+    rt->feed_snapshot_ = rt->prev_result_->served;
   }
   return rt;
 }
 
 Result<InteractiveRuntime::StepReport> InteractiveRuntime::LoadQuery(
-    const Ast& query) {
+    const Ast& query, ChangeBatch* batch) {
   std::lock_guard<std::mutex> lock(mu_);
   IFGEN_ASSIGN_OR_RETURN(InterfaceSession::StepReport effort,
                          session_->LoadQuery(query));
-  return StepLocked(effort);
+  return StepLocked(effort, batch);
 }
 
 Result<InteractiveRuntime::StepReport> InteractiveRuntime::SetAnyChoice(
-    int choice_id, int option_index) {
+    int choice_id, int option_index, ChangeBatch* batch) {
   std::lock_guard<std::mutex> lock(mu_);
   IFGEN_RETURN_NOT_OK(session_->SetAnyChoice(choice_id, option_index));
-  return StepLocked(session_->PriceChange({choice_id}));
+  return StepLocked(session_->PriceChange({choice_id}), batch);
 }
 
 Result<InteractiveRuntime::StepReport> InteractiveRuntime::SetOptPresent(
-    int choice_id, bool present) {
+    int choice_id, bool present, ChangeBatch* batch) {
   std::lock_guard<std::mutex> lock(mu_);
   IFGEN_RETURN_NOT_OK(session_->SetOptPresent(choice_id, present));
-  return StepLocked(session_->PriceChange({choice_id}));
+  return StepLocked(session_->PriceChange({choice_id}), batch);
 }
 
 Result<InteractiveRuntime::StepReport> InteractiveRuntime::SetMultiCount(
-    int choice_id, size_t count) {
+    int choice_id, size_t count, ChangeBatch* batch) {
   std::lock_guard<std::mutex> lock(mu_);
   IFGEN_RETURN_NOT_OK(session_->SetMultiCount(choice_id, count));
-  return StepLocked(session_->PriceChange({choice_id}));
+  return StepLocked(session_->PriceChange({choice_id}), batch);
 }
 
 Result<InteractiveRuntime::StepReport> InteractiveRuntime::StepLocked(
-    const InterfaceSession::StepReport& effort) {
+    const InterfaceSession::StepReport& effort, ChangeBatch* batch) {
   obs::TraceSpan span("runtime.step", "runtime");
   Stopwatch step_watch;
   // Create()'s priming execution (version_ 0) resets the per-instance
@@ -339,17 +341,18 @@ Result<InteractiveRuntime::StepReport> InteractiveRuntime::StepLocked(
     bump_path("full_exec");
   }
 
-  // Row-level delta against the previous served result (also feeds the
-  // change-feed semantics tests). Pointer-equal results (noops, immediate
+  // Row-level delta against the previous served result: the report counts
+  // it and `batch` receives it. Pointer-equal results (noops, immediate
   // memo revisits) are identical by construction — skip the O(rows) diff.
   std::vector<size_t> key_cols =
       same_shape ? prev_group_key_cols_ : GroupKeyCols(pq.shape);
+  std::vector<RowChange> changes;
   report.rows = out->served->num_rows();
   if (prev_result_ == nullptr) {
     report.rows_added = out->served->num_rows();
   } else if (out->served != prev_result_->served) {
-    for (const RowChange& c :
-         DiffTables(*prev_result_->served, *out->served, key_cols)) {
+    changes = DiffTables(*prev_result_->served, *out->served, key_cols);
+    for (const RowChange& c : changes) {
       switch (c.kind) {
         case RowChange::Kind::kAdd:
           ++report.rows_added;
@@ -380,6 +383,12 @@ Result<InteractiveRuntime::StepReport> InteractiveRuntime::StepLocked(
     StepLatencyMetric().Observe(static_cast<double>(step_watch.ElapsedMicros()));
   }
   last_report_ = report;
+  if (batch != nullptr) {
+    batch->from_version = version_ - 1;
+    batch->to_version = version_;
+    batch->changes = std::move(changes);
+    batch->last_step = report;
+  }
   return report;
 }
 
@@ -487,49 +496,18 @@ InteractiveRuntime::Counters InteractiveRuntime::counters() const {
   return counters_;
 }
 
-InteractiveRuntime::SubscriberId InteractiveRuntime::Subscribe() {
-  return Subscribe(nullptr);
-}
-
-InteractiveRuntime::SubscriberId InteractiveRuntime::Subscribe(
-    Table* initial_snapshot) {
+InteractiveRuntime::ChangeBatch InteractiveRuntime::PollFeed() {
   std::lock_guard<std::mutex> lock(mu_);
-  SubscriberId id = next_subscriber_++;
-  Subscriber& sub = subscribers_[id];
-  sub.version = version_;
-  if (prev_result_ != nullptr) sub.snapshot = prev_result_->served;  // shared
-  if (initial_snapshot != nullptr && sub.snapshot != nullptr) {
-    *initial_snapshot = *sub.snapshot;
-  }
-  return id;
-}
-
-Status InteractiveRuntime::Unsubscribe(SubscriberId id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return subscribers_.erase(id) > 0
-             ? Status::OK()
-             : Status::NotFound("no such subscriber: " + std::to_string(id));
-}
-
-Result<InteractiveRuntime::ChangeBatch> InteractiveRuntime::Poll(SubscriberId id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = subscribers_.find(id);
-  if (it == subscribers_.end()) {
-    return Status::NotFound("no such subscriber: " + std::to_string(id));
-  }
-  Subscriber& sub = it->second;
   ChangeBatch batch;
-  batch.from_version = sub.version;
+  batch.from_version = feed_version_;
   batch.to_version = version_;
   batch.last_step = last_report_;
-  if (sub.version != version_ && prev_result_ != nullptr) {
-    if (sub.snapshot != prev_result_->served) {  // pointer-equal => no diff
-      batch.changes = DiffTables(sub.snapshot == nullptr ? Table() : *sub.snapshot,
-                                 *prev_result_->served, prev_group_key_cols_);
-    }
-    sub.snapshot = prev_result_->served;
-    sub.version = version_;
+  if (feed_snapshot_ != prev_result_->served) {  // pointer-equal => no diff
+    batch.changes =
+        DiffTables(*feed_snapshot_, *prev_result_->served, prev_group_key_cols_);
+    feed_snapshot_ = prev_result_->served;
   }
+  feed_version_ = version_;
   return batch;
 }
 

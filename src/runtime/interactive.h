@@ -2,7 +2,6 @@
 
 #include <condition_variable>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -41,9 +40,14 @@ namespace ifgen {
 /// differentially by tests/interactive_test.cc on randomized walks across
 /// all backends. Backends whose plans are not delta-capable (reference,
 /// SQLite) still get the noop/memo paths; everything else falls back to
-/// full execution. All public methods are serialized by an internal mutex
-/// so a future HTTP front-end can poll the change feed concurrently with
-/// interactions.
+/// full execution.
+///
+/// Each step diffs the new result against the previous one exactly once;
+/// an interaction that passes a `ChangeBatch*` receives that diff as its
+/// own batch. The runtime also keeps one change feed, a cursor drained by
+/// `PollFeed` and shared by all of its pollers. All public methods are
+/// serialized by an internal mutex, so the feed may be polled concurrently
+/// with interactions, and a step and its batch are one atomic unit.
 /// \brief Tuning knobs of an InteractiveRuntime (namespace-scope so it can
 /// serve as an in-class default argument).
 struct InteractiveOptions {
@@ -80,17 +84,25 @@ class InteractiveRuntime {
     double total_cost() const { return interaction_cost + navigation_cost; }
   };
 
+  struct ChangeBatch;
+
   // ------------------------------------------------------------------
   // Interactions (each executes/maintains the result and bumps version).
+  // A non-null `batch` receives the step's own diff: from the version
+  // before the step to the one after, with `last_step` the returned report.
+  // It is left untouched when the step fails.
 
   /// Moves the widgets to express `query` (min-change transition), then
   /// maintains the result.
-  Result<StepReport> LoadQuery(const Ast& query);
+  Result<StepReport> LoadQuery(const Ast& query, ChangeBatch* batch = nullptr);
 
   /// Widget manipulation by choice id — the w(q, u) -> q' interface.
-  Result<StepReport> SetAnyChoice(int choice_id, int option_index);
-  Result<StepReport> SetOptPresent(int choice_id, bool present);
-  Result<StepReport> SetMultiCount(int choice_id, size_t count);
+  Result<StepReport> SetAnyChoice(int choice_id, int option_index,
+                                  ChangeBatch* batch = nullptr);
+  Result<StepReport> SetOptPresent(int choice_id, bool present,
+                                   ChangeBatch* batch = nullptr);
+  Result<StepReport> SetMultiCount(int choice_id, size_t count,
+                                   ChangeBatch* batch = nullptr);
 
   // ------------------------------------------------------------------
   // State.
@@ -118,9 +130,7 @@ class InteractiveRuntime {
   // ------------------------------------------------------------------
   // Change feed.
 
-  using SubscriberId = uint64_t;
-
-  /// \brief One row-level change. Applying a batch to the subscriber's last
+  /// \brief One row-level change. Applying a batch to the receiver's last
   /// table — remove one row equal to `row` per kRemove, append `row` per
   /// kAdd, and per kUpdate remove one row equal to `old_row` then append
   /// `row` — reproduces the current result as a multiset (row order is not
@@ -132,9 +142,9 @@ class InteractiveRuntime {
     std::vector<Value> old_row;  ///< kUpdate only: the replaced row
   };
 
-  /// \brief Everything a Poll delivers: the diff from the subscriber's last
-  /// delivered version to the current one, plus the report of the step that
-  /// produced the current version.
+  /// \brief The diff from `from_version`'s result to `to_version`'s, plus
+  /// the report of the step that produced `to_version`. A step's batch
+  /// spans that one step; a feed poll spans every step since the last poll.
   struct ChangeBatch {
     uint64_t from_version = 0;
     uint64_t to_version = 0;
@@ -142,20 +152,12 @@ class InteractiveRuntime {
     StepReport last_step;
   };
 
-  /// Registers a subscriber positioned at the current version (the first
-  /// Poll only reports changes made after Subscribe). The overload with
-  /// `initial_snapshot` atomically copies the current result under the same
-  /// lock — use it when interactions run concurrently, otherwise a step
-  /// between Subscribe and CurrentResult desynchronizes the caller's base
-  /// table from the first Poll's diff.
-  SubscriberId Subscribe();
-  SubscriberId Subscribe(Table* initial_snapshot);
-  Status Unsubscribe(SubscriberId id);
-
-  /// Returns the changes since the subscriber's last Poll (empty `changes`
-  /// with from_version == to_version when nothing happened) and advances
-  /// the subscriber to the current version.
-  Result<ChangeBatch> Poll(SubscriberId id);
+  /// Drains the feed: the changes since the previous PollFeed (the first
+  /// poll starts from Create's result, version 1), with empty `changes` and
+  /// from_version == to_version when nothing happened. The feed is one
+  /// cursor, so concurrent pollers split the steps between them: each span
+  /// is delivered to exactly one poller.
+  ChangeBatch PollFeed();
 
   // ------------------------------------------------------------------
   // Introspection.
@@ -173,7 +175,7 @@ class InteractiveRuntime {
 
  private:
   /// One retained execution, shared immutably between the runtime's prev
-  /// state, the memo, and subscriber snapshots. `served` aliases `full`
+  /// state, the memo, and the feed's snapshot. `served` aliases `full`
   /// whenever the limit does not actually cut rows, so the common no-limit
   /// case never copies the result table.
   struct CachedResult {
@@ -199,7 +201,8 @@ class InteractiveRuntime {
   /// feed, and the retained delta state — stays at the last *executed*
   /// step, while the session's widget state (CurrentSql) has already
   /// advanced; the next successful step re-synchronizes them.
-  Result<StepReport> StepLocked(const InterfaceSession::StepReport& effort);
+  Result<StepReport> StepLocked(const InterfaceSession::StepReport& effort,
+                                ChangeBatch* batch);
 
   static CachedResultPtr MakeCached(DeltaResult dr);
   /// The single owner of the served-aliases-full invariant: `served` copies
@@ -232,14 +235,10 @@ class InteractiveRuntime {
       std::string, std::list<std::pair<std::string, CachedResultPtr>>::iterator>
       memo_;
 
-  // Change feed. Snapshots share the immutable result tables — a
-  // subscriber costs one shared_ptr, not a table copy.
-  struct Subscriber {
-    uint64_t version = 0;
-    std::shared_ptr<const Table> snapshot;
-  };
-  std::map<SubscriberId, Subscriber> subscribers_;
-  SubscriberId next_subscriber_ = 1;
+  // The feed's cursor: the version and result it last delivered. The
+  // snapshot shares the immutable result table, it does not copy it.
+  uint64_t feed_version_ = 0;
+  std::shared_ptr<const Table> feed_snapshot_;
   uint64_t version_ = 0;
   StepReport last_report_;
 

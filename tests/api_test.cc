@@ -1025,7 +1025,7 @@ TEST(WirePin, IdRequest) {
           R"({"id":"j-7","wait_ms":250})");
   PinRejection<api::IdRequest>(
       R"({"id":"j","wait_ms":-1})", kRange,
-      "IdRequest: field 'wait_ms'=-1 outside [0, 9223372036854775807]");
+      "IdRequest: field 'wait_ms'=-1 outside [0, 600000]");
 }
 
 TEST(WirePin, ProgressRequest) {
@@ -1035,6 +1035,25 @@ TEST(WirePin, ProgressRequest) {
       R"({"job_id":"j","last_seen_version":-2})", kRange,
       "ProgressRequest: field 'last_seen_version'=-2 outside [0, "
       "9223372036854775807]");
+}
+
+TEST(Dto, RpcWaitIsBoundedAtTheDeadlineCap) {
+  // An unbounded wait_ms would overflow the chrono arithmetic of the
+  // workers' condvar waits; the decoders cap it at api::kMaxWaitMs.
+  for (const std::string wait : {"9223372036854775807", "600001", "600000"}) {
+    auto id = ParseJson(R"({"id":"j","wait_ms":)" + wait + "}");
+    auto progress = ParseJson(R"({"job_id":"j","wait_ms":)" + wait + "}");
+    ASSERT_TRUE(id.ok() && progress.ok()) << wait;
+    std::vector<Status> decoded = {api::IdRequest::FromJson(*id).status(),
+                                   api::ProgressRequest::FromJson(*progress).status()};
+    for (const Status& s : decoded) {
+      if (wait == "600000") {
+        EXPECT_TRUE(s.ok()) << s.ToString();
+      } else {
+        EXPECT_EQ(s.code(), kRange) << wait << ": " << s.ToString();
+      }
+    }
+  }
 }
 
 TEST(WirePin, SessionEventRequest) {
@@ -1885,7 +1904,7 @@ TEST(ApiService, ConcurrentSessionsAndPollers) {
 }
 
 TEST(ApiService, ConcurrentEventsOnOneSessionGetAtomicBatches) {
-  // Step + event-subscriber drain are atomic per session: each successful
+  // A step and its batch are atomic per session: each successful
   // StepResponse.batch must cover exactly its own step's version range, so
   // the ranges collected across threads tile [initial, final] without
   // overlap (a racy drain yields one batch spanning two steps and another

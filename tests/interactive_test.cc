@@ -5,7 +5,9 @@
 // applied to the old table reproduce the new one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -129,18 +131,18 @@ std::vector<WalkAction> MakeWalk(const DiffTree& tree, size_t num_queries,
   return walk;
 }
 
-Result<InteractiveRuntime::StepReport> ApplyAction(InteractiveRuntime* rt,
-                                                   const std::vector<Ast>& queries,
-                                                   const WalkAction& a) {
+Result<InteractiveRuntime::StepReport> ApplyAction(
+    InteractiveRuntime* rt, const std::vector<Ast>& queries, const WalkAction& a,
+    InteractiveRuntime::ChangeBatch* batch = nullptr) {
   switch (a.kind) {
     case WalkAction::Kind::kAny:
-      return rt->SetAnyChoice(a.choice_id, a.arg);
+      return rt->SetAnyChoice(a.choice_id, a.arg, batch);
     case WalkAction::Kind::kOpt:
-      return rt->SetOptPresent(a.choice_id, a.arg != 0);
+      return rt->SetOptPresent(a.choice_id, a.arg != 0, batch);
     case WalkAction::Kind::kMulti:
-      return rt->SetMultiCount(a.choice_id, static_cast<size_t>(a.arg));
+      return rt->SetMultiCount(a.choice_id, static_cast<size_t>(a.arg), batch);
     case WalkAction::Kind::kLoad:
-      return rt->LoadQuery(queries[a.qidx]);
+      return rt->LoadQuery(queries[a.qidx], batch);
   }
   return Status::Invalid("bad action");
 }
@@ -467,7 +469,7 @@ std::vector<Value> TableRow(const Table& t, size_t r) {
   return row;
 }
 
-/// A schema-free multiset mirror of a subscriber's view.
+/// A schema-free multiset mirror of a feed consumer's view.
 struct Mirror {
   std::vector<std::vector<Value>> rows;
 
@@ -520,58 +522,163 @@ struct Mirror {
   }
 };
 
+::testing::AssertionResult RowsIdentical(const std::vector<Value>& a,
+                                         const std::vector<Value>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure() << "row width " << a.size() << " vs " << b.size();
+  }
+  for (size_t c = 0; c < a.size(); ++c) {
+    if (!CellsIdentical(a[c], b[c])) {
+      return ::testing::AssertionFailure() << "cell " << c << ": " << a[c].ToString()
+                                           << " vs " << b[c].ToString();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Field-by-field equality of two batches, step reports included.
+::testing::AssertionResult BatchesIdentical(const InteractiveRuntime::ChangeBatch& a,
+                                            const InteractiveRuntime::ChangeBatch& b) {
+  if (a.from_version != b.from_version || a.to_version != b.to_version) {
+    return ::testing::AssertionFailure()
+           << "span [" << a.from_version << ", " << a.to_version << "] vs ["
+           << b.from_version << ", " << b.to_version << "]";
+  }
+  const InteractiveRuntime::StepReport& x = a.last_step;
+  const InteractiveRuntime::StepReport& y = b.last_step;
+  if (x.transition != y.transition || x.incremental != y.incremental ||
+      x.from_cache != y.from_cache || x.widgets_changed != y.widgets_changed ||
+      x.interaction_cost != y.interaction_cost || x.navigation_cost != y.navigation_cost ||
+      x.rows != y.rows || x.rows_added != y.rows_added || x.rows_removed != y.rows_removed ||
+      x.rows_updated != y.rows_updated) {
+    return ::testing::AssertionFailure() << "last_step differs";
+  }
+  if (a.changes.size() != b.changes.size()) {
+    return ::testing::AssertionFailure()
+           << a.changes.size() << " changes vs " << b.changes.size();
+  }
+  for (size_t i = 0; i < a.changes.size(); ++i) {
+    const auto& c = a.changes[i];
+    const auto& d = b.changes[i];
+    if (c.kind != d.kind) return ::testing::AssertionFailure() << "change " << i << " kind";
+    auto row = RowsIdentical(c.row, d.row);
+    if (!row) return row << " (change " << i << " row)";
+    auto old_row = RowsIdentical(c.old_row, d.old_row);
+    if (!old_row) return old_row << " (change " << i << " old_row)";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+Mirror MirrorOf(const Table& t) {
+  Mirror mirror;
+  for (size_t r = 0; r < t.num_rows(); ++r) mirror.rows.push_back(TableRow(t, r));
+  return mirror;
+}
+
+/// How a walk's diffs reach the mirror.
+enum class FeedInput : uint8_t {
+  kFeedEveryThirdStep,  ///< PollFeed after every third attempted step
+  kStepEqualsFeed,      ///< each step's batch == a feed drained right after it
+  kStepBatchesOnly,     ///< the mirror gets only the steps' batches
+};
+
+void WalkFeed(InteractiveRuntime* rt, const std::vector<Ast>& queries,
+              const std::vector<WalkAction>& walk, FeedInput input,
+              const std::string& context) {
+  auto initial = rt->CurrentResult();
+  ASSERT_TRUE(initial.ok()) << context;
+  Mirror mirror = MirrorOf(*initial);
+  size_t applied = 0;
+  uint64_t last_version = rt->version();
+  for (size_t i = 0; i < walk.size(); ++i) {
+    InteractiveRuntime::ChangeBatch step;
+    step.from_version = 7;  // a failed step must leave the batch untouched
+    const bool ok = ApplyAction(rt, queries, walk[i], &step).ok();
+    if (ok) ++applied;
+    switch (input) {
+      case FeedInput::kFeedEveryThirdStep: {
+        if (i % 3 != 2) continue;
+        InteractiveRuntime::ChangeBatch batch = rt->PollFeed();
+        EXPECT_EQ(batch.from_version, last_version) << context;  // resumes where it left off
+        EXPECT_LE(batch.from_version, batch.to_version) << context;
+        last_version = batch.to_version;
+        ASSERT_TRUE(mirror.Apply(batch).ok()) << context;
+        break;
+      }
+      case FeedInput::kStepEqualsFeed: {
+        InteractiveRuntime::ChangeBatch feed = rt->PollFeed();
+        if (!ok) {
+          EXPECT_EQ(step.from_version, 7u) << context << " step " << i;
+          EXPECT_EQ(feed.from_version, feed.to_version) << context << " step " << i;
+          EXPECT_TRUE(feed.changes.empty()) << context << " step " << i;
+          continue;
+        }
+        EXPECT_EQ(step.from_version + 1, step.to_version) << context;
+        EXPECT_TRUE(BatchesIdentical(step, feed)) << context << " step " << i;
+        ASSERT_TRUE(mirror.Apply(step).ok()) << context;
+        break;
+      }
+      case FeedInput::kStepBatchesOnly: {
+        if (!ok) continue;
+        EXPECT_EQ(step.from_version, last_version) << context;
+        last_version = step.to_version;
+        ASSERT_TRUE(mirror.Apply(step).ok()) << context << " step " << i;
+        break;
+      }
+    }
+    auto current = rt->CurrentResult();
+    ASSERT_TRUE(current.ok()) << context;
+    EXPECT_TRUE(mirror.Matches(*current)) << context << " after step " << i;
+  }
+  ASSERT_GT(applied, 50u) << context;
+  if (input != FeedInput::kFeedEveryThirdStep) return;
+  // Final drain: mirror converges exactly.
+  ASSERT_TRUE(mirror.Apply(rt->PollFeed()).ok()) << context;
+  auto current = rt->CurrentResult();
+  ASSERT_TRUE(current.ok()) << context;
+  EXPECT_TRUE(mirror.Matches(*current)) << context;
+}
+
 TEST(ChangeFeed, DiffsApplyCleanlyAcrossRandomWalk) {
   auto w = LoadWorkload("sdss", 200);
   ASSERT_TRUE(w.ok());
   GeneratedInterface iface = MakeInterface(w->log);
   auto queries = ParseQueries(w->log);
   ASSERT_TRUE(queries.ok());
-  auto backend = CreateBackend(BackendKind::kColumnar, &w->db);
-  ASSERT_TRUE(backend.ok());
-  auto rt = InteractiveRuntime::Create(iface, GeneratorOptions().constants,
-                                       std::shared_ptr<ExecutionBackend>(
-                                           std::move(*backend)));
-  ASSERT_TRUE(rt.ok());
-
-  auto sub = (*rt)->Subscribe();
-  Mirror mirror;
+  auto make_runtime = [&](BackendKind kind, bool enable_delta) {
+    auto backend = CreateBackend(kind, &w->db);
+    EXPECT_TRUE(backend.ok());
+    InteractiveRuntime::Options opts;
+    opts.enable_delta = enable_delta;
+    return InteractiveRuntime::Create(
+        iface, GeneratorOptions().constants,
+        std::shared_ptr<ExecutionBackend>(std::move(*backend)), opts);
+  };
   {
-    auto current = (*rt)->CurrentResult();
-    ASSERT_TRUE(current.ok());
-    for (size_t r = 0; r < current->num_rows(); ++r) {
-      mirror.rows.push_back(TableRow(*current, r));
+    auto rt = make_runtime(BackendKind::kColumnar, true);
+    ASSERT_TRUE(rt.ok());
+    Rng rng(777);
+    WalkFeed(rt->get(), *queries,
+             MakeWalk((*rt)->session().difftree(), queries->size(), &rng, 300),
+             FeedInput::kFeedEveryThirdStep, "feed every third step");
+  }
+  // A step's batch is the feed's diff for that one step, and the batches
+  // alone keep a mirror in step, on every backend with delta on and off.
+  for (FeedInput input : {FeedInput::kStepEqualsFeed, FeedInput::kStepBatchesOnly}) {
+    for (BackendKind kind : AvailableBackends()) {
+      for (bool enable_delta : {true, false}) {
+        std::string context =
+            std::string(input == FeedInput::kStepEqualsFeed ? "step == feed" : "step batches") +
+            "/" + std::string(BackendKindName(kind)) + (enable_delta ? "/delta" : "/full");
+        auto rt = make_runtime(kind, enable_delta);
+        ASSERT_TRUE(rt.ok()) << context << ": " << rt.status().ToString();
+        Rng rng(input == FeedInput::kStepEqualsFeed ? 778 : 779);
+        WalkFeed(rt->get(), *queries,
+                 MakeWalk((*rt)->session().difftree(), queries->size(), &rng, 300),
+                 input, context);
+      }
     }
   }
-
-  Rng rng(777);
-  std::vector<WalkAction> walk =
-      MakeWalk((*rt)->session().difftree(), queries->size(), &rng, 300);
-  size_t applied = 0;
-  uint64_t last_version = (*rt)->version();
-  for (size_t i = 0; i < walk.size(); ++i) {
-    auto r = ApplyAction(rt->get(), *queries, walk[i]);
-    if (r.ok()) ++applied;
-    if (i % 3 != 2) continue;
-    auto batch = (*rt)->Poll(sub);
-    ASSERT_TRUE(batch.ok());
-    EXPECT_EQ(batch->from_version, last_version);  // resumes where it left off
-    EXPECT_LE(batch->from_version, batch->to_version);
-    last_version = batch->to_version;
-    ASSERT_TRUE(mirror.Apply(*batch).ok());
-    auto current = (*rt)->CurrentResult();
-    ASSERT_TRUE(current.ok());
-    EXPECT_TRUE(mirror.Matches(*current)) << "after step " << i;
-  }
-  ASSERT_GT(applied, 50u);
-  // Final drain: mirror converges exactly.
-  auto batch = (*rt)->Poll(sub);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_TRUE(mirror.Apply(*batch).ok());
-  auto current = (*rt)->CurrentResult();
-  ASSERT_TRUE(current.ok());
-  EXPECT_TRUE(mirror.Matches(*current));
-  EXPECT_TRUE((*rt)->Unsubscribe(sub).ok());
-  EXPECT_FALSE((*rt)->Poll(sub).ok());
 }
 
 TEST(ChangeFeed, ConcurrentPollersConverge) {
@@ -588,46 +695,59 @@ TEST(ChangeFeed, ConcurrentPollersConverge) {
                                            std::move(*backend)));
   ASSERT_TRUE(rt.ok());
   InteractiveRuntime* runtime = rt->get();
+  auto initial = runtime->CurrentResult();
+  ASSERT_TRUE(initial.ok());
 
+  // Both pollers drain the one shared feed while the writer steps; each
+  // keeps the non-empty spans it received.
   std::atomic<bool> done{false};
-  std::atomic<size_t> poll_failures{0};
-  auto poller = [&] {
-    // The snapshot-returning Subscribe is atomic with the cursor position,
-    // so the mirror's base table matches the first Poll's from_version even
-    // while the writer thread is stepping.
-    Table base;
-    auto sub = runtime->Subscribe(&base);
-    Mirror mirror;
-    for (size_t r = 0; r < base.num_rows(); ++r) {
-      mirror.rows.push_back(TableRow(base, r));
-    }
+  std::vector<InteractiveRuntime::ChangeBatch> received[2];
+  auto poller = [&](std::vector<InteractiveRuntime::ChangeBatch>* out) {
+    auto drain = [&] {
+      InteractiveRuntime::ChangeBatch batch = runtime->PollFeed();
+      if (batch.from_version != batch.to_version) out->push_back(std::move(batch));
+    };
     while (!done.load()) {
-      auto batch = runtime->Poll(sub);
-      if (!batch.ok() || !mirror.Apply(*batch).ok()) {
-        poll_failures.fetch_add(1);
-        return;
-      }
+      drain();
       std::this_thread::yield();
     }
-    auto batch = runtime->Poll(sub);
-    if (!batch.ok() || !mirror.Apply(*batch).ok()) {
-      poll_failures.fetch_add(1);
-      return;
-    }
-    auto current = runtime->CurrentResult();
-    if (!current.ok() || !mirror.Matches(*current)) poll_failures.fetch_add(1);
+    drain();
   };
 
-  std::thread p1(poller);
-  std::thread p2(poller);
+  std::thread p1(poller, &received[0]);
+  std::thread p2(poller, &received[1]);
   for (int round = 0; round < 40; ++round) {
+    // The writer pauses after every other step: without pauses it holds the
+    // mutex nearly throughout and the pollers see one span; with them they
+    // see one- and two-step spans.
+    if (round % 2 == 1) std::this_thread::sleep_for(std::chrono::microseconds(200));
     (void)runtime->LoadQuery((*queries)[static_cast<size_t>(round) %
                                         queries->size()]);
   }
   done.store(true);
   p1.join();
   p2.join();
-  EXPECT_EQ(poll_failures.load(), 0u);
+
+  // The spans tile [1, final version] with no gap or overlap ...
+  std::vector<InteractiveRuntime::ChangeBatch> all = std::move(received[0]);
+  for (auto& b : received[1]) all.push_back(std::move(b));
+  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    return a.from_version < b.from_version;
+  });
+  ASSERT_FALSE(all.empty());
+  uint64_t next = 1;
+  for (const auto& b : all) {
+    EXPECT_EQ(b.from_version, next) << "span gap or overlap";
+    EXPECT_LT(b.from_version, b.to_version);
+    next = b.to_version;
+  }
+  EXPECT_EQ(next, runtime->version());
+  // ... and a mirror fed every batch in version order converges.
+  Mirror mirror = MirrorOf(*initial);
+  for (const auto& b : all) ASSERT_TRUE(mirror.Apply(b).ok());
+  auto current = runtime->CurrentResult();
+  ASSERT_TRUE(current.ok());
+  EXPECT_TRUE(mirror.Matches(*current));
 }
 
 // ---------------------------------------------------------------------------

@@ -122,6 +122,17 @@ TEST(SizeModel, PicksSmallestFittingTemplate) {
   EXPECT_EQ(*t, SizeClass::kSmall);
   WidgetDomain d7 = ExtractDomain(NumAny({1, 2, 3, 4, 5, 6, 7}));
   EXPECT_EQ(*sm.PickTemplate(WidgetKind::kRadio, d7), SizeClass::kLarge);
+  // A range slider always gets a size class, however odd its domain: the
+  // widget assigner relies on it (no BETWEEN makes a layout fail).
+  WidgetDomain empty;
+  WidgetDomain long_label;
+  long_label.labels = {std::string(1000, 'x')};
+  long_label.max_label_len = 1000;
+  for (const WidgetDomain& d : {empty, long_label}) {
+    auto range = sm.PickTemplate(WidgetKind::kRangeSlider, d);
+    ASSERT_TRUE(range.ok()) << range.status().ToString();
+    EXPECT_TRUE(sm.FittedSize(WidgetKind::kRangeSlider, d).ok());
+  }
 }
 
 TEST(SizeModel, RejectsOverCapacity) {
