@@ -1,7 +1,7 @@
 // Anytime behavior under deadline-aware time control: for each workload ×
 // searcher × deadline, run the search with TimeControlOptions::deadline_ms
-// and a ProgressSink attached, and report time-to-first-result plus the
-// cost reached at the deadline against a fixed-iteration baseline given the
+// and report time-to-first-result (the first best-so-far trace entry) plus
+// the cost reached at the deadline against a fixed-iteration baseline given the
 // same iteration count (what the deadline actually bought vs what those
 // iterations buy unrushed). Also prints the classic best-cost-vs-wall-clock
 // curve on Listing 1 (the paper runs MCTS "for around 1 minute").
@@ -16,7 +16,6 @@
 #include "core/interface_generator.h"
 #include "difftree/builder.h"
 #include "search/mcts.h"
-#include "search/progress.h"
 #include "search/timeman.h"
 #include "sql/parser.h"
 #include "util/json.h"
@@ -92,8 +91,6 @@ void DeadlineSweep() {
         opts.max_iterations = 0;  // the deadline is the only bound
         opts.seed = 3;
         opts.time_control.deadline_ms = deadline;
-        auto sink = std::make_shared<ProgressSink>();
-        opts.progress = sink;
 
         RuleEngine rules;
         EvalOptions eopts;
@@ -102,8 +99,8 @@ void DeadlineSweep() {
         auto r = RunSearch(kind, &rules, &eval, opts, initial);
         if (!r.ok()) continue;
 
-        auto events = sink->EventsAfter(0);
-        const int64_t ttfr_ms = events.empty() ? -1 : events.front().ms;
+        // Each published improvement is one trace entry.
+        const int64_t ttfr_ms = r->stats.trace.empty() ? -1 : r->stats.trace.front().ms;
 
         // Baseline: the same iteration count with no clock pressure — how
         // much (if anything) the deadline machinery costs in final quality.

@@ -76,7 +76,12 @@ ArmResult RunArm(const std::vector<std::string>& log, size_t iterations,
   spec.options.search.seed = 7;
 
   Stopwatch watch;
-  auto result = service.Submit(spec).get();
+  Result<GeneratedInterface> result = [&]() -> Result<GeneratedInterface> {
+    IFGEN_ASSIGN_OR_RETURN(GenerationService::JobId id, service.SubmitJob(spec));
+    IFGEN_ASSIGN_OR_RETURN(GenerationService::JobInfo info, service.WaitJob(id));
+    if (info.state != JobState::kDone) return info.error;
+    return *info.result;
+  }();
   out.ms = static_cast<double>(watch.ElapsedMicros()) / 1000.0;
   if (!result.ok()) {
     std::fprintf(stderr, "%s arm failed: %s\n", warm ? "warm" : "cold",

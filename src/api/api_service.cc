@@ -159,12 +159,10 @@ Result<GenerateAccepted> ApiService::SubmitGenerate(const GenerateRequest& req) 
 Result<JobStatusResponse> ApiService::GetJob(const std::string& job_id,
                                              int64_t wait_ms) {
   IFGEN_ASSIGN_OR_RETURN(GenerationService::JobId id, ParseJobId(job_id));
-  GenerationService::JobInfo info;
-  if (wait_ms > 0) {
-    IFGEN_ASSIGN_OR_RETURN(info, service_.WaitJob(id, wait_ms));
-  } else {
-    IFGEN_ASSIGN_OR_RETURN(info, service_.GetJob(id));
-  }
+  // wait_ms <= 0 answers at once; WaitJob would read a negative wait as
+  // "no deadline".
+  IFGEN_ASSIGN_OR_RETURN(GenerationService::JobInfo info,
+                         service_.WaitJob(id, std::max<int64_t>(0, wait_ms)));
   return BuildJobStatus(info);
 }
 
@@ -180,23 +178,23 @@ Result<JobProgressResponse> ApiService::GetJobProgress(const std::string& job_id
   IFGEN_ASSIGN_OR_RETURN(GenerationService::JobId id, ParseJobId(job_id));
   const uint64_t last_seen =
       last_seen_version > 0 ? static_cast<uint64_t>(last_seen_version) : 0;
-  IFGEN_ASSIGN_OR_RETURN(GenerationService::JobProgress p,
-                         service_.GetJobProgress(id, last_seen, wait_ms));
-  // The job's context is read from its record; a job evicted since the
-  // progress snapshot answers NotFound, as every evicted job does.
-  IFGEN_ASSIGN_OR_RETURN(GenerationService::JobInfo info, service_.GetJob(id));
+  // One snapshot per frame, mid-run or terminal.
+  IFGEN_ASSIGN_OR_RETURN(
+      GenerationService::JobInfo info,
+      service_.WaitJob(id, std::max<int64_t>(0, wait_ms), last_seen));
+  const ProgressSink::Event& p = info.progress;
   JobProgressResponse resp;
   resp.job_id = WireJobId(id);
-  resp.state = std::string(JobStateName(p.state));
+  resp.state = std::string(JobStateName(info.state));
   resp.version = static_cast<int64_t>(p.version);
-  resp.final_frame = p.terminal;
-  if (p.terminal) {
+  resp.final_frame = info.terminal();
+  if (resp.final_frame) {
     // Terminal frame: embed the finished (or cancelled-partial) result and
     // any failure — as in GetJob — so a stream consumer never needs a
     // follow-up GetJob to learn how the job ended.
     if (info.result != nullptr) resp.result.value = BuildGenerateResponse(info);
     if (!info.error.ok()) resp.result.error = ErrorBody::FromStatus(info.error);
-  } else if (p.version > 0 && p.best_tree != nullptr) {
+  } else if (p.tree != nullptr) {
     // Mid-run frame: the best-so-far difftree without the widget phase —
     // layout and the full cost decomposition only exist once search ends,
     // so the cost object carries just the scalar being minimized.
@@ -206,9 +204,9 @@ Result<JobProgressResponse> ApiService::GetJobProgress(const std::string& job_id
     g.algorithm = std::string(AlgorithmName(info.options.algorithm));
     g.backend = std::string(BackendKindName(info.options.backend));
     JsonValue cost = JsonValue::Object();
-    cost.Set("total", JsonValue::Double(p.best_cost));
+    cost.Set("total", JsonValue::Double(p.cost));
     g.cost = std::move(cost);
-    g.difftree = DiffTreeToJsonValue(*p.best_tree);
+    g.difftree = DiffTreeToJsonValue(*p.tree);
     g.stats.iterations = static_cast<int64_t>(p.iteration);
     g.stats.elapsed_ms = p.ms;
     resp.result.value = std::move(g);

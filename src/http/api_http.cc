@@ -7,6 +7,7 @@
 #include <cstring>
 #include <vector>
 
+#include "api/rpc.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/json.h"
@@ -20,6 +21,18 @@ namespace http {
 namespace {
 
 using api::ErrorBody;
+
+/// Long-poll cap: ?timeout_ms and ?wait_ms are clamped to this. A cluster
+/// router forwards the wait to its workers, which reject waits above
+/// api::kMaxWaitMs.
+constexpr int64_t kMaxPollMs = 30000;
+static_assert(kMaxPollMs <= api::kMaxWaitMs, "workers would reject the wait");
+
+/// Per-iteration condvar wait of a streaming loop (session feed SSE and
+/// long-poll, job /stream SSE): an idle stream wakes a couple of times per
+/// second, to notice a dead client socket and its deadline, instead of
+/// busy-polling.
+constexpr int64_t kWaitSliceMs = 500;
 
 obs::Gauge& HttpInFlightMetric() {
   static obs::Gauge* g = obs::MetricsRegistry::Default().GetGauge(
@@ -48,7 +61,7 @@ obs::CounterFamily& HttpResponsesFamily() {
 }
 obs::Counter& FeedWakeupsMetric() {
   // One increment per feed-loop iteration (SSE and long-poll). An idle
-  // stream should wake ~1000/feed_wait_slice_ms times per second, not
+  // stream should wake ~1000/kWaitSliceMs times per second, not
   // hundreds — the busy-poll regression guard in tests/http_test.cc.
   static obs::Counter* c = obs::MetricsRegistry::Default().GetCounter(
       "ifgen_http_feed_wakeups_total",
@@ -153,7 +166,7 @@ HttpResponse ApiHttpFrontend::Feed(const HttpRequest& req,
         // deadline, a step wakes it immediately.
         FeedWakeupsMetric().Inc();
         auto batch =
-            service_->PollSession(session_id, opts_.feed_wait_slice_ms);
+            service_->PollSession(session_id, kWaitSliceMs);
         if (!batch.ok()) {
           // Session gone (closed/expired): surface the error as a terminal
           // event so EventSource clients can stop reconnecting.
@@ -177,7 +190,7 @@ HttpResponse ApiHttpFrontend::Feed(const HttpRequest& req,
   // server Stop() is noticed within one slice — for the first new version.
   const int64_t timeout_ms =
       std::min<int64_t>(std::max<int64_t>(0, req.QueryInt("timeout_ms", 0)),
-                        opts_.max_poll_ms);
+                        kMaxPollMs);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   while (true) {
@@ -187,7 +200,7 @@ HttpResponse ApiHttpFrontend::Feed(const HttpRequest& req,
     FeedWakeupsMetric().Inc();
     auto batch = service_->PollSession(
         session_id,
-        std::max<int64_t>(0, std::min(left, opts_.feed_wait_slice_ms)));
+        std::max<int64_t>(0, std::min(left, kWaitSliceMs)));
     if (!batch.ok()) return ErrorResponse(batch.status());
     if (batch->to_version > batch->from_version ||
         std::chrono::steady_clock::now() >= deadline || server_.stopping()) {
@@ -211,8 +224,7 @@ HttpResponse ApiHttpFrontend::JobStream(const HttpRequest& req,
     while (stream->alive() && std::chrono::steady_clock::now() < deadline) {
       // The wait blocks on the job's progress condvar (no busy-poll); kept
       // short so a dead client socket is noticed within a wait interval.
-      auto progress = service_->GetJobProgress(job_id, last_seen,
-                                               opts_.sse_progress_wait_ms);
+      auto progress = service_->GetJobProgress(job_id, last_seen, kWaitSliceMs);
       if (!progress.ok()) {
         // Unknown/evicted job: terminal event so EventSource clients can
         // stop reconnecting.
@@ -348,7 +360,7 @@ HttpResponse ApiHttpFrontend::RouteInner(const HttpRequest& req) {
       // pin an HTTP worker (and overflow chrono at extreme values).
       const int64_t wait_ms =
           std::min<int64_t>(std::max<int64_t>(0, req.QueryInt("wait_ms", 0)),
-                            opts_.max_poll_ms);
+                            kMaxPollMs);
       auto status = service_->GetJob(job_id, wait_ms);
       if (!status.ok()) return ErrorResponse(status.status());
       return JsonResponse(200, status->ToJson());
@@ -363,7 +375,7 @@ HttpResponse ApiHttpFrontend::RouteInner(const HttpRequest& req) {
       // and ?wait_ms= long-polls until it is exceeded (clamped like GetJob).
       const int64_t wait_ms =
           std::min<int64_t>(std::max<int64_t>(0, req.QueryInt("wait_ms", 0)),
-                            opts_.max_poll_ms);
+                            kMaxPollMs);
       const int64_t version = std::max<int64_t>(0, req.QueryInt("version", 0));
       auto progress = service_->GetJobProgress(job_id, version, wait_ms);
       if (!progress.ok()) return ErrorResponse(progress.status());

@@ -52,20 +52,8 @@ class ApiHttpFrontend {
     }
 
     HttpServer::Options http = DefaultHttpOptions();
-    /// Long-poll cap: ?timeout_ms and ?wait_ms are clamped to this. Keep
-    /// it at or below api::kMaxWaitMs (api/rpc.h): a cluster router
-    /// forwards the wait to its workers, which reject larger ones.
-    int64_t max_poll_ms = 30000;
-    /// Per-iteration blocking wait of a feed loop (SSE and long-poll): the
-    /// poll parks on the session's version condvar for up to one slice, so
-    /// an idle stream wakes a couple of times per second — to notice a dead
-    /// client socket and the stream deadline — instead of busy-polling.
-    int64_t feed_wait_slice_ms = 500;
     /// SSE streams end (client reconnects) after this long.
     int64_t sse_max_duration_ms = 30000;
-    /// Per-iteration condvar wait of a job /stream SSE loop: long enough to
-    /// avoid busy-polling, short enough to notice a dead client socket.
-    int64_t sse_progress_wait_ms = 500;
     /// Optional path to a static HTML client served at "/".
     std::string client_html_path;
   };

@@ -383,6 +383,14 @@ Result<InteractiveRuntime::StepReport> InteractiveRuntime::StepLocked(
     StepLatencyMetric().Observe(static_cast<double>(step_watch.ElapsedMicros()));
   }
   last_report_ = report;
+  // A feed that was caught up before this step is now exactly this step
+  // behind, and its snapshot is the result this step diffed against, so
+  // its next poll can take this diff instead of recomputing it.
+  if (feed_version_ == version_ - 1) {
+    feed_changes_ = batch != nullptr ? changes : std::move(changes);
+  } else {
+    feed_changes_.clear();
+  }
   if (batch != nullptr) {
     batch->from_version = version_ - 1;
     batch->to_version = version_;
@@ -503,10 +511,13 @@ InteractiveRuntime::ChangeBatch InteractiveRuntime::PollFeed() {
   batch.to_version = version_;
   batch.last_step = last_report_;
   if (feed_snapshot_ != prev_result_->served) {  // pointer-equal => no diff
-    batch.changes =
-        DiffTables(*feed_snapshot_, *prev_result_->served, prev_group_key_cols_);
+    batch.changes = version_ == feed_version_ + 1
+                        ? std::move(feed_changes_)
+                        : DiffTables(*feed_snapshot_, *prev_result_->served,
+                                     prev_group_key_cols_);
     feed_snapshot_ = prev_result_->served;
   }
+  feed_changes_.clear();
   feed_version_ = version_;
   return batch;
 }

@@ -239,6 +239,8 @@ class InteractiveRuntime {
   // snapshot shares the immutable result table, it does not copy it.
   uint64_t feed_version_ = 0;
   std::shared_ptr<const Table> feed_snapshot_;
+  /// The last step's diff, kept while the feed is exactly that step behind.
+  std::vector<RowChange> feed_changes_;
   uint64_t version_ = 0;
   StepReport last_report_;
 

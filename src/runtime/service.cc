@@ -155,10 +155,6 @@ std::vector<std::string> CanonicalSqls(const std::vector<std::string>& sqls) {
   return canonical;
 }
 
-bool Terminal(JobState s) {
-  return s == JobState::kDone || s == JobState::kFailed || s == JobState::kCancelled;
-}
-
 int64_t MsBetween(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(b - a).count();
@@ -238,11 +234,6 @@ Result<std::shared_ptr<ExecutionBackend>> GenerationService::BackendFor(
   return it->second;
 }
 
-size_t GenerationService::backends_created() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return backends_.size();
-}
-
 std::vector<GenerationService::BackendStatEntry> GenerationService::backend_stats()
     const {
   std::vector<BackendStatEntry> out;
@@ -266,11 +257,6 @@ Result<std::shared_ptr<InteractiveRuntime>> GenerationService::OpenSession(
   ++sessions_opened_;
   ServiceMetrics::Get().sessions_opened->Inc();
   return std::shared_ptr<InteractiveRuntime>(std::move(runtime));
-}
-
-size_t GenerationService::sessions_opened() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sessions_opened_;
 }
 
 GenerationService::GenerationService() : GenerationService(Options()) {}
@@ -334,34 +320,31 @@ GenerationService::JobInfo GenerationService::SnapshotLocked(
   info.trace = rec.trace;
   info.options = rec.options;
   info.workload = rec.workload;
+  info.progress = rec.progress->Latest();
   return info;
 }
 
-std::function<void(Result<GeneratedInterface>)> GenerationService::FinishLocked(
-    JobId id, JobRecord* rec, JobState state,
-    std::shared_ptr<const GeneratedInterface> result, Status error) {
+void GenerationService::FinishLocked(JobId id, JobRecord* rec, JobState state,
+                                     std::shared_ptr<const GeneratedInterface> result,
+                                     Status error) {
   rec->state = state;
   rec->result = std::move(result);
   rec->error = std::move(error);
   rec->finished = Clock::now();
   if (rec->started == Clock::time_point()) rec->started = rec->finished;
-  // Terminal => the progress stream is complete; wake its long-pollers.
-  if (rec->progress != nullptr) rec->progress->Close();
   finished_order_.push_back(id);
   while (finished_order_.size() > job_history_capacity_) {
     jobs_.erase(finished_order_.front());
     finished_order_.pop_front();
     ServiceMetrics::Get().jobs_evicted->Inc();
   }
-  auto cb = std::move(rec->on_done);
-  rec->on_done = nullptr;
-  jobs_cv_.notify_all();
-  return cb;
+  // Terminal => the progress stream is complete: wakes the job's waiters.
+  // (The newest finished record is never the one evicted above.)
+  rec->progress->Close();
 }
 
-Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
-    JobSpec spec, std::string workload,
-    std::function<void(Result<GeneratedInterface>)> on_done) {
+Result<GenerationService::JobId> GenerationService::SubmitJob(JobSpec spec,
+                                                              std::string workload) {
   const uint64_t key = JobKey(spec);
   // The record keeps the options as submitted; the run's wiring is its own.
   GeneratorOptions submitted = spec.options;
@@ -385,7 +368,6 @@ Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
     rec.submitted = Clock::now();
     rec.options = std::move(submitted);
     rec.workload = std::move(workload);
-    rec.on_done = std::move(on_done);
     rec.progress = std::make_shared<ProgressSink>();
     rec.stop = std::make_shared<StopHandle>();
     ++jobs_pending_;
@@ -393,23 +375,17 @@ Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
   }
 
   if (auto cached = CacheLookup(key)) {
-    std::function<void(Result<GeneratedInterface>)> cb;
-    bool finished_here = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = jobs_.find(id);
-      // Re-check under the lock: CancelJob may have raced in between (job
-      // ids are sequential, so a concurrent cancel of this id is possible)
-      // and already finished the record + adjusted jobs_pending_.
-      if (it != jobs_.end() && it->second.state == JobState::kQueued) {
-        it->second.cache_hit = true;
-        --jobs_pending_;
-        ServiceMetrics::Get().jobs_pending->Set(static_cast<double>(jobs_pending_));
-        cb = FinishLocked(id, &it->second, JobState::kDone, cached, Status::OK());
-        finished_here = true;
-      }
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = jobs_.find(id);
+    // Re-check under the lock: CancelJob may have raced in between (job
+    // ids are sequential, so a concurrent cancel of this id is possible)
+    // and already finished the record + adjusted jobs_pending_.
+    if (it != jobs_.end() && it->second.state == JobState::kQueued) {
+      it->second.cache_hit = true;
+      --jobs_pending_;
+      ServiceMetrics::Get().jobs_pending->Set(static_cast<double>(jobs_pending_));
+      FinishLocked(id, &it->second, JobState::kDone, std::move(cached), Status::OK());
     }
-    if (finished_here && cb) cb(*cached);  // copy out of the shared cache entry
     return id;
   }
 
@@ -522,40 +498,28 @@ Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
     const bool cancelled = stop->reason() == StopReason::kCancelled;
     std::shared_ptr<const GeneratedInterface> shared;
     if (result.ok()) {
-      shared = std::make_shared<const GeneratedInterface>(*result);
+      shared = std::make_shared<const GeneratedInterface>(std::move(*result));
       if (!cancelled) CacheStore(key, shared);
     }
-    std::function<void(Result<GeneratedInterface>)> cb;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++jobs_executed_;
-      --jobs_pending_;
-      ServiceMetrics::Get().jobs_executed->Inc();
-      ServiceMetrics::Get().jobs_pending->Set(static_cast<double>(jobs_pending_));
-      auto it = jobs_.find(id);
-      if (it != jobs_.end()) {
-        it->second.trace = job_trace;
-        JobState final_state = result.ok() ? JobState::kDone : JobState::kFailed;
-        Status final_error = result.ok() ? Status::OK() : result.status();
-        if (cancelled) {
-          final_state = JobState::kCancelled;
-          final_error = Status::Cancelled("job cancelled while running");
-        }
-        cb = FinishLocked(id, &it->second, final_state, shared, final_error);
+    std::lock_guard<std::mutex> lock(mu_);
+    ++jobs_executed_;
+    --jobs_pending_;
+    ServiceMetrics::Get().jobs_executed->Inc();
+    ServiceMetrics::Get().jobs_pending->Set(static_cast<double>(jobs_pending_));
+    auto it = jobs_.find(id);
+    if (it != jobs_.end()) {
+      it->second.trace = job_trace;
+      JobState final_state = result.ok() ? JobState::kDone : JobState::kFailed;
+      Status final_error = result.ok() ? Status::OK() : result.status();
+      if (cancelled) {
+        final_state = JobState::kCancelled;
+        final_error = Status::Cancelled("job cancelled while running");
       }
-    }
-    if (cb) {
-      cb(cancelled ? Result<GeneratedInterface>(
-                         Status::Cancelled("job cancelled while running"))
-                   : std::move(result));
+      FinishLocked(id, &it->second, final_state, std::move(shared),
+                   std::move(final_error));
     }
   });
   return id;
-}
-
-Result<GenerationService::JobId> GenerationService::SubmitJob(JobSpec spec,
-                                                              std::string workload) {
-  return SubmitJobWithCallback(std::move(spec), std::move(workload), nullptr);
 }
 
 Result<GenerationService::JobInfo> GenerationService::GetJob(JobId id) const {
@@ -567,24 +531,21 @@ Result<GenerationService::JobInfo> GenerationService::GetJob(JobId id) const {
   return SnapshotLocked(id, it->second);
 }
 
-Result<GenerationService::JobInfo> GenerationService::WaitJob(JobId id,
-                                                              int64_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
+Result<GenerationService::JobInfo> GenerationService::WaitJob(
+    JobId id, int64_t timeout_ms, uint64_t after_version) {
+  std::shared_ptr<ProgressSink> progress;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = jobs_.find(id);
+    if (it == jobs_.end()) {
+      return Status::NotFound("unknown job id " + std::to_string(id));
+    }
+    progress = it->second.progress;
+  }
+  // Outside mu_: FinishLocked closes the sink on every terminal transition.
+  progress->WaitVersionAbove(after_version, timeout_ms);
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = jobs_.find(id);
-  if (it == jobs_.end()) {
-    return Status::NotFound("unknown job id " + std::to_string(id));
-  }
-  auto terminal = [&] {
-    auto jt = jobs_.find(id);
-    // Evicted mid-wait counts as terminal; the re-lookup below reports it.
-    return jt == jobs_.end() || Terminal(jt->second.state);
-  };
-  if (timeout_ms < 0) {
-    jobs_cv_.wait(lock, terminal);
-  } else {
-    jobs_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), terminal);
-  }
-  it = jobs_.find(id);
   if (it == jobs_.end()) {
     return Status::NotFound("job id " + std::to_string(id) +
                             " evicted from history");
@@ -593,109 +554,29 @@ Result<GenerationService::JobInfo> GenerationService::WaitJob(JobId id,
 }
 
 Result<GenerationService::JobInfo> GenerationService::CancelJob(JobId id) {
-  std::function<void(Result<GeneratedInterface>)> cb;
-  JobInfo info;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-      return Status::NotFound("unknown job id " + std::to_string(id));
-    }
-    if (it->second.state == JobState::kQueued) {
-      --jobs_pending_;
-      ServiceMetrics::Get().jobs_pending->Set(static_cast<double>(jobs_pending_));
-      cb = FinishLocked(id, &it->second, JobState::kCancelled, nullptr,
-                        Status::Cancelled("job cancelled while queued"));
-    } else if (it->second.state == JobState::kRunning) {
-      // Flag the running search; it observes the relaxed-atomic stop within
-      // its current iteration and the worker then finishes the job
-      // as kCancelled with the best-so-far partial result. The snapshot
-      // returned here may still say kRunning — WaitJob sees the transition.
-      if (it->second.stop != nullptr) {
-        it->second.stop->RequestStop(StopReason::kCancelled);
-      }
-    }
-    info = SnapshotLocked(id, it->second);
-  }
-  if (cb) cb(Status::Cancelled("job cancelled while queued"));
-  return info;
-}
-
-Result<GenerationService::JobProgress> GenerationService::GetJobProgress(
-    JobId id, uint64_t last_seen_version, int64_t wait_ms) {
-  std::shared_ptr<ProgressSink> sink;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-      return Status::NotFound("unknown job id " + std::to_string(id));
-    }
-    sink = it->second.progress;
-  }
-  // Wait on the sink's own condvar outside mu_ (FinishLocked closes the
-  // sink before notifying, so a terminal transition wakes this too).
-  if (sink != nullptr && wait_ms > 0) {
-    sink->WaitVersionAbove(last_seen_version, wait_ms);
-  }
   std::lock_guard<std::mutex> lock(mu_);
   auto it = jobs_.find(id);
   if (it == jobs_.end()) {
-    return Status::NotFound("job id " + std::to_string(id) +
-                            " evicted from history");
+    return Status::NotFound("unknown job id " + std::to_string(id));
   }
-  JobProgress p;
-  p.id = id;
-  p.state = it->second.state;
-  p.terminal = Terminal(p.state);
-  if (sink != nullptr) {
-    const ProgressSink::Event latest = sink->Latest();
-    p.version = latest.version;
-    p.best_cost = latest.cost;
-    p.iteration = latest.iteration;
-    p.ms = latest.ms;
-    p.best_tree = latest.tree;
+  if (it->second.state == JobState::kQueued) {
+    --jobs_pending_;
+    ServiceMetrics::Get().jobs_pending->Set(static_cast<double>(jobs_pending_));
+    FinishLocked(id, &it->second, JobState::kCancelled, nullptr,
+                 Status::Cancelled("job cancelled while queued"));
+  } else if (it->second.state == JobState::kRunning) {
+    // Flag the running search; it observes the relaxed-atomic stop within
+    // its current iteration and the worker then finishes the job
+    // as kCancelled with the best-so-far partial result. The snapshot
+    // returned here may still say kRunning — WaitJob sees the transition.
+    it->second.stop->RequestStop(StopReason::kCancelled);
   }
-  return p;
+  return SnapshotLocked(id, it->second);
 }
 
 size_t GenerationService::jobs_pending() const {
   std::lock_guard<std::mutex> lock(mu_);
   return jobs_pending_;
-}
-
-GenerationService::JobFuture GenerationService::Submit(JobSpec spec) {
-  auto promise = std::make_shared<std::promise<Result<GeneratedInterface>>>();
-  JobFuture future = promise->get_future();
-  Result<JobId> id = SubmitJobWithCallback(
-      std::move(spec), {},
-      [promise](Result<GeneratedInterface> r) { promise->set_value(std::move(r)); });
-  if (!id.ok()) promise->set_value(id.status());
-  return future;
-}
-
-std::vector<GenerationService::JobFuture> GenerationService::SubmitBatch(
-    std::vector<JobSpec> specs) {
-  std::vector<JobFuture> futures;
-  futures.reserve(specs.size());
-  for (JobSpec& spec : specs) {
-    futures.push_back(Submit(std::move(spec)));
-  }
-  return futures;
-}
-
-size_t GenerationService::jobs_submitted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return jobs_submitted_;
-}
-
-size_t GenerationService::jobs_executed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return jobs_executed_;
-}
-
-size_t GenerationService::cache_hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_hits_;
 }
 
 GenerationService::CountersSnapshot GenerationService::counters_snapshot() const {

@@ -1,10 +1,8 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <deque>
-#include <functional>
-#include <future>
+#include <limits>
 #include <list>
 #include <map>
 #include <memory>
@@ -54,11 +52,13 @@ std::string_view JobStateName(JobState s);
 /// that nests cleanly because TaskGroup::Wait helps run pool tasks instead
 /// of blocking a worker.
 ///
-/// The primary submission path is the tracked job protocol — SubmitJob
-/// returns a JobId whose state, timing, and result are observable through
-/// GetJob/WaitJob and whose queued phase is cancellable — which is what the
-/// v1 API layer (src/api) serves. Submit/SubmitBatch are thin future
-/// adapters over the same path for in-process batch callers.
+/// A job is submitted one way: SubmitJob returns a JobId whose state,
+/// timing, anytime progress and result are read from one snapshot (JobInfo)
+/// through GetJob/WaitJob, and whose run is cancellable. Every job owns a
+/// ProgressSink that its search publishes into and that closes on the
+/// job's terminal transition; WaitJob waits on that sink alone, so a
+/// finishing job wakes only its own waiters. The v1 API layer (src/api)
+/// serves this protocol.
 class GenerationService {
  public:
   struct Options {
@@ -87,11 +87,10 @@ class GenerationService {
   ~GenerationService();
 
   using JobId = uint64_t;
-  using JobFuture = std::future<Result<GeneratedInterface>>;
 
-  /// \brief Observable snapshot of one job: state, phase timings, and — in
-  /// a terminal state — the result or error. `result->stats.trace` carries
-  /// the search's best-so-far curve, i.e. the anytime view of the run.
+  /// \brief Observable snapshot of one job: state, phase timings, the
+  /// search's latest best-so-far and — in a terminal state — the result or
+  /// error.
   struct JobInfo {
     JobId id = 0;
     JobState state = JobState::kQueued;
@@ -113,6 +112,9 @@ class GenerationService {
     /// with it.
     GeneratorOptions options;
     std::string workload;
+    /// The job's latest published best-so-far (version 0 and a null tree
+    /// until the search first improves): the anytime view of a running job.
+    ProgressSink::Event progress;
 
     bool terminal() const {
       return state == JobState::kDone || state == JobState::kFailed ||
@@ -130,10 +132,17 @@ class GenerationService {
   /// evicted from the finished-job history.
   Result<JobInfo> GetJob(JobId id) const;
 
-  /// Blocks until the job is terminal or `timeout_ms` elapses (negative =
-  /// no timeout) and returns the latest snapshot — callers must check
-  /// `terminal()` when they passed a timeout.
-  Result<JobInfo> WaitJob(JobId id, int64_t timeout_ms = -1);
+  /// `after_version` of WaitJob that wakes on the terminal transition only.
+  static constexpr uint64_t kTerminalOnly = std::numeric_limits<uint64_t>::max();
+
+  /// Blocks on the job's progress sink until the job is terminal, its
+  /// progress version exceeds `after_version`, or `timeout_ms` elapses
+  /// (0 = no wait, negative = no timeout), then returns one snapshot —
+  /// callers must check `terminal()` when they passed a timeout or a
+  /// version. NotFound for unknown ids and for a record evicted while
+  /// waiting.
+  Result<JobInfo> WaitJob(JobId id, int64_t timeout_ms = -1,
+                          uint64_t after_version = kTerminalOnly);
 
   /// Cancels a job. Still queued: the state becomes kCancelled (error
   /// Cancelled) immediately. Running: the job's StopHandle is flagged and
@@ -144,38 +153,8 @@ class GenerationService {
   /// Terminal jobs are returned unchanged.
   Result<JobInfo> CancelJob(JobId id);
 
-  /// \brief Versioned best-so-far snapshot of a job's search progress (see
-  /// search/progress.h); the live anytime view GetJob cannot give until the
-  /// job is terminal.
-  struct JobProgress {
-    JobId id = 0;
-    JobState state = JobState::kQueued;
-    bool terminal = false;
-    uint64_t version = 0;    ///< publish count; 0 = no improvement yet
-    double best_cost = 0.0;  ///< latest published best cost
-    size_t iteration = 0;    ///< search iteration that found it
-    int64_t ms = 0;          ///< search-relative elapsed ms of that event
-    std::shared_ptr<const DiffTree> best_tree;  ///< null until version >= 1
-  };
-
-  /// Snapshot of a job's progress; with `wait_ms > 0`, blocks (condvar, like
-  /// WaitJob) until the version exceeds `last_seen_version`, the job turns
-  /// terminal, or the timeout elapses. NotFound for unknown/evicted ids.
-  Result<JobProgress> GetJobProgress(JobId id, uint64_t last_seen_version = 0,
-                                     int64_t wait_ms = 0);
-
   /// Jobs admitted but not yet terminal (queued + running).
   size_t jobs_pending() const;
-
-  /// Submits one job; the future resolves when the interface is generated
-  /// (immediately on a cache hit). Future adapter over SubmitJob: the job
-  /// is tracked like any other, and admission-control rejections resolve
-  /// the future with the ResourceExhausted status.
-  JobFuture Submit(JobSpec spec);
-
-  /// Submits a batch; futures are in input order. Jobs execute concurrently
-  /// up to the pool width.
-  std::vector<JobFuture> SubmitBatch(std::vector<JobSpec> specs);
 
   /// Cache key: hash of the *sorted canonical* SQL (each query parsed and
   /// unparsed, the list sorted) combined with a hash of every
@@ -204,7 +183,6 @@ class GenerationService {
   /// outlive the service.
   Result<std::shared_ptr<ExecutionBackend>> BackendFor(const Database* db,
                                                        BackendKind kind);
-  size_t backends_created() const;
 
   /// \brief Stats snapshot of one shared backend (see backend_stats).
   struct BackendStatEntry {
@@ -225,12 +203,6 @@ class GenerationService {
       const GeneratedInterface& iface, const CostConstants& constants,
       const Database* db, BackendKind kind,
       InteractiveRuntime::Options opts = {});
-  size_t sessions_opened() const;
-
-  size_t jobs_submitted() const;
-  size_t jobs_executed() const;
-  size_t cache_hits() const;
-  size_t num_threads() const { return pool_.num_threads(); }
 
   /// \brief One-lock snapshot of every service-level counter — the feed of
   /// GET /v1/stats. The same event sites also bump the obs registry
@@ -253,17 +225,10 @@ class GenerationService {
   };
   CountersSnapshot counters_snapshot() const;
 
-  /// The configured experience store (Options::experience); null when the
-  /// service runs without one. Servers use this to save on drain.
-  const std::shared_ptr<learn::ExperienceStore>& experience_store() const {
-    return experience_;
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// Tracked state of one job. Lives in jobs_ under mu_; the completion
-  /// callback (the Submit future adapter) is invoked outside the lock.
+  /// Tracked state of one job. Lives in jobs_ under mu_.
   struct JobRecord {
     JobState state = JobState::kQueued;
     bool cache_hit = false;
@@ -275,23 +240,18 @@ class GenerationService {
     std::shared_ptr<const obs::TraceRecorder> trace;
     GeneratorOptions options;  ///< as submitted, wiring cleared
     std::string workload;
-    std::function<void(Result<GeneratedInterface>)> on_done;
-    /// Created at admission for every tracked job (and closed on every
-    /// terminal transition), so GetJobProgress always has a sink to watch.
+    /// Created at admission for every job and closed on every terminal
+    /// transition: the one signal WaitJob waits on.
     std::shared_ptr<ProgressSink> progress;
     /// Cancel/time-control stop flag, wired into the job's search options.
     std::shared_ptr<StopHandle> stop;
   };
 
-  Result<JobId> SubmitJobWithCallback(
-      JobSpec spec, std::string workload,
-      std::function<void(Result<GeneratedInterface>)> on_done);
   JobInfo SnapshotLocked(JobId id, const JobRecord& rec) const;
-  /// Marks `id` terminal, records history for eviction, and returns the
-  /// callback to invoke (outside the lock). Requires mu_ held.
-  std::function<void(Result<GeneratedInterface>)> FinishLocked(
-      JobId id, JobRecord* rec, JobState state,
-      std::shared_ptr<const GeneratedInterface> result, Status error);
+  /// Marks `id` terminal, records history for eviction, and closes the
+  /// job's sink, which wakes its waiters. Requires mu_ held.
+  void FinishLocked(JobId id, JobRecord* rec, JobState state,
+                    std::shared_ptr<const GeneratedInterface> result, Status error);
 
   std::shared_ptr<const GeneratedInterface> CacheLookup(uint64_t key);
   void CacheStore(uint64_t key, std::shared_ptr<const GeneratedInterface> value);
@@ -303,7 +263,6 @@ class GenerationService {
   std::shared_ptr<learn::ExperienceStore> experience_;
 
   mutable std::mutex mu_;
-  std::condition_variable jobs_cv_;  ///< signalled on every terminal transition
   /// LRU: most recent at the front; the map points into the list.
   std::list<std::pair<uint64_t, std::shared_ptr<const GeneratedInterface>>> lru_;
   std::unordered_map<

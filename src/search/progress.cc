@@ -33,16 +33,10 @@ void ProgressSink::Publish(const DiffTree& tree, double cost, size_t iteration,
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return;
-    first = version_ == 0;
+    first = latest_.version == 0;
     if (first) first_us = birth_.ElapsedMicros();
-    Event e;
-    e.version = ++version_;
-    e.cost = cost;
-    e.iteration = iteration;
-    e.ms = ms;
-    e.tree = std::make_shared<DiffTree>(tree);
-    if (events_.size() >= kMaxHistory) events_.erase(events_.begin());
-    events_.push_back(std::move(e));
+    latest_ = Event{latest_.version + 1, cost, iteration, ms,
+                    std::make_shared<DiffTree>(tree)};
   }
   cv_.notify_all();
   ProgressEventsMetric().Inc();
@@ -51,33 +45,24 @@ void ProgressSink::Publish(const DiffTree& tree, double cost, size_t iteration,
 
 ProgressSink::Event ProgressSink::Latest() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (events_.empty()) return Event{};
-  return events_.back();
-}
-
-std::vector<ProgressSink::Event> ProgressSink::EventsAfter(
-    uint64_t last_seen) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Event> out;
-  for (const Event& e : events_) {
-    if (e.version > last_seen) out.push_back(e);
-  }
-  return out;
+  return latest_;
 }
 
 uint64_t ProgressSink::WaitVersionAbove(uint64_t last_seen,
                                         int64_t wait_ms) const {
   std::unique_lock<std::mutex> lock(mu_);
-  if (wait_ms > 0) {
-    cv_.wait_for(lock, std::chrono::milliseconds(wait_ms),
-                 [&] { return version_ > last_seen || closed_; });
+  auto woken = [&] { return latest_.version > last_seen || closed_; };
+  if (wait_ms < 0) {
+    cv_.wait(lock, woken);
+  } else if (wait_ms > 0) {
+    cv_.wait_for(lock, std::chrono::milliseconds(wait_ms), woken);
   }
-  return version_;
+  return latest_.version;
 }
 
 uint64_t ProgressSink::version() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return version_;
+  return latest_.version;
 }
 
 void ProgressSink::Close() {

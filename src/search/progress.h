@@ -5,9 +5,10 @@
 ///
 /// Every time a searcher's best tracker accepts a new lowest-cost DiffTree,
 /// it publishes a versioned Event here; consumers (GenerationService job
-/// records, the HTTP long-poll/SSE endpoints, tests) read the latest
-/// snapshot or block on a condvar for the next version — the anytime curve
-/// streamed live instead of reconstructed post-hoc from SearchStats::trace.
+/// records and, through them, the HTTP long-poll/SSE endpoints) read the
+/// latest event or block on a condvar for the next version. The sink keeps
+/// only that latest event: the full best-so-far curve is
+/// SearchStats::trace, one entry per publish.
 ///
 /// Publishing consumes no RNG draws and never changes control flow in the
 /// search, so attaching a sink cannot perturb results: a run with a sink is
@@ -18,19 +19,17 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "difftree/difftree.h"
 #include "util/timer.h"
 
 namespace ifgen {
 
-/// \brief Versioned best-so-far stream with a bounded replay buffer.
+/// \brief Versioned best-so-far value: the latest published event.
 ///
 /// Versions start at 1 and increase by one per published improvement, so
-/// `version() > last_seen` is the long-poll wakeup predicate. The history
-/// keeps the most recent kMaxHistory events (drop-oldest); the latest event
-/// is always retained.
+/// `version() > last_seen` is the long-poll wakeup predicate. A job's sink
+/// is closed on its terminal transition, which wakes every waiter too.
 class ProgressSink {
  public:
   struct Event {
@@ -40,8 +39,6 @@ class ProgressSink {
     int64_t ms = 0;         ///< search-relative elapsed milliseconds
     std::shared_ptr<const DiffTree> tree;  ///< the new best state
   };
-
-  static constexpr size_t kMaxHistory = 256;
 
   ProgressSink() = default;
   ProgressSink(const ProgressSink&) = delete;
@@ -55,13 +52,9 @@ class ProgressSink {
   /// first publish.
   Event Latest() const;
 
-  /// Events with version > last_seen, oldest first. Events that fell out of
-  /// the bounded history are gone; the caller sees the gap as a version
-  /// jump (versions remain strictly increasing).
-  std::vector<Event> EventsAfter(uint64_t last_seen) const;
-
   /// Blocks until version() > last_seen, the sink is closed, or wait_ms
-  /// elapses (wait_ms <= 0 returns immediately). Returns version().
+  /// elapses (wait_ms == 0 returns immediately, wait_ms < 0 waits with no
+  /// deadline). Returns version().
   uint64_t WaitVersionAbove(uint64_t last_seen, int64_t wait_ms) const;
 
   uint64_t version() const;
@@ -74,8 +67,7 @@ class ProgressSink {
  private:
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
-  std::vector<Event> events_;
-  uint64_t version_ = 0;
+  Event latest_;  ///< version 0 and a null tree before the first publish
   bool closed_ = false;
   Stopwatch birth_;  ///< time-to-first-result observability anchor
 };

@@ -1315,6 +1315,92 @@ TEST(ApiService, SessionDifferentialAgainstInProcessRuntime) {
   EXPECT_GT(applied, 4u) << "differential walk exercised too few events";
 }
 
+TEST(ApiService, EventBatchesMatchInProcessRuntime) {
+  // Each widget event's StepResponse carries its own diff batch; it must
+  // equal, change for change (kind, row, old_row), the batch an in-process
+  // runtime returns for the same step. Seeded walks on two workloads and
+  // two backends.
+  auto svc = ApiService::Create(SmallServiceOptions());
+  ASSERT_TRUE(svc.ok());
+  size_t total_changes = 0;
+  for (const char* workload : {"sdss", "flights"}) {
+    for (BackendKind kind : {BackendKind::kReference, BackendKind::kColumnar}) {
+      const std::string backend_name(BackendKindName(kind));
+      SCOPED_TRACE(std::string(workload) + "/" + backend_name);
+      GenerateRequest req;
+      req.workload = workload;
+      req.options = FastGenOptions();
+      req.options.backend = backend_name;
+      auto accepted = (*svc)->SubmitGenerate(req);
+      ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+      ASSERT_EQ(AwaitJob(svc->get(), accepted->job_id).state, "done");
+
+      auto bundle = LoadWorkload(workload, SmallServiceOptions().workload_rows);
+      ASSERT_TRUE(bundle.ok());
+      auto gen_opts = req.options.ToGeneratorOptions();
+      ASSERT_TRUE(gen_opts.ok());
+      auto iface = GenerateInterface(bundle->log, *gen_opts);
+      ASSERT_TRUE(iface.ok());
+      auto backend = MakeBackendFor(*bundle, kind);
+      ASSERT_TRUE(backend.ok());
+      auto runtime = InteractiveRuntime::Create(
+          *iface, gen_opts->constants,
+          std::shared_ptr<ExecutionBackend>(std::move(*backend)));
+      ASSERT_TRUE(runtime.ok());
+
+      SessionOpenRequest open;
+      open.job_id = accepted->job_id;
+      auto session = (*svc)->OpenSession(open);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      std::vector<std::tuple<int64_t, int64_t, std::string>> choices;
+      CollectChoices(session->widgets, &choices);
+      ASSERT_FALSE(choices.empty());
+
+      Rng rng(17);
+      for (int step = 0; step < 40; ++step) {
+        const auto& [choice_id, option_count, widget] = rng.Choice(choices);
+        WidgetEventRequest event;
+        event.choice_id = choice_id;
+        InteractiveRuntime::ChangeBatch in_proc_batch;
+        Result<InteractiveRuntime::StepReport> in_proc_step = Status::OK();
+        if (widget == "Checkbox" || widget == "Toggle") {
+          event.kind = "set_opt";
+          event.present = rng.Bernoulli(0.5);
+          in_proc_step = (*runtime)->SetOptPresent(static_cast<int>(choice_id),
+                                                   event.present, &in_proc_batch);
+        } else if (option_count > 0) {
+          event.kind = "set_any";
+          event.option_index = rng.UniformInt(0, option_count - 1);
+          in_proc_step = (*runtime)->SetAnyChoice(
+              static_cast<int>(choice_id), static_cast<int>(event.option_index),
+              &in_proc_batch);
+        } else {
+          continue;
+        }
+        auto api_step = (*svc)->ApplyEvent(session->session_id, event);
+        ASSERT_EQ(api_step.ok(), in_proc_step.ok())
+            << event.kind << " choice " << choice_id << ": api="
+            << api_step.status().ToString()
+            << " in-proc=" << in_proc_step.status().ToString();
+        if (!api_step.ok()) continue;
+        const ChangeBatchDto& api_batch = api_step->batch;
+        EXPECT_EQ(api_batch.from_version,
+                  static_cast<int64_t>(in_proc_batch.from_version));
+        EXPECT_EQ(api_batch.to_version, static_cast<int64_t>(in_proc_batch.to_version));
+        ASSERT_EQ(api_batch.changes.size(), in_proc_batch.changes.size())
+            << "step " << step << ": " << event.kind << " choice " << choice_id;
+        for (size_t i = 0; i < api_batch.changes.size(); ++i) {
+          EXPECT_TRUE(api_batch.changes[i] ==
+                      RowChangeDto::FromChange(in_proc_batch.changes[i]))
+              << "step " << step << " change " << i;
+        }
+        total_changes += api_batch.changes.size();
+      }
+    }
+  }
+  EXPECT_GT(total_changes, 0u) << "the walks changed no rows";
+}
+
 /// Applies a ChangeBatchDto to a multiset of rows (the documented feed
 /// contract: remove one equal row / append / replace).
 void ApplyBatch(const ChangeBatchDto& batch, std::vector<std::vector<Value>>* rows) {

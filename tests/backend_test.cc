@@ -494,7 +494,7 @@ TEST(BackendWiring, ServiceCachesBackendsPerDatabaseAndKind) {
   auto b3 = service.BackendFor(&w->db, BackendKind::kReference);
   ASSERT_TRUE(b3.ok());
   EXPECT_NE(b1->get(), b3->get());
-  EXPECT_EQ(service.backends_created(), 2u);
+  EXPECT_EQ(service.backend_stats().size(), 2u);
 }
 
 TEST(BackendConcurrency, ParallelExecutionsOnSharedBackend) {

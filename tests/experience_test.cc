@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <future>
 #include <limits>
 #include <string>
 #include <thread>
@@ -372,10 +371,19 @@ JobSpec Job(const std::vector<std::string>& log, bool experience) {
   return spec;
 }
 
+/// Submits `spec` and returns its result once the job is terminal.
+Result<GeneratedInterface> RunSpec(GenerationService& service, JobSpec spec) {
+  IFGEN_ASSIGN_OR_RETURN(GenerationService::JobId id,
+                         service.SubmitJob(std::move(spec)));
+  IFGEN_ASSIGN_OR_RETURN(GenerationService::JobInfo info, service.WaitJob(id));
+  if (info.state != JobState::kDone) return info.error;
+  return *info.result;
+}
+
 Result<GeneratedInterface> RunJob(GenerationService& service,
                                   const std::vector<std::string>& log,
                                   bool experience) {
-  return service.Submit(Job(log, experience)).get();
+  return RunSpec(service, Job(log, experience));
 }
 
 /// experience=false jobs must be bit-identical whether or not the service
@@ -462,7 +470,7 @@ TEST(ExperienceService, RootRecordCarriesTheRootsOwnSampledCost) {
   opts.experience = store;
   GenerationService service(opts);
   const JobSpec spec = Job(bundle->log, /*experience=*/true);
-  auto result = service.Submit(spec).get();
+  auto result = RunSpec(service, spec);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   const std::vector<Ast> queries = *ParseQueries(bundle->log);
@@ -495,15 +503,17 @@ TEST(ExperienceService, SaveWhileSearchingIsSafe) {
   spec.options.search.time_budget_ms = 0;
   spec.options.search.max_iterations = 120;
   spec.options.search.seed = 11;
-  auto pending = service.Submit(spec);
+  auto id = service.SubmitJob(spec);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
 
   const std::string path = dir.File("racing.exp");
-  while (pending.wait_for(std::chrono::milliseconds(0)) !=
-         std::future_status::ready) {
+  Result<GenerationService::JobInfo> info = service.WaitJob(*id, 0);
+  while (info.ok() && !info->terminal()) {
     ASSERT_TRUE(store->SaveTo(path).ok());
+    info = service.WaitJob(*id, 0);
   }
-  auto result = pending.get();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->state, JobState::kDone) << info->error.ToString();
   ASSERT_TRUE(store->SaveTo(path).ok());
 
   ExperienceStore back;

@@ -763,8 +763,8 @@ TEST(InteractiveWiring, ServiceOpensSessionsOnSharedBackend) {
   auto s2 = service.OpenSession(iface, GeneratorOptions().constants, &w->db,
                                 BackendKind::kColumnar);
   ASSERT_TRUE(s1.ok() && s2.ok()) << s1.status().ToString();
-  EXPECT_EQ(service.backends_created(), 1u);  // one columnar store, shared
-  EXPECT_EQ(service.sessions_opened(), 2u);
+  EXPECT_EQ(service.backend_stats().size(), 1u);  // one columnar store, shared
+  EXPECT_EQ(service.counters_snapshot().sessions_opened, 2u);
   // Independent widget state over the shared backend.
   auto queries = ParseQueries(w->log);
   ASSERT_TRUE(queries.ok());

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <functional>
+#include <future>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -214,36 +215,63 @@ JobSpec SmallJob(uint64_t seed) {
   return spec;
 }
 
+/// A job that runs until cancelled: the flights log does not exhaust its
+/// search space, and the 10 s budget is only a backstop.
+JobSpec LongJob(uint64_t seed) {
+  JobSpec spec = SmallJob(seed);
+  auto w = LoadWorkload("flights", /*rows=*/1);
+  EXPECT_TRUE(w.ok()) << w.status().ToString();
+  if (w.ok()) spec.sqls = w->log;
+  spec.options.search.time_budget_ms = 10000;
+  spec.options.search.max_iterations = 100000000;
+  return spec;
+}
+
+/// Submits `spec` and waits for its terminal snapshot.
+Result<GenerationService::JobInfo> RunJob(GenerationService& service, JobSpec spec) {
+  IFGEN_ASSIGN_OR_RETURN(GenerationService::JobId id,
+                         service.SubmitJob(std::move(spec)));
+  return service.WaitJob(id);
+}
+
 TEST(GenerationService, CompletesConcurrentBatch) {
   GenerationService::Options opts;
   opts.num_threads = 4;
   GenerationService service(opts);
-  std::vector<JobSpec> jobs;
-  for (uint64_t s = 0; s < 8; ++s) jobs.push_back(SmallJob(s));
-  auto futures = service.SubmitBatch(std::move(jobs));
-  ASSERT_EQ(futures.size(), 8u);
-  for (auto& f : futures) {
-    auto result = f.get();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_TRUE(std::isfinite(result->cost.total()));
-    EXPECT_GT(result->widgets.CountInteractive(), 0u);
+  std::vector<GenerationService::JobId> ids;
+  for (uint64_t s = 0; s < 8; ++s) {
+    auto id = service.SubmitJob(SmallJob(s));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
   }
-  EXPECT_EQ(service.jobs_submitted(), 8u);
-  EXPECT_EQ(service.jobs_executed(), 8u);
-  EXPECT_EQ(service.cache_hits(), 0u);
+  for (GenerationService::JobId id : ids) {
+    auto info = service.WaitJob(id);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    ASSERT_EQ(info->state, JobState::kDone) << info->error.ToString();
+    EXPECT_TRUE(std::isfinite(info->result->cost.total()));
+    EXPECT_GT(info->result->widgets.CountInteractive(), 0u);
+  }
+  const auto counters = service.counters_snapshot();
+  EXPECT_EQ(counters.jobs_submitted, 8u);
+  EXPECT_EQ(counters.jobs_executed, 8u);
+  EXPECT_EQ(counters.cache_hits, 0u);
 }
 
 TEST(GenerationService, IdenticalResubmissionHitsCache) {
   GenerationService::Options opts;
   opts.num_threads = 2;
   GenerationService service(opts);
-  auto first = service.Submit(SmallJob(7)).get();
+  auto first = RunJob(service, SmallJob(7));
   ASSERT_TRUE(first.ok());
-  auto second = service.Submit(SmallJob(7)).get();
+  ASSERT_EQ(first->state, JobState::kDone);
+  auto second = RunJob(service, SmallJob(7));
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(service.cache_hits(), 1u);
-  EXPECT_EQ(service.jobs_executed(), 1u);  // the second never ran
-  EXPECT_DOUBLE_EQ(first->cost.total(), second->cost.total());
+  ASSERT_EQ(second->state, JobState::kDone);
+  EXPECT_TRUE(second->cache_hit);
+  const auto counters = service.counters_snapshot();
+  EXPECT_EQ(counters.cache_hits, 1u);
+  EXPECT_EQ(counters.jobs_executed, 1u);  // the second never ran
+  EXPECT_DOUBLE_EQ(first->result->cost.total(), second->result->cost.total());
 }
 
 TEST(GenerationService, JobKeyIgnoresQueryOrderAndWhitespace) {
@@ -262,17 +290,14 @@ TEST(GenerationService, JobKeyIgnoresQueryOrderAndWhitespace) {
 }
 
 TEST(GenerationService, DestructionWithInFlightJobsIsSafe) {
-  // The service must join its workers before tearing down the cache state
-  // they touch; the future must still resolve (the pool drains on exit).
-  auto future = [] {
-    GenerationService::Options opts;
-    opts.num_threads = 2;
-    GenerationService service(opts);
-    return service.Submit(SmallJob(3));
-  }();  // service destroyed here, job possibly still running
-  auto result = future.get();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-}
+  // The service must join its workers before tearing down the job records
+  // and cache state they touch: destroying it with jobs running and queued
+  // neither hangs nor crashes (the pool drains on exit).
+  GenerationService::Options opts;
+  opts.num_threads = 2;
+  GenerationService service(opts);
+  for (uint64_t s = 0; s < 4; ++s) ASSERT_TRUE(service.SubmitJob(SmallJob(3 + s)).ok());
+}  // service destroyed here, jobs possibly still running
 
 TEST(GenerationService, TtStoreKeyPinnedForDefaultWorkloads) {
   // Persisted experience records (IFEX files) are keyed by TtStoreKey, so
@@ -478,24 +503,6 @@ TEST(GenerationService, CancelQueuedJob) {
   EXPECT_EQ(service.jobs_pending(), 0u);
 }
 
-TEST(GenerationService, SubmitFutureAdapterMatchesTrackedPath) {
-  // Submit is a future adapter over SubmitJob: both paths observe the same
-  // tracked job machinery (submitted counter includes both).
-  GenerationService::Options opts;
-  opts.num_threads = 2;
-  GenerationService service(opts);
-  auto via_future = service.Submit(SmallJob(41)).get();
-  ASSERT_TRUE(via_future.ok());
-  auto id = service.SubmitJob(SmallJob(41));
-  ASSERT_TRUE(id.ok());
-  auto via_job = service.WaitJob(*id);
-  ASSERT_TRUE(via_job.ok());
-  ASSERT_EQ(via_job->state, JobState::kDone);
-  EXPECT_TRUE(via_job->cache_hit);  // same spec: cache answers the second
-  EXPECT_DOUBLE_EQ(via_future->cost.total(), via_job->result->cost.total());
-  EXPECT_EQ(service.jobs_submitted(), 2u);
-}
-
 TEST(GenerationService, JobHistoryEvictsOldestFinished) {
   GenerationService::Options opts;
   opts.num_threads = 1;
@@ -520,11 +527,122 @@ TEST(GenerationService, CacheEvictsLeastRecentlyUsed) {
   opts.num_threads = 1;
   opts.cache_capacity = 1;
   GenerationService service(opts);
-  ASSERT_TRUE(service.Submit(SmallJob(1)).get().ok());
-  ASSERT_TRUE(service.Submit(SmallJob(2)).get().ok());  // evicts job 1
-  ASSERT_TRUE(service.Submit(SmallJob(1)).get().ok());  // must re-execute
-  EXPECT_EQ(service.cache_hits(), 0u);
-  EXPECT_EQ(service.jobs_executed(), 3u);
+  for (uint64_t seed : {1, 2, 1}) {  // job 2 evicts job 1, which re-executes
+    auto info = RunJob(service, SmallJob(seed));
+    ASSERT_TRUE(info.ok());
+    ASSERT_EQ(info->state, JobState::kDone);
+  }
+  const auto counters = service.counters_snapshot();
+  EXPECT_EQ(counters.cache_hits, 0u);
+  EXPECT_EQ(counters.jobs_executed, 3u);
+}
+
+TEST(GenerationService, WaitJobWakesOnEveryTerminalTransition) {
+  GenerationService::Options opts;
+  opts.num_threads = 1;
+  GenerationService service(opts);
+  // Waits from another thread, as a long-poller does, so the transition
+  // under test is what wakes the wait.
+  auto wait_async = [&service](GenerationService::JobId id) {
+    return std::async(std::launch::async, [&service, id] { return service.WaitJob(id); });
+  };
+
+  // Done, then the identical resubmission finishing at admission.
+  auto done_id = service.SubmitJob(SmallJob(61));
+  ASSERT_TRUE(done_id.ok());
+  auto done = wait_async(*done_id).get();
+  ASSERT_TRUE(done.ok());
+  EXPECT_EQ(done->state, JobState::kDone);
+  ASSERT_NE(done->result, nullptr);
+  EXPECT_EQ(done->progress.version, done->result->stats.trace.size());
+  auto hit = RunJob(service, SmallJob(61));
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(hit->state, JobState::kDone);
+  EXPECT_TRUE(hit->cache_hit);
+
+  // Failed.
+  JobSpec bad = SmallJob(1);
+  bad.sqls = {"this is not sql at all ((("};
+  auto failed_id = service.SubmitJob(std::move(bad));
+  ASSERT_TRUE(failed_id.ok());
+  auto failed = wait_async(*failed_id).get();
+  ASSERT_TRUE(failed.ok());
+  EXPECT_EQ(failed->state, JobState::kFailed);
+
+  // after_version wakes on a publish: the long job is then mid-run.
+  auto long_id = service.SubmitJob(LongJob(62));
+  ASSERT_TRUE(long_id.ok());
+  auto mid = service.WaitJob(*long_id, /*timeout_ms=*/-1, /*after_version=*/0);
+  ASSERT_TRUE(mid.ok());
+  ASSERT_EQ(mid->state, JobState::kRunning) << "the first publish must wake the wait";
+  EXPECT_GE(mid->progress.version, 1u);
+  EXPECT_NE(mid->progress.tree, nullptr);
+  // A terminal-only wait with a timeout returns the running snapshot.
+  auto still = service.WaitJob(*long_id, /*timeout_ms=*/10);
+  ASSERT_TRUE(still.ok());
+  EXPECT_FALSE(still->terminal());
+
+  // Cancelled while queued: the one worker is busy with the long job.
+  auto queued_id = service.SubmitJob(SmallJob(63));
+  ASSERT_TRUE(queued_id.ok());
+  auto queued_wait = wait_async(*queued_id);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it park
+  ASSERT_TRUE(service.CancelJob(*queued_id).ok());
+  auto queued = queued_wait.get();
+  ASSERT_TRUE(queued.ok());
+  EXPECT_EQ(queued->state, JobState::kCancelled);
+  EXPECT_EQ(queued->result, nullptr);
+
+  // Cancelled while running: the partial best-so-far rides along.
+  auto long_wait = wait_async(*long_id);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(service.CancelJob(*long_id).ok());
+  auto cancelled = long_wait.get();
+  ASSERT_TRUE(cancelled.ok());
+  EXPECT_EQ(cancelled->state, JobState::kCancelled);
+  EXPECT_EQ(cancelled->error.code(), StatusCode::kCancelled);
+  ASSERT_NE(cancelled->result, nullptr);
+  EXPECT_EQ(cancelled->progress.version, cancelled->result->stats.trace.size());
+  EXPECT_EQ(service.jobs_pending(), 0u);
+}
+
+TEST(GenerationService, WaitJobOnAnEvictedRecordIsNotFound) {
+  // One finished record is kept, so each job's finish evicts the one
+  // before it. A waiter woken by its job's close can find the record
+  // already evicted by the next finish: it must answer NotFound then, and
+  // otherwise the terminal snapshot — never hang or return a live job.
+  GenerationService::Options opts;
+  opts.num_threads = 2;
+  opts.cache_capacity = 0;
+  opts.job_history_capacity = 1;
+  GenerationService service(opts);
+  std::vector<std::future<Result<GenerationService::JobInfo>>> waits;
+  std::vector<GenerationService::JobId> ids;
+  for (uint64_t s = 0; s < 12; ++s) {
+    auto id = service.SubmitJob(SmallJob(70 + s));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+    waits.push_back(std::async(std::launch::async,
+                               [&service, id = *id] { return service.WaitJob(id); }));
+  }
+  for (auto& w : waits) {
+    auto info = w.get();
+    if (info.ok()) {
+      EXPECT_TRUE(info->terminal());
+    } else {
+      EXPECT_EQ(info.status().code(), StatusCode::kNotFound);
+    }
+  }
+  // Every record but the newest finished one is gone by now.
+  size_t evicted = 0;
+  for (GenerationService::JobId id : ids) {
+    auto info = service.WaitJob(id);
+    if (!info.ok()) {
+      EXPECT_EQ(info.status().code(), StatusCode::kNotFound);
+      ++evicted;
+    }
+  }
+  EXPECT_EQ(evicted, ids.size() - 1);
 }
 
 }  // namespace

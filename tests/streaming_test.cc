@@ -56,23 +56,22 @@ EvalOptions SmallEvalOptions() {
   return e;
 }
 
-/// The published sequence must be the anytime contract: versions 1,2,3,...
-/// with strictly decreasing costs, and the final snapshot must be exactly
-/// the returned result.
+/// The published sequence must be the anytime contract: one publish per
+/// entry of the best-so-far trace, whose costs strictly decrease, and the
+/// latest event must be exactly the last trace entry and the returned
+/// result.
 void CheckPublishedSequence(const ProgressSink& sink, const SearchResult& r) {
-  auto events = sink.EventsAfter(0);
-  ASSERT_FALSE(events.empty()) << "search published no improvements";
-  double prev_cost = std::numeric_limits<double>::infinity();
-  uint64_t prev_version = 0;
-  for (const auto& e : events) {
-    EXPECT_EQ(e.version, prev_version + 1) << "versions must be consecutive";
-    EXPECT_LT(e.cost, prev_cost) << "published costs must strictly decrease";
-    ASSERT_NE(e.tree, nullptr);
-    prev_cost = e.cost;
-    prev_version = e.version;
+  const std::vector<BestTrace>& trace = r.stats.trace;
+  ASSERT_FALSE(trace.empty()) << "search published no improvements";
+  EXPECT_EQ(sink.version(), trace.size()) << "one publish per trace entry";
+  for (size_t i = 1; i < trace.size(); ++i) {
+    EXPECT_LT(trace[i].cost, trace[i - 1].cost) << "costs must strictly decrease";
   }
   auto latest = sink.Latest();
   EXPECT_EQ(latest.version, sink.version());
+  EXPECT_EQ(latest.cost, trace.back().cost);
+  EXPECT_EQ(latest.iteration, trace.back().iteration);
+  EXPECT_EQ(latest.ms, trace.back().ms);
   EXPECT_EQ(latest.cost, r.best_cost)
       << "final published cost must equal the returned best cost";
   ASSERT_NE(latest.tree, nullptr);
@@ -243,12 +242,6 @@ TEST(BaselineControl, SinkSeesTheTraceAsConsecutiveImprovements) {
     auto r = MakeSearcher(algorithm, &rules, &eval, opts)->Run(initial);
     ASSERT_TRUE(r.ok());
     CheckPublishedSequence(*sink, *r);
-    const auto events = sink->EventsAfter(0);
-    ASSERT_EQ(events.size(), r->stats.trace.size());
-    for (size_t i = 0; i < events.size(); ++i) {
-      EXPECT_EQ(events[i].cost, r->stats.trace[i].cost);
-      EXPECT_EQ(events[i].iteration, r->stats.trace[i].iteration);
-    }
   }
 }
 
@@ -287,24 +280,6 @@ TEST(ProgressSink, CloseWakesWaitersAndDropsLatePublishes) {
   EXPECT_TRUE(sink.closed());
   sink.Publish(tree, 1.0, 1, 1);  // late straggler: ignored
   EXPECT_EQ(sink.version(), 0u);
-}
-
-TEST(ProgressSink, HistoryIsBoundedButVersionsKeepIncreasing) {
-  auto queries = SmallLog();
-  DiffTree tree = *BuildInitialTree(queries);
-  ProgressSink sink;
-  const size_t total = ProgressSink::kMaxHistory + 32;
-  for (size_t i = 0; i < total; ++i) {
-    sink.Publish(tree, static_cast<double>(total - i), i, static_cast<int64_t>(i));
-  }
-  EXPECT_EQ(sink.version(), total);
-  auto events = sink.EventsAfter(0);
-  EXPECT_EQ(events.size(), ProgressSink::kMaxHistory);
-  // Oldest events fell out; what remains is the most recent window with
-  // strictly increasing versions ending at the latest.
-  EXPECT_EQ(events.front().version, total - ProgressSink::kMaxHistory + 1);
-  EXPECT_EQ(events.back().version, total);
-  EXPECT_TRUE(sink.EventsAfter(total).empty());
 }
 
 // ------------------------------------------------------ time control units
@@ -491,17 +466,16 @@ TEST(StreamingService, ProgressVersionsStrictlyIncreaseToTerminal) {
   double last_cost = std::numeric_limits<double>::infinity();
   int frames = 0;
   while (true) {
-    auto p = service.GetJobProgress(*id, last_seen, 2000);
+    auto p = service.WaitJob(*id, 2000, last_seen);
     ASSERT_TRUE(p.ok()) << p.status().ToString();
-    if (p->version > last_seen) {
-      EXPECT_GT(p->version, last_seen) << "versions strictly increase";
-      EXPECT_LT(p->best_cost, last_cost) << "best cost strictly improves";
-      ASSERT_NE(p->best_tree, nullptr);
-      last_seen = p->version;
-      last_cost = p->best_cost;
+    if (p->progress.version > last_seen) {
+      EXPECT_LT(p->progress.cost, last_cost) << "best cost strictly improves";
+      ASSERT_NE(p->progress.tree, nullptr);
+      last_seen = p->progress.version;
+      last_cost = p->progress.cost;
       ++frames;
     }
-    if (p->terminal) break;
+    if (p->terminal()) break;
   }
   EXPECT_GE(frames, 1) << "at least the first best-so-far must be published";
 
@@ -516,7 +490,7 @@ TEST(StreamingService, ProgressVersionsStrictlyIncreaseToTerminal) {
 
 TEST(StreamingService, ProgressForUnknownJobIsNotFound) {
   GenerationService service(GenerationService::Options{});
-  auto p = service.GetJobProgress(999, 0, 0);
+  auto p = service.WaitJob(999, 0, 0);
   EXPECT_FALSE(p.ok());
   EXPECT_EQ(p.status().code(), StatusCode::kNotFound);
 }
@@ -532,9 +506,9 @@ TEST(StreamingService, CancelRunningJobYieldsPartialResult) {
 
   // Wait until the job is demonstrably mid-run: at least one best-so-far
   // has been published.
-  auto p = service.GetJobProgress(*id, 0, 5000);
+  auto p = service.WaitJob(*id, 5000, 0);
   ASSERT_TRUE(p.ok());
-  ASSERT_GE(p->version, 1u) << "job never started improving";
+  ASSERT_GE(p->progress.version, 1u) << "job never started improving";
 
   auto cancel = service.CancelJob(*id);
   ASSERT_TRUE(cancel.ok());
@@ -547,11 +521,9 @@ TEST(StreamingService, CancelRunningJobYieldsPartialResult) {
   EXPECT_TRUE(std::isfinite(info->result->cost.total()));
   EXPECT_EQ(info->result->stats.stop_reason, StopReason::kCancelled);
 
-  // The progress stream is closed with a terminal frame.
-  auto final_p = service.GetJobProgress(*id, 0, 0);
-  ASSERT_TRUE(final_p.ok());
-  EXPECT_TRUE(final_p->terminal);
-  EXPECT_EQ(final_p->state, JobState::kCancelled);
+  // The terminal snapshot carries the partial's best-so-far.
+  EXPECT_EQ(info->progress.version, info->result->stats.trace.size());
+  EXPECT_EQ(info->progress.cost, info->result->stats.trace.back().cost);
 }
 
 TEST(StreamingService, CancelledJobSkipsResultCache) {
@@ -561,9 +533,9 @@ TEST(StreamingService, CancelledJobSkipsResultCache) {
   JobSpec spec = StreamingJob(6, 100000000, 10000);
   auto id = service.SubmitJob(spec);
   ASSERT_TRUE(id.ok());
-  auto p = service.GetJobProgress(*id, 0, 5000);
+  auto p = service.WaitJob(*id, 5000, 0);
   ASSERT_TRUE(p.ok());
-  ASSERT_GE(p->version, 1u);
+  ASSERT_GE(p->progress.version, 1u);
   ASSERT_TRUE(service.CancelJob(*id).ok());
   auto info = service.WaitJob(*id);
   ASSERT_TRUE(info.ok());
@@ -596,20 +568,20 @@ TEST(StreamingService, ConcurrentCancelAndProgressPolling) {
       uint64_t last_seen = 0;
       double last_cost = std::numeric_limits<double>::infinity();
       while (!done.load(std::memory_order_relaxed)) {
-        auto p = service.GetJobProgress(*id, last_seen, 20);
+        auto p = service.WaitJob(*id, 20, last_seen);
         if (!p.ok()) break;
-        if (p->version > last_seen) {
+        if (p->progress.version > last_seen) {
           // Each poller independently observes a strictly improving stream.
-          EXPECT_LT(p->best_cost, last_cost) << "poller " << t;
-          last_seen = p->version;
-          last_cost = p->best_cost;
+          EXPECT_LT(p->progress.cost, last_cost) << "poller " << t;
+          last_seen = p->progress.version;
+          last_cost = p->progress.cost;
         }
-        if (p->terminal) break;
+        if (p->terminal()) break;
       }
     });
   }
   std::thread canceller([&] {
-    auto p = service.GetJobProgress(*id, 0, 5000);
+    auto p = service.WaitJob(*id, 5000, 0);
     ASSERT_TRUE(p.ok());
     service.CancelJob(*id);
   });
