@@ -574,11 +574,6 @@ Result<GenerationService::JobInfo> GenerationService::CancelJob(JobId id) {
   return SnapshotLocked(id, it->second);
 }
 
-size_t GenerationService::jobs_pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return jobs_pending_;
-}
-
 GenerationService::CountersSnapshot GenerationService::counters_snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   CountersSnapshot s;

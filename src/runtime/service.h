@@ -45,12 +45,13 @@ std::string_view JobStateName(JobState s);
 /// many interfaces out (the serving posture of PI2, which wraps this
 /// algorithm into an end-to-end interface service).
 ///
-/// Jobs run on a work-stealing thread pool; identical jobs — same canonical
-/// query log (parsed, unparsed, and sorted, so formatting and order don't
-/// matter) and same options — are answered from an LRU result cache.
-/// Each job's search can itself be parallel (JobSpec.options.parallel);
-/// that nests cleanly because TaskGroup::Wait helps run pool tasks instead
-/// of blocking a worker.
+/// Jobs run on a FIFO thread pool, so queued jobs start in admission
+/// order; identical jobs — same canonical query log (parsed, unparsed, and
+/// sorted, so formatting and order don't matter) and same options — are
+/// answered from an LRU result cache.
+/// Each job's search can itself be parallel (JobSpec.options.parallel):
+/// its first tree runs on the job's worker and each further tree on a
+/// thread of its own, so a job never waits on the pool.
 ///
 /// A job is submitted one way: SubmitJob returns a JobId whose state,
 /// timing, anytime progress and result are read from one snapshot (JobInfo)
@@ -152,9 +153,6 @@ class GenerationService {
   /// snapshot may still say kRunning — WaitJob observes the transition).
   /// Terminal jobs are returned unchanged.
   Result<JobInfo> CancelJob(JobId id);
-
-  /// Jobs admitted but not yet terminal (queued + running).
-  size_t jobs_pending() const;
 
   /// Cache key: hash of the *sorted canonical* SQL (each query parsed and
   /// unparsed, the list sorted) combined with a hash of every

@@ -1,155 +1,45 @@
 #include "runtime/thread_pool.h"
 
-#include <chrono>
-
-#include "util/logging.h"
+#include <algorithm>
 
 namespace ifgen {
 
 ThreadPool::ThreadPool(size_t num_threads) {
-  workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  threads_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
-  }
+  const size_t n = std::max<size_t>(1, num_threads);
+  threads_.reserve(n);
+  for (size_t i = 0; i < n; ++i) threads_.emplace_back([this] { WorkerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
-  stopping_.store(true, std::memory_order_release);
-  idle_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-  // Drain anything submitted after the workers exited.
-  std::function<void()> task;
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    while (PopFrom(i, /*steal=*/true, &task)) task();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
   }
+  cv_.notify_all();
+  for (std::thread& t : threads_) t.join();
 }
 
 void ThreadPool::Submit(std::function<void()> fn) {
-  tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (workers_.empty()) {
-    fn();
-    return;
-  }
-  size_t target = next_worker_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-  {
-    std::lock_guard<std::mutex> lock(workers_[target]->mu);
-    workers_[target]->queue.push_front(std::move(fn));
-  }
-  pending_.fetch_add(1, std::memory_order_release);
-  idle_cv_.notify_one();
-}
-
-bool ThreadPool::PopFrom(size_t index, bool steal, std::function<void()>* out) {
-  Worker& w = *workers_[index];
-  std::lock_guard<std::mutex> lock(w.mu);
-  if (w.queue.empty()) return false;
-  if (steal) {
-    *out = std::move(w.queue.back());
-    w.queue.pop_back();
-  } else {
-    *out = std::move(w.queue.front());
-    w.queue.pop_front();
-  }
-  pending_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool ThreadPool::FindWork(size_t self, std::function<void()>* out) {
-  const size_t n = workers_.size();
-  if (n == 0) return false;
-  // Own queue first (front = most recently pushed), then steal round-robin
-  // from the others' backs.
-  if (self < n && PopFrom(self, /*steal=*/false, out)) return true;
-  for (size_t d = 1; d <= n; ++d) {
-    size_t victim = (self + d) % n;
-    if (victim == self) continue;
-    if (PopFrom(victim, /*steal=*/true, out)) return true;
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(size_t index) {
-  std::function<void()> task;
-  while (true) {
-    if (FindWork(index, &task)) {
-      task();
-      task = nullptr;
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(idle_mu_);
-    if (stopping_.load(std::memory_order_acquire)) return;
-    if (pending_.load(std::memory_order_acquire) > 0) continue;
-    idle_cv_.wait_for(lock, std::chrono::milliseconds(50));
-    if (stopping_.load(std::memory_order_acquire)) return;
-  }
-}
-
-bool ThreadPool::TryRunOne() {
-  std::function<void()> task;
-  // A helper thread has no own queue; start stealing from worker 0.
-  if (!FindWork(workers_.empty() ? 0 : workers_.size(), &task)) return false;
-  task();
-  return true;
-}
-
-void TaskGroup::Run(std::function<void()> fn) {
-  if (pool_ == nullptr || pool_->num_threads() == 0) {
-    fn();
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++outstanding_;
+    queue_.push_back(std::move(fn));
   }
-  pool_->Submit([this, fn = std::move(fn)] {
-    fn();
-    // Decrement and notify under the mutex: once Wait observes zero (which
-    // it can only do after this unlock), this task provably never touches
-    // the group again, so Wait's caller may destroy it.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (--outstanding_ == 0) done_cv_.notify_all();
-  });
+  cv_.notify_one();
 }
 
-void TaskGroup::Wait() {
-  if (pool_ == nullptr) return;
-  // Help the pool while our tasks are pending: this keeps nested groups
-  // (a pool task that itself spawns and waits on a group) deadlock-free.
+void ThreadPool::WorkerLoop() {
   for (;;) {
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (outstanding_ == 0) return;
+      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      // Stopping exits only once the queue is drained.
+      if (queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    if (pool_->TryRunOne()) continue;
-    std::unique_lock<std::mutex> lock(mu_);
-    if (outstanding_ == 0) return;
-    done_cv_.wait_for(lock, std::chrono::milliseconds(2));
+    task();
   }
-}
-
-void ParallelFor(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  const size_t width = pool == nullptr ? 0 : pool->num_threads();
-  if (width <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  const size_t chunks = std::min(n, width * 4);
-  const size_t per = (n + chunks - 1) / chunks;
-  TaskGroup group(pool);
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t lo = c * per;
-    const size_t hi = std::min(n, lo + per);
-    if (lo >= hi) break;
-    group.Run([lo, hi, &fn] {
-      for (size_t i = lo; i < hi; ++i) fn(i);
-    });
-  }
-  group.Wait();
 }
 
 }  // namespace ifgen

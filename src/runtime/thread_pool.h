@@ -1,104 +1,44 @@
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace ifgen {
 
-/// \brief A work-stealing thread pool.
+/// \brief A FIFO thread pool: N workers take tasks from one shared queue in
+/// submission order.
 ///
-/// Each worker owns a deque: the owner pushes and pops at the front (LIFO,
-/// cache-friendly for recursively spawned work), thieves steal from the back
-/// (FIFO, takes the oldest — and usually largest — task). External Submit
-/// calls distribute round-robin across workers.
-///
-/// The pool is also usable cooperatively: TryRunOne lets a blocked caller
-/// (e.g. TaskGroup::Wait) execute pending work instead of sleeping, which
-/// makes nested task groups deadlock-free even when every worker is busy.
-///
-/// A pool of zero threads is valid and means "inline execution": Submit runs
-/// the task on the calling thread. That keeps `num_threads=1` code paths
-/// free of any thread handoff.
+/// Submit appends to the back; idle workers wait on a condition variable
+/// (no timed polling) and take from the front, so a task never waits behind
+/// one submitted after it. The destructor lets the workers finish every
+/// queued task, then joins them.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers; 0 = inline mode (no threads).
+  /// Spawns max(1, num_threads) workers.
   explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task (runs it inline when the pool has no threads).
+  /// Appends a task to the queue.
   void Submit(std::function<void()> fn);
 
-  /// Steals and runs one pending task on the calling thread; false when no
-  /// task was available.
-  bool TryRunOne();
-
-  size_t num_threads() const { return workers_.size(); }
-
-  /// Tasks submitted over the pool's lifetime (diagnostics).
-  size_t tasks_submitted() const { return tasks_submitted_.load(std::memory_order_relaxed); }
+  size_t num_threads() const { return threads_.size(); }
 
  private:
-  struct Worker {
-    std::mutex mu;
-    std::deque<std::function<void()>> queue;
-  };
+  void WorkerLoop();
 
-  void WorkerLoop(size_t index);
-  bool PopFrom(size_t index, bool steal, std::function<void()>* out);
-  bool FindWork(size_t self, std::function<void()>* out);
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<size_t> next_worker_{0};
-  std::atomic<size_t> pending_{0};
-  std::atomic<size_t> tasks_submitted_{0};
-};
-
-/// \brief A group of tasks whose completion can be awaited together.
-///
-/// Run schedules onto the pool (or inline for a null/empty pool); Wait
-/// blocks until every task of this group finished, *helping* the pool by
-/// running pending tasks while it waits. Exceptions from tasks are not
-/// propagated (the library is exception-free by convention; tasks must
-/// report through their own channels).
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
-  ~TaskGroup() { Wait(); }
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  void Run(std::function<void()> fn);
-  void Wait();
-
- private:
-  ThreadPool* pool_;
-  /// Guarded by mu_ (not atomic on purpose): the completing task's final
-  /// decrement-and-notify and Wait's last check must synchronize through
-  /// the same mutex, or a completing task could touch a TaskGroup that a
-  /// woken Wait has already destroyed.
-  size_t outstanding_ = 0;
   std::mutex mu_;
-  std::condition_variable done_cv_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> queue_;  ///< guarded by mu_
+  bool stopping_ = false;                    ///< guarded by mu_
+  std::vector<std::thread> threads_;
 };
-
-/// Runs fn(i) for i in [0, n), distributing contiguous chunks across the
-/// pool; blocks until all iterations complete. Chunk count adapts to the
-/// pool width so per-task overhead stays negligible.
-void ParallelFor(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn);
 
 }  // namespace ifgen

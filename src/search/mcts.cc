@@ -5,11 +5,11 @@
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "obs/trace.h"
-#include "runtime/thread_pool.h"
 #include "search/priors.h"
 #include "util/logging.h"
 
@@ -378,28 +378,28 @@ Result<SearchResult> MctsSearcher::Run(const DiffTree& initial) {
   std::vector<SearchStats> tree_stats(trees);
   std::vector<std::vector<RootActionStat>> tree_actions(trees);
 
-  // Sized 0 for one tree: TaskGroup then runs it inline on this thread.
-  ThreadPool pool(trees == 1 ? 0 : trees);
-  {
-    TaskGroup group(&pool);
-    for (size_t t = 0; t < trees; ++t) {
-      group.Run([&, t] {
-        MctsTreeParams params;
-        params.rules = rules_;
-        params.evaluator = evaluator_;
-        params.opts = &opts_;
-        params.run = &run;
-        params.rng = &rngs[t];
-        params.stats = &tree_stats[t];
-        params.priors = priors.get();
-        params.anchor_cost = c0;
-        params.root_actions = &tree_actions[t];
-        params.experience_seed = warm != nullptr ? &warm->experience_seed : nullptr;
-        RunMctsTree(initial, params);
-      });
-    }
-    group.Wait();
-  }
+  auto run_tree = [&](size_t t) {
+    MctsTreeParams params;
+    params.rules = rules_;
+    params.evaluator = evaluator_;
+    params.opts = &opts_;
+    params.run = &run;
+    params.rng = &rngs[t];
+    params.stats = &tree_stats[t];
+    params.priors = priors.get();
+    params.anchor_cost = c0;
+    params.root_actions = &tree_actions[t];
+    params.experience_seed = warm != nullptr ? &warm->experience_seed : nullptr;
+    RunMctsTree(initial, params);
+  };
+  // Tree 0 runs on the calling thread (so one tree starts no thread, and
+  // its spans reach the caller's trace sink); trees 1..n-1 get one thread
+  // each.
+  std::vector<std::thread> helpers;
+  helpers.reserve(trees - 1);
+  for (size_t t = 1; t < trees; ++t) helpers.emplace_back(run_tree, t);
+  run_tree(0);
+  for (std::thread& h : helpers) h.join();
 
   SearchResult result = run.Finish(tree_stats);
   // Duplicate-canonical root children (two actions reaching one state)

@@ -32,14 +32,15 @@ namespace ifgen {
 /// states (rule sequences often commute); revisits share one sampled cost
 /// through the StateEvaluator's memo.
 ///
-/// Root parallelism: `parallel.num_threads` independent trees (one per
-/// worker thread, each on its own RNG stream) share one SearchRun (its
-/// transposition table, best tracker, deadline and stop control) and the
-/// evaluator's memo. The iteration
+/// Root parallelism: `parallel.num_threads` independent trees, each on its
+/// own RNG stream, share one SearchRun (its transposition table, best
+/// tracker, deadline and stop control) and the evaluator's memo. Tree 0
+/// runs on the caller's thread and trees 1..n-1 on one plain std::thread
+/// each, joined before Run returns. The iteration
 /// budget is divided across trees; after the run the per-tree root actions
 /// are merged by canonical hash and ranked by visit-weighted mean reward
-/// (`SearchResult::root_actions`). One tree runs inline on the caller's
-/// thread and is bit-for-bit reproducible (see ParallelOptions).
+/// (`SearchResult::root_actions`). One tree starts no thread and is
+/// bit-for-bit reproducible (see ParallelOptions).
 class MctsSearcher final : public Searcher {
  public:
   MctsSearcher(const RuleEngine* rules, StateEvaluator* evaluator, SearchOptions opts,

@@ -113,7 +113,8 @@ struct WarmStart {
 /// varies run-to-run. Only the seeds, not the trajectories, are
 /// reproducible beyond one thread.
 struct ParallelOptions {
-  /// Search trees, one per worker thread; <= 1 = serial.
+  /// Search trees: tree 0 on the calling thread, each other tree on a
+  /// thread of its own; <= 1 = serial.
   size_t num_threads = 1;
 };
 

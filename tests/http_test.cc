@@ -466,7 +466,8 @@ TEST_F(HttpTest, SseStreamsEventBatches) {
 }
 
 /// Pins the feed-loop fix: an idle SSE stream parks on the runtime's
-/// version condvar in `feed_wait_slice_ms` blocks instead of busy-polling.
+/// version condvar in `kWaitSliceMs` blocks (src/http/api_http.cc) instead
+/// of busy-polling.
 /// Before the fix the loop slept 15 ms per iteration — an idle 2 s stream
 /// burned ~130 wakeups; now it wakes ~2x/s just to notice a dead socket.
 TEST_F(HttpTest, IdleSseFeedDoesNotBusyPoll) {

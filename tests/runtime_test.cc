@@ -21,64 +21,29 @@ namespace {
 // ------------------------------------------------------------- ThreadPool
 
 TEST(ThreadPool, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
   std::atomic<int> count{0};
-  TaskGroup group(&pool);
-  for (int i = 0; i < 100; ++i) {
-    group.Run([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  group.Wait();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+    }
+  }  // the destructor drains the queue before joining
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPool, ZeroThreadsRunsInline) {
-  ThreadPool pool(0);
-  int count = 0;  // no atomics needed: everything runs on this thread
-  TaskGroup group(&pool);
-  for (int i = 0; i < 10; ++i) group.Run([&count] { ++count; });
-  group.Wait();
-  EXPECT_EQ(count, 10);
-}
-
-TEST(ThreadPool, NullPoolRunsInline) {
-  int count = 0;
-  TaskGroup group(nullptr);
-  for (int i = 0; i < 10; ++i) group.Run([&count] { ++count; });
-  group.Wait();
-  EXPECT_EQ(count, 10);
-}
-
-TEST(ThreadPool, NestedTaskGroupsDoNotDeadlock) {
-  // More nested waits than workers: only possible because Wait() helps run
-  // pending tasks instead of blocking its worker.
-  ThreadPool pool(2);
-  std::atomic<int> leaf_count{0};
-  TaskGroup outer(&pool);
-  for (int i = 0; i < 8; ++i) {
-    outer.Run([&pool, &leaf_count] {
-      TaskGroup inner(&pool);
-      for (int j = 0; j < 4; ++j) {
-        inner.Run([&leaf_count] { leaf_count.fetch_add(1); });
-      }
-      inner.Wait();
-    });
+TEST(ThreadPool, OneWorkerRunsTasksInSubmissionOrder) {
+  std::vector<int> order;  // only the one worker writes it
+  {
+    ThreadPool pool(1);
+    // Hold the worker so every later task is queued before any runs.
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    pool.Submit([released] { released.wait(); });
+    for (int i = 0; i < 16; ++i) pool.Submit([&order, i] { order.push_back(i); });
+    release.set_value();
   }
-  outer.Wait();
-  EXPECT_EQ(leaf_count.load(), 32);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndex) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  ParallelFor(&pool, hits.size(), [&hits](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  ParallelFor(&pool, 0, [](size_t) { FAIL() << "must not be called"; });
+  ASSERT_EQ(order.size(), 16u);
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
 }
 
 // ------------------------------------------------- TranspositionTable
@@ -416,7 +381,7 @@ TEST(GenerationService, TrackedJobRunsToDone) {
   ASSERT_NE(info->result, nullptr);
   EXPECT_GT(info->result->widgets.CountInteractive(), 0u);
   EXPECT_FALSE(info->cache_hit);
-  EXPECT_EQ(service.jobs_pending(), 0u);
+  EXPECT_EQ(service.counters_snapshot().jobs_pending, 0u);
 
   // Identical resubmission: immediate kDone via the cache.
   auto id2 = service.SubmitJob(SmallJob(11));
@@ -500,7 +465,45 @@ TEST(GenerationService, CancelQueuedJob) {
       EXPECT_EQ(info->result, nullptr);
     }
   }
-  EXPECT_EQ(service.jobs_pending(), 0u);
+  EXPECT_EQ(service.counters_snapshot().jobs_pending, 0u);
+}
+
+TEST(GenerationService, QueuedJobsStartInAdmissionOrder) {
+  // One worker, held by a blocker, while four short jobs queue behind it.
+  // They are admitted within microseconds of each other, so each one's
+  // queued_ms orders the starts: FIFO makes it non-decreasing in admission
+  // order, where a newest-first queue would start the last one first.
+  GenerationService::Options opts;
+  opts.num_threads = 1;
+  opts.cache_capacity = 0;
+  GenerationService service(opts);
+  auto blocker = service.SubmitJob(LongJob(70));
+  ASSERT_TRUE(blocker.ok());
+  auto running = service.WaitJob(*blocker, /*timeout_ms=*/-1, /*after_version=*/0);
+  ASSERT_TRUE(running.ok());
+  ASSERT_EQ(running->state, JobState::kRunning);
+  std::vector<GenerationService::JobId> ids;
+  for (uint64_t s = 0; s < 4; ++s) {
+    JobSpec spec = SmallJob(71 + s);
+    spec.options.search.max_iterations = 40;  // runs of a few ms each
+    auto id = service.SubmitJob(std::move(spec));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  ASSERT_TRUE(service.CancelJob(*blocker).ok());
+  std::vector<int64_t> queued_ms;
+  for (GenerationService::JobId id : ids) {
+    auto info = service.WaitJob(id);
+    ASSERT_TRUE(info.ok());
+    ASSERT_EQ(info->state, JobState::kDone) << info->error.ToString();
+    queued_ms.push_back(info->queued_ms);
+  }
+  for (size_t i = 1; i < queued_ms.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      EXPECT_LE(queued_ms[j], queued_ms[i])
+          << "job " << i + 2 << " started before job " << j + 2;
+    }
+  }
 }
 
 TEST(GenerationService, JobHistoryEvictsOldestFinished) {
@@ -603,7 +606,7 @@ TEST(GenerationService, WaitJobWakesOnEveryTerminalTransition) {
   EXPECT_EQ(cancelled->error.code(), StatusCode::kCancelled);
   ASSERT_NE(cancelled->result, nullptr);
   EXPECT_EQ(cancelled->progress.version, cancelled->result->stats.trace.size());
-  EXPECT_EQ(service.jobs_pending(), 0u);
+  EXPECT_EQ(service.counters_snapshot().jobs_pending, 0u);
 }
 
 TEST(GenerationService, WaitJobOnAnEvictedRecordIsNotFound) {

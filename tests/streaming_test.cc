@@ -5,11 +5,13 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/interface_generator.h"
 #include "difftree/builder.h"
+#include "obs/trace.h"
 #include "runtime/service.h"
 #include "search/mcts.h"
 #include "search/progress.h"
@@ -591,6 +593,30 @@ TEST(StreamingService, ConcurrentCancelAndProgressPolling) {
   for (auto& th : pollers) th.join();
   ASSERT_TRUE(info.ok());
   EXPECT_TRUE(info->terminal());
+}
+
+/// Tree 0 of a root-parallel job runs on the job's own worker thread, so
+/// the job-private trace captures its search spans.
+TEST(StreamingService, RootParallelJobTraceHoldsTreeSpans) {
+  const bool tracing_before = obs::TracingEnabled();
+  obs::SetTracingEnabled(true);
+  GenerationService::Options opts;
+  opts.num_threads = 1;
+  GenerationService service(opts);
+  JobSpec spec = StreamingJob(5, 8, 0);
+  spec.options.parallel.num_threads = 2;
+  auto id = service.SubmitJob(std::move(spec));
+  ASSERT_TRUE(id.ok());
+  auto info = service.WaitJob(*id);
+  obs::SetTracingEnabled(tracing_before);
+  ASSERT_TRUE(info.ok());
+  ASSERT_EQ(info->state, JobState::kDone) << info->error.ToString();
+  ASSERT_NE(info->trace, nullptr);
+  size_t tree_spans = 0;
+  for (const obs::TraceEvent& e : info->trace->Events()) {
+    if (std::string_view(e.name) == "mcts.tree") ++tree_spans;
+  }
+  EXPECT_GE(tree_spans, 1u);
 }
 
 }  // namespace
