@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "cluster/frame.h"
+#include "http/net.h"
 #include "obs/metrics.h"
 #include "util/hash.h"
 #include "util/json.h"
@@ -23,6 +24,10 @@ namespace {
 constexpr size_t kVirtualNodes = 16;         ///< ring points per worker
 constexpr size_t kMaxPooledConnections = 8;  ///< idle connections per worker
 constexpr size_t kMaxJobRoutes = 4096;       ///< terminal routes kept
+constexpr int64_t kConnectTimeoutMs = 2000;  ///< also bounds each send
+/// Base RPC read deadline; long-poll calls extend it by their wait_ms.
+constexpr int64_t kRpcTimeoutMs = 20000;
+constexpr int64_t kReconnectBackoffMaxMs = 2000;  ///< probe backoff cap
 
 obs::CounterFamily& RpcsFamily() {
   static obs::CounterFamily* f = obs::MetricsRegistry::Default().GetCounterFamily(
@@ -56,6 +61,26 @@ obs::GaugeFamily& WorkerHealthyFamily() {
 
 std::string AddressOf(const ClusterRouter::WorkerAddress& a) {
   return a.host + ":" + std::to_string(a.port);
+}
+
+const char* NounOf(bool job) { return job ? "job" : "session"; }
+
+/// The payload of the methods that name their target in an IdRequest.
+std::function<JsonValue(const std::string&)> IdPayload(int64_t wait_ms = 0) {
+  return [wait_ms](const std::string& remote_id) {
+    return api::IdRequest{remote_id, wait_ms}.ToJson();
+  };
+}
+
+/// Decodes a job status or progress reply and rewrites the worker-local job
+/// id to the cluster's.
+template <typename Response>
+Result<Response> DecodeForJob(const std::string& job_id,
+                              const JsonValue& payload) {
+  IFGEN_ASSIGN_OR_RETURN(Response resp, Response::FromJson(payload));
+  resp.job_id = job_id;
+  if (resp.result.value.has_value()) resp.result.value->job_id = job_id;
+  return resp;
 }
 
 }  // namespace
@@ -117,7 +142,7 @@ void ClusterRouter::MarkUnhealthyLocked(WorkerState* w) {
   w->idle.clear();
   if (w->backoff_ms <= 0) w->backoff_ms = opts_.reconnect_backoff_ms;
   w->next_probe = Clock::now() + std::chrono::milliseconds(w->backoff_ms);
-  w->backoff_ms = std::min(w->backoff_ms * 2, opts_.reconnect_backoff_max_ms);
+  w->backoff_ms = std::min(w->backoff_ms * 2, kReconnectBackoffMaxMs);
 }
 
 Result<JsonValue> ClusterRouter::Rpc(WorkerState* w, const char* method,
@@ -157,7 +182,7 @@ Result<JsonValue> ClusterRouter::Rpc(WorkerState* w, const char* method,
     return s;
   };
   if (fd < 0) {
-    auto conn = ConnectTcp(w->addr.host, w->addr.port, opts_.connect_timeout_ms);
+    auto conn = net::ConnectTcp(w->addr.host, w->addr.port, kConnectTimeoutMs);
     if (!conn.ok()) return fail(conn.status());
     fd = *conn;
   }
@@ -169,7 +194,7 @@ Result<JsonValue> ClusterRouter::Rpc(WorkerState* w, const char* method,
     Status s = WriteFrame(fd, WriteJson(env.ToJson()));
     return s.ok() ? s : fail(std::move(s));
   })());
-  auto frame = ReadFrame(fd, opts_.rpc_timeout_ms + extra_wait_ms);
+  auto frame = ReadFrame(fd, kRpcTimeoutMs + extra_wait_ms);
   if (!frame.ok()) return fail(frame.status());
   auto parsed = ParseJson(*frame);
   if (!parsed.ok()) return fail(parsed.status());
@@ -190,7 +215,6 @@ Result<JsonValue> ClusterRouter::Rpc(WorkerState* w, const char* method,
   {
     std::lock_guard<std::mutex> lock(w->mu);
     --w->inflight;
-    if (reply->epoch != 0) w->epoch = reply->epoch;
     if (!w->healthy) {
       w->healthy = true;
       ++w->reconnects;
@@ -259,62 +283,56 @@ ClusterRouter::WorkerState* ClusterRouter::PickWorker(uint64_t key) {
   return nullptr;
 }
 
-Result<ClusterRouter::Route> ClusterRouter::FindJob(const std::string& job_id) {
+Result<ClusterRouter::Route> ClusterRouter::Find(RouteKind kind,
+                                                 const std::string& id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = jobs_.find(job_id);
-  if (it == jobs_.end()) {
-    return Status::NotFound("unknown job id '" + job_id + "'");
+  const std::map<std::string, Route>& routes =
+      kind == RouteKind::kJob ? jobs_ : sessions_;
+  auto it = routes.find(id);
+  if (it == routes.end()) {
+    return Status::NotFound(std::string("unknown ") +
+                            NounOf(kind == RouteKind::kJob) + " id '" + id + "'");
   }
   return it->second;
 }
 
-Result<ClusterRouter::Route> ClusterRouter::FindSession(
-    const std::string& session_id) {
+void ClusterRouter::Forget(RouteKind kind, const std::string& id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) {
-    return Status::NotFound("unknown session id '" + session_id + "'");
+  if (kind == RouteKind::kSession) {
+    sessions_.erase(id);
+    return;
   }
-  return it->second;
+  jobs_.erase(id);
+  auto it = std::find(job_order_.begin(), job_order_.end(), id);
+  if (it != job_order_.end()) job_order_.erase(it);
 }
 
-// Epoch guards: a worker restart resets its dense "job-N"/"sess-N" id space,
-// so a route recorded against the old incarnation could silently name a NEW
+// The epoch guard: a worker restart resets its dense "job-N"/"sess-N" id
+// space, so a route recorded against the old incarnation could name a NEW
 // job/session that happens to reuse the number. The reply's epoch exposes
 // that: when it differs from the epoch the route was created under, the
-// payload belongs to a stranger — discard it, forget the route, and answer
-// NotFound (never another job's result). A zero on either side means "epoch
-// unknown" (pre-epoch worker or never-heard route) and skips the check.
-
-Status ClusterRouter::CheckJobEpoch(const std::string& job_id,
-                                    const Route& route, int64_t reply_epoch) {
-  if (route.epoch == 0 || reply_epoch == 0 || route.epoch == reply_epoch) {
-    return Status::OK();
+// reply — a payload or an error — belongs to a stranger. Discard it, forget
+// the route and answer NotFound. A zero on either side means "epoch unknown"
+// (a pre-epoch worker, or a transport failure with no reply) and skips the
+// check.
+Result<JsonValue> ClusterRouter::Forward(RouteKind kind, const std::string& id,
+                                         const char* method,
+                                         const Payload& payload,
+                                         int64_t wait_ms, Route* used) {
+  IFGEN_ASSIGN_OR_RETURN(Route route, Find(kind, id));
+  int64_t reply_epoch = 0;
+  Result<JsonValue> reply =
+      Rpc(workers_[route.worker].get(), method, payload(route.remote_id),
+          /*extra_wait_ms=*/wait_ms, /*probe=*/false, &reply_epoch);
+  if (route.epoch != 0 && reply_epoch != 0 && route.epoch != reply_epoch) {
+    Forget(kind, id);
+    const bool job = kind == RouteKind::kJob;
+    return Status::NotFound(std::string(NounOf(job)) + " '" + id +
+                            "' was owned by a worker that restarted; its state "
+                            "is gone — " + (job ? "resubmit" : "reopen"));
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    jobs_.erase(job_id);
-    auto it = std::find(job_order_.begin(), job_order_.end(), job_id);
-    if (it != job_order_.end()) job_order_.erase(it);
-  }
-  return Status::NotFound("job '" + job_id +
-                          "' was owned by a worker that restarted; its state "
-                          "is gone — resubmit");
-}
-
-Status ClusterRouter::CheckSessionEpoch(const std::string& session_id,
-                                        const Route& route,
-                                        int64_t reply_epoch) {
-  if (route.epoch == 0 || reply_epoch == 0 || route.epoch == reply_epoch) {
-    return Status::OK();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sessions_.erase(session_id);
-  }
-  return Status::NotFound("session '" + session_id +
-                          "' was owned by a worker that restarted; its state "
-                          "is gone — reopen");
+  if (used != nullptr) *used = route;
+  return reply;
 }
 
 Result<api::GenerateAccepted> ClusterRouter::SubmitGenerate(
@@ -361,71 +379,35 @@ Result<api::GenerateAccepted> ClusterRouter::SubmitGenerate(
 
 Result<api::JobStatusResponse> ClusterRouter::GetJob(const std::string& job_id,
                                                      int64_t wait_ms) {
-  IFGEN_ASSIGN_OR_RETURN(Route route, FindJob(job_id));
-  api::IdRequest q;
-  q.id = route.remote_id;
-  q.wait_ms = wait_ms;
-  int64_t reply_epoch = 0;
   IFGEN_ASSIGN_OR_RETURN(JsonValue payload,
-                         Rpc(workers_[route.worker].get(), api::kMethodGetJob,
-                             q.ToJson(), /*extra_wait_ms=*/wait_ms,
-                             /*probe=*/false, &reply_epoch));
-  IFGEN_RETURN_NOT_OK(CheckJobEpoch(job_id, route, reply_epoch));
-  IFGEN_ASSIGN_OR_RETURN(api::JobStatusResponse resp,
-                         api::JobStatusResponse::FromJson(payload));
-  resp.job_id = job_id;
-  if (resp.result.value.has_value()) resp.result.value->job_id = job_id;
-  return resp;
+                         Forward(RouteKind::kJob, job_id, api::kMethodGetJob,
+                                 IdPayload(wait_ms), wait_ms));
+  return DecodeForJob<api::JobStatusResponse>(job_id, payload);
 }
 
 Result<api::JobStatusResponse> ClusterRouter::CancelJob(
     const std::string& job_id) {
-  IFGEN_ASSIGN_OR_RETURN(Route route, FindJob(job_id));
-  api::IdRequest q;
-  q.id = route.remote_id;
-  int64_t reply_epoch = 0;
-  IFGEN_ASSIGN_OR_RETURN(
-      JsonValue payload,
-      Rpc(workers_[route.worker].get(), api::kMethodCancelJob, q.ToJson(),
-          /*extra_wait_ms=*/0, /*probe=*/false, &reply_epoch));
-  IFGEN_RETURN_NOT_OK(CheckJobEpoch(job_id, route, reply_epoch));
-  IFGEN_ASSIGN_OR_RETURN(api::JobStatusResponse resp,
-                         api::JobStatusResponse::FromJson(payload));
-  resp.job_id = job_id;
-  if (resp.result.value.has_value()) resp.result.value->job_id = job_id;
-  return resp;
+  IFGEN_ASSIGN_OR_RETURN(JsonValue payload,
+                         Forward(RouteKind::kJob, job_id, api::kMethodCancelJob,
+                                 IdPayload()));
+  return DecodeForJob<api::JobStatusResponse>(job_id, payload);
 }
 
 Result<api::JobProgressResponse> ClusterRouter::GetJobProgress(
     const std::string& job_id, int64_t last_seen_version, int64_t wait_ms) {
-  IFGEN_ASSIGN_OR_RETURN(Route route, FindJob(job_id));
-  api::ProgressRequest q;
-  q.job_id = route.remote_id;
-  q.last_seen_version = last_seen_version;
-  q.wait_ms = wait_ms;
-  int64_t reply_epoch = 0;
-  IFGEN_ASSIGN_OR_RETURN(
-      JsonValue payload,
-      Rpc(workers_[route.worker].get(), api::kMethodJobProgress, q.ToJson(),
-          /*extra_wait_ms=*/wait_ms, /*probe=*/false, &reply_epoch));
-  IFGEN_RETURN_NOT_OK(CheckJobEpoch(job_id, route, reply_epoch));
-  IFGEN_ASSIGN_OR_RETURN(api::JobProgressResponse resp,
-                         api::JobProgressResponse::FromJson(payload));
-  resp.job_id = job_id;
-  if (resp.result.value.has_value()) resp.result.value->job_id = job_id;
-  return resp;
+  auto progress = [&](const std::string& remote_id) {
+    return api::ProgressRequest{remote_id, last_seen_version, wait_ms}.ToJson();
+  };
+  IFGEN_ASSIGN_OR_RETURN(JsonValue payload,
+                         Forward(RouteKind::kJob, job_id,
+                                 api::kMethodJobProgress, progress, wait_ms));
+  return DecodeForJob<api::JobProgressResponse>(job_id, payload);
 }
 
 Result<std::string> ClusterRouter::JobTrace(const std::string& job_id) {
-  IFGEN_ASSIGN_OR_RETURN(Route route, FindJob(job_id));
-  api::IdRequest q;
-  q.id = route.remote_id;
-  int64_t reply_epoch = 0;
-  IFGEN_ASSIGN_OR_RETURN(
-      JsonValue payload,
-      Rpc(workers_[route.worker].get(), api::kMethodJobTrace, q.ToJson(),
-          /*extra_wait_ms=*/0, /*probe=*/false, &reply_epoch));
-  IFGEN_RETURN_NOT_OK(CheckJobEpoch(job_id, route, reply_epoch));
+  IFGEN_ASSIGN_OR_RETURN(JsonValue payload,
+                         Forward(RouteKind::kJob, job_id, api::kMethodJobTrace,
+                                 IdPayload()));
   IFGEN_ASSIGN_OR_RETURN(api::TextReply t, api::TextReply::FromJson(payload));
   return t.text;
 }
@@ -434,22 +416,22 @@ Result<api::SessionOpenResponse> ClusterRouter::OpenSession(
     const api::SessionOpenRequest& req) {
   // Sessions follow their job: the interface result, its backends, and the
   // runtime all live in the worker that ran the search.
-  IFGEN_ASSIGN_OR_RETURN(Route route, FindJob(req.job_id));
-  api::SessionOpenRequest remote = req;
-  remote.job_id = route.remote_id;
-  int64_t reply_epoch = 0;
-  IFGEN_ASSIGN_OR_RETURN(
-      JsonValue payload,
-      Rpc(workers_[route.worker].get(), api::kMethodOpenSession,
-          remote.ToJson(), /*extra_wait_ms=*/0, /*probe=*/false, &reply_epoch));
-  IFGEN_RETURN_NOT_OK(CheckJobEpoch(req.job_id, route, reply_epoch));
+  auto open = [&](const std::string& remote_id) {
+    api::SessionOpenRequest remote = req;
+    remote.job_id = remote_id;
+    return remote.ToJson();
+  };
+  Route job;
+  IFGEN_ASSIGN_OR_RETURN(JsonValue payload,
+                         Forward(RouteKind::kJob, req.job_id,
+                                 api::kMethodOpenSession, open, 0, &job));
   IFGEN_ASSIGN_OR_RETURN(api::SessionOpenResponse resp,
                          api::SessionOpenResponse::FromJson(payload));
   std::string cluster_id;
   {
     std::lock_guard<std::mutex> lock(mu_);
     cluster_id = "s-" + std::to_string(next_session_++);
-    sessions_[cluster_id] = Route{route.worker, resp.session_id, reply_epoch};
+    sessions_[cluster_id] = Route{job.worker, resp.session_id, job.epoch};
   }
   resp.session_id = std::move(cluster_id);
   return resp;
@@ -457,16 +439,12 @@ Result<api::SessionOpenResponse> ClusterRouter::OpenSession(
 
 Result<api::StepResponse> ClusterRouter::ApplyEvent(
     const std::string& session_id, const api::WidgetEventRequest& event) {
-  IFGEN_ASSIGN_OR_RETURN(Route route, FindSession(session_id));
-  api::SessionEventRequest q;
-  q.session_id = route.remote_id;
-  q.event = event;
-  int64_t reply_epoch = 0;
-  IFGEN_ASSIGN_OR_RETURN(
-      JsonValue payload,
-      Rpc(workers_[route.worker].get(), api::kMethodSessionEvent, q.ToJson(),
-          /*extra_wait_ms=*/0, /*probe=*/false, &reply_epoch));
-  IFGEN_RETURN_NOT_OK(CheckSessionEpoch(session_id, route, reply_epoch));
+  auto step = [&](const std::string& remote_id) {
+    return api::SessionEventRequest{remote_id, event}.ToJson();
+  };
+  IFGEN_ASSIGN_OR_RETURN(JsonValue payload,
+                         Forward(RouteKind::kSession, session_id,
+                                 api::kMethodSessionEvent, step));
   IFGEN_ASSIGN_OR_RETURN(api::StepResponse resp,
                          api::StepResponse::FromJson(payload));
   resp.session_id = session_id;
@@ -475,44 +453,26 @@ Result<api::StepResponse> ClusterRouter::ApplyEvent(
 
 Result<api::ChangeBatchDto> ClusterRouter::PollSession(
     const std::string& session_id, int64_t wait_ms) {
-  IFGEN_ASSIGN_OR_RETURN(Route route, FindSession(session_id));
-  api::IdRequest q;
-  q.id = route.remote_id;
-  q.wait_ms = wait_ms;
-  int64_t reply_epoch = 0;
-  IFGEN_ASSIGN_OR_RETURN(
-      JsonValue payload,
-      Rpc(workers_[route.worker].get(), api::kMethodPollSession, q.ToJson(),
-          /*extra_wait_ms=*/wait_ms, /*probe=*/false, &reply_epoch));
-  IFGEN_RETURN_NOT_OK(CheckSessionEpoch(session_id, route, reply_epoch));
+  IFGEN_ASSIGN_OR_RETURN(JsonValue payload,
+                         Forward(RouteKind::kSession, session_id,
+                                 api::kMethodPollSession, IdPayload(wait_ms),
+                                 wait_ms));
   return api::ChangeBatchDto::FromJson(payload);
 }
 
 Status ClusterRouter::CloseSession(const std::string& session_id) {
-  IFGEN_ASSIGN_OR_RETURN(Route route, FindSession(session_id));
-  api::IdRequest q;
-  q.id = route.remote_id;
-  int64_t reply_epoch = 0;
-  auto r = Rpc(workers_[route.worker].get(), api::kMethodCloseSession,
-               q.ToJson(), /*extra_wait_ms=*/0, /*probe=*/false, &reply_epoch);
-  if (!r.ok()) return r.status();
-  IFGEN_RETURN_NOT_OK(CheckSessionEpoch(session_id, route, reply_epoch));
-  std::lock_guard<std::mutex> lock(mu_);
-  sessions_.erase(session_id);
+  IFGEN_RETURN_NOT_OK(Forward(RouteKind::kSession, session_id,
+                              api::kMethodCloseSession, IdPayload())
+                          .status());
+  Forget(RouteKind::kSession, session_id);
   return Status::OK();
 }
 
 Result<api::TableDto> ClusterRouter::SessionTable(
     const std::string& session_id) {
-  IFGEN_ASSIGN_OR_RETURN(Route route, FindSession(session_id));
-  api::IdRequest q;
-  q.id = route.remote_id;
-  int64_t reply_epoch = 0;
-  IFGEN_ASSIGN_OR_RETURN(
-      JsonValue payload,
-      Rpc(workers_[route.worker].get(), api::kMethodSessionTable, q.ToJson(),
-          /*extra_wait_ms=*/0, /*probe=*/false, &reply_epoch));
-  IFGEN_RETURN_NOT_OK(CheckSessionEpoch(session_id, route, reply_epoch));
+  IFGEN_ASSIGN_OR_RETURN(JsonValue payload,
+                         Forward(RouteKind::kSession, session_id,
+                                 api::kMethodSessionTable, IdPayload()));
   return api::TableDto::FromJson(payload);
 }
 
@@ -601,7 +561,7 @@ Result<api::ClusterResponse> ClusterRouter::Cluster() {
 }
 
 Result<size_t> ClusterRouter::WorkerIndexForJob(const std::string& job_id) {
-  IFGEN_ASSIGN_OR_RETURN(Route route, FindJob(job_id));
+  IFGEN_ASSIGN_OR_RETURN(Route route, Find(RouteKind::kJob, job_id));
   return route.worker;
 }
 

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -51,12 +52,8 @@ class ClusterRouter : public api::ServiceFrontend {
 
   struct Options {
     std::vector<WorkerAddress> workers;
-    int64_t connect_timeout_ms = 2000;
-    /// Base RPC deadline; long-poll calls extend it by their wait_ms.
-    int64_t rpc_timeout_ms = 20000;
     int64_t health_interval_ms = 500;
-    int64_t reconnect_backoff_ms = 100;      ///< initial, doubles per failure
-    int64_t reconnect_backoff_max_ms = 2000;
+    int64_t reconnect_backoff_ms = 100;  ///< initial, doubles per failure
     /// RPCs in flight per worker beyond this answer ResourceExhausted.
     size_t max_inflight_per_worker = 64;
   };
@@ -121,9 +118,6 @@ class ClusterRouter : public api::ServiceFrontend {
     int64_t rpcs = 0;
     int64_t failures = 0;
     int64_t reconnects = 0;
-    /// Last epoch any reply from this address carried (0 = never heard).
-    /// A change means the process restarted and its dense id space reset.
-    int64_t epoch = 0;
   };
 
   struct Route {
@@ -135,27 +129,33 @@ class ClusterRouter : public api::ServiceFrontend {
     int64_t epoch = 0;
   };
 
+  enum class RouteKind { kJob, kSession };
+  /// Builds an RPC payload naming the worker-local id of a route.
+  using Payload = std::function<JsonValue(const std::string& remote_id)>;
+
   /// One request/reply over a pooled (or fresh) connection to `w`.
   /// `extra_wait_ms` extends the read deadline for long-poll methods.
   /// `probe` bypasses the unhealthy fast-fail and, on success, restores the
   /// worker to healthy. `reply_epoch` (optional out) receives the epoch the
-  /// reply carried; the worker's recorded epoch is updated either way.
+  /// reply carried, also when the reply is an application error.
   Result<JsonValue> Rpc(WorkerState* w, const char* method, JsonValue payload,
                         int64_t extra_wait_ms = 0, bool probe = false,
                         int64_t* reply_epoch = nullptr);
+  /// The one routed call for cluster ids: finds the route of `id`, sends
+  /// `method` to its worker with `payload(remote_id)`, and checks the epoch
+  /// of every reply that carries one, errors included. A reply from another
+  /// incarnation than the route's forgets the route and answers NotFound.
+  /// `used` (optional out) receives the route the call took.
+  Result<JsonValue> Forward(RouteKind kind, const std::string& id,
+                            const char* method, const Payload& payload,
+                            int64_t wait_ms = 0, Route* used = nullptr);
+  Result<Route> Find(RouteKind kind, const std::string& id);
+  void Forget(RouteKind kind, const std::string& id);
   void MarkUnhealthyLocked(WorkerState* w);
   void HealthLoop();
   /// Ring walk: the first healthy worker at/after `key`. Null when no
   /// worker is healthy.
   WorkerState* PickWorker(uint64_t key);
-  Result<Route> FindJob(const std::string& job_id);
-  Result<Route> FindSession(const std::string& session_id);
-  /// Epoch guards: NotFound + route erasure when `reply_epoch` shows the
-  /// answer came from a different worker incarnation than the route's.
-  Status CheckJobEpoch(const std::string& job_id, const Route& route,
-                       int64_t reply_epoch);
-  Status CheckSessionEpoch(const std::string& session_id, const Route& route,
-                           int64_t reply_epoch);
   api::WorkerStatsDto WorkerRow(WorkerState* w);
 
   Options opts_;

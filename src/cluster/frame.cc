@@ -1,15 +1,5 @@
 #include "cluster/frame.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-
 #include "http/net.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -19,35 +9,17 @@ namespace cluster {
 
 namespace {
 
-/// recv() up to `len` bytes under a total deadline shared across calls.
+/// Reads exactly `len` bytes under a total deadline shared across calls.
 /// Returns Unavailable on EOF, timeout, or a socket error — all transient
 /// from the router's point of view.
 Status RecvExact(int fd, char* buf, size_t len, int64_t timeout_ms,
                  const Stopwatch& watch) {
   size_t got = 0;
   while (got < len) {
-    if (timeout_ms > 0) {
-      const int64_t remaining = timeout_ms - watch.ElapsedMillis();
-      if (remaining <= 0) return Status::Unavailable("frame read timed out");
-      pollfd p{};
-      p.fd = fd;
-      p.events = POLLIN;
-      const int rc = ::poll(&p, 1, static_cast<int>(remaining));
-      if (rc == 0) return Status::Unavailable("frame read timed out");
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        return Status::Unavailable(StrFormat("poll failed: %s",
-                                             std::strerror(errno)));
-      }
-    }
-    const ssize_t n = ::recv(fd, buf + got, len - got, 0);
-    if (n == 0) return Status::Unavailable("peer closed the connection");
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable(StrFormat("recv failed: %s",
-                                           std::strerror(errno)));
-    }
-    got += static_cast<size_t>(n);
+    Result<size_t> n = net::RecvWithin(fd, buf + got, len - got, timeout_ms, watch);
+    if (!n.ok()) return Status::Unavailable("frame " + n.status().message());
+    if (*n == 0) return Status::Unavailable("peer closed the connection");
+    got += *n;
   }
   return Status::OK();
 }
@@ -67,8 +39,8 @@ Status WriteFrame(int fd, std::string_view payload) {
   prefix[3] = static_cast<char>(len & 0xff);
   // Two sends, one small: the prefix write coalesces into the payload
   // segment under Nagle; correctness does not depend on it.
-  if (!http::internal::SendAll(fd, std::string_view(prefix, 4)) ||
-      !http::internal::SendAll(fd, payload)) {
+  if (!net::SendAll(fd, std::string_view(prefix, 4)) ||
+      !net::SendAll(fd, payload)) {
     return Status::Unavailable("frame send failed (peer gone?)");
   }
   return Status::OK();
@@ -92,70 +64,6 @@ Result<std::string> ReadFrame(int fd, int64_t timeout_ms,
     IFGEN_RETURN_NOT_OK(RecvExact(fd, payload.data(), len, timeout_ms, watch));
   }
   return payload;
-}
-
-Result<int> ConnectTcp(const std::string& host, int port, int64_t timeout_ms) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::Internal("socket() failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::Invalid("bad host '" + host + "' (dotted IPv4 only)");
-  }
-  // Bound the connect itself: non-blocking connect + poll for writability.
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return Status::Unavailable(StrFormat("connect(%s:%d) failed: %s",
-                                         host.c_str(), port,
-                                         std::strerror(err)));
-  }
-  // RPC frames are small request/response pairs; waiting out Nagle adds
-  // 40ms+ per call on loopback.
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return fd;
-}
-
-Result<int> ListenTcp(const std::string& host, int port, int backlog) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::Internal("socket() failed");
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::Invalid("bad host '" + host + "' (dotted IPv4 only)");
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return Status::Internal(StrFormat("bind(%s:%d) failed: %s", host.c_str(),
-                                      port, std::strerror(err)));
-  }
-  if (::listen(fd, backlog) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return Status::Internal(StrFormat("listen failed: %s", std::strerror(err)));
-  }
-  return fd;
-}
-
-Result<int> LocalPort(int fd) {
-  sockaddr_in addr{};
-  socklen_t len = sizeof addr;
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    return Status::Internal("getsockname failed");
-  }
-  return static_cast<int>(ntohs(addr.sin_port));
 }
 
 }  // namespace cluster

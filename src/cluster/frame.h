@@ -29,20 +29,10 @@ inline constexpr size_t kMaxFrameBytes = 64u << 20;  // 64 MiB
 /// send timeout trips.
 Status WriteFrame(int fd, std::string_view payload);
 
-/// Receives one frame. `timeout_ms` bounds the whole read (prefix + body)
-/// with poll(), not per-recv; <= 0 blocks indefinitely.
+/// Receives one frame. `timeout_ms` bounds the whole read (prefix + body),
+/// not each recv (net::RecvWithin); <= 0 blocks indefinitely.
 Result<std::string> ReadFrame(int fd, int64_t timeout_ms,
                               size_t max_frame_bytes = kMaxFrameBytes);
-
-/// Connects to `host:port` (dotted IPv4) within `timeout_ms`; the returned
-/// fd has no recv/send timeouts armed (callers own deadline policy).
-Result<int> ConnectTcp(const std::string& host, int port, int64_t timeout_ms);
-
-/// Binds + listens on `host:port` (0 = ephemeral); returns the listener fd.
-Result<int> ListenTcp(const std::string& host, int port, int backlog = 64);
-
-/// The port a bound listener landed on (resolves port 0).
-Result<int> LocalPort(int fd);
 
 }  // namespace cluster
 }  // namespace ifgen

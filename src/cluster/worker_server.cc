@@ -1,7 +1,5 @@
 #include "cluster/worker_server.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -9,6 +7,7 @@
 #include <chrono>
 
 #include "cluster/frame.h"
+#include "http/net.h"
 #include "util/json.h"
 #include "util/logging.h"
 
@@ -18,13 +17,23 @@ namespace cluster {
 using api::RpcEnvelope;
 using api::RpcReply;
 
+namespace {
+
+/// A connection waits for its next request without an idle bound. The
+/// router pools connections and sends on them after any silence; a worker
+/// that closed an idle one would make the router's next Rpc on it read EOF
+/// and mark this worker unhealthy.
+constexpr int64_t kIdleReadTimeoutMs = 0;
+
+}  // namespace
+
 WorkerServer::~WorkerServer() { Stop(); }
 
 Status WorkerServer::Start(Options opts) {
   opts_ = std::move(opts);
   IFGEN_ASSIGN_OR_RETURN(service_, api::ApiService::Create(opts_.service));
-  IFGEN_ASSIGN_OR_RETURN(listen_fd_, ListenTcp(opts_.host, opts_.port));
-  IFGEN_ASSIGN_OR_RETURN(port_, LocalPort(listen_fd_));
+  IFGEN_ASSIGN_OR_RETURN(listen_fd_, net::ListenTcp(opts_.host, opts_.port));
+  IFGEN_ASSIGN_OR_RETURN(port_, net::LocalPort(listen_fd_));
   // Incarnation epoch: pid ⊕ steady-clock ns, masked positive, re-rolled
   // away from 0 ("unknown"). Two starts of one worker — even on the same
   // port — answer with different epochs, which is what lets routers detect
@@ -92,11 +101,9 @@ void WorkerServer::AcceptLoop() {
       if (errno == EINTR) continue;
       break;  // listener shut down
     }
-    // Same reason as ConnectTcp: a reply is two sends (length prefix, then
-    // payload), and under Nagle the payload waits for the router's delayed
-    // ACK of the prefix — about 40 ms per RPC on loopback.
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    // A reply is two sends (length prefix, then payload); under Nagle the
+    // payload waits for the router's delayed ACK of the prefix.
+    net::SetNoDelay(fd);
     std::lock_guard<std::mutex> lock(conns_mu_);
     ReapFinishedLocked();
     auto conn = std::make_unique<Connection>();
@@ -110,7 +117,7 @@ void WorkerServer::AcceptLoop() {
 void WorkerServer::ServeConnection(Connection* conn) {
   // Sequential request/reply frames until the peer hangs up or Stop().
   while (!stopping_.load(std::memory_order_relaxed)) {
-    auto frame = ReadFrame(conn->fd, opts_.idle_read_timeout_ms);
+    auto frame = ReadFrame(conn->fd, kIdleReadTimeoutMs);
     if (!frame.ok()) break;
     RpcReply reply;
     auto parsed = ParseJson(*frame);

@@ -31,10 +31,6 @@ class WorkerServer {
     std::string host = "127.0.0.1";
     int port = 0;  ///< 0 = ephemeral
     api::ApiService::Options service;
-    /// Per-connection idle read bound; a router that holds a pooled
-    /// connection silently for longer gets disconnected (it reconnects on
-    /// next use). <= 0 blocks forever.
-    int64_t idle_read_timeout_ms = 0;
   };
 
   WorkerServer() = default;

@@ -1,13 +1,8 @@
 #include "http/http_client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 
 #include "http/net.h"
 #include "util/string_util.h"
@@ -18,47 +13,7 @@ namespace http {
 
 namespace {
 
-using internal::SendAll;
-
-/// Re-arms the socket receive timeout to whatever remains of a total
-/// deadline. SO_RCVTIMEO alone bounds each recv(), not the call: a peer
-/// trickling one byte (or one heartbeat frame) per timeout window resets
-/// the clock forever. Returns false when the total budget is spent.
-bool ArmRecvDeadline(int fd, int64_t timeout_ms, const Stopwatch& watch) {
-  if (timeout_ms <= 0) return true;  // no deadline: block indefinitely
-  const int64_t remaining = timeout_ms - watch.ElapsedMillis();
-  if (remaining <= 0) return false;
-  timeval tv{};
-  tv.tv_sec = remaining / 1000;
-  // Round up so a sub-millisecond remainder doesn't arm a zero (= infinite)
-  // timeout.
-  tv.tv_usec = static_cast<suseconds_t>((remaining % 1000) * 1000 + 999);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  return true;
-}
-
-Result<int> ConnectTo(const std::string& host, int port, int64_t timeout_ms) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::Internal("socket() failed");
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::Invalid("bad host '" + host + "' (dotted IPv4 only)");
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return Status::Internal(StrFormat("connect(%s:%d) failed: %s", host.c_str(),
-                                      port, std::strerror(errno)));
-  }
-  return fd;
-}
+using net::SendAll;
 
 std::string BuildRequest(const std::string& method, const std::string& target,
                          const std::string& body) {
@@ -100,23 +55,23 @@ Status ParseHead(std::string_view head, ClientResponse* out) {
 Result<ClientResponse> Fetch(const std::string& host, int port,
                              const std::string& method, const std::string& target,
                              const std::string& body, int64_t timeout_ms) {
-  IFGEN_ASSIGN_OR_RETURN(int fd, ConnectTo(host, port, timeout_ms));
+  Stopwatch watch;
+  IFGEN_ASSIGN_OR_RETURN(int fd, net::ConnectTcp(host, port, timeout_ms));
   if (!SendAll(fd, BuildRequest(method, target, body))) {
     ::close(fd);
     return Status::Internal("send failed");
   }
-  // Connection: close framing — read to EOF.
+  // Connection: close framing — read to EOF within the total deadline.
   std::string raw;
   char chunk[8192];
   while (true) {
-    ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n < 0) {
+    Result<size_t> n = net::RecvWithin(fd, chunk, sizeof chunk, timeout_ms, watch);
+    if (!n.ok()) {
       ::close(fd);
-      return Status::ResourceExhausted("read timeout after " +
-                                       std::to_string(timeout_ms) + "ms");
+      return n.status();
     }
-    if (n == 0) break;
-    raw.append(chunk, static_cast<size_t>(n));
+    if (*n == 0) break;
+    raw.append(chunk, *n);
   }
   ::close(fd);
   size_t header_end = raw.find("\r\n\r\n");
@@ -160,7 +115,8 @@ void SseClient::Close() {
 Status SseClient::Connect(const std::string& host, int port,
                           const std::string& target, int64_t timeout_ms) {
   Close();
-  IFGEN_ASSIGN_OR_RETURN(fd_, ConnectTo(host, port, timeout_ms));
+  Stopwatch watch;
+  IFGEN_ASSIGN_OR_RETURN(fd_, net::ConnectTcp(host, port, timeout_ms));
   std::string req = "GET " + target + " HTTP/1.1\r\nHost: localhost\r\n";
   req += "Accept: text/event-stream\r\nConnection: close\r\n\r\n";
   if (!SendAll(fd_, req)) {
@@ -169,7 +125,6 @@ Status SseClient::Connect(const std::string& host, int port,
   }
   // Consume the response head, bounded by the *total* timeout (not per-read,
   // so a server dribbling header bytes cannot stall Connect indefinitely).
-  Stopwatch watch;
   while (true) {
     size_t end = buf_.find("\r\n\r\n");
     if (end != std::string::npos) {
@@ -183,18 +138,14 @@ Status SseClient::Connect(const std::string& host, int port,
       buf_.erase(0, end + 4);
       return Status::OK();
     }
-    if (!ArmRecvDeadline(fd_, timeout_ms, watch)) {
-      Close();
-      return Status::ResourceExhausted("SSE connect timeout after " +
-                                       std::to_string(timeout_ms) + "ms");
-    }
     char chunk[4096];
-    ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n <= 0) {
+    Result<size_t> n = net::RecvWithin(fd_, chunk, sizeof chunk, timeout_ms, watch);
+    if (!n.ok() || *n == 0) {
       Close();
-      return Status::Internal("SSE connect: no response head");
+      return n.ok() ? Status::Internal("SSE connect: no response head")
+                    : n.status();
     }
-    buf_.append(chunk, static_cast<size_t>(n));
+    buf_.append(chunk, *n);
   }
 }
 
@@ -220,18 +171,11 @@ Result<std::string> SseClient::NextEvent(int64_t timeout_ms) {
       if (data.empty()) continue;  // comment/heartbeat frame
       return data;
     }
-    if (!ArmRecvDeadline(fd_, timeout_ms, watch)) {
-      return Status::ResourceExhausted("SSE read timeout after " +
-                                       std::to_string(timeout_ms) + "ms");
-    }
     char chunk[4096];
-    ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n < 0) {
-      return Status::ResourceExhausted("SSE read timeout after " +
-                                       std::to_string(timeout_ms) + "ms");
-    }
+    IFGEN_ASSIGN_OR_RETURN(
+        size_t n, net::RecvWithin(fd_, chunk, sizeof chunk, timeout_ms, watch));
     if (n == 0) return Status::NotFound("SSE stream ended");
-    buf_.append(chunk, static_cast<size_t>(n));
+    buf_.append(chunk, n);
   }
 }
 

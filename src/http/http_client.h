@@ -21,7 +21,9 @@ struct ClientResponse {
 };
 
 /// Performs one request. `body` is sent with Content-Type: application/json
-/// when non-empty. `timeout_ms` bounds connect and each read.
+/// when non-empty. `timeout_ms` bounds the connect and each send, and is a
+/// total deadline for reading the whole response (a server trickling bytes
+/// still times out; ResourceExhausted); <= 0 waits indefinitely.
 Result<ClientResponse> Fetch(const std::string& host, int port,
                              const std::string& method, const std::string& target,
                              const std::string& body = "",

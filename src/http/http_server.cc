@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -19,24 +18,22 @@
 namespace ifgen {
 namespace http {
 
-namespace internal {
-
-bool SendAll(int fd, std::string_view data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace internal
-
 namespace {
 
-using internal::SendAll;
+using net::SendAll;
+
+/// Per-socket receive timeout (slowloris guard).
+constexpr int64_t kRecvTimeoutMs = 10000;
+/// Per-socket send timeout (stalled-reader guard): bounds any single send()
+/// so a client that stops reading cannot pin a worker forever. Without it a
+/// full socket buffer blocks SendAll indefinitely (an SSE consumer that
+/// sleeps mid-stream would leak the worker and hang Stop()). A timed-out
+/// send marks the connection dead.
+constexpr int64_t kSendTimeoutMs = 10000;
+/// Accepted connections waiting for a worker beyond this are answered
+/// `503 Service Unavailable` (retryable) and closed, which bounds the fds
+/// and memory a stalled worker pool can accumulate.
+constexpr size_t kMaxQueuedConnections = 256;
 
 /// Terminal early-error send for requests rejected before their bytes were
 /// fully read (oversized headers/bodies): a plain close() with unread input
@@ -144,34 +141,8 @@ Status HttpServer::Start(Options opts, Handler handler) {
   opts_ = std::move(opts);
   handler_ = std::move(handler);
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return Status::Internal("socket() failed");
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(opts_.port));
-  if (::inet_pton(AF_INET, opts_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Invalid("bad listen host '" + opts_.host + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Internal(StrFormat("bind(%s:%d) failed: %s", opts_.host.c_str(),
-                                      opts_.port, std::strerror(errno)));
-  }
-  if (::listen(listen_fd_, std::max(1, opts_.listen_backlog)) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Internal("listen() failed");
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
+  IFGEN_ASSIGN_OR_RETURN(listen_fd_, net::ListenTcp(opts_.host, opts_.port));
+  IFGEN_ASSIGN_OR_RETURN(port_, net::LocalPort(listen_fd_));
 
   started_ = true;
   stopping_.store(false);
@@ -220,16 +191,9 @@ void HttpServer::AcceptLoop() {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
       continue;
     }
-    timeval tv{};
-    tv.tv_sec = opts_.recv_timeout_ms / 1000;
-    tv.tv_usec = static_cast<suseconds_t>((opts_.recv_timeout_ms % 1000) * 1000);
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    timeval stv{};
-    stv.tv_sec = opts_.send_timeout_ms / 1000;
-    stv.tv_usec = static_cast<suseconds_t>((opts_.send_timeout_ms % 1000) * 1000);
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &stv, sizeof stv);
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    net::SetTimeout(fd, SO_RCVTIMEO, kRecvTimeoutMs);
+    net::SetTimeout(fd, SO_SNDTIMEO, kSendTimeoutMs);
+    net::SetNoDelay(fd);
 
     // Admission: a full accept queue answers 503, a client over its
     // connection cap answers 429 — both retryable per the API error
@@ -239,7 +203,7 @@ void HttpServer::AcceptLoop() {
     bool client_capped = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (pending_.size() >= opts_.max_queued_connections) {
+      if (pending_.size() >= kMaxQueuedConnections) {
         queue_full = true;
       } else if (opts_.max_connections_per_client > 0 &&
                  client_conns_[client_ip] >= opts_.max_connections_per_client) {
@@ -259,7 +223,7 @@ void HttpServer::AcceptLoop() {
       IFGEN_LOG_C(Warning, "http")
           << "rejecting connection (" << status << "): "
           << (queue_full ? "accept queue full at " : "client over per-IP cap of ")
-          << (queue_full ? opts_.max_queued_connections
+          << (queue_full ? kMaxQueuedConnections
                          : opts_.max_connections_per_client);
       SendAll(fd, StrFormat("HTTP/1.1 %d %s\r\n", status, ReasonPhrase(status)) +
                       "Content-Type: application/json\r\nRetry-After: 1\r\n"

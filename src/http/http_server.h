@@ -72,21 +72,6 @@ class HttpServer {
     int port = 0;  ///< 0 = ephemeral; the bound port is port() after Start
     size_t num_threads = 4;
     size_t max_body_bytes = 8u << 20;
-    /// Per-socket receive timeout (slowloris guard).
-    int64_t recv_timeout_ms = 10000;
-    /// Per-socket send timeout (stalled-reader guard): bounds any single
-    /// send() so a client that stops reading cannot pin a worker forever —
-    /// without it a full socket buffer blocks SendAll indefinitely (an SSE
-    /// consumer that sleeps mid-stream would leak the worker and hang
-    /// Stop()). A timed-out send marks the connection dead.
-    int64_t send_timeout_ms = 10000;
-    /// Kernel listen(2) backlog for not-yet-accepted connections.
-    int listen_backlog = 64;
-    /// Accepted connections waiting for a worker beyond this are answered
-    /// `503 Service Unavailable` (retryable) and closed. Bounds the fd/
-    /// memory a stalled worker pool can accumulate; previously the queue
-    /// was unbounded.
-    size_t max_queued_connections = 256;
     /// Concurrent connections per client IP (queued + in handling) beyond
     /// this are answered `429 Too Many Requests` (retryable) and closed.
     /// 0 disables the cap (the default: loopback test/dev traffic shares

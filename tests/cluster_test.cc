@@ -28,6 +28,7 @@
 #include "cluster/frame.h"
 #include "cluster/process.h"
 #include "cluster/worker_server.h"
+#include "http/net.h"
 #include "util/json.h"
 
 namespace ifgen {
@@ -146,7 +147,7 @@ ApiOptions FastGenOptions() {
 
 /// Raw client for one request/reply against a WorkerServer.
 Result<RpcReply> RawCall(int port, const JsonValue& frame_json) {
-  IFGEN_ASSIGN_OR_RETURN(int fd, cluster::ConnectTcp("127.0.0.1", port, 2000));
+  IFGEN_ASSIGN_OR_RETURN(int fd, net::ConnectTcp("127.0.0.1", port, 2000));
   Status w = WriteFrame(fd, WriteJson(frame_json));
   if (!w.ok()) {
     ::close(fd);
@@ -226,7 +227,7 @@ TEST(WorkerServer, RepliesOnAPooledConnectionDoNotStall) {
   WorkerServer::Options opts;
   opts.service = SmallServiceOptions();
   ASSERT_TRUE(server.Start(std::move(opts)).ok());
-  auto fd = cluster::ConnectTcp("127.0.0.1", server.port(), 2000);
+  auto fd = net::ConnectTcp("127.0.0.1", server.port(), 2000);
   ASSERT_TRUE(fd.ok()) << fd.status().ToString();
 
   RpcEnvelope ping;
@@ -727,6 +728,75 @@ TEST_F(ClusterTest, RerouteAfterOwnerRestartAndStaleIdsAreNotFound) {
   EXPECT_TRUE(norm == baseline)
       << "recomputed result diverged from the original:\n"
       << WriteJson(norm.ToJson()) << "\nvs\n" << WriteJson(baseline.ToJson());
+}
+
+/// The epoch guard covers error replies too. After the owner of a session
+/// restarts and opens a session of its own, the old session's worker-local
+/// id names the new one; an event that the new session rejects must still
+/// answer NotFound for the old id, never the other process's error.
+TEST_F(ClusterTest, StaleSessionNeverSeesARestartedOwnersErrors) {
+  StartCluster();
+  GenerateRequest req;
+  req.workload = "flights";
+  req.options = FastGenOptions();
+  auto job = router_.SubmitGenerate(req);
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  auto done = router_.GetJob(job->job_id, /*wait_ms=*/30000);
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  ASSERT_EQ(done->state, "done");
+  auto owner = router_.WorkerIndexForJob(job->job_id);
+  ASSERT_TRUE(owner.ok());
+  SessionOpenRequest open;
+  open.job_id = job->job_id;
+  auto stale = router_.OpenSession(open);
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+
+  ASSERT_EQ(::kill(spawned_[*owner].pid, SIGKILL), 0);
+  ::waitpid(spawned_[*owner].pid, nullptr, 0);
+  // While the owner is down its session fails retryably, and the router
+  // marks the owner unhealthy until the restarted process answers a probe.
+  auto down = router_.SessionTable(stale->session_id);
+  ASSERT_FALSE(down.ok());
+  EXPECT_EQ(down.status().code(), StatusCode::kUnavailable)
+      << down.status().ToString();
+  RestartWorkerOnSamePort(*owner);
+  WaitWorkerHealthy(*owner);
+
+  // A session on the restarted owner reissues the stale session's
+  // worker-local id.
+  bool reissued = false;
+  for (int64_t seed = 900; seed < 960 && !reissued; ++seed) {
+    GenerateRequest probe;
+    probe.workload = "flights";
+    probe.options = FastGenOptions();
+    probe.options.max_iterations = 2;
+    probe.options.seed = seed;
+    auto acc = router_.SubmitGenerate(probe);
+    ASSERT_TRUE(acc.ok()) << acc.status().ToString();
+    auto idx = router_.WorkerIndexForJob(acc->job_id);
+    ASSERT_TRUE(idx.ok());
+    if (*idx != *owner) continue;
+    auto probe_done = router_.GetJob(acc->job_id, /*wait_ms=*/30000);
+    ASSERT_TRUE(probe_done.ok()) << probe_done.status().ToString();
+    ASSERT_EQ(probe_done->state, "done");
+    SessionOpenRequest fresh;
+    fresh.job_id = acc->job_id;
+    auto opened = router_.OpenSession(fresh);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    reissued = true;
+  }
+  ASSERT_TRUE(reissued) << "no probe job landed on the restarted worker";
+
+  // The new session rejects this choice id; the stale caller must not see
+  // that rejection.
+  WidgetEventRequest bad;
+  bad.kind = "set_any";
+  bad.choice_id = 99999;
+  bad.option_index = 0;
+  auto step = router_.ApplyEvent(stale->session_id, bad);
+  ASSERT_FALSE(step.ok());
+  EXPECT_EQ(step.status().code(), StatusCode::kNotFound)
+      << step.status().ToString();
 }
 
 /// A worker dying in the middle of a long-poll (not just before submit)

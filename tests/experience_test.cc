@@ -32,6 +32,7 @@
 #include "core/json_export.h"
 #include "cost/evaluator.h"
 #include "difftree/builder.h"
+#include "http/net.h"
 #include "learn/experience.h"
 #include "learn/prior_fit.h"
 #include "runtime/service.h"
@@ -526,7 +527,7 @@ TEST(ExperienceService, SaveWhileSearchingIsSafe) {
 
 /// Raw client for one request/reply against a WorkerServer.
 Result<RpcReply> RawCall(int port, const JsonValue& frame_json) {
-  IFGEN_ASSIGN_OR_RETURN(int fd, cluster::ConnectTcp("127.0.0.1", port, 2000));
+  IFGEN_ASSIGN_OR_RETURN(int fd, net::ConnectTcp("127.0.0.1", port, 2000));
   Status w = cluster::WriteFrame(fd, WriteJson(frame_json));
   if (!w.ok()) {
     ::close(fd);

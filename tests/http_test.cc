@@ -3,11 +3,16 @@
 // polled tables checked bit-identical against an InteractiveRuntime driven
 // in-process, plus the transport error model (ErrorBody everywhere, 429
 // backpressure) and concurrent sessions/pollers for TSan.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <thread>
 
@@ -747,6 +752,47 @@ TEST(SseClientTimeout, TricklingStreamHonorsTotalDeadline) {
   EXPECT_LT(elapsed, 3000)
       << "timeout must bound the whole call, not each recv";
   server.Stop();
+}
+
+/// Fetch's timeout is a total deadline too: a server that sends one byte
+/// every 100 ms never lets a per-recv timeout expire, but must still time a
+/// 500 ms Fetch out.
+TEST(HttpClient, FetchTimeoutBoundsATricklingResponse) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const int port = ntohs(addr.sin_port);
+
+  std::atomic<bool> done{false};
+  std::thread trickler([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    // 30 bytes over 3 s, then EOF; never a complete response head.
+    for (int i = 0; i < 30 && !done.load(); ++i) {
+      if (::send(fd, "x", 1, MSG_NOSIGNAL) != 1) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    ::close(fd);
+  });
+  const auto start = std::chrono::steady_clock::now();
+  auto resp = http::Fetch(kHost, port, "GET", "/trickle", "", /*timeout_ms=*/500);
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  done.store(true);
+  trickler.join();
+  ::close(listener);
+  ASSERT_FALSE(resp.ok()) << "a trickled response head is never complete";
+  EXPECT_EQ(resp.status().code(), StatusCode::kResourceExhausted)
+      << resp.status().ToString();
+  EXPECT_LT(elapsed, 1500) << "timeout must bound the whole call, not each recv";
 }
 
 TEST_F(HttpTest, ConcurrentSessionsAndPollersOverHttp) {
