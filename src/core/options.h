@@ -49,19 +49,22 @@ struct GeneratorOptions {
   size_t k_assignments = 8;
   /// Persistent-experience ablation flag (src/learn/): makes this job
   /// eligible to warm-start from the service's ExperienceStore (root-action
-  /// virtual visits + cost-memo/delta-cache seeding) and to record its
-  /// discoveries back. Turns on state-keyed sampling (EvalOptions) so
-  /// sampled costs are pure functions of (state, options, seed) — seeded
-  /// entries then change the amount of work, never the values or the RNG
-  /// streams; a warm run is bit-identical to a cold run with the same flag.
+  /// virtual visits + cost-memo seeding) and to record its discoveries back.
+  /// Turns on state-keyed sampling (EvalOptions) so sampled costs are pure
+  /// functions of (state, options, seed), which is what lets the service
+  /// give every experience job of one cost identity the same state-cost memo
+  /// and delta cache (shared_caches): seeded and shared entries then change
+  /// the amount of work, never the RNG streams, and hold the costs a fresh
+  /// sample gives (up to the ANY order a state was first seen in).
   /// Changes which costs the k random assignments produce vs. the default
   /// caller-stream sampling, so it participates in cache keys and
   /// fingerprints; the runtime store/bridge wiring does not.
   bool experience = false;
-  /// Cross-job delta-cost cache shared by the service for same-cost-identity
-  /// experience jobs (cost/delta.h documents why sharing is bit-safe).
+  /// One cost identity's state-cost memo and delta-cost cache, shared by the
+  /// service across same-identity experience jobs (EvalOptions::
+  /// shared_caches says when an evaluator uses each, and why that is sound).
   /// Runtime wiring — never part of any key or fingerprint.
-  std::shared_ptr<DeltaCostCache> shared_delta_cache;
+  std::shared_ptr<SharedCostCaches> shared_caches;
 
   EvalOptions MakeEvalOptions() const {
     EvalOptions e;
@@ -71,7 +74,7 @@ struct GeneratorOptions {
     e.delta_eval = delta_cost_eval;
     e.state_keyed_sampling = experience;
     e.sampling_seed = search.seed;
-    e.shared_delta = shared_delta_cache;
+    e.shared_caches = shared_caches;
     return e;
   }
 };

@@ -61,11 +61,16 @@ bool UTermsNonNegative(const CostConstants& c) {
 StateEvaluator::StateEvaluator(const EvalOptions& opts, const std::vector<Ast>& queries)
     : opts_(opts), queries_(queries),
       model_(opts_.constants, opts_.screen, opts_.parse_limit),
-      // A caller-shared cross-search cache only when delta evaluation is on
-      // (a shared cache is always created enabled, so the ablation flag must
-      // win); private otherwise.
-      delta_(opts.shared_delta != nullptr && opts.delta_eval
-                 ? opts.shared_delta
+      // The identity's caches where sharing is sound (EvalOptions::
+      // shared_caches); the aliasing pointers keep the whole record alive.
+      // Its delta cache is always enabled, so the ablation flag must win.
+      memo_(opts.shared_caches != nullptr && opts.state_keyed_sampling
+                ? std::shared_ptr<StateCostMemo>(opts.shared_caches,
+                                                 &opts.shared_caches->memo)
+                : std::make_shared<StateCostMemo>()),
+      delta_(opts.shared_caches != nullptr && opts.delta_eval
+                 ? std::shared_ptr<DeltaCostCache>(opts.shared_caches,
+                                                   &opts.shared_caches->delta)
                  : std::make_shared<DeltaCostCache>(opts.delta_eval)),
       bounds_sound_(UTermsNonNegative(opts_.constants)) {}
 
@@ -179,7 +184,7 @@ double StateEvaluator::Resolve(const DiffTree& tree, uint64_t key,
   }
   // A tree that does not fit the record has a colliding canonical hash;
   // the memo answers +infinity for it.
-  cost_cache_.Mutate(key, [&](MemoEntry& e, bool) {
+  memo_->Mutate(key, [&](StateCostEntry& e, bool) {
     if (e.deferred != nullptr) e = {best, false, nullptr};
   });
   deferred_resolves_.fetch_add(1, std::memory_order_relaxed);
@@ -195,7 +200,7 @@ double StateEvaluator::SampleCost(const DiffTree& tree, Rng* rng, double bound) 
     key = tree.CanonicalHash();
   }
   if (opts_.cache_enabled) {
-    if (auto cached = cost_cache_.Lookup(key)) {
+    if (auto cached = memo_->Lookup(key)) {
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       EvalCacheHitsMetric().Inc();
       if (cached->seeded) {
@@ -229,7 +234,7 @@ double StateEvaluator::SampleCost(const DiffTree& tree, Rng* rng, double bound) 
       // call that needs the exact cost resolves the deferred entry.
       std::shared_ptr<const DeferredDraws> deferred;
       if (!opts_.cache_enabled || (deferred = Defer(tree, assigner, draws)) != nullptr) {
-        if (deferred != nullptr) cost_cache_.Insert(key, {lower, false, std::move(deferred)});
+        if (deferred != nullptr) memo_->Insert(key, {lower, false, std::move(deferred)});
         bound_skips_.fetch_add(1, std::memory_order_relaxed);
         BoundSkipsMetric().Inc();
         return lower;
@@ -240,7 +245,7 @@ double StateEvaluator::SampleCost(const DiffTree& tree, Rng* rng, double bound) 
   if (opts_.cache_enabled) {
     // First writer wins: concurrent misses on the same state each compute a
     // valid sample; overwriting would let the cached value drift mid-search.
-    cost_cache_.Insert(key, {best, false, nullptr});
+    memo_->Insert(key, {best, false, nullptr});
   }
   return best;
 }
@@ -248,11 +253,11 @@ double StateEvaluator::SampleCost(const DiffTree& tree, Rng* rng, double bound) 
 bool StateEvaluator::SeedCost(uint64_t key, double cost) {
   // The wire formats that carry seeds cannot encode ±inf anyway.
   if (!opts_.cache_enabled || !std::isfinite(cost)) return false;
-  return cost_cache_.Insert(key, {cost, true, nullptr});
+  return memo_->Insert(key, {cost, true, nullptr});
 }
 
 std::optional<double> StateEvaluator::MemoCost(uint64_t key) const {
-  if (auto e = cost_cache_.Lookup(key); e.has_value() && e->deferred == nullptr) {
+  if (auto e = memo_->Lookup(key); e.has_value() && e->deferred == nullptr) {
     return e->cost;
   }
   return std::nullopt;

@@ -16,6 +16,8 @@ namespace ifgen {
 /// Widget-assignment combinations FindBest still enumerates exhaustively.
 inline constexpr double kEnumerationCap = 20000;
 
+struct SharedCostCaches;
+
 /// \brief Knobs for difftree-state evaluation.
 struct EvalOptions {
   Screen screen;
@@ -50,17 +52,26 @@ struct EvalOptions {
   /// the caller's stream. A state's sampled cost becomes a pure function of
   /// (state, options, sampling_seed) — independent of visit order and of
   /// which caches already hold it — which is what lets a search warm-start
-  /// pre-seed the cost memo without perturbing the caller's RNG stream.
+  /// pre-seed the cost memo, and evaluators of one cost identity share it
+  /// (shared_caches), without perturbing the caller's RNG stream.
   /// Enabled by GeneratorOptions::experience.
   bool state_keyed_sampling = false;
   uint64_t sampling_seed = 0;
-  /// Cross-search delta-cost cache to use instead of an evaluator-local one.
-  /// Sound to share between evaluators whose cost identity matches (same
-  /// constants/screen/parse_limit/queries): the cached subtree terms and
-  /// transition plans are pure functions of their keys (cost/delta.h), so a
-  /// pre-warmed cache changes recompute counts, never costs. Runtime wiring
-  /// — never part of any cache key. Null = private cache (the default).
-  std::shared_ptr<DeltaCostCache> shared_delta;
+  /// One cost identity's caches, used instead of evaluator-private ones by
+  /// every evaluator of that identity (same constants/screen/parse_limit/
+  /// queries, k, delta flag, sampling mode and seed). Runtime wiring, never
+  /// part of any cache key; null = private caches (the default).
+  ///  - Its delta cache when `delta_eval` is on: subtree terms and transition
+  ///    plans are pure functions of their keys (cost/delta.h), so a
+  ///    pre-warmed cache changes recompute counts, never costs.
+  ///  - Its state-cost memo under `state_keyed_sampling` only: there a hit
+  ///    or a miss draws nothing from the caller's stream, and every entry is
+  ///    a sample drawn from (sampling_seed, canonical hash), so an entry
+  ///    another evaluator made changes how much work happens, never the
+  ///    stream. It can differ from the sample this evaluator would draw only
+  ///    when the two saw the state in different ANY orders, whose costs are
+  ///    interchangeable samples. Caller-stream sampling keeps a private memo.
+  std::shared_ptr<SharedCostCaches> shared_caches;
 };
 
 /// \brief A widget tree with its evaluated cost.
@@ -68,6 +79,35 @@ struct ScoredWidgetTree {
   Assignment assignment;
   WidgetTree tree;
   CostBreakdown cost;
+};
+
+/// \brief One memoized state cost (see StateEvaluator::SampleCost).
+struct StateCostEntry {
+  /// What a miss pruned by its bound keeps instead of the tree: enough to
+  /// rebuild the tree it drew for and to score the same draws later.
+  struct Deferred {
+    AnyOrder any_order;  ///< the drawn-for tree's (RecordAnyOrder)
+    /// The `filled` draws' picks, draw after draw, `decisions` per draw.
+    /// Empty under state-keyed sampling, which can draw them again.
+    std::vector<uint8_t> picks;
+    size_t decisions = 0;
+    size_t filled = 0;
+  };
+  double cost = 0.0;    ///< a lower bound of the cost while `deferred` is set
+  bool seeded = false;  ///< came from SeedCost, not a sample
+  std::shared_ptr<const Deferred> deferred;
+};
+
+/// The state→cost memo by canonical state hash (sharded: many search
+/// threads hit it on every rollout step).
+using StateCostMemo = ShardedMap<StateCostEntry>;
+
+/// \brief The caches one cost identity's evaluators can share
+/// (EvalOptions::shared_caches); GenerationService keeps one per identity
+/// of its experience jobs.
+struct SharedCostCaches {
+  DeltaCostCache delta;
+  StateCostMemo memo;
 };
 
 /// \brief Evaluates difftree states: the bridge between the search space
@@ -79,7 +119,8 @@ struct ScoredWidgetTree {
 /// any tree evaluated is a memo hit for all others. Two threads that miss
 /// on the same state concurrently both compute it (first insert wins);
 /// costs for one canonical state are interchangeable samples, so this is
-/// benign.
+/// benign. The same holds across evaluators that share one identity's memo
+/// (EvalOptions::shared_caches), such as concurrent experience jobs.
 class StateEvaluator {
  public:
   StateEvaluator(const EvalOptions& opts, const std::vector<Ast>& queries);
@@ -148,16 +189,7 @@ class StateEvaluator {
     size_t size = 0;
   };
 
-  /// What a miss pruned by its bound keeps instead of the tree: enough to
-  /// rebuild the tree it drew for and to score the same draws later.
-  struct DeferredDraws {
-    AnyOrder any_order;  ///< the drawn-for tree's (RecordAnyOrder)
-    /// The `filled` draws' picks, draw after draw, `decisions` per draw.
-    /// Empty under state-keyed sampling, which can draw them again.
-    std::vector<uint8_t> picks;
-    size_t decisions = 0;
-    size_t filled = 0;
-  };
+  using DeferredDraws = StateCostEntry::Deferred;
 
   /// This thread's Draws, emptied. A miss and a resolve never overlap on a
   /// thread, so they share it.
@@ -198,15 +230,10 @@ class StateEvaluator {
   EvalOptions opts_;
   std::vector<Ast> queries_;
   CostModel model_;
-  struct MemoEntry {
-    double cost = 0.0;    ///< a lower bound of the cost while `deferred` is set
-    bool seeded = false;  ///< came from SeedCost, not a local sample
-    std::shared_ptr<const DeferredDraws> deferred;
-  };
-  /// Sampled-cost memo by canonical state hash (sharded: many search
-  /// threads hit this on every rollout step).
-  ShardedMap<MemoEntry> cost_cache_;
-  /// The caller-shared cache (EvalOptions::shared_delta) when provided, an
+  /// The identity's memo (EvalOptions::shared_caches) under state-keyed
+  /// sampling when provided, an evaluator-private one otherwise; never null.
+  std::shared_ptr<StateCostMemo> memo_;
+  /// The identity's delta cache when provided and `delta_eval` is on, an
   /// evaluator-private one otherwise; never null.
   std::shared_ptr<DeltaCostCache> delta_;
   std::atomic<size_t> evaluations_{0};

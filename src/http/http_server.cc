@@ -22,7 +22,10 @@ namespace {
 
 using net::SendAll;
 
-/// Per-socket receive timeout (slowloris guard).
+/// Total time a worker spends reading one request's head and body, counted
+/// from the first read (slowloris guard): a client that trickles bytes keeps
+/// every single recv short, so only a bound on the whole read frees the
+/// worker. A rejected request's drain gets the same bound of its own.
 constexpr int64_t kRecvTimeoutMs = 10000;
 /// Per-socket send timeout (stalled-reader guard): bounds any single send()
 /// so a client that stops reading cannot pin a worker forever. Without it a
@@ -38,18 +41,19 @@ constexpr size_t kMaxQueuedConnections = 256;
 /// Terminal early-error send for requests rejected before their bytes were
 /// fully read (oversized headers/bodies): a plain close() with unread input
 /// makes the kernel send RST, which discards the response before the client
-/// reads it. Half-close the write side instead and drain (bounded by the
-/// socket's recv timeout and a byte cap) until the client finishes sending,
-/// so the status line actually arrives.
+/// reads it. Half-close the write side instead and drain (bounded by
+/// kRecvTimeoutMs in total and a byte cap) until the client finishes
+/// sending, so the status line actually arrives.
 void SendErrorAndDrain(int fd, std::string_view response) {
   SendAll(fd, response);
   ::shutdown(fd, SHUT_WR);
   char sink[4096];
   size_t drained = 0;
+  const Stopwatch watch;
   while (drained < (64u << 20)) {
-    ssize_t n = ::recv(fd, sink, sizeof sink, 0);
-    if (n <= 0) break;  // EOF, reset, or SO_RCVTIMEO expiry
-    drained += static_cast<size_t>(n);
+    Result<size_t> n = net::RecvWithin(fd, sink, sizeof sink, kRecvTimeoutMs, watch);
+    if (!n.ok() || *n == 0) break;  // deadline, reset, or EOF
+    drained += *n;
   }
 }
 
@@ -191,7 +195,6 @@ void HttpServer::AcceptLoop() {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
       continue;
     }
-    net::SetTimeout(fd, SO_RCVTIMEO, kRecvTimeoutMs);
     net::SetTimeout(fd, SO_SNDTIMEO, kSendTimeoutMs);
     net::SetNoDelay(fd);
 
@@ -261,15 +264,17 @@ void HttpServer::HandleConnection(int fd) {
   // Read until the end of the header block. The terminator search resumes
   // just before the previous buffer end (it may straddle a recv boundary)
   // instead of rescanning from 0 — a byte-trickling client would otherwise
-  // buy O(n^2) scanning work per connection.
+  // buy O(n^2) scanning work per connection. Head and body share one
+  // deadline (kRecvTimeoutMs from this first read).
+  const Stopwatch read_watch;
   std::string buf;
   size_t header_end = std::string::npos;
   char chunk[4096];
   while (header_end == std::string::npos) {
-    ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n <= 0) return;  // timeout/disconnect before a full request
+    Result<size_t> n = net::RecvWithin(fd, chunk, sizeof chunk, kRecvTimeoutMs, read_watch);
+    if (!n.ok() || *n == 0) return;  // deadline/disconnect before a full request
     const size_t scan_from = buf.size() < 3 ? 0 : buf.size() - 3;
-    buf.append(chunk, static_cast<size_t>(n));
+    buf.append(chunk, *n);
     header_end = buf.find("\r\n\r\n", scan_from);
     if (buf.size() > opts_.max_body_bytes + 16384) {
       // Tell the client why instead of silently dropping the connection.
@@ -351,9 +356,9 @@ void HttpServer::HandleConnection(int fd) {
   }
   req.body = buf.substr(header_end + 4);
   while (req.body.size() < content_length) {
-    ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n <= 0) return;
-    req.body.append(chunk, static_cast<size_t>(n));
+    Result<size_t> n = net::RecvWithin(fd, chunk, sizeof chunk, kRecvTimeoutMs, read_watch);
+    if (!n.ok() || *n == 0) return;
+    req.body.append(chunk, *n);
   }
   req.body.resize(content_length);
 

@@ -22,7 +22,7 @@ namespace http {
 /// Scope is deliberately small: one request per connection (every response
 /// carries `Connection: close`, which keeps framing trivial for curl,
 /// python stdlib, and EventSource clients alike), a bounded worker pool, a
-/// body-size cap, and receive timeouts. Responses either carry a body or a
+/// body-size cap, and a total deadline on reading each request. Responses either carry a body or a
 /// `stream` callback that writes after the headers (the SSE path).
 
 /// \brief One parsed request. Header names are lowercased; the path and

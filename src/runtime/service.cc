@@ -21,6 +21,7 @@ struct ServiceMetrics {
   obs::Counter* jobs_evicted;
   obs::Counter* sessions_opened;
   obs::Gauge* jobs_pending;
+  obs::Gauge* shared_memo_entries;
   obs::Histogram* queued_us;
   obs::Histogram* run_us;
   static const ServiceMetrics& Get() {
@@ -41,6 +42,10 @@ struct ServiceMetrics {
                                          "Interactive sessions opened");
       s.jobs_pending =
           reg.GetGauge("ifgen_jobs_pending", "Jobs admitted but not yet terminal");
+      s.shared_memo_entries = reg.GetGauge(
+          "ifgen_eval_shared_memo_entries",
+          "State-cost memo entries held for experience jobs, summed over cost "
+          "identities (set at job end)");
       // 64us..~8.6s in x2 steps: generation runs for milliseconds to seconds.
       obs::HistogramOptions opts;
       opts.first_bound = 64.0;
@@ -61,7 +66,7 @@ struct ServiceMetrics {
 // Cross-job store bounds; docs/runtime.md and docs/learning.md give the
 // reason for each value.
 constexpr size_t kExperienceSeedLimit = 1024;    ///< records seeded per search
-constexpr size_t kSharedDeltaStoreCapacity = 8;  ///< delta caches, oldest dropped
+constexpr size_t kSharedCostStoreCapacity = 8;   ///< identity caches, oldest dropped
 
 uint64_t HashU64(uint64_t h, uint64_t v) { return HashCombine(h, v); }
 
@@ -351,7 +356,7 @@ Result<GenerationService::JobId> GenerationService::SubmitJob(JobSpec spec,
   submitted.search.stop = nullptr;
   submitted.search.progress = nullptr;
   submitted.search.warm_start = nullptr;
-  submitted.shared_delta_cache = nullptr;
+  submitted.shared_caches = nullptr;
   JobId id = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -433,26 +438,22 @@ Result<GenerationService::JobId> GenerationService::SubmitJob(JobSpec spec,
         std::lock_guard<std::mutex> lock(mu_);
         learn_seeded_ += warm->experience_seed.size();
       }
-      // Same-identity experience jobs also share one delta-cost cache, so a
-      // warm start skips subtree/plan recomputes too (bit-safe: delta terms
-      // are pure functions of their keys; see cost/delta.h).
-      if (spec.options.delta_cost_eval) {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = delta_stores_.find(store_key);
-        if (it == delta_stores_.end()) {
-          while (delta_stores_.size() >= kSharedDeltaStoreCapacity &&
-                 !delta_store_order_.empty()) {
-            delta_stores_.erase(delta_store_order_.front());
-            delta_store_order_.pop_front();
-          }
-          it = delta_stores_
-                   .emplace(store_key,
-                            std::make_shared<DeltaCostCache>(/*enabled=*/true))
-                   .first;
-          delta_store_order_.push_back(store_key);
+      // Same-identity experience jobs share one state-cost memo and one
+      // delta-cost cache, so a job re-prices no state an earlier job of its
+      // identity priced (sound under state-keyed sampling; see
+      // EvalOptions::shared_caches).
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = cost_stores_.find(store_key);
+      if (it == cost_stores_.end()) {
+        while (cost_stores_.size() >= kSharedCostStoreCapacity &&
+               !cost_store_order_.empty()) {
+          cost_stores_.erase(cost_store_order_.front());
+          cost_store_order_.pop_front();
         }
-        spec.options.shared_delta_cache = it->second;
+        it = cost_stores_.emplace(store_key, std::make_shared<SharedCostCaches>()).first;
+        cost_store_order_.push_back(store_key);
       }
+      spec.options.shared_caches = it->second;
     }
     // With tracing on, every span the generation emits on this thread is
     // also captured into a job-private recorder, served later through
@@ -506,6 +507,9 @@ Result<GenerationService::JobId> GenerationService::SubmitJob(JobSpec spec,
     --jobs_pending_;
     ServiceMetrics::Get().jobs_executed->Inc();
     ServiceMetrics::Get().jobs_pending->Set(static_cast<double>(jobs_pending_));
+    size_t memo_entries = 0;
+    for (const auto& entry : cost_stores_) memo_entries += entry.second->memo.size();
+    ServiceMetrics::Get().shared_memo_entries->Set(static_cast<double>(memo_entries));
     auto it = jobs_.find(id);
     if (it != jobs_.end()) {
       it->second.trace = job_trace;

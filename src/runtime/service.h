@@ -108,7 +108,7 @@ class GenerationService {
     std::shared_ptr<const obs::TraceRecorder> trace;
     /// The options the job was submitted with, without the runtime wiring
     /// the service adds to a run (stop handle, progress sink, warm start,
-    /// shared delta cache), and the workload name it was admitted under
+    /// shared cost caches), and the workload name it was admitted under
     /// (empty for a raw log). The record owns both, so they are evicted
     /// with it.
     GeneratorOptions options;
@@ -165,11 +165,12 @@ class GenerationService {
   /// backend sessions will execute on.
   static uint64_t JobKey(const JobSpec& spec);
 
-  /// Cost-identity fingerprint of the experience store and the shared
-  /// delta-cost caches: two jobs share records iff a canonical state's
-  /// sampled cost is interchangeable between them — same canonical query
-  /// log and every EvalOptions-affecting knob (screen, constants,
-  /// k/parse/enumeration, delta flag, seed, and the experience flag itself).
+  /// Cost-identity fingerprint of the experience store and of the shared
+  /// cost caches (state-cost memo and delta-cost cache): two jobs share
+  /// records iff a canonical state's sampled cost is interchangeable between
+  /// them — same canonical query log and every EvalOptions-affecting knob
+  /// (screen, constants, k/parse/enumeration, delta flag, seed, and the
+  /// experience flag itself).
   /// Deliberately EXCLUDES budget/deadline/iteration caps, algorithm,
   /// parallelism, and backend, so a re-run of the same log under a
   /// different budget still warm-starts from the store.
@@ -276,10 +277,10 @@ class GenerationService {
   size_t cache_hits_ = 0;
   size_t sessions_opened_ = 0;
 
-  /// Shared cross-job delta-cost caches for experience jobs, keyed by
-  /// TtStoreKey cost identity (FIFO eviction).
-  std::map<uint64_t, std::shared_ptr<DeltaCostCache>> delta_stores_;
-  std::deque<uint64_t> delta_store_order_;  ///< store keys, oldest first
+  /// One state-cost memo and delta-cost cache per cost identity
+  /// (TtStoreKey), shared by its experience jobs (FIFO eviction).
+  std::map<uint64_t, std::shared_ptr<SharedCostCaches>> cost_stores_;
+  std::deque<uint64_t> cost_store_order_;  ///< store keys, oldest first
   size_t learn_seeded_ = 0;   ///< experience records seeded into searches
   size_t learn_recorded_ = 0; ///< experience records merged back from searches
 

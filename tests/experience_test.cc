@@ -2,9 +2,10 @@
 // persistence contracts (round-trip equality, best-cost-wins, corrupt-file
 // cold starts), the prior fitter's weight fitting + JSON round-trip, the
 // experience-off bit-identity guarantee, warm-start seed/record counters,
-// save-while-searching under TSan — and the cluster arm: a worker persists
-// its store on SIGTERM drain and a restarted worker on the same port
-// warm-starts from it.
+// save-while-searching under TSan, the state-cost memo shared by one cost
+// identity's jobs (trajectory pin, scope, gauge, concurrent jobs under
+// TSan) — and the cluster arm: a worker persists its store on SIGTERM drain
+// and a restarted worker on the same port warm-starts from it.
 //
 // Like cluster_test.cc, this binary doubles as the worker binary: main()
 // checks IsWorkerInvocation before InitGoogleTest so the cluster arm can
@@ -16,6 +17,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -35,6 +37,7 @@
 #include "http/net.h"
 #include "learn/experience.h"
 #include "learn/prior_fit.h"
+#include "obs/metrics.h"
 #include "runtime/service.h"
 #include "sql/parser.h"
 #include "util/json.h"
@@ -521,6 +524,165 @@ TEST(ExperienceService, SaveWhileSearchingIsSafe) {
   auto loaded = back.LoadFrom(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(*loaded, store->size());
+}
+
+// ------------------------------------- one state-cost memo per identity
+
+obs::Counter& EvaluationsCounter() {
+  return *obs::MetricsRegistry::Default().GetCounter("ifgen_eval_evaluations_total", "");
+}
+
+double SharedMemoEntries() {
+  return obs::MetricsRegistry::Default()
+      .GetGauge("ifgen_eval_shared_memo_entries", "")
+      ->Value();
+}
+
+/// A one-worker, cache-off service over `store`.
+GenerationService::Options SerialOptions(std::shared_ptr<ExperienceStore> store) {
+  GenerationService::Options opts;
+  opts.num_threads = 1;
+  opts.cache_capacity = 0;
+  opts.experience = std::move(store);
+  return opts;
+}
+
+/// An iteration-capped experience job: one cost identity per (log, seed).
+JobSpec CappedJob(const std::vector<std::string>& log, uint64_t seed, size_t cap) {
+  JobSpec spec = Job(log, /*experience=*/true);
+  spec.options.search.seed = seed;
+  spec.options.search.max_iterations = cap;
+  return spec;
+}
+
+void ExpectSameTrajectory(const GeneratedInterface& lhs, const GeneratedInterface& rhs,
+                          const std::string& what) {
+  EXPECT_EQ(lhs.cost.total(), rhs.cost.total()) << what;
+  EXPECT_EQ(WriteJson(DiffTreeToJsonValue(lhs.difftree)),
+            WriteJson(DiffTreeToJsonValue(rhs.difftree)))
+      << what;
+  EXPECT_EQ(lhs.stats.iterations, rhs.stats.iterations) << what;
+  EXPECT_EQ(lhs.stats.states_expanded, rhs.stats.states_expanded) << what;
+  EXPECT_EQ(lhs.stats.rollouts, rhs.stats.rollouts) << what;
+  EXPECT_EQ(lhs.stats.rollout_steps, rhs.stats.rollout_steps) << what;
+  EXPECT_EQ(lhs.stats.transposition_hits, rhs.stats.transposition_hits) << what;
+}
+
+/// Serial experience jobs of one identity that share their identity's memo
+/// (arm A: one service) follow the trajectories they follow with a memo of
+/// their own (arm B: a fresh service per job). Each arm has its own store,
+/// fed by its own jobs, so both arms seed every job alike. Arm A first runs
+/// a job of another seed on the same log: a memo shared across seeds would
+/// hand its costs to the seed-11 jobs. The caps keep every job short of the
+/// ANY reorderings of states an earlier job priced first; such a state is
+/// priced on another order than the job's own first visit would use, which
+/// can move expansion counts (docs/cost-model.md).
+TEST(ExperienceService, SharedMemoKeepsSerialTrajectories) {
+  const std::vector<std::pair<const char*, std::vector<size_t>>> workloads = {
+      {"flights", {60, 25, 110, 40, 90, 75}},
+      {"sdss", {45, 20, 80, 30, 65, 55}},
+  };
+  for (const auto& [name, caps] : workloads) {
+    auto bundle = LoadWorkload(name, 200);
+    ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+    auto shared_store = std::make_shared<ExperienceStore>();
+    auto fresh_store = std::make_shared<ExperienceStore>();
+    GenerationService shared(SerialOptions(shared_store));
+    ASSERT_TRUE(RunSpec(shared, CappedJob(bundle->log, 10, 50)).ok());
+
+    uint64_t shared_evals = 0;
+    uint64_t fresh_evals = 0;
+    for (size_t cap : caps) {
+      const JobSpec spec = CappedJob(bundle->log, 11, cap);
+      uint64_t before = EvaluationsCounter().Value();
+      auto lhs = RunSpec(shared, spec);
+      shared_evals += EvaluationsCounter().Value() - before;
+      GenerationService fresh(SerialOptions(fresh_store));
+      before = EvaluationsCounter().Value();
+      auto rhs = RunSpec(fresh, spec);
+      fresh_evals += EvaluationsCounter().Value() - before;
+      ASSERT_TRUE(lhs.ok()) << lhs.status().ToString();
+      ASSERT_TRUE(rhs.ok()) << rhs.status().ToString();
+      ExpectSameTrajectory(*lhs, *rhs, std::string(name) + " cap " + std::to_string(cap));
+    }
+    // The memo is really shared: later jobs re-price fewer states.
+    EXPECT_LT(shared_evals, fresh_evals) << name;
+  }
+}
+
+/// Jobs that are not experience jobs hold no identity's memo, so the gauge
+/// a job end sets reads 0.
+TEST(ExperienceService, NonExperienceJobsLeaveTheSharedMemoGaugeAtZero) {
+  auto bundle = LoadWorkload("flights", 200);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  auto store = std::make_shared<ExperienceStore>();
+  {
+    // Another service's experience job leaves the gauge non-zero first.
+    GenerationService other(SerialOptions(store));
+    ASSERT_TRUE(RunSpec(other, CappedJob(bundle->log, 11, 30)).ok());
+    EXPECT_GT(SharedMemoEntries(), 0.0);
+  }
+  GenerationService service(SerialOptions(store));
+  for (size_t cap : {20, 35}) {
+    JobSpec spec = Job(bundle->log, /*experience=*/false);
+    spec.options.search.max_iterations = cap;
+    ASSERT_TRUE(RunSpec(service, spec).ok());
+    EXPECT_EQ(SharedMemoEntries(), 0.0) << cap;
+  }
+}
+
+/// The seed is part of the cost identity: a seed-12 job after seed-11 jobs
+/// finds no memo of its own yet, so it does as much work, and gives the same
+/// result, as on a fresh service.
+TEST(ExperienceService, OtherSeedJobDoesTheWorkOfAFreshService) {
+  auto bundle = LoadWorkload("flights", 200);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  GenerationService used(SerialOptions(std::make_shared<ExperienceStore>()));
+  for (size_t cap : {40, 70}) {
+    ASSERT_TRUE(RunSpec(used, CappedJob(bundle->log, 11, cap)).ok());
+  }
+  const double seed11_entries = SharedMemoEntries();
+  EXPECT_GT(seed11_entries, 0.0);
+
+  const JobSpec spec = CappedJob(bundle->log, 12, 60);
+  uint64_t before = EvaluationsCounter().Value();
+  auto lhs = RunSpec(used, spec);
+  const uint64_t used_evals = EvaluationsCounter().Value() - before;
+  EXPECT_GT(SharedMemoEntries(), seed11_entries);  // a second identity's memo
+
+  GenerationService fresh(SerialOptions(std::make_shared<ExperienceStore>()));
+  before = EvaluationsCounter().Value();
+  auto rhs = RunSpec(fresh, spec);
+  const uint64_t fresh_evals = EvaluationsCounter().Value() - before;
+  ASSERT_TRUE(lhs.ok()) << lhs.status().ToString();
+  ASSERT_TRUE(rhs.ok()) << rhs.status().ToString();
+  ExpectSameTrajectory(*lhs, *rhs, "seed 12");
+  EXPECT_EQ(used_evals, fresh_evals);
+}
+
+/// Concurrent same-identity jobs, each with two trees, read and write one
+/// memo from four threads (run under TSan in CI).
+TEST(ExperienceService, ConcurrentSameIdentityJobsShareOneMemo) {
+  auto bundle = LoadWorkload("flights", 200);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  GenerationService::Options opts = SerialOptions(std::make_shared<ExperienceStore>());
+  opts.num_threads = 2;
+  GenerationService service(opts);
+  std::vector<GenerationService::JobId> ids;
+  for (size_t cap : {40, 55, 70, 85}) {
+    JobSpec spec = CappedJob(bundle->log, 11, cap);
+    spec.options.parallel.num_threads = 2;
+    auto id = service.SubmitJob(std::move(spec));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+  }
+  for (GenerationService::JobId id : ids) {
+    auto info = service.WaitJob(id);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(info->state, JobState::kDone) << info->error.ToString();
+    ASSERT_NE(info->result, nullptr);
+    EXPECT_TRUE(std::isfinite(info->result->cost.total())) << id;
+  }
 }
 
 // ------------------------------------------------------------ cluster arm

@@ -6,6 +6,7 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -20,6 +21,7 @@
 #include "core/interface_generator.h"
 #include "http/api_http.h"
 #include "http/http_client.h"
+#include "http/net.h"
 #include "obs/metrics.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -793,6 +795,63 @@ TEST(HttpClient, FetchTimeoutBoundsATricklingResponse) {
   EXPECT_EQ(resp.status().code(), StatusCode::kResourceExhausted)
       << resp.status().ToString();
   EXPECT_LT(elapsed, 1500) << "timeout must bound the whole call, not each recv";
+}
+
+/// The server's read deadline bounds the whole request, not each recv: a
+/// client that sends one byte of a request head every 200 ms never lets a
+/// per-recv timeout expire, but must still lose the connection once the
+/// 10 s read deadline (kRecvTimeoutMs) has passed.
+TEST(HttpServer, TricklingRequestIsClosedWithinTheReadDeadline) {
+  constexpr int64_t kReadDeadlineMs = 10000;
+  http::HttpServer server;
+  http::HttpServer::Options opts;
+  opts.port = 0;
+  opts.num_threads = 1;
+  ASSERT_TRUE(server
+                  .Start(opts,
+                         [](const http::HttpRequest&) {
+                           http::HttpResponse r;
+                           r.body = "{}";
+                           return r;
+                         })
+                  .ok());
+  auto fd = net::ConnectTcp(kHost, server.port(), 2000);
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  // An endless request line: the head is never complete.
+  const std::string head = "GET /" + std::string(1000, 'a');
+  const auto start = std::chrono::steady_clock::now();
+  auto elapsed_ms = [&] {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  bool closed = false;
+  for (size_t i = 0; i < head.size() && elapsed_ms() < kReadDeadlineMs + 2000; ++i) {
+    if (::send(*fd, &head[i], 1, MSG_NOSIGNAL) != 1) {
+      closed = true;
+      break;
+    }
+    // The server closes without answering: the peer's EOF shows up here.
+    pollfd p{};
+    p.fd = *fd;
+    p.events = POLLIN;
+    if (::poll(&p, 1, 200) > 0) {
+      char byte;
+      if (::recv(*fd, &byte, 1, MSG_DONTWAIT) <= 0) {
+        closed = true;
+        break;
+      }
+    }
+  }
+  const int64_t elapsed = elapsed_ms();
+  ::close(*fd);
+  EXPECT_TRUE(closed) << "a trickling client held the worker for " << elapsed << " ms";
+  EXPECT_LT(elapsed, kReadDeadlineMs + 2000);
+  // The freed worker serves the next request.
+  auto resp = http::Get(kHost, server.port(), "/x");
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->status, 200);
+  server.Stop();
 }
 
 TEST_F(HttpTest, ConcurrentSessionsAndPollersOverHttp) {

@@ -353,9 +353,9 @@ TEST(GenerationService, JobKeyIgnoresEvalAblationAndRuntimeWiring) {
        [](GeneratorOptions* o) { o->search.progress = std::make_shared<ProgressSink>(); }},
       {"search.warm_start",
        [](GeneratorOptions* o) { o->search.warm_start = std::make_shared<WarmStart>(); }},
-      {"shared_delta_cache",
+      {"shared_caches",
        [](GeneratorOptions* o) {
-         o->shared_delta_cache = std::make_shared<DeltaCostCache>();
+         o->shared_caches = std::make_shared<SharedCostCaches>();
        }},
   };
   const uint64_t base = GenerationService::JobKey(SmallJob(1));
